@@ -5,10 +5,12 @@
 // content-addressed caches pin exactly.
 //
 // A function is determinism-critical when its name matches
-// (?i)fingerprint|canonical|golden|render|repair, or it is a String
-// method (the repo's CLI goldens are built from String renderings; repair
-// synthesis and mutation must emit identical candidate orders and bytes
-// on every run — suggested fixes are content-addressed and golden-pinned).
+// (?i)fingerprint|canonical|golden|render|repair|build|generate, or it is
+// a String method (the repo's CLI goldens are built from String
+// renderings; repair synthesis and mutation must emit identical candidate
+// orders and bytes on every run — suggested fixes are content-addressed
+// and golden-pinned; test generation must yield the same test, and so the
+// same fingerprint, for the same cycle on every run).
 // Two escapes keep the pass precise:
 //
 //   - The collect-then-sort idiom is exempt: a range statement followed
@@ -69,7 +71,7 @@ type listedPackage struct {
 }
 
 // criticalName matches determinism-critical function names.
-var criticalName = regexp.MustCompile(`(?i)fingerprint|canonical|golden|render|repair`)
+var criticalName = regexp.MustCompile(`(?i)fingerprint|canonical|golden|render|repair|build|generate`)
 
 // check runs the pass over the packages matched by patterns (default
 // ./...) and returns the findings, sorted by position.

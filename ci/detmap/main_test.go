@@ -61,6 +61,14 @@ func irrelevant(m map[string]int) int {
 	return x
 }
 
+func buildCondition(m map[string]int) []string {
+	var out []string
+	for k := range m { // finding: test generation path
+		out = append(out, k)
+	}
+	return out
+}
+
 func synthesizeRepair(m map[string]int) string {
 	out := ""
 	for k := range m { // finding: repair path
@@ -91,10 +99,10 @@ func TestCheckFindsMapRangesInCriticalFuncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 3 {
-		t.Fatalf("got %d findings, want 3:\n%s", len(findings), strings.Join(findings, "\n"))
+	if len(findings) != 4 {
+		t.Fatalf("got %d findings, want 4:\n%s", len(findings), strings.Join(findings, "\n"))
 	}
-	var hasString, hasFingerprint, hasRepair bool
+	var hasString, hasFingerprint, hasRepair, hasBuild bool
 	for _, f := range findings {
 		if strings.Contains(f, "func String") {
 			hasString = true
@@ -105,13 +113,16 @@ func TestCheckFindsMapRangesInCriticalFuncs(t *testing.T) {
 		if strings.Contains(f, "func synthesizeRepair") {
 			hasRepair = true
 		}
+		if strings.Contains(f, "func buildCondition") {
+			hasBuild = true
+		}
 		if strings.Contains(f, "Canonical") || strings.Contains(f, "renderCount") || strings.Contains(f, "irrelevant") {
 			t.Errorf("exempt or non-critical function flagged: %s", f)
 		}
 	}
-	if !hasString || !hasFingerprint || !hasRepair {
-		t.Errorf("missing expected findings (String %v, Fingerprint %v, synthesizeRepair %v):\n%s",
-			hasString, hasFingerprint, hasRepair, strings.Join(findings, "\n"))
+	if !hasString || !hasFingerprint || !hasRepair || !hasBuild {
+		t.Errorf("missing expected findings (String %v, Fingerprint %v, synthesizeRepair %v, buildCondition %v):\n%s",
+			hasString, hasFingerprint, hasRepair, hasBuild, strings.Join(findings, "\n"))
 	}
 }
 

@@ -293,10 +293,6 @@ func Analyze(t *Test) *AnalysisReport { return analysis.Analyze(t) }
 // StaticUnknown means the analysis cannot decide and is always safe.
 func StaticPrefilter(m *Model, t *Test) StaticResult { return m.Prefilter(t) }
 
-// JudgeStatic is JudgeUnder with the static prefilter in front: decided
-// verdicts skip enumeration entirely and carry Verdict.StaticSkipped.
-func JudgeStatic(m *Model, t *Test) (*Verdict, error) { return core.JudgeStatic(m, t) }
-
 // RepairTest synthesizes the minimal set of fence insertions or
 // strengthenings that makes the test's exists-condition Never under the
 // PTX model. Every suggested fix is judge-verified: candidates mutate the

@@ -334,6 +334,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 	if a.writers == nil {
 		a.writers = make(map[ptx.Sym][]EventID)
 	}
+	//detmap:ignore truncates every entry in place; the order cannot escape.
 	for loc, w := range a.writers {
 		a.writers[loc] = w[:0]
 	}
@@ -343,6 +344,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 		}
 	}
 	a.wlocs = a.wlocs[:0]
+	//detmap:ignore collected keys are sorted by sortSyms just below.
 	for loc, w := range a.writers {
 		if len(w) > 0 {
 			a.wlocs = append(a.wlocs, loc)

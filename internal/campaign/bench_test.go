@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/core"
@@ -24,7 +25,7 @@ func benchMemoCorpus(b *testing.B, static bool) {
 		for _, t := range tests {
 			var err error
 			if static {
-				_, err = mm.VerdictStatic(m, t)
+				_, err = mm.VerdictStaticCtxP(context.Background(), m, t, 0)
 			} else {
 				_, err = mm.Verdict(m, t)
 			}

@@ -30,7 +30,7 @@ type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
 	// staticSkipped counts verdicts the static prefilter decided without
-	// enumeration (VerdictStatic family): the skip ledger the service's
+	// enumeration (VerdictStaticCtxP): the skip ledger the service's
 	// /v1/stats and /metrics surface.
 	staticSkipped atomic.Int64
 }
@@ -83,70 +83,44 @@ func NewMemo() *Memo {
 // first request: enumerate the candidate executions, filter through the
 // model, and fingerprint the allowed final states with the harness's
 // fingerprint function (so histograms compare directly against Allowed).
-// The per-test verdict stream stays serial: Analyse callers fan out across
+// The per-test verdict stream is serial: Analyse callers fan out across
 // tests on the campaign pool already (validate.go's phase 1), and nesting a
-// second worker pool per test would oversubscribe it. AnalyseP fans a
-// single test's stream out instead.
+// second worker pool per test would oversubscribe it.
 func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
-	return mm.AnalyseP(m, t, 1)
-}
-
-// AnalyseP is Analyse with an explicit verdict-stream parallelism (see
-// core.Model.ForEachVerdict), for callers analysing one huge test rather
-// than sweeping many. The memoized info is identical for every
-// parallelism; only the first request for an entry computes it, so its
-// parallelism is the one used.
-func (mm *Memo) AnalyseP(m *core.Model, t *litmus.Test, parallelism int) (*ModelInfo, error) {
 	e := mm.entry(m, t)
-	e.once.Do(func() { e.info, e.err = analyse(m, t, parallelism) })
+	e.once.Do(func() { e.info, e.err = analyse(m, t) })
 	return e.info, e.err
 }
 
 // Verdict returns the memoized herd-style verdict of t under m (exactly
-// core.Judge, computed once per (model, test) content pair).
-func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
-	return mm.VerdictP(m, t, 0)
-}
-
-// VerdictP is Verdict with an explicit evaluation parallelism (see
-// core.JudgeP). Verdicts are identical for every parallelism; only the
-// first request for an entry computes, so its parallelism is the one used.
-// Because entries are content-addressed, the cached Verdict's Test field is
-// the first requester's *Test: a content-identical test under a different
-// name receives the original's verdict object (counts and witness are
+// core.Judge, computed once per (model, test) content pair). Because
+// entries are content-addressed, the cached Verdict's Test field is the
+// first requester's *Test: a content-identical test under a different name
+// receives the original's verdict object (counts and witness are
 // necessarily identical; only the label differs).
-func (mm *Memo) VerdictP(m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
-	return mm.VerdictCtxP(context.Background(), m, t, parallelism)
+func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
+	return mm.VerdictCtxP(context.Background(), m, t, 0)
 }
 
-// VerdictCtxP is VerdictP under a context: cancellation and obs tracing
-// reach the enumeration when this call is the one that computes the
-// entry. Joiners of an already-computed (or in-flight) entry get the
-// memoized verdict; their context's trace records no pipeline phases —
-// the work happened under the first requester's context.
+// VerdictCtxP is Verdict under a context with an explicit evaluation
+// parallelism (see core.JudgeCtx). Verdicts are identical for every
+// parallelism; only the first request for an entry computes, so its
+// parallelism is the one used, and cancellation and obs tracing reach the
+// enumeration only when this call is the one that computes the entry.
+// Joiners of an already-computed (or in-flight) entry get the memoized
+// verdict; their context's trace records no pipeline phases — the work
+// happened under the first requester's context.
 func (mm *Memo) VerdictCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
 	e := mm.entry(m, t)
 	e.vOnce.Do(func() { e.verdict, e.vErr = core.JudgeCtx(ctx, m, t, parallelism) })
 	return e.verdict, e.vErr
 }
 
-// VerdictStatic is Verdict with the static prefilter in front: when the
-// prefilter decides, enumeration is skipped (the returned Verdict has
-// StaticSkipped set and zero candidate counts) and the memo's skip
-// counter increments. Static and enumerated verdicts memoize separately,
-// so a later Verdict call still gets full counts.
-func (mm *Memo) VerdictStatic(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
-	return mm.VerdictStaticP(m, t, 0)
-}
-
-// VerdictStaticP is VerdictStatic with an explicit evaluation parallelism
-// for the enumeration fallback.
-func (mm *Memo) VerdictStaticP(m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
-	return mm.VerdictStaticCtxP(context.Background(), m, t, parallelism)
-}
-
-// VerdictStaticCtxP is VerdictStaticP under a context, with the same
-// first-requester semantics as VerdictCtxP.
+// VerdictStaticCtxP is VerdictCtxP with the static prefilter in front: when
+// the prefilter decides, enumeration is skipped (the returned Verdict has
+// StaticSkipped set and zero candidate counts) and the memo's skip counter
+// increments. Static and enumerated verdicts memoize separately, so a
+// later Verdict call still gets full counts.
 func (mm *Memo) VerdictStaticCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
 	e := mm.entry(m, t)
 	e.sOnce.Do(func() {
@@ -162,19 +136,13 @@ func (mm *Memo) VerdictStaticCtxP(ctx context.Context, m *core.Model, t *litmus.
 // without enumeration over this memo's lifetime.
 func (mm *Memo) StaticSkipped() int64 { return mm.staticSkipped.Load() }
 
-// Repair returns the memoized fence-repair synthesis of t under m (exactly
-// core.Repair, computed once per (model, test) content pair): the minimal
-// judge-verified set of membar insertions/strengthenings making the
-// exists-condition Never. A campaign sweeping one broken test over many
-// chips synthesizes its fix exactly once.
-func (mm *Memo) Repair(m *core.Model, t *litmus.Test) (*analysis.RepairResult, error) {
-	return mm.RepairCtx(context.Background(), m, t, 0)
-}
-
-// RepairCtx is Repair under a context with an explicit per-judgement
-// parallelism, with the same first-requester semantics as VerdictCtxP.
-// The synthesis is deterministic for every parallelism; only the first
-// request for an entry computes.
+// RepairCtx returns the memoized fence-repair synthesis of t under m
+// (exactly core.RepairCtx, computed once per (model, test) content pair):
+// the minimal judge-verified set of membar insertions/strengthenings
+// making the exists-condition Never. A campaign sweeping one broken test
+// over many chips synthesizes its fix exactly once. The synthesis is
+// deterministic for every parallelism; only the first request for an
+// entry computes, with the same first-requester semantics as VerdictCtxP.
 func (mm *Memo) RepairCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*analysis.RepairResult, error) {
 	e := mm.entry(m, t)
 	e.rOnce.Do(func() { e.repair, e.rErr = core.RepairCtx(ctx, m, t, parallelism) })
@@ -193,33 +161,24 @@ func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
 	return e
 }
 
-func analyse(m *core.Model, t *litmus.Test, parallelism int) (*ModelInfo, error) {
+func analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
 	info := &ModelInfo{Allowed: make(map[string]bool)}
 	// Candidate executions stream from the enumerator into verdict-only
-	// model evaluation (Model.ForEachVerdict): nothing materialises the
-	// candidate set, and with parallelism > 1 (or auto past the pipeline
-	// threshold) they fan out over the worker pool with a scratch per
-	// worker. The reductions are order-independent — a fingerprint set
-	// union and two counters — so the memoized info is identical for every
-	// parallelism.
-	var mu sync.Mutex
-	n, err := m.ForEachVerdict(t, parallelism, func(_ int, x *axiom.Execution, allowed bool) error {
+	// model evaluation (Model.ForEachVerdictCtx) on this goroutine: nothing
+	// materialises the candidate set.
+	n, err := m.ForEachVerdictCtx(context.Background(), t, 1, func(_ int, x *axiom.Execution, allowed bool) error {
 		if !allowed {
 			return nil
 		}
-		fp := harness.Fingerprint(t, x.Final)
-		weak := t.Exists.Eval(x.Final)
-		mu.Lock()
 		// Weighted: a symmetry-pruned representative stands for Weight()
 		// equivalent executions sharing its final state, so the count — and
 		// the fingerprint set, which is orbit-invariant by construction —
 		// matches the exhaustive enumeration exactly.
 		info.AllowedCount += x.Weight()
-		info.Allowed[fp] = true
-		if weak {
+		info.Allowed[harness.Fingerprint(t, x.Final)] = true
+		if t.Exists.Eval(x.Final) {
 			info.WeakAllowed = true
 		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -27,41 +27,39 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 		Exists("3:r0=1").
 		MustBuild()
 	m := core.PTX()
-	for _, par := range []int{1, 4} {
-		info, err := NewMemo().AnalyseP(m, test, par)
-		if err != nil {
-			t.Fatalf("p%d: %v", par, err)
-		}
-		ref := &ModelInfo{Allowed: make(map[string]bool)}
-		n, err := m.ForEachVerdictOptsCtx(context.Background(), test, 1, axiom.Opts{Exhaustive: true},
-			func(_ int, x *axiom.Execution, allowed bool) error {
-				if !allowed {
-					return nil
-				}
-				ref.AllowedCount++
-				ref.Allowed[harness.Fingerprint(test, x.Final)] = true
-				if test.Exists.Eval(x.Final) {
-					ref.WeakAllowed = true
-				}
+	info, err := NewMemo().Analyse(m, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &ModelInfo{Allowed: make(map[string]bool)}
+	n, err := m.ForEachVerdictOptsCtx(context.Background(), test, 1, axiom.Opts{Exhaustive: true},
+		func(_ int, x *axiom.Execution, allowed bool) error {
+			if !allowed {
 				return nil
-			})
-		if err != nil {
-			t.Fatalf("p%d: exhaustive reference: %v", par, err)
-		}
-		ref.Candidates = n
-		if info.Candidates != ref.Candidates || info.AllowedCount != ref.AllowedCount ||
-			info.WeakAllowed != ref.WeakAllowed {
-			t.Errorf("p%d: memo (candidates %d, allowed %d, weak %v) differs from exhaustive (%d, %d, %v)",
-				par, info.Candidates, info.AllowedCount, info.WeakAllowed,
-				ref.Candidates, ref.AllowedCount, ref.WeakAllowed)
-		}
-		if len(info.Allowed) != len(ref.Allowed) {
-			t.Fatalf("p%d: %d allowed fingerprints, exhaustive has %d", par, len(info.Allowed), len(ref.Allowed))
-		}
-		for fp := range ref.Allowed {
-			if !info.Allowed[fp] {
-				t.Errorf("p%d: exhaustive fingerprint %s missing from memoized set", par, fp)
 			}
+			ref.AllowedCount++
+			ref.Allowed[harness.Fingerprint(test, x.Final)] = true
+			if test.Exists.Eval(x.Final) {
+				ref.WeakAllowed = true
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("exhaustive reference: %v", err)
+	}
+	ref.Candidates = n
+	if info.Candidates != ref.Candidates || info.AllowedCount != ref.AllowedCount ||
+		info.WeakAllowed != ref.WeakAllowed {
+		t.Errorf("memo (candidates %d, allowed %d, weak %v) differs from exhaustive (%d, %d, %v)",
+			info.Candidates, info.AllowedCount, info.WeakAllowed,
+			ref.Candidates, ref.AllowedCount, ref.WeakAllowed)
+	}
+	if len(info.Allowed) != len(ref.Allowed) {
+		t.Fatalf("%d allowed fingerprints, exhaustive has %d", len(info.Allowed), len(ref.Allowed))
+	}
+	for fp := range ref.Allowed {
+		if !info.Allowed[fp] {
+			t.Errorf("exhaustive fingerprint %s missing from memoized set", fp)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestMemoRepair(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := mm.Repair(m, broken)
+			r, err := mm.RepairCtx(context.Background(), m, broken, 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -40,7 +41,7 @@ func TestMemoRepair(t *testing.T) {
 		}
 	}
 
-	first, err := mm.Repair(m, broken)
+	first, err := mm.RepairCtx(context.Background(), m, broken, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestMemoRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := mm.Repair(m, renamed)
+	again, err := mm.RepairCtx(context.Background(), m, renamed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

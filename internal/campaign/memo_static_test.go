@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -17,12 +18,12 @@ func TestMemoVerdictStatic(t *testing.T) {
 	m := core.PTX()
 
 	decided := litmus.MP(litmus.FenceGL) // statically forbidden under ptx
-	v, err := mm.VerdictStatic(m, decided)
+	v, err := mm.VerdictStaticCtxP(context.Background(), m, decided, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.StaticSkipped || v.Observable {
-		t.Fatalf("VerdictStatic(mp+membar.gls) = %+v, want a static Never", v)
+		t.Fatalf("VerdictStaticCtxP(mp+membar.gls) = %+v, want a static Never", v)
 	}
 	if v.Candidates != 0 {
 		t.Errorf("static verdict carries %d candidates; nothing was enumerated", v.Candidates)
@@ -32,7 +33,7 @@ func TestMemoVerdictStatic(t *testing.T) {
 	}
 
 	// Re-request: memoized, the ledger must not double-count.
-	if _, err := mm.VerdictStatic(m, decided); err != nil {
+	if _, err := mm.VerdictStaticCtxP(context.Background(), m, decided, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := mm.StaticSkipped(); got != 1 {
@@ -45,19 +46,19 @@ func TestMemoVerdictStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if full.StaticSkipped || full.Candidates == 0 {
-		t.Errorf("Verdict after VerdictStatic = %+v, want full enumeration counts", full)
+		t.Errorf("Verdict after VerdictStaticCtxP = %+v, want full enumeration counts", full)
 	}
 	if full.Observable != v.Observable {
 		t.Errorf("static observable %v disagrees with enumeration %v", v.Observable, full.Observable)
 	}
 
 	unknown := litmus.CoRR() // statically unknown under ptx
-	u, err := mm.VerdictStatic(m, unknown)
+	u, err := mm.VerdictStaticCtxP(context.Background(), m, unknown, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.StaticSkipped || u.Candidates == 0 {
-		t.Errorf("VerdictStatic(coRR) = %+v, want enumeration fallback", u)
+		t.Errorf("VerdictStaticCtxP(coRR) = %+v, want enumeration fallback", u)
 	}
 	if got := mm.StaticSkipped(); got != 1 {
 		t.Errorf("StaticSkipped after fallback = %d, want still 1", got)
@@ -79,7 +80,7 @@ func TestMemoVerdictStaticConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			verdicts[i], errs[i] = mm.VerdictStatic(m, tst)
+			verdicts[i], errs[i] = mm.VerdictStaticCtxP(context.Background(), m, tst, 0)
 		}(i)
 	}
 	wg.Wait()

@@ -203,7 +203,7 @@ func benchJudgeCorpus(b *testing.B, static bool) {
 			var v *Verdict
 			var err error
 			if static {
-				v, err = JudgeStatic(m, t)
+				v, err = JudgeStaticCtx(context.Background(), m, t, 0)
 			} else {
 				v, err = Judge(m, t)
 			}
@@ -242,7 +242,7 @@ func BenchmarkPrefilterDecided(b *testing.B) {
 }
 
 // BenchmarkPrefilterUndecided prices one Unknown prefilter call (mp with
-// no fence) — the pure overhead JudgeStatic adds to a test that must
+// no fence) — the pure overhead JudgeStaticCtx adds to a test that must
 // enumerate anyway.
 func BenchmarkPrefilterUndecided(b *testing.B) {
 	m := PTX()
@@ -290,7 +290,7 @@ func benchJudgeFencedStress(b *testing.B, static bool) {
 		var v *Verdict
 		var err error
 		if static {
-			v, err = JudgeStatic(m, test)
+			v, err = JudgeStaticCtx(context.Background(), m, test, 0)
 		} else {
 			v, err = Judge(m, test)
 		}

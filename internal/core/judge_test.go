@@ -10,7 +10,7 @@ import (
 // stressTest builds a covered test with a large candidate set: `writers`
 // threads each store a distinct value to x and read it back, so the read
 // domains, rf choices and the x coherence permutations multiply. With 3
-// writers it enumerates 384 candidates (past the pipeline threshold), with
+// writers it enumerates 384 candidates (past the auto fan-out threshold), with
 // 4 writers 15000 — the generated-corpus / deep-unrolling regime the
 // streaming pipeline exists for.
 func stressTest(writers int) *litmus.Test {

@@ -3,9 +3,9 @@
 // together with a herd-style simulator that decides whether a litmus test's
 // final condition is allowed.
 //
-// The model exists in two independent forms that are cross-checked against
-// each other: the .cat sources of Figs. 15 and 16 interpreted by package
-// cat, and a native Go implementation (native.go).
+// The model is the .cat sources of Figs. 15 and 16, compiled by package
+// cat. The tests cross-check it against a native Go transcription of the
+// same figures (native_test.go).
 package core
 
 import (
@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -80,17 +79,13 @@ acyclic rmo(sys-fence) & sys as sys-constraint
 `
 
 // Model is a memory-consistency model: a parsed .cat model lowered to a
-// compiled slot program, plus an optional native twin used for
-// cross-checking.
+// compiled slot program.
 type Model struct {
 	Name     string
 	Source   string
 	compiled *cat.Model
 	prog     *cat.Program
 	fp       string // content fingerprint of Source, fixed at compile time
-	// native, when non-nil, must agree with the .cat evaluation on every
-	// execution; Allows verifies this in debug mode.
-	native func(x *axiom.Execution) cat.Results
 	// policy is the static-prefilter policy the model's constraints
 	// warrant (see static.go); PolicyNone for user-compiled sources.
 	policy analysis.Policy
@@ -113,10 +108,9 @@ func compile(name, src string) *Model {
 func (m *Model) Fingerprint() string { return m.fp }
 
 // PTX returns the paper's model of Nvidia GPUs: the concatenation of
-// Figs. 15 and 16 (Sec. 5.3), with the native twin enabled.
+// Figs. 15 and 16 (Sec. 5.3).
 func PTX() *Model {
 	m := compile("PTX", RMOSource+PTXScopesSource)
-	m.native = nativePTX
 	m.policy = analysis.PolicyScoped
 	return m
 }
@@ -203,25 +197,6 @@ func (m *Model) AllowsScratch(x *axiom.Execution, sc *cat.Scratch) (cat.Results,
 // NewScratch returns a reusable evaluation scratch for AllowsScratch.
 func (m *Model) NewScratch() *cat.Scratch { return m.prog.NewScratch() }
 
-// CrossCheck evaluates both the .cat interpretation and the native twin on
-// x and reports an error if they disagree (design decision D5: the two
-// implementations guard each other).
-func (m *Model) CrossCheck(x *axiom.Execution) error {
-	if m.native == nil {
-		return nil
-	}
-	catRes, err := m.Allows(x)
-	if err != nil {
-		return err
-	}
-	natRes := m.native(x)
-	if catRes.Allowed() != natRes.Allowed() {
-		return fmt.Errorf("core: model %s: cat verdict %v disagrees with native verdict %v\ncat: %s\nnative: %s",
-			m.Name, catRes.Allowed(), natRes.Allowed(), catRes, natRes)
-	}
-	return nil
-}
-
 // Verdict is the outcome of judging a litmus test against a model. All
 // counts are weighted by symmetry-class size (axiom.Execution.Weight), so
 // they equal the exhaustive enumeration's whatever pruning did.
@@ -241,7 +216,7 @@ type Verdict struct {
 	Visited int
 
 	// StaticSkipped marks a verdict decided by the static prefilter
-	// without enumeration (see JudgeStatic): Observable is authoritative
+	// without enumeration (see JudgeStaticCtx): Observable is authoritative
 	// but all candidate counts are zero. StaticReason is the prefilter's
 	// justification.
 	StaticSkipped bool
@@ -282,7 +257,7 @@ func Judge(m *Model, t *litmus.Test) (*Verdict, error) {
 }
 
 // JudgeP is Judge with an explicit evaluation parallelism (see
-// Model.ForEachVerdict for its meaning). The verdict — including the
+// Model.ForEachVerdictCtx for its meaning). The verdict — including the
 // Witness, pinned to the first witnessing execution in enumeration order —
 // is identical for every parallelism.
 func JudgeP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
@@ -306,23 +281,18 @@ func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*
 // state are identical even though indices differ).
 func JudgeOptsCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int, opts axiom.Opts) (*Verdict, error) {
 	v := &Verdict{Test: t, Model: m.Name}
-	var mu sync.Mutex
-	witnessIdx := -1
-	n, err := m.ForEachVerdictOptsCtx(ctx, t, parallelism, opts, func(i int, x *axiom.Execution, allowed bool) error {
-		mu.Lock()
+	n, err := m.ForEachVerdictOptsCtx(ctx, t, parallelism, opts, func(_ int, x *axiom.Execution, allowed bool) error {
 		v.Visited++
 		if allowed {
 			w := x.Weight()
 			v.Allowed += w
 			if t.Exists.Eval(x.Final) {
 				v.Witnesses += w
-				if witnessIdx < 0 || i < witnessIdx {
-					witnessIdx = i
-					v.Witness = x
+				if v.Witness == nil {
+					v.Witness = x // visits arrive in enumeration order
 				}
 			}
 		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -160,7 +160,7 @@ func TestCrossCheckAgreement(t *testing.T) {
 			t.Fatalf("%s: %v", test.Name, err)
 		}
 		for _, x := range execs {
-			if err := m.CrossCheck(x); err != nil {
+			if err := crossCheckPTX(m, x); err != nil {
 				t.Errorf("%s: %v", test.Name, err)
 				break
 			}

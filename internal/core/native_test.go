@@ -1,15 +1,17 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/cat"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
 // nativePTX is the hand-written Go twin of the PTX .cat model (design
-// decision D5 in DESIGN.md): it mirrors Figs. 15 and 16 directly against
-// the axiom API so that a transcription mistake in either implementation is
-// caught by their disagreement.
+// decision D5): it mirrors Figs. 15 and 16 directly against the axiom API
+// so that a transcription mistake in either implementation is caught by
+// their disagreement (see crossCheckPTX).
 func nativePTX(x *axiom.Execution) cat.Results {
 	com := x.Com()
 
@@ -40,4 +42,19 @@ func nativePTX(x *axiom.Execution) cat.Results {
 		{Name: "gl-constraint", Kind: cat.Acyclic, OK: rmoGL},
 		{Name: "sys-constraint", Kind: cat.Acyclic, OK: rmoSys},
 	}
+}
+
+// crossCheckPTX evaluates both the compiled .cat PTX model m and the native
+// twin on x and reports an error if they disagree.
+func crossCheckPTX(m *Model, x *axiom.Execution) error {
+	catRes, err := m.Allows(x)
+	if err != nil {
+		return err
+	}
+	natRes := nativePTX(x)
+	if catRes.Allowed() != natRes.Allowed() {
+		return fmt.Errorf("core: model %s: cat verdict %v disagrees with native verdict %v\ncat: %s\nnative: %s",
+			m.Name, catRes.Allowed(), natRes.Allowed(), catRes, natRes)
+	}
+	return nil
 }

@@ -87,9 +87,9 @@ func TestTracedJudgeLedgerMatchesVerdict(t *testing.T) {
 }
 
 // TestTracedJudgeLedgerParallelRegimes pins that the weighted ledger is
-// regime-independent: explicit parallelism switches the pipeline to
-// combo/chunk/exec fan-out, and the atomically accumulated counters
-// must still equal the verdict's.
+// independent of parallelism: explicit parallelism fans every unit out to
+// the workers, and the atomically accumulated counters must still equal
+// the verdict's.
 func TestTracedJudgeLedgerParallelRegimes(t *testing.T) {
 	m := PTX()
 	test, err := litmus.ByName("coRR")

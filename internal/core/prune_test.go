@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -126,22 +125,18 @@ func TestVerdictPrunedAccounting(t *testing.T) {
 // TestForEachVerdictWeightedHistogram pins the weighted outcome-histogram
 // equivalence the campaign memo depends on: summing Execution.Weight per
 // final-state fingerprint under pruning must reproduce the exhaustive
-// per-fingerprint counts, in every pipeline regime.
+// per-fingerprint counts at every parallelism.
 func TestForEachVerdictWeightedHistogram(t *testing.T) {
 	m := PTX()
 	ctx := context.Background()
 	for _, test := range []*litmus.Test{symCoreTest(4), soloChunkTest(), stressTest(3)} {
 		for _, par := range []int{1, 4} {
 			collect := func(opts axiom.Opts) map[string]int {
-				var mu sync.Mutex
 				h := map[string]int{}
 				if _, err := m.ForEachVerdictOptsCtx(ctx, test, par, opts, func(_ int, x *axiom.Execution, allowed bool) error {
-					if !allowed {
-						return nil
+					if allowed {
+						h[harness.Fingerprint(test, x.Final)] += x.Weight()
 					}
-					mu.Lock()
-					h[harness.Fingerprint(test, x.Final)] += x.Weight()
-					mu.Unlock()
 					return nil
 				}); err != nil {
 					t.Fatalf("%s/p%d: %v", test.Name, par, err)

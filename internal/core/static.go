@@ -22,22 +22,11 @@ func (m *Model) Prefilter(t *litmus.Test) analysis.Result {
 	return analysis.Prefilter(t, m.policy)
 }
 
-// JudgeStatic is Judge with the static prefilter in front: when the
+// JudgeStaticCtx is JudgeCtx with the static prefilter in front: when the
 // prefilter decides the verdict, enumeration is skipped entirely and the
-// returned Verdict has StaticSkipped set (with zero candidate counts).
-// Equivalent to JudgeStaticP(m, t, 0).
-func JudgeStatic(m *Model, t *litmus.Test) (*Verdict, error) {
-	return JudgeStaticP(m, t, 0)
-}
-
-// JudgeStaticP is JudgeStatic with an explicit evaluation parallelism.
-func JudgeStaticP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	return JudgeStaticCtx(context.Background(), m, t, parallelism)
-}
-
-// JudgeStaticCtx is JudgeStaticP under a context. The prefilter itself is
-// cheap and never consults the context; only the enumeration fallback
-// does.
+// returned Verdict has StaticSkipped set (with zero candidate counts). The
+// prefilter itself is cheap and never consults the context; only the
+// enumeration fallback does.
 func JudgeStaticCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
 	if res := m.Prefilter(t); res.Verdict != analysis.Unknown {
 		return &Verdict{

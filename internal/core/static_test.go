@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -217,28 +218,28 @@ func TestPrefilterPaperExpectations(t *testing.T) {
 	}
 }
 
-// TestJudgeStaticSkips checks the JudgeStatic plumbing: a decided verdict
+// TestJudgeStaticSkips checks the JudgeStaticCtx plumbing: a decided verdict
 // skips enumeration and marks itself, an undecided one falls through to
 // the ordinary judge with full counts.
 func TestJudgeStaticSkips(t *testing.T) {
 	m := PTX()
-	v, err := JudgeStatic(m, litmus.MP(litmus.FenceGL))
+	v, err := JudgeStaticCtx(context.Background(), m, litmus.MP(litmus.FenceGL), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.StaticSkipped || v.Observable || v.Candidates != 0 || v.StaticReason == "" {
-		t.Errorf("JudgeStatic(mp+membar.gls) = %+v, want static Never with a reason", v)
+		t.Errorf("JudgeStaticCtx(mp+membar.gls) = %+v, want static Never with a reason", v)
 	}
 	if s := v.String(); s != "Test mp+membar.gls: Never (static, enumeration skipped) under PTX" {
 		t.Errorf("static verdict String = %q", s)
 	}
 
-	v, err = JudgeStatic(m, litmus.MP(litmus.NoFence))
+	v, err = JudgeStaticCtx(context.Background(), m, litmus.MP(litmus.NoFence), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.StaticSkipped || !v.Observable || v.Candidates == 0 {
-		t.Errorf("JudgeStatic(mp) = %+v, want enumerated Sometimes", v)
+		t.Errorf("JudgeStaticCtx(mp) = %+v, want enumerated Sometimes", v)
 	}
 }
 
@@ -250,7 +251,7 @@ func TestFencedStressStaticAgrees(t *testing.T) {
 	m := PTX()
 	for extra := 0; extra <= 3; extra++ {
 		tst := fencedStressTest(extra)
-		sv, err := JudgeStatic(m, tst)
+		sv, err := JudgeStaticCtx(context.Background(), m, tst, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -19,72 +18,46 @@ import (
 // from the axiom producer straight into model evaluation without ever
 // materialising the full candidate set. Path derivation happens once per
 // judgement (axiom.PrepareCtx memoizes it across the value-domain fixpoint
-// iterations); production then proceeds by path combination.
+// iterations); production then proceeds unit by unit.
 //
-// Two parallel regimes sit on the shared worker pool:
-//
-//   - combo fan-out (the common large-enumeration shape): path combinations
-//     are produced AND evaluated on the workers — each worker assembles a
-//     combination with its own axiom.Assembler and checks its completions
-//     with its own evaluation scratch — while pool.OrderedStream merges the
-//     verdicts back in exact enumeration order. visit is therefore called
-//     serially, in order, with the true enumeration index, and the MaxExecs
-//     bound fails at exactly the execution the serial stream would have
-//     failed at.
-//   - chunk fan-out (single-combination tests whose rf cross product
-//     splits): the combination's rf-choice chunks are produced AND
-//     evaluated on the workers like combos, merged in exact order;
-//   - execution fan-out (single-combination tests whose rf space does not
-//     split): the one combination streams from the enumerating goroutine
-//     into evaluation workers over a channel, exactly the PR 3 pipeline. In
-//     this regime visit runs concurrently and must reduce by index.
+// There is one driver with one contract: visit is called serially, in
+// enumeration order, with the true enumeration index, for every
+// parallelism. The units of work are the path combinations, or — for a
+// single-combination test whose rf cross product splits — that
+// combination's rf chunks. The calling goroutine streams a head of the
+// units itself with one evaluation scratch; the remaining units are
+// produced AND evaluated on the shared worker pool (an axiom.Assembler and
+// a scratch per worker) while pool.OrderedStream merges their verdicts
+// back in exact enumeration order. The running weighted count, the visit
+// index and the MaxExecs bound carry over from the head to the merge, so
+// the bound fails at exactly the execution the serial stream would have
+// failed at.
 //
 // Everything a caller aggregates (Judge's counts and witness, the campaign
-// memo's fingerprint set) is deterministic regardless of parallelism, and
-// counts are weighted by Execution.Weight so symmetry pruning never changes
-// what a caller observes (see axiom.Opts.Exhaustive).
+// memo's fingerprint set) is therefore deterministic regardless of
+// parallelism, and counts are weighted by Execution.Weight so symmetry
+// pruning never changes what a caller observes (see axiom.Opts.Exhaustive).
 
-// parallelMinExecs is the execution-fan-out threshold: single-combination
-// enumerations at least this large engage the channel pipeline in auto
-// mode; smaller ones are checked serially on the enumerating goroutine,
-// where worker startup and channel traffic would cost more than they save.
+// parallelMinExecs is the auto-mode fan-out threshold: the calling
+// goroutine checks executions serially until this many have been visited
+// (small enumerations — every paper test — never reach it, and worker
+// startup would cost more than it saves); the units left after that fan
+// out. A single combination splits into rf chunks in auto mode only when
+// its estimated completion count reaches the threshold.
 const parallelMinExecs = 128
 
-// parallelMinCombos is the combo-fan-out threshold for auto mode: tests
-// with at least this many path combinations are produced in parallel.
-// Below it (every paper litmus test) enumeration is too small for worker
-// startup to pay off; explicit parallelism overrides the threshold.
-const parallelMinCombos = 32
-
-// errVerdictStopped aborts the producer when a worker has already failed.
+// errVerdictStopped aborts a producer after it delivered an eval error.
 var errVerdictStopped = errors.New("core: verdict stream stopped")
 
-// execItem is one numbered candidate on its way to a worker.
-type execItem struct {
-	idx int
-	x   *axiom.Execution
-}
-
 // execVerdict is one evaluated candidate on its way back to the ordered
-// merge of the combo fan-out.
+// merge.
 type execVerdict struct {
 	x       *axiom.Execution
 	allowed bool
 	err     error
 }
 
-// checkExec evaluates one candidate on the verdict-only path, attaching
-// the model name to evaluation failures (multi-model sweeps need to know
-// which model's program failed); visit errors pass through verbatim.
-func (m *Model) checkExec(sc *cat.Scratch, idx int, x *axiom.Execution, visit func(i int, x *axiom.Execution, allowed bool) error) error {
-	allowed, err := m.prog.RunExecVerdict(x, sc)
-	if err != nil {
-		return fmt.Errorf("core: model %s: %w", m.Name, err)
-	}
-	return visit(idx, x, allowed)
-}
-
-// ForEachVerdict enumerates the candidate executions of t (under
+// ForEachVerdictCtx enumerates the candidate executions of t (under
 // axiom.DefaultOpts) and calls visit(i, x, allowed) for every produced
 // candidate, where i is the execution's position in enumeration order and
 // allowed is the model's verdict-only evaluation. It returns the weighted
@@ -93,26 +66,19 @@ func (m *Model) checkExec(sc *cat.Scratch, idx int, x *axiom.Execution, visit fu
 // like any weighted aggregate a caller builds — equals the exhaustive
 // enumeration's.
 //
-// parallelism bounds the evaluating workers: 0 sizes the pool to
-// GOMAXPROCS but stays serial for small enumerations (the common litmus
-// case); 1 forces serial; n > 1 forces a parallel pipeline of n workers.
-// Under combo fan-out (explicit parallelism on tests with at least two
-// path combinations, or auto mode past the combination threshold) visit
-// is called serially in enumeration order; under execution fan-out
-// (few-combination tests with large rf/co spaces) it is called
-// concurrently and in no particular order — a visit callback must
-// therefore be safe for concurrent use and reduce order-independently or
-// by index. Any visit error cancels the run and is returned.
-func (m *Model) ForEachVerdict(t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	return m.ForEachVerdictCtx(context.Background(), t, parallelism, visit)
-}
-
-// ForEachVerdictCtx is ForEachVerdict under a context: cancelling ctx stops
-// the producer promptly (checked per combination and per execution),
-// unblocks the pipeline, and returns ctx.Err(). Long-lived callers (the
-// gpulitmusd service) pass the request-scoped context so an abandoned
-// request stops consuming the worker pool mid-stream. For an uncancelled
-// ctx the behaviour is exactly ForEachVerdict's.
+// visit is called serially, in enumeration order, whatever the
+// parallelism, so callbacks need no locks. parallelism bounds the
+// evaluating workers: 1 checks every execution on the calling goroutine;
+// n > 1 produces and evaluates every unit of work (path combination or rf
+// chunk) on n workers; 0 sizes the pool to GOMAXPROCS but checks
+// serially until parallelMinExecs executions have been visited, so small
+// enumerations (the common litmus case) never start a worker. Any visit
+// error stops the run and is returned.
+//
+// Cancelling ctx stops the producer promptly (checked per unit and per
+// execution) and returns ctx.Err(). Long-lived callers (the gpulitmusd
+// service) pass the request-scoped context so an abandoned request stops
+// consuming the worker pool mid-stream.
 func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
 	return m.ForEachVerdictOptsCtx(ctx, t, parallelism, axiom.DefaultOpts(), visit)
 }
@@ -126,9 +92,7 @@ func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, paralleli
 func (m *Model) ForEachVerdictOptsCtx(ctx context.Context, t *litmus.Test, parallelism int, opts axiom.Opts, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
 	if tr := obs.FromContext(ctx); tr.Enabled() {
 		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
-		// under it) and time the visit/merge callback into PhaseMerge. The
-		// wrapper composes with every regime — under exec fan-out visit
-		// runs concurrently, and the phase timer is atomic.
+		// under it) and time the visit/merge callback into PhaseMerge.
 		sp, sctx := tr.StartSpan(ctx, "verdict")
 		ctx = sctx
 		defer sp.Finish()
@@ -149,233 +113,146 @@ func (m *Model) ForEachVerdictOptsCtx(ctx context.Context, t *litmus.Test, paral
 	if err != nil {
 		return 0, err
 	}
-	nc := enum.Combos()
-	switch {
-	case workers == 1 || nc == 0:
-		return m.forEachVerdictSerial(ctx, enum, visit)
-	case nc == 1:
-		// One combination cannot fan out by combo; split its rf cross
-		// product into chunks instead (falls back to the channel pipeline
-		// when the product is too small or unsplittable).
-		return m.forEachVerdictChunked(ctx, enum, workers, auto, visit)
-	case auto && nc < parallelMinCombos:
-		// Too few combinations for combo fan-out to proxy enumeration size
-		// (a handful of combos can still hide thousands of rf/co
-		// completions): the execution-level pipeline decides by execution
-		// count — serial under its threshold, channel fan-out past it.
-		return m.forEachVerdictExecPipeline(ctx, enum, workers, auto, visit)
-	default:
-		return m.forEachVerdictCombos(ctx, enum, workers, visit)
+	r := &verdictRun{m: m, ctx: ctx, enum: enum, visit: visit, maxExecs: enum.Opts().MaxExecs}
+	n := r.units(workers, auto)
+	// The calling goroutine streams the head of the units: all of them
+	// with one worker or fewer than two units, in auto mode until
+	// parallelMinExecs executions have been visited, under explicit
+	// parallelism none. The rest fan out.
+	serial := func() bool { return workers == 1 || n < 2 || (auto && r.visits < parallelMinExecs) }
+	u := 0
+	if serial() {
+		sc := m.NewScratch()
+		sc.SetTracer(obs.FromContext(ctx))
+		var a axiom.Assembler
+		emit := func(x *axiom.Execution) error {
+			allowed, err := m.verdict(x, sc)
+			return r.deliver(x, allowed, err)
+		}
+		for ; u < n && serial(); u++ {
+			if err := ctx.Err(); err != nil {
+				return r.count, err
+			}
+			if err := r.stream(&a, u, emit); err != nil {
+				return r.count, err
+			}
+		}
 	}
+	if u < n {
+		err = r.fanOut(u, n, workers)
+	}
+	return r.count, err
 }
 
-// forEachVerdictSerial checks each candidate on the enumerating goroutine
-// as it streams out, with one scratch for the whole run.
-func (m *Model) forEachVerdictSerial(ctx context.Context, enum *axiom.Enumeration, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	sc := m.NewScratch()
-	sc.SetTracer(obs.FromContext(ctx))
-	count, visits := 0, 0
-	err := enum.StreamCtx(ctx, func(x *axiom.Execution) error {
-		idx := visits
-		visits++
-		count += x.Weight()
-		return m.checkExec(sc, idx, x, visit)
-	})
-	return count, err
+// verdictRun is the ordered state of one ForEachVerdictOptsCtx call,
+// carried from the serial head into the fan-out merge.
+type verdictRun struct {
+	m             *Model
+	ctx           context.Context
+	enum          *axiom.Enumeration
+	visit         func(i int, x *axiom.Execution, allowed bool) error
+	chunked       bool // the units are combination 0's rf chunks
+	maxExecs      int
+	count, visits int // weighted candidates and visits delivered so far
 }
 
-// forEachVerdictCombos fans path combinations out across the pool: each
-// worker assembles its claimed combination and evaluates its completions
-// with per-worker scratches, and the verdicts merge back on this goroutine
-// in exact enumeration order (see pool.OrderedStream). The MaxExecs bound
-// is enforced at the merge, where the global weighted count is exact, with
-// the same error the serial stream raises.
-func (m *Model) forEachVerdictCombos(ctx context.Context, enum *axiom.Enumeration, workers int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	nc := enum.Combos()
-	if workers > nc {
-		workers = nc
+// units picks the run's units of work and returns their number: the path
+// combinations, or — when there is one combination, more than one worker,
+// and the combination's rf cross product splits (in auto mode only when
+// its estimated completion count reaches parallelMinExecs) — that
+// combination's rf chunks. Either way the units back to back reproduce
+// the serial enumeration exactly.
+func (r *verdictRun) units(workers int, auto bool) int {
+	if r.enum.Combos() == 1 && workers > 1 {
+		var probe axiom.Assembler
+		if chunks, estimate := r.enum.ComboChunks(0, &probe); chunks >= 2 && (!auto || estimate >= parallelMinExecs) {
+			r.chunked = true
+			return chunks
+		}
 	}
-	return m.forEachVerdictOrdered(ctx, enum, nc, workers, visit,
-		func(a *axiom.Assembler, c int, yield func(*axiom.Execution) error) error {
-			return enum.StreamCombo(c, a, yield)
-		})
+	return r.enum.Combos()
 }
 
-// forEachVerdictChunked handles the single-combination shape by splitting
-// the combination's rf cross product into claimable chunks — one per
-// candidate source of the first rf choice — produced and evaluated on the
-// workers and merged back in exact enumeration order, exactly like combo
-// fan-out (chunks ascending = sources ascending = the serial order). When
-// the combination cannot usefully split (fewer than two chunks, or an auto
-// run whose estimated completion count is under the pipeline threshold) it
-// falls back to the channel pipeline.
-func (m *Model) forEachVerdictChunked(ctx context.Context, enum *axiom.Enumeration, workers int, auto bool, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	var probe axiom.Assembler
-	chunks, estimate := enum.ComboChunks(0, &probe)
-	if chunks < 2 || (auto && estimate < parallelMinExecs) {
-		return m.forEachVerdictExecPipeline(ctx, enum, workers, auto, visit)
+// stream produces unit u's executions in enumeration order.
+func (r *verdictRun) stream(a *axiom.Assembler, u int, yield func(*axiom.Execution) error) error {
+	if r.chunked {
+		return r.enum.StreamComboChunk(0, u, a, yield)
 	}
-	if workers > chunks {
-		workers = chunks
-	}
-	return m.forEachVerdictOrdered(ctx, enum, chunks, workers, visit,
-		func(a *axiom.Assembler, c int, yield func(*axiom.Execution) error) error {
-			return enum.StreamComboChunk(0, c, a, yield)
-		})
+	return r.enum.StreamCombo(u, a, yield)
 }
 
-// forEachVerdictOrdered is the shared fan-out/merge engine of the combo and
-// chunk drivers: items [0, n) are produced and evaluated on the workers (a
-// per-worker Assembler and scratch each) and their verdicts merge back on
-// this goroutine in exact enumeration order via pool.OrderedStream. The
-// MaxExecs bound is enforced at the merge by Execution.Weight, before any
-// speculative eval error at the same position (the serial stream fails with
-// BoundError before ever evaluating the execution past the bound).
-func (m *Model) forEachVerdictOrdered(ctx context.Context, enum *axiom.Enumeration, n, workers int, visit func(i int, x *axiom.Execution, allowed bool) error,
-	produce func(a *axiom.Assembler, item int, yield func(*axiom.Execution) error) error) (int, error) {
+// verdict evaluates one candidate on the verdict-only path, attaching the
+// model name to evaluation failures (multi-model sweeps need to know which
+// model's program failed).
+func (m *Model) verdict(x *axiom.Execution, sc *cat.Scratch) (bool, error) {
+	allowed, err := m.prog.RunExecVerdict(x, sc)
+	if err != nil {
+		return false, fmt.Errorf("core: model %s: %w", m.Name, err)
+	}
+	return allowed, nil
+}
+
+// deliver hands the next execution in enumeration order to visit. The
+// context and the MaxExecs bound (by Execution.Weight, with the serial
+// stream's error) are checked before evalErr, the model's failure on x:
+// the serial stream fails with BoundError before ever evaluating the
+// execution past the bound, and a speculatively evaluated one must not
+// change that. visit errors pass through verbatim.
+func (r *verdictRun) deliver(x *axiom.Execution, allowed bool, evalErr error) error {
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	w := x.Weight()
+	if r.count+w > r.maxExecs {
+		return r.enum.BoundError()
+	}
+	if evalErr != nil {
+		return evalErr
+	}
+	idx := r.visits
+	r.visits++
+	r.count += w
+	return r.visit(idx, x, allowed)
+}
+
+// fanOut produces and evaluates units [from, n) on the worker pool (a
+// per-worker Assembler and scratch each) and merges their verdicts back on
+// the calling goroutine in exact enumeration order via
+// pool.OrderedStream, continuing the run's count, visit index and bound.
+func (r *verdictRun) fanOut(from, n, workers int) error {
+	if workers > n-from {
+		workers = n - from
+	}
+	tr := obs.FromContext(r.ctx)
 	scratches := make([]*cat.Scratch, workers)
 	assemblers := make([]axiom.Assembler, workers)
-	tr := obs.FromContext(ctx)
 	for w := range scratches {
-		scratches[w] = m.NewScratch()
+		scratches[w] = r.m.NewScratch()
 		scratches[w].SetTracer(tr)
 	}
-	maxExecs := enum.Opts().MaxExecs
-	count, visits := 0, 0
-	err := pool.OrderedStream(n, workers, 4*workers,
-		func(w, c int, emit func(execVerdict) error) error {
-			if err := ctx.Err(); err != nil {
+	err := pool.OrderedStream(n-from, workers, 4*workers,
+		func(w, i int, emit func(execVerdict) error) error {
+			if err := r.ctx.Err(); err != nil {
 				return err
 			}
 			sc := scratches[w]
-			return produce(&assemblers[w], c, func(x *axiom.Execution) error {
-				allowed, err := m.prog.RunExecVerdict(x, sc)
+			return r.stream(&assemblers[w], from+i, func(x *axiom.Execution) error {
+				allowed, err := r.m.verdict(x, sc)
+				if e := emit(execVerdict{x: x, allowed: allowed, err: err}); e != nil {
+					return e
+				}
 				if err != nil {
-					// Deliver the failure at this execution's position in the
-					// merge, so the error a caller sees is deterministic.
-					if e := emit(execVerdict{x: x, err: fmt.Errorf("core: model %s: %w", m.Name, err)}); e != nil {
-						return e
-					}
+					// The failure was delivered at this execution's position
+					// in the merge, so the error a caller sees is
+					// deterministic.
 					return errVerdictStopped
 				}
-				return emit(execVerdict{x: x, allowed: allowed})
+				return nil
 			})
 		},
-		func(_ int, v execVerdict) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			wt := 1
-			if v.x != nil {
-				wt = v.x.Weight()
-			}
-			if count+wt > maxExecs {
-				return enum.BoundError()
-			}
-			if v.err != nil {
-				return v.err
-			}
-			idx := visits
-			visits++
-			count += wt
-			return visit(idx, v.x, v.allowed)
-		})
+		func(_ int, v execVerdict) error { return r.deliver(v.x, v.allowed, v.err) })
 	if errors.Is(err, errVerdictStopped) {
 		err = nil // the positional eval error was already delivered
 	}
-	return count, err
-}
-
-// forEachVerdictExecPipeline handles the single-combination shape: the one
-// combination's rf/co completions stream from the enumerating goroutine
-// into evaluation workers over a channel. Auto mode buffers the head of
-// the stream and only spins the pipeline up once the enumeration proves
-// big enough; explicit parallelism starts it at the first execution.
-func (m *Model) forEachVerdictExecPipeline(ctx context.Context, enum *axiom.Enumeration, workers int, auto bool, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	threshold := 1
-	if auto {
-		threshold = parallelMinExecs
-	}
-
-	tr := obs.FromContext(ctx)
-	ch := make(chan execItem, 2*workers)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	workerErr := make(chan error, 1)
-	startWorkers := func() {
-		go func() {
-			workerErr <- pool.ForEach(workers, workers, func(int) error {
-				sc := m.NewScratch()
-				sc.SetTracer(tr)
-				for it := range ch {
-					if err := m.checkExec(sc, it.idx, it.x, visit); err != nil {
-						halt()
-						return err
-					}
-				}
-				return nil
-			})
-		}()
-	}
-	send := func(idx int, x *axiom.Execution) error {
-		select {
-		case ch <- execItem{idx: idx, x: x}:
-			return nil
-		case <-stop:
-			return errVerdictStopped
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-
-	var head []*axiom.Execution
-	count, visits, started := 0, 0, false
-	enumErr := enum.StreamCtx(ctx, func(x *axiom.Execution) error {
-		idx := visits
-		visits++
-		count += x.Weight()
-		if !started {
-			head = append(head, x)
-			if len(head) < threshold {
-				return nil
-			}
-			startWorkers()
-			started = true
-			for i, b := range head {
-				if err := send(i, b); err != nil {
-					return err
-				}
-			}
-			head = nil
-			return nil
-		}
-		return send(idx, x)
-	})
-
-	if !started {
-		// The whole enumeration fit under the threshold (or failed before
-		// reaching it): check the buffered head serially.
-		if enumErr != nil {
-			return count, enumErr
-		}
-		sc := m.NewScratch()
-		sc.SetTracer(tr)
-		for i, x := range head {
-			if err := m.checkExec(sc, i, x, visit); err != nil {
-				return count, err
-			}
-		}
-		return count, nil
-	}
-
-	close(ch)
-	werr := <-workerErr
-	if enumErr != nil && !errors.Is(enumErr, errVerdictStopped) {
-		return count, enumErr
-	}
-	if werr != nil {
-		return count, werr
-	}
-	return count, nil
+	return err
 }

@@ -292,13 +292,14 @@ func buildTest(name string, edges []Edge, events []event, numThreads, numLocs in
 	b.Scope(tree)
 
 	// Final condition: read observations plus final memory values
-	// witnessing coherence for multiply-written locations.
+	// witnessing coherence for multiply-written locations, in location
+	// order so the same cycle always yields the same test.
 	var cs []litmus.Cond
 	for _, c := range conds {
 		cs = append(cs, litmus.RegEq{Thread: c.thread, Reg: ptx.Reg(c.reg), Val: c.val})
 	}
-	for loc, ws := range writeSeq {
-		if len(ws) >= 2 {
+	for loc := 0; loc < numLocs; loc++ {
+		if ws := writeSeq[loc]; len(ws) >= 2 {
 			cs = append(cs, litmus.MemEq{Loc: ptx.Sym(locNames[loc]), Val: int64(len(ws))})
 		}
 	}

@@ -211,6 +211,24 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateFingerprintsStable: regenerating the corpus yields the same
+// test, and so the same content fingerprint, for every cycle. Cycles that
+// write two locations more than once carry one final-memory conjunct per
+// location; their order must not depend on map iteration.
+func TestGenerateFingerprintsStable(t *testing.T) {
+	a := Generate(DefaultPool(), 4, 1<<20)
+	b := Generate(DefaultPool(), 4, 1<<20)
+	if len(a) != len(b) {
+		t.Fatalf("nondeterministic count: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if fa, fb := a[i].Test.Fingerprint(), b[i].Test.Fingerprint(); fa != fb {
+			t.Errorf("%s: fingerprint %s, then %s on regeneration\n%s\nvs\n%s",
+				a[i].Test.Name, fa, fb, a[i].Test, b[i].Test)
+		}
+	}
+}
+
 func TestGenerateRoundTrips(t *testing.T) {
 	for _, g := range Generate(BasicPool(), 4, 60) {
 		src := g.Test.String()

@@ -14,13 +14,14 @@
 //	fmt.Print(tr.Snapshot().PhaseTable())
 //
 // A Trace aggregates monotonic per-phase timers and producer counters
-// (atomics, safe under the fan-out regimes), plus a span tree recording
-// the request's structural decomposition. Phase timers are attributed
-// exclusively — enumerate excludes time spent inside the yield, eval is
-// the compiled-program run, merge is the visit callback — so on a serial
-// judge the phase sum is bounded by the wall time. Under parallel
-// regimes phases sum worker time and may exceed wall; counters are exact
-// in every regime.
+// (atomics: the verdict pipeline's fan-out workers enumerate and evaluate
+// concurrently), plus a span tree recording the request's structural
+// decomposition. Phase timers are attributed exclusively — enumerate
+// excludes time spent inside the yield, eval is the compiled-program run,
+// merge is the visit callback, which always runs serially on the calling
+// goroutine — so on a serial judge the phase sum is bounded by the wall
+// time. Once units fan out, enumerate and eval sum worker time and may
+// exceed wall; counters are exact at every parallelism.
 package obs
 
 import (
