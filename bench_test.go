@@ -15,6 +15,7 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/core"
 	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/experiments"
+	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/sass"
 	"github.com/weakgpu/gpulitmus/internal/sim"
@@ -310,6 +311,21 @@ func BenchmarkSimulatorIteration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(test, chip.GTXTitan, chip.Default(), int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHarnessRun measures the harness loop on mp: one op is one
+// iteration of cells of up to 2000 runs on one worker, so the test's compilation and
+// the per-distinct-state fingerprinting are amortised as in a real cell.
+func BenchmarkHarnessRun(b *testing.B) {
+	test := litmus.MP(litmus.NoFence)
+	const runs = 2000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += runs {
+		cfg := harness.Config{Chip: chip.GTXTitan, Incant: chip.Default(), Runs: min(runs, b.N-i), Seed: int64(i), Parallelism: 1}
+		if _, err := harness.Run(test, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,15 +41,20 @@ func (r *Report) String() string {
 	return fmt.Sprintf("%s on %s: %s", r.App, r.Chip, verdict)
 }
 
-// Run executes the app and counts violations.
+// Run executes the app runs times, at seeds seed, seed+1, ..., on one
+// machine and counts violations.
 func (a *App) Run(p *chip.Profile, inc chip.Incant, runs int, seed int64) (*Report, error) {
+	code, err := sim.Compile(a.Test, p, inc)
+	if err != nil {
+		return nil, err
+	}
+	m := code.NewMachine()
 	rep := &Report{App: a.Name, Chip: p.ShortName, Runs: runs}
 	for i := 0; i < runs; i++ {
-		res, err := sim.Run(a.Test, p, inc, seed+int64(i))
-		if err != nil {
+		if _, err := m.Run(seed + int64(i)); err != nil {
 			return nil, err
 		}
-		if a.Test.Exists.Eval(res.State) {
+		if a.Test.Exists.Eval(m) {
 			rep.Violations++
 		}
 	}

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -51,6 +52,10 @@ func Run(t *litmus.Test, cfg Config) (*Outcome, error) {
 // service passes request-scoped contexts so an abandoned /v1/run stops
 // burning the simulator. For an uncancelled ctx the outcome is exactly
 // Run's.
+//
+// The test is compiled once; each worker runs its iterations on its own
+// machine and counts final states by their encoded key. Fingerprint and
+// the condition are evaluated once per distinct key, not once per run.
 func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 	if cfg.Chip == nil {
 		return nil, fmt.Errorf("harness: no chip configured")
@@ -61,14 +66,15 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if err := t.Validate(); err != nil {
+	code, err := sim.Compile(t, cfg.Chip, cfg.Incant)
+	if err != nil {
 		return nil, err
 	}
+	sk := newStateKey(t)
 
 	type partial struct {
-		hist    map[string]int
-		matches int
-		err     error
+		hist keyHist
+		err  error
 	}
 	parts := make([]partial, cfg.Parallelism)
 	var wg sync.WaitGroup
@@ -76,39 +82,136 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			hist := make(map[string]int)
-			matches := 0
+			m := code.NewMachine()
+			p := &parts[w]
+			var key []byte
 			for i := w; i < cfg.Runs; i += cfg.Parallelism {
 				if err := ctx.Err(); err != nil {
-					parts[w] = partial{err: err}
+					p.err = err
 					return
 				}
-				res, err := sim.Run(t, cfg.Chip, cfg.Incant, cfg.Seed+int64(i))
-				if err != nil {
-					parts[w] = partial{err: err}
+				if _, err := m.Run(cfg.Seed + int64(i)); err != nil {
+					p.err = err
 					return
 				}
-				hist[Fingerprint(t, res.State)]++
-				if t.Exists.Eval(res.State) {
-					matches++
-				}
+				key = sk.appendKey(key[:0], m)
+				p.hist.add(key, 1)
 			}
-			parts[w] = partial{hist: hist, matches: matches}
 		}(w)
 	}
 	wg.Wait()
 
-	out := &Outcome{Test: t, Config: cfg, Histogram: make(map[string]int), Runs: cfg.Runs}
+	var all keyHist
 	for _, p := range parts {
 		if p.err != nil {
 			return nil, p.err
 		}
-		for k, v := range p.hist {
-			out.Histogram[k] += v
+		for i, k := range p.hist.keys {
+			all.add([]byte(k), p.hist.counts[i])
 		}
-		out.Matches += p.matches
+	}
+	out := &Outcome{Test: t, Config: cfg, Histogram: make(map[string]int, len(all.keys)), Runs: cfg.Runs}
+	for i, k := range all.keys {
+		s := sk.state(k)
+		out.Histogram[Fingerprint(t, s)] += all.counts[i]
+		if t.Exists.Eval(s) {
+			out.Matches += all.counts[i]
+		}
 	}
 	return out, nil
+}
+
+// keyHist counts final states by encoded key. Counts live in a slice, so
+// counting a key already seen allocates nothing.
+type keyHist struct {
+	index  map[string]int
+	keys   []string
+	counts []int
+}
+
+func (h *keyHist) add(key []byte, n int) {
+	if i, ok := h.index[string(key)]; ok {
+		h.counts[i] += n
+		return
+	}
+	if h.index == nil {
+		h.index = make(map[string]int)
+	}
+	k := string(key)
+	h.index[k] = len(h.keys)
+	h.keys = append(h.keys, k)
+	h.counts = append(h.counts, n)
+}
+
+// stateKey encodes the observable part of a final state — the registers
+// the condition mentions, then every location — as bytes: per value a
+// presence byte, followed by the value when present. Two states with one
+// key have the same Fingerprint and the same condition verdict, and the
+// key tells an absent register from one holding 0.
+type stateKey struct {
+	regs []litmus.RegEq // Thread and Reg of each condition register
+	locs []ptx.Sym
+}
+
+func newStateKey(t *litmus.Test) stateKey {
+	var sk stateKey
+	seen := make(map[litmus.RegEq]bool)
+	for _, a := range litmus.CondAtoms(t.Exists) {
+		if ra, ok := a.(litmus.RegEq); ok {
+			r := litmus.RegEq{Thread: ra.Thread, Reg: ra.Reg}
+			if !seen[r] {
+				seen[r] = true
+				sk.regs = append(sk.regs, r)
+			}
+		}
+	}
+	sk.locs = t.Locations()
+	return sk
+}
+
+func (sk stateKey) appendKey(buf []byte, s litmus.State) []byte {
+	for _, r := range sk.regs {
+		v, ok := s.Reg(r.Thread, r.Reg)
+		buf = appendValue(buf, v, ok)
+	}
+	for _, loc := range sk.locs {
+		v, ok := s.Mem(loc)
+		buf = appendValue(buf, v, ok)
+	}
+	return buf
+}
+
+func appendValue(buf []byte, v int64, ok bool) []byte {
+	if !ok {
+		return append(buf, 0)
+	}
+	return binary.LittleEndian.AppendUint64(append(buf, 1), uint64(v))
+}
+
+// state decodes a key into the state it was encoded from.
+func (sk stateKey) state(key string) *litmus.MapState {
+	s := litmus.NewMapState()
+	next := func() (int64, bool) {
+		present := key[0] == 1
+		key = key[1:]
+		if !present {
+			return 0, false
+		}
+		v := int64(binary.LittleEndian.Uint64([]byte(key[:8])))
+		key = key[8:]
+		return v, true
+	}
+	for _, r := range sk.regs {
+		if v, ok := next(); ok {
+			s.SetReg(r.Thread, r.Reg, v)
+		}
+	}
+	for _, loc := range sk.locs {
+		if v, ok := next(); ok {
+			s.SetMem(loc, v)
+		}
+	}
+	return s
 }
 
 // Per100k scales the match count to the paper's per-100k-runs convention.

@@ -15,6 +15,14 @@
 // for the tests the model covers (.cg accesses to global memory): every
 // outcome it can produce is allowed by RMO-per-scope. The property test in
 // package experiments verifies this on generated corpora.
+//
+// A test is built once per (test, chip, incantation) cell: Compile decodes
+// it into flat per-thread programs over register and location slots, and
+// NewMachine allocates the slice-backed machine state. Machine.Run then
+// resets that state and reseeds the machine's random source for each
+// iteration, so the repeated runs of Sec. 4.2 allocate nothing. A Compiled
+// test may be shared between goroutines; a Machine may not, so concurrent
+// callers use one machine per goroutine. Run is the one-shot form.
 package sim
 
 import (
@@ -38,13 +46,19 @@ const maxTicks = 100000
 
 // Run simulates one iteration of the test on the given chip under the given
 // incantations. The seed makes runs reproducible; distinct seeds give
-// independent interleavings.
+// independent interleavings. Loops over many seeds should Compile once and
+// reuse a Machine instead.
 func Run(t *litmus.Test, p *chip.Profile, inc chip.Incant, seed int64) (*Result, error) {
-	m, err := newMachine(t, p, inc, seed)
+	c, err := Compile(t, p, inc)
 	if err != nil {
 		return nil, err
 	}
-	return m.run()
+	m := c.NewMachine()
+	ticks, err := m.Run(seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{State: m.State(), Ticks: ticks}, nil
 }
 
 // effProbs are the chip probabilities scaled by the incantation response.
@@ -62,239 +76,238 @@ type effProbs struct {
 	shared           float64 // factor applied to load/store relaxations on shared memory
 }
 
+// locSet is a set of location slots.
+type locSet []uint64
+
+func newLocSet(n int) locSet        { return make(locSet, (n+63)/64) }
+func (s locSet) has(loc int32) bool { return s[loc>>6]&(1<<(loc&63)) != 0 }
+func (s locSet) add(loc int32)      { s[loc>>6] |= 1 << (loc & 63) }
+func (s locSet) del(loc int32)      { s[loc>>6] &^= 1 << (loc & 63) }
+
 type commitEntry struct {
-	loc    ptx.Sym
+	loc    int32
+	thread int32
 	val    int64
-	thread int
-	shared bool
 }
 
-// smState is one streaming multiprocessor: the L1 cache over global memory,
-// the CTA's shared-memory storage, and the queue of CTA-visible stores not
-// yet committed to L2.
+// smState is one streaming multiprocessor: the L1 cache over global memory
+// (values plus the set of present lines), the CTA's shared-memory storage,
+// and the queue of CTA-visible stores not yet committed to L2.
 type smState struct {
-	l1     map[ptx.Sym]int64
-	shared map[ptx.Sym]int64
+	l1     []int64
+	l1ok   locSet
+	shared []int64
 	queue  []commitEntry
 }
 
 // pload is a split-transaction load: issued, then completed by a scheduler
 // action that reads the memory system.
 type pload struct {
-	loc    ptx.Sym
-	dst    ptx.Reg
-	ca     bool // .ca (L1) load
-	shared bool
-	seq    int
-	done   bool
-	val    int64
+	loc  int32
+	ca   bool // .ca (L1) load
+	done bool
+	val  int64
 }
 
+// regv is a register's value. Slots are offset by one so that the zero
+// regv is an unwritten register: 0, no base, no pending load.
 type regv struct {
 	v    int64
-	base ptx.Sym // non-empty when the register holds the address of base
-	pend *pload  // non-nil while the value awaits a load completion
+	base int32 // location slot + 1 when the register holds that location's address
+	pend int32 // index + 1 into the thread's ploads while the value awaits a load
+	set  bool  // written (or declared): reported in the final state
 }
 
 type sbEntry struct {
-	loc    ptx.Sym
-	val    int64
-	shared bool
+	loc int32
+	val int64
 }
 
 type tstate struct {
 	id, cta int
+	code    *threadCode
 	pc      int
 	steps   int
-	regs    map[ptx.Reg]regv
+	regs    []regv
+	ploads  []pload // this iteration's split loads, in issue order
+	pending []int32 // ploads not yet completed, oldest first
 	sb      []sbEntry
-	pending []*pload
-	seq     int
 	done    bool
 	// mixedWindow marks locations recently read with .cg whose delayed L1
 	// eviction a subsequent .ca load can race with (Fig. 4).
-	mixedWindow map[ptx.Sym]bool
+	mixedWindow locSet
 }
 
-type machine struct {
-	test    *litmus.Test
-	prof    *chip.Profile
+// Action kinds, one per kind of schedulable machine step.
+const (
+	actStep     = iota // execute a thread's next instruction
+	actComplete        // complete one of a thread's pending loads
+	actDrain           // move a thread's store-buffer head to its SM queue
+	actCommit          // commit one SM-queue entry to L2
+)
+
+// action is one schedulable machine step: a kind applied to a thread or,
+// for actCommit, an SM.
+type action struct {
+	kind   uint8
+	index  int32
+	weight float64
+}
+
+// Machine is the simulator state for one Compiled test. Run resets it, so
+// a machine serves any number of iterations; it must not be used by two
+// goroutines at once.
+type Machine struct {
+	c       *Compiled
 	rng     *rand.Rand
-	eff     effProbs
-	l2      map[ptx.Sym]int64
-	sms     []*smState
-	threads []*tstate
-	labels  []map[string]int
+	l2      []int64
+	sms     []smState
+	threads []tstate
+	acts    []action
+	cands   []int
 	ticks   int
 }
 
-func newMachine(t *litmus.Test, p *chip.Profile, inc chip.Incant, seed int64) (*machine, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
+// NewMachine allocates a machine for the compiled test.
+func (c *Compiled) NewMachine() *Machine {
+	n := len(c.locs)
+	m := &Machine{
+		c:       c,
+		l2:      make([]int64, n),
+		sms:     make([]smState, len(c.test.Scope.CTAs)),
+		threads: make([]tstate, len(c.threads)),
 	}
-	m := &machine{
-		test: t,
-		prof: p,
-		rng:  rand.New(rand.NewSource(seed)),
-		l2:   make(map[ptx.Sym]int64),
+	for i := range m.sms {
+		m.sms[i] = smState{l1: make([]int64, n), l1ok: newLocSet(n), shared: make([]int64, n)}
 	}
-
-	// The mechanism class follows the test's placement (Table 6 separates
-	// intra-CTA from inter-CTA behaviour).
-	class := chip.Inter
-	if len(t.Scope.CTAs) == 1 {
-		class = chip.Intra
+	for tid := range m.threads {
+		code := &c.threads[tid]
+		m.threads[tid] = tstate{id: tid, cta: code.cta, code: code, regs: make([]regv, len(code.regs)), mixedWindow: newLocSet(n)}
 	}
-	mult := p.Multiplier(class, inc)
-	staleMult := p.Multiplier(chip.Stale, inc)
-	m.eff = effProbs{
-		storeDelay:       p.PStoreDelay * mult,
-		storeAtomicDelay: p.PStoreAtomicDelay * mult,
-		wwCommit:         p.PWWCommit * mult,
-		loadDelay:        p.PLoadDelay * mult,
-		loadRR:           p.PLoadRR * mult,
-		loadRW:           p.PLoadRW * mult,
-		coRR:             p.PCoRR * mult,
-		staleL1:          p.PStaleL1 * staleMult,
-		cgEvictFail:      p.PCgEvictFail,
-		coRRMixed:        p.PCoRRMixed * staleMult,
-		shared:           p.SharedFactor,
-	}
-
-	for _, loc := range t.Locations() {
-		if t.SpaceOf(loc) == litmus.Global {
-			m.l2[loc] = t.InitOf(loc)
-		}
-	}
-	for range t.Scope.CTAs {
-		sm := &smState{l1: make(map[ptx.Sym]int64), shared: make(map[ptx.Sym]int64)}
-		m.sms = append(m.sms, sm)
-	}
-	for _, loc := range t.Locations() {
-		if t.SpaceOf(loc) == litmus.Shared {
-			for _, sm := range m.sms {
-				sm.shared[loc] = t.InitOf(loc)
-			}
-		}
-	}
-
-	for tid := range t.Threads {
-		cta := t.Scope.CTAOf(tid)
-		if cta < 0 {
-			return nil, fmt.Errorf("sim: thread %d not in scope tree", tid)
-		}
-		ts := &tstate{id: tid, cta: cta, regs: make(map[ptx.Reg]regv), mixedWindow: make(map[ptx.Sym]bool)}
-		for _, d := range t.Decls {
-			if d.Thread == tid {
-				ts.regs[d.Reg] = regv{base: d.Loc}
-			}
-		}
-		m.threads = append(m.threads, ts)
-		m.labels = append(m.labels, t.Threads[tid].Prog.Labels())
-	}
-
-	// Residual stale L1 lines from previous iterations of the enclosing
-	// kernel (Sec. 4.2 runs tests thousands of times in one launch): a
-	// location a thread will read with .ca may have a line holding the
-	// initial value in that thread's SM even after the racing store hits
-	// L2.
-	if m.eff.staleL1 > 0 {
-		for tid, th := range t.Threads {
-			cta := t.Scope.CTAOf(tid)
-			for _, inst := range th.Prog {
-				ld, ok := inst.(ptx.Ld)
-				if !ok || ld.CacheOp != ptx.CacheCA {
-					continue
-				}
-				loc, err := t.ResolveAddr(tid, ld.Addr)
-				if err != nil || t.SpaceOf(loc) != litmus.Global {
-					continue
-				}
-				if _, present := m.sms[cta].l1[loc]; !present && m.rng.Float64() < m.eff.staleL1 {
-					m.sms[cta].l1[loc] = t.InitOf(loc)
-				}
-			}
-		}
-	}
-	return m, nil
+	return m
 }
 
-// action is one schedulable machine step.
-type action struct {
-	weight float64
-	fn     func()
-}
-
-func (m *machine) run() (*Result, error) {
-	for {
-		if m.allDone() {
-			break
-		}
+// Run simulates one iteration from the initial state under the given seed
+// and returns the scheduler ticks it took. The final state stays readable
+// through State, Reg and Mem until the next Run.
+func (m *Machine) Run(seed int64) (int, error) {
+	m.reset(seed)
+	for !m.allDone() {
 		m.ticks++
 		if m.ticks > maxTicks {
-			return nil, fmt.Errorf("sim: test %s exceeded %d ticks (deadlocked or unbounded loop)", m.test.Name, maxTicks)
+			return 0, fmt.Errorf("sim: test %s exceeded %d ticks (deadlocked or unbounded loop)", m.c.test.Name, maxTicks)
 		}
-		acts := m.enabled()
-		if len(acts) == 0 {
-			return nil, fmt.Errorf("sim: test %s deadlocked at tick %d", m.test.Name, m.ticks)
+		m.enabled()
+		if len(m.acts) == 0 {
+			return 0, fmt.Errorf("sim: test %s deadlocked at tick %d", m.c.test.Name, m.ticks)
 		}
-		m.pick(acts).fn()
+		a := m.pick()
+		switch a.kind {
+		case actStep:
+			m.step(&m.threads[a.index])
+		case actComplete:
+			m.completeOne(&m.threads[a.index])
+		case actDrain:
+			m.drainAt(&m.threads[a.index], 0)
+		case actCommit:
+			m.commitOne(&m.sms[a.index])
+		}
 	}
 	m.flush()
-	return &Result{State: m.finalState(), Ticks: m.ticks}, nil
+	return m.ticks, nil
 }
 
-func (m *machine) allDone() bool {
-	for _, t := range m.threads {
-		if !t.done {
+// reset returns the machine to the test's initial state and seeds the
+// random source: the first run creates it, later runs reseed it in place
+// (Rand.Seed reproduces rand.NewSource(seed)'s sequence and allocates
+// nothing).
+func (m *Machine) reset(seed int64) {
+	c := m.c
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(seed))
+	} else {
+		m.rng.Seed(seed)
+	}
+	m.ticks = 0
+	copy(m.l2, c.init)
+	for i := range m.sms {
+		sm := &m.sms[i]
+		clear(sm.l1ok)
+		copy(sm.shared, c.init)
+		sm.queue = sm.queue[:0]
+	}
+	for i := range m.threads {
+		t := &m.threads[i]
+		t.pc, t.steps, t.done = 0, 0, false
+		copy(t.regs, t.code.init)
+		t.ploads = t.ploads[:0]
+		t.pending = t.pending[:0]
+		t.sb = t.sb[:0]
+		clear(t.mixedWindow)
+	}
+	if c.eff.staleL1 > 0 {
+		for _, s := range c.stale {
+			sm := &m.sms[s.sm]
+			if !sm.l1ok.has(s.loc) && m.rng.Float64() < c.eff.staleL1 {
+				sm.l1[s.loc] = c.init[s.loc]
+				sm.l1ok.add(s.loc)
+			}
+		}
+	}
+}
+
+func (m *Machine) allDone() bool {
+	for i := range m.threads {
+		if !m.threads[i].done {
 			return false
 		}
 	}
 	return true
 }
 
-func (m *machine) enabled() []action {
-	var acts []action
-	for _, t := range m.threads {
-		t := t
+// enabled lists the schedulable actions in m.acts: per thread a step, a
+// load completion and a store-buffer drain, then per SM a commit.
+func (m *Machine) enabled() {
+	m.acts = m.acts[:0]
+	for i := range m.threads {
+		t := &m.threads[i]
 		if !t.done && m.canStep(t) {
-			acts = append(acts, action{weight: 10, fn: func() { m.step(t) }})
+			m.acts = append(m.acts, action{kind: actStep, index: int32(i), weight: 10})
 		}
 		if len(t.pending) > 0 {
-			acts = append(acts, action{weight: 5, fn: func() { m.completeOne(t) }})
+			m.acts = append(m.acts, action{kind: actComplete, index: int32(i), weight: 5})
 		}
 		if len(t.sb) > 0 {
-			acts = append(acts, action{weight: 4, fn: func() { m.drainOne(t) }})
+			m.acts = append(m.acts, action{kind: actDrain, index: int32(i), weight: 4})
 		}
 	}
-	for _, sm := range m.sms {
-		sm := sm
-		if len(sm.queue) > 0 {
-			acts = append(acts, action{weight: 4, fn: func() { m.commitOne(sm) }})
+	for i := range m.sms {
+		if len(m.sms[i].queue) > 0 {
+			m.acts = append(m.acts, action{kind: actCommit, index: int32(i), weight: 4})
 		}
 	}
-	return acts
 }
 
-func (m *machine) pick(acts []action) action {
+func (m *Machine) pick() action {
 	total := 0.0
-	for _, a := range acts {
+	for _, a := range m.acts {
 		total += a.weight
 	}
 	r := m.rng.Float64() * total
-	for _, a := range acts {
+	for _, a := range m.acts {
 		r -= a.weight
 		if r <= 0 {
 			return a
 		}
 	}
-	return acts[len(acts)-1]
+	return m.acts[len(m.acts)-1]
 }
 
 // flush completes every outstanding operation after all threads retire so
 // the final state is well defined.
-func (m *machine) flush() {
-	for _, t := range m.threads {
+func (m *Machine) flush() {
+	for i := range m.threads {
+		t := &m.threads[i]
 		for len(t.pending) > 0 {
 			m.completeAt(t, 0)
 		}
@@ -302,43 +315,76 @@ func (m *machine) flush() {
 			m.drainAt(t, 0)
 		}
 	}
-	for _, sm := range m.sms {
+	for i := range m.sms {
+		sm := &m.sms[i]
 		for len(sm.queue) > 0 {
 			m.commitAt(sm, 0)
 		}
 	}
 }
 
-func (m *machine) finalState() *litmus.MapState {
+// State materialises the final state of the last Run: every register
+// written or declared that does not hold an address, and every location.
+func (m *Machine) State() *litmus.MapState {
 	fs := litmus.NewMapState()
-	for _, t := range m.threads {
-		for r, v := range t.regs {
-			if v.base != "" {
-				continue
+	for i := range m.threads {
+		t := &m.threads[i]
+		for s, v := range t.regs {
+			if v.set && v.base == 0 {
+				fs.SetReg(t.id, t.code.regs[s], t.value(v))
 			}
-			fs.SetReg(t.id, r, m.regValue(v))
 		}
 	}
-	for _, loc := range m.test.Locations() {
-		if m.test.SpaceOf(loc) == litmus.Global {
-			fs.SetMem(loc, m.l2[loc])
-		} else {
-			// Shared locations: report the copy of the (unique) CTA that
-			// accesses them.
-			for tid := range m.test.Threads {
-				if m.test.Threads[tid].Prog.Symbols()[loc] {
-					fs.SetMem(loc, m.sms[m.test.Scope.CTAOf(tid)].shared[loc])
-					break
-				}
-			}
+	for s, loc := range m.c.locs {
+		if v, ok := m.mem(int32(s)); ok {
+			fs.SetMem(loc, v)
 		}
 	}
 	return fs
 }
 
-func (m *machine) regValue(v regv) int64 {
-	if v.pend != nil && v.pend.done {
-		return v.pend.val
+// Reg returns thread tid's final register r as State reports it, so a
+// Machine is itself a litmus.State.
+func (m *Machine) Reg(tid int, r ptx.Reg) (int64, bool) {
+	if tid < 0 || tid >= len(m.threads) {
+		return 0, false
+	}
+	t := &m.threads[tid]
+	s, ok := t.code.regSlot[r]
+	if !ok {
+		return 0, false
+	}
+	v := t.regs[s]
+	if !v.set || v.base != 0 {
+		return 0, false
+	}
+	return t.value(v), true
+}
+
+// Mem returns location loc's final value as State reports it.
+func (m *Machine) Mem(loc ptx.Sym) (int64, bool) {
+	s, ok := m.c.locSlot[loc]
+	if !ok {
+		return 0, false
+	}
+	return m.mem(s)
+}
+
+func (m *Machine) mem(s int32) (int64, bool) {
+	switch from := m.c.memFrom[s]; from {
+	case memL2:
+		return m.l2[s], true
+	case memNone:
+		return 0, false
+	default:
+		return m.sms[from].shared[s], true
+	}
+}
+
+// value is a register's value once its pending load, if any, completed.
+func (t *tstate) value(v regv) int64 {
+	if v.pend != 0 && t.ploads[v.pend-1].done {
+		return t.ploads[v.pend-1].val
 	}
 	return v.v
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
@@ -305,4 +306,55 @@ func TestIncantationMultipliers(t *testing.T) {
 	if all >= best {
 		t.Errorf("bank conflicts must depress Titan inter rates: %v vs %v", all, best)
 	}
+}
+
+// TestMachineReuseMatchesRun pins that one machine reused across seeds
+// gives every iteration exactly the final state and ticks of a one-shot
+// Run, and that the machine read as a litmus.State agrees with the
+// materialised state.
+func TestMachineReuseMatchesRun(t *testing.T) {
+	for _, test := range append(litmus.PaperTests(), guardedSharedTest()) {
+		for _, p := range []*chip.Profile{chip.GTXTitan, chip.TeslaC2075, chip.HD7970} {
+			c, err := Compile(test, p, chip.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := c.NewMachine()
+			for seed := int64(0); seed < 60; seed++ {
+				ticks, err := m.Run(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := Run(test, p, chip.Default(), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ticks != ref.Ticks || !reflect.DeepEqual(m.State(), ref.State) {
+					t.Fatalf("%s on %s seed %d: reused machine diverged from Run", test.Name, p.ShortName, seed)
+				}
+				for _, a := range litmus.CondAtoms(test.Exists) {
+					if a.Eval(m) != a.Eval(ref.State) {
+						t.Fatalf("%s on %s seed %d: %s evaluates differently on the machine", test.Name, p.ShortName, seed, a)
+					}
+				}
+			}
+		}
+	}
+}
+
+// guardedSharedTest has a shared-memory location one thread stores to
+// through an address register, and a condition register written only
+// behind a predicate.
+func guardedSharedTest() *litmus.Test {
+	return litmus.MustParse(`GPU_PTX guarded-shared
+{0:.reg .b64 r5 = s;}
+ T0              | T1              ;
+ st.cg [r5],1    | ld.cg r2,[s]    ;
+ st.cg [x],1     | ld.cg r0,[x]    ;
+                 | setp.eq p1,r0,1 ;
+                 | @p1 mov r1,7    ;
+ScopeTree(grid(cta(warp T0) (warp T1)))
+s: shared, x: global
+exists (1:r1=7 /\ s=1)
+`)
 }

@@ -1,125 +1,87 @@
 package sim
 
-import (
-	"fmt"
-
-	"github.com/weakgpu/gpulitmus/internal/litmus"
-	"github.com/weakgpu/gpulitmus/internal/ptx"
-)
+import "github.com/weakgpu/gpulitmus/internal/ptx"
 
 // maxSteps bounds one thread's dynamic instruction count (spin loops).
 const maxSteps = 4096
 
-func (m *machine) prog(t *tstate) ptx.Program { return m.test.Threads[t.id].Prog }
-
-func (m *machine) regReady(t *tstate, r ptx.Reg) bool {
-	v := t.regs[r]
-	return v.pend == nil || v.pend.done
+func (t *tstate) regReady(s int32) bool {
+	v := t.regs[s]
+	return v.pend == 0 || t.ploads[v.pend-1].done
 }
 
-func (m *machine) operandReady(t *tstate, o ptx.Operand) bool {
-	if r, ok := o.(ptx.Reg); ok {
-		return m.regReady(t, r)
-	}
-	return true
+func (t *tstate) operandReady(o operand) bool {
+	return o.kind != regOperand || t.regReady(o.slot)
+}
+
+// setReg writes a register, marking it written.
+func (t *tstate) setReg(s int32, v regv) {
+	v.set = true
+	t.regs[s] = v
 }
 
 // evalOperand returns the concrete value of a ready operand.
-func (m *machine) evalOperand(t *tstate, o ptx.Operand) regv {
-	switch v := o.(type) {
-	case ptx.Imm:
-		return regv{v: int64(v)}
-	case ptx.Sym:
-		return regv{base: v}
-	case ptx.Reg:
-		rv := t.regs[v]
-		if rv.pend != nil && rv.pend.done {
-			return regv{v: rv.pend.val, base: rv.base}
+func (t *tstate) evalOperand(o operand) regv {
+	switch o.kind {
+	case immOperand:
+		return regv{v: o.imm}
+	case locOperand:
+		return regv{base: o.slot + 1}
+	case regOperand:
+		rv := t.regs[o.slot]
+		if rv.pend != 0 && t.ploads[rv.pend-1].done {
+			return regv{v: t.ploads[rv.pend-1].val, base: rv.base}
 		}
 		return rv
 	}
 	return regv{}
 }
 
-// resolveAddr maps an address operand to a location symbol.
-func (m *machine) resolveAddr(t *tstate, o ptx.Operand) (ptx.Sym, error) {
-	switch v := o.(type) {
-	case ptx.Sym:
-		return v, nil
-	case ptx.Reg:
-		rv := m.evalOperand(t, v)
-		if rv.base == "" || rv.v != 0 {
-			return "", fmt.Errorf("sim: thread %d: register %s does not hold a modelled address", t.id, v)
+// resolveAddr maps an address operand to a location slot; it fails when a
+// register does not hold a modelled address.
+func (t *tstate) resolveAddr(o operand) (int32, bool) {
+	switch o.kind {
+	case locOperand:
+		return o.slot, true
+	case regOperand:
+		rv := t.evalOperand(o)
+		if rv.base == 0 || rv.v != 0 {
+			return 0, false
 		}
-		return rv.base, nil
+		return rv.base - 1, true
 	}
-	return "", fmt.Errorf("sim: bad address operand %v", o)
+	return 0, false
 }
 
 // canStep reports whether the thread's next instruction can execute now:
 // its guard and operands are resolved and, for fences, the drain conditions
 // hold.
-func (m *machine) canStep(t *tstate) bool {
-	prog := m.prog(t)
+func (m *Machine) canStep(t *tstate) bool {
+	prog := t.code.prog
 	if t.pc >= len(prog) {
 		return true // retirement
 	}
-	inst := prog[t.pc]
-	if g := inst.Pred(); g != nil && !m.regReady(t, g.Reg) {
+	in := &prog[t.pc]
+	if in.guard >= 0 && !t.regReady(in.guard) {
 		return false
 	}
-	ready := func(ops ...ptx.Operand) bool {
-		for _, o := range ops {
-			if !m.operandReady(t, o) {
-				return false
-			}
-		}
-		return true
+	if in.op == opMembar {
+		return m.fenceReady(t, in.scope)
 	}
-	switch v := inst.(type) {
-	case ptx.Ld:
-		return ready(v.Addr)
-	case ptx.St:
-		return ready(v.Addr, v.Src)
-	case ptx.AtomCAS:
-		return ready(v.Addr, v.Cmp, v.New)
-	case ptx.AtomExch:
-		return ready(v.Addr, v.Src)
-	case ptx.AtomAdd:
-		return ready(v.Addr, v.Src)
-	case ptx.AtomInc:
-		return ready(v.Addr, v.Bound)
-	case ptx.Membar:
-		return m.fenceReady(t, v.Scope)
-	case ptx.Mov:
-		return ready(v.Src)
-	case ptx.Add:
-		return ready(v.A, v.B)
-	case ptx.And:
-		return ready(v.A, v.B)
-	case ptx.Xor:
-		return ready(v.A, v.B)
-	case ptx.Cvt:
-		return ready(v.Src)
-	case ptx.SetpEq:
-		return ready(v.A, v.B)
-	case ptx.Bra, ptx.LabelDef:
-		return true
-	}
-	return false
+	return t.operandReady(in.addr) && t.operandReady(in.a) && t.operandReady(in.b)
 }
 
 // fenceReady implements membar semantics: all scopes wait for the thread's
 // outstanding loads to complete and its store buffer to drain (CTA
 // visibility); membar.gl and membar.sys additionally wait for the thread's
 // stores to commit from the SM queue to L2 (global visibility).
-func (m *machine) fenceReady(t *tstate, s ptx.Scope) bool {
+func (m *Machine) fenceReady(t *tstate, s ptx.Scope) bool {
 	if len(t.pending) > 0 || len(t.sb) > 0 {
 		return false
 	}
 	if s >= ptx.ScopeGL {
 		for _, e := range m.sms[t.cta].queue {
-			if e.thread == t.id {
+			if int(e.thread) == t.id {
 				return false
 			}
 		}
@@ -128,24 +90,23 @@ func (m *machine) fenceReady(t *tstate, s ptx.Scope) bool {
 }
 
 // step executes the thread's next instruction (canStep was true).
-func (m *machine) step(t *tstate) {
-	prog := m.prog(t)
+func (m *Machine) step(t *tstate) {
+	prog := t.code.prog
 	if t.pc >= len(prog) {
 		t.done = true
 		return
 	}
 	t.steps++
 	if t.steps > maxSteps {
-		// Treat as livelock; surfaced by the tick bound in run().
+		// Treat as livelock; surfaced by the tick bound in Run.
 		t.done = true
 		return
 	}
-	inst := prog[t.pc]
+	in := &prog[t.pc]
 
-	if g := inst.Pred(); g != nil {
-		gv := m.evalOperand(t, g.Reg)
-		hold := gv.v != 0
-		if g.Neg {
+	if in.guard >= 0 {
+		hold := t.evalOperand(operand{kind: regOperand, slot: in.guard}).v != 0
+		if in.guardNeg {
 			hold = !hold
 		}
 		if !hold {
@@ -154,88 +115,76 @@ func (m *machine) step(t *tstate) {
 		}
 	}
 
-	switch v := inst.(type) {
-	case ptx.LabelDef:
-		t.pc++
+	switch in.op {
+	case opLabel:
 
-	case ptx.Bra:
-		t.pc = m.labels[t.id][v.Target]
+	case opBra:
+		t.pc = int(in.target)
+		return
 
-	case ptx.Mov:
-		t.regs[v.Dst] = m.evalOperand(t, v.Src)
-		t.pc++
+	case opMov:
+		t.setReg(in.dst, t.evalOperand(in.a))
 
-	case ptx.Add:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
+	case opAdd:
+		a, b := t.evalOperand(in.a), t.evalOperand(in.b)
 		res := regv{v: a.v + b.v}
-		if a.base != "" {
+		if a.base != 0 {
 			res.base = a.base
-		} else if b.base != "" {
+		} else if b.base != 0 {
 			res.base = b.base
 		}
-		t.regs[v.Dst] = res
-		t.pc++
+		t.setReg(in.dst, res)
 
-	case ptx.And:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
-		t.regs[v.Dst] = regv{v: a.v & b.v}
-		t.pc++
+	case opAnd:
+		a, b := t.evalOperand(in.a), t.evalOperand(in.b)
+		t.setReg(in.dst, regv{v: a.v & b.v})
 
-	case ptx.Xor:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
-		t.regs[v.Dst] = regv{v: a.v ^ b.v}
-		t.pc++
+	case opXor:
+		a, b := t.evalOperand(in.a), t.evalOperand(in.b)
+		t.setReg(in.dst, regv{v: a.v ^ b.v})
 
-	case ptx.Cvt:
-		t.regs[v.Dst] = m.evalOperand(t, v.Src)
-		t.pc++
-
-	case ptx.SetpEq:
-		a, b := m.evalOperand(t, v.A), m.evalOperand(t, v.B)
+	case opSetp:
+		a, b := t.evalOperand(in.a), t.evalOperand(in.b)
 		res := int64(0)
 		if a.v == b.v && a.base == b.base {
 			res = 1
 		}
-		t.regs[v.P] = regv{v: res}
-		t.pc++
+		t.setReg(in.dst, regv{v: res})
 
-	case ptx.Membar:
+	case opMembar:
 		// fenceReady held: apply the fence's L1 effects.
-		if v.Scope >= m.prof.L1InvalidateScope {
-			m.sms[t.cta].l1 = make(map[ptx.Sym]int64)
+		if in.scope >= m.c.prof.L1InvalidateScope {
+			clear(m.sms[t.cta].l1ok)
 		}
-		if v.Scope >= m.prof.MixedFlushScope {
-			t.mixedWindow = make(map[ptx.Sym]bool)
+		if in.scope >= m.c.prof.MixedFlushScope {
+			clear(t.mixedWindow)
 		}
-		t.pc++
 
-	case ptx.Ld:
-		m.stepLoad(t, v)
-		t.pc++
+	case opLd:
+		m.stepLoad(t, in)
 
-	case ptx.St:
-		m.stepStore(t, v)
-		t.pc++
+	case opSt:
+		m.stepStore(t, in)
 
-	case ptx.AtomCAS, ptx.AtomExch, ptx.AtomAdd, ptx.AtomInc:
-		m.stepAtomic(t, inst)
-		t.pc++
+	default:
+		m.stepAtomic(t, in)
 	}
+	t.pc++
 }
 
-func (m *machine) stepLoad(t *tstate, v ptx.Ld) {
-	loc, err := m.resolveAddr(t, v.Addr)
-	if err != nil {
+func (m *Machine) stepLoad(t *tstate, in *instr) {
+	loc, ok := t.resolveAddr(in.addr)
+	if !ok {
 		t.done = true
 		return
 	}
-	shared := m.test.SpaceOf(loc) == litmus.Shared
+	shared := m.c.shared[loc]
 
 	// Store-buffer forwarding: the thread always sees its own latest
 	// buffered store (WR same-location order of SC-per-location).
 	for i := len(t.sb) - 1; i >= 0; i-- {
 		if t.sb[i].loc == loc {
-			t.regs[v.Dst] = regv{v: t.sb[i].val}
+			t.setReg(in.dst, regv{v: t.sb[i].val})
 			return
 		}
 	}
@@ -243,41 +192,35 @@ func (m *machine) stepLoad(t *tstate, v ptx.Ld) {
 	// Chips with ordered store→load paths (GCN 1.0) push their own
 	// buffered stores to global visibility before reading, so sb never
 	// arises from the buffer.
-	if m.prof.StoreLoadOrdered {
+	if m.c.prof.StoreLoadOrdered {
 		for len(t.sb) > 0 {
 			m.drainAt(t, 0)
 		}
-		sm := m.sms[t.cta]
-		for i := 0; i < len(sm.queue); {
-			if sm.queue[i].thread == t.id {
-				m.commitAt(sm, i)
-				continue
-			}
-			i++
-		}
+		m.commitOwn(t)
 	}
 
 	// Delayed-eviction race (Fig. 4): a .ca load shortly after a .cg load
 	// of the same location can still hit the line the .cg load was meant
 	// to evict.
-	if v.CacheOp == ptx.CacheCA && !shared && t.mixedWindow[loc] && m.rng.Float64() < m.eff.coRRMixed {
-		t.regs[v.Dst] = regv{v: m.test.InitOf(loc)}
+	eff := &m.c.eff
+	if in.ca && !shared && t.mixedWindow.has(loc) && m.rng.Float64() < eff.coRRMixed {
+		t.setReg(in.dst, regv{v: m.c.init[loc]})
 		return
 	}
 
-	delay := m.eff.loadDelay
+	delay := eff.loadDelay
 	if shared {
-		delay *= m.eff.shared
+		delay *= eff.shared
 	}
 	// Completing at issue while older loads are pending is itself a
 	// reordering, so it is gated like completion reordering: never past a
 	// same-location load unless the coRR relaxation fires, and past
 	// different-location loads only with the load-load probability.
 	mustQueue := false
-	for _, pl := range t.pending {
-		if pl.loc == loc {
-			mustQueue = m.rng.Float64() >= m.eff.coRR
-		} else if m.rng.Float64() >= m.eff.loadRR {
+	for _, p := range t.pending {
+		if t.ploads[p].loc == loc {
+			mustQueue = m.rng.Float64() >= eff.coRR
+		} else if m.rng.Float64() >= eff.loadRR {
 			mustQueue = true
 		}
 		if mustQueue {
@@ -285,52 +228,52 @@ func (m *machine) stepLoad(t *tstate, v ptx.Ld) {
 		}
 	}
 	if mustQueue || m.rng.Float64() < delay {
-		pl := &pload{loc: loc, dst: v.Dst, ca: v.CacheOp == ptx.CacheCA, shared: shared, seq: t.seq}
-		t.seq++
-		t.pending = append(t.pending, pl)
-		t.regs[v.Dst] = regv{pend: pl}
+		t.ploads = append(t.ploads, pload{loc: loc, ca: in.ca})
+		t.pending = append(t.pending, int32(len(t.ploads)-1))
+		t.setReg(in.dst, regv{pend: int32(len(t.ploads))})
 		return
 	}
-	t.regs[v.Dst] = regv{v: m.readMem(t, loc, v.CacheOp == ptx.CacheCA, shared)}
+	t.setReg(in.dst, regv{v: m.readMem(t, loc, in.ca)})
 }
 
 // readMem performs the memory-system read for a completing load.
-func (m *machine) readMem(t *tstate, loc ptx.Sym, ca, shared bool) int64 {
-	sm := m.sms[t.cta]
+func (m *Machine) readMem(t *tstate, loc int32, ca bool) int64 {
+	sm := &m.sms[t.cta]
 	// CTA-visible stores from the same SM win over L2/L1.
 	for i := len(sm.queue) - 1; i >= 0; i-- {
-		if sm.queue[i].loc == loc && sm.queue[i].shared == shared {
+		if sm.queue[i].loc == loc {
 			return sm.queue[i].val
 		}
 	}
-	if shared {
+	if m.c.shared[loc] {
 		return sm.shared[loc]
 	}
 	if ca {
-		if line, ok := sm.l1[loc]; ok {
-			return line // possibly stale: L1s are not coherent
+		if sm.l1ok.has(loc) {
+			return sm.l1[loc] // possibly stale: L1s are not coherent
 		}
 		val := m.l2[loc]
 		sm.l1[loc] = val
+		sm.l1ok.add(loc)
 		return val
 	}
 	// .cg (and operator-less) loads read the L2 and evict the L1 line
 	// (PTX manual, as quoted in Sec. 3.1.2); on some chips the eviction
 	// is unreliable.
 	val := m.l2[loc]
-	if m.rng.Float64() >= m.eff.cgEvictFail {
-		delete(sm.l1, loc)
+	if m.rng.Float64() >= m.c.eff.cgEvictFail {
+		sm.l1ok.del(loc)
 	}
-	t.mixedWindow[loc] = true
+	t.mixedWindow.add(loc)
 	return val
 }
 
 // completeSameLoc force-completes the thread's pending loads to loc, oldest
 // first: a store (or RMW) must not overtake a program-order-earlier load of
 // the same location (the RW leg of SC per location).
-func (m *machine) completeSameLoc(t *tstate, loc ptx.Sym) {
+func (m *Machine) completeSameLoc(t *tstate, loc int32) {
 	for i := 0; i < len(t.pending); {
-		if t.pending[i].loc == loc {
+		if t.ploads[t.pending[i]].loc == loc {
 			m.completeAt(t, i)
 			continue
 		}
@@ -343,8 +286,8 @@ func (m *machine) completeSameLoc(t *tstate, loc ptx.Sym) {
 // to other locations only with probability PLoadRW (the lb idiom; zero on
 // GTX 540m, GTX 750 and GTX 280, matching their empty dlb-lb and sl-future
 // rows).
-func (m *machine) gateLoadRW(t *tstate) {
-	if len(t.pending) == 0 || m.rng.Float64() < m.eff.loadRW {
+func (m *Machine) gateLoadRW(t *tstate) {
+	if len(t.pending) == 0 || m.rng.Float64() < m.c.eff.loadRW {
 		return
 	}
 	for len(t.pending) > 0 {
@@ -352,31 +295,30 @@ func (m *machine) gateLoadRW(t *tstate) {
 	}
 }
 
-func (m *machine) stepStore(t *tstate, v ptx.St) {
-	loc, err := m.resolveAddr(t, v.Addr)
-	if err != nil {
+func (m *Machine) stepStore(t *tstate, in *instr) {
+	loc, ok := t.resolveAddr(in.addr)
+	if !ok {
 		t.done = true
 		return
 	}
 	m.completeSameLoc(t, loc)
 	m.gateLoadRW(t)
-	shared := m.test.SpaceOf(loc) == litmus.Shared
-	val := m.evalOperand(t, v.Src).v
+	val := t.evalOperand(in.a).v
 
-	delay := m.eff.storeDelay
-	if shared {
-		delay *= m.eff.shared
+	delay := m.c.eff.storeDelay
+	if m.c.shared[loc] {
+		delay *= m.c.eff.shared
 	}
 	// A non-empty store buffer forces buffering to preserve same-thread
 	// store order through the buffer.
 	if len(t.sb) > 0 || m.rng.Float64() < delay {
-		t.sb = append(t.sb, sbEntry{loc: loc, val: val, shared: shared})
+		t.sb = append(t.sb, sbEntry{loc: loc, val: val})
 		return
 	}
 	// Write-through: stage 1 then an in-order commit of the whole SM
 	// queue, preserving FIFO visibility.
-	sm := m.sms[t.cta]
-	sm.queue = append(sm.queue, commitEntry{loc: loc, val: val, thread: t.id, shared: shared})
+	sm := &m.sms[t.cta]
+	sm.queue = append(sm.queue, commitEntry{loc: loc, val: val, thread: int32(t.id)})
 	for len(sm.queue) > 0 {
 		m.commitAt(sm, 0)
 	}
@@ -386,40 +328,34 @@ func (m *machine) stepStore(t *tstate, v ptx.St) {
 // SM's shared memory. Atomics do not flush the thread's store buffer except
 // for entries to the same location — the crux of the broken-lock tests of
 // Sec. 3.2.
-func (m *machine) stepAtomic(t *tstate, inst ptx.Instr) {
-	loc, err := m.resolveAddr(t, ptx.AddrOf(inst))
-	if err != nil {
+func (m *Machine) stepAtomic(t *tstate, in *instr) {
+	loc, ok := t.resolveAddr(in.addr)
+	if !ok {
 		t.done = true
 		return
 	}
 	m.completeSameLoc(t, loc)
 	m.gateLoadRW(t)
-	shared := m.test.SpaceOf(loc) == litmus.Shared
-	sm := m.sms[t.cta]
+	shared := m.c.shared[loc]
+	sm := &m.sms[t.cta]
 
 	// Most chips' atomics flush the thread's buffered stores; with the
 	// chip's store-atomic delay probability, older stores to other
 	// locations stay buffered and the RMW overtakes them (the release
 	// overtaking of cas-sl, Fig. 9).
-	if m.rng.Float64() >= m.eff.storeAtomicDelay {
+	if m.rng.Float64() >= m.c.eff.storeAtomicDelay {
 		for len(t.sb) > 0 {
 			m.drainAt(t, 0)
 		}
-		for i := 0; i < len(sm.queue); {
-			if sm.queue[i].thread == t.id {
-				m.commitAt(sm, i)
-				continue
-			}
-			i++
-		}
+		m.commitOwn(t)
 	}
 
 	// Drain own same-location buffered stores (they must be ordered
-	// before the RMW).
-	var rest []sbEntry
+	// before the RMW); the rest stay buffered in order.
+	rest := t.sb[:0]
 	for _, e := range t.sb {
 		if e.loc == loc {
-			sm.queue = append(sm.queue, commitEntry{loc: e.loc, val: e.val, thread: t.id, shared: e.shared})
+			sm.queue = append(sm.queue, commitEntry{loc: e.loc, val: e.val, thread: int32(t.id)})
 		} else {
 			rest = append(rest, e)
 		}
@@ -428,12 +364,13 @@ func (m *machine) stepAtomic(t *tstate, inst ptx.Instr) {
 
 	// Linearise: commit every CTA-visible store to this location, from
 	// all SMs, before the RMW reads.
-	for _, s := range m.sms {
+	for i := range m.sms {
+		s := &m.sms[i]
 		for {
 			idx := -1
-			for i, e := range s.queue {
+			for j, e := range s.queue {
 				if e.loc == loc {
-					idx = i
+					idx = j
 					break
 				}
 			}
@@ -444,105 +381,106 @@ func (m *machine) stepAtomic(t *tstate, inst ptx.Instr) {
 		}
 	}
 
-	read := func() int64 {
-		if shared {
-			return sm.shared[loc]
-		}
-		return m.l2[loc]
+	old := m.l2[loc]
+	if shared {
+		old = sm.shared[loc]
 	}
-	write := func(v int64) {
-		if shared {
-			sm.shared[loc] = v
-		} else {
-			m.l2[loc] = v
-			delete(sm.l1, loc) // atomics read/write at L2, evicting the line
-		}
-	}
-
-	old := read()
-	var dst ptx.Reg
-	switch v := inst.(type) {
-	case ptx.AtomCAS:
-		dst = v.Dst
-		if old == m.evalOperand(t, v.Cmp).v {
-			write(m.evalOperand(t, v.New).v)
-		}
-	case ptx.AtomExch:
-		dst = v.Dst
-		write(m.evalOperand(t, v.Src).v)
-	case ptx.AtomAdd:
-		dst = v.Dst
-		write(old + m.evalOperand(t, v.Src).v)
-	case ptx.AtomInc:
-		dst = v.Dst
-		next := old + 1
-		if old >= m.evalOperand(t, v.Bound).v {
+	next, write := old, true
+	switch in.op {
+	case opCAS:
+		write = old == t.evalOperand(in.a).v
+		next = t.evalOperand(in.b).v
+	case opExch:
+		next = t.evalOperand(in.a).v
+	case opAtomAdd:
+		next = old + t.evalOperand(in.a).v
+	case opAtomInc:
+		next = old + 1
+		if old >= t.evalOperand(in.a).v {
 			next = 0
 		}
-		write(next)
 	}
-	t.regs[dst] = regv{v: old}
+	if write {
+		if shared {
+			sm.shared[loc] = next
+		} else {
+			m.l2[loc] = next
+			sm.l1ok.del(loc) // atomics read/write at L2, evicting the line
+		}
+	}
+	t.setReg(in.dst, regv{v: old})
+}
+
+// commitOwn commits the thread's entries in its SM's queue, in order.
+func (m *Machine) commitOwn(t *tstate) {
+	sm := &m.sms[t.cta]
+	for i := 0; i < len(sm.queue); {
+		if int(sm.queue[i].thread) == t.id {
+			m.commitAt(sm, i)
+			continue
+		}
+		i++
+	}
 }
 
 // completeOne completes a pending load chosen per the chip's reordering
 // probabilities: normally the oldest; different-location younger loads may
 // jump ahead (mp read side); same-location reordering is the coRR
 // relaxation.
-func (m *machine) completeOne(t *tstate) {
+func (m *Machine) completeOne(t *tstate) {
 	idx := 0
-	if m.rng.Float64() < m.eff.coRR {
+	if m.rng.Float64() < m.c.eff.coRR {
 		idx = m.rng.Intn(len(t.pending))
-	} else if m.rng.Float64() < m.eff.loadRR {
-		var cands []int
-		for i, pl := range t.pending {
+	} else if m.rng.Float64() < m.c.eff.loadRR {
+		m.cands = m.cands[:0]
+		for i, p := range t.pending {
 			ok := true
 			for _, earlier := range t.pending[:i] {
-				if earlier.loc == pl.loc {
+				if t.ploads[earlier].loc == t.ploads[p].loc {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				cands = append(cands, i)
+				m.cands = append(m.cands, i)
 			}
 		}
-		if len(cands) > 0 {
-			idx = cands[m.rng.Intn(len(cands))]
+		if len(m.cands) > 0 {
+			idx = m.cands[m.rng.Intn(len(m.cands))]
 		}
 	}
 	m.completeAt(t, idx)
 }
 
-func (m *machine) completeAt(t *tstate, i int) {
-	pl := t.pending[i]
-	pl.val = m.readMem(t, pl.loc, pl.ca, pl.shared)
-	pl.done = true
+func (m *Machine) completeAt(t *tstate, i int) {
+	p := t.pending[i]
+	val := m.readMem(t, t.ploads[p].loc, t.ploads[p].ca)
+	t.ploads[p].val, t.ploads[p].done = val, true
 	t.pending = append(t.pending[:i], t.pending[i+1:]...)
 }
 
-// drainOne moves the store buffer's head to the SM queue (stage 1: the
-// store becomes visible to the CTA).
-func (m *machine) drainOne(t *tstate) { m.drainAt(t, 0) }
-
-func (m *machine) drainAt(t *tstate, i int) {
+// drainAt moves the thread's i-th buffered store to the SM queue (stage 1:
+// the store becomes visible to the CTA); shared-memory stores land in the
+// SM's shared memory directly.
+func (m *Machine) drainAt(t *tstate, i int) {
 	e := t.sb[i]
 	t.sb = append(t.sb[:i], t.sb[i+1:]...)
-	sm := m.sms[t.cta]
-	if e.shared {
+	sm := &m.sms[t.cta]
+	if m.c.shared[e.loc] {
 		sm.shared[e.loc] = e.val
 		return
 	}
-	sm.queue = append(sm.queue, commitEntry{loc: e.loc, val: e.val, thread: t.id, shared: false})
+	sm.queue = append(sm.queue, commitEntry{loc: e.loc, val: e.val, thread: int32(t.id)})
 }
 
 // commitOne commits one SM-queue entry to the L2 (stage 2): normally the
 // head; with the chip's write-write commit probability, a younger entry to
 // a different location may commit first (visible inter-CTA even under
 // membar.cta).
-func (m *machine) commitOne(sm *smState) {
+func (m *Machine) commitOne(sm *smState) {
 	idx := 0
-	if m.rng.Float64() < m.eff.wwCommit {
-		var cands []int
+	if m.rng.Float64() < m.c.eff.wwCommit {
+		m.cands = m.cands[:0]
 		for i, e := range sm.queue {
 			ok := true
 			for _, earlier := range sm.queue[:i] {
@@ -552,25 +490,25 @@ func (m *machine) commitOne(sm *smState) {
 				}
 			}
 			if ok {
-				cands = append(cands, i)
+				m.cands = append(m.cands, i)
 			}
 		}
-		if len(cands) > 0 {
-			idx = cands[m.rng.Intn(len(cands))]
+		if len(m.cands) > 0 {
+			idx = m.cands[m.rng.Intn(len(m.cands))]
 		}
 	}
 	m.commitAt(sm, idx)
 }
 
-func (m *machine) commitAt(sm *smState, i int) {
+func (m *Machine) commitAt(sm *smState, i int) {
 	e := sm.queue[i]
 	sm.queue = append(sm.queue[:i], sm.queue[i+1:]...)
-	if e.shared {
+	if m.c.shared[e.loc] {
 		sm.shared[e.loc] = e.val
 		return
 	}
 	m.l2[e.loc] = e.val
 	// Write-evict: the writing SM's own L1 line is evicted, so its threads
 	// observe their own committed stores; other SMs' lines go stale.
-	delete(sm.l1, e.loc)
+	sm.l1ok.del(e.loc)
 }
