@@ -6,47 +6,76 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/chip"
+	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/sim"
 )
+
+// soundnessProfiles are the most relaxed simulated chips.
+var soundnessProfiles = []*chip.Profile{chip.TeslaC2075, chip.GTXTitan, chip.HD7970}
 
 // TestSimulatorSoundness is the Sec. 5.4 property scaled down: every final
 // state the simulator produces for a model-covered test must be the final
 // state of some model-allowed candidate execution. It runs each covered
 // paper test on the most relaxed profiles.
 func TestSimulatorSoundness(t *testing.T) {
-	m := PTX()
-	profiles := []*chip.Profile{chip.TeslaC2075, chip.GTXTitan, chip.HD7970}
 	for _, test := range litmus.PaperTests() {
-		if ok, _ := Covers(test); !ok {
-			continue
-		}
-		execs, err := axiom.Enumerate(test, axiom.DefaultOpts())
+		checkSimulatorSound(t, test)
+	}
+}
+
+// TestSimulatorSoundnessDiyCorpus widens the Sec. 5.4 property to every
+// diy cycle of up to four edges (every 8th under -short).
+func TestSimulatorSoundnessDiyCorpus(t *testing.T) {
+	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
+	if len(gen) == 0 {
+		t.Fatal("diy.Generate returned no tests")
+	}
+	step := 1
+	if testing.Short() {
+		step = 8
+	}
+	for i := 0; i < len(gen); i += step {
+		checkSimulatorSound(t, gen[i].Test)
+	}
+}
+
+// checkSimulatorSound runs a model-covered test for 400 seeds on each
+// soundness profile, on one compiled machine per profile, and fails on the
+// first final state no PTX-allowed execution reaches.
+func checkSimulatorSound(t *testing.T, test *litmus.Test) {
+	t.Helper()
+	if ok, _ := Covers(test); !ok {
+		return
+	}
+	execs, err := axiom.Enumerate(test, axiom.DefaultOpts())
+	if err != nil {
+		t.Fatalf("%s: %v", test.Name, err)
+	}
+	m := PTX()
+	allowed := make(map[string]bool)
+	for _, x := range execs {
+		res, err := m.Allows(x)
 		if err != nil {
-			t.Fatalf("%s: %v", test.Name, err)
+			t.Fatal(err)
 		}
-		// Collect the final states of allowed executions.
-		allowed := make(map[string]bool)
-		for _, x := range execs {
-			res, err := m.Allows(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Allowed() {
-				allowed[stateKey(test, x.Final)] = true
-			}
+		if res.Allowed() {
+			allowed[stateKey(test, x.Final)] = true
 		}
-		for _, p := range profiles {
-			for i := 0; i < 400; i++ {
-				res, err := sim.Run(test, p, chip.Default(), int64(i)*31+7)
-				if err != nil {
-					t.Fatalf("%s on %s: %v", test.Name, p.ShortName, err)
-				}
-				key := stateKey(test, res.State)
-				if !allowed[key] {
-					t.Errorf("%s on %s seed %d: simulator state %s not allowed by the model", test.Name, p.ShortName, i, key)
-					break
-				}
+	}
+	for _, p := range soundnessProfiles {
+		c, err := sim.Compile(test, p, chip.Default())
+		if err != nil {
+			t.Fatalf("%s on %s: %v", test.Name, p.ShortName, err)
+		}
+		mach := c.NewMachine()
+		for i := 0; i < 400; i++ {
+			if _, err := mach.Run(int64(i)*31 + 7); err != nil {
+				t.Fatalf("%s on %s: %v", test.Name, p.ShortName, err)
+			}
+			if key := stateKey(test, mach); !allowed[key] {
+				t.Errorf("%s on %s seed %d: simulator state %s not allowed by the model", test.Name, p.ShortName, i, key)
+				break
 			}
 		}
 	}

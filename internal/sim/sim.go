@@ -20,9 +20,18 @@
 // it into flat per-thread programs over register and location slots, and
 // NewMachine allocates the slice-backed machine state. Machine.Run then
 // resets that state and reseeds the machine's random source for each
-// iteration, so the repeated runs of Sec. 4.2 allocate nothing. A Compiled
-// test may be shared between goroutines; a Machine may not, so concurrent
-// callers use one machine per goroutine. Run is the one-shot form.
+// iteration, so the repeated runs of Sec. 4.2 allocate nothing.
+//
+// The random source draws math/rand's rand.NewSource(seed) stream bit for
+// bit, but reseeding costs O(1) rather than a rebuild of the generator's
+// 607-word register: each entry of that register is a closed-form function
+// of the seed, materialised on the first draw that reads it (see source).
+// Like math/rand, the seed is folded mod 2³¹−1, so seeds s and s+2³¹−1 give
+// one stream.
+//
+// A Compiled test may be shared between goroutines; a Machine may not, so
+// concurrent callers use one machine per goroutine. Run is the one-shot
+// form.
 package sim
 
 import (
@@ -159,7 +168,8 @@ type action struct {
 // goroutines at once.
 type Machine struct {
 	c       *Compiled
-	rng     *rand.Rand
+	src     source
+	rng     *rand.Rand // the math/rand front end over src
 	l2      []int64
 	sms     []smState
 	threads []tstate
@@ -177,6 +187,7 @@ func (c *Compiled) NewMachine() *Machine {
 		sms:     make([]smState, len(c.test.Scope.CTAs)),
 		threads: make([]tstate, len(c.threads)),
 	}
+	m.rng = rand.New(&m.src)
 	for i := range m.sms {
 		m.sms[i] = smState{l1: make([]int64, n), l1ok: newLocSet(n), shared: make([]int64, n)}
 	}
@@ -217,17 +228,14 @@ func (m *Machine) Run(seed int64) (int, error) {
 	return m.ticks, nil
 }
 
-// reset returns the machine to the test's initial state and seeds the
-// random source: the first run creates it, later runs reseed it in place
-// (Rand.Seed reproduces rand.NewSource(seed)'s sequence and allocates
-// nothing).
+// reset returns the machine to the test's initial state and reseeds the
+// random source. The reseed is O(1): the source materialises each register
+// entry from its closed form on first use, so the iteration draws exactly
+// rand.NewSource(seed)'s sequence while paying only for the entries it
+// reads.
 func (m *Machine) reset(seed int64) {
 	c := m.c
-	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(seed))
-	} else {
-		m.rng.Seed(seed)
-	}
+	m.rng.Seed(seed)
 	m.ticks = 0
 	copy(m.l2, c.init)
 	for i := range m.sms {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
@@ -311,21 +312,34 @@ func TestIncantationMultipliers(t *testing.T) {
 // TestMachineReuseMatchesRun pins that one machine reused across seeds
 // gives every iteration exactly the final state and ticks of a one-shot
 // Run, and that the machine read as a litmus.State agrees with the
-// materialised state.
+// materialised state. The machine alternates the longest and shortest
+// remaining runs, so a reseed after many draws is followed by one after few
+// and the other way round.
 func TestMachineReuseMatchesRun(t *testing.T) {
+	const seeds = 60
 	for _, test := range append(litmus.PaperTests(), guardedSharedTest()) {
 		for _, p := range []*chip.Profile{chip.GTXTitan, chip.TeslaC2075, chip.HD7970} {
 			c, err := Compile(test, p, chip.Default())
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := c.NewMachine()
-			for seed := int64(0); seed < 60; seed++ {
-				ticks, err := m.Run(seed)
-				if err != nil {
+			refs := make([]*Result, seeds)
+			byTicks := make([]int64, seeds)
+			for seed := range refs {
+				if refs[seed], err = Run(test, p, chip.Default(), int64(seed)); err != nil {
 					t.Fatal(err)
 				}
-				ref, err := Run(test, p, chip.Default(), seed)
+				byTicks[seed] = int64(seed)
+			}
+			sort.SliceStable(byTicks, func(i, j int) bool { return refs[byTicks[i]].Ticks > refs[byTicks[j]].Ticks })
+			m := c.NewMachine()
+			for i := 0; i < seeds; i++ {
+				seed := byTicks[i/2]
+				if i%2 == 1 {
+					seed = byTicks[seeds-1-i/2]
+				}
+				ref := refs[seed]
+				ticks, err := m.Run(seed)
 				if err != nil {
 					t.Fatal(err)
 				}
