@@ -115,17 +115,19 @@ func EnumerateStreamCtx(ctx context.Context, t *litmus.Test, opts Opts, yield fu
 // with one Assembler per worker) and merge deterministically.
 //
 // An Enumeration is immutable after Prepare and safe for concurrent
-// StreamCombo calls with distinct Assemblers.
+// StreamCombo calls with distinct Assemblers. Nothing in it depends on a
+// memory model, so one preparation serves every model a test is judged
+// under; Bind gives each request its own view of it.
 type Enumeration struct {
 	test   *litmus.Test
 	opts   Opts
 	locs   []ptx.Sym // test.Locations(), computed once per enumeration
 	paths  [][]threadPath
 	combos int
-	// tracer is the request's obs collector, captured at PrepareCtx from
-	// the context (nil — every method a no-op — when untraced).
-	// StreamCombo has no context parameter, so production-side timers and
-	// counters flow through here.
+	// tracer is the streaming request's obs collector: captured at
+	// PrepareCtx from the context, or rebound by Bind (nil — every method
+	// a no-op — when untraced). StreamCombo has no context parameter, so
+	// production-side timers and counters flow through here.
 	tracer *obs.Trace
 }
 
@@ -141,7 +143,7 @@ func Prepare(t *litmus.Test, opts Opts) (*Enumeration, error) {
 // derivation promptly. When ctx carries an obs trace, the fixpoint's
 // time accrues to PhasePrepare (under a "prepare" span) and memoized
 // path reuses count into CtrMemoHits; the trace rides on the returned
-// Enumeration for the production phase.
+// Enumeration for the production phase until Bind rebinds it.
 func PrepareCtx(ctx context.Context, t *litmus.Test, opts Opts) (*Enumeration, error) {
 	tr := obs.FromContext(ctx)
 	e := &enumerator{test: t, opts: opts.withDefaults(), ctx: ctx, tracer: tr}
@@ -157,6 +159,23 @@ func PrepareCtx(ctx context.Context, t *litmus.Test, opts Opts) (*Enumeration, e
 		en.tracer = tr
 	}
 	return en, err
+}
+
+// Bind returns the enumeration as streamed for t under ctx. t must have
+// the content of the prepared test (an equal Fingerprint), but may carry
+// another name: executions point at t and errors name it. Production
+// counters and phases go to ctx's obs trace, not to the preparer's. The
+// receiver is unchanged, so one preparation can serve concurrent requests
+// each through its own binding; when en is already bound to t and ctx's
+// trace, Bind returns en itself.
+func (en *Enumeration) Bind(ctx context.Context, t *litmus.Test) *Enumeration {
+	tr := obs.FromContext(ctx)
+	if en.test == t && en.tracer == tr {
+		return en
+	}
+	b := *en
+	b.test, b.tracer = t, tr
+	return &b
 }
 
 // Combos returns the number of path combinations: the size of the cartesian

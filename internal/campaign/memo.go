@@ -26,9 +26,25 @@ import (
 // not pointer identity. Independently constructed but semantically
 // identical tests — litmus.ByName builds a fresh *Test per call, and every
 // service request parses its own — therefore share one computation.
+//
+// The model-independent half of a judgement is shared across models too:
+// Verdict, VerdictStaticCtxP's enumerating fallback and Analyse judge from
+// one prepared axiom.Enumeration per test content, so a test judged under
+// four models runs the value-domain fixpoint once. The memo drops a test's
+// enumeration once the test has been judged — by enumeration or by the
+// static prefilter, successfully or not — under every distinct model the
+// memo has judged anything under so far; a model that comes later
+// prepares again, with identical results. A test judged under only some
+// of the memo's models keeps its enumeration for the memo's lifetime. A
+// failed or cancelled preparation is returned to its requester only and
+// never stored, so it cannot poison the test's other models.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
+	preps   map[string]*testPrep // by litmus.Test.Fingerprint()
+	// models holds the fingerprint of every model a judgement has settled
+	// under: the set a test's enumeration waits for before its release.
+	models map[string]bool
 	// staticSkipped counts verdicts the static prefilter decided without
 	// enumeration (VerdictStaticCtxP): the skip ledger the service's
 	// /v1/stats and /metrics surface.
@@ -41,6 +57,13 @@ type memoKey struct {
 }
 
 type memoEntry struct {
+	key  memoKey
+	prep *testPrep
+	// settled records (under Memo.mu) that a judgement of this (model,
+	// test) pair has finished, successfully or not, and was counted into
+	// prep.judged.
+	settled bool
+
 	once sync.Once
 	info *ModelInfo
 	err  error
@@ -64,6 +87,16 @@ type memoEntry struct {
 	rErr   error
 }
 
+// testPrep is the shared, model-independent preparation of one test
+// content. Its fields are guarded by Memo.mu.
+type testPrep struct {
+	en *axiom.Enumeration // nil before preparation and after release
+	// preparing is closed when the in-flight preparation ends; nil when
+	// none is running.
+	preparing chan struct{}
+	judged    int // distinct models with a settled judgement of the test
+}
+
 // ModelInfo is the memoized model analysis of one test: which final-state
 // fingerprints the model allows, and whether the test's exists-condition is
 // among them.
@@ -76,7 +109,7 @@ type ModelInfo struct {
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{entries: make(map[memoKey]*memoEntry)}
+	return &Memo{entries: make(map[memoKey]*memoEntry), preps: make(map[string]*testPrep), models: make(map[string]bool)}
 }
 
 // Analyse returns the memoized model analysis of t under m, computing it on
@@ -88,7 +121,12 @@ func NewMemo() *Memo {
 // second worker pool per test would oversubscribe it.
 func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
 	e := mm.entry(m, t)
-	e.once.Do(func() { e.info, e.err = analyse(m, t) })
+	e.once.Do(func() {
+		e.err = mm.judgeShared(context.Background(), e, t, func(en *axiom.Enumeration) (err error) {
+			e.info, err = analyse(m, t, en)
+			return err
+		})
+	})
 	return e.info, e.err
 }
 
@@ -109,10 +147,17 @@ func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 // enumeration only when this call is the one that computes the entry.
 // Joiners of an already-computed (or in-flight) entry get the memoized
 // verdict; their context's trace records no pipeline phases — the work
-// happened under the first requester's context.
+// happened under the first requester's context. Likewise, when another
+// model's request already prepared the test (see Memo), the computing
+// call's trace records the stream and evaluation but no prepare phase.
 func (mm *Memo) VerdictCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
 	e := mm.entry(m, t)
-	e.vOnce.Do(func() { e.verdict, e.vErr = core.JudgeCtx(ctx, m, t, parallelism) })
+	e.vOnce.Do(func() {
+		e.vErr = mm.judgeShared(ctx, e, t, func(en *axiom.Enumeration) (err error) {
+			e.verdict, err = core.JudgePreparedCtx(ctx, m, t, en, parallelism)
+			return err
+		})
+	})
 	return e.verdict, e.vErr
 }
 
@@ -124,10 +169,15 @@ func (mm *Memo) VerdictCtxP(ctx context.Context, m *core.Model, t *litmus.Test, 
 func (mm *Memo) VerdictStaticCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
 	e := mm.entry(m, t)
 	e.sOnce.Do(func() {
-		e.sVerd, e.sErr = core.JudgeStaticCtx(ctx, m, t, parallelism)
-		if e.sErr == nil && e.sVerd.StaticSkipped {
+		if e.sVerd = m.StaticVerdict(t); e.sVerd != nil {
 			mm.staticSkipped.Add(1)
+			mm.settle(e)
+			return
 		}
+		e.sErr = mm.judgeShared(ctx, e, t, func(en *axiom.Enumeration) (err error) {
+			e.sVerd, err = core.JudgePreparedCtx(ctx, m, t, en, parallelism)
+			return err
+		})
 	})
 	return e.sVerd, e.sErr
 }
@@ -155,18 +205,83 @@ func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
 	defer mm.mu.Unlock()
 	e, ok := mm.entries[key]
 	if !ok {
-		e = &memoEntry{}
+		p := mm.preps[key.test]
+		if p == nil {
+			p = &testPrep{}
+			mm.preps[key.test] = p
+		}
+		e = &memoEntry{key: key, prep: p}
 		mm.entries[key] = e
 	}
 	return e
 }
 
-func analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
+// judgeShared runs judge on the test's shared enumeration, preparing it
+// under ctx when no enumeration is held, then settles e. A preparation
+// error is returned without calling judge.
+func (mm *Memo) judgeShared(ctx context.Context, e *memoEntry, t *litmus.Test, judge func(*axiom.Enumeration) error) error {
+	defer mm.settle(e)
+	en, err := mm.enumeration(ctx, e.prep, t)
+	if err != nil {
+		return err
+	}
+	return judge(en)
+}
+
+// enumeration returns p's enumeration, preparing it from t when none is
+// held. Concurrent requesters wait for one in-flight preparation; if it
+// fails, the error stays with its requester and the next waiter prepares.
+func (mm *Memo) enumeration(ctx context.Context, p *testPrep, t *litmus.Test) (en *axiom.Enumeration, err error) {
+	mm.mu.Lock()
+	for p.en == nil && p.preparing != nil {
+		wait := p.preparing
+		mm.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		mm.mu.Lock()
+	}
+	if en = p.en; en != nil {
+		mm.mu.Unlock()
+		return en, nil
+	}
+	done := make(chan struct{})
+	p.preparing = done
+	mm.mu.Unlock()
+	defer func() {
+		mm.mu.Lock()
+		p.en = en // nil on failure: the next requester prepares again
+		p.preparing = nil
+		close(done)
+		mm.mu.Unlock()
+	}()
+	return axiom.PrepareCtx(ctx, t, axiom.DefaultOpts())
+}
+
+// settle counts e's model as having judged e's test, and releases the
+// test's enumeration once every model the memo has judged under has
+// judged the test.
+func (mm *Memo) settle(e *memoEntry) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if !e.settled {
+		e.settled = true
+		e.prep.judged++
+		mm.models[e.key.model] = true
+	}
+	if e.prep.judged == len(mm.models) {
+		e.prep.en = nil
+	}
+}
+
+// analyse streams the candidate executions of t from en into verdict-only
+// model evaluation on this goroutine (nothing materialises the candidate
+// set) and collects the allowed final states.
+func analyse(m *core.Model, t *litmus.Test, en *axiom.Enumeration) (*ModelInfo, error) {
 	info := &ModelInfo{Allowed: make(map[string]bool)}
-	// Candidate executions stream from the enumerator into verdict-only
-	// model evaluation (Model.ForEachVerdictCtx) on this goroutine: nothing
-	// materialises the candidate set.
-	n, err := m.ForEachVerdictCtx(context.Background(), t, 1, func(_ int, x *axiom.Execution, allowed bool) error {
+	n, err := m.ForEachVerdictPreparedCtx(context.Background(), t, en, 1, func(_ int, x *axiom.Execution, allowed bool) error {
 		if !allowed {
 			return nil
 		}

@@ -32,7 +32,11 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := &ModelInfo{Allowed: make(map[string]bool)}
-	n, err := m.ForEachVerdictOptsCtx(context.Background(), test, 1, axiom.Opts{Exhaustive: true},
+	en, err := axiom.Prepare(test, axiom.Opts{Exhaustive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.ForEachVerdictPreparedCtx(context.Background(), test, en, 1,
 		func(_ int, x *axiom.Execution, allowed bool) error {
 			if !allowed {
 				return nil

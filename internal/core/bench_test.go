@@ -166,8 +166,11 @@ func benchJudgeSymmetric(b *testing.B, opts axiom.Opts) {
 	b.ReportAllocs()
 	var v *Verdict
 	for i := 0; i < b.N; i++ {
-		var err error
-		if v, err = JudgeOptsCtx(context.Background(), m, test, 1, opts); err != nil {
+		en, err := axiom.Prepare(test, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v, err = JudgePreparedCtx(context.Background(), m, test, en, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

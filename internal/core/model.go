@@ -269,19 +269,30 @@ func JudgeP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
 // service layer passes request-scoped contexts here so abandoned judge
 // requests stop costing enumeration work.
 func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	return JudgeOptsCtx(ctx, m, t, parallelism, axiom.DefaultOpts())
+	return judgeStream(ctx, m, t, nil, parallelism)
 }
 
-// JudgeOptsCtx is JudgeCtx with explicit enumeration bounds. Its main use
-// is the differential oracle: judging with axiom.Opts{Exhaustive: true}
-// disables symmetry pruning, and the resulting verdict must agree with the
-// pruned one on every count, the observable flag, and the witness content
-// (the pruned Witness is the canonical — enumeration-first — member of the
-// exhaustive witness's symmetry class, so the execution content and final
-// state are identical even though indices differ).
-func JudgeOptsCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int, opts axiom.Opts) (*Verdict, error) {
+// JudgePreparedCtx is JudgeCtx from an enumeration the caller prepared
+// with axiom.PrepareCtx, from t or from any test with t's content (see
+// axiom.Enumeration.Bind): the verdict, its witness and any error name t.
+// Preparation depends on the test alone, so the campaign memo prepares a
+// test once and judges it under every model from the one enumeration.
+// The other use is the differential oracle: an enumeration prepared with
+// axiom.Opts{Exhaustive: true} disables symmetry pruning, and the
+// resulting verdict must agree with the pruned one on every count, the
+// observable flag, and the witness content (the pruned Witness is the
+// canonical — enumeration-first — member of the exhaustive witness's
+// symmetry class, so the execution content and final state are identical
+// even though indices differ).
+func JudgePreparedCtx(ctx context.Context, m *Model, t *litmus.Test, en *axiom.Enumeration, parallelism int) (*Verdict, error) {
+	return judgeStream(ctx, m, t, en, parallelism)
+}
+
+// judgeStream folds the ordered verdict stream of t into a Verdict; a nil en
+// prepares t under the stream's trace span.
+func judgeStream(ctx context.Context, m *Model, t *litmus.Test, en *axiom.Enumeration, parallelism int) (*Verdict, error) {
 	v := &Verdict{Test: t, Model: m.Name}
-	n, err := m.ForEachVerdictOptsCtx(ctx, t, parallelism, opts, func(_ int, x *axiom.Execution, allowed bool) error {
+	n, err := m.forEachVerdict(ctx, t, en, parallelism, func(_ int, x *axiom.Execution, allowed bool) error {
 		v.Visited++
 		if allowed {
 			w := x.Weight()

@@ -52,6 +52,15 @@ func witnessContent(t *litmus.Test, x *axiom.Execution) string {
 	return x.String() + "|" + harness.Fingerprint(t, x.Final)
 }
 
+// judgeOpts judges t from an enumeration prepared with opts.
+func judgeOpts(ctx context.Context, m *Model, t *litmus.Test, par int, opts axiom.Opts) (*Verdict, error) {
+	en, err := axiom.PrepareCtx(ctx, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	return JudgePreparedCtx(ctx, m, t, en, par)
+}
+
 // TestJudgePrunedMatchesExhaustive is the judging-level differential
 // oracle over the full paper corpus plus the symmetric shapes, at every
 // pipeline regime (serial, auto, explicit fan-out): the pruned verdict
@@ -65,11 +74,11 @@ func TestJudgePrunedMatchesExhaustive(t *testing.T) {
 	for _, test := range tests {
 		for _, m := range models {
 			for _, par := range []int{0, 1, 4} {
-				pruned, err := JudgeOptsCtx(ctx, m, test, par, axiom.DefaultOpts())
+				pruned, err := judgeOpts(ctx, m, test, par, axiom.DefaultOpts())
 				if err != nil {
 					t.Fatalf("%s/%s/p%d: pruned: %v", test.Name, m.Name, par, err)
 				}
-				exh, err := JudgeOptsCtx(ctx, m, test, par, axiom.Opts{Exhaustive: true})
+				exh, err := judgeOpts(ctx, m, test, par, axiom.Opts{Exhaustive: true})
 				if err != nil {
 					t.Fatalf("%s/%s/p%d: exhaustive: %v", test.Name, m.Name, par, err)
 				}
@@ -133,7 +142,11 @@ func TestForEachVerdictWeightedHistogram(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			collect := func(opts axiom.Opts) map[string]int {
 				h := map[string]int{}
-				if _, err := m.ForEachVerdictOptsCtx(ctx, test, par, opts, func(_ int, x *axiom.Execution, allowed bool) error {
+				en, err := axiom.PrepareCtx(ctx, test, opts)
+				if err != nil {
+					t.Fatalf("%s/p%d: %v", test.Name, par, err)
+				}
+				if _, err := m.ForEachVerdictPreparedCtx(ctx, test, en, par, func(_ int, x *axiom.Execution, allowed bool) error {
 					if allowed {
 						h[harness.Fingerprint(test, x.Final)] += x.Weight()
 					}

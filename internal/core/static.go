@@ -22,20 +22,32 @@ func (m *Model) Prefilter(t *litmus.Test) analysis.Result {
 	return analysis.Prefilter(t, m.policy)
 }
 
+// StaticVerdict returns the verdict the static prefilter decides for t
+// under the model, without enumerating: Observable is authoritative, all
+// candidate counts are zero, StaticSkipped is set and StaticReason carries
+// the prefilter's justification. It returns nil when the prefilter cannot
+// decide and the caller must enumerate.
+func (m *Model) StaticVerdict(t *litmus.Test) *Verdict {
+	res := m.Prefilter(t)
+	if res.Verdict == analysis.Unknown {
+		return nil
+	}
+	return &Verdict{
+		Test:          t,
+		Model:         m.Name,
+		Observable:    res.Verdict == analysis.Allowed,
+		StaticSkipped: true,
+		StaticReason:  res.Reason,
+	}
+}
+
 // JudgeStaticCtx is JudgeCtx with the static prefilter in front: when the
-// prefilter decides the verdict, enumeration is skipped entirely and the
-// returned Verdict has StaticSkipped set (with zero candidate counts). The
-// prefilter itself is cheap and never consults the context; only the
-// enumeration fallback does.
+// prefilter decides the verdict (see StaticVerdict), enumeration is
+// skipped entirely. The prefilter itself is cheap and never consults the
+// context; only the enumeration fallback does.
 func JudgeStaticCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	if res := m.Prefilter(t); res.Verdict != analysis.Unknown {
-		return &Verdict{
-			Test:          t,
-			Model:         m.Name,
-			Observable:    res.Verdict == analysis.Allowed,
-			StaticSkipped: true,
-			StaticReason:  res.Reason,
-		}, nil
+	if v := m.StaticVerdict(t); v != nil {
+		return v, nil
 	}
 	return JudgeCtx(ctx, m, t, parallelism)
 }

@@ -17,8 +17,10 @@ import (
 // This file is the streaming verdict pipeline: candidate executions flow
 // from the axiom producer straight into model evaluation without ever
 // materialising the full candidate set. Path derivation happens once per
-// judgement (axiom.PrepareCtx memoizes it across the value-domain fixpoint
-// iterations); production then proceeds unit by unit.
+// judgement, or once per test when the caller shares one prepared
+// enumeration across models (ForEachVerdictPreparedCtx); axiom.PrepareCtx
+// memoizes it across the value-domain fixpoint iterations. Production then
+// proceeds unit by unit.
 //
 // There is one driver with one contract: visit is called serially, in
 // enumeration order, with the true enumeration index, for every
@@ -80,16 +82,25 @@ type execVerdict struct {
 // service) pass the request-scoped context so an abandoned request stops
 // consuming the worker pool mid-stream.
 func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	return m.ForEachVerdictOptsCtx(ctx, t, parallelism, axiom.DefaultOpts(), visit)
+	return m.forEachVerdict(ctx, t, nil, parallelism, visit)
 }
 
-// ForEachVerdictOptsCtx is ForEachVerdictCtx with explicit enumeration
-// bounds. Its main caller is the pruned-vs-exhaustive differential oracle,
-// which re-judges with axiom.Opts{Exhaustive: true}; everything else keeps
-// the defaults. i is the execution's position in the *produced* stream
-// (representative ordinals under pruning); the returned count is the
-// weighted candidate total, identical between pruned and exhaustive runs.
-func (m *Model) ForEachVerdictOptsCtx(ctx context.Context, t *litmus.Test, parallelism int, opts axiom.Opts, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+// ForEachVerdictPreparedCtx is ForEachVerdictCtx over an enumeration the
+// caller prepared with axiom.PrepareCtx, from t or from any test with t's
+// content: executions and errors name t, and production is traced into
+// ctx (see axiom.Enumeration.Bind). Its callers are the campaign memo,
+// which prepares a test once for every model, and the pruned-vs-exhaustive
+// differential oracle, which prepares with axiom.Opts{Exhaustive: true}.
+// i is the execution's position in the *produced* stream (representative
+// ordinals under pruning); the returned count is the weighted candidate
+// total, identical between pruned and exhaustive runs.
+func (m *Model) ForEachVerdictPreparedCtx(ctx context.Context, t *litmus.Test, en *axiom.Enumeration, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+	return m.forEachVerdict(ctx, t, en, parallelism, visit)
+}
+
+// forEachVerdict is the one driver behind both entry points; a nil en
+// prepares t with axiom.DefaultOpts under the run's trace span.
+func (m *Model) forEachVerdict(ctx context.Context, t *litmus.Test, en *axiom.Enumeration, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
 	if tr := obs.FromContext(ctx); tr.Enabled() {
 		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
 		// under it) and time the visit/merge callback into PhaseMerge.
@@ -104,16 +115,19 @@ func (m *Model) ForEachVerdictOptsCtx(ctx context.Context, t *litmus.Test, paral
 			return err
 		}
 	}
+	if en == nil {
+		var err error
+		if en, err = axiom.PrepareCtx(ctx, t, axiom.DefaultOpts()); err != nil {
+			return 0, err
+		}
+	}
+	en = en.Bind(ctx, t)
 	workers := parallelism
 	auto := workers <= 0
 	if auto {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	enum, err := axiom.PrepareCtx(ctx, t, opts)
-	if err != nil {
-		return 0, err
-	}
-	r := &verdictRun{m: m, ctx: ctx, enum: enum, visit: visit, maxExecs: enum.Opts().MaxExecs}
+	r := &verdictRun{m: m, ctx: ctx, enum: en, visit: visit, maxExecs: en.Opts().MaxExecs}
 	n := r.units(workers, auto)
 	// The calling goroutine streams the head of the units: all of them
 	// with one worker or fewer than two units, in auto mode until
@@ -139,12 +153,12 @@ func (m *Model) ForEachVerdictOptsCtx(ctx context.Context, t *litmus.Test, paral
 		}
 	}
 	if u < n {
-		err = r.fanOut(u, n, workers)
+		return r.count, r.fanOut(u, n, workers)
 	}
-	return r.count, err
+	return r.count, nil
 }
 
-// verdictRun is the ordered state of one ForEachVerdictOptsCtx call,
+// verdictRun is the ordered state of one forEachVerdict call,
 // carried from the serial head into the fan-out merge.
 type verdictRun struct {
 	m             *Model

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
@@ -130,7 +131,11 @@ func TestForEachVerdictAutoHandOff(t *testing.T) {
 	bounded := func(par int) (visits int, err error) {
 		opts := axiom.DefaultOpts()
 		opts.MaxExecs = weight + 2
-		_, err = m.ForEachVerdictOptsCtx(context.Background(), test, par, opts, func(int, *axiom.Execution, bool) error {
+		en, err := axiom.Prepare(test, opts)
+		if err != nil {
+			return 0, err
+		}
+		_, err = m.ForEachVerdictPreparedCtx(context.Background(), test, en, par, func(int, *axiom.Execution, bool) error {
 			visits++
 			return nil
 		})
@@ -232,5 +237,45 @@ func TestForEachVerdictComboParallelRace(t *testing.T) {
 	}
 	if allowed == 0 {
 		t.Fatal("stress-3w: no allowed executions")
+	}
+}
+
+// TestJudgePreparedNamesJudgedTest: an enumeration prepared from test A
+// judges a renamed copy B as B. The MaxExecs bound error names B at every
+// parallelism, and an unbounded verdict and its witness point at B.
+func TestJudgePreparedNamesJudgedTest(t *testing.T) {
+	a := stressTest(3)
+	b := a.Clone()
+	b.Name = "renamed-copy"
+	ctx := context.Background()
+	bounded, err := axiom.Prepare(a, axiom.Opts{MaxExecs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 0, 4} {
+		_, err := JudgePreparedCtx(ctx, PTX(), b, bounded, par)
+		if err == nil {
+			t.Fatalf("p%d: judging past MaxExecs succeeded", par)
+		}
+		if !strings.Contains(err.Error(), b.Name) || strings.Contains(err.Error(), a.Name) {
+			t.Errorf("p%d: bound error %q names the preparing test, want %s", par, err, b.Name)
+		}
+	}
+	en, err := axiom.Prepare(a, axiom.DefaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := JudgePreparedCtx(ctx, PTX(), b, en, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Witness == nil {
+		t.Fatalf("%s has no PTX witness", b.Name)
+	}
+	if v.Test != b || v.Witness.Test != b {
+		t.Errorf("verdict for the renamed copy points at %s", v.Test.Name)
+	}
+	if en.Test() != a {
+		t.Error("judging a copy rebound the shared enumeration")
 	}
 }

@@ -20,6 +20,9 @@ type State interface {
 // Cond is a final-state condition ("exists (...)" in Fig. 12).
 type Cond interface {
 	fmt.Stringer
+	// AppendTo appends the condition's String form to b and returns the
+	// extended buffer.
+	AppendTo(b []byte) []byte
 	// Eval reports whether the condition holds in state s.
 	Eval(s State) bool
 }
@@ -38,7 +41,14 @@ func (c RegEq) Eval(s State) bool {
 }
 
 // String renders "tid:reg=val".
-func (c RegEq) String() string { return fmt.Sprintf("%d:%s=%d", c.Thread, c.Reg, c.Val) }
+func (c RegEq) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends "tid:reg=val" to b.
+func (c RegEq) AppendTo(b []byte) []byte {
+	b = append(strconv.AppendInt(b, int64(c.Thread), 10), ':')
+	b = append(append(b, c.Reg...), '=')
+	return strconv.AppendInt(b, c.Val, 10)
+}
 
 // MemEq asserts location Loc holds Val ("x=1").
 type MemEq struct {
@@ -53,7 +63,12 @@ func (c MemEq) Eval(s State) bool {
 }
 
 // String renders "loc=val".
-func (c MemEq) String() string { return fmt.Sprintf("%s=%d", c.Loc, c.Val) }
+func (c MemEq) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends "loc=val" to b.
+func (c MemEq) AppendTo(b []byte) []byte {
+	return strconv.AppendInt(append(append(b, c.Loc...), '='), c.Val, 10)
+}
 
 // CondAnd is a conjunction ("/\").
 type CondAnd struct{ L, R Cond }
@@ -62,7 +77,12 @@ type CondAnd struct{ L, R Cond }
 func (c CondAnd) Eval(s State) bool { return c.L.Eval(s) && c.R.Eval(s) }
 
 // String renders "L /\ R".
-func (c CondAnd) String() string { return fmt.Sprintf("%s /\\ %s", c.L, condParen(c.R)) }
+func (c CondAnd) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends "L /\ R" to b.
+func (c CondAnd) AppendTo(b []byte) []byte {
+	return appendCondParen(append(appendCond(b, c.L), " /\\ "...), c.R)
+}
 
 // CondOr is a disjunction ("\/").
 type CondOr struct{ L, R Cond }
@@ -71,7 +91,13 @@ type CondOr struct{ L, R Cond }
 func (c CondOr) Eval(s State) bool { return c.L.Eval(s) || c.R.Eval(s) }
 
 // String renders "(L \/ R)".
-func (c CondOr) String() string { return fmt.Sprintf("(%s \\/ %s)", c.L, c.R) }
+func (c CondOr) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends "(L \/ R)" to b.
+func (c CondOr) AppendTo(b []byte) []byte {
+	b = append(appendCond(append(b, '('), c.L), " \\/ "...)
+	return append(appendCond(b, c.R), ')')
+}
 
 // CondNot is a negation ("~").
 type CondNot struct{ C Cond }
@@ -80,14 +106,27 @@ type CondNot struct{ C Cond }
 func (c CondNot) Eval(s State) bool { return !c.C.Eval(s) }
 
 // String renders "~C".
-func (c CondNot) String() string { return "~" + condParen(c.C) }
+func (c CondNot) String() string { return string(c.AppendTo(nil)) }
 
-func condParen(c Cond) string {
+// AppendTo appends "~C" to b.
+func (c CondNot) AppendTo(b []byte) []byte { return appendCondParen(append(b, '~'), c.C) }
+
+// appendCond appends c's String form; a nil condition renders the way
+// fmt's %s verb prints it.
+func appendCond(b []byte, c Cond) []byte {
+	if c == nil {
+		return append(b, "%!s(<nil>)"...)
+	}
+	return c.AppendTo(b)
+}
+
+// appendCondParen appends c, parenthesised when it is a binary connective.
+func appendCondParen(b []byte, c Cond) []byte {
 	switch c.(type) {
 	case CondAnd, CondOr:
-		return "(" + c.String() + ")"
+		return append(appendCond(append(b, '('), c), ')')
 	}
-	return c.String()
+	return appendCond(b, c)
 }
 
 // And builds the conjunction of one or more conditions.

@@ -11,6 +11,7 @@ package litmus
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/weakgpu/gpulitmus/internal/ptx"
@@ -61,12 +62,16 @@ type RegDecl struct {
 }
 
 // String renders the declaration in the Fig. 12 concrete syntax.
-func (d RegDecl) String() string {
-	s := fmt.Sprintf("%d:.reg .%s %s", d.Thread, d.Type, d.Reg)
+func (d RegDecl) String() string { return string(d.AppendTo(nil)) }
+
+// AppendTo appends the declaration's String form to b.
+func (d RegDecl) AppendTo(b []byte) []byte {
+	b = append(strconv.AppendInt(b, int64(d.Thread), 10), ":.reg ."...)
+	b = append(append(append(b, d.Type.String()...), ' '), d.Reg...)
 	if d.Loc != "" {
-		s += " = " + string(d.Loc)
+		b = append(append(b, " = "...), d.Loc...)
 	}
-	return s
+	return b
 }
 
 // Thread is one column of a litmus test: a thread identifier and its PTX

@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -121,21 +122,32 @@ func (s ScopeTree) Validate(n int) error {
 // String renders the tree in the Fig. 12 syntax, e.g.
 // "grid(cta(warp T0) (warp T1))" for intra-CTA and
 // "grid(cta(warp T0)) (cta(warp T1))" for inter-CTA.
-func (s ScopeTree) String() string {
-	ctas := make([]string, len(s.CTAs))
+func (s ScopeTree) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the tree's String form to b.
+func (s ScopeTree) AppendTo(b []byte) []byte {
+	b = append(b, "grid("...)
 	for i, c := range s.CTAs {
-		warps := make([]string, len(c.Warps))
-		for j, w := range c.Warps {
-			tids := make([]string, len(w.Threads))
-			for k, t := range w.Threads {
-				tids[k] = fmt.Sprintf("T%d", t)
-			}
-			warps[j] = "(warp " + strings.Join(tids, " ") + ")"
+		if i > 0 {
+			b = append(b, ") ("...)
 		}
 		// The first warp group attaches directly to "cta".
-		ctas[i] = "cta" + strings.Join(warps, " ")
+		b = append(b, "cta"...)
+		for j, w := range c.Warps {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, "(warp "...)
+			for k, t := range w.Threads {
+				if k > 0 {
+					b = append(b, ' ')
+				}
+				b = strconv.AppendInt(append(b, 'T'), int64(t), 10)
+			}
+			b = append(b, ')')
+		}
 	}
-	return "grid(" + strings.Join(ctas, ") (") + ")"
+	return append(b, ')')
 }
 
 // ParseScopeTree parses the Fig. 12 scope-tree syntax. Accepted grammar:

@@ -1,15 +1,15 @@
 package ptx
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Instr is a single PTX instruction. Concrete types are Ld, St, AtomCAS,
 // AtomExch, AtomAdd, AtomInc, Membar, Mov, Add, And, Xor, Cvt, SetpEq, Bra
 // and LabelDef. Every instruction may carry a predicate guard.
 type Instr interface {
 	fmt.Stringer
+	// AppendTo appends the instruction's String form to b and returns the
+	// extended buffer.
+	AppendTo(b []byte) []byte
 	// Pred returns the instruction's predicate guard, or nil when the
 	// instruction is unconditional.
 	Pred() *Guard
@@ -25,18 +25,21 @@ type base struct {
 
 func (b base) Pred() *Guard { return b.Guard }
 
-func (b base) prefix() string {
+// appendPrefix appends the guard and the opcode.
+func (b base) appendPrefix(dst []byte, op string) []byte {
 	if b.Guard != nil {
-		return b.Guard.String() + " "
+		dst = append(b.Guard.AppendTo(dst), ' ')
 	}
-	return ""
+	return append(dst, op...)
 }
 
-func (b base) suffix() string {
-	if b.Type == TypeNone {
-		return ""
+// appendSuffix appends the type specifier, if any, and the separating
+// space before the operands.
+func (b base) appendSuffix(dst []byte) []byte {
+	if b.Type != TypeNone {
+		dst = append(append(dst, '.'), b.Type.String()...)
 	}
-	return "." + b.Type.String()
+	return append(dst, ' ')
 }
 
 // Ld is a load: "ld[.volatile][.cacheop][.type] dst,[addr]". Loads from
@@ -209,88 +212,167 @@ func (i Bra) WithGuard(g *Guard) Instr { i.Guard = g; return i }
 // guarded in practice; the method exists for interface completeness).
 func (i LabelDef) WithGuard(g *Guard) Instr { i.Guard = g; return i }
 
-func memSuffix(volatile bool, c CacheOp) string {
-	var sb strings.Builder
+func appendMemSuffix(b []byte, volatile bool, c CacheOp) []byte {
 	if volatile {
-		sb.WriteString(".volatile")
+		b = append(b, ".volatile"...)
 	}
 	if c != CacheDefault {
-		sb.WriteString("." + c.String())
+		b = append(append(b, '.'), c.String()...)
 	}
-	return sb.String()
+	return b
 }
 
-func addr(a Operand) string { return "[" + a.String() + "]" }
+// appendOperand appends o's String form; a nil operand renders the way
+// fmt's %s verb prints it.
+func appendOperand(b []byte, o Operand) []byte {
+	if o == nil {
+		return append(b, "%!s(<nil>)"...)
+	}
+	return o.AppendTo(b)
+}
+
+// appendOperands appends the comma-separated operands.
+func appendOperands(b []byte, ops ...Operand) []byte {
+	for k, o := range ops {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = appendOperand(b, o)
+	}
+	return b
+}
+
+// appendAddr appends a bracketed address operand.
+func appendAddr(b []byte, a Operand) []byte {
+	return append(appendOperand(append(b, '['), a), ']')
+}
+
+// appendDst appends a destination register and the following comma.
+func appendDst(b []byte, r Reg) []byte { return append(append(b, r...), ',') }
+
+// AppendTo appends the load in the paper's concrete syntax.
+func (i Ld) AppendTo(b []byte) []byte {
+	b = appendMemSuffix(i.appendPrefix(b, "ld"), i.Volatile, i.CacheOp)
+	return appendAddr(appendDst(i.appendSuffix(b), i.Dst), i.Addr)
+}
+
+// AppendTo appends the store in the paper's concrete syntax.
+func (i St) AppendTo(b []byte) []byte {
+	b = appendMemSuffix(i.appendPrefix(b, "st"), i.Volatile, i.CacheOp)
+	b = appendAddr(i.appendSuffix(b), i.Addr)
+	return appendOperand(append(b, ','), i.Src)
+}
+
+// AppendTo appends the CAS in the paper's concrete syntax.
+func (i AtomCAS) AppendTo(b []byte) []byte {
+	b = appendAddr(appendDst(i.appendSuffix(i.appendPrefix(b, "atom.cas")), i.Dst), i.Addr)
+	return appendOperands(append(b, ','), i.Cmp, i.New)
+}
+
+// AppendTo appends the exchange in the paper's concrete syntax.
+func (i AtomExch) AppendTo(b []byte) []byte {
+	b = appendAddr(appendDst(i.appendSuffix(i.appendPrefix(b, "atom.exch")), i.Dst), i.Addr)
+	return appendOperand(append(b, ','), i.Src)
+}
+
+// AppendTo appends the atomic add in the paper's concrete syntax.
+func (i AtomAdd) AppendTo(b []byte) []byte {
+	b = appendAddr(appendDst(i.appendSuffix(i.appendPrefix(b, "atom.add")), i.Dst), i.Addr)
+	return appendOperand(append(b, ','), i.Src)
+}
+
+// AppendTo appends the atomic increment in the paper's concrete syntax.
+func (i AtomInc) AppendTo(b []byte) []byte {
+	b = appendAddr(appendDst(i.appendSuffix(i.appendPrefix(b, "atom.inc")), i.Dst), i.Addr)
+	return appendOperand(append(b, ','), i.Bound)
+}
+
+// AppendTo appends the fence with its scope suffix.
+func (i Membar) AppendTo(b []byte) []byte {
+	return append(i.appendPrefix(b, "membar."), i.Scope.String()...)
+}
+
+// AppendTo appends the move.
+func (i Mov) AppendTo(b []byte) []byte {
+	return appendOperand(appendDst(i.appendSuffix(i.appendPrefix(b, "mov")), i.Dst), i.Src)
+}
+
+// AppendTo appends the add.
+func (i Add) AppendTo(b []byte) []byte {
+	return appendOperands(appendDst(i.appendSuffix(i.appendPrefix(b, "add")), i.Dst), i.A, i.B)
+}
+
+// AppendTo appends the and.
+func (i And) AppendTo(b []byte) []byte {
+	return appendOperands(appendDst(i.appendSuffix(i.appendPrefix(b, "and")), i.Dst), i.A, i.B)
+}
+
+// AppendTo appends the xor.
+func (i Xor) AppendTo(b []byte) []byte {
+	return appendOperands(appendDst(i.appendSuffix(i.appendPrefix(b, "xor")), i.Dst), i.A, i.B)
+}
+
+// AppendTo appends the conversion with both type specifiers.
+func (i Cvt) AppendTo(b []byte) []byte {
+	b = append(append(i.appendPrefix(b, "cvt."), i.DstType.String()...), '.')
+	b = append(append(b, i.SrcType.String()...), ' ')
+	return appendOperand(appendDst(b, i.Dst), i.Src)
+}
+
+// AppendTo appends the predicate-setting comparison.
+func (i SetpEq) AppendTo(b []byte) []byte {
+	return appendOperands(appendDst(i.appendSuffix(i.appendPrefix(b, "setp.eq")), i.P), i.A, i.B)
+}
+
+// AppendTo appends the branch.
+func (i Bra) AppendTo(b []byte) []byte {
+	return append(i.appendPrefix(b, "bra "), i.Target...)
+}
+
+// AppendTo appends the label definition (labels carry no guard).
+func (i LabelDef) AppendTo(b []byte) []byte { return append(append(b, i.Name...), ':') }
 
 // String renders the load in the paper's concrete syntax.
-func (i Ld) String() string {
-	return fmt.Sprintf("%sld%s%s %s,%s", i.prefix(), memSuffix(i.Volatile, i.CacheOp), i.suffix(), i.Dst, addr(i.Addr))
-}
+func (i Ld) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the store in the paper's concrete syntax.
-func (i St) String() string {
-	return fmt.Sprintf("%sst%s%s %s,%s", i.prefix(), memSuffix(i.Volatile, i.CacheOp), i.suffix(), addr(i.Addr), i.Src)
-}
+func (i St) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the CAS in the paper's concrete syntax.
-func (i AtomCAS) String() string {
-	return fmt.Sprintf("%satom.cas%s %s,%s,%s,%s", i.prefix(), i.suffix(), i.Dst, addr(i.Addr), i.Cmp, i.New)
-}
+func (i AtomCAS) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the exchange in the paper's concrete syntax.
-func (i AtomExch) String() string {
-	return fmt.Sprintf("%satom.exch%s %s,%s,%s", i.prefix(), i.suffix(), i.Dst, addr(i.Addr), i.Src)
-}
+func (i AtomExch) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the atomic add in the paper's concrete syntax.
-func (i AtomAdd) String() string {
-	return fmt.Sprintf("%satom.add%s %s,%s,%s", i.prefix(), i.suffix(), i.Dst, addr(i.Addr), i.Src)
-}
+func (i AtomAdd) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the atomic increment in the paper's concrete syntax.
-func (i AtomInc) String() string {
-	return fmt.Sprintf("%satom.inc%s %s,%s,%s", i.prefix(), i.suffix(), i.Dst, addr(i.Addr), i.Bound)
-}
+func (i AtomInc) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the fence with its scope suffix.
-func (i Membar) String() string {
-	return fmt.Sprintf("%smembar.%s", i.prefix(), i.Scope)
-}
+func (i Membar) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the move.
-func (i Mov) String() string {
-	return fmt.Sprintf("%smov%s %s,%s", i.prefix(), i.suffix(), i.Dst, i.Src)
-}
+func (i Mov) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the add.
-func (i Add) String() string {
-	return fmt.Sprintf("%sadd%s %s,%s,%s", i.prefix(), i.suffix(), i.Dst, i.A, i.B)
-}
+func (i Add) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the and.
-func (i And) String() string {
-	return fmt.Sprintf("%sand%s %s,%s,%s", i.prefix(), i.suffix(), i.Dst, i.A, i.B)
-}
+func (i And) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the xor.
-func (i Xor) String() string {
-	return fmt.Sprintf("%sxor%s %s,%s,%s", i.prefix(), i.suffix(), i.Dst, i.A, i.B)
-}
+func (i Xor) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the conversion with both type specifiers.
-func (i Cvt) String() string {
-	return fmt.Sprintf("%scvt.%s.%s %s,%s", i.prefix(), i.DstType, i.SrcType, i.Dst, i.Src)
-}
+func (i Cvt) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the predicate-setting comparison.
-func (i SetpEq) String() string {
-	return fmt.Sprintf("%ssetp.eq%s %s,%s,%s", i.prefix(), i.suffix(), i.P, i.A, i.B)
-}
+func (i SetpEq) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the branch.
-func (i Bra) String() string {
-	return fmt.Sprintf("%sbra %s", i.prefix(), i.Target)
-}
+func (i Bra) String() string { return string(i.AppendTo(nil)) }
 
 // String renders the label definition.
 func (i LabelDef) String() string { return i.Name + ":" }

@@ -10,7 +10,10 @@
 // are flat instruction sequences with symbolic labels.
 package ptx
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Scope names a level of the GPU concurrency hierarchy at which a fence or
 // atomic provides ordering (Sec. 2.3): a CTA, the whole GPU (grid), or the
@@ -157,6 +160,9 @@ func (Reg) isOperand() {}
 // String returns the register name.
 func (r Reg) String() string { return string(r) }
 
+// AppendTo appends the register name to b.
+func (r Reg) AppendTo(b []byte) []byte { return append(b, r...) }
+
 // Imm is an immediate integer operand.
 type Imm int64
 
@@ -165,11 +171,14 @@ func (Imm) isOperand() {}
 
 // String formats the immediate in decimal, or hex when it looks like a mask
 // (any bit at or above bit 16 set), matching the paper's examples.
-func (i Imm) String() string {
+func (i Imm) String() string { return string(i.AppendTo(nil)) }
+
+// AppendTo appends the immediate's String form to b.
+func (i Imm) AppendTo(b []byte) []byte {
 	if uint64(i) >= 0x10000 && i > 0 {
-		return fmt.Sprintf("0x%x", int64(i))
+		return strconv.AppendInt(append(b, "0x"...), int64(i), 16)
 	}
-	return fmt.Sprintf("%d", int64(i))
+	return strconv.AppendInt(b, int64(i), 10)
 }
 
 // Sym is a symbolic memory-location name, e.g. "x", usable directly as an
@@ -182,10 +191,16 @@ func (Sym) isOperand() {}
 // String returns the location name.
 func (s Sym) String() string { return string(s) }
 
+// AppendTo appends the location name to b.
+func (s Sym) AppendTo(b []byte) []byte { return append(b, s...) }
+
 // Operand is a source operand: a register, an immediate, or a symbolic
 // location name.
 type Operand interface {
 	fmt.Stringer
+	// AppendTo appends the operand's String form to b and returns the
+	// extended buffer.
+	AppendTo(b []byte) []byte
 	isOperand()
 }
 
@@ -199,9 +214,12 @@ type Guard struct {
 }
 
 // String renders the guard with the canonical @ sigil.
-func (g Guard) String() string {
+func (g Guard) String() string { return string(g.AppendTo(nil)) }
+
+// AppendTo appends the guard's String form to b.
+func (g Guard) AppendTo(b []byte) []byte {
 	if g.Neg {
-		return "@!" + string(g.Reg)
+		return append(append(b, "@!"...), g.Reg...)
 	}
-	return "@" + string(g.Reg)
+	return append(append(b, '@'), g.Reg...)
 }

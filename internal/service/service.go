@@ -585,15 +585,8 @@ func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byt
 func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (JudgeResult, error) {
 	fp := t.Fingerprint()
 	if static {
-		if res := m.Prefilter(t); res.Verdict != analysis.Unknown {
+		if v := m.StaticVerdict(t); v != nil {
 			s.met.staticSkipped.Add(1)
-			v := &core.Verdict{
-				Test:          t,
-				Model:         m.Name,
-				Observable:    res.Verdict == analysis.Allowed,
-				StaticSkipped: true,
-				StaticReason:  res.Reason,
-			}
 			jr := JudgeResult{
 				Test:          t.Name,
 				Model:         m.Name,
@@ -601,7 +594,7 @@ func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, pa
 				Observable:    v.Observable,
 				Verdict:       v.String(),
 				StaticSkipped: true,
-				StaticReason:  res.Reason,
+				StaticReason:  v.StaticReason,
 			}
 			jr.Covered, jr.CoverageNote = core.Covers(t)
 			return jr, nil
@@ -944,6 +937,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// the /v1/run key shape, so repeated or overlapping sweeps — and run
 	// requests for cells a sweep already computed — cost one harness
 	// execution per distinct (test content, chip, incantation, runs, seed).
+	// Each test's fingerprint is computed once here, not once per cell.
+	fps := make(map[*litmus.Test]string, len(spec.Tests)+len(repairedTests))
+	for _, t := range spec.Tests {
+		fps[t] = t.Fingerprint()
+	}
+	for _, rt := range repairedTests {
+		fps[rt] = rt.Fingerprint()
+	}
 	var cachedMu sync.Mutex
 	cachedCells := make(map[int]bool)
 	staticCells := make(map[int]string)             // cell index -> skip provenance
@@ -969,7 +970,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// on repair sweeps — the repaired program both go through here, so
 		// repaired-cell runs are cached and deduplicated like any other.
 		runCell := func(t *litmus.Test) (*harness.Outcome, source, error) {
-			key := fmt.Sprintf("run|%s|%s|%s|%d|%d", t.Fingerprint(), j.Chip.ShortName, j.Incant, j.Runs, j.Seed)
+			fp, ok := fps[t]
+			if !ok {
+				fp = t.Fingerprint()
+			}
+			key := fmt.Sprintf("run|%s|%s|%s|%d|%d", fp, j.Chip.ShortName, j.Incant, j.Runs, j.Seed)
 			cellCfg := harness.Config{Chip: j.Chip, Incant: j.Incant, Runs: j.Runs, Seed: j.Seed}
 			decode := func(b []byte) (any, error) { return decodeOutcome(b, cellCfg) }
 			val, src, err := s.cachedLookup(ctx, key, decode, func() (any, error) {
