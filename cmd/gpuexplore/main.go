@@ -3,9 +3,9 @@
 // (the content of EXPERIMENTS.md). All sweeps run concurrently on the
 // campaign engine; the report is deterministic in the flags alone.
 //
-// Usage:
+// Usage (-runs defaults to the paper's 100,000 iterations per cell):
 //
-//	gpuexplore -runs 100000 -validate-tests 500 > EXPERIMENTS.md
+//	gpuexplore -validate-tests 500 > EXPERIMENTS.md
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/experiments"
+	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
@@ -38,7 +39,7 @@ var errFlagParse = fmt.Errorf("gpuexplore: bad flags")
 // redirectable).
 func run(argv []string, w, ew io.Writer) error {
 	fs := flag.NewFlagSet("gpuexplore", flag.ContinueOnError)
-	runs := fs.Int("runs", 20000, "iterations per table cell (100000 for paper scale)")
+	runs := fs.Int("runs", harness.DefaultRuns, "iterations per table cell (the paper's count)")
 	seed := fs.Int64("seed", 20150314, "base seed")
 	validateTests := fs.Int("validate-tests", 150, "generated tests for the Sec. 5.4 validation")
 	validateRuns := fs.Int("validate-runs", 500, "iterations per generated test per chip")

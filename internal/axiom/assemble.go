@@ -77,7 +77,7 @@ type comboState struct {
 // in exactly Enumerate's order; StreamCombo(0..Combos()-1) back to back
 // reproduces the full enumeration byte for byte. emit errors abort the
 // combination and are returned verbatim. No MaxExecs bound is applied here
-// — drivers enforce it at their merge point (see StreamCtx and BoundError).
+// — drivers enforce it themselves (see StreamCtx and BoundError).
 func (en *Enumeration) StreamCombo(combo int, a *Assembler, emit func(*Execution) error) error {
 	if combo < 0 || combo >= en.combos {
 		return fmt.Errorf("axiom: path combination %d out of range [0,%d)", combo, en.combos)
@@ -184,9 +184,9 @@ func (en *Enumeration) ComboChunks(combo int, a *Assembler) (chunks, estimate in
 // byte for byte — the chunk split follows the first choice's source order,
 // the outermost digit of the rf cross product — which is what lets a
 // single-combination test with a huge rf/co space fan out across workers
-// on an order-exact merge (see internal/core's chunked driver). Under
-// pruning, a chunk whose leading source is a non-canonical class member is
-// empty: its completions are accounted for by a canonical chunk's weights.
+// (see internal/core's chunked fold). Under pruning, a chunk whose leading
+// source is a non-canonical class member is empty: its completions are
+// accounted for by a canonical chunk's weights.
 func (en *Enumeration) StreamComboChunk(combo, chunk int, a *Assembler, emit func(*Execution) error) error {
 	if combo < 0 || combo >= en.combos {
 		return fmt.Errorf("axiom: path combination %d out of range [0,%d)", combo, en.combos)

@@ -66,11 +66,17 @@ func (o Opts) withDefaults() Opts {
 // for locations written only by atomics (PTX annuls atomic guarantees when
 // plain stores access the same location, Sec. 3.2.3).
 //
-// Enumerate is a thin collector over EnumerateStream; callers that do not
-// need the whole candidate set at once should stream instead.
+// Enumerate collects PrepareCtx + StreamCtx into a slice; callers that do
+// not need the whole candidate set at once should stream instead. The
+// opts.MaxExecs bound is enforced exactly and by Weight (see StreamCtx).
 func Enumerate(t *litmus.Test, opts Opts) ([]*Execution, error) {
+	ctx := context.Background()
+	en, err := PrepareCtx(ctx, t, opts)
+	if err != nil {
+		return nil, err
+	}
 	var execs []*Execution
-	if err := EnumerateStream(t, opts, func(x *Execution) error {
+	if err := en.StreamCtx(ctx, func(x *Execution) error {
 		execs = append(execs, x)
 		return nil
 	}); err != nil {
@@ -79,40 +85,13 @@ func Enumerate(t *litmus.Test, opts Opts) ([]*Execution, error) {
 	return execs, nil
 }
 
-// EnumerateStream enumerates the candidate executions of the test exactly
-// like Enumerate — same executions, same order — but yields each one to the
-// caller as it is assembled instead of materialising the whole set. An
-// error returned by yield aborts the enumeration and is returned verbatim.
-// The opts.MaxExecs bound is enforced exactly and by Weight: the summed
-// weights of yielded executions never exceed MaxExecs, and producing more
-// fails the enumeration with BoundError — the same outcome, on the same
-// total, as the exhaustive enumeration (a representative is yielded only
-// when its whole class fits under the bound).
-func EnumerateStream(t *litmus.Test, opts Opts, yield func(*Execution) error) error {
-	return EnumerateStreamCtx(context.Background(), t, opts, yield)
-}
-
-// EnumerateStreamCtx is EnumerateStream under a context: cancelling ctx
-// aborts the enumeration promptly — between path-enumeration rounds and
-// before each assembled execution is yielded — returning ctx.Err(). A
-// request-scoped context lets a long-lived caller (the gpulitmusd service)
-// stop candidate production mid-stream when the client goes away. For an
-// uncancelled ctx the executions and their order are exactly Enumerate's.
-func EnumerateStreamCtx(ctx context.Context, t *litmus.Test, opts Opts, yield func(*Execution) error) error {
-	en, err := PrepareCtx(ctx, t, opts)
-	if err != nil {
-		return err
-	}
-	return en.StreamCtx(ctx, yield)
-}
-
 // Enumeration is the prepared producer state for one test: the per-thread
 // symbolic paths (derived once, with the value-domain fixpoint memoizing
 // unchanged threads across iterations) plus the per-test constants every
 // path combination shares. It splits candidate production into independent
 // path combinations so callers can stream them serially (StreamCtx, the
 // order-exact path) or fan combinations out across workers (StreamCombo
-// with one Assembler per worker) and merge deterministically.
+// with one Assembler per worker).
 //
 // An Enumeration is immutable after Prepare and safe for concurrent
 // StreamCombo calls with distinct Assemblers. Nothing in it depends on a
@@ -192,9 +171,9 @@ func (en *Enumeration) Test() *litmus.Test { return en.test }
 
 // BoundError returns the exact error the enumeration reports when more than
 // MaxExecs candidate executions are produced. Callers that drive
-// StreamCombo themselves (the parallel producer in internal/core) enforce
-// the bound at their deterministic merge point and must fail with the same
-// error the serial stream would have produced.
+// StreamCombo themselves (the parallel fold in internal/core) enforce the
+// bound on the summed weight of the executions they check and must fail
+// with the same error the serial stream would have produced.
 func (en *Enumeration) BoundError() error {
 	return fmt.Errorf("axiom: more than %d candidate executions for %s", en.opts.MaxExecs, en.test.Name)
 }
@@ -204,7 +183,6 @@ func (en *Enumeration) BoundError() error {
 // their canonical order. The MaxExecs bound is enforced exactly — by
 // Execution.Weight, so pruned and exhaustive enumerations fail on the same
 // totals — and ctx is checked per combination and per yielded execution.
-// The executions and their order are byte-identical to Enumerate's.
 func (en *Enumeration) StreamCtx(ctx context.Context, yield func(*Execution) error) error {
 	var a Assembler
 	count := 0

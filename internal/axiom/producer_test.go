@@ -203,7 +203,7 @@ func TestStreamCtxMaxExecsAcrossCombos(t *testing.T) {
 }
 
 // TestPreparedStreamCancelMidCombo pins prompt cancellation on the prepared
-// producer, matching EnumerateStreamCtx's guarantee.
+// producer, for an enumeration prepared before the context.
 func TestPreparedStreamCancelMidCombo(t *testing.T) {
 	en, err := Prepare(litmus.SBGlobal(), DefaultOpts())
 	if err != nil {

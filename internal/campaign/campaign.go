@@ -14,13 +14,13 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/obs"
-	"github.com/weakgpu/gpulitmus/internal/pool"
 )
 
 // Spec declares a sweep matrix. The expanded test axis is Tests followed by
@@ -268,7 +268,7 @@ func Run(spec Spec) (*Aggregate, error) {
 	runPar := spec.runParallelism(len(jobs))
 	var mu sync.Mutex
 	done := 0
-	err = pool.ForEach(len(jobs), spec.workers(), func(i int) error {
+	err = ForEach(len(jobs), spec.workers(), func(i int) error {
 		out, err := spec.runJob(context.Background(), jobs[i], runPar)
 		if err != nil {
 			return err
@@ -319,7 +319,7 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 		runPar := spec.runParallelism(len(jobs))
 		var mu sync.Mutex
 		done := 0
-		_ = pool.ForEach(len(jobs), spec.workers(), func(i int) error {
+		_ = ForEach(len(jobs), spec.workers(), func(i int) error {
 			if ctx.Err() != nil {
 				// Abort the pool: no new jobs are taken after an error.
 				return ctx.Err()
@@ -345,13 +345,102 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 	return ch
 }
 
-// ForEach exposes the campaign's work-stealing pool for index-shaped
-// parallel work that is not a harness sweep (e.g. per-test model analysis
-// feeding a Memo). fn must be safe for concurrent invocation on distinct
-// indices.
+// ForEach executes fn(i) for every i in [0, n) on parallelism goroutines
+// (GOMAXPROCS when parallelism <= 0): the campaign's work-stealing pool,
+// for harness sweeps and for index-shaped work that is not one (e.g.
+// per-test model analysis feeding a Memo). fn must be safe for concurrent
+// invocation on distinct indices. The first failure by job index is
+// returned, for determinism; jobs already started still finish, but no
+// new job is taken after a failure is observed.
+//
+// The index space is dealt round-robin into per-worker deques up front,
+// so the pool allocates nothing during the run. Each worker pops from the
+// bottom of its own deque, and a worker whose deque runs dry steals from
+// the top of a victim's: the oldest jobs, which under round-robin dealing
+// are the ones farthest from the victim's current locality.
 func ForEach(n, parallelism int, fn func(i int) error) error {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
+	if n <= 0 {
+		return nil
 	}
-	return pool.ForEach(n, parallelism, fn)
+	workers := parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+
+	deques := make([]*deque, workers)
+	for w := range deques {
+		deques[w] = &deque{jobs: make([]int, 0, n/workers+1)}
+	}
+	for i := 0; i < n; i++ {
+		d := deques[i%workers]
+		d.jobs = append(d.jobs, i)
+	}
+
+	var failed atomic.Bool
+	errs := make([]error, n) // per-job slot: no locking, no ordering races
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for !failed.Load() {
+				i, ok := deques[w].popBottom()
+				if !ok {
+					// Own deque dry: scan victims starting after self.
+					for v := 1; v < workers && !ok; v++ {
+						i, ok = deques[(w+v)%workers].stealTop()
+					}
+					if !ok {
+						return // every deque dry: pool drains
+					}
+				}
+				if err := fn(i); err != nil {
+					errs[i] = err
+					failed.Store(true)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if failed.Load() {
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// deque is one ForEach worker's job queue of indices.
+type deque struct {
+	mu   sync.Mutex
+	jobs []int
+}
+
+// popBottom takes the newest job (the owner's end).
+func (d *deque) popBottom() (int, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.jobs)
+	if n == 0 {
+		return 0, false
+	}
+	j := d.jobs[n-1]
+	d.jobs = d.jobs[:n-1]
+	return j, true
+}
+
+// stealTop takes the oldest job (the thief's end).
+func (d *deque) stealTop() (int, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.jobs) == 0 {
+		return 0, false
+	}
+	j := d.jobs[0]
+	d.jobs = d.jobs[1:]
+	return j, true
 }

@@ -199,16 +199,18 @@ func TestStreamSpecError(t *testing.T) {
 
 func TestForEachCoversAllIndicesOnce(t *testing.T) {
 	const n = 1000
-	var counts [n]atomic.Int32
-	if err := ForEach(n, 8, func(i int) error {
-		counts[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Errorf("index %d executed %d times", i, c)
+	for _, workers := range []int{1, 3, 8} {
+		var counts [n]atomic.Int32
+		if err := ForEach(n, workers, func(i int) error {
+			counts[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for i := range counts {
+			if c := counts[i].Load(); c != 1 {
+				t.Errorf("workers %d: index %d executed %d times", workers, i, c)
+			}
 		}
 	}
 }

@@ -281,7 +281,7 @@ func (mm *Memo) settle(e *memoEntry) {
 // set) and collects the allowed final states.
 func analyse(m *core.Model, t *litmus.Test, en *axiom.Enumeration) (*ModelInfo, error) {
 	info := &ModelInfo{Allowed: make(map[string]bool)}
-	n, err := m.ForEachVerdictPreparedCtx(context.Background(), t, en, 1, func(_ int, x *axiom.Execution, allowed bool) error {
+	n, err := m.ForEachVerdictPreparedCtx(context.Background(), t, en, func(_ int, x *axiom.Execution, allowed bool) error {
 		if !allowed {
 			return nil
 		}

@@ -36,7 +36,7 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := m.ForEachVerdictPreparedCtx(context.Background(), test, en, 1,
+	n, err := m.ForEachVerdictPreparedCtx(context.Background(), test, en,
 		func(_ int, x *axiom.Execution, allowed bool) error {
 			if !allowed {
 				return nil

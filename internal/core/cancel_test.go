@@ -9,12 +9,25 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
+// TestJudgeCtxCancelled: a cancelled context returns ctx.Err() at every
+// parallelism, whether the judgement prepares (JudgeCtx) or starts from a
+// prepared enumeration (JudgePreparedCtx), so the serial head, the combo
+// fan-out and the chunked fan-out each check it.
 func TestJudgeCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, par := range []int{1, 0, 4} {
-		if _, err := JudgeCtx(ctx, PTX(), litmus.CoRR(), par); !errors.Is(err, context.Canceled) {
-			t.Errorf("parallelism %d: err = %v, want context.Canceled", par, err)
+	for _, test := range []*litmus.Test{litmus.CoRR(), stressTest(3), soloChunkTest(), mpWritersTest(2)} {
+		en, err := axiom.Prepare(test, axiom.DefaultOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{0, 1, 2, 4, 16} {
+			if _, err := JudgeCtx(ctx, PTX(), test, par); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: parallelism %d: err = %v, want context.Canceled", test.Name, par, err)
+			}
+			if _, err := JudgePreparedCtx(ctx, PTX(), test, en, par); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: prepared, parallelism %d: err = %v, want context.Canceled", test.Name, par, err)
+			}
 		}
 	}
 }
@@ -45,18 +58,6 @@ func TestForEachVerdictCtxCancelMidStream(t *testing.T) {
 	}
 	if seen >= total {
 		t.Errorf("saw %d of %d candidates; cancellation did not stop the stream early", seen, total)
-	}
-}
-
-func TestForEachVerdictCtxCancelParallel(t *testing.T) {
-	// With an explicit worker pipeline the producer must unblock and the
-	// call must return ctx.Err() even while workers are mid-flight.
-	test := stressTest(3)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := PTX().ForEachVerdictCtx(ctx, test, 4, func(int, *axiom.Execution, bool) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

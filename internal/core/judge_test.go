@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
@@ -23,15 +24,21 @@ func stressTest(writers int) *litmus.Test {
 		MustBuild()
 }
 
-// TestJudgeParallelMatchesSerial pins the parallel verdict pipeline against
-// the serial path, verdict for verdict: counts, observability and the
-// Witness (first witnessing execution in enumeration order) must be
-// identical for every parallelism. Runs the paper tests (small, forced
-// through the pipeline with explicit parallelism) plus a stress test big
-// enough to engage the auto-mode pipeline; -short keeps it race-friendly.
+// TestJudgeParallelMatchesSerial pins the parallel fold against the
+// serial judgement, verdict for verdict: the verdict line, the visited
+// count and the Witness (first witnessing execution in enumeration order)
+// must be identical at every parallelism — auto, and explicit fan-out over
+// path combinations or rf chunks. stressTest(3) has 64 path combinations,
+// so explicit parallelism folds many per worker; soloChunkTest has one
+// combination with four rf chunks; a diy sample adds generated shapes,
+// including ones whose single combination does not split.
 func TestJudgeParallelMatchesSerial(t *testing.T) {
 	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	tests = append(tests, stressTest(3))
+	tests = append(tests, stressTest(3), soloChunkTest())
+	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
+	for i := 0; i < len(gen); i += 13 {
+		tests = append(tests, gen[i].Test)
+	}
 	models := []*Model{PTX(), SC()}
 	for _, test := range tests {
 		for _, m := range models {
@@ -39,15 +46,14 @@ func TestJudgeParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: serial: %v", test.Name, m.Name, err)
 			}
-			for _, par := range []int{0, 4} {
+			for _, par := range []int{0, 2, 4, 16} {
 				got, err := JudgeP(m, test, par)
 				if err != nil {
 					t.Fatalf("%s/%s: parallelism %d: %v", test.Name, m.Name, par, err)
 				}
-				if got.Candidates != serial.Candidates || got.Allowed != serial.Allowed ||
-					got.Witnesses != serial.Witnesses || got.Observable != serial.Observable {
-					t.Fatalf("%s/%s: parallelism %d: verdict %s differs from serial %s",
-						test.Name, m.Name, par, got, serial)
+				if got.String() != serial.String() || got.Visited != serial.Visited {
+					t.Fatalf("%s/%s: parallelism %d: verdict %s (%d visited) differs from serial %s (%d visited)",
+						test.Name, m.Name, par, got, got.Visited, serial, serial.Visited)
 				}
 				switch {
 				case (got.Witness == nil) != (serial.Witness == nil):

@@ -251,23 +251,26 @@ func (v *Verdict) String() string {
 // herd-style simulation of Sec. 5.4. Candidate executions stream from the
 // enumerator straight into verdict-only model evaluation (never
 // materialising the candidate set), and large enumerations fan out across
-// the worker pool. Equivalent to JudgeP(m, t, 0).
+// workers. Equivalent to JudgeP(m, t, 0).
 func Judge(m *Model, t *litmus.Test) (*Verdict, error) {
 	return JudgeP(m, t, 0)
 }
 
-// JudgeP is Judge with an explicit evaluation parallelism (see
-// Model.ForEachVerdictCtx for its meaning). The verdict — including the
-// Witness, pinned to the first witnessing execution in enumeration order —
-// is identical for every parallelism.
+// JudgeP is Judge with an explicit evaluation parallelism: 1 judges on
+// the calling goroutine; n > 1 folds every unit of work (path combination
+// or rf chunk) on n workers; 0 sizes the workers to GOMAXPROCS but judges
+// serially until parallelMinExecs executions have been visited, so small
+// enumerations (the common litmus case) never start a worker. The verdict
+// — including the Witness, pinned to the first witnessing execution in
+// enumeration order — is identical for every parallelism.
 func JudgeP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
 	return JudgeCtx(context.Background(), m, t, parallelism)
 }
 
 // JudgeCtx is JudgeP under a context: cancelling ctx aborts the judgement
-// mid-enumeration (see Model.ForEachVerdictCtx) and returns ctx.Err(). The
-// service layer passes request-scoped contexts here so abandoned judge
-// requests stop costing enumeration work.
+// mid-enumeration (checked per unit and per execution) and returns
+// ctx.Err(). The service layer passes request-scoped contexts here so
+// abandoned judge requests stop costing enumeration work.
 func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
 	return judgeStream(ctx, m, t, nil, parallelism)
 }
@@ -286,30 +289,4 @@ func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*
 // even though indices differ).
 func JudgePreparedCtx(ctx context.Context, m *Model, t *litmus.Test, en *axiom.Enumeration, parallelism int) (*Verdict, error) {
 	return judgeStream(ctx, m, t, en, parallelism)
-}
-
-// judgeStream folds the ordered verdict stream of t into a Verdict; a nil en
-// prepares t under the stream's trace span.
-func judgeStream(ctx context.Context, m *Model, t *litmus.Test, en *axiom.Enumeration, parallelism int) (*Verdict, error) {
-	v := &Verdict{Test: t, Model: m.Name}
-	n, err := m.forEachVerdict(ctx, t, en, parallelism, func(_ int, x *axiom.Execution, allowed bool) error {
-		v.Visited++
-		if allowed {
-			w := x.Weight()
-			v.Allowed += w
-			if t.Exists.Eval(x.Final) {
-				v.Witnesses += w
-				if v.Witness == nil {
-					v.Witness = x // visits arrive in enumeration order
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	v.Candidates = n
-	v.Observable = v.Witnesses > 0
-	return v, nil
 }

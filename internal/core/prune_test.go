@@ -134,38 +134,36 @@ func TestVerdictPrunedAccounting(t *testing.T) {
 // TestForEachVerdictWeightedHistogram pins the weighted outcome-histogram
 // equivalence the campaign memo depends on: summing Execution.Weight per
 // final-state fingerprint under pruning must reproduce the exhaustive
-// per-fingerprint counts at every parallelism.
+// per-fingerprint counts.
 func TestForEachVerdictWeightedHistogram(t *testing.T) {
 	m := PTX()
 	ctx := context.Background()
 	for _, test := range []*litmus.Test{symCoreTest(4), soloChunkTest(), stressTest(3)} {
-		for _, par := range []int{1, 4} {
-			collect := func(opts axiom.Opts) map[string]int {
-				h := map[string]int{}
-				en, err := axiom.PrepareCtx(ctx, test, opts)
-				if err != nil {
-					t.Fatalf("%s/p%d: %v", test.Name, par, err)
-				}
-				if _, err := m.ForEachVerdictPreparedCtx(ctx, test, en, par, func(_ int, x *axiom.Execution, allowed bool) error {
-					if allowed {
-						h[harness.Fingerprint(test, x.Final)] += x.Weight()
-					}
-					return nil
-				}); err != nil {
-					t.Fatalf("%s/p%d: %v", test.Name, par, err)
-				}
-				return h
+		collect := func(opts axiom.Opts) map[string]int {
+			h := map[string]int{}
+			en, err := axiom.PrepareCtx(ctx, test, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", test.Name, err)
 			}
-			pruned := collect(axiom.DefaultOpts())
-			exh := collect(axiom.Opts{Exhaustive: true})
-			if len(pruned) != len(exh) {
-				t.Fatalf("%s/p%d: %d pruned fingerprints, %d exhaustive", test.Name, par, len(pruned), len(exh))
-			}
-			for fp, n := range exh {
-				if pruned[fp] != n {
-					t.Errorf("%s/p%d: fingerprint %s has weight %d, exhaustive count %d",
-						test.Name, par, fp, pruned[fp], n)
+			if _, err := m.ForEachVerdictPreparedCtx(ctx, test, en, func(_ int, x *axiom.Execution, allowed bool) error {
+				if allowed {
+					h[harness.Fingerprint(test, x.Final)] += x.Weight()
 				}
+				return nil
+			}); err != nil {
+				t.Fatalf("%s: %v", test.Name, err)
+			}
+			return h
+		}
+		pruned := collect(axiom.DefaultOpts())
+		exh := collect(axiom.Opts{Exhaustive: true})
+		if len(pruned) != len(exh) {
+			t.Fatalf("%s: %d pruned fingerprints, %d exhaustive", test.Name, len(pruned), len(exh))
+		}
+		for fp, n := range exh {
+			if pruned[fp] != n {
+				t.Errorf("%s: fingerprint %s has weight %d, exhaustive count %d",
+					test.Name, fp, pruned[fp], n)
 			}
 		}
 	}

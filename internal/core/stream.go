@@ -2,43 +2,39 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/cat"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/obs"
-	"github.com/weakgpu/gpulitmus/internal/pool"
 )
 
 // This file is the streaming verdict pipeline: candidate executions flow
 // from the axiom producer straight into model evaluation without ever
 // materialising the full candidate set. Path derivation happens once per
 // judgement, or once per test when the caller shares one prepared
-// enumeration across models (ForEachVerdictPreparedCtx); axiom.PrepareCtx
-// memoizes it across the value-domain fixpoint iterations. Production then
-// proceeds unit by unit.
+// enumeration across models (JudgePreparedCtx); axiom.PrepareCtx memoizes
+// it across the value-domain fixpoint iterations.
 //
-// There is one driver with one contract: visit is called serially, in
-// enumeration order, with the true enumeration index, for every
-// parallelism. The units of work are the path combinations, or — for a
-// single-combination test whose rf cross product splits — that
-// combination's rf chunks. The calling goroutine streams a head of the
-// units itself with one evaluation scratch; the remaining units are
-// produced AND evaluated on the shared worker pool (an axiom.Assembler and
-// a scratch per worker) while pool.OrderedStream merges their verdicts
-// back in exact enumeration order. The running weighted count, the visit
-// index and the MaxExecs bound carry over from the head to the merge, so
-// the bound fails at exactly the execution the serial stream would have
-// failed at.
+// A verdict is a fold: weighted sums plus the first witness in enumeration
+// order, none of which needs the executions in order. The units of work
+// are the path combinations, or — for a single-combination test whose rf
+// cross product splits — that combination's rf chunks. The calling
+// goroutine folds a head of the units itself; the remaining units are
+// claimed in ascending order by workers (an axiom.Assembler and a scratch
+// each), every worker folding the units it claims into its own tally. The
+// tallies then combine with sums and a min: the witness comes from the
+// lowest unit that has one, so every count and the witness are identical
+// at every parallelism, and counts are weighted by Execution.Weight so
+// symmetry pruning never changes them (see axiom.Opts.Exhaustive).
 //
-// Everything a caller aggregates (Judge's counts and witness, the campaign
-// memo's fingerprint set) is therefore deterministic regardless of
-// parallelism, and counts are weighted by Execution.Weight so symmetry
-// pruning never changes what a caller observes (see axiom.Opts.Exhaustive).
+// The per-execution visitor (ForEachVerdictPreparedCtx) is a plain serial
+// loop over axiom.Enumeration.StreamCtx.
 
 // parallelMinExecs is the auto-mode fan-out threshold: the calling
 // goroutine checks executions serially until this many have been visited
@@ -48,62 +44,40 @@ import (
 // its estimated completion count reaches the threshold.
 const parallelMinExecs = 128
 
-// errVerdictStopped aborts a producer after it delivered an eval error.
-var errVerdictStopped = errors.New("core: verdict stream stopped")
-
-// execVerdict is one evaluated candidate on its way back to the ordered
-// merge.
-type execVerdict struct {
-	x       *axiom.Execution
-	allowed bool
-	err     error
+// ForEachVerdictCtx is ForEachVerdictPreparedCtx over t prepared with
+// axiom.DefaultOpts. parallelism no longer changes the run: visits are
+// always produced and evaluated on the calling goroutine. The signature is
+// kept only for existing callers; ROADMAP's entry-point step deletes it.
+func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+	return m.ForEachVerdictPreparedCtx(ctx, t, nil, visit)
 }
 
-// ForEachVerdictCtx enumerates the candidate executions of t (under
-// axiom.DefaultOpts) and calls visit(i, x, allowed) for every produced
-// candidate, where i is the execution's position in enumeration order and
-// allowed is the model's verdict-only evaluation. It returns the weighted
-// number of candidates: symmetry pruning may produce one representative
-// for a class of equivalent executions (x.Weight() > 1), and the count —
-// like any weighted aggregate a caller builds — equals the exhaustive
-// enumeration's.
+// ForEachVerdictPreparedCtx enumerates the candidate executions of t and
+// calls visit(i, x, allowed) for every produced candidate, serially and in
+// enumeration order on the calling goroutine, where i is the execution's
+// position in the produced stream (representative ordinals under pruning)
+// and allowed is the model's verdict-only evaluation. It returns the
+// weighted number of candidates: symmetry pruning may produce one
+// representative for a class of equivalent executions (x.Weight() > 1),
+// and the count — like any weighted aggregate a caller builds — equals
+// the exhaustive enumeration's. Any visit error stops the run and is
+// returned.
 //
-// visit is called serially, in enumeration order, whatever the
-// parallelism, so callbacks need no locks. parallelism bounds the
-// evaluating workers: 1 checks every execution on the calling goroutine;
-// n > 1 produces and evaluates every unit of work (path combination or rf
-// chunk) on n workers; 0 sizes the pool to GOMAXPROCS but checks
-// serially until parallelMinExecs executions have been visited, so small
-// enumerations (the common litmus case) never start a worker. Any visit
-// error stops the run and is returned.
+// en is an enumeration the caller prepared with axiom.PrepareCtx, from t
+// or from any test with t's content: executions and errors name t, and
+// production is traced into ctx (see axiom.Enumeration.Bind). A nil en
+// prepares t with axiom.DefaultOpts under the run's trace span. Its
+// callers are the campaign memo, which prepares a test once for every
+// model, and the pruned-vs-exhaustive differential oracle, which prepares
+// with axiom.Opts{Exhaustive: true}.
 //
 // Cancelling ctx stops the producer promptly (checked per unit and per
-// execution) and returns ctx.Err(). Long-lived callers (the gpulitmusd
-// service) pass the request-scoped context so an abandoned request stops
-// consuming the worker pool mid-stream.
-func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	return m.forEachVerdict(ctx, t, nil, parallelism, visit)
-}
-
-// ForEachVerdictPreparedCtx is ForEachVerdictCtx over an enumeration the
-// caller prepared with axiom.PrepareCtx, from t or from any test with t's
-// content: executions and errors name t, and production is traced into
-// ctx (see axiom.Enumeration.Bind). Its callers are the campaign memo,
-// which prepares a test once for every model, and the pruned-vs-exhaustive
-// differential oracle, which prepares with axiom.Opts{Exhaustive: true}.
-// i is the execution's position in the *produced* stream (representative
-// ordinals under pruning); the returned count is the weighted candidate
-// total, identical between pruned and exhaustive runs.
-func (m *Model) ForEachVerdictPreparedCtx(ctx context.Context, t *litmus.Test, en *axiom.Enumeration, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	return m.forEachVerdict(ctx, t, en, parallelism, visit)
-}
-
-// forEachVerdict is the one driver behind both entry points; a nil en
-// prepares t with axiom.DefaultOpts under the run's trace span.
-func (m *Model) forEachVerdict(ctx context.Context, t *litmus.Test, en *axiom.Enumeration, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	if tr := obs.FromContext(ctx); tr.Enabled() {
+// execution) and returns ctx.Err().
+func (m *Model) ForEachVerdictPreparedCtx(ctx context.Context, t *litmus.Test, en *axiom.Enumeration, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+	tr := obs.FromContext(ctx)
+	if tr.Enabled() {
 		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
-		// under it) and time the visit/merge callback into PhaseMerge.
+		// under it) and time the visit callback into PhaseMerge.
 		sp, sctx := tr.StartSpan(ctx, "verdict")
 		ctx = sctx
 		defer sp.Finish()
@@ -115,84 +89,35 @@ func (m *Model) forEachVerdict(ctx context.Context, t *litmus.Test, en *axiom.En
 			return err
 		}
 	}
+	en, err := bind(ctx, t, en)
+	if err != nil {
+		return 0, err
+	}
+	sc := m.NewScratch()
+	sc.SetTracer(tr)
+	count, visits := 0, 0
+	err = en.StreamCtx(ctx, func(x *axiom.Execution) error {
+		allowed, err := m.verdict(x, sc)
+		if err != nil {
+			return err
+		}
+		count += x.Weight()
+		visits++
+		return visit(visits-1, x, allowed)
+	})
+	return count, err
+}
+
+// bind returns en bound to t and ctx, preparing t with axiom.DefaultOpts
+// when en is nil.
+func bind(ctx context.Context, t *litmus.Test, en *axiom.Enumeration) (*axiom.Enumeration, error) {
 	if en == nil {
 		var err error
 		if en, err = axiom.PrepareCtx(ctx, t, axiom.DefaultOpts()); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	en = en.Bind(ctx, t)
-	workers := parallelism
-	auto := workers <= 0
-	if auto {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	r := &verdictRun{m: m, ctx: ctx, enum: en, visit: visit, maxExecs: en.Opts().MaxExecs}
-	n := r.units(workers, auto)
-	// The calling goroutine streams the head of the units: all of them
-	// with one worker or fewer than two units, in auto mode until
-	// parallelMinExecs executions have been visited, under explicit
-	// parallelism none. The rest fan out.
-	serial := func() bool { return workers == 1 || n < 2 || (auto && r.visits < parallelMinExecs) }
-	u := 0
-	if serial() {
-		sc := m.NewScratch()
-		sc.SetTracer(obs.FromContext(ctx))
-		var a axiom.Assembler
-		emit := func(x *axiom.Execution) error {
-			allowed, err := m.verdict(x, sc)
-			return r.deliver(x, allowed, err)
-		}
-		for ; u < n && serial(); u++ {
-			if err := ctx.Err(); err != nil {
-				return r.count, err
-			}
-			if err := r.stream(&a, u, emit); err != nil {
-				return r.count, err
-			}
-		}
-	}
-	if u < n {
-		return r.count, r.fanOut(u, n, workers)
-	}
-	return r.count, nil
-}
-
-// verdictRun is the ordered state of one forEachVerdict call,
-// carried from the serial head into the fan-out merge.
-type verdictRun struct {
-	m             *Model
-	ctx           context.Context
-	enum          *axiom.Enumeration
-	visit         func(i int, x *axiom.Execution, allowed bool) error
-	chunked       bool // the units are combination 0's rf chunks
-	maxExecs      int
-	count, visits int // weighted candidates and visits delivered so far
-}
-
-// units picks the run's units of work and returns their number: the path
-// combinations, or — when there is one combination, more than one worker,
-// and the combination's rf cross product splits (in auto mode only when
-// its estimated completion count reaches parallelMinExecs) — that
-// combination's rf chunks. Either way the units back to back reproduce
-// the serial enumeration exactly.
-func (r *verdictRun) units(workers int, auto bool) int {
-	if r.enum.Combos() == 1 && workers > 1 {
-		var probe axiom.Assembler
-		if chunks, estimate := r.enum.ComboChunks(0, &probe); chunks >= 2 && (!auto || estimate >= parallelMinExecs) {
-			r.chunked = true
-			return chunks
-		}
-	}
-	return r.enum.Combos()
-}
-
-// stream produces unit u's executions in enumeration order.
-func (r *verdictRun) stream(a *axiom.Assembler, u int, yield func(*axiom.Execution) error) error {
-	if r.chunked {
-		return r.enum.StreamComboChunk(0, u, a, yield)
-	}
-	return r.enum.StreamCombo(u, a, yield)
+	return en.Bind(ctx, t), nil
 }
 
 // verdict evaluates one candidate on the verdict-only path, attaching the
@@ -206,67 +131,212 @@ func (m *Model) verdict(x *axiom.Execution, sc *cat.Scratch) (bool, error) {
 	return allowed, nil
 }
 
-// deliver hands the next execution in enumeration order to visit. The
-// context and the MaxExecs bound (by Execution.Weight, with the serial
-// stream's error) are checked before evalErr, the model's failure on x:
-// the serial stream fails with BoundError before ever evaluating the
-// execution past the bound, and a speculatively evaluated one must not
-// change that. visit errors pass through verbatim.
-func (r *verdictRun) deliver(x *axiom.Execution, allowed bool, evalErr error) error {
+// tally is one goroutine's fold of the units it judged. A goroutine claims
+// units in ascending order and stops at its first error, so its first
+// witness and its error belong to its lowest witnessing and lowest failing
+// unit; tallies combine with sums and a min over those units.
+type tally struct {
+	candidates, visited, allowed, witnesses int
+	unit                                    int // the unit being folded
+	witness                                 *axiom.Execution
+	witnessUnit                             int
+	err                                     error
+	errUnit                                 int
+}
+
+// add combines o into k.
+func (k *tally) add(o *tally) {
+	k.candidates += o.candidates
+	k.visited += o.visited
+	k.allowed += o.allowed
+	k.witnesses += o.witnesses
+	if o.witness != nil && (k.witness == nil || o.witnessUnit < k.witnessUnit) {
+		k.witness, k.witnessUnit = o.witness, o.witnessUnit
+	}
+	if o.err != nil && (k.err == nil || o.errUnit < k.errUnit) {
+		k.err, k.errUnit = o.err, o.errUnit
+	}
+}
+
+// judgeRun is the state one judgement's goroutines share.
+type judgeRun struct {
+	m       *Model
+	ctx     context.Context
+	en      *axiom.Enumeration
+	tr      *obs.Trace
+	chunked bool // the units are combination 0's rf chunks
+	// head is the calling goroutine's tally, which the workers' tallies
+	// are added into.
+	head tally
+	// count is the weighted number of candidates checked so far, across
+	// every goroutine; it enforces MaxExecs before each evaluation.
+	count atomic.Int64
+}
+
+// judgeStream judges t by folding its units into tallies, with the
+// parallelism JudgeP documents; a nil en prepares t under the run's trace
+// span. The MaxExecs bound fails with the serial stream's error
+// (axiom.Enumeration.BoundError) once the summed weight of the checked
+// executions passes it, and a cancelled ctx returns ctx.Err(). Any other
+// failure is the lowest failing unit's first error.
+func judgeStream(ctx context.Context, m *Model, t *litmus.Test, en *axiom.Enumeration, parallelism int) (*Verdict, error) {
+	tr := obs.FromContext(ctx)
+	if tr.Enabled() {
+		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
+		// under it).
+		sp, sctx := tr.StartSpan(ctx, "verdict")
+		ctx = sctx
+		defer sp.Finish()
+	}
+	en, err := bind(ctx, t, en)
+	if err != nil {
+		return nil, err
+	}
+	workers := parallelism
+	auto := workers <= 0
+	if auto {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	r := &judgeRun{m: m, ctx: ctx, en: en, tr: tr}
+	n := r.units(workers, auto)
+	// The calling goroutine folds the head of the units: all of them with
+	// one worker or fewer than two units, in auto mode until
+	// parallelMinExecs executions have been visited, under explicit
+	// parallelism none. The rest fan out.
+	k := &r.head
+	serial := workers == 1 || n < 2
+	if serial || auto {
+		sc := m.NewScratch()
+		sc.SetTracer(tr)
+		var a axiom.Assembler
+		fold := r.fold(k, sc)
+		for ; k.unit < n && (serial || k.visited < parallelMinExecs); k.unit++ {
+			if err := r.stream(&a, k.unit, fold); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if k.unit < n {
+		if err := r.fanOut(k, n, workers); err != nil {
+			return nil, err
+		}
+	}
+	return &Verdict{
+		Test: t, Model: m.Name,
+		Candidates: k.candidates, Visited: k.visited,
+		Allowed: k.allowed, Witnesses: k.witnesses,
+		Observable: k.witnesses > 0, Witness: k.witness,
+	}, nil
+}
+
+// units picks the run's units of work and returns their number: the path
+// combinations, or — when there is one combination, more than one worker,
+// and the combination's rf cross product splits (in auto mode only when
+// its estimated completion count reaches parallelMinExecs) — that
+// combination's rf chunks. Either way the units back to back reproduce
+// the serial enumeration exactly.
+func (r *judgeRun) units(workers int, auto bool) int {
+	if r.en.Combos() == 1 && workers > 1 {
+		var probe axiom.Assembler
+		if chunks, estimate := r.en.ComboChunks(0, &probe); chunks >= 2 && (!auto || estimate >= parallelMinExecs) {
+			r.chunked = true
+			return chunks
+		}
+	}
+	return r.en.Combos()
+}
+
+// stream produces unit u's executions in enumeration order, checking ctx
+// first.
+func (r *judgeRun) stream(a *axiom.Assembler, u int, yield func(*axiom.Execution) error) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
 	}
-	w := x.Weight()
-	if r.count+w > r.maxExecs {
-		return r.enum.BoundError()
+	if r.chunked {
+		return r.en.StreamComboChunk(0, u, a, yield)
 	}
-	if evalErr != nil {
-		return evalErr
-	}
-	idx := r.visits
-	r.visits++
-	r.count += w
-	return r.visit(idx, x, allowed)
+	return r.en.StreamCombo(u, a, yield)
 }
 
-// fanOut produces and evaluates units [from, n) on the worker pool (a
-// per-worker Assembler and scratch each) and merges their verdicts back on
-// the calling goroutine in exact enumeration order via
-// pool.OrderedStream, continuing the run's count, visit index and bound.
-func (r *verdictRun) fanOut(from, n, workers int) error {
-	if workers > n-from {
-		workers = n - from
-	}
-	tr := obs.FromContext(r.ctx)
-	scratches := make([]*cat.Scratch, workers)
-	assemblers := make([]axiom.Assembler, workers)
-	for w := range scratches {
-		scratches[w] = r.m.NewScratch()
-		scratches[w].SetTracer(tr)
-	}
-	err := pool.OrderedStream(n-from, workers, 4*workers,
-		func(w, i int, emit func(execVerdict) error) error {
-			if err := r.ctx.Err(); err != nil {
-				return err
+// fold returns the yield that judges each execution of k's current unit
+// into k. The context and the shared MaxExecs bound are checked before
+// the evaluation, as the serial stream checks them.
+func (r *judgeRun) fold(k *tally, sc *cat.Scratch) func(*axiom.Execution) error {
+	limit := int64(r.en.Opts().MaxExecs)
+	return func(x *axiom.Execution) error {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		w := x.Weight()
+		if r.count.Add(int64(w)) > limit {
+			return r.en.BoundError()
+		}
+		allowed, err := r.m.verdict(x, sc)
+		if err != nil {
+			return err
+		}
+		var t0 time.Time
+		if r.tr.Enabled() {
+			t0 = time.Now()
+		}
+		k.candidates += w
+		k.visited++
+		if allowed {
+			k.allowed += w
+			if r.en.Test().Exists.Eval(x.Final) {
+				k.witnesses += w
+				if k.witness == nil {
+					k.witness, k.witnessUnit = x, k.unit
+				}
 			}
-			sc := scratches[w]
-			return r.stream(&assemblers[w], from+i, func(x *axiom.Execution) error {
-				allowed, err := r.m.verdict(x, sc)
-				if e := emit(execVerdict{x: x, allowed: allowed, err: err}); e != nil {
-					return e
-				}
-				if err != nil {
-					// The failure was delivered at this execution's position
-					// in the merge, so the error a caller sees is
-					// deterministic.
-					return errVerdictStopped
-				}
-				return nil
-			})
-		},
-		func(_ int, v execVerdict) error { return r.deliver(v.x, v.allowed, v.err) })
-	if errors.Is(err, errVerdictStopped) {
-		err = nil // the positional eval error was already delivered
+		}
+		if r.tr.Enabled() {
+			r.tr.AddPhase(obs.PhaseMerge, time.Since(t0))
+		}
+		return nil
 	}
-	return err
+}
+
+// fanOut folds units [k.unit, n) on up to workers goroutines, each with
+// its own tally, Assembler and scratch, and adds their tallies into k.
+// Units are claimed in ascending order, so once a unit fails every unit
+// below it is already claimed: workers stop claiming, the units in flight
+// finish, and the error returned is the lowest failing unit's.
+func (r *judgeRun) fanOut(k *tally, n, workers int) error {
+	var next atomic.Int64
+	var stop atomic.Bool
+	next.Store(int64(k.unit))
+	tallies := make([]tally, min(workers, n-k.unit))
+	var wg sync.WaitGroup
+	for w := range tallies {
+		wg.Add(1)
+		go func(wk *tally) {
+			defer wg.Done()
+			sc := r.m.NewScratch()
+			sc.SetTracer(r.tr)
+			var a axiom.Assembler
+			fold := r.fold(wk, sc)
+			for !stop.Load() {
+				if wk.unit = int(next.Add(1) - 1); wk.unit >= n {
+					return
+				}
+				if err := r.stream(&a, wk.unit, fold); err != nil {
+					wk.err, wk.errUnit = err, wk.unit
+					stop.Store(true)
+				}
+			}
+		}(&tallies[w])
+	}
+	wg.Wait()
+	var t0 time.Time
+	if r.tr.Enabled() {
+		t0 = time.Now()
+	}
+	for w := range tallies {
+		k.add(&tallies[w])
+	}
+	if r.tr.Enabled() {
+		r.tr.AddPhase(obs.PhaseMerge, time.Since(t0))
+	}
+	return k.err
 }

@@ -9,79 +9,12 @@ import (
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
-// verdictRecord is one visit call, comparable across pipeline modes.
-type verdictRecord struct {
-	idx     int
-	exec    string
-	allowed bool
-}
-
-func collectVerdicts(t *testing.T, m *Model, test *litmus.Test, parallelism int) []verdictRecord {
-	t.Helper()
-	var out []verdictRecord
-	weighted := 0
-	n, err := m.ForEachVerdictCtx(context.Background(), test, parallelism, func(i int, x *axiom.Execution, allowed bool) error {
-		out = append(out, verdictRecord{idx: i, exec: x.String(), allowed: allowed})
-		weighted += x.Weight()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%s: parallelism %d: %v", test.Name, parallelism, err)
-	}
-	if n != weighted {
-		t.Fatalf("%s: parallelism %d: %d candidates reported, visited weights sum to %d", test.Name, parallelism, n, weighted)
-	}
-	return out
-}
-
-// sameVerdicts fails unless got is exactly the serial stream.
-func sameVerdicts(t *testing.T, label string, got, serial []verdictRecord) {
-	t.Helper()
-	if len(got) != len(serial) {
-		t.Fatalf("%s: visited %d executions, serial %d", label, len(got), len(serial))
-	}
-	for i := range got {
-		if got[i] != serial[i] {
-			t.Fatalf("%s: visit %d differs:\n%+v\nvs serial\n%+v", label, i, got[i], serial[i])
-		}
-	}
-}
-
-// TestForEachVerdictComboOrderExact is the differential for the single
-// verdict contract: at every parallelism — auto, and explicit fan-out over
-// path combinations or rf chunks — visit must receive exactly the serial
-// stream (same executions, same verdicts, same indices, in the same
-// order), not merely the same multiset. stressTest(3) has 64 path
-// combinations, so explicit parallelism exercises the ordered merge across
-// many worker/combination boundaries; soloChunkTest has one combination
-// with four rf chunks; a diy sample adds generated shapes, including ones
-// whose single combination does not split.
-func TestForEachVerdictComboOrderExact(t *testing.T) {
-	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	tests = append(tests, stressTest(3), soloChunkTest())
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	for i := 0; i < len(gen); i += 13 {
-		tests = append(tests, gen[i].Test)
-	}
-	models := []*Model{PTX(), SC()}
-	for _, test := range tests {
-		for _, m := range models {
-			serial := collectVerdicts(t, m, test, 1)
-			for _, par := range []int{0, 2, 4, 16} {
-				got := collectVerdicts(t, m, test, par)
-				sameVerdicts(t, fmt.Sprintf("%s/%s: parallelism %d", test.Name, m.Name, par), got, serial)
-			}
-		}
-	}
-}
-
 // mpWritersTest is unfenced mp with extra pairs of writers to x and y:
 // with two pairs it has 16 path combinations and 576 executions, so auto
-// mode checks a serial head of combinations and fans the rest out.
+// mode judges a serial head of combinations and fans the rest out.
 func mpWritersTest(pairs int) *litmus.Test {
 	b := litmus.NewTest(fmt.Sprintf("mp+%dwriters", 2*pairs)).
 		Global("x", 0).Global("y", 0).
@@ -93,12 +26,12 @@ func mpWritersTest(pairs int) *litmus.Test {
 	return b.InterCTA().Exists("1:r1=1 /\\ 1:r2=0").MustBuild()
 }
 
-// TestForEachVerdictAutoHandOff pins the auto-mode hand-off from the
-// serial head to the fan-out: the visits match the serial stream, a
-// MaxExecs bound just past the hand-off fails at the same execution as
-// the serial stream, and cancelling inside visit k — on either side of
-// the hand-off — stops with exactly k+1 visits.
-func TestForEachVerdictAutoHandOff(t *testing.T) {
+// TestJudgeAutoHandOff pins the MaxExecs bound across the auto-mode
+// hand-off from the serial head to the workers, and across a chunked run:
+// a bound just past the hand-off, or just under the total, fails with the
+// serial judgement's error at every parallelism, and a bound equal to the
+// total admits the judgement at every parallelism.
+func TestJudgeAutoHandOff(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	test := mpWritersTest(2)
 	m := PTX()
@@ -109,76 +42,69 @@ func TestForEachVerdictAutoHandOff(t *testing.T) {
 	if nc := en.Combos(); nc < 2 || nc >= 32 {
 		t.Fatalf("%s has %d path combinations, want 2-31", test.Name, nc)
 	}
-	// The head streams whole combinations until parallelMinExecs
-	// executions have been visited: find where it hands off.
+	// The head folds whole combinations until parallelMinExecs executions
+	// have been visited: find the weight at the hand-off.
 	var a axiom.Assembler
-	handOff, weight, combo := 0, 0, 0
-	for ; combo < en.Combos() && handOff < parallelMinExecs; combo++ {
+	visits, weight, combo := 0, 0, 0
+	for ; combo < en.Combos() && visits < parallelMinExecs; combo++ {
 		if err := en.StreamCombo(combo, &a, func(x *axiom.Execution) error {
-			handOff++
+			visits++
 			weight += x.Weight()
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	serial := collectVerdicts(t, m, test, 1)
-	if combo == en.Combos() || handOff >= len(serial) {
-		t.Fatalf("%s: the serial head covers all %d executions; no hand-off", test.Name, len(serial))
+	if combo == en.Combos() {
+		t.Fatalf("%s: the serial head covers every combination; no hand-off", test.Name)
 	}
-	sameVerdicts(t, test.Name+": auto", collectVerdicts(t, m, test, 0), serial)
-
-	bounded := func(par int) (visits int, err error) {
-		opts := axiom.DefaultOpts()
-		opts.MaxExecs = weight + 2
-		en, err := axiom.Prepare(test, opts)
-		if err != nil {
-			return 0, err
-		}
-		_, err = m.ForEachVerdictPreparedCtx(context.Background(), test, en, par, func(int, *axiom.Execution, bool) error {
-			visits++
-			return nil
-		})
-		return visits, err
+	solo := soloChunkTest()
+	full, err := JudgeP(m, solo, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantVisits, wantErr := bounded(1)
-	if wantErr == nil {
-		t.Fatalf("MaxExecs %d did not bound the serial stream", weight+2)
-	}
-	if gotVisits, gotErr := bounded(0); gotVisits != wantVisits || gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Errorf("auto under MaxExecs %d: %d visits, err %v; serial %d visits, err %v",
-			weight+2, gotVisits, gotErr, wantVisits, wantErr)
-	}
-
-	for _, k := range []int{handOff - 1, handOff, handOff + 1} {
-		ctx, cancel := context.WithCancel(context.Background())
-		seen := 0
-		_, err := m.ForEachVerdictCtx(ctx, test, 0, func(i int, _ *axiom.Execution, _ bool) error {
-			seen++
-			if i == k {
-				cancel()
+	ctx := context.Background()
+	for _, c := range []struct {
+		test     *litmus.Test
+		maxExecs int
+		fails    bool
+	}{
+		{test, weight + 2, true},
+		{solo, full.Candidates - 1, true},
+		{solo, full.Candidates, false},
+	} {
+		judge := func(par int) (*Verdict, error) {
+			en, err := axiom.Prepare(c.test, axiom.Opts{MaxExecs: c.maxExecs})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel at %d: err = %v, want context.Canceled", k, err)
+			return JudgePreparedCtx(ctx, m, c.test, en, par)
 		}
-		if seen != k+1 {
-			t.Errorf("cancel at visit %d: %d visits, want exactly %d", k, seen, k+1)
+		want, wantErr := judge(1)
+		if (wantErr != nil) != c.fails {
+			t.Fatalf("%s under MaxExecs %d: serial err = %v", c.test.Name, c.maxExecs, wantErr)
+		}
+		for _, par := range []int{0, 4} {
+			got, err := judge(par)
+			switch {
+			case c.fails && (err == nil || err.Error() != wantErr.Error()):
+				t.Errorf("%s under MaxExecs %d: parallelism %d: err %v, serial %v", c.test.Name, c.maxExecs, par, err, wantErr)
+			case !c.fails && (err != nil || got.String() != want.String()):
+				t.Errorf("%s under MaxExecs %d: parallelism %d: %v, %v; serial %v", c.test.Name, c.maxExecs, par, got, err, want)
+			}
 		}
 	}
 }
 
 // TestForEachVerdictComboCancelMidVisit pins prompt, deterministic
-// cancellation under combo fan-out: visits are serial and ordered, so
-// cancelling inside visit k stops the stream with exactly k+1
-// visits delivered.
+// cancellation of the visitor over many path combinations: visits are
+// serial and ordered, so cancelling inside visit k stops the stream with
+// exactly k+1 visits delivered.
 func TestForEachVerdictComboCancelMidVisit(t *testing.T) {
 	test := stressTest(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	_, err := PTX().ForEachVerdictCtx(ctx, test, 4, func(int, *axiom.Execution, bool) error {
+	_, err := PTX().ForEachVerdictPreparedCtx(ctx, test, nil, func(int, *axiom.Execution, bool) error {
 		seen++
 		if seen == 4 {
 			cancel()
@@ -194,38 +120,34 @@ func TestForEachVerdictComboCancelMidVisit(t *testing.T) {
 }
 
 // TestForEachVerdictComboVisitError pins deterministic failure: an error
-// from visit k aborts the run having delivered exactly k+1 visits,
-// regardless of how production was scheduled.
+// from visit k aborts the run having delivered exactly k+1 visits.
 func TestForEachVerdictComboVisitError(t *testing.T) {
 	boom := errors.New("boom")
-	test := stressTest(3)
-	for _, par := range []int{1, 4} {
-		seen := 0
-		_, err := PTX().ForEachVerdictCtx(context.Background(), test, par, func(i int, _ *axiom.Execution, _ bool) error {
-			seen++
-			if i == 9 {
-				return fmt.Errorf("visit %d: %w", i, boom)
-			}
-			return nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("parallelism %d: err = %v, want boom", par, err)
+	seen := 0
+	_, err := PTX().ForEachVerdictPreparedCtx(context.Background(), stressTest(3), nil, func(i int, _ *axiom.Execution, _ bool) error {
+		seen++
+		if i == 9 {
+			return fmt.Errorf("visit %d: %w", i, boom)
 		}
-		if seen != 10 {
-			t.Errorf("parallelism %d: %d visits before the error, want exactly 10", par, seen)
-		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if seen != 10 {
+		t.Errorf("%d visits before the error, want exactly 10", seen)
 	}
 }
 
-// TestForEachVerdictComboParallelRace drives the combo fan-out with a
-// lock-free reduction in visit, for the -race CI step: visits are serial,
-// so the reduction needs no lock.
+// TestForEachVerdictComboParallelRace drives the fold's combo fan-out on
+// 8 workers, for the -race CI step, against the visitor's serial
+// reduction: the per-worker tallies must add up to the same counts.
 func TestForEachVerdictComboParallelRace(t *testing.T) {
 	test := stressTest(3)
 	allowed := 0
-	n, err := PTX().ForEachVerdictCtx(context.Background(), test, 8, func(_ int, _ *axiom.Execution, ok bool) error {
+	n, err := PTX().ForEachVerdictPreparedCtx(context.Background(), test, nil, func(_ int, x *axiom.Execution, ok bool) error {
 		if ok {
-			allowed++
+			allowed += x.Weight()
 		}
 		return nil
 	})
@@ -237,6 +159,13 @@ func TestForEachVerdictComboParallelRace(t *testing.T) {
 	}
 	if allowed == 0 {
 		t.Fatal("stress-3w: no allowed executions")
+	}
+	v, err := JudgeP(PTX(), test, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Candidates != n || v.Allowed != allowed {
+		t.Errorf("8 workers: %d/%d allowed, the visitor %d/%d", v.Allowed, v.Candidates, allowed, n)
 	}
 }
 

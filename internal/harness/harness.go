@@ -246,9 +246,10 @@ func (o *Outcome) String() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	match := o.matchingKeys()
 	for _, k := range keys {
 		marker := ":>"
-		if o.matchingKeys()[k] {
+		if match[k] {
 			marker = "*>"
 		}
 		fmt.Fprintf(&sb, "%-8d %s %s\n", o.Histogram[k], marker, k)

@@ -14,14 +14,15 @@
 //	fmt.Print(tr.Snapshot().PhaseTable())
 //
 // A Trace aggregates monotonic per-phase timers and producer counters
-// (atomics: the verdict pipeline's fan-out workers enumerate and evaluate
+// (atomics: the verdict fold's workers enumerate and evaluate
 // concurrently), plus a span tree recording the request's structural
 // decomposition. Phase timers are attributed exclusively — enumerate
 // excludes time spent inside the yield, eval is the compiled-program run,
-// merge is the visit callback, which always runs serially on the calling
-// goroutine — so on a serial judge the phase sum is bounded by the wall
-// time. Once units fan out, enumerate and eval sum worker time and may
-// exceed wall; counters are exact at every parallelism.
+// merge is folding each verdict into its worker's tally plus combining
+// the per-worker tallies (the visit callback, for the serial visitor) —
+// so on a serial judge the phase sum is bounded by the wall time. Once
+// units fan out, enumerate, eval and merge sum worker time and may exceed
+// wall; counters are exact at every parallelism.
 package obs
 
 import (
@@ -45,7 +46,7 @@ const (
 	PhasePrepare                // value-domain fixpoint + path derivation
 	PhaseEnumerate              // skeleton assembly + rf/co completion
 	PhaseEval                   // compiled .cat program per execution
-	PhaseMerge                  // verdict visit/merge callback
+	PhaseMerge                  // per-worker verdict tallies and their combination
 	PhaseLookup                 // cache-tier resolution (service only)
 	NumPhases
 )

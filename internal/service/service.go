@@ -17,7 +17,7 @@
 // pass through a bounded in-flight budget layered over the worker pool;
 // saturation answers 429 with a Retry-After hint rather than queueing
 // unboundedly. Request-scoped contexts propagate into candidate
-// enumeration (axiom.EnumerateStreamCtx) and campaign streaming
+// enumeration (axiom.Enumeration.StreamCtx) and campaign streaming
 // (campaign.StreamCtx), so an abandoned request stops consuming the pool
 // mid-stream.
 package service
@@ -46,7 +46,6 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/obs"
-	"github.com/weakgpu/gpulitmus/internal/pool"
 	"github.com/weakgpu/gpulitmus/internal/service/store"
 )
 
@@ -224,12 +223,17 @@ func (s *Server) storeStats() *store.Stats {
 // Handler returns the service's http.Handler (for httptest and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// readHeaderTimeout bounds how long Serve waits for a request's headers,
+// so a client that opens connections and sends nothing cannot hold them.
+const readHeaderTimeout = 10 * time.Second
+
 // Serve accepts connections on ln until ctx is cancelled, then shuts down
 // gracefully (in-flight requests get a short drain window). The listener
 // is closed on return.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	httpSrv := &http.Server{
-		Handler: s.mux,
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
 		// Sweeps stream NDJSON for as long as the campaign runs; no write
 		// timeout. Connection lifetime is bounded by the request context.
 		BaseContext: func(net.Listener) context.Context { return ctx },
@@ -380,18 +384,29 @@ func (s *Server) logf(format string, args ...any) {
 	s.logger.Printf(format, args...)
 }
 
-// decode parses a JSON request body strictly (unknown fields are errors:
-// they are invariably a misspelled parameter the caller thinks is applied).
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decode parses a JSON request body of at most maxObjectBytes strictly
+// (unknown fields are errors: they are invariably a misspelled parameter
+// the caller thinks is applied). On failure it answers 413 for an
+// over-limit body and 400 otherwise, and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxObjectBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, status, err)
+	return false
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	var req ParseRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	t, err := litmus.Parse(req.Source)
@@ -641,8 +656,7 @@ func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, pa
 
 func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 	var req JudgeRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	m, err := s.model(req.Model)
@@ -689,7 +703,7 @@ func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 			workers = s.cfg.MaxParallelism
 		}
 	}
-	err = pool.ForEach(len(batch), workers, func(i int) error {
+	err = campaign.ForEach(len(batch), workers, func(i int) error {
 		res, err := s.judgeOne(ctx, m, tests[i], perTest, req.Static)
 		if err != nil {
 			return err
@@ -772,8 +786,7 @@ func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, p
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req RepairRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	m, err := s.model(req.Model)
@@ -808,8 +821,7 @@ func judgeStatus(err error) int {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	tr, ctx := s.startTrace(w, r)
@@ -879,8 +891,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	tr, ctx := s.startTrace(w, r)

@@ -811,6 +811,33 @@ func TestSweepUnresolvableTest422(t *testing.T) {
 	}
 }
 
+// TestOverLimitBody413: a JSON body past maxObjectBytes is refused with
+// 413 and a JSON error, and the server goes on serving.
+func TestOverLimitBody413(t *testing.T) {
+	_, client := newTestService(t, Config{})
+	body := `{"source":"` + strings.Repeat("a", maxObjectBytes) + `"}`
+	resp, err := http.Post(srvURL(t, client)+"/v1/judge", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e ErrorResponse
+	decErr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit body: status %d, want 413", resp.StatusCode)
+	}
+	if decErr != nil || e.Error == "" {
+		t.Fatalf("over-limit body: error %+v (%v), want a JSON error", e, decErr)
+	}
+	res, err := client.Judge(context.Background(), JudgeRequest{TestRef: TestRef{Test: "coRR"}})
+	if err != nil {
+		t.Fatalf("judge after the refused body: %v", err)
+	}
+	if !strings.HasPrefix(res.Verdict, "Test coRR:") {
+		t.Errorf("judge after the refused body: verdict %q", res.Verdict)
+	}
+}
+
 // TestCachePanicDoesNotPoisonKey: a panicking computation unblocks waiters
 // and leaves the key retryable.
 func TestCachePanicDoesNotPoisonKey(t *testing.T) {

@@ -167,7 +167,8 @@ func (s *Server) peerPush(ctx context.Context, peer, key string, record []byte) 
 
 // ---- record codecs ------------------------------------------------------
 
-// maxObjectBytes bounds one record on the wire and in POST /v1/object.
+// maxObjectBytes bounds one record on the wire and in POST /v1/object,
+// and every JSON request body.
 const maxObjectBytes = 16 << 20
 
 // verdictRecord is the serialised form of a judge verdict: only content-
