@@ -61,6 +61,28 @@ func TestForEachVerdictCtxCancelMidStream(t *testing.T) {
 	}
 }
 
+// TestForEachVerdictCtxCancelParallel: the visitor returns ctx.Err() for
+// a cancelled context at every parallelism it is handed, before any
+// visit.
+func TestForEachVerdictCtxCancelParallel(t *testing.T) {
+	test := stressTest(3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, par := range []int{0, 1, 4} {
+		seen := 0
+		_, err := PTX().ForEachVerdictCtx(ctx, test, par, func(int, *axiom.Execution, bool) error {
+			seen++
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallelism %d: err = %v, want context.Canceled", par, err)
+		}
+		if seen != 0 {
+			t.Errorf("parallelism %d: %d visits under a cancelled context, want 0", par, seen)
+		}
+	}
+}
+
 func TestJudgeCtxBackgroundMatchesJudge(t *testing.T) {
 	for _, test := range []*litmus.Test{litmus.CoRR(), litmus.MP(litmus.NoFence)} {
 		want, err := Judge(PTX(), test)

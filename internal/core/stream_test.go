@@ -9,8 +9,98 @@ import (
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
+	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
+
+// verdictRecord is one visit call, comparable across parallelisms.
+type verdictRecord struct {
+	idx     int
+	exec    string
+	allowed bool
+}
+
+// collectVerdicts records every visit of m's visitor over test, and
+// returns them with the weight of the allowed ones.
+func collectVerdicts(t *testing.T, m *Model, test *litmus.Test, parallelism int) ([]verdictRecord, int) {
+	t.Helper()
+	var out []verdictRecord
+	weighted, allowed := 0, 0
+	n, err := m.ForEachVerdictCtx(context.Background(), test, parallelism, func(i int, x *axiom.Execution, ok bool) error {
+		out = append(out, verdictRecord{idx: i, exec: x.String(), allowed: ok})
+		weighted += x.Weight()
+		if ok {
+			allowed += x.Weight()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: parallelism %d: %v", test.Name, parallelism, err)
+	}
+	if n != weighted {
+		t.Fatalf("%s: parallelism %d: %d candidates reported, visited weights sum to %d", test.Name, parallelism, n, weighted)
+	}
+	return out, allowed
+}
+
+// sameVerdicts fails unless got is exactly the serial stream.
+func sameVerdicts(t *testing.T, label string, got, serial []verdictRecord) {
+	t.Helper()
+	if len(got) != len(serial) {
+		t.Fatalf("%s: visited %d executions, serial %d", label, len(got), len(serial))
+	}
+	for i := range got {
+		if got[i] != serial[i] {
+			t.Fatalf("%s: visit %d differs:\n%+v\nvs serial\n%+v", label, i, got[i], serial[i])
+		}
+	}
+}
+
+// TestForEachVerdictComboOrderExact is the differential for the visitor
+// contract: at every parallelism it is handed, visit receives exactly the
+// enumeration order (same executions, same indices, in the same order),
+// and the weight it sees allowed is the fold's Allowed at that
+// parallelism. stressTest(3) has 64 path combinations, soloChunkTest one
+// combination with four rf chunks, and a diy sample adds generated
+// shapes.
+func TestForEachVerdictComboOrderExact(t *testing.T) {
+	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
+	tests = append(tests, stressTest(3), soloChunkTest())
+	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
+	for i := 0; i < len(gen); i += 13 {
+		tests = append(tests, gen[i].Test)
+	}
+	models := []*Model{PTX(), SC()}
+	for _, test := range tests {
+		execs, err := axiom.Enumerate(test, axiom.DefaultOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", test.Name, err)
+		}
+		for _, m := range models {
+			serial, _ := collectVerdicts(t, m, test, 1)
+			if len(serial) != len(execs) {
+				t.Fatalf("%s/%s: visited %d executions, enumerated %d", test.Name, m.Name, len(serial), len(execs))
+			}
+			for i, r := range serial {
+				if r.idx != i || r.exec != execs[i].String() {
+					t.Fatalf("%s/%s: visit %d is #%d %s, enumeration has %s", test.Name, m.Name, i, r.idx, r.exec, execs[i])
+				}
+			}
+			for _, par := range []int{0, 2, 4, 16} {
+				label := fmt.Sprintf("%s/%s: parallelism %d", test.Name, m.Name, par)
+				got, allowed := collectVerdicts(t, m, test, par)
+				sameVerdicts(t, label, got, serial)
+				v, err := JudgeP(m, test, par)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if v.Allowed != allowed {
+					t.Fatalf("%s: the fold allows %d, the visitor %d", label, v.Allowed, allowed)
+				}
+			}
+		}
+	}
+}
 
 // mpWritersTest is unfenced mp with extra pairs of writers to x and y:
 // with two pairs it has 16 path combinations and 576 executions, so auto
@@ -26,6 +116,95 @@ func mpWritersTest(pairs int) *litmus.Test {
 	return b.InterCTA().Exists("1:r1=1 /\\ 1:r2=0").MustBuild()
 }
 
+// autoHandOff returns the visits and the weight at which auto mode hands
+// test off from its serial head to the workers: the head folds whole
+// combinations until parallelMinExecs executions have been visited.
+func autoHandOff(t *testing.T, test *litmus.Test, en *axiom.Enumeration) (visits, weight int) {
+	t.Helper()
+	if nc := en.Combos(); nc < 2 || nc >= 32 {
+		t.Fatalf("%s has %d path combinations, want 2-31", test.Name, nc)
+	}
+	var a axiom.Assembler
+	combo := 0
+	for ; combo < en.Combos() && visits < parallelMinExecs; combo++ {
+		if err := en.StreamCombo(combo, &a, func(x *axiom.Execution) error {
+			visits++
+			weight += x.Weight()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if combo == en.Combos() {
+		t.Fatalf("%s: the serial head covers every combination; no hand-off", test.Name)
+	}
+	return visits, weight
+}
+
+// TestForEachVerdictAutoHandOff pins the visitor around the visit where
+// auto mode would hand off from its serial head: the visits at every
+// parallelism match the serial stream, a MaxExecs bound just past the
+// hand-off fails with the serial judgement's error, and cancelling inside
+// visit k — on either side of the hand-off — stops with exactly k+1
+// visits.
+func TestForEachVerdictAutoHandOff(t *testing.T) {
+	test := mpWritersTest(2)
+	m := PTX()
+	en, err := axiom.Prepare(test, axiom.DefaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	handOff, weight := autoHandOff(t, test, en)
+	serial, _ := collectVerdicts(t, m, test, 1)
+	if handOff >= len(serial) {
+		t.Fatalf("%s: the serial head covers all %d executions; no hand-off", test.Name, len(serial))
+	}
+	for _, par := range []int{0, 4} {
+		got, _ := collectVerdicts(t, m, test, par)
+		sameVerdicts(t, fmt.Sprintf("%s: parallelism %d", test.Name, par), got, serial)
+	}
+
+	bounded, err := axiom.Prepare(test, axiom.Opts{MaxExecs: weight + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, wantErr := JudgePreparedCtx(ctx, m, test, bounded, 1)
+	if wantErr == nil {
+		t.Fatalf("MaxExecs %d did not bound the serial judgement", weight+2)
+	}
+	visits := 0
+	if _, err := m.ForEachVerdictPreparedCtx(ctx, test, bounded, func(int, *axiom.Execution, bool) error {
+		visits++
+		return nil
+	}); err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("visitor under MaxExecs %d: err %v, judgement %v", weight+2, err, wantErr)
+	}
+	if visits <= handOff || visits >= len(serial) {
+		t.Errorf("visitor under MaxExecs %d: %d visits, want past the hand-off at %d and short of %d",
+			weight+2, visits, handOff, len(serial))
+	}
+
+	for _, k := range []int{handOff - 1, handOff, handOff + 1} {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		_, err := m.ForEachVerdictCtx(ctx, test, 0, func(i int, _ *axiom.Execution, _ bool) error {
+			seen++
+			if i == k {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at %d: err = %v, want context.Canceled", k, err)
+		}
+		if seen != k+1 {
+			t.Errorf("cancel at visit %d: %d visits, want exactly %d", k, seen, k+1)
+		}
+	}
+}
+
 // TestJudgeAutoHandOff pins the MaxExecs bound across the auto-mode
 // hand-off from the serial head to the workers, and across a chunked run:
 // a bound just past the hand-off, or just under the total, fails with the
@@ -39,25 +218,7 @@ func TestJudgeAutoHandOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nc := en.Combos(); nc < 2 || nc >= 32 {
-		t.Fatalf("%s has %d path combinations, want 2-31", test.Name, nc)
-	}
-	// The head folds whole combinations until parallelMinExecs executions
-	// have been visited: find the weight at the hand-off.
-	var a axiom.Assembler
-	visits, weight, combo := 0, 0, 0
-	for ; combo < en.Combos() && visits < parallelMinExecs; combo++ {
-		if err := en.StreamCombo(combo, &a, func(x *axiom.Execution) error {
-			visits++
-			weight += x.Weight()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if combo == en.Combos() {
-		t.Fatalf("%s: the serial head covers every combination; no hand-off", test.Name)
-	}
+	_, weight := autoHandOff(t, test, en)
 	solo := soloChunkTest()
 	full, err := JudgeP(m, solo, 1)
 	if err != nil {
