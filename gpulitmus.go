@@ -346,7 +346,7 @@ func NewTrace(id string) *Trace {
 }
 
 // WithTrace attaches tr to ctx; pipeline stages invoked under the
-// returned context (JudgeCtx paths, Memo.VerdictCtxP, ParseTestCtx)
+// returned context (JudgeCtx paths, Memo.VerdictCtx, ParseTestCtx)
 // record their phases into it.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return obs.NewContext(ctx, tr)

@@ -15,9 +15,9 @@
 //     StaticVerdict{Forbidden,Allowed,Unknown} for a test under a model
 //     family (Policy). Forbidden and Allowed are only ever reported when
 //     the full rf×co enumeration provably agrees, so callers
-//     (core.JudgeStaticCtx, campaign.Memo, the gpulitmusd service) skip
-//     enumeration entirely on a decided verdict. Unknown is always safe:
-//     it merely means "enumerate".
+//     (core.JudgeWith under Opts.Static, campaign.Memo, the gpulitmusd
+//     service) skip enumeration entirely on a decided verdict. Unknown is
+//     always safe: it merely means "enumerate".
 //
 // Soundness rests on two arguments, each checked differentially against
 // the full judge over the paper corpus and a randomized corpus:

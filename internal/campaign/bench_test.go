@@ -12,28 +12,26 @@ import (
 // every paper test under PTX — with and without the static prefilter.
 // This is the memo-layer view of the core BenchmarkJudgePaperCorpus A/B
 // (BENCH_static.json): each op is one campaign's worth of first-time
-// verdict computations, and skips/op is the prefilter hit count the
-// memo's ledger records.
+// verdict computations, and skips/op counts the returned verdicts the
+// prefilter decided.
 func benchMemoCorpus(b *testing.B, static bool) {
 	b.Helper()
 	m := core.PTX()
 	tests := litmus.PaperTests()
 	b.ReportAllocs()
-	var skipped int64
+	skipped := 0
 	for i := 0; i < b.N; i++ {
 		mm := NewMemo()
+		skipped = 0
 		for _, t := range tests {
-			var err error
-			if static {
-				_, err = mm.VerdictStaticCtxP(context.Background(), m, t, 0)
-			} else {
-				_, err = mm.Verdict(m, t)
-			}
+			v, err := mm.VerdictCtx(context.Background(), m, t, 0, static)
 			if err != nil {
 				b.Fatal(err)
 			}
+			if v.StaticSkipped {
+				skipped++
+			}
 		}
-		skipped = mm.StaticSkipped()
 	}
 	b.ReportMetric(float64(skipped), "skips/op")
 }

@@ -17,9 +17,8 @@ import (
 // test). A sweep of one test over several chips needs the test's allowed
 // final states exactly once; without the memo each job recomputes the
 // enumeration (validate.go's old inline loop did this per test serially).
-// Memo is safe for concurrent use; each entry is computed exactly once even
-// under concurrent first requests (duplicate-suppression via per-entry
-// sync.Once).
+// Memo is safe for concurrent use; each entry is computed once even under
+// concurrent first requests, which wait for the one in flight.
 //
 // Entries are content-addressed: the key is the model's source fingerprint
 // plus the test's canonical content fingerprint (litmus.Test.Fingerprint),
@@ -28,16 +27,18 @@ import (
 // service request parses its own — therefore share one computation.
 //
 // The model-independent half of a judgement is shared across models too:
-// Verdict, VerdictStaticCtxP's enumerating fallback and Analyse judge from
-// one prepared axiom.Enumeration per test content, so a test judged under
-// four models runs the value-domain fixpoint once. The memo drops a test's
-// enumeration once the test has been judged — by enumeration or by the
-// static prefilter, successfully or not — under every distinct model the
-// memo has judged anything under so far; a model that comes later
-// prepares again, with identical results. A test judged under only some
-// of the memo's models keeps its enumeration for the memo's lifetime. A
-// failed or cancelled preparation is returned to its requester only and
-// never stored, so it cannot poison the test's other models.
+// VerdictCtx and Analyse judge from one prepared axiom.Enumeration per
+// test content, so a test judged under four models runs the value-domain
+// fixpoint once. Within a (model, test) pair the candidates are enumerated
+// at most once: a statically undecided VerdictCtx, a full-count one and
+// Analyse share one verdict. The memo drops a test's enumeration once the
+// test has been judged — by enumeration or by the static prefilter,
+// successfully or not — under every distinct model the memo has judged
+// anything under so far; a model that comes later prepares again, with
+// identical results. A test judged under only some of the memo's models
+// keeps its enumeration for the memo's lifetime. A failed or cancelled
+// preparation or verdict is returned to its requester only and never
+// stored, so it cannot poison the test's other models or later requests.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
@@ -45,10 +46,6 @@ type Memo struct {
 	// models holds the fingerprint of every model a judgement has settled
 	// under: the set a test's enumeration waits for before its release.
 	models map[string]bool
-	// staticSkipped counts verdicts the static prefilter decided without
-	// enumeration (VerdictStaticCtxP): the skip ledger the service's
-	// /v1/stats and /metrics surface.
-	staticSkipped atomic.Int64
 }
 
 type memoKey struct {
@@ -68,17 +65,15 @@ type memoEntry struct {
 	info *ModelInfo
 	err  error
 
-	vOnce   sync.Once
-	verdict *core.Verdict
-	vErr    error
+	// verdict is the pair's one enumerated verdict, which VerdictCtx and
+	// Analyse share.
+	verdict held[*core.Verdict]
 
-	// Static-prefilter verdicts memoize separately from enumerated ones:
-	// a static verdict carries no candidate counts, so a caller asking for
-	// the full enumeration must not be served a static entry (the reverse
-	// is fine and the static path checks vOnce's result first).
-	sOnce sync.Once
-	sVerd *core.Verdict
-	sErr  error
+	// static is the first verdict the static prefilter decided for the
+	// pair. It is kept apart from verdict: a static verdict carries no
+	// candidate counts, so a caller asking for the full enumeration must
+	// not be served it.
+	static atomic.Pointer[core.Verdict]
 
 	// Fence-repair syntheses memoize like verdicts: one search per (model,
 	// test) content pair however many cells of a campaign share the test.
@@ -90,11 +85,59 @@ type memoEntry struct {
 // testPrep is the shared, model-independent preparation of one test
 // content. Its fields are guarded by Memo.mu.
 type testPrep struct {
-	en *axiom.Enumeration // nil before preparation and after release
-	// preparing is closed when the in-flight preparation ends; nil when
-	// none is running.
-	preparing chan struct{}
-	judged    int // distinct models with a settled judgement of the test
+	en     held[*axiom.Enumeration] // en.val is nil before preparation and after release
+	judged int                      // distinct models with a settled judgement of the test
+}
+
+// held is a value computed by one requester at a time. A computation that
+// fails stores nothing: its error stays with its requester and the next
+// requester computes again. Its fields are guarded by Memo.mu.
+type held[T comparable] struct {
+	val     T    // the zero value until a computation succeeds
+	running bool // a computation is in flight
+	// done is made by the first requester that waits for the in-flight
+	// computation, and closed when that computation ends.
+	done chan struct{}
+}
+
+// get returns h's value, computing it with compute when none is held.
+// Concurrent requesters wait for the one in-flight computation, or until
+// their ctx is done.
+func (h *held[T]) get(ctx context.Context, mu *sync.Mutex, compute func() (T, error)) (v T, err error) {
+	var none T
+	mu.Lock()
+	for h.val == none && h.running {
+		if h.done == nil {
+			h.done = make(chan struct{})
+		}
+		wait := h.done
+		mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return none, ctx.Err()
+		}
+		mu.Lock()
+	}
+	if v = h.val; v != none {
+		mu.Unlock()
+		return v, nil
+	}
+	h.running = true
+	mu.Unlock()
+	defer func() {
+		mu.Lock()
+		if err == nil {
+			h.val = v
+		}
+		h.running = false
+		if h.done != nil {
+			close(h.done)
+			h.done = nil
+		}
+		mu.Unlock()
+	}()
+	return compute()
 }
 
 // ModelInfo is the memoized model analysis of one test: which final-state
@@ -118,73 +161,72 @@ func NewMemo() *Memo {
 // fingerprint function (so histograms compare directly against Allowed).
 // The per-test verdict stream is serial: Analyse callers fan out across
 // tests on the campaign pool already (validate.go's phase 1), and nesting a
-// second worker pool per test would oversubscribe it.
+// second worker pool per test would oversubscribe it. The verdict the
+// analysis computes becomes the pair's memoized verdict unless one was
+// already computed, so a later Verdict does not enumerate again.
 func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
 	e := mm.entry(m, t)
 	e.once.Do(func() {
-		e.err = mm.judgeShared(context.Background(), e, t, func(en *axiom.Enumeration) (err error) {
-			e.info, err = analyse(m, t, en)
-			return err
+		e.info, e.err = judgeShared(mm, context.Background(), e, t, func(en *axiom.Enumeration) (*ModelInfo, error) {
+			info, v, err := analyse(m, t, en)
+			if err == nil {
+				mm.mu.Lock()
+				if e.verdict.val == nil && !e.verdict.running {
+					e.verdict.val = v
+				}
+				mm.mu.Unlock()
+			}
+			return info, err
 		})
 	})
 	return e.info, e.err
 }
 
-// Verdict returns the memoized herd-style verdict of t under m (exactly
-// core.Judge, computed once per (model, test) content pair). Because
+// Verdict is VerdictCtx under a background context at auto parallelism,
+// without the static prefilter. perfbench/ calls it, which pins it; other
+// callers can use VerdictCtx.
+func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
+	return mm.VerdictCtx(context.Background(), m, t, 0, false)
+}
+
+// VerdictCtx returns the memoized herd-style verdict of t under m (exactly
+// core.JudgeWith, computed once per (model, test) content pair). Because
 // entries are content-addressed, the cached Verdict's Test field is the
 // first requester's *Test: a content-identical test under a different name
 // receives the original's verdict object (counts and witness are
 // necessarily identical; only the label differs).
-func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
-	return mm.VerdictCtxP(context.Background(), m, t, 0)
-}
-
-// VerdictCtxP is Verdict under a context with an explicit evaluation
-// parallelism (see core.JudgeCtx). Verdicts are identical for every
-// parallelism; only the first request for an entry computes, so its
-// parallelism is the one used, and cancellation and obs tracing reach the
-// enumeration only when this call is the one that computes the entry.
-// Joiners of an already-computed (or in-flight) entry get the memoized
-// verdict; their context's trace records no pipeline phases — the work
-// happened under the first requester's context. Likewise, when another
-// model's request already prepared the test (see Memo), the computing
-// call's trace records the stream and evaluation but no prepare phase.
-func (mm *Memo) VerdictCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
+//
+// With static set, the static prefilter goes in front: when it decides,
+// nothing is enumerated and the pair's static verdict is returned
+// (StaticSkipped set, zero candidate counts). An undecided test, and every
+// call without static, joins the pair's one enumerated verdict, so a later
+// full-count request never enumerates again.
+//
+// Verdicts are identical for every parallelism (see core.Opts); only the
+// first request for an entry computes, so its parallelism is the one used,
+// and cancellation and obs tracing reach the enumeration only when this
+// call is the one that computes the entry. Joiners of an already-computed
+// (or in-flight) entry get the memoized verdict; their context's trace
+// records no pipeline phases — the work happened under the first
+// requester's context. Likewise, when another model's request already
+// prepared the test (see Memo), the computing call's trace records the
+// stream and evaluation but no prepare phase.
+func (mm *Memo) VerdictCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (*core.Verdict, error) {
 	e := mm.entry(m, t)
-	e.vOnce.Do(func() {
-		e.vErr = mm.judgeShared(ctx, e, t, func(en *axiom.Enumeration) (err error) {
-			e.verdict, err = core.JudgePreparedCtx(ctx, m, t, en, parallelism)
-			return err
-		})
-	})
-	return e.verdict, e.vErr
-}
-
-// VerdictStaticCtxP is VerdictCtxP with the static prefilter in front: when
-// the prefilter decides, enumeration is skipped (the returned Verdict has
-// StaticSkipped set and zero candidate counts) and the memo's skip counter
-// increments. Static and enumerated verdicts memoize separately, so a
-// later Verdict call still gets full counts.
-func (mm *Memo) VerdictStaticCtxP(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*core.Verdict, error) {
-	e := mm.entry(m, t)
-	e.sOnce.Do(func() {
-		if e.sVerd = m.StaticVerdict(t); e.sVerd != nil {
-			mm.staticSkipped.Add(1)
-			mm.settle(e)
-			return
+	if static {
+		if v := m.StaticVerdict(t); v != nil {
+			if e.static.CompareAndSwap(nil, v) {
+				mm.settle(e)
+			}
+			return e.static.Load(), nil
 		}
-		e.sErr = mm.judgeShared(ctx, e, t, func(en *axiom.Enumeration) (err error) {
-			e.sVerd, err = core.JudgePreparedCtx(ctx, m, t, en, parallelism)
-			return err
+	}
+	return e.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
+		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
+			return core.JudgeWith(ctx, m, t, core.Opts{Parallelism: parallelism, Enum: en})
 		})
 	})
-	return e.sVerd, e.sErr
 }
-
-// StaticSkipped returns how many verdicts the static prefilter decided
-// without enumeration over this memo's lifetime.
-func (mm *Memo) StaticSkipped() int64 { return mm.staticSkipped.Load() }
 
 // RepairCtx returns the memoized fence-repair synthesis of t under m
 // (exactly core.RepairCtx, computed once per (model, test) content pair):
@@ -192,7 +234,7 @@ func (mm *Memo) StaticSkipped() int64 { return mm.staticSkipped.Load() }
 // making the exists-condition Never. A campaign sweeping one broken test
 // over many chips synthesizes its fix exactly once. The synthesis is
 // deterministic for every parallelism; only the first request for an
-// entry computes, with the same first-requester semantics as VerdictCtxP.
+// entry computes, with the same first-requester semantics as VerdictCtx.
 func (mm *Memo) RepairCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*analysis.RepairResult, error) {
 	e := mm.entry(m, t)
 	e.rOnce.Do(func() { e.repair, e.rErr = core.RepairCtx(ctx, m, t, parallelism) })
@@ -219,45 +261,16 @@ func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
 // judgeShared runs judge on the test's shared enumeration, preparing it
 // under ctx when no enumeration is held, then settles e. A preparation
 // error is returned without calling judge.
-func (mm *Memo) judgeShared(ctx context.Context, e *memoEntry, t *litmus.Test, judge func(*axiom.Enumeration) error) error {
+func judgeShared[T any](mm *Memo, ctx context.Context, e *memoEntry, t *litmus.Test, judge func(*axiom.Enumeration) (T, error)) (T, error) {
 	defer mm.settle(e)
-	en, err := mm.enumeration(ctx, e.prep, t)
+	en, err := e.prep.en.get(ctx, &mm.mu, func() (*axiom.Enumeration, error) {
+		return axiom.PrepareCtx(ctx, t, axiom.DefaultOpts())
+	})
 	if err != nil {
-		return err
+		var none T
+		return none, err
 	}
 	return judge(en)
-}
-
-// enumeration returns p's enumeration, preparing it from t when none is
-// held. Concurrent requesters wait for one in-flight preparation; if it
-// fails, the error stays with its requester and the next waiter prepares.
-func (mm *Memo) enumeration(ctx context.Context, p *testPrep, t *litmus.Test) (en *axiom.Enumeration, err error) {
-	mm.mu.Lock()
-	for p.en == nil && p.preparing != nil {
-		wait := p.preparing
-		mm.mu.Unlock()
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		mm.mu.Lock()
-	}
-	if en = p.en; en != nil {
-		mm.mu.Unlock()
-		return en, nil
-	}
-	done := make(chan struct{})
-	p.preparing = done
-	mm.mu.Unlock()
-	defer func() {
-		mm.mu.Lock()
-		p.en = en // nil on failure: the next requester prepares again
-		p.preparing = nil
-		close(done)
-		mm.mu.Unlock()
-	}()
-	return axiom.PrepareCtx(ctx, t, axiom.DefaultOpts())
 }
 
 // settle counts e's model as having judged e's test, and releases the
@@ -272,33 +285,25 @@ func (mm *Memo) settle(e *memoEntry) {
 		mm.models[e.key.model] = true
 	}
 	if e.prep.judged == len(mm.models) {
-		e.prep.en = nil
+		e.prep.en.val = nil
 	}
 }
 
-// analyse streams the candidate executions of t from en into verdict-only
-// model evaluation on this goroutine (nothing materialises the candidate
-// set) and collects the allowed final states.
-func analyse(m *core.Model, t *litmus.Test, en *axiom.Enumeration) (*ModelInfo, error) {
-	info := &ModelInfo{Allowed: make(map[string]bool)}
-	n, err := m.ForEachVerdictPreparedCtx(context.Background(), t, en, func(_ int, x *axiom.Execution, allowed bool) error {
-		if !allowed {
-			return nil
-		}
-		// Weighted: a symmetry-pruned representative stands for Weight()
-		// equivalent executions sharing its final state, so the count — and
-		// the fingerprint set, which is orbit-invariant by construction —
-		// matches the exhaustive enumeration exactly.
-		info.AllowedCount += x.Weight()
-		info.Allowed[harness.Fingerprint(t, x.Final)] = true
-		if t.Exists.Eval(x.Final) {
-			info.WeakAllowed = true
+// analyse judges t from en on this goroutine (nothing materialises the
+// candidate set), collecting the fingerprints of the allowed final states.
+// Symmetry pruning keeps the set exact: a representative stands for
+// Weight() equivalent executions sharing its final state, and the counts
+// come from the verdict, which weighs them.
+func analyse(m *core.Model, t *litmus.Test, en *axiom.Enumeration) (*ModelInfo, *core.Verdict, error) {
+	allowed := make(map[string]bool)
+	v, err := core.JudgeWith(context.Background(), m, t, core.Opts{Parallelism: 1, Enum: en, Visit: func(_ int, x *axiom.Execution, ok bool) error {
+		if ok {
+			allowed[harness.Fingerprint(t, x.Final)] = true
 		}
 		return nil
-	})
+	}})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	info.Candidates = n
-	return info, nil
+	return &ModelInfo{Allowed: allowed, WeakAllowed: v.Observable, Candidates: v.Candidates, AllowedCount: v.Allowed}, v, nil
 }

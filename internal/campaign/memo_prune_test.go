@@ -36,8 +36,8 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := m.ForEachVerdictPreparedCtx(context.Background(), test, en,
-		func(_ int, x *axiom.Execution, allowed bool) error {
+	v, err := core.JudgeWith(context.Background(), m, test, core.Opts{Enum: en,
+		Visit: func(_ int, x *axiom.Execution, allowed bool) error {
 			if !allowed {
 				return nil
 			}
@@ -47,11 +47,11 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 				ref.WeakAllowed = true
 			}
 			return nil
-		})
+		}})
 	if err != nil {
 		t.Fatalf("exhaustive reference: %v", err)
 	}
-	ref.Candidates = n
+	ref.Candidates = v.Candidates
 	if info.Candidates != ref.Candidates || info.AllowedCount != ref.AllowedCount ||
 		info.WeakAllowed != ref.WeakAllowed {
 		t.Errorf("memo (candidates %d, allowed %d, weak %v) differs from exhaustive (%d, %d, %v)",

@@ -51,7 +51,7 @@ func heldEnumeration(mm *Memo, test *litmus.Test) bool {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	p := mm.preps[test.Fingerprint()]
-	return p != nil && p.en != nil
+	return p != nil && p.en.val != nil
 }
 
 // TestMemoSharesPreparation: once the memo knows the four models, a test
@@ -72,7 +72,7 @@ func TestMemoSharesPreparation(t *testing.T) {
 	prepares := 0
 	for i, m := range models {
 		tr := obs.New(m.Name)
-		v, err := mm.VerdictCtxP(obs.NewContext(context.Background(), tr), m, test, 1)
+		v, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), m, test, 1, false)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -109,7 +109,7 @@ func TestMemoReleaseAndReprepare(t *testing.T) {
 	ctx := obs.NewContext(context.Background(), tr)
 
 	// One known model: the first judgement settles every known model.
-	if _, err := mm.VerdictCtxP(ctx, sc, test, 1); err != nil {
+	if _, err := mm.VerdictCtx(ctx, sc, test, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if heldEnumeration(mm, test) {
@@ -120,7 +120,7 @@ func TestMemoReleaseAndReprepare(t *testing.T) {
 	if _, err := mm.Verdict(ptx, litmus.SB()); err != nil {
 		t.Fatal(err)
 	}
-	v, err := mm.VerdictStaticCtxP(ctx, ptx, test, 1)
+	v, err := mm.VerdictCtx(ctx, ptx, test, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +157,18 @@ func TestMemoReleaseAndReprepare(t *testing.T) {
 
 // TestMemoPrepareErrorNotShared: a requester whose context is cancelled
 // gets ctx.Err() from the preparation it started, and the error is not
-// stored: a second caller with a live context gets the normal verdict.
+// stored: a second caller with a live context, under another model or the
+// same one, gets the normal verdict.
 func TestMemoPrepareErrorNotShared(t *testing.T) {
 	mm := NewMemo()
 	test := litmus.MP(litmus.NoFence)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mm.VerdictCtxP(cancelled, core.PTX(), test, 1); !errors.Is(err, context.Canceled) {
+	if _, err := mm.VerdictCtx(cancelled, core.PTX(), test, 1, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled requester got %v, want context.Canceled", err)
 	}
 	sc := core.SC()
-	v, err := mm.VerdictCtxP(context.Background(), sc, test, 1)
+	v, err := mm.VerdictCtx(context.Background(), sc, test, 1, false)
 	if err != nil {
 		t.Fatalf("live requester after a cancelled preparation: %v", err)
 	}
@@ -176,6 +177,14 @@ func TestMemoPrepareErrorNotShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCounts(t, "sc after cancelled ptx", v, want)
+	v, err = mm.VerdictCtx(context.Background(), core.PTX(), test, 1, false)
+	if err != nil {
+		t.Fatalf("live ptx requester after a cancelled one: %v", err)
+	}
+	if want, err = core.Judge(core.PTX(), test); err != nil {
+		t.Fatal(err)
+	}
+	sameCounts(t, "ptx after cancelled ptx", v, want)
 }
 
 // TestMemoSharedPreparationConcurrent judges several tests under the four
@@ -210,14 +219,14 @@ func TestMemoSharedPreparationConcurrent(t *testing.T) {
 						// A cancelled requester on the static path: its
 						// preparation or judgement fails with ctx.Err()
 						// and must not disturb the live requesters.
-						if _, err := mm.VerdictStaticCtxP(cancelled, m, test, 1); err != nil && !errors.Is(err, context.Canceled) {
+						if _, err := mm.VerdictCtx(cancelled, m, test, 1, true); err != nil && !errors.Is(err, context.Canceled) {
 							t.Errorf("%s/%s cancelled: %v", test.Name, m.Name, err)
 						}
 						return
 					}
 					twin := test.Clone()
 					twin.Name = fmt.Sprintf("%s+%d", test.Name, rep)
-					v, err := mm.VerdictCtxP(context.Background(), m, twin, 1+rep%2)
+					v, err := mm.VerdictCtx(context.Background(), m, twin, 1+rep%2, false)
 					if err != nil {
 						t.Errorf("%s/%s: %v", twin.Name, m.Name, err)
 						return

@@ -7,37 +7,36 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/core"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
 // TestMemoVerdictStatic: a statically decided test skips enumeration and
-// bumps the memo's skip ledger; a statically unknown test falls back to
-// the full judge; and the static entry never shadows a later full-count
-// Verdict request for the same (model, test).
+// is memoized; a statically unknown test falls back to the full judge;
+// and the static entry never shadows a later full-count Verdict request
+// for the same (model, test).
 func TestMemoVerdictStatic(t *testing.T) {
 	mm := NewMemo()
 	m := core.PTX()
 
 	decided := litmus.MP(litmus.FenceGL) // statically forbidden under ptx
-	v, err := mm.VerdictStaticCtxP(context.Background(), m, decided, 0)
+	v, err := mm.VerdictCtx(context.Background(), m, decided, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.StaticSkipped || v.Observable {
-		t.Fatalf("VerdictStaticCtxP(mp+membar.gls) = %+v, want a static Never", v)
+		t.Fatalf("static VerdictCtx(mp+membar.gls) = %+v, want a static Never", v)
 	}
 	if v.Candidates != 0 {
 		t.Errorf("static verdict carries %d candidates; nothing was enumerated", v.Candidates)
 	}
-	if got := mm.StaticSkipped(); got != 1 {
-		t.Errorf("StaticSkipped = %d, want 1", got)
-	}
 
-	// Re-request: memoized, the ledger must not double-count.
-	if _, err := mm.VerdictStaticCtxP(context.Background(), m, decided, 0); err != nil {
+	// Re-request: memoized.
+	again, err := mm.VerdictCtx(context.Background(), m, decided, 0, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mm.StaticSkipped(); got != 1 {
-		t.Errorf("StaticSkipped after repeat = %d, want still 1", got)
+	if again != v {
+		t.Errorf("repeated static request got %+v, want the memoized %+v", again, v)
 	}
 
 	// The same entry still serves a full enumerated verdict on request.
@@ -46,27 +45,24 @@ func TestMemoVerdictStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if full.StaticSkipped || full.Candidates == 0 {
-		t.Errorf("Verdict after VerdictStaticCtxP = %+v, want full enumeration counts", full)
+		t.Errorf("Verdict after a static VerdictCtx = %+v, want full enumeration counts", full)
 	}
 	if full.Observable != v.Observable {
 		t.Errorf("static observable %v disagrees with enumeration %v", v.Observable, full.Observable)
 	}
 
 	unknown := litmus.CoRR() // statically unknown under ptx
-	u, err := mm.VerdictStaticCtxP(context.Background(), m, unknown, 0)
+	u, err := mm.VerdictCtx(context.Background(), m, unknown, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.StaticSkipped || u.Candidates == 0 {
-		t.Errorf("VerdictStaticCtxP(coRR) = %+v, want enumeration fallback", u)
-	}
-	if got := mm.StaticSkipped(); got != 1 {
-		t.Errorf("StaticSkipped after fallback = %d, want still 1", got)
+		t.Errorf("static VerdictCtx(coRR) = %+v, want enumeration fallback", u)
 	}
 }
 
-// TestMemoVerdictStaticConcurrent: concurrent first requests compute the
-// static entry exactly once (ledger counts 1) and agree on the pointer.
+// TestMemoVerdictStaticConcurrent: concurrent first requests for a
+// statically decided test agree on the memoized verdict object.
 func TestMemoVerdictStaticConcurrent(t *testing.T) {
 	mm := NewMemo()
 	m := core.PTX()
@@ -80,7 +76,7 @@ func TestMemoVerdictStaticConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			verdicts[i], errs[i] = mm.VerdictStaticCtxP(context.Background(), m, tst, 0)
+			verdicts[i], errs[i] = mm.VerdictCtx(context.Background(), m, tst, 0, true)
 		}(i)
 	}
 	wg.Wait()
@@ -88,11 +84,67 @@ func TestMemoVerdictStaticConcurrent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
+		if !verdicts[i].StaticSkipped {
+			t.Errorf("request %d: %+v, want a static verdict", i, verdicts[i])
+		}
 		if verdicts[i] != verdicts[0] {
 			t.Errorf("request %d got a different verdict object; the entry must memoize", i)
 		}
 	}
-	if got := mm.StaticSkipped(); got != 1 {
-		t.Errorf("StaticSkipped = %d, want exactly 1 under concurrency", got)
+}
+
+// TestMemoStaticFallbackJoinsVerdict: a statically undecided request
+// enumerates into the pair's one verdict, so a later plain request returns
+// the same object and its trace records no visits.
+func TestMemoStaticFallbackJoinsVerdict(t *testing.T) {
+	mm := NewMemo()
+	m := core.PTX()
+	test := litmus.CoRR() // statically unknown under ptx
+	first, err := mm.VerdictCtx(context.Background(), m, test, 1, true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if first.StaticSkipped {
+		t.Fatal("coRR is statically decided under PTX; pick a test that enumerates")
+	}
+	tr := obs.New("plain")
+	second, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), m, test, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Errorf("plain request after the static fallback got %v, want the same verdict object %v", second, first)
+	}
+	if n := tr.Count(obs.CtrVisited); n != 0 {
+		t.Errorf("plain request after the static fallback visited %d executions, want 0", n)
+	}
+}
+
+// TestMemoAnalyseJoinsVerdict: Analyse hands the verdict it computed to
+// the pair, so a later Verdict enumerates nothing and agrees with the
+// analysis and with core.Judge.
+func TestMemoAnalyseJoinsVerdict(t *testing.T) {
+	mm := NewMemo()
+	m := core.PTX()
+	test := litmus.CoRR()
+	info, err := mm.Analyse(m, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New("verdict")
+	v, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), m, test, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Count(obs.CtrVisited); n != 0 {
+		t.Errorf("Verdict after Analyse visited %d executions, want 0", n)
+	}
+	if v.Candidates != info.Candidates || v.Allowed != info.AllowedCount || v.Observable != info.WeakAllowed {
+		t.Errorf("Verdict after Analyse = %v, analysis %+v", v, info)
+	}
+	want, err := core.Judge(m, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCounts(t, "verdict after Analyse", v, want)
 }

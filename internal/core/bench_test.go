@@ -170,7 +170,7 @@ func benchJudgeSymmetric(b *testing.B, opts axiom.Opts) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if v, err = JudgePreparedCtx(context.Background(), m, test, en, 1); err != nil {
+		if v, err = JudgeWith(context.Background(), m, test, Opts{Parallelism: 1, Enum: en}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func benchJudgeCorpus(b *testing.B, static bool) {
 			var v *Verdict
 			var err error
 			if static {
-				v, err = JudgeStaticCtx(context.Background(), m, t, 0)
+				v, err = JudgeWith(context.Background(), m, t, Opts{Static: true})
 			} else {
 				v, err = Judge(m, t)
 			}
@@ -245,7 +245,7 @@ func BenchmarkPrefilterDecided(b *testing.B) {
 }
 
 // BenchmarkPrefilterUndecided prices one Unknown prefilter call (mp with
-// no fence) — the pure overhead JudgeStaticCtx adds to a test that must
+// no fence) — the pure overhead Opts.Static adds to a test that must
 // enumerate anyway.
 func BenchmarkPrefilterUndecided(b *testing.B) {
 	m := PTX()
@@ -293,7 +293,7 @@ func benchJudgeFencedStress(b *testing.B, static bool) {
 		var v *Verdict
 		var err error
 		if static {
-			v, err = JudgeStaticCtx(context.Background(), m, test, 0)
+			v, err = JudgeWith(context.Background(), m, test, Opts{Static: true})
 		} else {
 			v, err = Judge(m, test)
 		}

@@ -11,7 +11,7 @@ import (
 
 // TestJudgeCtxCancelled: a cancelled context returns ctx.Err() at every
 // parallelism, whether the judgement prepares (JudgeCtx) or starts from a
-// prepared enumeration (JudgePreparedCtx), so the serial head, the combo
+// prepared enumeration (Opts.Enum), so the serial head, the combo
 // fan-out and the chunked fan-out each check it.
 func TestJudgeCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -25,7 +25,7 @@ func TestJudgeCtxCancelled(t *testing.T) {
 			if _, err := JudgeCtx(ctx, PTX(), test, par); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: parallelism %d: err = %v, want context.Canceled", test.Name, par, err)
 			}
-			if _, err := JudgePreparedCtx(ctx, PTX(), test, en, par); !errors.Is(err, context.Canceled) {
+			if _, err := JudgeWith(ctx, PTX(), test, Opts{Parallelism: par, Enum: en}); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: prepared, parallelism %d: err = %v, want context.Canceled", test.Name, par, err)
 			}
 		}

@@ -216,7 +216,7 @@ type Verdict struct {
 	Visited int
 
 	// StaticSkipped marks a verdict decided by the static prefilter
-	// without enumeration (see JudgeStaticCtx): Observable is authoritative
+	// without enumeration (see Opts.Static): Observable is authoritative
 	// but all candidate counts are zero. StaticReason is the prefilter's
 	// justification.
 	StaticSkipped bool
@@ -247,46 +247,35 @@ func (v *Verdict) String() string {
 		v.Test.Name, state, v.Allowed, v.Candidates, v.Witnesses, v.Model)
 }
 
-// Judge decides whether the test's final condition is allowed — the
-// herd-style simulation of Sec. 5.4. Candidate executions stream from the
-// enumerator straight into verdict-only model evaluation (never
-// materialising the candidate set), and large enumerations fan out across
-// workers. Equivalent to JudgeP(m, t, 0).
+// Judge is JudgeWith with the zero Opts. perfbench/ calls it, which pins
+// it; other callers can use JudgeWith.
 func Judge(m *Model, t *litmus.Test) (*Verdict, error) {
-	return JudgeP(m, t, 0)
+	return JudgeWith(context.Background(), m, t, Opts{})
 }
 
-// JudgeP is Judge with an explicit evaluation parallelism: 1 judges on
-// the calling goroutine; n > 1 folds every unit of work (path combination
-// or rf chunk) on n workers; 0 sizes the workers to GOMAXPROCS but judges
-// serially until parallelMinExecs executions have been visited, so small
-// enumerations (the common litmus case) never start a worker. The verdict
-// — including the Witness, pinned to the first witnessing execution in
-// enumeration order — is identical for every parallelism.
+// JudgeP is JudgeWith with Opts.Parallelism. perfbench/ calls it, which
+// pins it; other callers can use JudgeWith.
 func JudgeP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	return JudgeCtx(context.Background(), m, t, parallelism)
+	return JudgeWith(context.Background(), m, t, Opts{Parallelism: parallelism})
 }
 
-// JudgeCtx is JudgeP under a context: cancelling ctx aborts the judgement
-// mid-enumeration (checked per unit and per execution) and returns
-// ctx.Err(). The service layer passes request-scoped contexts here so
-// abandoned judge requests stop costing enumeration work.
+// JudgeCtx is JudgeWith with Opts.Parallelism. perfbench/ calls it, which
+// pins it; other callers can use JudgeWith.
 func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	return judgeStream(ctx, m, t, nil, parallelism)
+	return JudgeWith(ctx, m, t, Opts{Parallelism: parallelism})
 }
 
-// JudgePreparedCtx is JudgeCtx from an enumeration the caller prepared
-// with axiom.PrepareCtx, from t or from any test with t's content (see
-// axiom.Enumeration.Bind): the verdict, its witness and any error name t.
-// Preparation depends on the test alone, so the campaign memo prepares a
-// test once and judges it under every model from the one enumeration.
-// The other use is the differential oracle: an enumeration prepared with
-// axiom.Opts{Exhaustive: true} disables symmetry pruning, and the
-// resulting verdict must agree with the pruned one on every count, the
-// observable flag, and the witness content (the pruned Witness is the
-// canonical — enumeration-first — member of the exhaustive witness's
-// symmetry class, so the execution content and final state are identical
-// even though indices differ).
-func JudgePreparedCtx(ctx context.Context, m *Model, t *litmus.Test, en *axiom.Enumeration, parallelism int) (*Verdict, error) {
-	return judgeStream(ctx, m, t, en, parallelism)
+// ForEachVerdictCtx is JudgeWith with Opts.Visit, returning the weighted
+// number of candidates; parallelism does not change the run. perfbench/
+// calls it, which pins it; other callers can use JudgeWith.
+func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+	return candidates(JudgeWith(ctx, m, t, Opts{Parallelism: parallelism, Visit: visit}))
+}
+
+// candidates returns v's weighted candidate count, or err.
+func candidates(v *Verdict, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return v.Candidates, nil
 }

@@ -58,7 +58,7 @@ func judgeOpts(ctx context.Context, m *Model, t *litmus.Test, par int, opts axio
 	if err != nil {
 		return nil, err
 	}
-	return JudgePreparedCtx(ctx, m, t, en, par)
+	return JudgeWith(ctx, m, t, Opts{Parallelism: par, Enum: en})
 }
 
 // TestJudgePrunedMatchesExhaustive is the judging-level differential
@@ -145,12 +145,12 @@ func TestForEachVerdictWeightedHistogram(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", test.Name, err)
 			}
-			if _, err := m.ForEachVerdictPreparedCtx(ctx, test, en, func(_ int, x *axiom.Execution, allowed bool) error {
+			if _, err := JudgeWith(ctx, m, test, Opts{Enum: en, Visit: func(_ int, x *axiom.Execution, allowed bool) error {
 				if allowed {
 					h[harness.Fingerprint(test, x.Final)] += x.Weight()
 				}
 				return nil
-			}); err != nil {
+			}}); err != nil {
 				t.Fatalf("%s: %v", test.Name, err)
 			}
 			return h

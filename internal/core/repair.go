@@ -23,7 +23,7 @@ func Repair(m *Model, t *litmus.Test) (*analysis.RepairResult, error) {
 // deterministic, so every suggested fix is judge-verified and reproducible.
 func RepairCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*analysis.RepairResult, error) {
 	oracle := func(mt *litmus.Test) (bool, error) {
-		v, err := JudgeStaticCtx(ctx, m, mt, parallelism)
+		v, err := JudgeWith(ctx, m, mt, Opts{Parallelism: parallelism, Static: true})
 		if err != nil {
 			return false, err
 		}

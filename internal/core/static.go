@@ -1,17 +1,9 @@
 package core
 
 import (
-	"context"
-
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
-
-// Policy returns the static-analysis policy the model's constraints
-// warrant. Models compiled from user-supplied sources get PolicyNone: the
-// prefilter then only ever reports value-analysis Forbidden, which is
-// sound for any model.
-func (m *Model) Policy() analysis.Policy { return m.policy }
 
 // Prefilter statically judges the test under the model's policy without
 // enumerating. The result is sound with respect to Judge: Forbidden ⇒
@@ -39,15 +31,4 @@ func (m *Model) StaticVerdict(t *litmus.Test) *Verdict {
 		StaticSkipped: true,
 		StaticReason:  res.Reason,
 	}
-}
-
-// JudgeStaticCtx is JudgeCtx with the static prefilter in front: when the
-// prefilter decides the verdict (see StaticVerdict), enumeration is
-// skipped entirely. The prefilter itself is cheap and never consults the
-// context; only the enumeration fallback does.
-func JudgeStaticCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
-	if v := m.StaticVerdict(t); v != nil {
-		return v, nil
-	}
-	return JudgeCtx(ctx, m, t, parallelism)
 }

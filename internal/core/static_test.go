@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
@@ -218,28 +219,46 @@ func TestPrefilterPaperExpectations(t *testing.T) {
 	}
 }
 
-// TestJudgeStaticSkips checks the JudgeStaticCtx plumbing: a decided verdict
-// skips enumeration and marks itself, an undecided one falls through to
+// TestJudgeStaticSkips checks the Opts.Static plumbing: a decided verdict
+// skips enumeration and marks itself — also from a prepared enumeration,
+// which is then never streamed — and an undecided one falls through to
 // the ordinary judge with full counts.
 func TestJudgeStaticSkips(t *testing.T) {
 	m := PTX()
-	v, err := JudgeStaticCtx(context.Background(), m, litmus.MP(litmus.FenceGL), 0)
+	decided := litmus.MP(litmus.FenceGL)
+	v, err := JudgeWith(context.Background(), m, decided, Opts{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.StaticSkipped || v.Observable || v.Candidates != 0 || v.StaticReason == "" {
-		t.Errorf("JudgeStaticCtx(mp+membar.gls) = %+v, want static Never with a reason", v)
+		t.Errorf("static judge of mp+membar.gls = %+v, want static Never with a reason", v)
 	}
 	if s := v.String(); s != "Test mp+membar.gls: Never (static, enumeration skipped) under PTX" {
 		t.Errorf("static verdict String = %q", s)
 	}
 
-	v, err = JudgeStaticCtx(context.Background(), m, litmus.MP(litmus.NoFence), 0)
+	en, err := axiom.Prepare(decided, axiom.DefaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits := 0
+	pv, err := JudgeWith(context.Background(), m, decided, Opts{Static: true, Enum: en, Visit: func(int, *axiom.Execution, bool) error {
+		visits++
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *pv != *v || visits != 0 {
+		t.Errorf("static judge from a prepared enumeration = %+v after %d visits, want %+v and none", pv, visits, v)
+	}
+
+	v, err = JudgeWith(context.Background(), m, litmus.MP(litmus.NoFence), Opts{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.StaticSkipped || !v.Observable || v.Candidates == 0 {
-		t.Errorf("JudgeStaticCtx(mp) = %+v, want enumerated Sometimes", v)
+		t.Errorf("static judge of mp = %+v, want enumerated Sometimes", v)
 	}
 }
 
@@ -251,7 +270,7 @@ func TestFencedStressStaticAgrees(t *testing.T) {
 	m := PTX()
 	for extra := 0; extra <= 3; extra++ {
 		tst := fencedStressTest(extra)
-		sv, err := JudgeStaticCtx(context.Background(), m, tst, 0)
+		sv, err := JudgeWith(context.Background(), m, tst, Opts{Static: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,8 @@ import (
 // from the axiom producer straight into model evaluation without ever
 // materialising the full candidate set. Path derivation happens once per
 // judgement, or once per test when the caller shares one prepared
-// enumeration across models (JudgePreparedCtx); axiom.PrepareCtx memoizes
-// it across the value-domain fixpoint iterations.
+// enumeration across models (Opts.Enum); axiom.PrepareCtx memoizes it
+// across the value-domain fixpoint iterations.
 //
 // A verdict is a fold: weighted sums plus the first witness in enumeration
 // order, none of which needs the executions in order. The units of work
@@ -33,8 +33,9 @@ import (
 // at every parallelism, and counts are weighted by Execution.Weight so
 // symmetry pruning never changes them (see axiom.Opts.Exhaustive).
 //
-// The per-execution visitor (ForEachVerdictPreparedCtx) is a plain serial
-// loop over axiom.Enumeration.StreamCtx.
+// A caller that needs every execution (Opts.Visit) gets the same fold run
+// serially by the calling goroutine, with the visit called after each
+// evaluation; there is no second per-execution loop.
 
 // parallelMinExecs is the auto-mode fan-out threshold: the calling
 // goroutine checks executions serially until this many have been visited
@@ -44,68 +45,107 @@ import (
 // its estimated completion count reaches the threshold.
 const parallelMinExecs = 128
 
-// ForEachVerdictCtx is ForEachVerdictPreparedCtx over t prepared with
-// axiom.DefaultOpts. parallelism no longer changes the run: visits are
-// always produced and evaluated on the calling goroutine. The signature is
-// kept only for existing callers; ROADMAP's entry-point step deletes it.
-func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
-	return m.ForEachVerdictPreparedCtx(ctx, t, nil, visit)
+// Opts selects how JudgeWith judges. The zero value judges like Judge.
+type Opts struct {
+	// Parallelism is the evaluation parallelism: 1 judges on the calling
+	// goroutine; n > 1 folds every unit of work (path combination or rf
+	// chunk) on n workers; 0 sizes the workers to GOMAXPROCS but judges
+	// serially until parallelMinExecs executions have been visited, so
+	// small enumerations (the common litmus case) never start a worker.
+	// The verdict — including the Witness, pinned to the first witnessing
+	// execution in enumeration order — is identical for every parallelism.
+	Parallelism int
+
+	// Static puts the static prefilter in front: when m.StaticVerdict
+	// decides t, that verdict is returned and nothing is prepared or
+	// enumerated. The prefilter never consults the context.
+	Static bool
+
+	// Enum is an enumeration the caller prepared with axiom.PrepareCtx,
+	// from t or from any test with t's content (see axiom.Enumeration.Bind):
+	// the verdict, its witness and any error name t. Preparation depends on
+	// the test alone, so the campaign memo prepares a test once and judges
+	// it under every model from the one enumeration. The other use is the
+	// differential oracle: an enumeration prepared with
+	// axiom.Opts{Exhaustive: true} disables symmetry pruning, and the
+	// resulting verdict must agree with the pruned one on every count, the
+	// observable flag, and the witness content. A nil Enum prepares t with
+	// axiom.DefaultOpts under the run's trace span.
+	Enum *axiom.Enumeration
+
+	// Visit, when set, is called for every produced candidate after its
+	// evaluation, serially and in enumeration order on the calling
+	// goroutine, whatever Parallelism says: i is the execution's position
+	// in the produced stream (representative ordinals under pruning) and
+	// allowed is the model's verdict-only evaluation. Any weighted
+	// aggregate a caller builds from the visits equals the exhaustive
+	// enumeration's. An error from Visit stops the run and is returned; in
+	// a traced run the calls are timed into obs.PhaseMerge.
+	Visit func(i int, x *axiom.Execution, allowed bool) error
 }
 
-// ForEachVerdictPreparedCtx enumerates the candidate executions of t and
-// calls visit(i, x, allowed) for every produced candidate, serially and in
-// enumeration order on the calling goroutine, where i is the execution's
-// position in the produced stream (representative ordinals under pruning)
-// and allowed is the model's verdict-only evaluation. It returns the
-// weighted number of candidates: symmetry pruning may produce one
-// representative for a class of equivalent executions (x.Weight() > 1),
-// and the count — like any weighted aggregate a caller builds — equals
-// the exhaustive enumeration's. Any visit error stops the run and is
-// returned.
-//
-// en is an enumeration the caller prepared with axiom.PrepareCtx, from t
-// or from any test with t's content: executions and errors name t, and
-// production is traced into ctx (see axiom.Enumeration.Bind). A nil en
-// prepares t with axiom.DefaultOpts under the run's trace span. Its
-// callers are the campaign memo, which prepares a test once for every
-// model, and the pruned-vs-exhaustive differential oracle, which prepares
-// with axiom.Opts{Exhaustive: true}.
-//
-// Cancelling ctx stops the producer promptly (checked per unit and per
-// execution) and returns ctx.Err().
-func (m *Model) ForEachVerdictPreparedCtx(ctx context.Context, t *litmus.Test, en *axiom.Enumeration, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
+// JudgeWith decides whether t's final condition is allowed under m — the
+// herd-style simulation of Sec. 5.4 — by folding the candidate executions
+// as o selects. The MaxExecs bound fails with the serial stream's error
+// (axiom.Enumeration.BoundError) once the summed weight of the checked
+// executions passes it, and cancelling ctx stops the judgement (checked
+// per unit and per execution) and returns ctx.Err(). Any other failure is
+// the lowest failing unit's first error.
+func JudgeWith(ctx context.Context, m *Model, t *litmus.Test, o Opts) (*Verdict, error) {
+	if o.Static {
+		if v := m.StaticVerdict(t); v != nil {
+			return v, nil
+		}
+	}
 	tr := obs.FromContext(ctx)
 	if tr.Enabled() {
 		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
-		// under it) and time the visit callback into PhaseMerge.
+		// under it).
 		sp, sctx := tr.StartSpan(ctx, "verdict")
 		ctx = sctx
 		defer sp.Finish()
-		inner := visit
-		visit = func(i int, x *axiom.Execution, allowed bool) error {
-			t0 := time.Now()
-			err := inner(i, x, allowed)
-			tr.AddPhase(obs.PhaseMerge, time.Since(t0))
-			return err
-		}
 	}
-	en, err := bind(ctx, t, en)
+	en, err := bind(ctx, t, o.Enum)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	sc := m.NewScratch()
-	sc.SetTracer(tr)
-	count, visits := 0, 0
-	err = en.StreamCtx(ctx, func(x *axiom.Execution) error {
-		allowed, err := m.verdict(x, sc)
-		if err != nil {
-			return err
+	workers, auto := o.Parallelism, o.Parallelism <= 0
+	switch {
+	case o.Visit != nil:
+		workers, auto = 1, false
+	case auto:
+		workers = runtime.GOMAXPROCS(0)
+	}
+	r := &judgeRun{m: m, ctx: ctx, en: en, tr: tr, visit: o.Visit}
+	n := r.units(workers, auto)
+	// The calling goroutine folds the head of the units: all of them with
+	// one worker or fewer than two units, in auto mode until
+	// parallelMinExecs executions have been visited, under explicit
+	// parallelism none. The rest fan out.
+	k := &r.head
+	serial := workers == 1 || n < 2
+	if serial || auto {
+		sc := m.NewScratch()
+		sc.SetTracer(tr)
+		var a axiom.Assembler
+		fold := r.fold(k, sc)
+		for ; k.unit < n && (serial || k.visited < parallelMinExecs); k.unit++ {
+			if err := r.stream(&a, k.unit, fold); err != nil {
+				return nil, err
+			}
 		}
-		count += x.Weight()
-		visits++
-		return visit(visits-1, x, allowed)
-	})
-	return count, err
+	}
+	if k.unit < n {
+		if err := r.fanOut(k, n, workers); err != nil {
+			return nil, err
+		}
+	}
+	return &Verdict{
+		Test: t, Model: m.Name,
+		Candidates: k.candidates, Visited: k.visited,
+		Allowed: k.allowed, Witnesses: k.witnesses,
+		Observable: k.witnesses > 0, Witness: k.witness,
+	}, nil
 }
 
 // bind returns en bound to t and ctx, preparing t with axiom.DefaultOpts
@@ -165,68 +205,14 @@ type judgeRun struct {
 	en      *axiom.Enumeration
 	tr      *obs.Trace
 	chunked bool // the units are combination 0's rf chunks
+	// visit is the caller's Opts.Visit; when set, the run is serial.
+	visit func(i int, x *axiom.Execution, allowed bool) error
 	// head is the calling goroutine's tally, which the workers' tallies
 	// are added into.
 	head tally
 	// count is the weighted number of candidates checked so far, across
 	// every goroutine; it enforces MaxExecs before each evaluation.
 	count atomic.Int64
-}
-
-// judgeStream judges t by folding its units into tallies, with the
-// parallelism JudgeP documents; a nil en prepares t under the run's trace
-// span. The MaxExecs bound fails with the serial stream's error
-// (axiom.Enumeration.BoundError) once the summed weight of the checked
-// executions passes it, and a cancelled ctx returns ctx.Err(). Any other
-// failure is the lowest failing unit's first error.
-func judgeStream(ctx context.Context, m *Model, t *litmus.Test, en *axiom.Enumeration, parallelism int) (*Verdict, error) {
-	tr := obs.FromContext(ctx)
-	if tr.Enabled() {
-		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
-		// under it).
-		sp, sctx := tr.StartSpan(ctx, "verdict")
-		ctx = sctx
-		defer sp.Finish()
-	}
-	en, err := bind(ctx, t, en)
-	if err != nil {
-		return nil, err
-	}
-	workers := parallelism
-	auto := workers <= 0
-	if auto {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	r := &judgeRun{m: m, ctx: ctx, en: en, tr: tr}
-	n := r.units(workers, auto)
-	// The calling goroutine folds the head of the units: all of them with
-	// one worker or fewer than two units, in auto mode until
-	// parallelMinExecs executions have been visited, under explicit
-	// parallelism none. The rest fan out.
-	k := &r.head
-	serial := workers == 1 || n < 2
-	if serial || auto {
-		sc := m.NewScratch()
-		sc.SetTracer(tr)
-		var a axiom.Assembler
-		fold := r.fold(k, sc)
-		for ; k.unit < n && (serial || k.visited < parallelMinExecs); k.unit++ {
-			if err := r.stream(&a, k.unit, fold); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if k.unit < n {
-		if err := r.fanOut(k, n, workers); err != nil {
-			return nil, err
-		}
-	}
-	return &Verdict{
-		Test: t, Model: m.Name,
-		Candidates: k.candidates, Visited: k.visited,
-		Allowed: k.allowed, Witnesses: k.witnesses,
-		Observable: k.witnesses > 0, Witness: k.witness,
-	}, nil
 }
 
 // units picks the run's units of work and returns their number: the path
@@ -259,8 +245,8 @@ func (r *judgeRun) stream(a *axiom.Assembler, u int, yield func(*axiom.Execution
 }
 
 // fold returns the yield that judges each execution of k's current unit
-// into k. The context and the shared MaxExecs bound are checked before
-// the evaluation, as the serial stream checks them.
+// into k and then visits it. The context and the shared MaxExecs bound
+// are checked before the evaluation, as the serial stream checks them.
 func (r *judgeRun) fold(k *tally, sc *cat.Scratch) func(*axiom.Execution) error {
 	limit := int64(r.en.Opts().MaxExecs)
 	return func(x *axiom.Execution) error {
@@ -290,10 +276,13 @@ func (r *judgeRun) fold(k *tally, sc *cat.Scratch) func(*axiom.Execution) error 
 				}
 			}
 		}
+		if r.visit != nil {
+			err = r.visit(k.visited-1, x, allowed)
+		}
 		if r.tr.Enabled() {
 			r.tr.AddPhase(obs.PhaseMerge, time.Since(t0))
 		}
-		return nil
+		return err
 	}
 }
 

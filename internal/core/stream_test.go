@@ -60,7 +60,8 @@ func sameVerdicts(t *testing.T, label string, got, serial []verdictRecord) {
 // contract: at every parallelism it is handed, visit receives exactly the
 // enumeration order (same executions, same indices, in the same order),
 // and the weight it sees allowed is the fold's Allowed at that
-// parallelism. stressTest(3) has 64 path combinations, soloChunkTest one
+// parallelism. JudgeWith with a Visit at parallelism 0 and 4 visits in
+// the same order and returns the fold's verdict at parallelism 4. stressTest(3) has 64 path combinations, soloChunkTest one
 // combination with four rf chunks, and a diy sample adds generated
 // shapes.
 func TestForEachVerdictComboOrderExact(t *testing.T) {
@@ -86,6 +87,7 @@ func TestForEachVerdictComboOrderExact(t *testing.T) {
 					t.Fatalf("%s/%s: visit %d is #%d %s, enumeration has %s", test.Name, m.Name, i, r.idx, r.exec, execs[i])
 				}
 			}
+			var fold4 *Verdict
 			for _, par := range []int{0, 2, 4, 16} {
 				label := fmt.Sprintf("%s/%s: parallelism %d", test.Name, m.Name, par)
 				got, allowed := collectVerdicts(t, m, test, par)
@@ -96,6 +98,26 @@ func TestForEachVerdictComboOrderExact(t *testing.T) {
 				}
 				if v.Allowed != allowed {
 					t.Fatalf("%s: the fold allows %d, the visitor %d", label, v.Allowed, allowed)
+				}
+				if par == 4 {
+					fold4 = v
+				}
+			}
+			for _, par := range []int{0, 4} {
+				label := fmt.Sprintf("%s/%s: Visit at parallelism %d", test.Name, m.Name, par)
+				var got []verdictRecord
+				v, err := JudgeWith(context.Background(), m, test, Opts{Parallelism: par, Visit: func(i int, x *axiom.Execution, ok bool) error {
+					got = append(got, verdictRecord{idx: i, exec: x.String(), allowed: ok})
+					return nil
+				}})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameVerdicts(t, label, got, serial)
+				if v.String() != fold4.String() || v.Visited != fold4.Visited ||
+					witnessContent(test, v.Witness) != witnessContent(test, fold4.Witness) {
+					t.Fatalf("%s: verdict %v (witness %v), the fold at parallelism 4 %v (witness %v)",
+						label, v, v.Witness, fold4, fold4.Witness)
 				}
 			}
 		}
@@ -169,15 +191,15 @@ func TestForEachVerdictAutoHandOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	_, wantErr := JudgePreparedCtx(ctx, m, test, bounded, 1)
+	_, wantErr := JudgeWith(ctx, m, test, Opts{Parallelism: 1, Enum: bounded})
 	if wantErr == nil {
 		t.Fatalf("MaxExecs %d did not bound the serial judgement", weight+2)
 	}
 	visits := 0
-	if _, err := m.ForEachVerdictPreparedCtx(ctx, test, bounded, func(int, *axiom.Execution, bool) error {
+	if _, err := JudgeWith(ctx, m, test, Opts{Enum: bounded, Visit: func(int, *axiom.Execution, bool) error {
 		visits++
 		return nil
-	}); err == nil || err.Error() != wantErr.Error() {
+	}}); err == nil || err.Error() != wantErr.Error() {
 		t.Errorf("visitor under MaxExecs %d: err %v, judgement %v", weight+2, err, wantErr)
 	}
 	if visits <= handOff || visits >= len(serial) {
@@ -239,7 +261,7 @@ func TestJudgeAutoHandOff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return JudgePreparedCtx(ctx, m, c.test, en, par)
+			return JudgeWith(ctx, m, c.test, Opts{Parallelism: par, Enum: en})
 		}
 		want, wantErr := judge(1)
 		if (wantErr != nil) != c.fails {
@@ -265,13 +287,13 @@ func TestForEachVerdictComboCancelMidVisit(t *testing.T) {
 	test := stressTest(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	_, err := PTX().ForEachVerdictPreparedCtx(ctx, test, nil, func(int, *axiom.Execution, bool) error {
+	_, err := JudgeWith(ctx, PTX(), test, Opts{Visit: func(int, *axiom.Execution, bool) error {
 		seen++
 		if seen == 4 {
 			cancel()
 		}
 		return nil
-	})
+	}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -285,13 +307,13 @@ func TestForEachVerdictComboCancelMidVisit(t *testing.T) {
 func TestForEachVerdictComboVisitError(t *testing.T) {
 	boom := errors.New("boom")
 	seen := 0
-	_, err := PTX().ForEachVerdictPreparedCtx(context.Background(), stressTest(3), nil, func(i int, _ *axiom.Execution, _ bool) error {
+	_, err := JudgeWith(context.Background(), PTX(), stressTest(3), Opts{Visit: func(i int, _ *axiom.Execution, _ bool) error {
 		seen++
 		if i == 9 {
 			return fmt.Errorf("visit %d: %w", i, boom)
 		}
 		return nil
-	})
+	}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -306,15 +328,16 @@ func TestForEachVerdictComboVisitError(t *testing.T) {
 func TestForEachVerdictComboParallelRace(t *testing.T) {
 	test := stressTest(3)
 	allowed := 0
-	n, err := PTX().ForEachVerdictPreparedCtx(context.Background(), test, nil, func(_ int, x *axiom.Execution, ok bool) error {
+	serial, err := JudgeWith(context.Background(), PTX(), test, Opts{Visit: func(_ int, x *axiom.Execution, ok bool) error {
 		if ok {
 			allowed += x.Weight()
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := serial.Candidates
 	if n != 384 {
 		t.Fatalf("stress-3w: %d candidates, want 384", n)
 	}
@@ -343,7 +366,7 @@ func TestJudgePreparedNamesJudgedTest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 0, 4} {
-		_, err := JudgePreparedCtx(ctx, PTX(), b, bounded, par)
+		_, err := JudgeWith(ctx, PTX(), b, Opts{Parallelism: par, Enum: bounded})
 		if err == nil {
 			t.Fatalf("p%d: judging past MaxExecs succeeded", par)
 		}
@@ -355,7 +378,7 @@ func TestJudgePreparedNamesJudgedTest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := JudgePreparedCtx(ctx, PTX(), b, en, 1)
+	v, err := JudgeWith(ctx, PTX(), b, Opts{Parallelism: 1, Enum: en})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -599,6 +599,9 @@ func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byt
 // results cheaper to recompute than to look up.
 func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (JudgeResult, error) {
 	fp := t.Fingerprint()
+	// The prefilter runs before the fleet cache, not through core.JudgeWith
+	// inside it: a static decision is cheap to remake and is never stored,
+	// so a later non-static request still finds full counts in the cache.
 	if static {
 		if v := m.StaticVerdict(t); v != nil {
 			s.met.staticSkipped.Add(1)
