@@ -42,3 +42,23 @@ func BenchmarkMemoCorpus(b *testing.B) { benchMemoCorpus(b, false) }
 // BenchmarkMemoCorpusStatic is the same cold campaign with the static
 // prefilter deciding what it can.
 func BenchmarkMemoCorpusStatic(b *testing.B) { benchMemoCorpus(b, true) }
+
+// BenchmarkMemoCorpusModels prices a cold campaign pass under the four
+// builtin models — a fresh memo judging every paper test under each — the
+// shape of the judge workload. Once the memo knows the four models, each
+// test's first request judges all four from one candidate stream.
+func BenchmarkMemoCorpusModels(b *testing.B) {
+	models := []*core.Model{core.PTX(), core.SC(), core.RMO(), core.SorensenOp()}
+	tests := litmus.PaperTests()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mm := NewMemo()
+		for _, t := range tests {
+			for _, m := range models {
+				if _, err := mm.VerdictCtx(context.Background(), m, t, 0, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

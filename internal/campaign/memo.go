@@ -29,23 +29,30 @@ import (
 // The model-independent half of a judgement is shared across models too:
 // VerdictCtx and Analyse judge from one prepared axiom.Enumeration per
 // test content, so a test judged under four models runs the value-domain
-// fixpoint once. Within a (model, test) pair the candidates are enumerated
-// at most once: a statically undecided VerdictCtx, a full-count one and
-// Analyse share one verdict. The memo drops a test's enumeration once the
-// test has been judged — by enumeration or by the static prefilter,
-// successfully or not — under every distinct model the memo has judged
-// anything under so far; a model that comes later prepares again, with
-// identical results. A test judged under only some of the memo's models
-// keeps its enumeration for the memo's lifetime. A failed or cancelled
-// preparation or verdict is returned to its requester only and never
-// stored, so it cannot poison the test's other models or later requests.
+// fixpoint once. The candidates are shared as well: a cold VerdictCtx
+// judges every model the memo has judged anything under so far, whose
+// verdict for the test is neither held nor in flight, in the same pass
+// over one candidate stream (core.JudgeModels), and stores each of those
+// verdicts; the other models' requests then find them. Within a (model,
+// test) pair the candidates are enumerated at most once: a statically
+// undecided VerdictCtx, a full-count one and Analyse share one verdict.
+// The memo drops a test's enumeration once the test has been judged — by
+// enumeration or by the static prefilter, successfully or not — under
+// every distinct model the memo has judged anything under so far, which
+// after a joint pass is straight away; a model that comes later prepares
+// again, with identical results. A test judged under only some of the
+// memo's models keeps its enumeration for the memo's lifetime. A failed or
+// cancelled preparation or verdict is returned to its requester only and
+// never stored, so it cannot poison the test's other models or later
+// requests.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
 	preps   map[string]*testPrep // by litmus.Test.Fingerprint()
-	// models holds the fingerprint of every model a judgement has settled
-	// under: the set a test's enumeration waits for before its release.
-	models map[string]bool
+	// models holds every model a judgement has settled under, by
+	// fingerprint: the set a test's enumeration waits for before its
+	// release, and the set a cold verdict judges in one pass.
+	models map[string]*core.Model
 }
 
 type memoKey struct {
@@ -54,8 +61,9 @@ type memoKey struct {
 }
 
 type memoEntry struct {
-	key  memoKey
-	prep *testPrep
+	key   memoKey
+	model *core.Model // the model the entry was made for
+	prep  *testPrep
 	// settled records (under Memo.mu) that a judgement of this (model,
 	// test) pair has finished, successfully or not, and was counted into
 	// prep.judged.
@@ -130,14 +138,20 @@ func (h *held[T]) get(ctx context.Context, mu *sync.Mutex, compute func() (T, er
 		if err == nil {
 			h.val = v
 		}
-		h.running = false
-		if h.done != nil {
-			close(h.done)
-			h.done = nil
-		}
+		h.finish()
 		mu.Unlock()
 	}()
 	return compute()
+}
+
+// finish ends h's in-flight computation and wakes its waiters; the caller
+// holds the memo's mutex.
+func (h *held[T]) finish() {
+	h.running = false
+	if h.done != nil {
+		close(h.done)
+		h.done = nil
+	}
 }
 
 // ModelInfo is the memoized model analysis of one test: which final-state
@@ -152,7 +166,7 @@ type ModelInfo struct {
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{entries: make(map[memoKey]*memoEntry), preps: make(map[string]*testPrep), models: make(map[string]bool)}
+	return &Memo{entries: make(map[memoKey]*memoEntry), preps: make(map[string]*testPrep), models: make(map[string]*core.Model)}
 }
 
 // Analyse returns the memoized model analysis of t under m, computing it on
@@ -210,7 +224,10 @@ func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 // records no pipeline phases — the work happened under the first
 // requester's context. Likewise, when another model's request already
 // prepared the test (see Memo), the computing call's trace records the
-// stream and evaluation but no prepare phase.
+// stream and evaluation but no prepare phase, and when another model's
+// request judged this pair in its pass, this call's trace records nothing:
+// the computing call's trace holds the evaluation under every model of
+// its pass.
 func (mm *Memo) VerdictCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (*core.Verdict, error) {
 	e := mm.entry(m, t)
 	if static {
@@ -223,9 +240,65 @@ func (mm *Memo) VerdictCtx(ctx context.Context, m *core.Model, t *litmus.Test, p
 	}
 	return e.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
 		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
-			return core.JudgeWith(ctx, m, t, core.Opts{Parallelism: parallelism, Enum: en})
+			return mm.judgeJoint(ctx, m, e, t, core.Opts{Parallelism: parallelism, Enum: en})
 		})
 	})
+}
+
+// judgeJoint computes e's verdict under m from o.Enum in one pass with the
+// verdicts of the siblings it claims, and stores and settles theirs. When
+// the pass fails nothing is stored for any sibling and their claims are
+// released: a ctx error is returned as it is, and any other error has m
+// judged alone, so the requester sees exactly what a one-model judgement
+// gives it.
+func (mm *Memo) judgeJoint(ctx context.Context, m *core.Model, e *memoEntry, t *litmus.Test, o core.Opts) (*core.Verdict, error) {
+	sibs := mm.claim(e)
+	if len(sibs) == 0 {
+		return core.JudgeWith(ctx, m, t, o)
+	}
+	ms := make([]*core.Model, 1, len(sibs)+1)
+	ms[0] = m
+	for _, s := range sibs {
+		ms = append(ms, s.model)
+	}
+	vs, err := core.JudgeModels(ctx, ms, t, o)
+	mm.mu.Lock()
+	for i, s := range sibs {
+		if err == nil {
+			s.verdict.val = vs[i+1]
+			mm.settleLocked(s)
+		}
+		s.verdict.finish()
+	}
+	mm.mu.Unlock()
+	switch {
+	case err == nil:
+		return vs[0], nil
+	case ctx.Err() != nil:
+		return nil, err
+	}
+	return core.JudgeWith(ctx, m, t, o)
+}
+
+// claim marks as in flight, and returns, the verdict of e's test under
+// every other model the memo has judged under whose pair holds no
+// verdict and has none in flight. The order of the siblings does not
+// reach any verdict.
+func (mm *Memo) claim(e *memoEntry) []*memoEntry {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	var sibs []*memoEntry
+	for fp, m := range mm.models {
+		if fp == e.key.model {
+			continue
+		}
+		s := mm.entryLocked(memoKey{model: fp, test: e.key.test}, m)
+		if s.verdict.val == nil && !s.verdict.running {
+			s.verdict.running = true
+			sibs = append(sibs, s)
+		}
+	}
+	return sibs
 }
 
 // RepairCtx returns the memoized fence-repair synthesis of t under m
@@ -245,6 +318,12 @@ func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
 	key := memoKey{model: m.Fingerprint(), test: t.Fingerprint()}
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
+	return mm.entryLocked(key, m)
+}
+
+// entryLocked returns key's entry, making it for m when there is none; the
+// caller holds mm.mu.
+func (mm *Memo) entryLocked(key memoKey, m *core.Model) *memoEntry {
 	e, ok := mm.entries[key]
 	if !ok {
 		p := mm.preps[key.test]
@@ -252,7 +331,7 @@ func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
 			p = &testPrep{}
 			mm.preps[key.test] = p
 		}
-		e = &memoEntry{key: key, prep: p}
+		e = &memoEntry{key: key, model: m, prep: p}
 		mm.entries[key] = e
 	}
 	return e
@@ -279,10 +358,15 @@ func judgeShared[T any](mm *Memo, ctx context.Context, e *memoEntry, t *litmus.T
 func (mm *Memo) settle(e *memoEntry) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
+	mm.settleLocked(e)
+}
+
+// settleLocked is settle with mm.mu held.
+func (mm *Memo) settleLocked(e *memoEntry) {
 	if !e.settled {
 		e.settled = true
 		e.prep.judged++
-		mm.models[e.key.model] = true
+		mm.models[e.key.model] = e.model
 	}
 	if e.prep.judged == len(mm.models) {
 		e.prep.en.val = nil

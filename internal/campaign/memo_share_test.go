@@ -54,12 +54,27 @@ func heldEnumeration(mm *Memo, test *litmus.Test) bool {
 	return p != nil && p.en.val != nil
 }
 
-// TestMemoSharesPreparation: once the memo knows the four models, a test
-// judged under all four is prepared once — one "prepare" span over the
-// four requests' traces — and its enumeration is held until the fourth
-// model has judged it, then released. Each request's trace counts the
-// candidates its own stream produced, though only the first prepared.
-// Every verdict equals core.Judge's.
+// sameVerdict fails unless got equals want on every field, the witness
+// by its rendering.
+func sameVerdict(t *testing.T, what string, got, want *core.Verdict) {
+	t.Helper()
+	sameCounts(t, what, got, want)
+	if got.Model != want.Model || got.StaticSkipped != want.StaticSkipped || got.String() != want.String() {
+		t.Errorf("%s: memo verdict %v under %s, core.JudgeWith %v under %s", what, got, got.Model, want, want.Model)
+	}
+	if (got.Witness == nil) != (want.Witness == nil) ||
+		got.Witness != nil && got.Witness.String() != want.Witness.String() {
+		t.Errorf("%s: memo witness %v, core.JudgeWith witness %v", what, got.Witness, want.Witness)
+	}
+}
+
+// TestMemoSharesPreparation: once the memo knows the four models, a cold
+// request for mp under PTX prepares mp once and produces its candidates
+// once — its trace records one "prepare" span, one "verdict" span and
+// each execution visited once — judging all four models in that pass, and
+// releases the enumeration straight after. The other three requests then
+// return without a span or a visit, repeats return the same verdict
+// objects, and every verdict equals core.JudgeWith's.
 func TestMemoSharesPreparation(t *testing.T) {
 	mm := NewMemo()
 	models := fourModels()
@@ -69,31 +84,139 @@ func TestMemoSharesPreparation(t *testing.T) {
 		}
 	}
 	test := litmus.MP(litmus.NoFence)
-	prepares := 0
+	got := make([]*core.Verdict, len(models))
 	for i, m := range models {
 		tr := obs.New(m.Name)
 		v, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), m, test, 1, false)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		want, err := core.Judge(m, test)
+		got[i] = v
+		want, err := core.JudgeWith(context.Background(), m, test, core.Opts{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameCounts(t, m.Name, v, want)
-		if got := tr.Count(obs.CtrCandidates); got != int64(v.Candidates) {
-			t.Errorf("%s: trace counted %d candidates, verdict %d", m.Name, got, v.Candidates)
+		sameVerdict(t, m.Name, v, want)
+		spans, visited := 0, int64(0)
+		if i == 0 {
+			spans, visited = 1, int64(v.Visited)
 		}
-		if n := countSpans(tr, "verdict"); n != 1 {
-			t.Errorf("%s: %d verdict spans, want 1", m.Name, n)
+		if n := countSpans(tr, "prepare"); n != spans {
+			t.Errorf("%s: %d prepare spans, want %d", m.Name, n, spans)
 		}
-		prepares += countSpans(tr, "prepare")
-		if held, last := heldEnumeration(mm, test), i == len(models)-1; held == last {
-			t.Errorf("after %s (%d of %d models): enumeration held = %v", m.Name, i+1, len(models), held)
+		if n := countSpans(tr, "verdict"); n != spans {
+			t.Errorf("%s: %d verdict spans, want %d", m.Name, n, spans)
+		}
+		if n := tr.Count(obs.CtrVisited); n != visited {
+			t.Errorf("%s: trace visited %d executions, want %d", m.Name, n, visited)
+		}
+		if heldEnumeration(mm, test) {
+			t.Errorf("after %s (%d of %d models): enumeration held", m.Name, i+1, len(models))
 		}
 	}
-	if prepares != 1 {
-		t.Errorf("mp under four models prepared %d times, want once", prepares)
+	for i, m := range models {
+		if v, err := mm.Verdict(m, test); err != nil || v != got[i] {
+			t.Errorf("%s: repeat got %p (%v), want the memoized %p", m.Name, v, err, got[i])
+		}
+	}
+}
+
+// TestMemoJointPassCancelled: a joint pass whose requester is cancelled
+// returns ctx.Err() and stores nothing for any sibling it claimed: their
+// pairs hold no verdict and none is in flight. A later live request for a
+// sibling then claims them again and judges them all in its pass, so the
+// remaining requests visit nothing, and every verdict equals
+// core.JudgeWith's.
+func TestMemoJointPassCancelled(t *testing.T) {
+	mm := NewMemo()
+	models := fourModels()
+	for _, m := range models {
+		if _, err := mm.Verdict(m, litmus.SB()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	test := litmus.MP(litmus.NoFence)
+	// Analyse prepares mp and holds its enumeration for the other models,
+	// so the cancelled request below fails in its pass, not in preparing.
+	if _, err := mm.Analyse(models[0], test); err != nil {
+		t.Fatal(err)
+	}
+	if !heldEnumeration(mm, test) {
+		t.Fatal("enumeration released after one of four models judged the test")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := mm.VerdictCtx(cancelled, models[1], test, 1, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled joint pass: err = %v, want context.Canceled", err)
+	}
+	for _, m := range models[1:] {
+		e := mm.entry(m, test)
+		mm.mu.Lock()
+		val, running := e.verdict.val, e.verdict.running
+		mm.mu.Unlock()
+		if val != nil || running {
+			t.Errorf("%s after the cancelled pass: verdict %v, in flight %v; want neither", m.Name, val, running)
+		}
+	}
+	for i, j := range []int{2, 1, 3} {
+		m := models[j]
+		tr := obs.New(m.Name)
+		v, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), m, test, 1, false)
+		if err != nil {
+			t.Fatalf("%s: live request after the cancelled pass: %v", m.Name, err)
+		}
+		want, err := core.JudgeWith(context.Background(), m, test, core.Opts{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVerdict(t, m.Name, v, want)
+		visited := int64(0)
+		if i == 0 {
+			visited = int64(v.Visited)
+		}
+		if n := tr.Count(obs.CtrVisited); n != visited {
+			t.Errorf("%s: trace visited %d executions, want %d", m.Name, n, visited)
+		}
+	}
+}
+
+// TestMemoJointPassConcurrent: 8 goroutines request the four models of
+// each test at once, at parallelism 1 and 0, so that joint passes, their
+// claims and the requests waiting on them interleave (run under -race in
+// CI). Every verdict equals core.JudgeWith's.
+func TestMemoJointPassConcurrent(t *testing.T) {
+	mm := NewMemo()
+	models := fourModels()
+	for _, m := range models {
+		if _, err := mm.Verdict(m, litmus.SB()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests := []*litmus.Test{litmus.MP(litmus.NoFence), litmus.CoRR(), litmus.LB(litmus.NoFence), litmus.MP(litmus.FenceCTA)}
+	for _, test := range tests {
+		want := make([]*core.Verdict, len(models))
+		for j, m := range models {
+			v, err := core.JudgeWith(context.Background(), m, test, core.Opts{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j] = v
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				j := g % len(models)
+				v, err := mm.VerdictCtx(context.Background(), models[j], test, g%2, false)
+				if err != nil {
+					t.Errorf("%s/%s: %v", test.Name, models[j].Name, err)
+					return
+				}
+				sameVerdict(t, test.Name+"/"+models[j].Name, v, want[j])
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 

@@ -675,7 +675,11 @@ func (p *Program) runCall(in insn, sc *Scratch) error {
 		return nil
 	}
 	// A user-defined function supplied by the base environment: fall back
-	// to the interpreter for its body.
+	// to the interpreter for its body. It stays uncompiled because no
+	// verdict reaches it: model-local functions are inlined at compile
+	// time, ExecEnv binds builtins only, and the exec fast path never calls
+	// runCall (TestBaseEnvFunctionFallback). Only Run and RunScratch on a
+	// caller-built Env binding a FuncValue with a Body get here.
 	if len(args) != len(fv.Params) {
 		return fmt.Errorf("cat: %q wants %d arguments, got %d", p.freeFns[in.fn], len(fv.Params), len(args))
 	}

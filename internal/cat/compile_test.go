@@ -191,3 +191,25 @@ func TestScratchReuseAcrossEnvs(t *testing.T) {
 		}
 	}
 }
+
+// TestBaseEnvFunctionFallback pins where Program.runCall's interpreter
+// fallback is reached: only through Run or RunScratch on a caller-built
+// Env that binds a parameterised function value. ExecEnv, the base
+// environment of the env path, binds builtins only, and the exec fast path
+// behind every verdict (RunExec, RunExecVerdict) resolves its WW/WR/RW/RR
+// calls itself and never calls runCall; so no judgement, under the four
+// built-in models or any other, reaches the fallback. Where it is reached,
+// it agrees with the interpreter.
+func TestBaseEnvFunctionFallback(t *testing.T) {
+	for name, v := range ExecEnv(&axiom.Execution{}).vars {
+		if fv, ok := v.(FuncValue); ok && fv.Fn == nil {
+			t.Errorf("ExecEnv binds %q as a parameterised function; verdicts would reach runCall's interpreter fallback", name)
+		}
+	}
+	env := NewEnv()
+	env.BindRel("x", axiom.FromPairs([2]axiom.EventID{0, 1}, [2]axiom.EventID{1, 2}))
+	env.BindRel("y", axiom.FromPairs([2]axiom.EventID{2, 0}))
+	env.Bind("f", FuncValue{Name: "f", Params: []string{"p"}, Body: Union{L: Ident{Name: "p"}, R: Ident{Name: "y"}}, Env: env})
+	diffEval(t, "acyclic f(x) as c\nempty f(x & y) \\ y as e\nirreflexive f(f(x)) as i", env)
+	diffEval(t, "acyclic f(x, y) as arity", env)
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -18,8 +19,15 @@ import (
 // from the axiom producer straight into model evaluation without ever
 // materialising the full candidate set. Path derivation happens once per
 // judgement, or once per test when the caller shares one prepared
-// enumeration across models (Opts.Enum); axiom.PrepareCtx memoizes it
+// enumeration across judgements (Opts.Enum); axiom.PrepareCtx memoizes it
 // across the value-domain fixpoint iterations.
+//
+// A candidate execution depends on the test alone, not on the model, so
+// one run can judge several models (JudgeModels): each produced execution
+// is counted, bounded and checked for cancellation once, evaluated under
+// every model, and matched against the final condition at most once. The
+// skeletons, the executions and the derived relations each execution
+// memoizes are built once for all the models.
 //
 // A verdict is a fold: weighted sums plus the first witness in enumeration
 // order, none of which needs the executions in order. The units of work
@@ -27,15 +35,17 @@ import (
 // cross product splits — that combination's rf chunks. The calling
 // goroutine folds a head of the units itself; the remaining units are
 // claimed in ascending order by workers (an axiom.Assembler and a scratch
-// each), every worker folding the units it claims into its own tally. The
-// tallies then combine with sums and a min: the witness comes from the
-// lowest unit that has one, so every count and the witness are identical
-// at every parallelism, and counts are weighted by Execution.Weight so
-// symmetry pruning never changes them (see axiom.Opts.Exhaustive).
+// per model each), every worker folding the units it claims into its own
+// tally, which holds one count set and one first witness per model. The
+// tallies then combine with sums and a min: each model's witness comes
+// from the lowest unit that has one, so every count and the witness are
+// identical at every parallelism and for every set of models judged
+// together, and counts are weighted by Execution.Weight so symmetry
+// pruning never changes them (see axiom.Opts.Exhaustive).
 //
-// A caller that needs every execution (Opts.Visit) gets the same fold run
-// serially by the calling goroutine, with the visit called after each
-// evaluation; there is no second per-execution loop.
+// A caller that needs every execution of a one-model run (Opts.Visit)
+// gets the same fold run serially by the calling goroutine, with the visit
+// called after each evaluation; there is no second per-execution loop.
 
 // parallelMinExecs is the auto-mode fan-out threshold: the calling
 // goroutine checks executions serially until this many have been visited
@@ -45,7 +55,8 @@ import (
 // its estimated completion count reaches the threshold.
 const parallelMinExecs = 128
 
-// Opts selects how JudgeWith judges. The zero value judges like Judge.
+// Opts selects how JudgeWith and JudgeModels judge. The zero value judges
+// like Judge.
 type Opts struct {
 	// Parallelism is the evaluation parallelism: 1 judges on the calling
 	// goroutine; n > 1 folds every unit of work (path combination or rf
@@ -56,17 +67,18 @@ type Opts struct {
 	// execution in enumeration order — is identical for every parallelism.
 	Parallelism int
 
-	// Static puts the static prefilter in front: when m.StaticVerdict
-	// decides t, that verdict is returned and nothing is prepared or
-	// enumerated. The prefilter never consults the context.
+	// Static puts the static prefilter in front: each model whose
+	// StaticVerdict decides t gets that verdict and leaves the run, and
+	// when every model is decided nothing is prepared or enumerated. The
+	// prefilter never consults the context.
 	Static bool
 
 	// Enum is an enumeration the caller prepared with axiom.PrepareCtx,
 	// from t or from any test with t's content (see axiom.Enumeration.Bind):
-	// the verdict, its witness and any error name t. Preparation depends on
-	// the test alone, so the campaign memo prepares a test once and judges
-	// it under every model from the one enumeration. The other use is the
-	// differential oracle: an enumeration prepared with
+	// the verdicts, their witnesses and any error name t. Preparation
+	// depends on the test alone, so the campaign memo prepares a test once
+	// and judges it under every model from the one enumeration. The other
+	// use is the differential oracle: an enumeration prepared with
 	// axiom.Opts{Exhaustive: true} disables symmetry pruning, and the
 	// resulting verdict must agree with the pruned one on every count, the
 	// observable flag, and the witness content. A nil Enum prepares t with
@@ -80,34 +92,75 @@ type Opts struct {
 	// allowed is the model's verdict-only evaluation. Any weighted
 	// aggregate a caller builds from the visits equals the exhaustive
 	// enumeration's. An error from Visit stops the run and is returned; in
-	// a traced run the calls are timed into obs.PhaseMerge.
+	// a traced run the calls are timed into obs.PhaseMerge. A run of more
+	// than one model takes no Visit.
 	Visit func(i int, x *axiom.Execution, allowed bool) error
 }
 
 // JudgeWith decides whether t's final condition is allowed under m — the
 // herd-style simulation of Sec. 5.4 — by folding the candidate executions
-// as o selects. The MaxExecs bound fails with the serial stream's error
-// (axiom.Enumeration.BoundError) once the summed weight of the checked
-// executions passes it, and cancelling ctx stops the judgement (checked
-// per unit and per execution) and returns ctx.Err(). Any other failure is
-// the lowest failing unit's first error.
+// as o selects. It is JudgeModels with one model.
 func JudgeWith(ctx context.Context, m *Model, t *litmus.Test, o Opts) (*Verdict, error) {
+	var v [1]*Verdict
+	if err := judgeInto(ctx, []*Model{m}, t, o, v[:]); err != nil {
+		return nil, err
+	}
+	return v[0], nil
+}
+
+// JudgeModels judges t under every model in ms from one candidate stream
+// and returns their verdicts in ms's order; each equals JudgeWith's for
+// that model with the same Opts, field for field. The MaxExecs bound fails
+// with the serial stream's error (axiom.Enumeration.BoundError) once the
+// summed weight of the checked executions passes it, and cancelling ctx
+// stops the judgement (checked per unit and per execution) and returns
+// ctx.Err(). Any other failure is the lowest failing unit's first error.
+func JudgeModels(ctx context.Context, ms []*Model, t *litmus.Test, o Opts) ([]*Verdict, error) {
+	vs := make([]*Verdict, len(ms))
+	if err := judgeInto(ctx, ms, t, o, vs); err != nil {
+		return nil, err
+	}
+	return vs, nil
+}
+
+// judgeInto fills vs[i] with t's verdict under ms[i]. A one-model run
+// keeps its per-model state inline in the judgeRun and its tallies, so
+// JudgeWith allocates nothing per model.
+func judgeInto(ctx context.Context, ms []*Model, t *litmus.Test, o Opts, vs []*Verdict) error {
+	if o.Visit != nil && len(ms) > 1 {
+		return errors.New("core: Opts.Visit reports one model's verdicts; the run has several models")
+	}
+	undecided := len(ms)
 	if o.Static {
-		if v := m.StaticVerdict(t); v != nil {
-			return v, nil
+		for i, m := range ms {
+			if vs[i] = m.StaticVerdict(t); vs[i] != nil {
+				undecided--
+			}
 		}
 	}
-	tr := obs.FromContext(ctx)
-	if tr.Enabled() {
+	if undecided == 0 {
+		return nil
+	}
+	r := &judgeRun{ctx: ctx, tr: obs.FromContext(ctx), visit: o.Visit}
+	r.ms = r.one[:0]
+	if undecided > 1 {
+		r.ms = make([]*Model, 0, undecided)
+	}
+	for i, m := range ms {
+		if vs[i] == nil {
+			r.ms = append(r.ms, m)
+		}
+	}
+	if r.tr.Enabled() {
 		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
 		// under it).
-		sp, sctx := tr.StartSpan(ctx, "verdict")
-		ctx = sctx
+		sp, sctx := r.tr.StartSpan(ctx, "verdict")
+		r.ctx = sctx
 		defer sp.Finish()
 	}
-	en, err := bind(ctx, t, o.Enum)
-	if err != nil {
-		return nil, err
+	var err error
+	if r.en, err = bind(r.ctx, t, o.Enum); err != nil {
+		return err
 	}
 	workers, auto := o.Parallelism, o.Parallelism <= 0
 	switch {
@@ -116,36 +169,44 @@ func JudgeWith(ctx context.Context, m *Model, t *litmus.Test, o Opts) (*Verdict,
 	case auto:
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &judgeRun{m: m, ctx: ctx, en: en, tr: tr, visit: o.Visit}
 	n := r.units(workers, auto)
 	// The calling goroutine folds the head of the units: all of them with
 	// one worker or fewer than two units, in auto mode until
 	// parallelMinExecs executions have been visited, under explicit
 	// parallelism none. The rest fan out.
 	k := &r.head
+	k.init(len(r.ms))
 	serial := workers == 1 || n < 2
 	if serial || auto {
-		sc := m.NewScratch()
-		sc.SetTracer(tr)
+		r.scratch(k)
 		var a axiom.Assembler
-		fold := r.fold(k, sc)
+		fold := r.fold(k)
 		for ; k.unit < n && (serial || k.visited < parallelMinExecs); k.unit++ {
 			if err := r.stream(&a, k.unit, fold); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	if k.unit < n {
 		if err := r.fanOut(k, n, workers); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return &Verdict{
-		Test: t, Model: m.Name,
-		Candidates: k.candidates, Visited: k.visited,
-		Allowed: k.allowed, Witnesses: k.witnesses,
-		Observable: k.witnesses > 0, Witness: k.witness,
-	}, nil
+	j := 0
+	for i := range vs {
+		if vs[i] != nil {
+			continue // decided by the prefilter
+		}
+		mt := &k.models[j]
+		vs[i] = &Verdict{
+			Test: t, Model: r.ms[j].Name,
+			Candidates: k.candidates, Visited: k.visited,
+			Allowed: mt.allowed, Witnesses: mt.witnesses,
+			Observable: mt.witnesses > 0, Witness: mt.witness,
+		}
+		j++
+	}
+	return nil
 }
 
 // bind returns en bound to t and ctx, preparing t with axiom.DefaultOpts
@@ -172,26 +233,50 @@ func (m *Model) verdict(x *axiom.Execution, sc *cat.Scratch) (bool, error) {
 }
 
 // tally is one goroutine's fold of the units it judged. A goroutine claims
-// units in ascending order and stops at its first error, so its first
-// witness and its error belong to its lowest witnessing and lowest failing
-// unit; tallies combine with sums and a min over those units.
+// units in ascending order and stops at its first error, so each model's
+// first witness and the error belong to the lowest witnessing and lowest
+// failing unit; tallies combine with sums and a min over those units.
 type tally struct {
-	candidates, visited, allowed, witnesses int
-	unit                                    int // the unit being folded
-	witness                                 *axiom.Execution
-	witnessUnit                             int
-	err                                     error
-	errUnit                                 int
+	candidates, visited int
+	unit                int // the unit being folded
+	// models holds one count set per model of the run, in judgeRun.ms's
+	// order; a one-model run points it at one.
+	models  []modelTally
+	one     [1]modelTally
+	err     error
+	errUnit int
+}
+
+// modelTally is one model's share of a tally, with the goroutine's
+// evaluation scratch for that model.
+type modelTally struct {
+	allowed, witnesses int
+	witness            *axiom.Execution
+	witnessUnit        int
+	sc                 *cat.Scratch
+	ok                 bool // the model's verdict on the execution being folded
+}
+
+// init sizes k for a run of n models.
+func (k *tally) init(n int) {
+	if n == 1 {
+		k.models = k.one[:]
+		return
+	}
+	k.models = make([]modelTally, n)
 }
 
 // add combines o into k.
 func (k *tally) add(o *tally) {
 	k.candidates += o.candidates
 	k.visited += o.visited
-	k.allowed += o.allowed
-	k.witnesses += o.witnesses
-	if o.witness != nil && (k.witness == nil || o.witnessUnit < k.witnessUnit) {
-		k.witness, k.witnessUnit = o.witness, o.witnessUnit
+	for i := range k.models {
+		mk, mo := &k.models[i], &o.models[i]
+		mk.allowed += mo.allowed
+		mk.witnesses += mo.witnesses
+		if mo.witness != nil && (mk.witness == nil || mo.witnessUnit < mk.witnessUnit) {
+			mk.witness, mk.witnessUnit = mo.witness, mo.witnessUnit
+		}
 	}
 	if o.err != nil && (k.err == nil || o.errUnit < k.errUnit) {
 		k.err, k.errUnit = o.err, o.errUnit
@@ -200,7 +285,10 @@ func (k *tally) add(o *tally) {
 
 // judgeRun is the state one judgement's goroutines share.
 type judgeRun struct {
-	m       *Model
+	// ms are the models the run evaluates, in the caller's order less any
+	// the static prefilter decided; a one-model run points it at one.
+	ms      []*Model
+	one     [1]*Model
 	ctx     context.Context
 	en      *axiom.Enumeration
 	tr      *obs.Trace
@@ -213,6 +301,16 @@ type judgeRun struct {
 	// count is the weighted number of candidates checked so far, across
 	// every goroutine; it enforces MaxExecs before each evaluation.
 	count atomic.Int64
+}
+
+// scratch gives k a fresh evaluation scratch per model, traced with the
+// run.
+func (r *judgeRun) scratch(k *tally) {
+	for i := range k.models {
+		sc := r.ms[i].NewScratch()
+		sc.SetTracer(r.tr)
+		k.models[i].sc = sc
+	}
 }
 
 // units picks the run's units of work and returns their number: the path
@@ -245,9 +343,11 @@ func (r *judgeRun) stream(a *axiom.Assembler, u int, yield func(*axiom.Execution
 }
 
 // fold returns the yield that judges each execution of k's current unit
-// into k and then visits it. The context and the shared MaxExecs bound
-// are checked before the evaluation, as the serial stream checks them.
-func (r *judgeRun) fold(k *tally, sc *cat.Scratch) func(*axiom.Execution) error {
+// under every model into k and then visits it. The context and the shared
+// MaxExecs bound are checked once per execution, before the evaluations,
+// as the serial stream checks them; the final condition is evaluated at
+// most once per execution, when some model allows it.
+func (r *judgeRun) fold(k *tally) func(*axiom.Execution) error {
 	limit := int64(r.en.Opts().MaxExecs)
 	return func(x *axiom.Execution) error {
 		if err := r.ctx.Err(); err != nil {
@@ -257,9 +357,13 @@ func (r *judgeRun) fold(k *tally, sc *cat.Scratch) func(*axiom.Execution) error 
 		if r.count.Add(int64(w)) > limit {
 			return r.en.BoundError()
 		}
-		allowed, err := r.m.verdict(x, sc)
-		if err != nil {
-			return err
+		for i := range k.models {
+			mt := &k.models[i]
+			ok, err := r.ms[i].verdict(x, mt.sc)
+			if err != nil {
+				return err
+			}
+			mt.ok = ok
 		}
 		var t0 time.Time
 		if r.tr.Enabled() {
@@ -267,17 +371,26 @@ func (r *judgeRun) fold(k *tally, sc *cat.Scratch) func(*axiom.Execution) error 
 		}
 		k.candidates += w
 		k.visited++
-		if allowed {
-			k.allowed += w
-			if r.en.Test().Exists.Eval(x.Final) {
-				k.witnesses += w
-				if k.witness == nil {
-					k.witness, k.witnessUnit = x, k.unit
+		evaluated, sat := false, false
+		for i := range k.models {
+			mt := &k.models[i]
+			if !mt.ok {
+				continue
+			}
+			mt.allowed += w
+			if !evaluated {
+				evaluated, sat = true, r.en.Test().Exists.Eval(x.Final)
+			}
+			if sat {
+				mt.witnesses += w
+				if mt.witness == nil {
+					mt.witness, mt.witnessUnit = x, k.unit
 				}
 			}
 		}
+		var err error
 		if r.visit != nil {
-			err = r.visit(k.visited-1, x, allowed)
+			err = r.visit(k.visited-1, x, k.models[0].ok)
 		}
 		if r.tr.Enabled() {
 			r.tr.AddPhase(obs.PhaseMerge, time.Since(t0))
@@ -287,7 +400,7 @@ func (r *judgeRun) fold(k *tally, sc *cat.Scratch) func(*axiom.Execution) error 
 }
 
 // fanOut folds units [k.unit, n) on up to workers goroutines, each with
-// its own tally, Assembler and scratch, and adds their tallies into k.
+// its own tally, Assembler and scratches, and adds their tallies into k.
 // Units are claimed in ascending order, so once a unit fails every unit
 // below it is already claimed: workers stop claiming, the units in flight
 // finish, and the error returned is the lowest failing unit's.
@@ -301,10 +414,10 @@ func (r *judgeRun) fanOut(k *tally, n, workers int) error {
 		wg.Add(1)
 		go func(wk *tally) {
 			defer wg.Done()
-			sc := r.m.NewScratch()
-			sc.SetTracer(r.tr)
+			wk.init(len(r.ms))
+			r.scratch(wk)
 			var a axiom.Assembler
-			fold := r.fold(wk, sc)
+			fold := r.fold(wk)
 			for !stop.Load() {
 				if wk.unit = int(next.Add(1) - 1); wk.unit >= n {
 					return
