@@ -741,27 +741,56 @@ func sortSyms(syms []ptx.Sym) {
 }
 
 // permutations returns all orderings of ids (n! for n ids; litmus tests
-// have at most a handful of writes per location).
+// have at most a handful of writes per location), in lexicographic order of
+// the positions taken from ids: ordering k is the k-th permutation of the
+// indexes 0..n-1. The orderings share one backing array, so a location's
+// orderings cost two allocations whatever n is.
 func permutations(ids []EventID) [][]EventID {
-	if len(ids) == 0 {
+	n := len(ids)
+	if n == 0 {
 		return [][]EventID{nil}
 	}
-	var out [][]EventID
-	var rec func(cur []EventID, rest []EventID)
-	rec = func(cur []EventID, rest []EventID) {
-		if len(rest) == 0 {
-			cp := make([]EventID, len(cur))
-			copy(cp, cur)
-			out = append(out, cp)
-			return
-		}
-		for i := range rest {
-			next := make([]EventID, 0, len(rest)-1)
-			next = append(next, rest[:i]...)
-			next = append(next, rest[i+1:]...)
-			rec(append(cur, rest[i]), next)
-		}
+	count := 1
+	for i := 2; i <= n; i++ {
+		count *= i
 	}
-	rec(nil, ids)
+	flat := make([]EventID, count*n)
+	out := make([][]EventID, count)
+	var buf [8]int
+	idx := buf[:0]
+	if n > len(buf) {
+		idx = make([]int, 0, n)
+	}
+	for i := range n {
+		idx = append(idx, i)
+	}
+	for k := range out {
+		row := flat[k*n : (k+1)*n : (k+1)*n]
+		for j, i := range idx {
+			row[j] = ids[i]
+		}
+		out[k] = row
+		nextPermutation(idx)
+	}
 	return out
+}
+
+// nextPermutation steps idx to its lexicographic successor; it leaves the
+// last permutation (descending) unchanged.
+func nextPermutation(idx []int) {
+	i := len(idx) - 2
+	for i >= 0 && idx[i] >= idx[i+1] {
+		i--
+	}
+	if i < 0 {
+		return
+	}
+	j := len(idx) - 1
+	for idx[j] <= idx[i] {
+		j--
+	}
+	idx[i], idx[j] = idx[j], idx[i]
+	for l, r := i+1, len(idx)-1; l < r; l, r = l+1, r-1 {
+		idx[l], idx[r] = idx[r], idx[l]
+	}
 }

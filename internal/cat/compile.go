@@ -20,9 +20,10 @@ import (
 // are resolved once per Run, not once per expression node.
 //
 // Slots are single-assignment within a run, which makes scratch reuse
-// trivial: a pooled Scratch keeps each slot's bitset storage between runs,
-// so a steady-state evaluation allocates only the per-check result
-// relations.
+// trivial: a Scratch keeps each slot's bitset storage between runs, and the
+// program's pool lends scratches across runs and judgements
+// (BorrowScratch/ReturnScratch), so a steady-state evaluation allocates
+// only the per-check result relations.
 
 // opcode is a compiled relation operation.
 type opcode int
@@ -58,7 +59,8 @@ type freeRel struct {
 }
 
 // Program is a model compiled to slots and opcodes. It is safe for
-// concurrent Run calls: per-run state lives in a pooled Scratch.
+// concurrent Run calls: per-run state lives in a Scratch, lent from the
+// program's pool or owned by the caller.
 type Program struct {
 	model    *Model
 	freeRels []freeRel
@@ -80,11 +82,14 @@ type Program struct {
 	constInsns    []insn
 	varInsns      []insn
 
-	pool sync.Pool // *Scratch
+	pool sync.Pool // *Scratch, lent by BorrowScratch
 }
 
 // Scratch is the reusable per-run state of a Program: slot storage, the
-// resolved base-environment functions, and argument/result buffers.
+// resolved base-environment functions, and argument/result buffers. The
+// storage it owns (the computed slots, co, fr and the buffers) carries
+// over between runs; what a run binds into it (base-relation slots,
+// functions, skeleton key, tracer) is dropped by ReturnScratch.
 type Scratch struct {
 	slots  []axiom.Rel
 	fns    []FuncValue
@@ -100,13 +105,14 @@ type Scratch struct {
 
 	// skel is the axiom.Execution.SkeletonKey of the execution whose
 	// skeleton-constant slots currently populate this scratch; nil when
-	// none do (fresh scratch, keyless execution, or a failed load).
+	// none do (fresh or returned scratch, keyless execution, or a failed
+	// load).
 	skel any
 
 	// tr, when non-nil, accounts RunExec/RunExecVerdict time to
 	// obs.PhaseEval. The verdict drivers attach the request's trace to
-	// each worker's scratch; untraced scratches pay one nil test per
-	// execution.
+	// each scratch they borrow, and ReturnScratch detaches it; untraced
+	// scratches pay one nil test per execution.
 	tr *obs.Trace
 }
 
@@ -365,18 +371,40 @@ func (p *Program) newScratch() *Scratch {
 	}
 }
 
-// NewScratch returns a fresh reusable scratch for RunScratch; callers that
-// evaluate many executions on one worker hold one scratch and avoid the
-// pool entirely.
+// NewScratch returns a fresh scratch owned by the caller, outside the
+// program's pool.
 func (p *Program) NewScratch() *Scratch { return p.newScratch() }
+
+// BorrowScratch lends a scratch from the program's pool, growing the pool
+// when it is empty. The borrower uses it from one goroutine at a time and
+// hands it back with ReturnScratch; a judgement borrows one per model and
+// goroutine, so the slots' bitset storage carries over from judgement to
+// judgement instead of regrowing in each.
+func (p *Program) BorrowScratch() *Scratch { return p.pool.Get().(*Scratch) }
+
+// ReturnScratch puts sc back in the program's pool. It first drops
+// everything in sc that belongs to the last run rather than to the
+// scratch: the tracer, the skeleton key, the base-relation slots (which
+// alias the last execution's or environment's relations) and the resolved
+// functions. Only scratch-owned storage stays, so a pooled scratch holds
+// no request's trace, skeleton or relations. sc must not be used after
+// the call.
+func (p *Program) ReturnScratch(sc *Scratch) {
+	sc.tr, sc.skel = nil, nil
+	for _, f := range p.freeRels {
+		sc.slots[f.slot] = axiom.Rel{}
+	}
+	clear(sc.fns)
+	clear(sc.args)
+	p.pool.Put(sc)
+}
 
 // Run evaluates the program against the base environment using a pooled
 // scratch. It returns one result per check, like Model.Eval.
 func (p *Program) Run(env *Env) (Results, error) {
-	sc := p.pool.Get().(*Scratch)
-	res, err := p.RunScratch(env, sc)
-	p.pool.Put(sc)
-	return res, err
+	sc := p.BorrowScratch()
+	defer p.ReturnScratch(sc)
+	return p.RunScratch(env, sc)
 }
 
 // RunScratch evaluates the program with an explicit scratch. The scratch
@@ -435,10 +463,8 @@ func (p *Program) RunScratch(env *Env, sc *Scratch) (Results, error) {
 // against each other. sc may be nil to use the pool.
 func (p *Program) RunExec(x *axiom.Execution, sc *Scratch) (Results, error) {
 	if sc == nil {
-		pooled := p.pool.Get().(*Scratch)
-		res, err := p.RunExec(x, pooled)
-		p.pool.Put(pooled)
-		return res, err
+		sc = p.BorrowScratch()
+		defer p.ReturnScratch(sc)
 	}
 	if sc.tr.Enabled() {
 		t0 := time.Now()
@@ -464,10 +490,8 @@ func (p *Program) runExecResults(x *axiom.Execution, sc *Scratch) (Results, erro
 // the campaign memo) use this. sc may be nil to use the pool.
 func (p *Program) RunExecVerdict(x *axiom.Execution, sc *Scratch) (bool, error) {
 	if sc == nil {
-		pooled := p.pool.Get().(*Scratch)
-		ok, err := p.RunExecVerdict(x, pooled)
-		p.pool.Put(pooled)
-		return ok, err
+		sc = p.BorrowScratch()
+		defer p.ReturnScratch(sc)
 	}
 	if sc.tr.Enabled() {
 		t0 := time.Now()
@@ -671,7 +695,7 @@ func (p *Program) runCall(in insn, sc *Scratch) error {
 		if fv.Arity >= 0 && len(args) != fv.Arity {
 			return fmt.Errorf("cat: %q wants %d arguments, got %d", p.freeFns[in.fn], fv.Arity, len(args))
 		}
-		sc.slots[in.dst] = fv.Fn(args)
+		sc.setCall(in.dst, fv.Fn(args))
 		return nil
 	}
 	// A user-defined function supplied by the base environment: fall back
@@ -691,6 +715,12 @@ func (p *Program) runCall(in insn, sc *Scratch) error {
 	if err != nil {
 		return err
 	}
-	sc.slots[in.dst] = r
+	sc.setCall(in.dst, r)
 	return nil
 }
+
+// setCall copies a call's result into the slot's own storage. The result
+// may alias the arguments or the environment's relations, and the exec
+// path's filters write that slot in place (axiom.Execution.SetKindFilter),
+// so the slot never adopts the result's storage.
+func (sc *Scratch) setCall(dst int, r axiom.Rel) { sc.slots[dst].SetUnion(r, axiom.Rel{}) }

@@ -3,10 +3,13 @@ package cat
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
+	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
 // diffEval runs the model through both the compiled program (Eval) and the
@@ -212,4 +215,67 @@ func TestBaseEnvFunctionFallback(t *testing.T) {
 	env.Bind("f", FuncValue{Name: "f", Params: []string{"p"}, Body: Union{L: Ident{Name: "p"}, R: Ident{Name: "y"}}, Env: env})
 	diffEval(t, "acyclic f(x) as c\nempty f(x & y) \\ y as e\nirreflexive f(f(x)) as i", env)
 	diffEval(t, "acyclic f(x, y) as arity", env)
+}
+
+// TestCallSlotOwnsStorage: a base-environment function may return a
+// relation that aliases its argument, and the exec path's filters write
+// the call's slot in place. The env path therefore copies a call's result
+// into the slot's own storage, so a later exec-path run on the same
+// scratch (a pooled scratch may go from one path to the other) never
+// writes into a caller's relation.
+func TestCallSlotOwnsStorage(t *testing.T) {
+	p := MustParse("let a = WW(po)\nacyclic a as c").MustCompile()
+	po := axiom.FromPairs([2]axiom.EventID{5, 9})
+	want := po.Clone()
+	env := NewEnv()
+	env.BindRel("po", po)
+	env.BindFunc("WW", 1, func(args []axiom.Rel) axiom.Rel { return args[0] })
+	sc := p.NewScratch()
+	if _, err := p.RunScratch(env, sc); err != nil {
+		t.Fatal(err)
+	}
+	xs, err := axiom.Enumerate(litmus.MP(litmus.NoFence), axiom.DefaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunExec(xs[0], sc); err != nil {
+		t.Fatal(err)
+	}
+	if !po.Equal(want) {
+		t.Errorf("the exec path wrote into the environment's po: %v, want %v", po, want)
+	}
+}
+
+// TestReturnScratchDropsRunState: a returned scratch keeps only the
+// storage it owns. The tracer, the skeleton key, the base-relation slots
+// (which alias the execution's relations) and the resolved functions go,
+// so the pool holds nothing of the last request.
+func TestReturnScratchDropsRunState(t *testing.T) {
+	p := MustParse("let a = WW(po) | rf\nacyclic a | co | fr as c").MustCompile()
+	xs, err := axiom.Enumerate(litmus.MP(litmus.NoFence), axiom.DefaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := p.BorrowScratch()
+	sc.SetTracer(obs.New(obs.NewID()))
+	if _, err := p.RunExecVerdict(xs[0], sc); err != nil {
+		t.Fatal(err)
+	}
+	if sc.skel == nil {
+		t.Fatal("the exec path cached no skeleton")
+	}
+	p.ReturnScratch(sc)
+	if sc.tr != nil || sc.skel != nil {
+		t.Errorf("returned scratch keeps tracer %v, skeleton %v", sc.tr, sc.skel)
+	}
+	for _, f := range p.freeRels {
+		if !reflect.DeepEqual(sc.slots[f.slot], axiom.Rel{}) {
+			t.Errorf("returned scratch keeps base relation %s", f.name)
+		}
+	}
+	for i, fv := range sc.fns {
+		if fv.Fn != nil || fv.Env != nil {
+			t.Errorf("returned scratch keeps function %d", i)
+		}
+	}
 }

@@ -90,7 +90,7 @@ func BenchmarkCatEvalVerdictOnly(b *testing.B) {
 	for _, execs := range enumerate() {
 		total += len(execs)
 	}
-	sc := m.NewScratch()
+	sc := m.prog.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

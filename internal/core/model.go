@@ -179,23 +179,12 @@ func Covers(t *litmus.Test) (bool, string) {
 // Allows evaluates the model on one candidate execution via the compiled
 // program (pooled scratch; safe for concurrent use).
 func (m *Model) Allows(x *axiom.Execution) (cat.Results, error) {
-	return m.AllowsScratch(x, nil)
-}
-
-// AllowsScratch evaluates the model on one candidate execution with an
-// explicit evaluation scratch (see Program.NewScratch); per-worker loops
-// over many executions use this to skip the pool. A nil scratch uses the
-// program's pool.
-func (m *Model) AllowsScratch(x *axiom.Execution, sc *cat.Scratch) (cat.Results, error) {
-	res, err := m.prog.RunExec(x, sc)
+	res, err := m.prog.RunExec(x, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: model %s: %w", m.Name, err)
 	}
 	return res, nil
 }
-
-// NewScratch returns a reusable evaluation scratch for AllowsScratch.
-func (m *Model) NewScratch() *cat.Scratch { return m.prog.NewScratch() }
 
 // Verdict is the outcome of judging a litmus test against a model. All
 // counts are weighted by symmetry-class size (axiom.Execution.Weight), so

@@ -21,12 +21,12 @@ func sameVerdictFields(t *testing.T, label string, got, want *Verdict) {
 		got.Allowed != want.Allowed || got.Witnesses != want.Witnesses ||
 		got.Observable != want.Observable ||
 		got.StaticSkipped != want.StaticSkipped || got.StaticReason != want.StaticReason {
-		t.Errorf("%s: JudgeModels %+v, JudgeWith %+v", label, *got, *want)
+		t.Errorf("%s: got %+v, want %+v", label, *got, *want)
 		return
 	}
 	if (got.Witness == nil) != (want.Witness == nil) ||
 		got.Witness != nil && got.Witness.String() != want.Witness.String() {
-		t.Errorf("%s: JudgeModels witness %v, JudgeWith witness %v", label, got.Witness, want.Witness)
+		t.Errorf("%s: got witness %v, want witness %v", label, got.Witness, want.Witness)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestRunExecVerdictMatchesRunExec(t *testing.T) {
 			t.Fatalf("%s: %v", test.Name, err)
 		}
 		for _, m := range models {
-			sc := m.NewScratch()
+			sc := m.prog.NewScratch()
 			for i, x := range execs {
 				full, err := m.prog.RunExec(x, nil)
 				if err != nil {

@@ -34,9 +34,12 @@ import (
 // are the path combinations, or — for a single-combination test whose rf
 // cross product splits — that combination's rf chunks. The calling
 // goroutine folds a head of the units itself; the remaining units are
-// claimed in ascending order by workers (an axiom.Assembler and a scratch
-// per model each), every worker folding the units it claims into its own
-// tally, which holds one count set and one first witness per model. The
+// claimed in ascending order by workers (an axiom.Assembler each), every
+// worker folding the units it claims into its own tally, which holds one
+// count set and one first witness per model. Each folding goroutine
+// borrows one evaluation scratch per model from that model's program pool
+// (cat.Program.BorrowScratch) and returns it when it finishes, so the
+// scratches' storage carries over from judgement to judgement. The
 // tallies then combine with sums and a min: each model's witness comes
 // from the lowest unit that has one, so every count and the witness are
 // identical at every parallelism and for every set of models judged
@@ -179,6 +182,7 @@ func judgeInto(ctx context.Context, ms []*Model, t *litmus.Test, o Opts, vs []*V
 	serial := workers == 1 || n < 2
 	if serial || auto {
 		r.scratch(k)
+		defer r.release(k)
 		var a axiom.Assembler
 		fold := r.fold(k)
 		for ; k.unit < n && (serial || k.visited < parallelMinExecs); k.unit++ {
@@ -247,8 +251,8 @@ type tally struct {
 	errUnit int
 }
 
-// modelTally is one model's share of a tally, with the goroutine's
-// evaluation scratch for that model.
+// modelTally is one model's share of a tally, with the evaluation scratch
+// the goroutine borrowed for that model.
 type modelTally struct {
 	allowed, witnesses int
 	witness            *axiom.Execution
@@ -303,13 +307,22 @@ type judgeRun struct {
 	count atomic.Int64
 }
 
-// scratch gives k a fresh evaluation scratch per model, traced with the
-// run.
+// scratch lends k an evaluation scratch per model from the model's
+// program pool, traced with the run. The goroutine folding into k hands
+// them back with release when it is done, whatever ended its run.
 func (r *judgeRun) scratch(k *tally) {
 	for i := range k.models {
-		sc := r.ms[i].NewScratch()
+		sc := r.ms[i].prog.BorrowScratch()
 		sc.SetTracer(r.tr)
 		k.models[i].sc = sc
+	}
+}
+
+// release returns k's scratches to their programs' pools.
+func (r *judgeRun) release(k *tally) {
+	for i := range k.models {
+		r.ms[i].prog.ReturnScratch(k.models[i].sc)
+		k.models[i].sc = nil
 	}
 }
 
@@ -400,7 +413,8 @@ func (r *judgeRun) fold(k *tally) func(*axiom.Execution) error {
 }
 
 // fanOut folds units [k.unit, n) on up to workers goroutines, each with
-// its own tally, Assembler and scratches, and adds their tallies into k.
+// its own tally, Assembler and borrowed scratches, and adds their tallies
+// into k.
 // Units are claimed in ascending order, so once a unit fails every unit
 // below it is already claimed: workers stop claiming, the units in flight
 // finish, and the error returned is the lowest failing unit's.
@@ -416,6 +430,7 @@ func (r *judgeRun) fanOut(k *tally, n, workers int) error {
 			defer wg.Done()
 			wk.init(len(r.ms))
 			r.scratch(wk)
+			defer r.release(wk)
 			var a axiom.Assembler
 			fold := r.fold(wk)
 			for !stop.Load() {

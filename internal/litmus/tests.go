@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
@@ -321,17 +322,56 @@ func LB(f Fence) *Test {
 // experimental fix for mp-L1 on Fermi (Sec. 3.1.2, test mp+membar.gls).
 func MPMembarGL() *Test { return MP(FenceGL) }
 
-// ByName returns the paper test with the given name (as printed by each
-// test's header), e.g. "coRR", "mp-L1+membar.gls" or "cas-sl".
-func ByName(name string) (*Test, error) {
-	for _, t := range PaperTests() {
-		if t.Name == name {
-			return t, nil
+// paperTests constructs the tests of the paper's figures, in figure order:
+// one constructor per test, so a named test is built alone.
+var paperTests = []func() *Test{
+	CoRR,
+	func() *Test { return MPL1(NoFence) },
+	func() *Test { return MPL1(FenceCTA) },
+	func() *Test { return MPL1(FenceGL) },
+	func() *Test { return MPL1(FenceSys) },
+	func() *Test { return CoRRL2L1(NoFence) },
+	func() *Test { return CoRRL2L1(FenceCTA) },
+	func() *Test { return CoRRL2L1(FenceGL) },
+	func() *Test { return CoRRL2L1(FenceSys) },
+	MPVolatile,
+	func() *Test { return DlbMP(false) },
+	func() *Test { return DlbMP(true) },
+	func() *Test { return DlbLB(false) },
+	func() *Test { return DlbLB(true) },
+	func() *Test { return CasSL(false) },
+	func() *Test { return CasSL(true) },
+	func() *Test { return SlFuture(false) },
+	func() *Test { return SlFuture(true) },
+	SB,
+	SBGlobal,
+	func() *Test { return MP(NoFence) },
+	func() *Test { return MP(FenceGL) },
+	func() *Test { return LB(NoFence) },
+	func() *Test { return LB(FenceCTA) },
+}
+
+// paperNames lists the paper tests' names in figure order, with each name's
+// first index, built once from the constructor table.
+var paperNames = sync.OnceValues(func() ([]string, map[string]int) {
+	names := make([]string, len(paperTests))
+	index := make(map[string]int, len(paperTests))
+	for i, build := range paperTests {
+		names[i] = build().Name
+		if _, dup := index[names[i]]; !dup {
+			index[names[i]] = i
 		}
 	}
-	var names []string
-	for _, t := range PaperTests() {
-		names = append(names, t.Name)
+	return names, index
+})
+
+// ByName returns the paper test with the given name (as printed by each
+// test's header), e.g. "coRR", "mp-L1+membar.gls" or "cas-sl". It builds
+// only the named test; each call returns a fresh value.
+func ByName(name string) (*Test, error) {
+	names, index := paperNames()
+	if i, ok := index[name]; ok {
+		return paperTests[i](), nil
 	}
 	return nil, fmt.Errorf("litmus: unknown test %q (known: %v)", name, names)
 }
@@ -339,17 +379,9 @@ func ByName(name string) (*Test, error) {
 // PaperTests returns every litmus test that appears in the paper's figures,
 // in figure order, for exercising parsers, the simulator and the model.
 func PaperTests() []*Test {
-	return []*Test{
-		CoRR(),
-		MPL1(NoFence), MPL1(FenceCTA), MPL1(FenceGL), MPL1(FenceSys),
-		CoRRL2L1(NoFence), CoRRL2L1(FenceCTA), CoRRL2L1(FenceGL), CoRRL2L1(FenceSys),
-		MPVolatile(),
-		DlbMP(false), DlbMP(true),
-		DlbLB(false), DlbLB(true),
-		CasSL(false), CasSL(true),
-		SlFuture(false), SlFuture(true),
-		SB(), SBGlobal(),
-		MP(NoFence), MP(FenceGL),
-		LB(NoFence), LB(FenceCTA),
+	ts := make([]*Test, len(paperTests))
+	for i, build := range paperTests {
+		ts[i] = build()
 	}
+	return ts
 }
