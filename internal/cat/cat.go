@@ -6,9 +6,14 @@
 // checks "acyclic e as name", "irreflexive e as name" and "empty e as
 // name".
 //
-// A compiled model is evaluated against an environment of base relations
-// (built by package core from an axiom.Execution); evaluation yields one
-// result per check.
+// Compile lowers a parsed model to a slot program, resolving every free
+// name against the base vocabulary of Sec. 5.1.1 (po, rf, co, fr, the
+// fence and scope relations, ...) and rejecting any model that could fail
+// to evaluate. The program is then evaluated directly against candidate
+// executions (Program.RunExec, RunExecVerdict), yielding one result per
+// check. A tree-walking interpreter over an environment of relations is
+// kept in the package tests as the reference the compiled path is checked
+// against.
 package cat
 
 import (
@@ -17,63 +22,6 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 )
-
-// Value is a runtime value of the .cat language: a relation or a function
-// from relations to relations.
-type Value interface{ isValue() }
-
-// RelValue wraps an axiom.Rel.
-type RelValue struct{ Rel axiom.Rel }
-
-func (RelValue) isValue() {}
-
-// FuncValue is a function over relations: either a builtin (like WW) or a
-// parameterised let.
-type FuncValue struct {
-	Name   string
-	Params []string
-	Body   Expr
-	Env    *Env                             // closure environment (nil for builtins)
-	Fn     func(args []axiom.Rel) axiom.Rel // non-nil for builtins
-	Arity  int                              // builtin argument count (-1 disables checking)
-}
-
-func (FuncValue) isValue() {}
-
-// Env is a lexically scoped environment.
-type Env struct {
-	parent *Env
-	vars   map[string]Value
-}
-
-// NewEnv returns an empty top-level environment.
-func NewEnv() *Env { return &Env{vars: make(map[string]Value)} }
-
-// child returns a new scope on top of e.
-func (e *Env) child() *Env { return &Env{parent: e, vars: make(map[string]Value)} }
-
-// Bind sets name to v in this scope.
-func (e *Env) Bind(name string, v Value) { e.vars[name] = v }
-
-// BindRel binds a relation.
-func (e *Env) BindRel(name string, r axiom.Rel) { e.Bind(name, RelValue{Rel: r}) }
-
-// BindFunc binds a builtin function taking exactly arity relations; calls
-// with any other argument count are evaluation errors (pass -1 to disable
-// the check).
-func (e *Env) BindFunc(name string, arity int, fn func(args []axiom.Rel) axiom.Rel) {
-	e.Bind(name, FuncValue{Name: name, Fn: fn, Arity: arity})
-}
-
-// Lookup resolves a name through the scope chain.
-func (e *Env) Lookup(name string) (Value, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
 
 // CheckKind is the kind of constraint a model imposes.
 type CheckKind int
@@ -97,6 +45,19 @@ func (k CheckKind) String() string {
 	default:
 		return fmt.Sprintf("CheckKind(%d)", int(k))
 	}
+}
+
+// holds reports whether relation r satisfies a check of kind k.
+func (k CheckKind) holds(r axiom.Rel) bool {
+	switch k {
+	case Acyclic:
+		return r.Acyclic()
+	case Irreflexive:
+		return r.Irreflexive()
+	case Empty:
+		return r.IsEmpty()
+	}
+	return false
 }
 
 // CheckResult is the outcome of one model check on one execution.

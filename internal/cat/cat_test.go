@@ -77,13 +77,18 @@ empty x & y as check3
 	}
 }
 
+// evalModel evaluates src with the oracle interpreter over env. The
+// Eval/Irreflexive/Comment/Precedence tests below pin the .cat semantics
+// on synthetic relation names, which only the oracle can bind; the
+// differentials in compile_test.go carry the same semantics over to the
+// compiled program on real executions.
 func evalModel(t *testing.T, src string, env *Env) Results {
 	t.Helper()
 	m, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Eval(env)
+	res, err := m.interp(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,17 +152,23 @@ acyclic join(x, y) as j
 
 func TestEvalUnboundName(t *testing.T) {
 	m := MustParse("acyclic nosuch as c")
-	if _, err := m.Eval(NewEnv()); err == nil || !strings.Contains(err.Error(), "unbound") {
-		t.Errorf("expected unbound-name error, got %v", err)
+	if _, err := m.interp(NewEnv()); err == nil || !strings.Contains(err.Error(), "unbound") {
+		t.Errorf("oracle: expected unbound-name error, got %v", err)
+	}
+	if _, err := m.Compile(); err == nil || !strings.Contains(err.Error(), "unbound") {
+		t.Errorf("Compile: expected unbound-name error, got %v", err)
 	}
 }
 
 func TestEvalArityMismatch(t *testing.T) {
 	env := NewEnv()
-	env.BindRel("x", axiom.NewRel())
-	m := MustParse("let f(a, b) = a | b\nacyclic f(x) as c")
-	if _, err := m.Eval(env); err == nil {
-		t.Error("expected arity error")
+	env.BindRel("po", axiom.NewRel())
+	m := MustParse("let f(a, b) = a | b\nacyclic f(po) as c")
+	if _, err := m.interp(env); err == nil {
+		t.Error("oracle: expected arity error")
+	}
+	if _, err := m.Compile(); err == nil {
+		t.Error("Compile: expected arity error")
 	}
 }
 
@@ -197,7 +208,7 @@ acyclic a as c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Eval(env); err != nil {
+	if _, err := m.interp(env); err != nil {
 		t.Fatal(err)
 	}
 }

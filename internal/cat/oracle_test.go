@@ -1,5 +1,10 @@
 package cat
 
+// The reference oracle for the compiled evaluator: a tree-walking .cat
+// interpreter over a lexically scoped environment of relations and
+// functions. ExecEnv binds its own list of base names, so the
+// differentials against it check the compiler's vocabulary table too.
+
 import (
 	"fmt"
 
@@ -7,22 +12,65 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
-// Eval runs the model against the base environment and returns one result
-// per check. The model is lowered once (per Model value) to a flat slot
-// program by Compile; every Eval after the first reuses the compiled form
-// and a pooled scratch, so per-execution evaluation is a tight loop over
-// opcodes rather than an AST walk plus name lookups.
-func (m *Model) Eval(base *Env) (Results, error) {
-	p, err := m.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(base)
+// Value is a runtime value of the .cat language: a relation or a function
+// from relations to relations.
+type Value interface{ isValue() }
+
+// RelValue wraps an axiom.Rel.
+type RelValue struct{ Rel axiom.Rel }
+
+func (RelValue) isValue() {}
+
+// FuncValue is a function over relations: either a builtin (like WW) or a
+// parameterised let.
+type FuncValue struct {
+	Name   string
+	Params []string
+	Body   Expr
+	Env    *Env                             // closure environment (nil for builtins)
+	Fn     func(args []axiom.Rel) axiom.Rel // non-nil for builtins
+	Arity  int                              // builtin argument count (-1 disables checking)
 }
 
-// interp is the original tree-walking evaluator, retained as the reference
-// implementation: the differential tests in compile_test.go pin the
-// compiled path against it statement for statement.
+func (FuncValue) isValue() {}
+
+// Env is a lexically scoped environment.
+type Env struct {
+	parent *Env
+	vars   map[string]Value
+}
+
+// NewEnv returns an empty top-level environment.
+func NewEnv() *Env { return &Env{vars: make(map[string]Value)} }
+
+// child returns a new scope on top of e.
+func (e *Env) child() *Env { return &Env{parent: e, vars: make(map[string]Value)} }
+
+// Bind sets name to v in this scope.
+func (e *Env) Bind(name string, v Value) { e.vars[name] = v }
+
+// BindRel binds a relation.
+func (e *Env) BindRel(name string, r axiom.Rel) { e.Bind(name, RelValue{Rel: r}) }
+
+// BindFunc binds a builtin function taking exactly arity relations; calls
+// with any other argument count are evaluation errors (pass -1 to disable
+// the check).
+func (e *Env) BindFunc(name string, arity int, fn func(args []axiom.Rel) axiom.Rel) {
+	e.Bind(name, FuncValue{Name: name, Fn: fn, Arity: arity})
+}
+
+// Lookup resolves a name through the scope chain.
+func (e *Env) Lookup(name string) (Value, bool) {
+	for s := e; s != nil; s = s.parent {
+		if v, ok := s.vars[name]; ok {
+			return v, true
+		}
+	}
+	return nil, false
+}
+
+// interp evaluates the model against the base environment statement by
+// statement, one result per check.
 func (m *Model) interp(base *Env) (Results, error) {
 	env := base.child()
 	var results Results
@@ -43,16 +91,7 @@ func (m *Model) interp(base *Env) (Results, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cat: in check %s: %w", st.Name, err)
 			}
-			ok := false
-			switch st.Kind {
-			case Acyclic:
-				ok = r.Acyclic()
-			case Irreflexive:
-				ok = r.Irreflexive()
-			case Empty:
-				ok = r.IsEmpty()
-			}
-			results = append(results, CheckResult{Name: st.Name, Kind: st.Kind, OK: ok, Rel: r})
+			results = append(results, CheckResult{Name: st.Name, Kind: st.Kind, OK: st.Kind.holds(r), Rel: r})
 		default:
 			return nil, fmt.Errorf("cat: unknown statement %T", s)
 		}

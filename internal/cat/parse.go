@@ -72,7 +72,7 @@ func (s Check) stmtString() string {
 }
 
 // Model is a parsed .cat model. Compile lowers it (once) to a flat slot
-// program; Eval runs the compiled form.
+// program, which RunExec and RunExecVerdict evaluate.
 type Model struct {
 	Name  string
 	Stmts []Stmt

@@ -81,11 +81,10 @@ acyclic rmo(sys-fence) & sys as sys-constraint
 // Model is a memory-consistency model: a parsed .cat model lowered to a
 // compiled slot program.
 type Model struct {
-	Name     string
-	Source   string
-	compiled *cat.Model
-	prog     *cat.Program
-	fp       string // content fingerprint of Source, fixed at compile time
+	Name   string
+	Source string
+	prog   *cat.Program
+	fp     string // content fingerprint of Source, fixed at compile time
 	// policy is the static-prefilter policy the model's constraints
 	// warrant (see static.go); PolicyNone for user-compiled sources.
 	policy analysis.Policy
@@ -95,9 +94,8 @@ type Model struct {
 // the parse and the lowering to the slot program happen here, once per
 // Model, so every verdict afterwards runs the compiled path.
 func compile(name, src string) *Model {
-	parsed := cat.MustParse(src)
 	sum := sha256.Sum256([]byte(src))
-	return &Model{Name: name, Source: src, compiled: parsed, prog: parsed.MustCompile(), fp: hex.EncodeToString(sum[:])}
+	return &Model{Name: name, Source: src, prog: cat.MustParse(src).MustCompile(), fp: hex.EncodeToString(sum[:])}
 }
 
 // Fingerprint returns a content-addressed identity for the model: a hex
@@ -178,13 +176,7 @@ func Covers(t *litmus.Test) (bool, string) {
 
 // Allows evaluates the model on one candidate execution via the compiled
 // program (pooled scratch; safe for concurrent use).
-func (m *Model) Allows(x *axiom.Execution) (cat.Results, error) {
-	res, err := m.prog.RunExec(x, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: model %s: %w", m.Name, err)
-	}
-	return res, nil
-}
+func (m *Model) Allows(x *axiom.Execution) cat.Results { return m.prog.RunExec(x, nil) }
 
 // Verdict is the outcome of judging a litmus test against a model. All
 // counts are weighted by symmetry-class size (axiom.Execution.Weight), so
