@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -225,17 +224,6 @@ func bind(ctx context.Context, t *litmus.Test, en *axiom.Enumeration) (*axiom.En
 	return en.Bind(ctx, t), nil
 }
 
-// verdict evaluates one candidate on the verdict-only path, attaching the
-// model name to evaluation failures (multi-model sweeps need to know which
-// model's program failed).
-func (m *Model) verdict(x *axiom.Execution, sc *cat.Scratch) (bool, error) {
-	allowed, err := m.prog.RunExecVerdict(x, sc)
-	if err != nil {
-		return false, fmt.Errorf("core: model %s: %w", m.Name, err)
-	}
-	return allowed, nil
-}
-
 // tally is one goroutine's fold of the units it judged. A goroutine claims
 // units in ascending order and stops at its first error, so each model's
 // first witness and the error belong to the lowest witnessing and lowest
@@ -372,11 +360,9 @@ func (r *judgeRun) fold(k *tally) func(*axiom.Execution) error {
 		}
 		for i := range k.models {
 			mt := &k.models[i]
-			ok, err := r.ms[i].verdict(x, mt.sc)
-			if err != nil {
-				return err
-			}
-			mt.ok = ok
+			// The error is always nil: Compile rejects every model that
+			// could fail to evaluate.
+			mt.ok, _ = r.ms[i].prog.RunExecVerdict(x, mt.sc)
 		}
 		var t0 time.Time
 		if r.tr.Enabled() {

@@ -164,74 +164,74 @@ func CondAtoms(c Cond) []Cond {
 //	atom := TID ":" REG "=" INT | LOC "=" INT
 //
 // The paper's figures also write conjunction with the Unicode "∧", which is
-// accepted.
-func ParseCond(src string) (Cond, error) {
-	p := &condParser{toks: tokenizeCond(src)}
+// accepted, as is "∨" for disjunction.
+func ParseCond(src string) (Cond, error) { return parseCond(src, nil) }
+
+// parseCond is ParseCond, resolving each LOC atom against t as ResolveCond
+// does when t is not nil.
+func parseCond(src string, t *Test) (Cond, error) {
+	toks := src
+	if strings.Contains(src, "∧") || strings.Contains(src, "∨") {
+		toks = strings.ReplaceAll(strings.ReplaceAll(src, "∧", "/\\"), "∨", "\\/")
+	}
+	p := &condParser{rest: toks, t: t}
+	p.advance()
 	c, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
-	if p.pos != len(p.toks) {
+	if p.tok != "" {
 		return nil, fmt.Errorf("litmus: trailing tokens in condition %q", src)
 	}
 	return c, nil
 }
 
-func tokenizeCond(src string) []string {
-	src = strings.ReplaceAll(src, "∧", "/\\")
-	src = strings.ReplaceAll(src, "∨", "\\/")
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
-		}
-	}
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == '/' && i+1 < len(src) && src[i+1] == '\\':
-			flush()
-			toks = append(toks, "/\\")
-			i += 2
-		case c == '\\' && i+1 < len(src) && src[i+1] == '/':
-			flush()
-			toks = append(toks, "\\/")
-			i += 2
-		case c == '(' || c == ')' || c == '=' || c == ':' || c == '~':
-			flush()
-			toks = append(toks, string(c))
-			i++
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			flush()
-			i++
-		default:
-			cur.WriteByte(c)
-			i++
-		}
-	}
-	flush()
-	return toks
-}
-
+// condParser reads the condition's tokens in place: "/\", "\/", each of
+// ( ) = : ~, and the runs between them and the blanks ' ', '\t', '\n' and
+// '\r'.
 type condParser struct {
-	toks []string
-	pos  int
+	tok  string // the token at the head; "" at the end
+	rest string // the source after tok
+	t    *Test  // the test LOC atoms resolve against, or nil
 }
 
-func (p *condParser) peek() string {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
+// advance reads the next token into p.tok.
+func (p *condParser) advance() {
+	s := p.rest
+	i := 0
+	for i < len(s) && isCondBlank(s[i]) {
+		i++
 	}
-	return ""
+	if i == len(s) {
+		p.tok, p.rest = "", ""
+		return
+	}
+	j := i + 1
+	switch c := s[i]; {
+	case isConnective(s, i):
+		j++
+	case c == '(' || c == ')' || c == '=' || c == ':' || c == '~':
+	default:
+		for j < len(s) && !isCondBlank(s[j]) && !isCondPunct(s[j]) && !isConnective(s, j) {
+			j++
+		}
+	}
+	p.tok, p.rest = s[i:j], s[j:]
+}
+
+func isCondBlank(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+func isCondPunct(c byte) bool { return c == '(' || c == ')' || c == '=' || c == ':' || c == '~' }
+
+// isConnective reports whether s[i:] starts with "/\" or "\/".
+func isConnective(s string, i int) bool {
+	return i+1 < len(s) && (s[i] == '/' && s[i+1] == '\\' || s[i] == '\\' && s[i+1] == '/')
 }
 
 func (p *condParser) next() string {
-	t := p.peek()
-	p.pos++
-	return t
+	tok := p.tok
+	p.advance()
+	return tok
 }
 
 func (p *condParser) parseOr() (Cond, error) {
@@ -239,8 +239,8 @@ func (p *condParser) parseOr() (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peek() == "\\/" {
-		p.next()
+	for p.tok == "\\/" {
+		p.advance()
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -255,8 +255,8 @@ func (p *condParser) parseAnd() (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peek() == "/\\" {
-		p.next()
+	for p.tok == "/\\" {
+		p.advance()
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -267,16 +267,16 @@ func (p *condParser) parseAnd() (Cond, error) {
 }
 
 func (p *condParser) parseUnary() (Cond, error) {
-	switch p.peek() {
+	switch p.tok {
 	case "~":
-		p.next()
+		p.advance()
 		c, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return CondNot{C: c}, nil
 	case "(":
-		p.next()
+		p.advance()
 		c, err := p.parseOr()
 		if err != nil {
 			return nil, err
@@ -294,13 +294,13 @@ func (p *condParser) parseAtom() (Cond, error) {
 	if first == "" {
 		return nil, fmt.Errorf("litmus: unexpected end of condition")
 	}
-	if p.peek() == ":" {
+	if p.tok == ":" {
 		// TID : REG = INT
 		tid, err := strconv.Atoi(first)
 		if err != nil {
 			return nil, fmt.Errorf("litmus: bad thread id %q in condition", first)
 		}
-		p.next() // ':'
+		p.advance() // ':'
 		reg := p.next()
 		if reg == "" {
 			return nil, fmt.Errorf("litmus: missing register in condition")
@@ -316,13 +316,18 @@ func (p *condParser) parseAtom() (Cond, error) {
 	}
 	// LOC = INT, or bare REG = INT (the figures write "r1=1" with unique
 	// register names across threads; such atoms are resolved against the
-	// test by ResolveCond).
+	// test, as ResolveCond does).
 	if p.next() != "=" {
 		return nil, fmt.Errorf("litmus: expected = after %q in condition", first)
 	}
 	val, err := parseCondInt(p.next())
 	if err != nil {
 		return nil, err
+	}
+	if p.t != nil {
+		if tid, ok := regOwner(p.t, ptx.Reg(first)); ok {
+			return RegEq{Thread: tid, Reg: ptx.Reg(first), Val: val}, nil
+		}
 	}
 	return MemEq{Loc: ptx.Sym(first), Val: val}, nil
 }
@@ -338,31 +343,53 @@ func parseCondInt(s string) (int64, error) {
 // ResolveCond rewrites MemEq atoms whose "location" actually names a
 // register declared by exactly one thread into RegEq atoms. The paper's
 // figures use this shorthand ("final: r1=1 ∧ r2=0") since register names are
-// unique across threads there.
+// unique across threads there. Subtrees without such an atom are returned
+// as they are.
 func ResolveCond(c Cond, t *Test) Cond {
+	r, _ := resolveCond(c, t)
+	return r
+}
+
+// resolveCond is ResolveCond, also reporting whether anything changed.
+func resolveCond(c Cond, t *Test) (Cond, bool) {
 	switch v := c.(type) {
 	case CondAnd:
-		return CondAnd{L: ResolveCond(v.L, t), R: ResolveCond(v.R, t)}
+		l, lc := resolveCond(v.L, t)
+		r, rc := resolveCond(v.R, t)
+		if lc || rc {
+			return CondAnd{L: l, R: r}, true
+		}
 	case CondOr:
-		return CondOr{L: ResolveCond(v.L, t), R: ResolveCond(v.R, t)}
+		l, lc := resolveCond(v.L, t)
+		r, rc := resolveCond(v.R, t)
+		if lc || rc {
+			return CondOr{L: l, R: r}, true
+		}
 	case CondNot:
-		return CondNot{C: ResolveCond(v.C, t)}
+		if n, changed := resolveCond(v.C, t); changed {
+			return CondNot{C: n}, true
+		}
 	case MemEq:
-		owner := -1
-		count := 0
-		for tid := range t.Threads {
-			if t.Threads[tid].Prog.Regs()[ptx.Reg(v.Loc)] {
-				owner = tid
-				count++
-			}
+		if tid, ok := regOwner(t, ptx.Reg(v.Loc)); ok {
+			return RegEq{Thread: tid, Reg: ptx.Reg(v.Loc), Val: v.Val}, true
 		}
-		if count == 1 {
-			return RegEq{Thread: owner, Reg: ptx.Reg(v.Loc), Val: v.Val}
-		}
-		return v
-	default:
-		return c
 	}
+	return c, false
+}
+
+// regOwner returns the one thread whose program mentions r, if exactly one
+// does.
+func regOwner(t *Test, r ptx.Reg) (int, bool) {
+	owner := -1
+	for tid := range t.Threads {
+		if t.Threads[tid].Prog.MentionsReg(r) {
+			if owner >= 0 {
+				return 0, false
+			}
+			owner = tid
+		}
+	}
+	return owner, owner >= 0
 }
 
 // MapState is a simple State backed by maps, convenient for tests and for

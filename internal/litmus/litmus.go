@@ -10,6 +10,7 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,28 +98,35 @@ type Test struct {
 // NumThreads returns the number of threads in the test.
 func (t *Test) NumThreads() int { return len(t.Threads) }
 
-// Locations returns the test's memory locations in sorted order.
+// Locations returns the test's memory locations in sorted order: the
+// mapped ones, those the programs name, and those address registers are
+// bound to.
 func (t *Test) Locations() []ptx.Sym {
-	set := make(map[ptx.Sym]bool)
-	for l := range t.MemMap {
-		set[l] = true
-	}
+	n := len(t.MemMap) + len(t.Decls)
 	for _, th := range t.Threads {
-		for s := range th.Prog.Symbols() {
-			set[s] = true
+		n += len(th.Prog)
+	}
+	locs := make([]ptx.Sym, 0, n)
+	for l := range t.MemMap {
+		locs = append(locs, l)
+	}
+	var buf [3]ptx.Operand
+	for _, th := range t.Threads {
+		for _, inst := range th.Prog {
+			for _, o := range ptx.AppendSrcs(buf[:0], inst) {
+				if s, ok := o.(ptx.Sym); ok {
+					locs = append(locs, s)
+				}
+			}
 		}
 	}
 	for _, d := range t.Decls {
 		if d.Loc != "" {
-			set[d.Loc] = true
+			locs = append(locs, d.Loc)
 		}
 	}
-	locs := make([]ptx.Sym, 0, len(set))
-	for l := range set {
-		locs = append(locs, l)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	return locs
+	slices.Sort(locs)
+	return slices.Compact(locs)
 }
 
 // SpaceOf returns the memory region of a location (Global when unmapped).
@@ -160,24 +168,6 @@ func (t *Test) DeclaredRegs(tid int) []ptx.Reg {
 	return regs
 }
 
-// IsRegFor reports whether name is a declared register of thread tid, used
-// to disambiguate registers from location symbols while parsing thread
-// programs.
-func (t *Test) IsRegFor(tid int) ptx.RegClassifier {
-	declared := make(map[string]bool)
-	for _, d := range t.Decls {
-		if d.Thread == tid {
-			declared[string(d.Reg)] = true
-		}
-	}
-	if len(declared) == 0 {
-		return ptx.DefaultRegClassifier
-	}
-	return func(name string) bool {
-		return declared[name] || ptx.DefaultRegClassifier(name)
-	}
-}
-
 // ResolveAddr resolves a memory-access address operand of thread tid to a
 // location symbol, following address-register bindings.
 func (t *Test) ResolveAddr(tid int, a ptx.Operand) (ptx.Sym, error) {
@@ -214,13 +204,20 @@ func (t *Test) Validate() error {
 			if a == nil {
 				continue
 			}
-			if _, err := t.ResolveAddr(i, a); err == nil {
+			// A location, or a register bound to one, resolves (the cases
+			// ResolveAddr accepts, without building its error).
+			if _, ok := a.(ptx.Sym); ok {
 				continue
+			}
+			reg, isReg := a.(ptx.Reg)
+			if isReg {
+				if _, ok := t.RegLoc(i, reg); ok {
+					continue
+				}
 			}
 			// Address registers may be computed (the Fig. 13b
 			// address-dependency scheme): accept registers some earlier
 			// instruction writes; the execution engines resolve them.
-			reg, isReg := a.(ptx.Reg)
 			computed := false
 			if isReg {
 				for k := 0; k < j; k++ {
@@ -242,27 +239,57 @@ func (t *Test) Validate() error {
 		return fmt.Errorf("litmus: test %q has no final condition", t.Name)
 	}
 	// Shared memory is per-SM: threads in different CTAs cannot exchange
-	// values through a shared-memory location.
+	// values through a shared-memory location. When several locations
+	// break this, the least one is reported.
+	var crossed ptx.Sym
 	for loc, sp := range t.MemMap {
-		if sp != Shared {
-			continue
-		}
-		cta := -1
-		for tid := range t.Threads {
-			if !t.Threads[tid].Prog.Symbols()[loc] && !threadBindsLoc(t, tid, loc) {
-				continue
-			}
-			c := t.Scope.CTAOf(tid)
-			if cta == -1 {
-				cta = c
-			} else if c != cta {
-				return fmt.Errorf("litmus: shared location %s accessed from multiple CTAs", loc)
-			}
+		if sp == Shared && (crossed == "" || loc < crossed) && t.sharedAcrossCTAs(loc) {
+			crossed = loc
 		}
 	}
-	for _, a := range CondAtoms(t.Exists) {
-		if ra, ok := a.(RegEq); ok && (ra.Thread < 0 || ra.Thread >= len(t.Threads)) {
-			return fmt.Errorf("litmus: condition references unknown thread %d", ra.Thread)
+	if crossed != "" {
+		return fmt.Errorf("litmus: shared location %s accessed from multiple CTAs", crossed)
+	}
+	return checkCondThreads(t.Exists, len(t.Threads))
+}
+
+// sharedAcrossCTAs reports whether threads of more than one CTA access loc,
+// by name or through an address register bound to it.
+func (t *Test) sharedAcrossCTAs(loc ptx.Sym) bool {
+	cta := -1
+	for tid := range t.Threads {
+		if !t.Threads[tid].Prog.UsesSym(loc) && !threadBindsLoc(t, tid, loc) {
+			continue
+		}
+		c := t.Scope.CTAOf(tid)
+		if cta == -1 {
+			cta = c
+		} else if c != cta {
+			return true
+		}
+	}
+	return false
+}
+
+// checkCondThreads reports the first atom of c, in CondAtoms order, that
+// names a thread outside 0..n-1.
+func checkCondThreads(c Cond, n int) error {
+	switch v := c.(type) {
+	case CondAnd:
+		if err := checkCondThreads(v.L, n); err != nil {
+			return err
+		}
+		return checkCondThreads(v.R, n)
+	case CondOr:
+		if err := checkCondThreads(v.L, n); err != nil {
+			return err
+		}
+		return checkCondThreads(v.R, n)
+	case CondNot:
+		return checkCondThreads(v.C, n)
+	case RegEq:
+		if v.Thread < 0 || v.Thread >= n {
+			return fmt.Errorf("litmus: condition references unknown thread %d", v.Thread)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ScopeTree places the threads of a test in the GPU execution hierarchy
@@ -27,19 +28,29 @@ type WarpScope struct {
 // IntraCTA builds a scope tree with all threads in one CTA, each in its own
 // warp (the paper's "intra-CTA" placement).
 func IntraCTA(threads ...int) ScopeTree {
-	cta := CTAScope{}
-	for _, t := range threads {
-		cta.Warps = append(cta.Warps, WarpScope{Threads: []int{t}})
+	ids := append([]int(nil), threads...)
+	var warps []WarpScope
+	if len(ids) > 0 {
+		warps = make([]WarpScope, len(ids))
 	}
-	return ScopeTree{CTAs: []CTAScope{cta}}
+	for k := range ids {
+		warps[k].Threads = ids[k : k+1 : k+1]
+	}
+	return ScopeTree{CTAs: []CTAScope{{Warps: warps}}}
 }
 
 // InterCTA builds a scope tree with each thread in its own CTA (the paper's
 // "inter-CTA" placement).
 func InterCTA(threads ...int) ScopeTree {
-	var tree ScopeTree
-	for _, t := range threads {
-		tree.CTAs = append(tree.CTAs, CTAScope{Warps: []WarpScope{{Threads: []int{t}}}})
+	if len(threads) == 0 {
+		return ScopeTree{}
+	}
+	ids := append([]int(nil), threads...)
+	warps := make([]WarpScope, len(ids))
+	tree := ScopeTree{CTAs: make([]CTAScope, len(ids))}
+	for k := range ids {
+		warps[k].Threads = ids[k : k+1 : k+1]
+		tree.CTAs[k].Warps = warps[k : k+1 : k+1]
 	}
 	return tree
 }
@@ -103,18 +114,28 @@ func (s ScopeTree) Threads() []int {
 
 // Validate checks that the tree mentions each of 0..n-1 exactly once.
 func (s ScopeTree) Validate(n int) error {
-	seen := make(map[int]bool)
-	for _, id := range s.Threads() {
-		if id < 0 || id >= n {
-			return fmt.Errorf("litmus: scope tree mentions unknown thread T%d", id)
-		}
-		if seen[id] {
-			return fmt.Errorf("litmus: scope tree mentions thread T%d twice", id)
-		}
-		seen[id] = true
+	var small [64]bool
+	seen := small[:]
+	if n > len(small) {
+		seen = make([]bool, n)
 	}
-	if len(seen) != n {
-		return fmt.Errorf("litmus: scope tree covers %d of %d threads", len(seen), n)
+	covered := 0
+	for _, c := range s.CTAs {
+		for _, w := range c.Warps {
+			for _, id := range w.Threads {
+				if id < 0 || id >= n {
+					return fmt.Errorf("litmus: scope tree mentions unknown thread T%d", id)
+				}
+				if seen[id] {
+					return fmt.Errorf("litmus: scope tree mentions thread T%d twice", id)
+				}
+				seen[id] = true
+				covered++
+			}
+		}
+	}
+	if covered != n {
+		return fmt.Errorf("litmus: scope tree covers %d of %d threads", covered, n)
 	}
 	return nil
 }
@@ -161,146 +182,165 @@ func (s ScopeTree) AppendTo(b []byte) []byte {
 // "grid(cta(warp T0) (warp T1))" (one CTA, two warps) and
 // "grid(cta(warp T0)) (cta(warp T1))" (two CTAs).
 func ParseScopeTree(src string) (ScopeTree, error) {
-	toks := tokenizeScope(src)
-	p := &scopeParser{toks: toks}
-	tree, err := p.parseTree()
-	if err != nil {
+	// Count the tokens that can open a CTA, a warp or a thread first, so
+	// that all CTAs, all warps and all thread ids each fill one array.
+	var ctas, warps, ids int
+	for l := (scopeLexer{rest: src}); l.advance(); {
+		switch {
+		case l.tok == "cta":
+			ctas++
+		case l.tok == "warp":
+			warps++
+		case strings.HasPrefix(l.tok, "T"):
+			ids++
+		}
+	}
+	p := &scopeParser{
+		lex:   scopeLexer{rest: src},
+		ctas:  make([]CTAScope, 0, ctas),
+		warps: make([]WarpScope, 0, warps),
+		ids:   make([]int, 0, ids),
+	}
+	p.lex.advance()
+	if err := p.parseTree(); err != nil {
 		return ScopeTree{}, err
 	}
-	if p.pos != len(p.toks) {
+	if p.lex.tok != "" {
 		return ScopeTree{}, fmt.Errorf("litmus: trailing tokens in scope tree %q", src)
 	}
-	return tree, nil
+	return ScopeTree{CTAs: p.ctas}, nil
 }
 
-func tokenizeScope(src string) []string {
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, c := range src {
-		switch c {
-		case '(', ')':
-			flush()
-			toks = append(toks, string(c))
-		case ' ', '\t', '\n', '\r':
-			flush()
-		default:
-			cur.WriteRune(c)
-		}
-	}
-	flush()
-	return toks
+// scopeLexer reads the scope tree's tokens in place: "(", ")", and the
+// runs between them and the blanks ' ', '\t', '\n' and '\r'.
+type scopeLexer struct {
+	tok  string // the token at the head; "" at the end
+	rest string // the source after tok
 }
 
+// advance reads the next token into l.tok and reports whether there was
+// one.
+func (l *scopeLexer) advance() bool {
+	s := l.rest
+	i := 0
+	for i < len(s) && isScopeBlank(s[i]) {
+		i++
+	}
+	if i == len(s) {
+		l.tok, l.rest = "", ""
+		return false
+	}
+	j := i + 1
+	if s[i] != '(' && s[i] != ')' {
+		for j < len(s) && !isScopeBlank(s[j]) && s[j] != '(' && s[j] != ')' {
+			j++
+		}
+	}
+	l.tok, l.rest = s[i:j], s[j:]
+	return true
+}
+
+func isScopeBlank(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// scopeText is a token as error texts quote it: read rune by rune, so
+// that each invalid UTF-8 byte becomes U+FFFD.
+func scopeText(tok string) string {
+	if utf8.ValidString(tok) {
+		return tok
+	}
+	b := make([]rune, 0, len(tok))
+	for _, r := range tok {
+		b = append(b, r)
+	}
+	return string(b)
+}
+
+// scopeParser parses a scope tree into three flat arrays: each warp's
+// thread ids, and then each CTA's warps, are consecutive in them.
 type scopeParser struct {
-	toks []string
-	pos  int
-}
-
-func (p *scopeParser) peek() string {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
-	}
-	return ""
+	lex   scopeLexer
+	ctas  []CTAScope
+	warps []WarpScope
+	ids   []int
 }
 
 func (p *scopeParser) next() string {
-	t := p.peek()
-	p.pos++
-	return t
+	tok := p.lex.tok
+	p.lex.advance()
+	return tok
 }
 
 func (p *scopeParser) expect(tok string) error {
 	if got := p.next(); got != tok {
-		return fmt.Errorf("litmus: scope tree: expected %q, got %q", tok, got)
+		return fmt.Errorf("litmus: scope tree: expected %q, got %q", tok, scopeText(got))
 	}
 	return nil
 }
 
-func (p *scopeParser) parseTree() (ScopeTree, error) {
+func (p *scopeParser) parseTree() error {
 	if err := p.expect("grid"); err != nil {
-		return ScopeTree{}, err
+		return err
 	}
-	var tree ScopeTree
-	for p.peek() == "(" {
-		ctas, err := p.parseCTAGroup()
-		if err != nil {
-			return ScopeTree{}, err
+	for p.lex.tok == "(" {
+		if err := p.parseCTAGroup(); err != nil {
+			return err
 		}
-		tree.CTAs = append(tree.CTAs, ctas...)
 	}
-	if len(tree.CTAs) == 0 {
-		return ScopeTree{}, fmt.Errorf("litmus: scope tree has no CTAs")
+	if len(p.ctas) == 0 {
+		return fmt.Errorf("litmus: scope tree has no CTAs")
 	}
-	return tree, nil
+	return nil
 }
 
 // parseCTAGroup parses "(" ("cta" group+)+ ")".
-func (p *scopeParser) parseCTAGroup() ([]CTAScope, error) {
+func (p *scopeParser) parseCTAGroup() error {
 	if err := p.expect("("); err != nil {
-		return nil, err
+		return err
 	}
-	var ctas []CTAScope
-	for p.peek() == "cta" {
-		p.next()
-		var cta CTAScope
-		for p.peek() == "(" {
-			warps, err := p.parseWarpGroup()
-			if err != nil {
-				return nil, err
+	first := len(p.ctas)
+	for p.lex.tok == "cta" {
+		p.lex.advance()
+		w := len(p.warps)
+		for p.lex.tok == "(" {
+			if err := p.parseWarpGroup(); err != nil {
+				return err
 			}
-			cta.Warps = append(cta.Warps, warps...)
 		}
-		if len(cta.Warps) == 0 {
-			return nil, fmt.Errorf("litmus: cta with no warps")
+		if len(p.warps) == w {
+			return fmt.Errorf("litmus: cta with no warps")
 		}
-		ctas = append(ctas, cta)
+		p.ctas = append(p.ctas, CTAScope{Warps: p.warps[w:len(p.warps):len(p.warps)]})
 	}
-	if len(ctas) == 0 {
-		return nil, fmt.Errorf("litmus: expected cta, got %q", p.peek())
+	if len(p.ctas) == first {
+		return fmt.Errorf("litmus: expected cta, got %q", scopeText(p.lex.tok))
 	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	return ctas, nil
+	return p.expect(")")
 }
 
 // parseWarpGroup parses "(" ("warp" TID+)+ ")".
-func (p *scopeParser) parseWarpGroup() ([]WarpScope, error) {
+func (p *scopeParser) parseWarpGroup() error {
 	if err := p.expect("("); err != nil {
-		return nil, err
+		return err
 	}
-	var warps []WarpScope
-	for p.peek() == "warp" {
-		p.next()
-		var w WarpScope
-		for {
-			t := p.peek()
-			if !strings.HasPrefix(t, "T") {
-				break
+	first := len(p.warps)
+	for p.lex.tok == "warp" {
+		p.lex.advance()
+		k := len(p.ids)
+		for strings.HasPrefix(p.lex.tok, "T") {
+			id, ok := scanThreadID(p.lex.tok)
+			if !ok {
+				return fmt.Errorf("litmus: bad thread id %q", scopeText(p.lex.tok))
 			}
-			var id int
-			if _, err := fmt.Sscanf(t, "T%d", &id); err != nil {
-				return nil, fmt.Errorf("litmus: bad thread id %q", t)
-			}
-			w.Threads = append(w.Threads, id)
-			p.next()
+			p.ids = append(p.ids, id)
+			p.lex.advance()
 		}
-		if len(w.Threads) == 0 {
-			return nil, fmt.Errorf("litmus: warp with no threads")
+		if len(p.ids) == k {
+			return fmt.Errorf("litmus: warp with no threads")
 		}
-		warps = append(warps, w)
+		p.warps = append(p.warps, WarpScope{Threads: p.ids[k:len(p.ids):len(p.ids)]})
 	}
-	if len(warps) == 0 {
-		return nil, fmt.Errorf("litmus: expected warp, got %q", p.peek())
+	if len(p.warps) == first {
+		return fmt.Errorf("litmus: expected warp, got %q", scopeText(p.lex.tok))
 	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	return warps, nil
+	return p.expect(")")
 }

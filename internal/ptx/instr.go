@@ -446,42 +446,49 @@ func DstOf(i Instr) (Reg, bool) {
 	return "", false
 }
 
+// AppendSrcs appends the instruction's source operands to dst and returns
+// the extended slice: a memory access's address first, then the value
+// operands in field order. Destinations and guards are not operands. No
+// instruction has more than three, so a caller can pass a stack array.
+func AppendSrcs(dst []Operand, i Instr) []Operand {
+	switch v := i.(type) {
+	case Ld:
+		return append(dst, v.Addr)
+	case St:
+		return append(dst, v.Addr, v.Src)
+	case AtomCAS:
+		return append(dst, v.Addr, v.Cmp, v.New)
+	case AtomExch:
+		return append(dst, v.Addr, v.Src)
+	case AtomAdd:
+		return append(dst, v.Addr, v.Src)
+	case AtomInc:
+		return append(dst, v.Addr, v.Bound)
+	case Mov:
+		return append(dst, v.Src)
+	case Add:
+		return append(dst, v.A, v.B)
+	case And:
+		return append(dst, v.A, v.B)
+	case Xor:
+		return append(dst, v.A, v.B)
+	case Cvt:
+		return append(dst, v.Src)
+	case SetpEq:
+		return append(dst, v.A, v.B)
+	}
+	return dst
+}
+
 // SrcRegs returns the registers read by the instruction, including address
 // registers and guard predicates.
 func SrcRegs(i Instr) []Reg {
 	var regs []Reg
-	add := func(ops ...Operand) {
-		for _, o := range ops {
-			if r, ok := o.(Reg); ok {
-				regs = append(regs, r)
-			}
+	var buf [3]Operand
+	for _, o := range AppendSrcs(buf[:0], i) {
+		if r, ok := o.(Reg); ok {
+			regs = append(regs, r)
 		}
-	}
-	switch v := i.(type) {
-	case Ld:
-		add(v.Addr)
-	case St:
-		add(v.Addr, v.Src)
-	case AtomCAS:
-		add(v.Addr, v.Cmp, v.New)
-	case AtomExch:
-		add(v.Addr, v.Src)
-	case AtomAdd:
-		add(v.Addr, v.Src)
-	case AtomInc:
-		add(v.Addr, v.Bound)
-	case Mov:
-		add(v.Src)
-	case Add:
-		add(v.A, v.B)
-	case And:
-		add(v.A, v.B)
-	case Xor:
-		add(v.A, v.B)
-	case Cvt:
-		add(v.Src)
-	case SetpEq:
-		add(v.A, v.B)
 	}
 	if g := i.Pred(); g != nil {
 		regs = append(regs, g.Reg)

@@ -85,12 +85,15 @@ func (p *instrParser) parse(line string) (Instr, error) {
 		return nil, fmt.Errorf("ptx: missing opcode in %q", line)
 	}
 
-	parts := strings.Split(head, ".")
-	op := parts[0]
-	mods := parts[1:]
-	args := splitArgs(rest)
+	op, dotted, hasMods := strings.Cut(head, ".")
+	mods := modList{rest: dotted}
+	if hasMods {
+		mods.n = strings.Count(dotted, ".") + 1
+	}
+	var args argList
+	args.split(rest)
 
-	inst, err := p.parseOp(op, mods, args, line)
+	inst, err := p.parseOp(op, mods, &args, line)
 	if err != nil {
 		return nil, err
 	}
@@ -132,24 +135,48 @@ func splitToken(s string) (head, rest string) {
 	return s[:i], s[i+1:]
 }
 
-// splitArgs splits an operand list on commas, trimming whitespace.
-func splitArgs(s string) []string {
+// modList is an opcode's dot-separated modifiers, read in place: "cg.s32"
+// holds the two modifiers of "ld.cg.s32", and "" with n == 1 the one empty
+// modifier of "ld.".
+type modList struct {
+	rest string // the modifiers not yet taken
+	n    int    // how many of them there are
+}
+
+// next takes the first remaining modifier; n must be positive.
+func (m *modList) next() string {
+	mod, rest, _ := strings.Cut(m.rest, ".")
+	m.rest, m.n = rest, m.n-1
+	return mod
+}
+
+// argList is an operand list split on commas, each operand trimmed. No
+// instruction takes more than four operands, so only the first four are
+// kept; n counts them all.
+type argList struct {
+	a [4]string
+	n int
+}
+
+// split fills the list from s.
+func (l *argList) split(s string) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return nil
+		return
 	}
-	raw := strings.Split(s, ",")
-	args := make([]string, 0, len(raw))
-	for _, a := range raw {
-		args = append(args, strings.TrimSpace(a))
+	for more := true; more; l.n++ {
+		var arg string
+		arg, s, more = strings.Cut(s, ",")
+		if l.n < len(l.a) {
+			l.a[l.n] = strings.TrimSpace(arg)
+		}
 	}
-	return args
 }
 
 // memMods decodes the modifier list of a load or store.
-func memMods(mods []string) (vol bool, c CacheOp, t Type, err error) {
-	for _, m := range mods {
-		switch m {
+func memMods(mods modList) (vol bool, c CacheOp, t Type, err error) {
+	for mods.n > 0 {
+		switch m := mods.next(); m {
 		case "volatile":
 			vol = true
 		case "ca", "a": // the paper's figures abbreviate .ca as .a
@@ -168,21 +195,21 @@ func memMods(mods []string) (vol bool, c CacheOp, t Type, err error) {
 	return vol, c, t, nil
 }
 
-func (p *instrParser) parseOp(op string, mods, args []string, line string) (Instr, error) {
+func (p *instrParser) parseOp(op string, mods modList, args *argList, line string) (Instr, error) {
 	switch op {
 	case "ld":
 		vol, c, t, err := memMods(mods)
 		if err != nil {
 			return nil, err
 		}
-		if len(args) != 2 {
+		if args.n != 2 {
 			return nil, fmt.Errorf("ptx: ld wants 2 operands in %q", line)
 		}
-		dst, err := p.reg(args[0])
+		dst, err := p.reg(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		a, err := p.addr(args[1])
+		a, err := p.addr(args.a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -193,14 +220,14 @@ func (p *instrParser) parseOp(op string, mods, args []string, line string) (Inst
 		if err != nil {
 			return nil, err
 		}
-		if len(args) != 2 {
+		if args.n != 2 {
 			return nil, fmt.Errorf("ptx: st wants 2 operands in %q", line)
 		}
-		a, err := p.addr(args[0])
+		a, err := p.addr(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.operand(args[1])
+		src, err := p.operand(args.a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -210,11 +237,11 @@ func (p *instrParser) parseOp(op string, mods, args []string, line string) (Inst
 		return p.parseAtom(mods, args, line)
 
 	case "membar":
-		if len(mods) != 1 {
+		if mods.n != 1 {
 			return nil, fmt.Errorf("ptx: membar wants a scope in %q", line)
 		}
 		var sc Scope
-		switch mods[0] {
+		switch scope := mods.next(); scope {
 		case "cta":
 			sc = ScopeCTA
 		case "gl":
@@ -222,7 +249,7 @@ func (p *instrParser) parseOp(op string, mods, args []string, line string) (Inst
 		case "sys":
 			sc = ScopeSys
 		default:
-			return nil, fmt.Errorf("ptx: unknown membar scope %q", mods[0])
+			return nil, fmt.Errorf("ptx: unknown membar scope %q", scope)
 		}
 		return Membar{Scope: sc}, nil
 
@@ -231,14 +258,14 @@ func (p *instrParser) parseOp(op string, mods, args []string, line string) (Inst
 		if err != nil {
 			return nil, err
 		}
-		if len(args) != 2 {
+		if args.n != 2 {
 			return nil, fmt.Errorf("ptx: mov wants 2 operands in %q", line)
 		}
-		dst, err := p.reg(args[0])
+		dst, err := p.reg(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.operand(args[1])
+		src, err := p.operand(args.a[1])
 		if err != nil {
 			return nil, err
 		}
@@ -249,18 +276,18 @@ func (p *instrParser) parseOp(op string, mods, args []string, line string) (Inst
 		if err != nil {
 			return nil, err
 		}
-		if len(args) != 3 {
+		if args.n != 3 {
 			return nil, fmt.Errorf("ptx: %s wants 3 operands in %q", op, line)
 		}
-		dst, err := p.reg(args[0])
+		dst, err := p.reg(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		a, err := p.operand(args[1])
+		a, err := p.operand(args.a[1])
 		if err != nil {
 			return nil, err
 		}
-		b, err := p.operand(args[2])
+		b, err := p.operand(args.a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -274,72 +301,72 @@ func (p *instrParser) parseOp(op string, mods, args []string, line string) (Inst
 		}
 
 	case "cvt":
-		if len(mods) != 2 {
+		if mods.n != 2 {
 			return nil, fmt.Errorf("ptx: cvt wants two type specifiers in %q", line)
 		}
-		dt, err := ParseType(mods[0])
+		dt, err := ParseType(mods.next())
 		if err != nil {
 			return nil, err
 		}
-		st, err := ParseType(mods[1])
+		st, err := ParseType(mods.next())
 		if err != nil {
 			return nil, err
 		}
-		if len(args) != 2 {
+		if args.n != 2 {
 			return nil, fmt.Errorf("ptx: cvt wants 2 operands in %q", line)
 		}
-		dst, err := p.reg(args[0])
+		dst, err := p.reg(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.operand(args[1])
+		src, err := p.operand(args.a[1])
 		if err != nil {
 			return nil, err
 		}
 		return Cvt{DstType: dt, SrcType: st, Dst: dst, Src: src}, nil
 
 	case "setp":
-		if len(mods) < 1 || mods[0] != "eq" {
+		if mods.n < 1 || mods.next() != "eq" {
 			return nil, fmt.Errorf("ptx: only setp.eq is supported, got %q", line)
 		}
-		t, err := onlyType(mods[1:])
+		t, err := onlyType(mods)
 		if err != nil {
 			return nil, err
 		}
-		if len(args) != 3 {
+		if args.n != 3 {
 			return nil, fmt.Errorf("ptx: setp.eq wants 3 operands in %q", line)
 		}
-		pr, err := p.reg(args[0])
+		pr, err := p.reg(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		a, err := p.operand(args[1])
+		a, err := p.operand(args.a[1])
 		if err != nil {
 			return nil, err
 		}
-		b, err := p.operand(args[2])
+		b, err := p.operand(args.a[2])
 		if err != nil {
 			return nil, err
 		}
 		return SetpEq{base: base{Type: t}, P: pr, A: a, B: b}, nil
 
 	case "bra":
-		if len(args) != 1 {
+		if args.n != 1 {
 			return nil, fmt.Errorf("ptx: bra wants a target in %q", line)
 		}
-		return Bra{Target: args[0]}, nil
+		return Bra{Target: args.a[0]}, nil
 	}
 	return nil, fmt.Errorf("ptx: unknown opcode %q in %q", op, line)
 }
 
-func (p *instrParser) parseAtom(mods, args []string, line string) (Instr, error) {
-	if len(mods) == 0 {
+func (p *instrParser) parseAtom(mods modList, args *argList, line string) (Instr, error) {
+	if mods.n == 0 {
 		return nil, fmt.Errorf("ptx: atom wants an operation in %q", line)
 	}
 	var aop string
 	var t Type
-	for _, m := range mods {
-		switch m {
+	for mods.n > 0 {
+		switch m := mods.next(); m {
 		case "cas", "exch", "add", "inc":
 			aop = m
 		case "global", "shared":
@@ -353,39 +380,39 @@ func (p *instrParser) parseAtom(mods, args []string, line string) (Instr, error)
 	}
 	switch aop {
 	case "cas":
-		if len(args) != 4 {
+		if args.n != 4 {
 			return nil, fmt.Errorf("ptx: atom.cas wants 4 operands in %q", line)
 		}
-		dst, err := p.reg(args[0])
+		dst, err := p.reg(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		a, err := p.addr(args[1])
+		a, err := p.addr(args.a[1])
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := p.operand(args[2])
+		cmp, err := p.operand(args.a[2])
 		if err != nil {
 			return nil, err
 		}
-		nw, err := p.operand(args[3])
+		nw, err := p.operand(args.a[3])
 		if err != nil {
 			return nil, err
 		}
 		return AtomCAS{base: base{Type: t}, Dst: dst, Addr: a, Cmp: cmp, New: nw}, nil
 	case "exch", "add", "inc":
-		if len(args) != 3 {
+		if args.n != 3 {
 			return nil, fmt.Errorf("ptx: atom.%s wants 3 operands in %q", aop, line)
 		}
-		dst, err := p.reg(args[0])
+		dst, err := p.reg(args.a[0])
 		if err != nil {
 			return nil, err
 		}
-		a, err := p.addr(args[1])
+		a, err := p.addr(args.a[1])
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.operand(args[2])
+		src, err := p.operand(args.a[2])
 		if err != nil {
 			return nil, err
 		}
@@ -401,10 +428,10 @@ func (p *instrParser) parseAtom(mods, args []string, line string) (Instr, error)
 	return nil, fmt.Errorf("ptx: unknown atom operation in %q", line)
 }
 
-func onlyType(mods []string) (Type, error) {
+func onlyType(mods modList) (Type, error) {
 	t := TypeNone
-	for _, m := range mods {
-		tt, err := ParseType(m)
+	for mods.n > 0 {
+		tt, err := ParseType(mods.next())
 		if err != nil {
 			return TypeNone, err
 		}
@@ -445,8 +472,12 @@ func (p *instrParser) operand(s string) (Operand, error) {
 	if s == "" {
 		return nil, fmt.Errorf("ptx: empty operand")
 	}
-	if v, err := parseInt(s); err == nil {
-		return Imm(v), nil
+	// Only a sign or a digit can start an integer; trying any other
+	// operand would build a strconv error only to discard it.
+	if c := s[0]; c == '+' || c == '-' || c >= '0' && c <= '9' {
+		if v, err := strconv.ParseInt(s, 0, 64); err == nil {
+			return Imm(v), nil
+		}
 	}
 	if p.isReg(s) {
 		return Reg(s), nil
@@ -455,10 +486,6 @@ func (p *instrParser) operand(s string) (Operand, error) {
 		return Sym(s), nil
 	}
 	return nil, fmt.Errorf("ptx: cannot parse operand %q", s)
-}
-
-func parseInt(s string) (int64, error) {
-	return strconv.ParseInt(s, 0, 64)
 }
 
 // IsIdent reports whether s is a well-formed identifier for symbolic

@@ -47,43 +47,12 @@ func (p Program) MemAccesses() []int {
 // program, either as direct [x] addresses or as operands.
 func (p Program) Symbols() map[Sym]bool {
 	syms := make(map[Sym]bool)
-	addOp := func(o Operand) {
-		if s, ok := o.(Sym); ok {
-			syms[s] = true
-		}
-	}
+	var buf [3]Operand
 	for _, inst := range p {
-		if a := AddrOf(inst); a != nil {
-			addOp(a)
-		}
-		switch v := inst.(type) {
-		case St:
-			addOp(v.Src)
-		case Mov:
-			addOp(v.Src)
-		case AtomCAS:
-			addOp(v.Cmp)
-			addOp(v.New)
-		case AtomExch:
-			addOp(v.Src)
-		case AtomAdd:
-			addOp(v.Src)
-		case AtomInc:
-			addOp(v.Bound)
-		case Add:
-			addOp(v.A)
-			addOp(v.B)
-		case And:
-			addOp(v.A)
-			addOp(v.B)
-		case Xor:
-			addOp(v.A)
-			addOp(v.B)
-		case Cvt:
-			addOp(v.Src)
-		case SetpEq:
-			addOp(v.A)
-			addOp(v.B)
+		for _, o := range AppendSrcs(buf[:0], inst) {
+			if s, ok := o.(Sym); ok {
+				syms[s] = true
+			}
 		}
 	}
 	return syms
@@ -125,4 +94,37 @@ func (p Program) Regs() map[Reg]bool {
 		}
 	}
 	return regs
+}
+
+// MentionsReg reports whether r is in Regs() without building the map:
+// some instruction writes r, reads it as an operand, or is guarded by it.
+func (p Program) MentionsReg(r Reg) bool {
+	var buf [3]Operand
+	for _, inst := range p {
+		if d, ok := DstOf(inst); ok && d == r {
+			return true
+		}
+		if g := inst.Pred(); g != nil && g.Reg == r {
+			return true
+		}
+		for _, o := range AppendSrcs(buf[:0], inst) {
+			if v, ok := o.(Reg); ok && v == r {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// UsesSym reports whether s is in Symbols() without building the map.
+func (p Program) UsesSym(s Sym) bool {
+	var buf [3]Operand
+	for _, inst := range p {
+		for _, o := range AppendSrcs(buf[:0], inst) {
+			if v, ok := o.(Sym); ok && v == s {
+				return true
+			}
+		}
+	}
+	return false
 }
