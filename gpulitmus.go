@@ -284,7 +284,8 @@ func ModelCovers(t *Test) (bool, string) { return core.Covers(t) }
 
 // Analyze runs the static analyzer over the test: races, critical cycles,
 // scope mismatches, idiom lint, and the prefilter verdict under every
-// builtin model. Purely static — no enumeration, no simulation.
+// builtin model. It prepares the test's read domains but produces no
+// candidate execution and runs no simulation.
 func Analyze(t *Test) *AnalysisReport { return analysis.Analyze(t) }
 
 // StaticPrefilter statically judges the test under the model without

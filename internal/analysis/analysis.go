@@ -1,5 +1,5 @@
 // Package analysis is a static analyzer for litmus tests that runs before
-// any candidate-execution enumeration. It builds a static event graph over
+// any candidate execution is produced. It builds a static event graph over
 // the parsed test — program order, must-hold address/data/control
 // dependencies, scoped fences, and the potential communication edges
 // between same-location accesses of different threads — and derives two
@@ -14,24 +14,25 @@
 //   - A sound verdict prefilter (Prefilter): a three-valued
 //     StaticVerdict{Forbidden,Allowed,Unknown} for a test under a model
 //     family (Policy). Forbidden and Allowed are only ever reported when
-//     the full rf×co enumeration provably agrees, so callers
-//     (core.JudgeWith under Opts.Static, campaign.Memo, the gpulitmusd
-//     service) skip enumeration entirely on a decided verdict. Unknown is
-//     always safe: it merely means "enumerate".
+//     the full rf×co enumeration provably agrees, so callers (the repair
+//     oracle, campaign.Memo, the gpulitmusd service) skip enumeration
+//     entirely on a decided verdict. Unknown is always safe: it merely
+//     means "enumerate".
 //
 // Soundness rests on two arguments, each checked differentially against
 // the full judge over the paper corpus and a randomized corpus:
 //
-//  1. Value analysis. Registers and locations are abstracted to sets of
-//     values computed by the same value-domain fixpoint the enumerator
-//     uses, so the abstract sets over-approximate every candidate
-//     execution. A condition false over the abstraction has no witness in
-//     any candidate (Forbidden); a condition true in every abstract state
-//     — singleton register sets — holds in every candidate, and since
-//     every builtin model's constraints are acyclicity requirements over
-//     subrelations of po ∪ com, at least one candidate (any sequentially
-//     consistent interleaving) is allowed, so the condition is observable
-//     (Allowed).
+//  1. Value analysis. Each thread is interpreted once, every load reading
+//     the read domain the enumerator's value-domain fixpoint computed for
+//     its location (axiom.Enumeration.Domain), so the abstract sets
+//     over-approximate every candidate execution; a test the enumerator
+//     cannot prepare gets no claim. A condition false over the
+//     abstraction has no witness in any candidate (Forbidden); a
+//     condition true in every abstract state — singleton register sets —
+//     holds in every candidate, and since every builtin model's
+//     constraints are acyclicity requirements over subrelations of
+//     po ∪ com, at least one candidate (any sequentially consistent
+//     interleaving) is allowed, so the condition is observable (Allowed).
 //
 //  2. Forced-cycle analysis. When the condition is a conjunction that
 //     pins a read to a value only one static write can produce (or to the
@@ -47,6 +48,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
@@ -117,16 +119,19 @@ type Result struct {
 	Reason  string        `json:"reason,omitempty"`
 }
 
-// Prefilter statically judges the test under a model family. A Forbidden
+// Prefilter statically judges en's test under a model family. A Forbidden
 // or Allowed result is sound: the full enumeration's verdict has,
 // respectively, Witnesses == 0 (Observable false) or Witnesses > 0
 // (Observable true). Unknown means the analysis cannot decide and the
 // caller must enumerate; it is always safe.
-func Prefilter(t *litmus.Test, p Policy) Result {
-	g := buildGraph(t)
+func Prefilter(en *axiom.Enumeration, p Policy) Result {
+	return buildGraph(en.Test(), en).prefilter(p)
+}
 
+// prefilter is Prefilter on a built graph.
+func (g *graph) prefilter(p Policy) Result {
 	// Value analysis first: it needs no model assumptions for Forbidden.
-	switch g.evalCond(t.Exists) {
+	switch g.evalCond(g.test.Exists) {
 	case no:
 		return Result{Verdict: Forbidden, Reason: "condition unsatisfiable over the static value domains"}
 	case yes:
@@ -152,9 +157,18 @@ func Prefilter(t *litmus.Test, p Policy) Result {
 // witness it. Unlike Prefilter's policy-dependent claims this holds for
 // any execution semantics — model enumeration or a simulated chip — so
 // harness sweeps may skip such cells outright (their match count is
-// necessarily zero).
+// necessarily zero). A test the enumerator cannot prepare never is.
 func Unsatisfiable(t *litmus.Test) bool {
-	return buildGraph(t).evalCond(t.Exists) == no
+	return buildGraph(t, prepare(t)).evalCond(t.Exists) == no
+}
+
+// prepare returns t's enumeration under the judge's bounds, or nil.
+func prepare(t *litmus.Test) *axiom.Enumeration {
+	en, err := axiom.Prepare(t, axiom.DefaultOpts())
+	if err != nil {
+		return nil
+	}
+	return en
 }
 
 // Diagnostic is one structured finding of the analyzer. Thread and Instr
@@ -218,10 +232,11 @@ var builtinPolicies = map[string]Policy{
 }
 
 // Analyze runs every diagnostic pass and the prefilter for each builtin
-// model, returning a deterministic report: diagnostics are sorted by
-// (severity, code, thread, instr, loc, message) with warnings first.
+// model over one graph of the test, returning a deterministic report:
+// diagnostics are sorted by (severity, code, thread, instr, loc, message)
+// with warnings first.
 func Analyze(t *litmus.Test) *Report {
-	g := buildGraph(t)
+	g := buildGraph(t, prepare(t))
 	r := &Report{
 		Test:        t.Name,
 		Fingerprint: t.Fingerprint(),
@@ -229,7 +244,7 @@ func Analyze(t *litmus.Test) *Report {
 		Static:      make(map[string]string, len(builtinPolicies)),
 	}
 	for key, p := range builtinPolicies {
-		r.Static[key] = Prefilter(t, p).Verdict.String()
+		r.Static[key] = g.prefilter(p).Verdict.String()
 	}
 	sortDiagnostics(r.Diagnostics)
 	return r

@@ -7,6 +7,17 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
+// prefilterTest is Prefilter on t's enumeration under axiom.DefaultOpts,
+// or Unknown when the enumerator cannot prepare t: core.Model.Prefilter's
+// answer.
+func prefilterTest(t *litmus.Test, p Policy) Result {
+	en := prepare(t)
+	if en == nil {
+		return Result{}
+	}
+	return Prefilter(en, p)
+}
+
 func hasCode(ds []Diagnostic, code string) bool {
 	for _, d := range ds {
 		if d.Code == code {
@@ -146,7 +157,7 @@ func TestLintUnsatCond(t *testing.T) {
 		t.Errorf("unsat-condition severity = %s", d.Severity)
 	}
 	// Unsatisfiability is model-independent: even PolicyNone decides it.
-	if res := Prefilter(tst, PolicyNone); res.Verdict != Forbidden {
+	if res := prefilterTest(tst, PolicyNone); res.Verdict != Forbidden {
 		t.Errorf("Prefilter(unsat, PolicyNone) = %v", res)
 	}
 }
@@ -160,10 +171,10 @@ func TestPrefilterAllowed(t *testing.T) {
 		Thread("st.cg [x],1").
 		Exists("x=1").
 		MustBuild()
-	if res := Prefilter(tst, PolicyScoped); res.Verdict != Allowed {
+	if res := prefilterTest(tst, PolicyScoped); res.Verdict != Allowed {
 		t.Errorf("Prefilter(taut, scoped) = %v, want allowed", res)
 	}
-	if res := Prefilter(tst, PolicyNone); res.Verdict != Unknown {
+	if res := prefilterTest(tst, PolicyNone); res.Verdict != Unknown {
 		t.Errorf("Prefilter(taut, none) = %v, want unknown", res)
 	}
 }
@@ -171,7 +182,7 @@ func TestPrefilterAllowed(t *testing.T) {
 // TestPrefilterForcedCycleReason: the forbidden reason names the forced
 // communication edges so diagnoses are actionable.
 func TestPrefilterForcedCycleReason(t *testing.T) {
-	res := Prefilter(litmus.MP(litmus.FenceGL), PolicyScoped)
+	res := prefilterTest(litmus.MP(litmus.FenceGL), PolicyScoped)
 	if res.Verdict != Forbidden {
 		t.Fatalf("Prefilter(mp+membar.gls, scoped) = %v, want forbidden", res)
 	}
@@ -208,5 +219,24 @@ func TestVerdictStrings(t *testing.T) {
 	}
 	if PolicyNone.String() != "none" || PolicySC.String() != "sc" || PolicyFence.String() != "fence" || PolicyScoped.String() != "scoped" {
 		t.Error("Policy strings changed")
+	}
+}
+
+// TestPrefilterAddressValues: the judge stores an address-valued register
+// as its offset 0 and compares it as 0 in a compare-and-swap, so neither
+// condition below is unsatisfiable.
+func TestPrefilterAddressValues(t *testing.T) {
+	for _, tst := range []*litmus.Test{
+		litmus.NewTest("st-addr").Global("x", 0).Global("y", 0).
+			Thread("st.cg [x],y").Exists("x=0").MustBuild(),
+		litmus.NewTest("cas-addr").Global("x", 0).Global("y", 0).
+			Thread("atom.cas.b32 r1,[x],y,1").Exists("x=1").MustBuild(),
+	} {
+		if Unsatisfiable(tst) {
+			t.Errorf("%s: flagged unsatisfiable", tst.Name)
+		}
+		if res := prefilterTest(tst, PolicySC); res.Verdict == Forbidden {
+			t.Errorf("%s: Prefilter(sc) = %+v", tst.Name, res)
+		}
 	}
 }

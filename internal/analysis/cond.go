@@ -89,7 +89,7 @@ func (g *graph) evalRegEq(a litmus.RegEq) tri {
 // the written value sets, plus the initial value unless some thread
 // certainly overwrites it.
 func (g *graph) evalMemEq(a litmus.MemEq) tri {
-	if !g.locs[a.Loc] {
+	if _, ok := g.domains[a.Loc]; !ok {
 		return no
 	}
 	var finals absVal

@@ -113,7 +113,7 @@ func (g *graph) forcedEdges(atoms []litmus.Cond) (edges []commEdge, direct strin
 			}
 		case litmus.MemEq:
 			v := at.Val
-			if !g.locs[at.Loc] || v == g.test.InitOf(at.Loc) {
+			if _, ok := g.domains[at.Loc]; !ok || v == g.test.InitOf(at.Loc) {
 				continue
 			}
 			writers := g.writersOf(at.Loc, v, nil)

@@ -1,0 +1,45 @@
+package analysis
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"github.com/weakgpu/gpulitmus/internal/diy"
+	"github.com/weakgpu/gpulitmus/internal/litmus"
+)
+
+// TestAnalysisDigest pins every static answer the analyzer gives on the
+// paper corpus and the 776 diy cycles of up to four edges: a sha256 over
+// each test's Analyze report as JSON, its Prefilter verdict and reason
+// under every policy, and Unsatisfiable. gpulint, /v1/analyze and the
+// prefilter's skips are all built from these answers, so the literal must
+// only change with a deliberate change of the analysis.
+func TestAnalysisDigest(t *testing.T) {
+	const want = "76dbc4f987cf3b4b3c811e8ce9647fde00cf08ee6ce6f16ae3dcca2ce8028a6a"
+	corpus := litmus.PaperTests()
+	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
+	if len(gen) != 776 {
+		t.Fatalf("diy generated %d cycles, want 776", len(gen))
+	}
+	for _, g := range gen {
+		corpus = append(corpus, g.Test)
+	}
+	h := sha256.New()
+	for _, c := range corpus {
+		js, err := json.Marshal(Analyze(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n", js)
+		for _, p := range []Policy{PolicyNone, PolicySC, PolicyFence, PolicyScoped} {
+			res := prefilterTest(c, p)
+			fmt.Fprintf(h, "%s %s %s\n", p, res.Verdict, res.Reason)
+		}
+		fmt.Fprintf(h, "unsat %v\n", Unsatisfiable(c))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("analysis corpus digest = %s, want %s", got, want)
+	}
+}

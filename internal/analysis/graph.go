@@ -3,21 +3,16 @@ package analysis
 import (
 	"sort"
 
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
 // maxAbsValues caps every abstract value set. A set that would grow past
 // the cap collapses to top ("any value"), which degrades conclusions to
-// Unknown instead of ever under-approximating. It deliberately equals the
-// enumerator's DefaultOpts MaxValues: a location the analysis cannot bound
-// is one the enumerator would refuse too.
-const maxAbsValues = 32
-
-// maxFixpointRounds bounds the value-domain iteration. Threads whose
-// stores feed on loaded values (dlb-mp's tail increment) never stabilise;
-// their locations hit the set cap and collapse to top well before this.
-const maxFixpointRounds = 64
+// Unknown instead of ever under-approximating. It is the enumerator's own
+// bound on a read domain.
+var maxAbsValues = axiom.DefaultOpts().MaxValues
 
 // evKind classifies a static event.
 type evKind int
@@ -60,19 +55,16 @@ type graph struct {
 	// branches treated as fall-through) so lint passes have something to
 	// look at, but every value and forced-cycle claim is disabled.
 	loopy bool
-	// unstable: the value fixpoint hit its round bound while still
-	// growing, so domains may under-approximate; claims are disabled.
-	unstable bool
 	// unresolved: some access's address could not be pinned to one
 	// location; claims are disabled.
 	unresolved bool
-	// domains over-approximates each location's readable values.
-	domains map[ptx.Sym]*absVal
+	// domains holds each location's read domain from the test's
+	// enumeration; nil (claims disabled) when it could not be prepared.
+	domains map[ptx.Sym]absVal
 	// finals is the abstract register state at each thread's exit.
 	finals []map[ptx.Reg]*absReg
 	// mustWrite marks locations some thread writes unconditionally.
 	mustWrite map[ptx.Sym]bool
-	locs      map[ptx.Sym]bool
 }
 
 // absVal is an abstract value: a set of possible numeric values and/or
@@ -146,17 +138,6 @@ func (v absVal) canBeNum(n int64) bool { return v.top || v.nums[n] }
 // onlyNum reports whether the value is exactly the singleton number n.
 func (v absVal) onlyNum(n int64) bool {
 	return !v.top && len(v.addrs) == 0 && len(v.nums) == 1 && v.nums[n]
-}
-
-// sortedNums returns the numeric members in ascending order (for
-// deterministic iteration; empty under top).
-func (v absVal) sortedNums() []int64 {
-	out := make([]int64, 0, len(v.nums))
-	for n := range v.nums {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // provNone marks a register whose final value is not the verbatim result
@@ -274,69 +255,40 @@ func (s regState) joinInto(other regState) {
 	}
 }
 
-// buildGraph runs the whole static analysis over the test: the
-// value-domain fixpoint (mirroring the enumerator's), the per-thread
-// abstract interpretation that yields events with must-dependencies, and
-// the final abstract register states.
-func buildGraph(t *litmus.Test) *graph {
+// buildGraph interprets each thread of the test once, every load ranging
+// over its location's read domain in en (the enumerator's §5.1.2
+// fixpoint), which yields the static events with their must-dependencies
+// and the final abstract register states. en is t's prepared enumeration,
+// or that of a test differing from t only in fences, which change no
+// domain. A nil en, for a test the enumerator cannot prepare, reads every
+// load as any value: lint still runs, but no claim is made.
+func buildGraph(t *litmus.Test, en *axiom.Enumeration) *graph {
 	g := &graph{
 		test:      t,
-		domains:   make(map[ptx.Sym]*absVal),
+		threads:   make([][]*event, len(t.Threads)),
+		finals:    make([]map[ptx.Reg]*absReg, len(t.Threads)),
 		mustWrite: make(map[ptx.Sym]bool),
-		locs:      make(map[ptx.Sym]bool),
 	}
-	for _, loc := range t.Locations() {
-		g.locs[loc] = true
-		d := numVal(t.InitOf(loc))
-		g.domains[loc] = &d
-	}
-	for _, th := range t.Threads {
-		for _, inst := range th.Prog {
-			if _, ok := inst.(ptx.Bra); ok {
-				g.loopy = true
+	if en != nil {
+		locs := t.Locations()
+		g.domains = make(map[ptx.Sym]absVal, len(locs))
+		for _, loc := range locs {
+			vals := en.Domain(loc)
+			d := absVal{nums: make(map[int64]bool, len(vals))}
+			for _, v := range vals {
+				d.nums[v] = true
 			}
+			g.domains[loc] = d
 		}
 	}
-
-	g.unstable = true
-	for round := 0; round < maxFixpointRounds; round++ {
-		g.threads = make([][]*event, len(t.Threads))
-		g.finals = make([]map[ptx.Reg]*absReg, len(t.Threads))
-		grew := false
-		for tid := range t.Threads {
-			evs, finals := g.interpThread(tid)
-			g.threads[tid] = evs
-			g.finals[tid] = finals
-			for _, ev := range evs {
-				if ev.kind != kWrite {
-					continue
-				}
-				d, ok := g.domains[ev.loc]
-				if !ok {
-					continue
-				}
-				if d.unionIn(ev.vals) {
-					grew = true
-				}
-			}
-		}
-		if !grew {
-			g.unstable = false
-			break
-		}
-	}
-	for _, evs := range g.threads {
-		for _, ev := range evs {
-			if ev.kind != kFence && ev.loc == "" {
-				g.unresolved = true
-			}
-		}
+	for tid := range t.Threads {
+		g.threads[tid], g.finals[tid] = g.interpThread(tid)
 	}
 	return g
 }
 
 // sound reports whether value and forced-cycle claims may be made at all.
-func (g *graph) sound() bool { return !g.loopy && !g.unstable && !g.unresolved }
+func (g *graph) sound() bool { return g.domains != nil && !g.loopy && !g.unresolved }
 
 // interpThread abstractly interprets one thread straight through its
 // program (branches fall through; loopy graphs disable the analyses that
@@ -360,7 +312,10 @@ func (g *graph) interpThread(tid int) ([]*event, map[ptx.Reg]*absReg) {
 	var evs []*event
 	for pc, inst := range t.Threads[tid].Prog {
 		switch inst.(type) {
-		case ptx.LabelDef, ptx.Bra:
+		case ptx.Bra:
+			g.loopy = true
+			continue
+		case ptx.LabelDef:
 			continue
 		}
 
@@ -438,6 +393,7 @@ func (g *graph) applyInstr(tid, pc int, inst ptx.Instr, regs regState, evs *[]*e
 		if s, ok := o.(ptx.Sym); ok {
 			return s, nil
 		}
+		g.unresolved = true
 		return "", av.musts
 	}
 	emit := func(ev *event) *event {
@@ -491,7 +447,7 @@ func (g *graph) applyInstr(tid, pc int, inst ptx.Instr, regs regState, evs *[]*e
 		loc, addrMusts := resolveAddr(v.Addr)
 		sv := eval(v.Src)
 		emit(&event{
-			kind: kWrite, loc: loc, cond: condCtx, vals: sv.val.clone(),
+			kind: kWrite, loc: loc, cond: condCtx, vals: stored(sv.val),
 			addrDeps: sortedMusts(addrMusts), dataDeps: sortedMusts(sv.musts), ctrlDeps: sortedMusts(ctrl),
 		})
 		if !condCtx {
@@ -511,10 +467,10 @@ func (g *graph) applyInstr(tid, pc int, inst ptx.Instr, regs regState, evs *[]*e
 		case ptx.AtomCAS:
 			dst = a.Dst
 			cmp, nw := eval(a.Cmp), eval(a.New)
-			canMatch, canMiss := overlap(old, cmp.val)
+			canMatch, canMiss := overlap(old, stored(cmp.val))
 			if canMatch {
 				emit(&event{
-					kind: kWrite, loc: loc, atomic: true, cond: condCtx || canMiss, vals: nw.val.clone(),
+					kind: kWrite, loc: loc, atomic: true, cond: condCtx || canMiss, vals: stored(nw.val),
 					addrDeps: sortedMusts(addrMusts), dataDeps: sortedMusts(unionMusts(nw.musts, cmp.musts)), ctrlDeps: sortedMusts(ctrl),
 					rmwRead: -1,
 				})
@@ -524,7 +480,7 @@ func (g *graph) applyInstr(tid, pc int, inst ptx.Instr, regs regState, evs *[]*e
 			dst = a.Dst
 			sv := eval(a.Src)
 			w := emit(&event{
-				kind: kWrite, loc: loc, atomic: true, cond: condCtx, vals: sv.val.clone(),
+				kind: kWrite, loc: loc, atomic: true, cond: condCtx, vals: stored(sv.val),
 				addrDeps: sortedMusts(addrMusts), dataDeps: sortedMusts(sv.musts), ctrlDeps: sortedMusts(ctrl),
 			})
 			w.rmwRead = read.index
@@ -558,26 +514,22 @@ func (g *graph) applyInstr(tid, pc int, inst ptx.Instr, regs regState, evs *[]*e
 	return *evs
 }
 
+// stored is v as a store writes it, or a compare-and-swap compares it: the
+// enumerator takes an address as its offset, 0 for every address an
+// abstract value keeps (address arithmetic collapses to top).
+func stored(v absVal) absVal {
+	c := v.clone()
+	if len(c.addrs) > 0 {
+		c.addrs = nil
+		c.unionIn(numVal(0))
+	}
+	return c
+}
+
 // addAbs is the abstract + : the pairwise sums of the operands' numeric
-// members, keeping address bases like the enumerator's address arithmetic.
+// members. An address operand collapses the sum to top (see binAbs).
 func addAbs(a, b absVal) absVal {
-	out := binAbs(a, b, func(x, y int64) int64 { return x + y })
-	if out.top {
-		return out
-	}
-	for s := range a.addrs {
-		if out.addrs == nil {
-			out.addrs = make(map[ptx.Sym]bool)
-		}
-		out.addrs[s] = true
-	}
-	for s := range b.addrs {
-		if out.addrs == nil {
-			out.addrs = make(map[ptx.Sym]bool)
-		}
-		out.addrs[s] = true
-	}
-	return out
+	return binAbs(a, b, func(x, y int64) int64 { return x + y })
 }
 
 // binAbs applies a binary numeric operator pointwise over two abstract

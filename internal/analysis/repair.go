@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
@@ -120,13 +121,14 @@ func SynthesizeRepair(t *litmus.Test, p Policy, observable RepairOracle, opts Re
 	if !obs {
 		return &RepairResult{Verified: true, Repaired: t}, nil
 	}
-	g := buildGraph(t)
+	en := prepare(t)
+	g := buildGraph(t, en)
 	sites := repairSites(g)
 	if len(sites) == 0 {
 		return &RepairResult{Reason: "static analysis found no unordered critical-cycle segment to fence"}, nil
 	}
 	res := &RepairResult{}
-	for _, actions := range repairCandidates(g, t, sites, opts.MaxGenerate) {
+	for _, actions := range repairCandidates(g, en, sites, opts.MaxGenerate) {
 		if len(res.Attempts) >= opts.MaxAttempts {
 			break
 		}
@@ -284,8 +286,8 @@ func repairSiteActions(g *graph, s repairSite) []RepairAction {
 // one edit per site (capped at maxGen combinations), deduplicated, each
 // scored statically, and sorted by (segments covered descending, fences
 // inserted, total scope width, position) — so the judge sees the most
-// promising, cheapest, earliest candidates first.
-func repairCandidates(g *graph, t *litmus.Test, sites []repairSite, maxGen int) [][]RepairAction {
+// promising, cheapest, earliest candidates first. en is g's enumeration.
+func repairCandidates(g *graph, en *axiom.Enumeration, sites []repairSite, maxGen int) [][]RepairAction {
 	lists := make([][]RepairAction, len(sites))
 	for i, s := range sites {
 		lists[i] = repairSiteActions(g, s)
@@ -322,7 +324,7 @@ func repairCandidates(g *graph, t *litmus.Test, sites []repairSite, maxGen int) 
 					sc.inserts++
 				}
 			}
-			sc.score = repairStaticScore(t, actions, sites)
+			sc.score = repairStaticScore(g.test, en, actions, sites)
 			combos = append(combos, sc)
 		}
 		k := 0
@@ -360,13 +362,14 @@ func repairCandidates(g *graph, t *litmus.Test, sites []repairSite, maxGen int) 
 // repairStaticScore applies the edits and counts how many of the original
 // critical segments the mutated test now orders, via the same
 // segCoverage/covered machinery the prefilter's forced-cycle argument
-// uses, under a variant demanding each site's required fence scope.
-func repairStaticScore(t *litmus.Test, actions []RepairAction, sites []repairSite) int {
+// uses, under a variant demanding each site's required fence scope. A
+// fence edit changes no domain, so the mutant reads t's, from en.
+func repairStaticScore(t *litmus.Test, en *axiom.Enumeration, actions []RepairAction, sites []repairSite) int {
 	mut, err := ApplyRepair(t, actions)
 	if err != nil {
 		return 0
 	}
-	g := buildGraph(mut)
+	g := buildGraph(mut, en)
 	score := 0
 	for _, s := range sites {
 		if s.thread >= len(g.threads) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -103,6 +104,8 @@ type Enumeration struct {
 	locs   []ptx.Sym // test.Locations(), computed once per enumeration
 	paths  [][]threadPath
 	combos int
+	// domain holds the read domains Domain returns.
+	domain map[ptx.Sym]map[int64]bool
 	// tracer is the streaming request's obs collector: captured at
 	// PrepareCtx from the context, or rebound by Bind (nil — every method
 	// a no-op — when untraced). StreamCombo has no context parameter, so
@@ -162,6 +165,11 @@ func (en *Enumeration) Bind(ctx context.Context, t *litmus.Test) *Enumeration {
 // stream in exactly Enumerate's order (thread 0's path choice is the most
 // significant digit).
 func (en *Enumeration) Combos() int { return en.combos }
+
+// Domain returns loc's read domain at the end of the value-domain
+// fixpoint, in ascending order: it holds every value a candidate execution
+// reads from loc or writes to it.
+func (en *Enumeration) Domain(loc ptx.Sym) []int64 { return sortedValues(en.domain[loc]) }
 
 // Opts returns the (defaulted) bounds the enumeration was prepared with.
 func (en *Enumeration) Opts() Opts { return en.opts }
@@ -405,7 +413,7 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 			combos *= len(ps)
 		}
 	}
-	return &Enumeration{test: e.test, opts: e.opts, locs: e.locs, paths: paths, combos: combos}, nil
+	return &Enumeration{test: e.test, opts: e.opts, locs: e.locs, domain: e.domain, paths: paths, combos: combos}, nil
 }
 
 // threadPaths symbolically executes thread tid, branching at each load over
@@ -691,12 +699,16 @@ func (e *enumerator) domainValues(loc ptx.Sym) []int64 {
 	if e.reads != nil {
 		e.reads[loc] = e.domVer[loc]
 	}
-	d := e.domain[loc]
+	return sortedValues(e.domain[loc])
+}
+
+// sortedValues returns the members of d in ascending order.
+func sortedValues(d map[int64]bool) []int64 {
 	vals := make([]int64, 0, len(d))
 	for v := range d {
 		vals = append(vals, v)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	return vals
 }
 

@@ -210,11 +210,11 @@ func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 // receives the original's verdict object (counts and witness are
 // necessarily identical; only the label differs).
 //
-// With static set, the static prefilter goes in front: when it decides,
-// nothing is enumerated and the pair's static verdict is returned
-// (StaticSkipped set, zero candidate counts). An undecided test, and every
-// call without static, joins the pair's one enumerated verdict, so a later
-// full-count request never enumerates again.
+// With static set, the static prefilter goes in front, on the test's
+// shared enumeration: when it decides, nothing is streamed and the pair's
+// static verdict is returned (StaticSkipped set, zero candidate counts).
+// An undecided test, and every call without static, joins the pair's one
+// enumerated verdict, so a later full-count request never enumerates again.
 //
 // Verdicts are identical for every parallelism (see core.Opts); only the
 // first request for an entry computes, so its parallelism is the one used,
@@ -231,12 +231,15 @@ func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 func (mm *Memo) VerdictCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (*core.Verdict, error) {
 	e := mm.entry(m, t)
 	if static {
-		if v := m.StaticVerdict(t); v != nil {
-			if e.static.CompareAndSwap(nil, v) {
-				mm.settle(e)
+		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
+			if v := m.StaticVerdict(t, en); v != nil {
+				e.static.CompareAndSwap(nil, v)
+				return e.static.Load(), nil
 			}
-			return e.static.Load(), nil
-		}
+			return e.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
+				return mm.judgeJoint(ctx, m, e, t, core.Opts{Parallelism: parallelism, Enum: en})
+			})
+		})
 	}
 	return e.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
 		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*core.Verdict, error) {

@@ -202,7 +202,7 @@ func benchJudgeCorpus(b *testing.B, static bool) {
 			var v *Verdict
 			var err error
 			if static {
-				v, err = JudgeWith(context.Background(), m, t, Opts{Static: true})
+				v, err = judgeStatic(context.Background(), m, t, 0)
 			} else {
 				v, err = Judge(m, t)
 			}
@@ -227,8 +227,8 @@ func BenchmarkJudgePaperCorpus(b *testing.B) { benchJudgeCorpus(b, false) }
 func BenchmarkJudgePaperCorpusStatic(b *testing.B) { benchJudgeCorpus(b, true) }
 
 // BenchmarkPrefilterDecided prices one decided prefilter call (the
-// forced-cycle path on mp+membar.gls) — the fixed cost a static skip pays
-// in place of enumeration.
+// forced-cycle path on mp+membar.gls), preparation included — the fixed
+// cost a static skip pays in place of streaming.
 func BenchmarkPrefilterDecided(b *testing.B) {
 	m := PTX()
 	test := litmus.MP(litmus.FenceGL)
@@ -241,8 +241,7 @@ func BenchmarkPrefilterDecided(b *testing.B) {
 }
 
 // BenchmarkPrefilterUndecided prices one Unknown prefilter call (mp with
-// no fence) — the pure overhead Opts.Static adds to a test that must
-// enumerate anyway.
+// no fence), preparation included.
 func BenchmarkPrefilterUndecided(b *testing.B) {
 	m := PTX()
 	test := litmus.MP(litmus.NoFence)
@@ -289,7 +288,7 @@ func benchJudgeFencedStress(b *testing.B, static bool) {
 		var v *Verdict
 		var err error
 		if static {
-			v, err = JudgeWith(context.Background(), m, test, Opts{Static: true})
+			v, err = judgeStatic(context.Background(), m, test, 0)
 		} else {
 			v, err = Judge(m, test)
 		}

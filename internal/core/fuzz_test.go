@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"github.com/weakgpu/gpulitmus/internal/analysis"
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
@@ -66,6 +69,42 @@ func FuzzRepair(f *testing.F) {
 		}
 		if v.Observable {
 			t.Fatalf("suggested repair is not Never under %s\nactions: %v\n%s", m.Name, r.Actions, r.Repaired.String())
+		}
+	})
+}
+
+// FuzzPrefilter holds the static analysis to the judge on arbitrary litmus
+// sources, seeded from every paper test. For each source the parser
+// accepts and the judge can judge within 4096 candidates, a decided
+// Prefilter under each builtin model agrees with JudgeWith, and a test
+// Unsatisfiable flags has no witness under any of them. CI runs a 15s
+// burst next to FuzzRepair.
+func FuzzPrefilter(f *testing.F) {
+	for _, t := range litmus.PaperTests() {
+		f.Add(t.String())
+	}
+	ms := builtinModels()
+	f.Fuzz(func(t *testing.T, src string) {
+		test, err := litmus.Parse(src)
+		if err != nil {
+			return
+		}
+		en, err := axiom.Prepare(test, axiom.Opts{MaxExecs: 4096})
+		if err != nil {
+			return
+		}
+		unsat := analysis.Unsatisfiable(test)
+		for _, m := range ms {
+			v, err := JudgeWith(context.Background(), m, test, Opts{Enum: en})
+			if err != nil {
+				return
+			}
+			if res := m.Prefilter(test); res.Verdict != analysis.Unknown && (res.Verdict == analysis.Allowed) != v.Observable {
+				t.Fatalf("Prefilter under %s says %s (%s), JudgeWith finds %d witnesses\n%s", m.Name, res.Verdict, res.Reason, v.Witnesses, src)
+			}
+			if unsat && v.Witnesses != 0 {
+				t.Fatalf("Unsatisfiable, but JudgeWith under %s finds %d witnesses\n%s", m.Name, v.Witnesses, src)
+			}
 		}
 	})
 }

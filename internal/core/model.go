@@ -197,9 +197,9 @@ type Verdict struct {
 	Visited int
 
 	// StaticSkipped marks a verdict decided by the static prefilter
-	// without enumeration (see Opts.Static): Observable is authoritative
-	// but all candidate counts are zero. StaticReason is the prefilter's
-	// justification.
+	// without enumeration (see Model.StaticVerdict): Observable is
+	// authoritative but all candidate counts are zero. StaticReason is the
+	// prefilter's justification.
 	StaticSkipped bool
 	StaticReason  string
 }

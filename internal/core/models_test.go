@@ -9,7 +9,6 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
-	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
 // sameVerdictFields fails unless got equals want on every field, the
@@ -93,18 +92,32 @@ func TestJudgeModelsMatchesJudgeWith(t *testing.T) {
 	}
 }
 
-// TestJudgeModelsStatic: with Static, each model the prefilter decides
-// gets its static verdict and the rest are judged from one stream, as
-// JudgeWith gives them; when the prefilter decides every model, nothing
-// is prepared or produced.
+// TestJudgeModelsStatic: on one preparation of a test, each model the
+// prefilter decides gets a static verdict that agrees with the verdict
+// JudgeModels gives that model from the same enumeration. The paper corpus
+// has a test the prefilter decides for some models and one it decides for
+// every model.
 func TestJudgeModelsStatic(t *testing.T) {
 	ms := builtinModels()
 	var mixed, all *litmus.Test
 	for _, test := range litmus.PaperTests() {
+		en, err := axiom.Prepare(test, axiom.DefaultOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := JudgeModels(context.Background(), ms, test, Opts{Enum: en})
+		if err != nil {
+			t.Fatal(err)
+		}
 		decided := 0
-		for _, m := range ms {
-			if m.StaticVerdict(test) != nil {
-				decided++
+		for i, m := range ms {
+			sv := m.StaticVerdict(test, en)
+			if sv == nil {
+				continue
+			}
+			decided++
+			if !sv.StaticSkipped || sv.Candidates != 0 || sv.Observable != vs[i].Observable {
+				t.Errorf("%s/%s: static %v, judged %v", test.Name, m.Name, sv, vs[i])
 			}
 		}
 		switch {
@@ -116,23 +129,6 @@ func TestJudgeModelsStatic(t *testing.T) {
 	}
 	if mixed == nil || all == nil {
 		t.Fatalf("the paper corpus has no test the prefilter decides for some models (%v) or for all (%v)", mixed, all)
-	}
-	for _, par := range []int{1, 0, 4} {
-		checkJudgeModels(t, fmt.Sprintf("%s/static/p%d", mixed.Name, par), ms, mixed, Opts{Parallelism: par, Static: true})
-	}
-
-	tr := obs.New("all-decided")
-	vs, err := JudgeModels(obs.NewContext(context.Background(), tr), ms, all, Opts{Static: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vs {
-		if !v.StaticSkipped {
-			t.Errorf("%s/%s: %v, want a static verdict", all.Name, ms[i].Name, v)
-		}
-	}
-	if n := len(tr.Roots()); n != 0 {
-		t.Errorf("%s decided for every model: the trace has %d spans, want none", all.Name, n)
 	}
 }
 

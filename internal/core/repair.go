@@ -21,9 +21,11 @@ func Repair(m *Model, t *litmus.Test) (*analysis.RepairResult, error) {
 // evaluation parallelism. The result is deterministic for a given model
 // and test: candidate order is static and the judge itself is
 // deterministic, so every suggested fix is judge-verified and reproducible.
+// The oracle prepares each candidate once: the prefilter reads that
+// enumeration, and when it cannot decide the judge streams it.
 func RepairCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*analysis.RepairResult, error) {
 	oracle := func(mt *litmus.Test) (bool, error) {
-		v, err := JudgeWith(ctx, m, mt, Opts{Parallelism: parallelism, Static: true})
+		v, err := judgeStatic(ctx, m, mt, parallelism)
 		if err != nil {
 			return false, err
 		}

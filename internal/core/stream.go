@@ -69,12 +69,6 @@ type Opts struct {
 	// execution in enumeration order — is identical for every parallelism.
 	Parallelism int
 
-	// Static puts the static prefilter in front: each model whose
-	// StaticVerdict decides t gets that verdict and leaves the run, and
-	// when every model is decided nothing is prepared or enumerated. The
-	// prefilter never consults the context.
-	Static bool
-
 	// Enum is an enumeration the caller prepared with axiom.PrepareCtx,
 	// from t or from any test with t's content (see axiom.Enumeration.Bind):
 	// the verdicts, their witnesses and any error name t. Preparation
@@ -132,27 +126,8 @@ func judgeInto(ctx context.Context, ms []*Model, t *litmus.Test, o Opts, vs []*V
 	if o.Visit != nil && len(ms) > 1 {
 		return errors.New("core: Opts.Visit reports one model's verdicts; the run has several models")
 	}
-	undecided := len(ms)
-	if o.Static {
-		for i, m := range ms {
-			if vs[i] = m.StaticVerdict(t); vs[i] != nil {
-				undecided--
-			}
-		}
-	}
-	if undecided == 0 {
-		return nil
-	}
 	r := &judgeRun{ctx: ctx, tr: obs.FromContext(ctx), visit: o.Visit}
-	r.ms = r.one[:0]
-	if undecided > 1 {
-		r.ms = make([]*Model, 0, undecided)
-	}
-	for i, m := range ms {
-		if vs[i] == nil {
-			r.ms = append(r.ms, m)
-		}
-	}
+	r.ms = append(r.one[:0], ms...)
 	if r.tr.Enabled() {
 		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
 		// under it).
@@ -195,19 +170,14 @@ func judgeInto(ctx context.Context, ms []*Model, t *litmus.Test, o Opts, vs []*V
 			return err
 		}
 	}
-	j := 0
-	for i := range vs {
-		if vs[i] != nil {
-			continue // decided by the prefilter
-		}
-		mt := &k.models[j]
+	for i, m := range ms {
+		mt := &k.models[i]
 		vs[i] = &Verdict{
-			Test: t, Model: r.ms[j].Name,
+			Test: t, Model: m.Name,
 			Candidates: k.candidates, Visited: k.visited,
 			Allowed: mt.allowed, Witnesses: mt.witnesses,
 			Observable: mt.witnesses > 0, Witness: mt.witness,
 		}
-		j++
 	}
 	return nil
 }
@@ -277,8 +247,8 @@ func (k *tally) add(o *tally) {
 
 // judgeRun is the state one judgement's goroutines share.
 type judgeRun struct {
-	// ms are the models the run evaluates, in the caller's order less any
-	// the static prefilter decided; a one-model run points it at one.
+	// ms are the models the run evaluates, in the caller's order; a
+	// one-model run points it at one.
 	ms      []*Model
 	one     [1]*Model
 	ctx     context.Context

@@ -174,8 +174,9 @@ func (b *Builder) Build() (*Test, error) {
 		// Program.Regs is a map: sort before appending so declaration order
 		// (and with it the test's canonical rendering and fingerprint) is
 		// deterministic across constructions.
-		regs := make([]ptx.Reg, 0, len(th.Prog.Regs()))
-		for r := range th.Prog.Regs() {
+		used := th.Prog.Regs()
+		regs := make([]ptx.Reg, 0, len(used))
+		for r := range used {
 			if !declared[tid][r] {
 				regs = append(regs, r)
 			}

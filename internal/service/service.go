@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/campaign"
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/core"
@@ -593,17 +594,24 @@ func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byt
 // peer record, which carries no name at all — still renders this
 // request's name.
 //
-// With static set, the prefilter runs first: a decided verdict skips both
-// the cache and the enumeration — static decisions cost microseconds, so
-// storing them would only spend cache entries (and fleet traffic) on
-// results cheaper to recompute than to look up.
+// With static set, the prefilter runs first on the prepared test: a
+// decided verdict skips both the cache and the enumeration — static
+// decisions cost one preparation, so storing them would only spend cache
+// entries (and fleet traffic) on results cheaper to recompute than to
+// look up. A cache miss streams the same preparation.
 func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (JudgeResult, error) {
 	fp := t.Fingerprint()
-	// The prefilter runs before the fleet cache, not through core.JudgeWith
-	// inside it: a static decision is cheap to remake and is never stored,
-	// so a later non-static request still finds full counts in the cache.
+	// The prefilter runs before the fleet cache, not inside it: a static
+	// decision is cheap to remake and is never stored, so a later
+	// non-static request still finds full counts in the cache.
+	var en *axiom.Enumeration
 	if static {
-		if v := m.StaticVerdict(t); v != nil {
+		// A test that cannot be prepared gets no static decision; the
+		// judge reports the preparation's error.
+		en, _ = axiom.PrepareCtx(ctx, t, axiom.DefaultOpts())
+	}
+	if en != nil {
+		if v := m.StaticVerdict(t, en); v != nil {
 			s.met.staticSkipped.Add(1)
 			jr := JudgeResult{
 				Test:          t.Name,
@@ -620,7 +628,7 @@ func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, pa
 	}
 	key := "judge|" + m.Fingerprint() + "|" + fp
 	val, src, err := s.cachedLookup(ctx, key, decodeVerdict, func() (any, error) {
-		v, err := core.JudgeCtx(ctx, m, t, parallelism)
+		v, err := core.JudgeWith(ctx, m, t, core.Opts{Parallelism: parallelism, Enum: en})
 		if err == nil {
 			s.met.judgeCandidates.Observe(float64(v.Candidates))
 			s.met.candidatesPruned.Add(int64(v.Pruned()))

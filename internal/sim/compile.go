@@ -122,7 +122,7 @@ func Compile(t *litmus.Test, p *chip.Profile, inc chip.Incant) (*Compiled, error
 		c.shared[i] = true
 		c.memFrom[i] = memNone
 		for tid := range t.Threads {
-			if t.Threads[tid].Prog.Symbols()[loc] {
+			if t.Threads[tid].Prog.UsesSym(loc) {
 				c.memFrom[i] = int32(t.Scope.CTAOf(tid))
 				break
 			}
