@@ -25,12 +25,11 @@
 //	})
 //	fmt.Println(res.Outcome(0, 0, 0))              // first test on first chip
 //
-// A Campaign expands its matrix (tests × chips × incantations × fences)
-// into jobs, executes them on a bounded work-stealing worker pool, and
-// aggregates outcomes in matrix order. Per-job seeds derive
-// deterministically from the base seed, so results are byte-identical for
-// every worker count. SweepStream delivers outcomes as they complete for
-// progress-oriented consumers.
+// A Campaign expands its matrix (tests × chips × incantations) into jobs,
+// executes them on a bounded worker pool, and aggregates outcomes in
+// matrix order. Per-job seeds derive deterministically from the base seed,
+// so results are byte-identical for every worker count. SweepStream
+// delivers outcomes as they complete for progress-oriented consumers.
 //
 // The hardware the paper measured is simulated; see DESIGN.md for the
 // substitution argument and EXPERIMENTS.md for paper-vs-measured tables.
@@ -84,7 +83,7 @@ type (
 	// GeneratedTest pairs a diy cycle with its synthesised test.
 	GeneratedTest = diy.GeneratedTest
 	// Campaign declares a sweep matrix — tests × chips × incantations ×
-	// fences × run budget — executed concurrently by Sweep.
+	// run budget — executed concurrently by Sweep.
 	Campaign = campaign.Spec
 	// CampaignJob is one expanded unit of campaign work.
 	CampaignJob = campaign.Job
@@ -235,7 +234,7 @@ func Run(t *Test, cfg RunConfig) (*Outcome, error) {
 }
 
 // Sweep expands the campaign's matrix into jobs, runs them on a bounded
-// work-stealing worker pool (default GOMAXPROCS workers), and returns the
+// worker pool (default GOMAXPROCS workers), and returns the
 // aggregated outcomes in matrix order. The aggregate is deterministic in
 // the campaign spec alone: per-job seeds derive from Campaign.Seed, and
 // worker count or completion order never changes a single byte of it.
@@ -245,7 +244,9 @@ func Sweep(c Campaign) (*SweepResult, error) { return campaign.Run(c) }
 // as it completes (completion order). The channel closes after the last
 // job; the caller must drain it. Individual outcomes are still
 // deterministic per job — only delivery order varies.
-func SweepStream(c Campaign) <-chan CampaignResult { return campaign.Stream(c) }
+func SweepStream(c Campaign) <-chan CampaignResult {
+	return campaign.StreamCtx(context.Background(), c)
+}
 
 // PTXModel returns the paper's model of Nvidia GPUs (Figs. 15 and 16).
 func PTXModel() *Model { return core.PTX() }

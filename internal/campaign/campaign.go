@@ -1,10 +1,10 @@
 // Package campaign is the concurrent sweep engine behind every cross-test
 // experiment: it expands a declarative matrix spec — tests × chips ×
-// incantations × fences × run budget — into jobs, executes them on a
-// bounded work-stealing worker pool, and aggregates the outcomes in matrix
-// order. Per-job seeds are derived deterministically from the base seed, so
-// a campaign's aggregated results are byte-identical regardless of worker
-// count or completion order. The paper's result tables (Figs. 3-4, Table 6,
+// incantations × run budget — into jobs, executes them on a bounded
+// worker pool, and aggregates the outcomes in matrix order. Per-job seeds
+// are derived deterministically from the base seed, so a campaign's
+// aggregated results are byte-identical regardless of worker count or
+// completion order. The paper's result tables (Figs. 3-4, Table 6,
 // the Sec. 5.4 validation) are all sweeps of this shape; package
 // experiments builds them on this engine.
 package campaign
@@ -23,19 +23,11 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
-// Spec declares a sweep matrix. The expanded test axis is Tests followed by
-// every Fenced maker instantiated at every Fence (in order); the job list
-// is the cross product with Chips and Incants, test-major.
+// Spec declares a sweep matrix. The job list is the cross product of
+// Tests, Chips and Incants, test-major.
 type Spec struct {
-	// Tests are concrete litmus tests to sweep.
+	// Tests are the litmus tests to sweep (required).
 	Tests []*litmus.Test
-	// Fenced are fence-parameterised test makers (the rows of Figs. 3-4);
-	// each is instantiated at every entry of Fences and appended to the
-	// test axis after Tests.
-	Fenced []func(litmus.Fence) *litmus.Test
-	// Fences instantiates Fenced; ignored when Fenced is empty. Empty
-	// Fences with non-empty Fenced is a spec error.
-	Fences []litmus.Fence
 	// Chips are the simulated profiles to sweep (required).
 	Chips []*chip.Profile
 	// Incants is the incantation axis; empty selects {chip.Default()}.
@@ -54,15 +46,6 @@ type Spec struct {
 	SeedFn func(Job) int64
 	// Parallelism bounds the worker pool (0 selects GOMAXPROCS).
 	Parallelism int
-	// RunParallelism is the within-job harness parallelism. The default
-	// splits the pool across the jobs — 1 when jobs outnumber workers,
-	// workers/jobs when a small matrix would otherwise idle cores (a
-	// single-test sweep still saturates the machine). Results never
-	// depend on it.
-	RunParallelism int
-	// Progress, when set, is called after each job completes with the
-	// number done and the total. Calls are serialised but unordered.
-	Progress func(done, total int)
 	// Sink, when set, receives one obs.CellEvent per cell lifecycle step:
 	// CellStart before the job runs (index and seed), then CellFinish
 	// (elapsed, runs, matches) or CellError (elapsed, error text). Events
@@ -85,7 +68,7 @@ type Spec struct {
 // incantation for Runs iterations from Seed.
 type Job struct {
 	Index       int // position in the expanded job list
-	TestIndex   int // position on the expanded test axis
+	TestIndex   int // position in Spec.Tests
 	ChipIndex   int
 	IncantIndex int
 	Test        *litmus.Test
@@ -105,15 +88,14 @@ type Result struct {
 // Aggregate is a completed campaign: every outcome, indexed by the matrix
 // coordinates of the spec. Its contents are independent of worker count.
 type Aggregate struct {
-	Tests    []*litmus.Test // the expanded test axis
+	Tests    []*litmus.Test
 	Chips    []*chip.Profile
 	Incants  []chip.Incant
 	Jobs     []Job
 	Outcomes []*harness.Outcome // by Job.Index
 }
 
-// Outcome returns the outcome at (testIndex, chipIndex, incantIndex) on the
-// expanded axes.
+// Outcome returns the outcome at (testIndex, chipIndex, incantIndex).
 func (a *Aggregate) Outcome(testIndex, chipIndex, incantIndex int) *harness.Outcome {
 	return a.Outcomes[(testIndex*len(a.Chips)+chipIndex)*len(a.Incants)+incantIndex]
 }
@@ -132,22 +114,12 @@ func jobSeed(base int64, index int) int64 {
 }
 
 // expand materialises the spec's job list in matrix order.
-func (s *Spec) expand() ([]Job, []*litmus.Test, []chip.Incant, error) {
+func (s *Spec) expand() ([]Job, []chip.Incant, error) {
 	if len(s.Chips) == 0 {
-		return nil, nil, nil, fmt.Errorf("campaign: no chips in spec")
+		return nil, nil, fmt.Errorf("campaign: no chips in spec")
 	}
-	if len(s.Fenced) > 0 && len(s.Fences) == 0 {
-		return nil, nil, nil, fmt.Errorf("campaign: fenced test makers without fences")
-	}
-	tests := make([]*litmus.Test, 0, len(s.Tests)+len(s.Fenced)*len(s.Fences))
-	tests = append(tests, s.Tests...)
-	for _, mk := range s.Fenced {
-		for _, f := range s.Fences {
-			tests = append(tests, mk(f))
-		}
-	}
-	if len(tests) == 0 {
-		return nil, nil, nil, fmt.Errorf("campaign: no tests in spec")
+	if len(s.Tests) == 0 {
+		return nil, nil, fmt.Errorf("campaign: no tests in spec")
 	}
 	incants := s.Incants
 	if len(incants) == 0 {
@@ -158,8 +130,8 @@ func (s *Spec) expand() ([]Job, []*litmus.Test, []chip.Incant, error) {
 		runs = harness.DefaultRuns
 	}
 
-	jobs := make([]Job, 0, len(tests)*len(s.Chips)*len(incants))
-	for ti, t := range tests {
+	jobs := make([]Job, 0, len(s.Tests)*len(s.Chips)*len(incants))
+	for ti, t := range s.Tests {
 		for ci, c := range s.Chips {
 			for ii, inc := range incants {
 				if s.IncantFn != nil {
@@ -184,7 +156,7 @@ func (s *Spec) expand() ([]Job, []*litmus.Test, []chip.Incant, error) {
 			}
 		}
 	}
-	return jobs, tests, incants, nil
+	return jobs, incants, nil
 }
 
 // workers resolves the pool size.
@@ -196,11 +168,11 @@ func (s *Spec) workers() int {
 }
 
 // runParallelism resolves the within-job harness parallelism for a
-// campaign of numJobs jobs.
+// campaign of numJobs jobs: the pool split across the jobs — 1 when jobs
+// outnumber workers, workers/jobs when a small matrix would otherwise idle
+// cores (a single-test sweep still saturates the machine). Results never
+// depend on it.
 func (s *Spec) runParallelism(numJobs int) int {
-	if s.RunParallelism > 0 {
-		return s.RunParallelism
-	}
 	if per := s.workers() / numJobs; per > 1 {
 		return per
 	}
@@ -251,36 +223,25 @@ func (s *Spec) runJobInner(ctx context.Context, j Job, runPar int) (*harness.Out
 }
 
 // Run expands the spec, executes every job on the pool, and aggregates the
-// outcomes in matrix order. The first error (by job index) aborts the
+// outcomes in matrix order. The first error by job index aborts the
 // campaign. The aggregate is deterministic in the spec alone.
 func Run(spec Spec) (*Aggregate, error) {
-	jobs, tests, incants, err := spec.expand()
+	jobs, incants, err := spec.expand()
 	if err != nil {
 		return nil, err
 	}
 	agg := &Aggregate{
-		Tests:    tests,
+		Tests:    spec.Tests,
 		Chips:    spec.Chips,
 		Incants:  incants,
 		Jobs:     jobs,
 		Outcomes: make([]*harness.Outcome, len(jobs)),
 	}
 	runPar := spec.runParallelism(len(jobs))
-	var mu sync.Mutex
-	done := 0
 	err = ForEach(len(jobs), spec.workers(), func(i int) error {
 		out, err := spec.runJob(context.Background(), jobs[i], runPar)
-		if err != nil {
-			return err
-		}
 		agg.Outcomes[i] = out
-		if spec.Progress != nil {
-			mu.Lock()
-			done++
-			spec.Progress(done, len(jobs))
-			mu.Unlock()
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -288,27 +249,21 @@ func Run(spec Spec) (*Aggregate, error) {
 	return agg, nil
 }
 
-// Stream expands the spec and streams each job's Result as it completes
+// StreamCtx expands the spec and streams each job's Result as it completes
 // (completion order, hence nondeterministic ordering; the outcomes
 // themselves are still deterministic per job). The channel is closed when
 // every job has been delivered. A spec error is delivered as a single
-// Result with Err set.
-func Stream(spec Spec) <-chan Result {
-	return StreamCtx(context.Background(), spec)
-}
-
-// StreamCtx is Stream under a context: once ctx is cancelled no new job is
-// started, jobs already in flight abort between harness iterations
-// (harness.RunCtx), and no further Result is delivered — the channel
-// closes promptly without blocking on a reader that has gone away.
-// Individual job outcomes remain deterministic; cancellation only
-// truncates the stream. The service layer passes request-scoped contexts
-// so an abandoned sweep stops burning the worker pool.
+// Result with Err set. Once ctx is cancelled no new job is started, jobs
+// already in flight abort between harness iterations (harness.RunCtx), and
+// no further Result is delivered — the channel closes promptly without
+// blocking on a reader that has gone away; cancellation only truncates the
+// stream. The service layer passes request-scoped contexts so an abandoned
+// sweep stops burning the worker pool.
 func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 	ch := make(chan Result)
 	go func() {
 		defer close(ch)
-		jobs, _, _, err := spec.expand()
+		jobs, _, err := spec.expand()
 		if err != nil {
 			select {
 			case ch <- Result{Err: err}:
@@ -317,8 +272,6 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 			return
 		}
 		runPar := spec.runParallelism(len(jobs))
-		var mu sync.Mutex
-		done := 0
 		_ = ForEach(len(jobs), spec.workers(), func(i int) error {
 			if ctx.Err() != nil {
 				// Abort the pool: no new jobs are taken after an error.
@@ -333,12 +286,6 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-			if spec.Progress != nil {
-				mu.Lock()
-				done++
-				spec.Progress(done, len(jobs))
-				mu.Unlock()
-			}
 			return nil // keep streaming the remaining jobs after a failure
 		})
 	}()
@@ -346,18 +293,15 @@ func StreamCtx(ctx context.Context, spec Spec) <-chan Result {
 }
 
 // ForEach executes fn(i) for every i in [0, n) on parallelism goroutines
-// (GOMAXPROCS when parallelism <= 0): the campaign's work-stealing pool,
-// for harness sweeps and for index-shaped work that is not one (e.g.
-// per-test model analysis feeding a Memo). fn must be safe for concurrent
-// invocation on distinct indices. The first failure by job index is
-// returned, for determinism; jobs already started still finish, but no
-// new job is taken after a failure is observed.
+// (GOMAXPROCS when parallelism <= 0): the campaign's worker pool, for
+// harness sweeps and for index-shaped work that is not one (e.g. per-test
+// model analysis feeding a Memo). fn must be safe for concurrent
+// invocation on distinct indices.
 //
-// The index space is dealt round-robin into per-worker deques up front,
-// so the pool allocates nothing during the run. Each worker pops from the
-// bottom of its own deque, and a worker whose deque runs dry steals from
-// the top of a victim's: the oldest jobs, which under round-robin dealing
-// are the ones farthest from the victim's current locality.
+// Workers claim indices from one counter in ascending order, so when index
+// i fails every lower index has already been claimed: workers stop
+// claiming, the jobs in flight finish, and the error returned is always
+// the lowest failing index's, whatever the scheduling.
 func ForEach(n, parallelism int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -366,41 +310,25 @@ func ForEach(n, parallelism int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, n)
-
-	deques := make([]*deque, workers)
-	for w := range deques {
-		deques[w] = &deque{jobs: make([]int, 0, n/workers+1)}
-	}
-	for i := 0; i < n; i++ {
-		d := deques[i%workers]
-		d.jobs = append(d.jobs, i)
-	}
-
+	var next atomic.Int64
 	var failed atomic.Bool
 	errs := make([]error, n) // per-job slot: no locking, no ordering races
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(workers, n) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for !failed.Load() {
-				i, ok := deques[w].popBottom()
-				if !ok {
-					// Own deque dry: scan victims starting after self.
-					for v := 1; v < workers && !ok; v++ {
-						i, ok = deques[(w+v)%workers].stealTop()
-					}
-					if !ok {
-						return // every deque dry: pool drains
-					}
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
 				if err := fn(i); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -412,35 +340,4 @@ func ForEach(n, parallelism int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// deque is one ForEach worker's job queue of indices.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-// popBottom takes the newest job (the owner's end).
-func (d *deque) popBottom() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.jobs)
-	if n == 0 {
-		return 0, false
-	}
-	j := d.jobs[n-1]
-	d.jobs = d.jobs[:n-1]
-	return j, true
-}
-
-// stealTop takes the oldest job (the thief's end).
-func (d *deque) stealTop() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	j := d.jobs[0]
-	d.jobs = d.jobs[1:]
-	return j, true
 }

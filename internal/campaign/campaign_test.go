@@ -9,7 +9,9 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/core"
+	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
 // shortSpec is a small tests×chips matrix that exercises every engine path
@@ -64,25 +66,29 @@ func TestDeterministicAcrossWorkerCount(t *testing.T) {
 }
 
 // TestShortCampaign is the -short/-race smoke: one small campaign through
-// the concurrent engine with a progress callback and expanded axes checks.
+// the concurrent engine with a cell sink and axes checks.
 func TestShortCampaign(t *testing.T) {
 	var mu sync.Mutex
-	var calls []int
+	finished := make(map[int]int)
 	spec := shortSpec(4)
-	spec.Progress = func(done, total int) {
+	spec.Sink = func(ev obs.CellEvent) {
 		mu.Lock()
 		defer mu.Unlock()
-		if total != 6 {
-			t.Errorf("progress total = %d", total)
+		if ev.Kind == obs.CellFinish {
+			finished[ev.Index]++
 		}
-		calls = append(calls, done)
 	}
 	agg, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 6 {
-		t.Errorf("progress called %d times", len(calls))
+	if len(finished) != 6 {
+		t.Errorf("sink saw %d finished cells, want 6", len(finished))
+	}
+	for i, n := range finished {
+		if n != 1 {
+			t.Errorf("cell %d finished %d times", i, n)
+		}
 	}
 	if len(agg.Tests) != 3 || len(agg.Chips) != 2 || len(agg.Incants) != 1 {
 		t.Errorf("axes %d×%d×%d", len(agg.Tests), len(agg.Chips), len(agg.Incants))
@@ -99,13 +105,18 @@ func TestShortCampaign(t *testing.T) {
 	}
 }
 
-func TestFencedExpansionAndSeedFn(t *testing.T) {
+func TestSeedFn(t *testing.T) {
 	var seedCalls atomic.Int64
+	var tests []*litmus.Test
+	for _, mk := range []func(litmus.Fence) *litmus.Test{litmus.MP, litmus.MPL1} {
+		for _, f := range litmus.Fences {
+			tests = append(tests, mk(f))
+		}
+	}
 	spec := Spec{
-		Fenced: []func(litmus.Fence) *litmus.Test{litmus.MP, litmus.MPL1},
-		Fences: litmus.Fences,
-		Chips:  []*chip.Profile{chip.GTXTitan},
-		Runs:   100,
+		Tests: tests,
+		Chips: []*chip.Profile{chip.GTXTitan},
+		Runs:  100,
 		SeedFn: func(j Job) int64 {
 			seedCalls.Add(1)
 			return int64(j.TestIndex*31 + j.ChipIndex)
@@ -115,11 +126,8 @@ func TestFencedExpansionAndSeedFn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(agg.Tests) != 8 { // 2 makers × 4 fences
-		t.Fatalf("expanded tests = %d", len(agg.Tests))
-	}
-	if agg.Tests[0].Name != litmus.MP(litmus.NoFence).Name {
-		t.Errorf("first expanded test = %s", agg.Tests[0].Name)
+	if len(agg.Tests) != 8 || len(agg.Jobs) != 8 { // 2 makers × 4 fences, one chip
+		t.Fatalf("tests = %d, jobs = %d", len(agg.Tests), len(agg.Jobs))
 	}
 	if seedCalls.Load() != 8 {
 		t.Errorf("SeedFn called %d times", seedCalls.Load())
@@ -160,17 +168,11 @@ func TestSpecErrors(t *testing.T) {
 	if _, err := Run(Spec{Chips: []*chip.Profile{chip.GTXTitan}}); err == nil {
 		t.Error("no tests must error")
 	}
-	if _, err := Run(Spec{
-		Fenced: []func(litmus.Fence) *litmus.Test{litmus.MP},
-		Chips:  []*chip.Profile{chip.GTXTitan},
-	}); err == nil {
-		t.Error("fenced makers without fences must error")
-	}
 }
 
 func TestStreamDeliversEveryJob(t *testing.T) {
 	seen := make(map[int]bool)
-	for r := range Stream(shortSpec(4)) {
+	for r := range StreamCtx(context.Background(), shortSpec(4)) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -189,7 +191,7 @@ func TestStreamDeliversEveryJob(t *testing.T) {
 
 func TestStreamSpecError(t *testing.T) {
 	var got []Result
-	for r := range Stream(Spec{}) {
+	for r := range StreamCtx(context.Background(), Spec{}) {
 		got = append(got, r)
 	}
 	if len(got) != 1 || got[0].Err == nil {
@@ -215,24 +217,55 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 	}
 }
 
+// TestForEachPropagatesFirstErrorByIndex: with two failing indices the
+// lower one's error is returned on every repetition, whatever the worker
+// count and scheduling.
 func TestForEachPropagatesFirstErrorByIndex(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
-	err := ForEach(100, 4, func(i int) error {
-		switch i {
-		case 17:
-			return errA
-		case 60:
-			return errB
+	for _, workers := range []int{4, 8} {
+		for rep := 0; rep < 100; rep++ {
+			err := ForEach(100, workers, func(i int) error {
+				switch i {
+				case 17:
+					return errA
+				case 60:
+					return errB
+				}
+				return nil
+			})
+			if err != errA {
+				t.Fatalf("workers %d, repetition %d: got %v, want index 17's error", workers, rep, err)
+			}
 		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("error lost")
 	}
-	// With both failures recorded the lower index wins; with early abort
-	// only one may have run, but whichever is returned must be one of them.
-	if err != errA && err != errB {
-		t.Errorf("unexpected error %v", err)
+}
+
+// TestRunFirstErrorByJobIndex: a campaign whose jobs 3 and 12 fail returns
+// job 3's error on every repetition.
+func TestRunFirstErrorByJobIndex(t *testing.T) {
+	var tests []*litmus.Test
+	for _, f := range litmus.Fences {
+		tests = append(tests, litmus.MP(f), litmus.MPL1(f))
+	}
+	errLow, errHigh := errors.New("job 3"), errors.New("job 12")
+	spec := Spec{
+		Tests:       tests,
+		Chips:       []*chip.Profile{chip.GTXTitan, chip.GTX280},
+		Parallelism: 4,
+		RunJob: func(_ context.Context, j Job, _ int) (*harness.Outcome, error) {
+			switch j.Index {
+			case 3:
+				return nil, errLow
+			case 12:
+				return nil, errHigh
+			}
+			return &harness.Outcome{Test: j.Test}, nil
+		},
+	}
+	for rep := 0; rep < 100; rep++ {
+		if _, err := Run(spec); !errors.Is(err, errLow) {
+			t.Fatalf("repetition %d: got %v, want job 3's error", rep, err)
+		}
 	}
 }
 
@@ -366,20 +399,24 @@ func TestStreamCtxCancelTruncates(t *testing.T) {
 	}
 }
 
-// TestStreamCtxBackgroundMatchesStream: an uncancelled StreamCtx delivers
-// every job exactly once, like Stream.
-func TestStreamCtxBackgroundMatchesStream(t *testing.T) {
-	seen := make(map[int]bool)
+// TestStreamCtxMatchesRun: every outcome an uncancelled StreamCtx delivers
+// renders exactly as Run's outcome for the same job.
+func TestStreamCtxMatchesRun(t *testing.T) {
+	agg, err := Run(shortSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
 	for res := range StreamCtx(context.Background(), shortSpec(4)) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		if seen[res.Job.Index] {
-			t.Fatalf("job %d delivered twice", res.Job.Index)
+		seen++
+		if got, want := res.Outcome.String(), agg.Outcomes[res.Job.Index].String(); got != want {
+			t.Errorf("job %d: streamed\n%s\nRun\n%s", res.Job.Index, got, want)
 		}
-		seen[res.Job.Index] = true
 	}
-	if len(seen) != 6 {
-		t.Errorf("delivered %d of 6 jobs", len(seen))
+	if seen != 6 {
+		t.Errorf("delivered %d of 6 jobs", seen)
 	}
 }

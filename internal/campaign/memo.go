@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/core"
 	"github.com/weakgpu/gpulitmus/internal/harness"
@@ -42,9 +41,9 @@ import (
 // after a joint pass is straight away; a model that comes later prepares
 // again, with identical results. A test judged under only some of the
 // memo's models keeps its enumeration for the memo's lifetime. A failed or
-// cancelled preparation or verdict is returned to its requester only and
-// never stored, so it cannot poison the test's other models or later
-// requests.
+// cancelled preparation, analysis or verdict is returned to its requester
+// only and never stored, so it cannot poison the test's other models or
+// later requests.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
@@ -69,9 +68,8 @@ type memoEntry struct {
 	// prep.judged.
 	settled bool
 
-	once sync.Once
-	info *ModelInfo
-	err  error
+	// info is the pair's model analysis (Analyse).
+	info held[*ModelInfo]
 
 	// verdict is the pair's one enumerated verdict, which VerdictCtx and
 	// Analyse share.
@@ -82,12 +80,6 @@ type memoEntry struct {
 	// candidate counts, so a caller asking for the full enumeration must
 	// not be served it.
 	static atomic.Pointer[core.Verdict]
-
-	// Fence-repair syntheses memoize like verdicts: one search per (model,
-	// test) content pair however many cells of a campaign share the test.
-	rOnce  sync.Once
-	repair *analysis.RepairResult
-	rErr   error
 }
 
 // testPrep is the shared, model-independent preparation of one test
@@ -180,8 +172,9 @@ func NewMemo() *Memo {
 // already computed, so a later Verdict does not enumerate again.
 func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
 	e := mm.entry(m, t)
-	e.once.Do(func() {
-		e.info, e.err = judgeShared(mm, context.Background(), e, t, func(en *axiom.Enumeration) (*ModelInfo, error) {
+	ctx := context.Background()
+	return e.info.get(ctx, &mm.mu, func() (*ModelInfo, error) {
+		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*ModelInfo, error) {
 			info, v, err := analyse(m, t, en)
 			if err == nil {
 				mm.mu.Lock()
@@ -193,7 +186,6 @@ func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
 			return info, err
 		})
 	})
-	return e.info, e.err
 }
 
 // Verdict is VerdictCtx under a background context at auto parallelism,
@@ -213,6 +205,8 @@ func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 // With static set, the static prefilter goes in front, on the test's
 // shared enumeration: when it decides, nothing is streamed and the pair's
 // static verdict is returned (StaticSkipped set, zero candidate counts).
+// A pair it has decided returns that verdict again without touching the
+// enumeration, so a repeat never prepares the test anew.
 // An undecided test, and every call without static, joins the pair's one
 // enumerated verdict, so a later full-count request never enumerates again.
 //
@@ -231,6 +225,9 @@ func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 func (mm *Memo) VerdictCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (*core.Verdict, error) {
 	e := mm.entry(m, t)
 	if static {
+		if v := e.static.Load(); v != nil {
+			return v, nil
+		}
 		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
 			if v := m.StaticVerdict(t, en); v != nil {
 				e.static.CompareAndSwap(nil, v)
@@ -302,19 +299,6 @@ func (mm *Memo) claim(e *memoEntry) []*memoEntry {
 		}
 	}
 	return sibs
-}
-
-// RepairCtx returns the memoized fence-repair synthesis of t under m
-// (exactly core.RepairCtx, computed once per (model, test) content pair):
-// the minimal judge-verified set of membar insertions/strengthenings
-// making the exists-condition Never. A campaign sweeping one broken test
-// over many chips synthesizes its fix exactly once. The synthesis is
-// deterministic for every parallelism; only the first request for an
-// entry computes, with the same first-requester semantics as VerdictCtx.
-func (mm *Memo) RepairCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (*analysis.RepairResult, error) {
-	e := mm.entry(m, t)
-	e.rOnce.Do(func() { e.repair, e.rErr = core.RepairCtx(ctx, m, t, parallelism) })
-	return e.repair, e.rErr
 }
 
 func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {

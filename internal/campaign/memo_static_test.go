@@ -148,3 +148,34 @@ func TestMemoAnalyseJoinsVerdict(t *testing.T) {
 	}
 	sameCounts(t, "verdict after Analyse", v, want)
 }
+
+// TestMemoStaticRepeatSkipsPrepare: with one model the memo releases a
+// test's enumeration right after its first judgement, so a repeated static
+// request for a decided pair must return the stored verdict without
+// preparing the test again; its trace records no prepare phase.
+func TestMemoStaticRepeatSkipsPrepare(t *testing.T) {
+	mm := NewMemo()
+	m := core.PTX()
+	decided := litmus.MP(litmus.FenceGL) // statically forbidden under ptx
+	first, err := mm.VerdictCtx(context.Background(), m, decided, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.StaticSkipped {
+		t.Fatalf("mp+membar.gls is not statically decided under PTX: %+v", first)
+	}
+	tr := obs.New("repeat")
+	again, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), m, decided, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Errorf("repeat got %+v, want the stored %+v", again, first)
+	}
+	if n := countSpans(tr, "prepare"); n != 0 {
+		t.Errorf("repeat of a decided pair recorded %d prepare spans, want 0", n)
+	}
+	if d := tr.Snapshot().Phases[obs.PhasePrepare]; d != 0 {
+		t.Errorf("repeat of a decided pair spent %v in the prepare phase, want none", d)
+	}
+}

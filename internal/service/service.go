@@ -920,11 +920,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// With static opted in, decide once per distinct test whether its
 	// condition is statically unsatisfiable; such cells can skip the
-	// harness on every chip (their match count is provably zero).
+	// harness on every chip (their match count is provably zero). Each
+	// test is prepared under the request context, so an abandoned sweep
+	// stops here; a test the enumerator cannot prepare is never
+	// unsatisfiable (analysis.Unsatisfiable).
 	unsat := make(map[*litmus.Test]bool)
 	if req.Static {
 		for _, t := range spec.Tests {
-			unsat[t] = analysis.Unsatisfiable(t)
+			en, err := axiom.PrepareCtx(ctx, t, axiom.DefaultOpts())
+			if ctx.Err() != nil {
+				s.writeError(w, judgeStatus(ctx.Err()), ctx.Err())
+				return
+			}
+			unsat[t] = err == nil && analysis.Prefilter(en, analysis.PolicyNone).Verdict == analysis.Forbidden
 		}
 	}
 

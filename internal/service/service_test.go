@@ -1173,6 +1173,26 @@ func TestSweepStaticSkipsUnsatCells(t *testing.T) {
 	}
 }
 
+// TestSweepStaticPreparesUnderRequest: a static sweep prepares its tests
+// under the request context, so the request's trace records a prepare
+// phase and /metrics observes it once for the request.
+func TestSweepStaticPreparesUnderRequest(t *testing.T) {
+	srv, client := newTestService(t, Config{})
+	req := SweepRequest{
+		Tests:  []TestRef{{Test: "mp"}, {Test: "coRR"}},
+		Chips:  []string{"Titan"},
+		Runs:   100,
+		Seed:   3,
+		Static: true,
+	}
+	if err := client.Sweep(context.Background(), req, func(SweepRow) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n := metricValue(t, srv.renderMetrics(), "gpulitmusd_phase_prepare_seconds_count"); n != 1 {
+		t.Errorf("prepare phase observed %d times after one static sweep, want 1", n)
+	}
+}
+
 // TestRepairEndpoint pins the /v1/repair contract on the paper's worked
 // example: mp-L1+membar.ctas repairs by strengthening both membar.ctas to
 // membar.gl, the rendered repaired source is byte-identical to what the
