@@ -247,20 +247,6 @@ type regVal struct {
 	taints map[int]bool
 }
 
-func (v regVal) withTaints(extra map[int]bool) regVal {
-	if len(extra) == 0 {
-		return v
-	}
-	out := regVal{n: v.n, base: v.base, taints: make(map[int]bool, len(v.taints)+len(extra))}
-	for t := range v.taints {
-		out.taints[t] = true
-	}
-	for t := range extra {
-		out.taints[t] = true
-	}
-	return out
-}
-
 func mergeTaints(a, b map[int]bool) map[int]bool {
 	if len(a) == 0 && len(b) == 0 {
 		return nil

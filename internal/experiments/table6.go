@@ -38,7 +38,7 @@ var table6Tags = []string{"coRR", "lb", "mp", "sb"}
 // Table6 reproduces the incantation grid for one chip (Titan or HD7970 in
 // the paper): one campaign over the four idioms × all 16 incantation
 // combinations. Column k (1-based) corresponds to chip.AllIncants()[k-1];
-// per-cell seeds match the serial harness.RunAllIncants loop this replaced.
+// each cell's seed is fixed by its test and incantation indices.
 func Table6(p *chip.Profile, o Opts) (*Table, error) {
 	paper := paperTable6Titan
 	if p.ShortName == "HD7970" {

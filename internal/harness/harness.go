@@ -329,36 +329,3 @@ func parseFingerprint(fp string) (litmus.State, error) {
 	}
 	return s, nil
 }
-
-// RunAllIncants runs the test under all 16 incantation combinations in
-// Table 6 column order.
-func RunAllIncants(t *litmus.Test, p *chip.Profile, runs int, seed int64) ([]*Outcome, error) {
-	var outs []*Outcome
-	for i, inc := range chip.AllIncants() {
-		o, err := Run(t, Config{Chip: p, Incant: inc, Runs: runs, Seed: seed + int64(i)*1_000_003})
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, o)
-	}
-	return outs, nil
-}
-
-// BestIncant scans all 16 combinations with a small run budget and returns
-// the one provoking the most weak outcomes — the paper reports results
-// "using the most effective incantations" (Sec. 3).
-func BestIncant(t *litmus.Test, p *chip.Profile, scanRuns int, seed int64) (chip.Incant, error) {
-	best := chip.Default()
-	bestCount := -1
-	for i, inc := range chip.AllIncants() {
-		o, err := Run(t, Config{Chip: p, Incant: inc, Runs: scanRuns, Seed: seed + int64(i)*999_983})
-		if err != nil {
-			return chip.Incant{}, err
-		}
-		if o.Matches > bestCount {
-			bestCount = o.Matches
-			best = inc
-		}
-	}
-	return best, nil
-}

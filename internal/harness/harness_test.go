@@ -120,36 +120,6 @@ func TestStringHistogram(t *testing.T) {
 	}
 }
 
-func TestRunAllIncants(t *testing.T) {
-	outs, err := RunAllIncants(litmus.SBGlobal(), chip.GTXTitan, 600, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 16 {
-		t.Fatalf("want 16 outcomes, got %d", len(outs))
-	}
-	// Columns 1-8 (no memory stress) must show nothing on Titan.
-	for i := 0; i < 8; i++ {
-		if outs[i].Observed() {
-			t.Errorf("column %d (no memory stress) observed %d weak outcomes", i+1, outs[i].Matches)
-		}
-	}
-	// Column 12 (ms+ts+tr) is the paper's strongest inter-CTA column.
-	if !outs[11].Observed() {
-		t.Error("column 12 must observe sb on Titan")
-	}
-}
-
-func TestBestIncant(t *testing.T) {
-	inc, err := BestIncant(litmus.SBGlobal(), chip.GTXTitan, 300, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inc.MemStress {
-		t.Errorf("best incantation for Titan sb must include memory stress, got %s", inc)
-	}
-}
-
 func TestFingerprintRoundTrip(t *testing.T) {
 	test := litmus.MP(litmus.NoFence)
 	s := litmus.NewMapState()

@@ -7,8 +7,9 @@ import (
 	"sync"
 )
 
-// cache is the content-addressed verdict/outcome store: an LRU bounded at
-// cap entries with singleflight deduplication. Keys are built from content
+// cache is the content-addressed record store: an LRU bounded at cap
+// entries of name-free judge, run and repair records, with singleflight
+// deduplication. Keys are built from content
 // fingerprints (model source, canonical test, run configuration), so
 // semantically identical requests — whatever their labels or arrival order
 // — address the same entry.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,11 +45,101 @@ func corpusNames(t *testing.T) []string {
 
 // TestStoreWarmRestartServesFromDisk is the persistence acceptance pin:
 // a killed-and-restarted replica serves its pre-restart verdicts from
-// disk byte-identically with zero re-enumeration.
+// disk byte-identically with zero re-enumeration. It also pins the
+// renamed-twin path — the same content as inline source under another
+// name — for a judge, a run and a sweep cell: each is served from memory
+// before the restart and from disk after it, and renders exactly what a
+// cold computation under the twin's own name renders.
 func TestStoreWarmRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	names := []string{"coRR", "mp", "sb"}
 	runReq := RunRequest{TestRef: TestRef{Test: "coRR"}, Chip: "Titan", Runs: 500, Seed: 9}
+
+	// Twins are of keys the plain requests above never touch, so each
+	// twin's post-restart answer is its key's first read from disk.
+	twin := func(name string) TestRef {
+		t.Helper()
+		test, err := litmus.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		test.Name = name + "-twin"
+		return TestRef{Source: test.String()}
+	}
+	twinJudge := JudgeRequest{TestRef: twin("lb")}
+	twinRun := RunRequest{TestRef: twin("mp"), Chip: "Titan", Runs: 500, Seed: 9}
+	sweepOf := func(ref TestRef) SweepRequest {
+		return SweepRequest{Tests: []TestRef{ref}, Chips: []string{"Titan"}, Runs: 500, Seed: 10, SeedMode: "fixed"}
+	}
+	twinSweep := sweepOf(twin("sb"))
+	const twinKeys = 3
+
+	sweepRow := func(c *Client, req SweepRequest) SweepRow {
+		t.Helper()
+		var rows []SweepRow
+		if err := c.Sweep(context.Background(), req, func(row SweepRow) error {
+			if !row.Done {
+				rows = append(rows, row)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("sweep returned %d rows, want 1", len(rows))
+		}
+		return rows[0]
+	}
+	type twinResults struct {
+		judge JudgeResult
+		run   RunResponse
+		row   SweepRow
+	}
+	askTwins := func(c *Client) twinResults {
+		t.Helper()
+		ctx := context.Background()
+		judge, err := c.Judge(ctx, twinJudge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := c.Run(ctx, twinRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return twinResults{*judge, *run, sweepRow(c, twinSweep)}
+	}
+	// checkTwins compares twin answers served from tier src with a cold
+	// computation under the twin names, ignoring only cached and source.
+	checkTwins := func(when string, got, cold twinResults, src source) {
+		t.Helper()
+		if got.judge.Source != src.String() || got.run.Source != src.String() || got.row.Source != src.String() {
+			t.Errorf("%s: twin sources = judge %q, run %q, sweep cell %q; want %s",
+				when, got.judge.Source, got.run.Source, got.row.Source, src)
+		}
+		if !got.judge.Cached || !got.run.Cached || !got.row.Cached {
+			t.Errorf("%s: twins must be cached: judge %v, run %v, sweep cell %v", when, got.judge.Cached, got.run.Cached, got.row.Cached)
+		}
+		got.judge.Cached, got.judge.Source = cold.judge.Cached, cold.judge.Source
+		got.run.Cached, got.run.Source = cold.run.Cached, cold.run.Source
+		got.row.Cached, got.row.Source = cold.row.Cached, cold.row.Source
+		if got.judge != cold.judge {
+			t.Errorf("%s: twin judge differs from a cold judge:\n got %+v\nwant %+v", when, got.judge, cold.judge)
+		}
+		if !reflect.DeepEqual(got.run, cold.run) {
+			t.Errorf("%s: twin run differs from a cold run:\n got %+v\nwant %+v", when, got.run, cold.run)
+		}
+		if got.row != cold.row {
+			t.Errorf("%s: twin sweep cell differs from a cold one:\n got %+v\nwant %+v", when, got.row, cold.row)
+		}
+	}
+	_, coldClient := newTestService(t, Config{})
+	cold := askTwins(coldClient)
+	if cold.judge.Source != srcCompute.String() || cold.run.Source != srcCompute.String() || cold.row.Source != srcCompute.String() {
+		t.Fatalf("cold twins must be computed: %+v", cold)
+	}
+	if !strings.HasPrefix(cold.judge.Verdict, "Test lb-twin:") || cold.run.Test != "mp-twin" || cold.row.Test != "sb-twin" {
+		t.Fatalf("cold twins must carry the twin names: %q, %q, %q", cold.judge.Verdict, cold.run.Test, cold.row.Test)
+	}
 
 	verdicts := map[string]JudgeResult{}
 	var runOutput string
@@ -70,15 +161,24 @@ func TestStoreWarmRestartServesFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		runOutput = run.Output
+		// The twins' originals, then the twins themselves from memory.
+		if _, err := c1.Judge(ctx, JudgeRequest{TestRef: TestRef{Test: "lb"}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c1.Run(ctx, RunRequest{TestRef: TestRef{Test: "mp"}, Chip: "Titan", Runs: 500, Seed: 9}); err != nil {
+			t.Fatal(err)
+		}
+		sweepRow(c1, sweepOf(TestRef{Test: "sb"}))
+		checkTwins("before restart", askTwins(c1), cold, srcMemory)
 		st, err := c1.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Computations != int64(len(names))+1 {
-			t.Fatalf("pre-restart computations = %d, want %d", st.Computations, len(names)+1)
+		if st.Computations != int64(len(names))+1+twinKeys {
+			t.Fatalf("pre-restart computations = %d, want %d", st.Computations, len(names)+1+twinKeys)
 		}
-		if st.Store == nil || st.Store.Entries != len(names)+1 {
-			t.Fatalf("store stats = %+v, want %d entries", st.Store, len(names)+1)
+		if st.Store == nil || st.Store.Entries != len(names)+1+twinKeys {
+			t.Fatalf("store stats = %+v, want %d entries", st.Store, len(names)+1+twinKeys)
 		}
 		if err := s1.Close(); err != nil {
 			t.Fatal(err)
@@ -130,6 +230,14 @@ func TestStoreWarmRestartServesFromDisk(t *testing.T) {
 	}
 	if got := metricValue(t, s2.renderMetrics(), "gpulitmusd_disk_hits_total"); got != int64(len(names))+1 {
 		t.Errorf("disk_hits_total = %d", got)
+	}
+
+	checkTwins("after restart", askTwins(c2), cold, srcDisk)
+	if st, err := c2.Stats(ctx); err != nil {
+		t.Fatal(err)
+	} else if st.Computations != 0 || st.Store.Hits != int64(len(names))+1+twinKeys {
+		t.Errorf("post-restart twins: computations = %d, disk hits = %d; want 0, %d",
+			st.Computations, st.Store.Hits, len(names)+1+twinKeys)
 	}
 }
 
@@ -380,6 +488,41 @@ func TestObjectEndpoint(t *testing.T) {
 	badResp.Body.Close()
 	if badResp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage POST = %d, want 400", badResp.StatusCode)
+	}
+
+	// Well-formed JSON the key kind's decoder refuses is refused too, and
+	// never persisted: a verdict with more witnesses than candidates, a run
+	// record under a judge key, and outcomes whose counts no harness run
+	// yields.
+	runRec := `{"histogram":{"0:r1=1 x=1":3},"matches":3,"runs":3}`
+	judgeKey := func(i int) string { return fmt.Sprintf("judge|%s|0000refused%d", m.Fingerprint(), i) }
+	runKey := func(i int) string { return fmt.Sprintf("run|0000refused%d|Titan|default|3|1", i) }
+	for i, bad := range []struct{ key, body string }{
+		{judgeKey(0), `{"model":"PTX","candidates":2,"allowed":2,"witnesses":3,"observable":true}`},
+		{judgeKey(1), runRec},
+		{runKey(2), `{"histogram":{"a":4,"b":-1},"matches":3,"runs":3}`},
+		{runKey(3), `{"histogram":{"a":2},"matches":2,"runs":3}`},
+		{runKey(4), `{"histogram":{"a":3},"matches":4,"runs":3}`},
+		{runKey(5), `{"histogram":{"a":3},"matches":-1,"runs":3}`},
+		{runKey(6), `{"histogram":{"a":9223372036854775807,"b":9223372036854775807,"c":3},"matches":1,"runs":1}`},
+	} {
+		resp, err := http.Post(objectURL(base, bad.key), "application/json", strings.NewReader(bad.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("case %d: POST of invalid record %s = %d, want 400", i, bad.body, resp.StatusCode)
+		}
+		if resp, _ := get(bad.key); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("case %d: refused record %s was stored: GET = %d", i, bad.body, resp.StatusCode)
+		}
+	}
+	// The same run record is accepted under a run key.
+	if resp, err := http.Post(objectURL(base, runKey(7)), "application/json", strings.NewReader(runRec)); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNoContent {
+		t.Errorf("run record POST under a run key = %d, want 204", resp.StatusCode)
 	}
 }
 

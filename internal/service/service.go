@@ -196,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// / SetPeers (re)configures the replica fleet: self's advertised base URL
+// SetPeers (re)configures the replica fleet: self's advertised base URL
 // and the peer list (self is added if absent). Safe to call while
 // serving; in-flight lookups finish on the ring they started with.
 func (s *Server) SetPeers(self string, peers []string) {
@@ -486,17 +486,21 @@ func traceInfo(tr *obs.Trace) *TraceInfo {
 	return ti
 }
 
-// cachedLookup answers key through every layer of the fleet cache:
-// memory LRU (with singleflight — concurrent requesters join one
+// cachedLookup answers key's record through every layer of the fleet
+// cache: memory LRU (with singleflight — concurrent requesters join one
 // leader), then the persistent store, then the key's owning peer under
-// the consistent-hash ring, then compute. The singleflight entry is held
+// the consistent-hash ring, then compute. Every layer holds the same
+// name-free record (verdictRecord, outcomeRecord or repairRecord, by the
+// key's kind), and compute must return one; a disk or peer record the
+// kind's decoder refuses reads as a miss. The singleflight entry is held
 // across the disk and remote paths too, so N concurrent local requests
 // for a remote key cost one peer fetch, not N. A freshly computed record
 // is persisted locally and replicated to its owner; a peer-fetched one
 // is persisted locally (the disk is a cache of permanent facts — warming
 // it is always sound). Peer failure of any kind degrades to local
 // compute: a down replica costs latency, never availability.
-func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byte) (any, error), compute func() (any, error)) (any, source, error) {
+func (s *Server) cachedLookup(ctx context.Context, key string, compute func() (any, error)) (any, source, error) {
+	decode := recordDecoder(key)
 	tr := obs.FromContext(ctx)
 	var lookupStart time.Time
 	if tr.Enabled() {
@@ -553,7 +557,7 @@ func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byt
 		s.met.computations.Add(1)
 		s.met.computeSeconds.Observe(d.Seconds())
 		s.retry.observe(d)
-		if b, eerr := encodeRecord(key, v); eerr == nil {
+		if b, eerr := encodeRecord(v); eerr == nil {
 			if s.store != nil {
 				if serr := s.store.Put(key, b); serr != nil {
 					s.logf("store: %v", serr)
@@ -589,10 +593,8 @@ func (s *Server) cachedLookup(ctx context.Context, key string, decode func([]byt
 }
 
 // judgeOne produces one test's JudgeResult through the fleet cache. The
-// verdict line is rebuilt from the cached counts under the request's test
-// name, so a hit from a differently-labelled identical test — or a disk/
-// peer record, which carries no name at all — still renders this
-// request's name.
+// cached record carries counts and no name, so the verdict line is
+// rendered from it under the request's test whichever tier answered.
 //
 // With static set, the prefilter runs first on the prepared test: a
 // decided verdict skips both the cache and the enumeration — static
@@ -627,37 +629,44 @@ func (s *Server) judgeOne(ctx context.Context, m *core.Model, t *litmus.Test, pa
 		}
 	}
 	key := "judge|" + m.Fingerprint() + "|" + fp
-	val, src, err := s.cachedLookup(ctx, key, decodeVerdict, func() (any, error) {
+	val, src, err := s.cachedLookup(ctx, key, func() (any, error) {
 		v, err := core.JudgeWith(ctx, m, t, core.Opts{Parallelism: parallelism, Enum: en})
-		if err == nil {
-			s.met.judgeCandidates.Observe(float64(v.Candidates))
-			s.met.candidatesPruned.Add(int64(v.Pruned()))
+		if err != nil {
+			return nil, err
 		}
-		return v, err
+		s.met.judgeCandidates.Observe(float64(v.Candidates))
+		s.met.candidatesPruned.Add(int64(v.Pruned()))
+		return &verdictRecord{
+			Model:      v.Model,
+			Candidates: v.Candidates,
+			Allowed:    v.Allowed,
+			Witnesses:  v.Witnesses,
+			Observable: v.Observable,
+			Pruned:     v.Pruned(),
+		}, nil
 	})
-	cached := src != srcCompute
 	if err != nil {
 		return JudgeResult{}, err
 	}
-	v := val.(*core.Verdict)
-	if v.Test != t {
-		// Content-addressed cache hit from an identically-shaped test under
-		// another label: render this request's own name (counts and witness
-		// are identical by construction).
-		clone := *v
-		clone.Test = t
-		v = &clone
+	rec := val.(*verdictRecord)
+	v := core.Verdict{
+		Test:       t,
+		Model:      rec.Model,
+		Candidates: rec.Candidates,
+		Allowed:    rec.Allowed,
+		Witnesses:  rec.Witnesses,
+		Observable: rec.Observable,
 	}
 	res := JudgeResult{
 		Test:        t.Name,
 		Model:       m.Name,
 		Fingerprint: fp,
-		Candidates:  v.Candidates,
-		Allowed:     v.Allowed,
-		Witnesses:   v.Witnesses,
-		Pruned:      v.Pruned(),
-		Observable:  v.Observable,
-		Cached:      cached,
+		Candidates:  rec.Candidates,
+		Allowed:     rec.Allowed,
+		Witnesses:   rec.Witnesses,
+		Pruned:      rec.Pruned,
+		Observable:  rec.Observable,
+		Cached:      src != srcCompute,
 		Source:      src.String(),
 		Verdict:     v.String(),
 	}
@@ -749,7 +758,7 @@ func (s *Server) handleJudge(w http.ResponseWriter, r *http.Request) {
 func (s *Server) repairOne(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int) (RepairResponse, error) {
 	fp := t.Fingerprint()
 	key := "repair|" + m.Fingerprint() + "|" + fp
-	val, src, err := s.cachedLookup(ctx, key, decodeRepair, func() (any, error) {
+	val, src, err := s.cachedLookup(ctx, key, func() (any, error) {
 		r, err := core.RepairCtx(ctx, m, t, parallelism)
 		if err != nil {
 			return nil, err
@@ -857,33 +866,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if runs <= 0 {
 		runs = harness.DefaultRuns
 	}
-
-	// Outcomes are deterministic in (test content, chip, incant, runs,
-	// seed) and independent of parallelism, so parallelism stays out of
-	// the key.
-	key := fmt.Sprintf("run|%s|%s|%s|%d|%d", t.Fingerprint(), profile.ShortName, inc, runs, req.Seed)
-	cellCfg := harness.Config{Chip: profile, Incant: inc, Runs: runs, Seed: req.Seed}
-	decode := func(b []byte) (any, error) { return decodeOutcome(b, cellCfg) }
-	val, src, err := s.cachedLookup(ctx, key, decode, func() (any, error) {
-		cfg := cellCfg
-		cfg.Parallelism = s.clampParallelism(req.Parallelism)
-		return harness.RunCtx(ctx, t, cfg)
+	out, src, err := s.runOne(ctx, t, t.Fingerprint(), harness.Config{
+		Chip: profile, Incant: inc, Runs: runs, Seed: req.Seed, Parallelism: s.clampParallelism(req.Parallelism),
 	})
 	if err != nil {
 		s.writeError(w, judgeStatus(err), err)
 		return
 	}
 	s.met.foldTrace(tr)
-	cached := src != srcCompute
-	out := val.(*harness.Outcome)
-	if out.Test != t {
-		// Cache hit from a content-identical test under another label:
-		// re-render the histogram text under this request's test (the
-		// condition is identical by construction, only the name differs).
-		clone := *out
-		clone.Test = t
-		out = &clone
-	}
 	s.writeJSON(w, http.StatusOK, RunResponse{
 		Test:      t.Name,
 		Chip:      profile.ShortName,
@@ -895,9 +885,41 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Per100k:   out.Per100k(),
 		Observed:  out.Observed(),
 		Output:    out.String(),
-		Cached:    cached,
+		Cached:    src != srcCompute,
 		Source:    src.String(),
 	})
+}
+
+// runOne answers one harness cell of t (fingerprint fp) under cfg through
+// the fleet cache: /v1/run and every sweep cell, original or repaired,
+// look up here, so any of them shares a computation with the others.
+// Outcomes are deterministic in (test content, chip, incant, runs, seed)
+// and independent of parallelism, so cfg.Parallelism stays out of the
+// key. The outcome is rendered from the cached record under t.
+func (s *Server) runOne(ctx context.Context, t *litmus.Test, fp string, cfg harness.Config) (*harness.Outcome, source, error) {
+	key := fmt.Sprintf("run|%s|%s|%s|%d|%d", fp, cfg.Chip.ShortName, cfg.Incant, cfg.Runs, cfg.Seed)
+	val, src, err := s.cachedLookup(ctx, key, func() (any, error) {
+		out, err := harness.RunCtx(ctx, t, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &outcomeRecord{Histogram: out.Histogram, Matches: out.Matches, Runs: out.Runs}, nil
+	})
+	if err != nil {
+		return nil, src, err
+	}
+	rec := val.(*outcomeRecord)
+	return &harness.Outcome{Test: t, Config: cfg, Histogram: rec.Histogram, Matches: rec.Matches, Runs: rec.Runs}, src, nil
+}
+
+// sweepCell is what a sweep records about one cell besides its outcome:
+// the tier that resolved its run, whether the static prefilter skipped it,
+// its traced wall time, and on repair sweeps the repaired test's outcome.
+type sweepCell struct {
+	src      source
+	unsat    bool
+	elapsed  time.Duration
+	repaired *harness.Outcome
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -963,11 +985,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Route every cell through the content-addressed cache under exactly
-	// the /v1/run key shape, so repeated or overlapping sweeps — and run
-	// requests for cells a sweep already computed — cost one harness
-	// execution per distinct (test content, chip, incantation, runs, seed).
-	// Each test's fingerprint is computed once here, not once per cell.
+	// Route every cell through runOne, /v1/run's lookup, so repeated or
+	// overlapping sweeps — and run requests for cells a sweep already
+	// computed — cost one harness execution per distinct (test content,
+	// chip, incantation, runs, seed). Each test's fingerprint is computed
+	// once here, not once per cell.
 	fps := make(map[*litmus.Test]string, len(spec.Tests)+len(repairedTests))
 	for _, t := range spec.Tests {
 		fps[t] = t.Fingerprint()
@@ -975,73 +997,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for _, rt := range repairedTests {
 		fps[rt] = rt.Fingerprint()
 	}
-	var cachedMu sync.Mutex
-	cachedCells := make(map[int]bool)
-	staticCells := make(map[int]string)             // cell index -> skip provenance
-	sourceCells := make(map[int]string)             // cell index -> resolving cache tier
-	elapsedCells := make(map[int]int64)             // cell index -> worker wall nanos (traced sweeps)
-	repairedCells := make(map[int]*harness.Outcome) // cell index -> repaired test's outcome (repair sweeps)
+	// One sweepCell per job index (campaign expands an empty incantation
+	// axis to the default one). A cell's worker — RunJob and the Sink run
+	// on it — fills the cell before campaign.StreamCtx delivers its result,
+	// so the row loop below reads each cell after its writes.
+	cells := make([]sweepCell, len(spec.Tests)*len(spec.Chips)*max(len(spec.Incants), 1))
 	spec.RunJob = func(ctx context.Context, j campaign.Job, runPar int) (*harness.Outcome, error) {
+		c := &cells[j.Index]
 		if unsat[j.Test] {
 			// Skipped cell: no harness run, no cache traffic. The outcome
 			// carries zero matches and no histogram; the row records the
 			// provenance instead of an Output.
 			s.met.staticSkipped.Add(1)
-			cachedMu.Lock()
-			staticCells[j.Index] = "unsat"
-			cachedMu.Unlock()
+			c.unsat = true
 			return &harness.Outcome{
 				Test:   j.Test,
 				Config: harness.Config{Chip: j.Chip, Incant: j.Incant, Seed: j.Seed},
 			}, nil
 		}
-		// runCell routes one (test, cell) execution through the content-
-		// addressed cache under the /v1/run key shape. The original and —
-		// on repair sweeps — the repaired program both go through here, so
-		// repaired-cell runs are cached and deduplicated like any other.
-		runCell := func(t *litmus.Test) (*harness.Outcome, source, error) {
-			fp, ok := fps[t]
-			if !ok {
-				fp = t.Fingerprint()
-			}
-			key := fmt.Sprintf("run|%s|%s|%s|%d|%d", fp, j.Chip.ShortName, j.Incant, j.Runs, j.Seed)
-			cellCfg := harness.Config{Chip: j.Chip, Incant: j.Incant, Runs: j.Runs, Seed: j.Seed}
-			decode := func(b []byte) (any, error) { return decodeOutcome(b, cellCfg) }
-			val, src, err := s.cachedLookup(ctx, key, decode, func() (any, error) {
-				cfg := cellCfg
-				cfg.Parallelism = runPar
-				return harness.RunCtx(ctx, t, cfg)
-			})
-			if err != nil {
-				return nil, src, err
-			}
-			out := val.(*harness.Outcome)
-			if out.Test != t {
-				// Cache hit from a content-identical test under another label:
-				// re-render under this cell's test (outcome content is identical
-				// by construction, only the name differs).
-				clone := *out
-				clone.Test = t
-				out = &clone
-			}
-			return out, src, nil
-		}
-		out, src, err := runCell(j.Test)
+		cfg := harness.Config{Chip: j.Chip, Incant: j.Incant, Runs: j.Runs, Seed: j.Seed, Parallelism: runPar}
+		out, src, err := s.runOne(ctx, j.Test, fps[j.Test], cfg)
 		if err != nil {
 			return nil, err
 		}
-		cachedMu.Lock()
-		cachedCells[j.Index] = src != srcCompute
-		sourceCells[j.Index] = src.String()
-		cachedMu.Unlock()
+		c.src = src
 		if rt := repairedTests[j.Test]; rt != nil {
-			rout, _, err := runCell(rt)
-			if err != nil {
+			// The repaired program's cell is cached and deduplicated like
+			// any other.
+			if c.repaired, _, err = s.runOne(ctx, rt, fps[rt], cfg); err != nil {
 				return nil, err
 			}
-			cachedMu.Lock()
-			repairedCells[j.Index] = rout
-			cachedMu.Unlock()
 		}
 		return out, nil
 	}
@@ -1074,22 +1059,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			case obs.CellStart:
 				writeRow(SweepRow{Index: ev.Index, Seed: ev.Seed, Event: obs.CellStart})
 			default: // finish or error: stash the wall time for the outcome row
-				cachedMu.Lock()
-				elapsedCells[ev.Index] = int64(ev.Elapsed)
-				cachedMu.Unlock()
+				cells[ev.Index].elapsed = ev.Elapsed
 			}
 		}
 	}
 
 	jobs := 0
 	for res := range campaign.StreamCtx(ctx, spec) {
+		c := cells[res.Job.Index]
 		row := SweepRow{
-			Index:       res.Job.Index,
-			TestIndex:   res.Job.TestIndex,
-			ChipIndex:   res.Job.ChipIndex,
-			IncantIndex: res.Job.IncantIndex,
-			Seed:        res.Job.Seed,
-			Runs:        res.Job.Runs,
+			Index:        res.Job.Index,
+			TestIndex:    res.Job.TestIndex,
+			ChipIndex:    res.Job.ChipIndex,
+			IncantIndex:  res.Job.IncantIndex,
+			Seed:         res.Job.Seed,
+			Runs:         res.Job.Runs,
+			ElapsedNanos: int64(c.elapsed),
 		}
 		if res.Job.Test != nil {
 			row.Test = res.Job.Test.Name
@@ -1098,9 +1083,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			row.Chip = res.Job.Chip.ShortName
 		}
 		row.Incant = res.Job.Incant.String()
-		cachedMu.Lock()
-		row.ElapsedNanos = elapsedCells[res.Job.Index]
-		cachedMu.Unlock()
 		switch {
 		case res.Err != nil:
 			row.Error = res.Err.Error()
@@ -1108,15 +1090,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			row.Matches = res.Outcome.Matches
 			row.Per100k = res.Outcome.Per100k()
 			row.Observed = res.Outcome.Observed()
-			cachedMu.Lock()
-			row.Cached = cachedCells[res.Job.Index]
-			row.Static = staticCells[res.Job.Index]
-			if row.Static == "" {
-				row.Source = sourceCells[res.Job.Index]
-			}
-			cachedMu.Unlock()
-			if row.Static == "" {
+			if c.unsat {
 				// Skipped cells produced no histogram; Output stays empty.
+				row.Static = "unsat"
+			} else {
+				row.Cached = c.src != srcCompute
+				row.Source = c.src.String()
 				row.Output = res.Outcome.String()
 			}
 			if rr := repairs[res.Job.Test]; rr != nil {
@@ -1125,10 +1104,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					row.Repair = "unneeded"
 				case rr.Verified:
 					row.Repair = "verified"
-					cachedMu.Lock()
-					rout := repairedCells[res.Job.Index]
-					cachedMu.Unlock()
-					if rout != nil {
+					if rout := c.repaired; rout != nil {
 						row.RepairedMatches = rout.Matches
 						row.RepairedPer100k = rout.Per100k()
 						row.RepairedObserved = rout.Observed()
@@ -1202,42 +1178,39 @@ func (s *Server) sweepSpec(ctx context.Context, req SweepRequest) (campaign.Spec
 // replica's singleflight instead of duplicating the enumeration.
 func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
-	if !validRecordKey(key) {
+	if recordDecoder(key) == nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad object key %q", key))
 		return
 	}
+	var body []byte
 	if v, ok, err := s.cache.Peek(r.Context(), key); err == nil && ok {
-		if b, eerr := encodeRecord(key, v); eerr == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			if _, werr := w.Write(b); werr != nil {
-				s.met.encodeErrors.Add(1)
-				s.logf("object write: %v", werr)
-			}
-			return
-		}
+		body, _ = encodeRecord(v)
 	}
-	if s.store != nil {
-		if b, ok := s.store.Get(key); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			if _, werr := w.Write(b); werr != nil {
-				s.met.encodeErrors.Add(1)
-				s.logf("object write: %v", werr)
-			}
-			return
-		}
+	if body == nil && s.store != nil {
+		body, _ = s.store.Get(key)
 	}
-	s.writeError(w, http.StatusNotFound, fmt.Errorf("service: no record for key"))
+	if body == nil {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: no record for key"))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		s.met.encodeErrors.Add(1)
+		s.logf("object write: %v", err)
+	}
 }
 
 // handleObjectPut accepts a record pushed by the replica that computed
-// it (this replica owns the key under the ring). Records are persisted
-// to the segment store; without one they are acknowledged and dropped —
-// the pusher keeps its local copy either way.
+// it (this replica owns the key under the ring). The key kind's decoder
+// must accept the body — a record no computation could have produced is
+// refused with 400 and never stored. Records are persisted to the
+// segment store; without one they are acknowledged and dropped — the
+// pusher keeps its local copy either way.
 func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
-	if !validRecordKey(key) {
+	decode := recordDecoder(key)
+	if decode == nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad object key %q", key))
 		return
 	}
@@ -1246,8 +1219,12 @@ func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(body) == 0 || len(body) > maxObjectBytes || !json.Valid(body) {
+	if len(body) > maxObjectBytes {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: object body must be a JSON record ≤ %d bytes", maxObjectBytes))
+		return
+	}
+	if _, err := decode(body); err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: invalid record for key %q: %w", key, err))
 		return
 	}
 	if s.store != nil {

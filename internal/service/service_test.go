@@ -1001,24 +1001,24 @@ func TestJudgeReportsPruning(t *testing.T) {
 }
 
 // TestVerdictRecordPrunedRoundTrip pins the store/wire codec for the
-// pruned share: a verdict round-trips through its record with Visited
-// reconstructed from Candidates - Pruned; records written before pruning
-// existed (no pruned field) decode to "nothing pruned" (Visited =
-// Candidates); and a record claiming more pruned than candidates is
-// rejected as malformed.
+// pruned share: a record round-trips through its bytes with Pruned
+// intact; records written before pruning existed (no pruned field) decode
+// to "nothing pruned"; and records no enumeration yields — more pruned
+// than visited candidates, negative counts, counts out of order, an
+// observable flag that disagrees with the witnesses — are rejected as
+// malformed.
 func TestVerdictRecordPrunedRoundTrip(t *testing.T) {
-	vd := &core.Verdict{Model: "PTX", Candidates: 24, Allowed: 18, Witnesses: 6, Observable: true, Visited: 4}
-	rec, err := encodeRecord("judge|k", vd)
+	want := &verdictRecord{Model: "PTX", Candidates: 24, Allowed: 18, Witnesses: 6, Observable: true, Pruned: 20}
+	b, err := encodeRecord(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeVerdict(rec)
+	got, err := decodeVerdict(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := got.(*core.Verdict)
-	if dec.Visited != 4 || dec.Pruned() != 20 || dec.Candidates != 24 {
-		t.Errorf("decoded verdict = visited %d, pruned %d of %d; want 4, 20, 24", dec.Visited, dec.Pruned(), dec.Candidates)
+	if dec := got.(*verdictRecord); *dec != *want {
+		t.Errorf("decoded record = %+v, want %+v", *dec, *want)
 	}
 
 	legacy := []byte(`{"model":"PTX","candidates":24,"allowed":18,"witnesses":6,"observable":true}`)
@@ -1026,14 +1026,27 @@ func TestVerdictRecordPrunedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec = got.(*core.Verdict)
-	if dec.Visited != 24 || dec.Pruned() != 0 {
-		t.Errorf("legacy record decoded to visited %d, pruned %d; want 24, 0", dec.Visited, dec.Pruned())
+	if dec := got.(*verdictRecord); dec.Pruned != 0 || dec.Candidates != 24 {
+		t.Errorf("legacy record decoded to pruned %d of %d; want 0 of 24", dec.Pruned, dec.Candidates)
+	}
+	if _, err := decodeVerdict([]byte(`{"model":"PTX"}`)); err != nil {
+		t.Errorf("a test with no candidates must decode: %v", err)
 	}
 
 	for _, bad := range []string{
 		`{"model":"PTX","candidates":4,"pruned":5}`,
+		`{"model":"PTX","candidates":4,"pruned":4}`,
+		`{"model":"PTX","pruned":1}`,
 		`{"model":"PTX","candidates":4,"pruned":-1}`,
+		`{"model":"PTX","candidates":-4}`,
+		`{"model":"PTX","candidates":4,"allowed":-1}`,
+		`{"model":"PTX","candidates":4,"allowed":2,"witnesses":-1}`,
+		`{"model":"PTX","candidates":4,"allowed":5}`,
+		`{"model":"PTX","candidates":4,"allowed":2,"witnesses":3,"observable":true}`,
+		`{"model":"PTX","candidates":4,"allowed":2,"witnesses":1}`,
+		`{"model":"PTX","candidates":4,"allowed":2,"observable":true}`,
+		`{"candidates":4}`,
+		`null`,
 	} {
 		if _, err := decodeVerdict([]byte(bad)); err == nil {
 			t.Errorf("malformed record %s must be rejected", bad)

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
-	"github.com/weakgpu/gpulitmus/internal/core"
-	"github.com/weakgpu/gpulitmus/internal/harness"
 )
 
 // ---- consistent-hash ring ----------------------------------------------
@@ -171,9 +169,10 @@ func (s *Server) peerPush(ctx context.Context, peer, key string, record []byte) 
 // and every JSON request body.
 const maxObjectBytes = 16 << 20
 
-// verdictRecord is the serialised form of a judge verdict: only content-
-// derived counts, nothing name- or host-dependent, so records are valid
-// forever and shareable between stores.
+// verdictRecord is the cached form of a judge verdict on every tier: only
+// content-derived counts, nothing name- or host-dependent, so records are
+// valid forever and shareable between stores. The witness execution is
+// never kept; judgeOne renders the verdict line under the requesting test.
 type verdictRecord struct {
 	Model      string `json:"model"`
 	Candidates int    `json:"candidates"`
@@ -181,22 +180,23 @@ type verdictRecord struct {
 	Witnesses  int    `json:"witnesses"`
 	Observable bool   `json:"observable"`
 	// Pruned is the symmetry-pruned share of Candidates (core.Verdict.Pruned
-	// at compute time). Omitted when zero, so records from before pruning —
-	// or verdicts nothing was pruned from — decode identically: Pruned 0,
-	// Visited = Candidates.
+	// at compute time). Omitted when zero, so records from before pruning
+	// and verdicts nothing was pruned from read alike: Pruned 0.
 	Pruned int `json:"pruned,omitempty"`
 }
 
-// outcomeRecord is the serialised form of a harness outcome. Final-state
-// fingerprints in the histogram are test-content-derived (registers and
-// locations, no names), matching the key's content addressing.
+// outcomeRecord is the cached form of a harness outcome on every tier.
+// Final-state fingerprints in the histogram are test-content-derived
+// (registers and locations, no names), matching the key's content
+// addressing. runOne renders the outcome under the requesting test and
+// cell; the histogram map is shared by every render and never written.
 type outcomeRecord struct {
 	Histogram map[string]int `json:"histogram"`
 	Matches   int            `json:"matches"`
 	Runs      int            `json:"runs"`
 }
 
-// repairRecord is the serialised form of a fence-repair synthesis result:
+// repairRecord is the cached form of a fence-repair synthesis result:
 // the verified actions and the oracle-checked ledger, all expressed in
 // thread/instruction indices — content-derived, never name-dependent. The
 // repaired source is deliberately not stored; the serving replica
@@ -210,77 +210,80 @@ type repairRecord struct {
 	Reason   string                   `json:"reason,omitempty"`
 }
 
-// encodeRecord serialises a cached value by its key's kind prefix. It is
-// the single source of the wire/disk record format, used by the compute
-// path (persist + push) and by GET /v1/object (serve from memory).
-func encodeRecord(key string, v any) ([]byte, error) {
-	switch {
-	case strings.HasPrefix(key, "judge|"):
-		vd, ok := v.(*core.Verdict)
-		if !ok {
-			return nil, fmt.Errorf("service: judge key holds %T", v)
-		}
-		return json.Marshal(verdictRecord{
-			Model:      vd.Model,
-			Candidates: vd.Candidates,
-			Allowed:    vd.Allowed,
-			Witnesses:  vd.Witnesses,
-			Observable: vd.Observable,
-			Pruned:     vd.Pruned(),
-		})
-	case strings.HasPrefix(key, "run|"):
-		out, ok := v.(*harness.Outcome)
-		if !ok {
-			return nil, fmt.Errorf("service: run key holds %T", v)
-		}
-		return json.Marshal(outcomeRecord{
-			Histogram: out.Histogram,
-			Matches:   out.Matches,
-			Runs:      out.Runs,
-		})
-	case strings.HasPrefix(key, "repair|"):
-		rec, ok := v.(*repairRecord)
-		if !ok {
-			return nil, fmt.Errorf("service: repair key holds %T", v)
-		}
+// encodeRecord serialises a record for the segment store, a peer push
+// or GET /v1/object. Every tier — memory, disk, peer and the wire — holds
+// the same name-free record, so encoding is a plain marshal; the kind's
+// decoder below is its inverse and refuses what encoding never produces.
+func encodeRecord(rec any) ([]byte, error) {
+	switch rec.(type) {
+	case *verdictRecord, *outcomeRecord, *repairRecord:
 		return json.Marshal(rec)
 	default:
-		return nil, fmt.Errorf("service: unknown record kind in key %q", key)
+		return nil, fmt.Errorf("service: %T is not a cache record", rec)
 	}
 }
 
-// validRecordKey guards POST /v1/object against storing arbitrary blobs:
-// only keys the service itself would look up are accepted.
-func validRecordKey(key string) bool {
-	return strings.HasPrefix(key, "judge|") || strings.HasPrefix(key, "run|") || strings.HasPrefix(key, "repair|")
+// recordDecoder returns the decoder for key's kind prefix, or nil for a
+// key the service never looks up (POST /v1/object must not store
+// arbitrary blobs).
+func recordDecoder(key string) func([]byte) (any, error) {
+	switch {
+	case strings.HasPrefix(key, "judge|"):
+		return decodeVerdict
+	case strings.HasPrefix(key, "run|"):
+		return decodeOutcome
+	case strings.HasPrefix(key, "repair|"):
+		return decodeRepair
+	default:
+		return nil
+	}
 }
 
-// decodeVerdict rebuilds a *core.Verdict from a stored record. The Test
-// pointer is left nil — callers re-render under the requesting test (the
-// same clone path memory hits from differently-named tests take), and the
-// Witness execution is intentionally not persisted: the service never
-// serialises witnesses, only counts.
+// decodeVerdict reads a *verdictRecord, refusing counts no enumeration
+// yields: every count is non-negative, witnesses <= allowed <= candidates
+// (each a weighted subset of the one before), observable exactly when
+// there is a witness, and at least one candidate visited when there are
+// any (pruned < candidates).
 func decodeVerdict(b []byte) (any, error) {
 	var rec verdictRecord
 	if err := json.Unmarshal(b, &rec); err != nil {
 		return nil, err
 	}
-	if rec.Model == "" || rec.Candidates < 0 || rec.Pruned < 0 || rec.Pruned > rec.Candidates {
+	if rec.Model == "" || rec.Witnesses < 0 || rec.Witnesses > rec.Allowed || rec.Allowed > rec.Candidates ||
+		rec.Observable != (rec.Witnesses > 0) ||
+		rec.Pruned < 0 || (rec.Pruned > 0 && rec.Pruned >= rec.Candidates) {
 		return nil, fmt.Errorf("service: malformed verdict record")
 	}
-	return &core.Verdict{
-		Model:      rec.Model,
-		Candidates: rec.Candidates,
-		Allowed:    rec.Allowed,
-		Witnesses:  rec.Witnesses,
-		Observable: rec.Observable,
-		Visited:    rec.Candidates - rec.Pruned,
-	}, nil
+	return &rec, nil
 }
 
-// decodeRepair rebuilds a repair record. Like verdicts, the record holds
-// no test: the caller re-applies the actions to the requesting test to
-// render the repaired source.
+// decodeOutcome reads an *outcomeRecord, refusing histograms no harness
+// run yields: counts are non-negative and sum to runs, and matches lies
+// in [0, runs].
+func decodeOutcome(b []byte) (any, error) {
+	var rec outcomeRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return nil, err
+	}
+	if rec.Histogram == nil || rec.Runs <= 0 || rec.Matches < 0 || rec.Matches > rec.Runs {
+		return nil, fmt.Errorf("service: malformed outcome record")
+	}
+	sum := 0
+	for _, n := range rec.Histogram {
+		// Checked against what is left of runs, so the sum cannot overflow.
+		if n < 0 || n > rec.Runs-sum {
+			return nil, fmt.Errorf("service: malformed outcome record")
+		}
+		sum += n
+	}
+	if sum != rec.Runs {
+		return nil, fmt.Errorf("service: malformed outcome record")
+	}
+	return &rec, nil
+}
+
+// decodeRepair reads a *repairRecord. Empty action and attempt lists read
+// as absent, which is how encoding writes them.
 func decodeRepair(b []byte) (any, error) {
 	var rec repairRecord
 	if err := json.Unmarshal(b, &rec); err != nil {
@@ -289,26 +292,11 @@ func decodeRepair(b []byte) (any, error) {
 	if rec.Model == "" {
 		return nil, fmt.Errorf("service: malformed repair record")
 	}
+	if len(rec.Actions) == 0 {
+		rec.Actions = nil
+	}
+	if len(rec.Attempts) == 0 {
+		rec.Attempts = nil
+	}
 	return &rec, nil
-}
-
-// decodeOutcome rebuilds a *harness.Outcome from a stored record under
-// the requesting cell's configuration (chip, incantation, seed — all part
-// of the cache key, so the reconstruction is exact). Test stays nil for
-// the caller's re-render path.
-func decodeOutcome(b []byte, cfg harness.Config) (any, error) {
-	var rec outcomeRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return nil, err
-	}
-	if rec.Histogram == nil || rec.Runs <= 0 {
-		return nil, fmt.Errorf("service: malformed outcome record")
-	}
-	cfg.Runs = rec.Runs
-	return &harness.Outcome{
-		Config:    cfg,
-		Histogram: rec.Histogram,
-		Matches:   rec.Matches,
-		Runs:      rec.Runs,
-	}, nil
 }
