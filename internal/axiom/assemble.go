@@ -45,13 +45,27 @@ type Assembler struct {
 	// its class (-1 outside every class); locCls indexes classes by wloc.
 	// used/usedCnt track which members the rf assignment under construction
 	// references, driving the restricted-growth canonical form; mult is the
-	// per-skeleton orbit size every emitted execution carries as its Mult.
+	// per-skeleton orbit size of the same-value classes.
 	classes [][]EventID
 	classOf []int32
 	locCls  [][]int
 	used    []bool
 	usedCnt []int
 	mult    int
+
+	// Value-blind classes (detectBlindClasses): solo writes of any value
+	// left out of every same-value class of size ≥2. blindOf maps an event
+	// to its value-blind class and is valid only while blind is non-empty;
+	// both are touched only for locations that can form such a class.
+	blind   []blindClass
+	blindOf []int32
+}
+
+// blindClass is one value-blind symmetry class: writes to wloc li whose
+// values differ but cannot be observed while unread and not co-last.
+type blindClass struct {
+	li      int
+	members []EventID // ascending event ids
 }
 
 func resizeInts(s []int, n int) []int {
@@ -433,9 +447,13 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 // a total coherence order over the members it permutes is the identity.
 // Every orbit therefore has exactly ∏ |class|! members (a.mult), and the
 // rf/co enumeration keeps exactly one canonical representative per orbit
-// (enumerateRFFrom, coCanonical), stamping a.mult into Execution.Mult.
+// (enumerateRFFrom, coCanonical).
 //
-// With Opts.Exhaustive the grouping is skipped (mult 1, no classes) and
+// The same-value classes are followed by the value-blind ones
+// (detectBlindClasses), whose orbit size depends on the rf choice and the
+// co-last writes; each execution's Mult is a.mult times that factor.
+//
+// With Opts.Exhaustive both groupings are skipped (mult 1, no classes) and
 // the producer degenerates to the exhaustive enumeration.
 func (en *Enumeration) detectClasses(a *Assembler, evs []Event) {
 	n := len(evs)
@@ -462,6 +480,7 @@ func (en *Enumeration) detectClasses(a *Assembler, evs []Event) {
 		a.locCls[i] = a.locCls[i][:0]
 	}
 	a.mult = 1
+	a.blind = a.blind[:0]
 	if en.opts.Exhaustive {
 		a.usedCnt = a.usedCnt[:0]
 		return
@@ -510,6 +529,84 @@ func (en *Enumeration) detectClasses(a *Assembler, evs []Event) {
 			a.mult = mulSat(a.mult, k)
 		}
 	}
+	en.detectBlindClasses(a, evs)
+}
+
+// detectBlindClasses finds the skeleton's value-blind classes: groups of
+// ≥2 writes to one location that satisfy every detectClasses condition
+// except equal values, and that sit in no same-value class of size ≥2 (so
+// the two groupings cover disjoint events). A member's value is visible
+// only through a read that takes it or through the final memory, which
+// reads the co-last write; .cat has no value relation. So within one rf
+// choice the *eligible* members — unread and not co-last — may swap
+// coherence positions without changing any relation, verdict or final
+// state. coCanonical keeps the orders whose eligible members ascend and
+// weighs each by k! per class (k eligible members).
+//
+// A class can matter only where at least three writes share the location
+// (one of them is co-last) and two of them qualify; other locations never
+// touch the scratch.
+func (en *Enumeration) detectBlindClasses(a *Assembler, evs []Event) {
+	for li, loc := range a.wlocs {
+		ws := a.writers[loc]
+		if len(ws) < 3 {
+			continue
+		}
+		cands := 0
+		for _, w := range ws {
+			if a.blindCandidate(w) {
+				cands++
+			}
+		}
+		if cands < 2 {
+			continue
+		}
+		if len(a.blind) == 0 {
+			n := len(evs)
+			if cap(a.blindOf) < n {
+				a.blindOf = make([]int32, n)
+			}
+			a.blindOf = a.blindOf[:n]
+			for i := range a.blindOf {
+				a.blindOf[i] = -1
+			}
+		}
+		first := len(a.blind)
+		for _, w := range ws {
+			if !a.blindCandidate(w) {
+				continue
+			}
+			ev := &evs[w]
+			joined := false
+			for c := first; c < len(a.blind); c++ {
+				rep := &evs[a.blind[c].members[0]]
+				if rep.CacheOp != ev.CacheOp || rep.Volatile != ev.Volatile || rep.Scope != ev.Scope ||
+					!en.ctaCompatible(rep.Thread, ev.Thread) {
+					continue
+				}
+				a.blind[c].members = append(a.blind[c].members, w)
+				a.blindOf[w] = int32(c)
+				joined = true
+				break
+			}
+			if !joined {
+				var members []EventID
+				if len(a.blind) < cap(a.blind) {
+					members = a.blind[:len(a.blind)+1][len(a.blind)].members[:0]
+				}
+				a.blindOf[w] = int32(len(a.blind))
+				a.blind = append(a.blind, blindClass{li: li, members: append(members, w)})
+			}
+		}
+	}
+}
+
+// blindCandidate reports whether write w may join a value-blind class: it
+// is a solo non-atomic write (it has a same-value class) that no other
+// write shares that class with.
+func (a *Assembler) blindCandidate(w EventID) bool {
+	ci := a.classOf[w]
+	return ci >= 0 && len(a.classes[ci]) == 1
 }
 
 // ctaCompatible reports whether threads t1 and t2 may exchange their solo
@@ -603,7 +700,8 @@ func (en *Enumeration) enumerateRFFrom(a *Assembler, cs comboState, start int, e
 // enumerateCO enumerates the per-location coherence orders for the current
 // rf choice, applying the symmetry-canonicality filter (coCanonical) and
 // the built-in RMW atomicity filter, and streams each surviving execution
-// to emit with the skeleton's orbit size as its Mult.
+// to emit with its orbit size as its Mult: the skeleton's same-value
+// orbit size times the value-blind factor of each chosen order.
 func (en *Enumeration) enumerateCO(a *Assembler, cs comboState, emit func(*Execution) error) error {
 	n := len(cs.evs)
 
@@ -632,15 +730,16 @@ func (en *Enumeration) enumerateCO(a *Assembler, cs comboState, emit func(*Execu
 	}
 	a.coSel = resizeInts(a.coSel, len(a.wlocs))
 
-	var rec func(i int) error
-	rec = func(i int) error {
+	var rec func(i, mult int) error
+	rec = func(i, mult int) error {
 		if i < len(a.wlocs) {
 			for pi := range a.perLoc[i] {
-				if !a.coCanonical(i, a.perLoc[i][pi]) {
+				f := a.coCanonical(i, a.perLoc[i][pi])
+				if f == 0 {
 					continue
 				}
 				a.coSel[i] = pi
-				if err := rec(i + 1); err != nil {
+				if err := rec(i+1, mulSat(mult, f)); err != nil {
 					return err
 				}
 			}
@@ -695,25 +794,34 @@ func (en *Enumeration) enumerateCO(a *Assembler, cs comboState, emit func(*Execu
 			InitReads: initReads,
 			CO:        co,
 			Final:     &litmus.MapState{Regs: cs.regs, Memv: mem},
-			Mult:      a.mult,
+			Mult:      mult,
 			shared:    sk.shared,
 			rfShared:  rfSh,
 			srcOf:     srcOf,
 		}
 		return emit(x)
 	}
-	return rec(0)
+	return rec(0, a.mult)
 }
 
 // coCanonical reports whether the given coherence permutation of wloc li is
 // the canonical member of its orbit under the stabiliser of the current rf
-// assignment. The stabiliser permutes exactly the rf-unused members of each
-// symmetry class (used members are pinned: moving one changes rf), so the
-// canonical — lexicographically first — permutation is the one whose unused
-// members appear in ascending event-id order. Each surviving permutation
-// stands for |class|!/|used|!-per-class twins, all counted by a.mult at the
-// orbit level.
-func (a *Assembler) coCanonical(li int, perm []EventID) bool {
+// assignment, returning 0 when it is not and otherwise the value-blind
+// factor of the orbit size.
+//
+// Same-value classes: the stabiliser permutes exactly the rf-unused
+// members of each class (used members are pinned: moving one changes rf),
+// so the canonical — lexicographically first — permutation is the one
+// whose unused members appear in ascending event-id order; a.mult counts
+// the twins at the orbit level.
+//
+// Value-blind classes: the eligible members — rf-unused and not co-last
+// in perm — may permute among their positions, which pins the co-last
+// write and so keeps eligibility. The canonical permutation has them in
+// ascending event-id order, the first the exhaustive order produces, and
+// stands for k! orders per class of k eligible members. The classes are
+// disjoint from the same-value ones, so the product is the exact orbit.
+func (a *Assembler) coCanonical(li int, perm []EventID) int {
 	for _, c := range a.locCls[li] {
 		if len(a.classes[c]) < 2 {
 			continue
@@ -724,12 +832,33 @@ func (a *Assembler) coCanonical(li int, perm []EventID) bool {
 				continue
 			}
 			if w < prev {
-				return false
+				return 0
 			}
 			prev = w
 		}
 	}
-	return true
+	f := 1
+	last := perm[len(perm)-1]
+	for c := range a.blind {
+		if a.blind[c].li != li || len(a.blind[c].members) < 2 {
+			continue
+		}
+		prev, k := EventID(-1), 0
+		for _, w := range perm {
+			if a.blindOf[w] != int32(c) || a.used[w] || w == last {
+				continue
+			}
+			if w < prev {
+				return 0
+			}
+			prev = w
+			k++
+		}
+		for ; k > 1; k-- {
+			f = mulSat(f, k)
+		}
+	}
+	return f
 }
 
 func sortSyms(syms []ptx.Sym) {

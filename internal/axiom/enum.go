@@ -24,10 +24,11 @@ type Opts struct {
 
 	// Exhaustive disables symmetry pruning: every rf/co completion is
 	// produced individually with Weight 1, exactly the pre-pruning producer.
-	// The default (false) collapses each symmetry class of completions —
-	// interchangeable same-value solo writes permuted through rf sources and
-	// coherence orders — into one canonical representative carrying the class
-	// size in Execution.Mult. The exhaustive path is retained as the
+	// The default (false) collapses each orbit of completions — same-value
+	// solo writes permuted through rf sources and coherence orders, and
+	// unread, non-coherence-last solo writes of any value permuted through
+	// coherence orders — into one canonical representative carrying the
+	// orbit size in Execution.Mult. The exhaustive path is retained as the
 	// differential oracle: for every test the two modes agree on verdicts,
 	// witness content and weighted outcome histograms (pinned by the
 	// pruned-vs-exhaustive differential tests).

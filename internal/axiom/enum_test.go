@@ -375,13 +375,10 @@ func TestOptsFieldDefaults(t *testing.T) {
 	}
 }
 
-func TestMaxExecsExactBound(t *testing.T) {
-	// Three same-location writers assemble 3! = 6 coherence orders from one
-	// path combination. The bound used to be checked only after the whole
-	// batch was appended, overshooting it; streaming enforces it exactly:
-	// at most MaxExecs executions are yielded, and the error fires the
-	// moment one more would be produced.
-	test := litmus.NewTest("co3").
+// co3Test has three solo writers of distinct values to one location and
+// no reads: one path combination with 3! = 6 coherence orders.
+func co3Test() *litmus.Test {
+	return litmus.NewTest("co3").
 		Global("x", 0).
 		Thread("st.cg [x],1").
 		Thread("st.cg [x],2").
@@ -389,14 +386,23 @@ func TestMaxExecsExactBound(t *testing.T) {
 		InterCTA().
 		Exists("x=3").
 		MustBuild()
-	all, err := Enumerate(test, DefaultOpts())
+}
+
+func TestMaxExecsExactBound(t *testing.T) {
+	// co3 assembles 3! = 6 coherence orders from one path combination. The
+	// bound used to be checked only after the whole batch was appended,
+	// overshooting it; streaming enforces it exactly: at most MaxExecs
+	// executions are yielded, and the error fires the moment one more
+	// would be produced.
+	test := co3Test()
+	all, err := Enumerate(test, Opts{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 6 {
 		t.Fatalf("co3: %d executions, want 6", len(all))
 	}
-	en, err := Prepare(test, Opts{MaxExecs: 4})
+	en, err := Prepare(test, Opts{MaxExecs: 4, Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +417,21 @@ func TestMaxExecsExactBound(t *testing.T) {
 	if yields != 4 {
 		t.Errorf("yielded %d executions before the bound fired, want exactly 4", yields)
 	}
-	if _, err := Enumerate(test, Opts{MaxExecs: 6}); err != nil {
+	if _, err := Enumerate(test, Opts{MaxExecs: 6, Exhaustive: true}); err != nil {
 		t.Errorf("MaxExecs=6 must admit exactly 6 executions: %v", err)
+	}
+
+	// Pruned, co3 is 3 representatives of weight 2, and the bound counts
+	// weight: 5 fails (on the third representative), 6 admits.
+	if _, err := Enumerate(test, Opts{MaxExecs: 5}); err == nil {
+		t.Error("pruned MaxExecs=5 must fail on a 6-execution test")
+	}
+	pruned, err := Enumerate(test, Opts{MaxExecs: 6})
+	if err != nil {
+		t.Errorf("pruned MaxExecs=6 must admit all 6 executions: %v", err)
+	}
+	if len(pruned) != 3 {
+		t.Errorf("pruned co3: %d representatives, want 3", len(pruned))
 	}
 }
 

@@ -47,11 +47,14 @@ type Execution struct {
 	Final *litmus.MapState
 
 	// Mult is the number of exhaustive-enumeration candidates this execution
-	// stands for: the size of its symmetry class under the enumerator's
-	// equivalence pruning (interchangeable same-value solo writes collapse
-	// into one canonical representative; see assemble.go). 1 when nothing was
+	// stands for: the size of its orbit under the enumerator's equivalence
+	// pruning (see assemble.go). Interchangeable same-value solo writes
+	// collapse into one canonical representative, and so do solo writes of
+	// any value that no read takes and that are not coherence-last. The
+	// second kind depends on the rf choice and the coherence order, so Mult
+	// is per execution, not per path combination. 1 when nothing was
 	// pruned, 0 for hand-built executions (read it through Weight, which
-	// treats 0 as 1). Every member of the class has the same verdict under
+	// treats 0 as 1). Every member of the orbit has the same verdict under
 	// every model and the same final state, so weighted counts over
 	// representatives equal exhaustive counts over members.
 	Mult int

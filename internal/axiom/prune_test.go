@@ -92,6 +92,103 @@ func symmetryTests(t *testing.T) []*litmus.Test {
 	return []*litmus.Test{symWriters(3), unobserved, twoLocs, intra, initVal, mixed}
 }
 
+// mpExtra is mp, optionally with membar.gl between each thread's two
+// accesses, plus k extra pairs of solo writers of distinct values to x and
+// y: the shape the value-blind classes collapse. Its exhaustive space is
+// 36, 576 and 14,400 executions for k = 1, 2, 3.
+func mpExtra(k int, fence bool) *litmus.Test {
+	name := fmt.Sprintf("mp+%dw", k)
+	t0 := []string{"st.cg [x],1", "st.cg [y],1"}
+	t1 := []string{"ld.cg r1,[y]", "ld.cg r2,[x]"}
+	if fence {
+		name = fmt.Sprintf("mp+membar.gl+%dw", k)
+		t0 = []string{t0[0], "membar.gl", t0[1]}
+		t1 = []string{t1[0], "membar.gl", t1[1]}
+	}
+	b := litmus.NewTest(name).Global("x", 0).Global("y", 0).Thread(t0...).Thread(t1...)
+	for i := 0; i < k; i++ {
+		b = b.Thread(fmt.Sprintf("st.cg [x],%d", 2+i)).Thread(fmt.Sprintf("st.cg [y],%d", 2+i))
+	}
+	return b.InterCTA().Exists("1:r1=1 /\\ 1:r2=0").MustBuild()
+}
+
+// blindTests builds the hand-written value-blind corpus: solo writers of
+// distinct values, whose coherence positions only matter while some read
+// takes them or they are co-last.
+func blindTests(t *testing.T) []*litmus.Test {
+	t.Helper()
+	tests := []*litmus.Test{}
+	for k := 1; k <= 3; k++ {
+		tests = append(tests, mpExtra(k, false), mpExtra(k, true))
+	}
+	// The co-last write's value differs from the other members', and the
+	// final memory reads it.
+	coLast := litmus.NewTest("blind-co-last").
+		Global("x", 0).
+		Thread("st.cg [x],1").
+		Thread("st.cg [x],2").
+		Thread("st.cg [x],3").
+		Thread("ld.cg r0,[x]").
+		InterCTA().
+		Exists("x=2 /\\ 3:r0=1").
+		MustBuild()
+	// A same-value class {1, 1} beside the distinct-value writers 2 and 3
+	// at one location: the two groupings must stay disjoint.
+	mixedVals := litmus.NewTest("blind-beside-same-value").
+		Global("x", 0).
+		Thread("st.cg [x],1").
+		Thread("st.cg [x],1").
+		Thread("st.cg [x],2").
+		Thread("st.cg [x],3").
+		Thread("ld.cg r0,[x]").
+		InterCTA().
+		Exists("x=1 /\\ 4:r0=3").
+		MustBuild()
+	// Two readers: writer 2 is read under some rf choices and not others,
+	// so its eligibility changes from one choice to the next.
+	sometimesRead := litmus.NewTest("blind-sometimes-read").
+		Global("x", 0).
+		Thread("st.cg [x],1").
+		Thread("st.cg [x],2").
+		Thread("st.cg [x],3").
+		Thread("ld.cg r0,[x]").
+		Thread("ld.cg r1,[x]").
+		InterCTA().
+		Exists("3:r0=2 /\\ 4:r1=0").
+		MustBuild()
+	// Writers 0 and 1 share a CTA with the reader, writers 2 and 3 have
+	// their own: the scope tree splits the location's writers into {0, 1}
+	// and {2, 3}.
+	split := litmus.NewTest("blind-scope-split").
+		Global("x", 0).
+		Thread("st.cg [x],1").
+		Thread("st.cg [x],2").
+		Thread("st.cg [x],3").
+		Thread("st.cg [x],4").
+		Thread("ld.cg r0,[x]").
+		Scope(litmus.ScopeTree{CTAs: []litmus.CTAScope{
+			{Warps: []litmus.WarpScope{{Threads: []int{0}}, {Threads: []int{1}}, {Threads: []int{4}}}},
+			{Warps: []litmus.WarpScope{{Threads: []int{2}}}},
+			{Warps: []litmus.WarpScope{{Threads: []int{3}}}},
+		}}).
+		Exists("x=3 /\\ 4:r0=0").
+		MustBuild()
+	// Cache-operator and volatility mismatches: only the .cg writers 1, 3
+	// and 5 group; .ca 2 and volatile 4 stand alone.
+	annot := litmus.NewTest("blind-annotations").
+		Global("x", 0).
+		Thread("st.cg [x],1").
+		Thread("st.ca [x],2").
+		Thread("st.cg [x],3").
+		Thread("st.volatile [x],4").
+		Thread("st.cg [x],5").
+		Thread("ld.cg r0,[x]").
+		InterCTA().
+		Exists("x=4 /\\ 5:r0=2").
+		MustBuild()
+	return append(tests, coLast, mixedVals, sometimesRead, split, annot)
+}
+
 // randomSymTests generates a seeded corpus biased toward symmetry: one
 // location, 3-4 threads each a solo writer (values collide often, including
 // the initial value), a solo reader, or a write-then-read pair, under an
@@ -136,6 +233,7 @@ func pruneCorpus(t *testing.T) []*litmus.Test {
 	t.Helper()
 	tests := producerTests(t)
 	tests = append(tests, symmetryTests(t)...)
+	tests = append(tests, blindTests(t)...)
 	return append(tests, randomSymTests(t, 6)...)
 }
 
@@ -186,7 +284,15 @@ func collectWeighted(t *testing.T, en *Enumeration) []weightedExec {
 }
 
 // TestPrunedStreamMatchesExhaustive is the producer-level differential
-// oracle. For every corpus test it checks, against the exhaustive stream:
+// oracle: checkPrunedStream over the whole corpus.
+func TestPrunedStreamMatchesExhaustive(t *testing.T) {
+	for _, test := range pruneCorpus(t) {
+		checkPrunedStream(t, test, DefaultOpts())
+	}
+}
+
+// checkPrunedStream checks test's pruned stream against its exhaustive
+// one, both prepared with opts' bounds:
 //
 //   - weights: every exhaustive execution has weight 1, and the pruned
 //     weights sum to the exhaustive count (MaxExecs accounting is exact);
@@ -196,67 +302,69 @@ func collectWeighted(t *testing.T, en *Enumeration) []weightedExec {
 //     in particular the first executions (witness selection) coincide;
 //   - outcomes: the weighted final-state histogram equals the exhaustive
 //     one, so observable-state counting cannot tell the modes apart.
-func TestPrunedStreamMatchesExhaustive(t *testing.T) {
-	for _, test := range pruneCorpus(t) {
-		ex, err := Prepare(test, Opts{Exhaustive: true})
-		if err != nil {
-			t.Fatalf("%s: exhaustive: %v", test.Name, err)
-		}
-		pr, err := Prepare(test, DefaultOpts())
-		if err != nil {
-			t.Fatalf("%s: pruned: %v", test.Name, err)
-		}
-		exs := collectWeighted(t, ex)
-		prs := collectWeighted(t, pr)
+func checkPrunedStream(t *testing.T, test *litmus.Test, opts Opts) {
+	t.Helper()
+	exOpts := opts
+	exOpts.Exhaustive = true
+	opts.Exhaustive = false
+	ex, err := Prepare(test, exOpts)
+	if err != nil {
+		t.Fatalf("%s: exhaustive: %v", test.Name, err)
+	}
+	pr, err := Prepare(test, opts)
+	if err != nil {
+		t.Fatalf("%s: pruned: %v", test.Name, err)
+	}
+	exs := collectWeighted(t, ex)
+	prs := collectWeighted(t, pr)
 
-		for i, e := range exs {
-			if e.w != 1 {
-				t.Errorf("%s: exhaustive execution %d has weight %d, want 1", test.Name, i, e.w)
-				break
-			}
+	for i, e := range exs {
+		if e.w != 1 {
+			t.Errorf("%s: exhaustive execution %d has weight %d, want 1", test.Name, i, e.w)
+			break
 		}
-		total := 0
-		for _, p := range prs {
-			total += p.w
+	}
+	total := 0
+	for _, p := range prs {
+		total += p.w
+	}
+	if total != len(exs) {
+		t.Errorf("%s: pruned weights sum to %d, exhaustive count is %d", test.Name, total, len(exs))
+		return
+	}
+	if len(prs) > 0 && prs[0].str != exs[0].str {
+		t.Errorf("%s: first pruned execution differs from first exhaustive:\n%s\nvs\n%s",
+			test.Name, prs[0].str, exs[0].str)
+	}
+	j := 0
+	for i, p := range prs {
+		k := j
+		for k < len(exs) && exs[k].str != p.str {
+			k++
 		}
-		if total != len(exs) {
-			t.Errorf("%s: pruned weights sum to %d, exhaustive count is %d", test.Name, total, len(exs))
-			continue
+		if k == len(exs) {
+			t.Errorf("%s: pruned execution %d is not in the exhaustive stream at or after position %d:\n%s",
+				test.Name, i, j, p.str)
+			break
 		}
-		if len(prs) > 0 && prs[0].str != exs[0].str {
-			t.Errorf("%s: first pruned execution differs from first exhaustive:\n%s\nvs\n%s",
-				test.Name, prs[0].str, exs[0].str)
-		}
-		j := 0
-		for i, p := range prs {
-			k := j
-			for k < len(exs) && exs[k].str != p.str {
-				k++
-			}
-			if k == len(exs) {
-				t.Errorf("%s: pruned execution %d is not in the exhaustive stream at or after position %d:\n%s",
-					test.Name, i, j, p.str)
-				break
-			}
-			j = k + 1
-		}
+		j = k + 1
+	}
 
-		want := map[string]int{}
-		for _, e := range exs {
-			want[e.final]++
-		}
-		got := map[string]int{}
-		for _, p := range prs {
-			got[p.final] += p.w
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s: %d weighted final states, exhaustive has %d", test.Name, len(got), len(want))
-			continue
-		}
-		for f, n := range want {
-			if got[f] != n {
-				t.Errorf("%s: final state %q has weight %d, exhaustive count %d", test.Name, f, got[f], n)
-			}
+	want := map[string]int{}
+	for _, e := range exs {
+		want[e.final]++
+	}
+	got := map[string]int{}
+	for _, p := range prs {
+		got[p.final] += p.w
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: %d weighted final states, exhaustive has %d", test.Name, len(got), len(want))
+		return
+	}
+	for f, n := range want {
+		if got[f] != n {
+			t.Errorf("%s: final state %q has weight %d, exhaustive count %d", test.Name, f, got[f], n)
 		}
 	}
 }
@@ -273,6 +381,16 @@ func TestPrunedStreamMatchesExhaustive(t *testing.T) {
 //
 // sym-unobserved (writers 1, 1, 2; nobody reads): one class of two, orbit
 // size 2; 3! = 6 exhaustive coherence orders collapse to 3 representatives.
+// Writer 2 stays out of the value-blind grouping: the others already form
+// a same-value class.
+//
+// co3 (writers 1, 2, 3; nobody reads): one value-blind class of three.
+// Each of the 3 co-last choices pins one writer and leaves two eligible, so
+// 6 coherence orders collapse to 3 representatives of weight 2! = 2.
+//
+// mp+kw (± membar.gl): x and y each get a value-blind class of k extra
+// writers. The weights vary per execution (wantWeight 0 skips that check);
+// 36, 576 and 14,400 executions collapse to 36, 484 and 5,476 visits.
 func TestSymmetryPrunedCounts(t *testing.T) {
 	check := func(test *litmus.Test, wantVisits, wantTotal, wantWeight int) {
 		t.Helper()
@@ -284,7 +402,7 @@ func TestSymmetryPrunedCounts(t *testing.T) {
 		total := 0
 		for i, p := range prs {
 			total += p.w
-			if p.w != wantWeight {
+			if wantWeight != 0 && p.w != wantWeight {
 				t.Errorf("%s: execution %d has weight %d, want %d", test.Name, i, p.w, wantWeight)
 			}
 		}
@@ -295,6 +413,12 @@ func TestSymmetryPrunedCounts(t *testing.T) {
 	}
 	check(symWriters(3), 16, 96, 6)
 	check(symmetryTests(t)[1], 3, 6, 2) // sym-unobserved
+	check(co3Test(), 3, 6, 2)
+	for _, fence := range []bool{false, true} {
+		check(mpExtra(1, fence), 36, 36, 1)
+		check(mpExtra(2, fence), 484, 576, 0)
+		check(mpExtra(3, fence), 5476, 14400, 0)
+	}
 }
 
 // TestStreamComboChunksMatchStreamCombo pins the chunked producer: for
@@ -426,4 +550,95 @@ func TestMaxExecsWeightedBound(t *testing.T) {
 			t.Errorf("exhaustive=%v: MaxExecs=%d: err = %v, want %v", exhaustive, total-1, err, tight.BoundError())
 		}
 	}
+}
+
+// fuzzShape decodes data into a small test of solo writers and readers for
+// FuzzPrunedMatchesExhaustive: one byte for the scope tree and condition,
+// then one byte per thread (at most five) picking a solo write (.cg, .ca
+// or volatile), a solo read, or a write-then-read pair, its location (x or
+// y) and its value (0-3). It returns nil for data too short to hold a
+// thread.
+func fuzzShape(data []byte) *litmus.Test {
+	if len(data) < 2 {
+		return nil
+	}
+	head, body := data[0], data[1:]
+	if len(body) > 5 {
+		body = body[:5]
+	}
+	b := litmus.NewTest("fuzz-blind").Global("x", 0).Global("y", 0)
+	for _, c := range body {
+		loc := "x"
+		if c&0x08 != 0 {
+			loc = "y"
+		}
+		val := int(c>>4) & 3
+		switch c & 0x07 {
+		case 0, 1:
+			b = b.Thread(fmt.Sprintf("st.cg [%s],%d", loc, val))
+		case 2:
+			b = b.Thread(fmt.Sprintf("st.ca [%s],%d", loc, val))
+		case 3:
+			b = b.Thread(fmt.Sprintf("st.volatile [%s],%d", loc, val))
+		case 4, 5:
+			b = b.Thread(fmt.Sprintf("ld.cg r0,[%s]", loc))
+		default:
+			b = b.Thread(fmt.Sprintf("st.cg [%s],%d", loc, val), fmt.Sprintf("ld.cg r0,[%s]", loc))
+		}
+	}
+	switch head & 3 {
+	case 0:
+		b = b.InterCTA()
+	case 1:
+		b = b.IntraCTA()
+	default:
+		// Thread i joins CTA bit i of head>>2: a tree that may split classes.
+		var ctas [2][]litmus.WarpScope
+		for tid := range body {
+			g := int(head>>(2+tid)) & 1
+			ctas[g] = append(ctas[g], litmus.WarpScope{Threads: []int{tid}})
+		}
+		var tree litmus.ScopeTree
+		for _, warps := range ctas {
+			if len(warps) > 0 {
+				tree.CTAs = append(tree.CTAs, litmus.CTAScope{Warps: warps})
+			}
+		}
+		b = b.Scope(tree)
+	}
+	test, err := b.Exists(fmt.Sprintf("x=%d", int(head>>6)&3)).Build()
+	if err != nil {
+		return nil
+	}
+	return test
+}
+
+// FuzzPrunedMatchesExhaustive runs checkPrunedStream on random solo-writer
+// and reader shapes (fuzzShape) whose exhaustive space stays small.
+func FuzzPrunedMatchesExhaustive(f *testing.F) {
+	for _, seed := range [][]byte{
+		{0x00, 0x10, 0x20, 0x30},             // co3 with a write of the initial value
+		{0x00, 0x10, 0x20, 0x30, 0x04},       // plus a reader
+		{0x01, 0x10, 0x10, 0x20, 0x30, 0x04}, // same-value class beside blind writers, intra-CTA
+		{0x42, 0x10, 0x22, 0x33, 0x30, 0x04}, // cache-op and volatile mismatches, split tree
+		{0x0e, 0x10, 0x20, 0x30, 0x04, 0x05}, // two readers, split tree
+		{0x80, 0x16, 0x26, 0x30, 0x18, 0x28}, // write-then-read pairs, two locations
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		test := fuzzShape(data)
+		if test == nil {
+			return
+		}
+		opts := Opts{MaxExecs: 1 << 12, Exhaustive: true}
+		en, err := Prepare(test, opts)
+		if err != nil {
+			return
+		}
+		if err := en.StreamCtx(context.Background(), func(*Execution) error { return nil }); err != nil {
+			return // too large for a quick differential
+		}
+		checkPrunedStream(t, test, opts)
+	})
 }

@@ -191,6 +191,12 @@ func (m *Model) MustCompile() *Program {
 // otherwise never finish compiling.
 const maxInlineDepth = 64
 
+// maxInsns bounds a compiled program's size. Inlining copies a function's
+// body at every call, so a chain of functions that each call the previous
+// one twice doubles the program per link: 18 links already compile to
+// half a million instructions. The built-in models need a few hundred.
+const maxInsns = 1 << 16
+
 // binding is a compile-time name binding: a slot for relations, a
 // definition for model-local functions.
 type binding struct {
@@ -396,6 +402,11 @@ func (c *compiler) inline(fn *Let, v App, scope map[string]int) (int, error) {
 	}
 	if c.depth++; c.depth > maxInlineDepth {
 		return 0, fmt.Errorf("%q exceeds inline depth %d (recursive function?)", v.Fn, maxInlineDepth)
+	}
+	// Checked per call: between two inlined calls the program grows by at
+	// most one function body, so compiling stops soon after the cap.
+	if len(c.insns) > maxInsns {
+		return 0, fmt.Errorf("inlining %q grows the program past %d instructions", v.Fn, maxInsns)
 	}
 	defer func() { c.depth-- }()
 	params := make(map[string]int, len(fn.Params))

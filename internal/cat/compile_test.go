@@ -199,6 +199,14 @@ func randExpr(rng *rand.Rand, bound []string, depth int) string {
 
 // TestCompileErrors pins the text of every error Compile reports.
 func TestCompileErrors(t *testing.T) {
+	// Eighteen chained functions, each calling the previous one twice:
+	// unbounded, f17 alone would inline to 2^19 - 1 instructions.
+	var chain strings.Builder
+	chain.WriteString("let f0(p) = p | p\n")
+	for i := 1; i < 18; i++ {
+		fmt.Fprintf(&chain, "let f%d(p) = f%d(p) | f%d(p)\n", i, i-1, i-1)
+	}
+	chain.WriteString("acyclic f17(po) as c")
 	for _, c := range []struct {
 		name string
 		m    *Model
@@ -221,6 +229,8 @@ func TestCompileErrors(t *testing.T) {
 			`cat: in check c: "f" wants 2 arguments, got 1`},
 		{"recursive inline", MustParse("let f(p) = f(p) | p\nacyclic f(po) as c"),
 			`cat: in check c: "f" exceeds inline depth 64 (recursive function?)`},
+		{"program size", MustParse(chain.String()),
+			`cat: in check c: inlining "f1" grows the program past 65536 instructions`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p, err := c.m.Compile()

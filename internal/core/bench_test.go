@@ -157,8 +157,15 @@ func BenchmarkJudgeStressParallel(b *testing.B) { benchJudgeStress(b, runtime.GO
 // Before/after numbers live in BENCH_prune.json.
 func benchJudgeSymmetric(b *testing.B, opts axiom.Opts) {
 	b.Helper()
+	benchJudgeShape(b, symCoreTest(5), opts)
+}
+
+// benchJudgeShape prepares and judges test under PTX with serial
+// evaluation, reporting the weighted candidates and the visited
+// representatives per judgement.
+func benchJudgeShape(b *testing.B, test *litmus.Test, opts axiom.Opts) {
+	b.Helper()
 	m := PTX()
-	test := symCoreTest(5)
 	b.ReportAllocs()
 	var v *Verdict
 	for i := 0; i < b.N; i++ {
@@ -182,6 +189,19 @@ func BenchmarkJudgeSymmetric(b *testing.B) { benchJudgeSymmetric(b, axiom.Defaul
 // disabled — the pre-change cost of the same verdict.
 func BenchmarkJudgeSymmetricExhaustive(b *testing.B) {
 	benchJudgeSymmetric(b, axiom.Opts{Exhaustive: true})
+}
+
+// BenchmarkJudgeMP3W judges mp+3w, the largest shape of the judge-large
+// workload: mp plus three extra pairs of solo writers of distinct values
+// to x and y. Its value-blind classes collapse 14,400 candidates into
+// 5,476 visited representatives. Before/after numbers live in
+// BENCH_prune.json.
+func BenchmarkJudgeMP3W(b *testing.B) { benchJudgeShape(b, mpExtraTest(3, false), axiom.DefaultOpts()) }
+
+// BenchmarkJudgeMP3WExhaustive is the same judgement with pruning
+// disabled: every one of the 14,400 candidates is evaluated.
+func BenchmarkJudgeMP3WExhaustive(b *testing.B) {
+	benchJudgeShape(b, mpExtraTest(3, false), axiom.Opts{Exhaustive: true})
 }
 
 // benchJudgeCorpus judges every paper test under PTX, with or without the

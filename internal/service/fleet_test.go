@@ -492,12 +492,25 @@ func TestObjectEndpoint(t *testing.T) {
 
 	// Well-formed JSON the key kind's decoder refuses is refused too, and
 	// never persisted: a verdict with more witnesses than candidates, a run
-	// record under a judge key, and outcomes whose counts no harness run
-	// yields.
+	// record under a judge key, outcomes whose counts no harness run
+	// yields, and records that belong to another key — an SC verdict or
+	// repair under a PTX key, an outcome whose runs differ from the key's,
+	// and run keys whose chip or incantation runOne never writes.
+	sc, err := s.model("sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scRec := `{"model":"SC","candidates":4,"allowed":3}`
 	runRec := `{"histogram":{"0:r1=1 x=1":3},"matches":3,"runs":3}`
 	judgeKey := func(i int) string { return fmt.Sprintf("judge|%s|0000refused%d", m.Fingerprint(), i) }
-	runKey := func(i int) string { return fmt.Sprintf("run|0000refused%d|Titan|default|3|1", i) }
+	runKey := func(i int) string { return fmt.Sprintf("run|0000refused%d|Titan|ms+ts+tr|3|1", i) }
 	for i, bad := range []struct{ key, body string }{
+		{judgeKey(8), scRec},
+		{fmt.Sprintf("repair|%s|0000refused9", m.Fingerprint()), `{"model":"SC","verified":false,"reason":"none"}`},
+		{"run|0000refused10|Titan|ms+ts+tr|10|1", runRec},
+		{"run|0000refused11|GTX Titan|ms+ts+tr|3|1", runRec},
+		{"run|0000refused12|Titan|tr+ms+ts|3|1", runRec},
+		{"run|0000refused13|Titan|ms+ts+tr|3", runRec},
 		{judgeKey(0), `{"model":"PTX","candidates":2,"allowed":2,"witnesses":3,"observable":true}`},
 		{judgeKey(1), runRec},
 		{runKey(2), `{"histogram":{"a":4,"b":-1},"matches":3,"runs":3}`},
@@ -518,11 +531,18 @@ func TestObjectEndpoint(t *testing.T) {
 			t.Errorf("case %d: refused record %s was stored: GET = %d", i, bad.body, resp.StatusCode)
 		}
 	}
-	// The same run record is accepted under a run key.
+	// The same run record is accepted under a run key, and the SC verdict
+	// under an SC judge key.
 	if resp, err := http.Post(objectURL(base, runKey(7)), "application/json", strings.NewReader(runRec)); err != nil {
 		t.Fatal(err)
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusNoContent {
 		t.Errorf("run record POST under a run key = %d, want 204", resp.StatusCode)
+	}
+	scKey := "judge|" + sc.Fingerprint() + "|0000accepted"
+	if resp, err := http.Post(objectURL(base, scKey), "application/json", strings.NewReader(scRec)); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNoContent {
+		t.Errorf("SC verdict POST under an SC key = %d, want 204", resp.StatusCode)
 	}
 }
 

@@ -492,7 +492,8 @@ func traceInfo(tr *obs.Trace) *TraceInfo {
 // the consistent-hash ring, then compute. Every layer holds the same
 // name-free record (verdictRecord, outcomeRecord or repairRecord, by the
 // key's kind), and compute must return one; a disk or peer record the
-// kind's decoder refuses reads as a miss. The singleflight entry is held
+// kind's decoder refuses, or that does not belong to the key
+// (decodeRecord), reads as a miss. The singleflight entry is held
 // across the disk and remote paths too, so N concurrent local requests
 // for a remote key cost one peer fetch, not N. A freshly computed record
 // is persisted locally and replicated to its owner; a peer-fetched one
@@ -500,7 +501,6 @@ func traceInfo(tr *obs.Trace) *TraceInfo {
 // it is always sound). Peer failure of any kind degrades to local
 // compute: a down replica costs latency, never availability.
 func (s *Server) cachedLookup(ctx context.Context, key string, compute func() (any, error)) (any, source, error) {
-	decode := recordDecoder(key)
 	tr := obs.FromContext(ctx)
 	var lookupStart time.Time
 	if tr.Enabled() {
@@ -511,7 +511,7 @@ func (s *Server) cachedLookup(ctx context.Context, key string, compute func() (a
 	val, cached, err := s.cache.Do(ctx, key, func() (any, error) {
 		if s.store != nil {
 			if b, ok := s.store.Get(key); ok {
-				if v, derr := decode(b); derr == nil {
+				if v, derr := s.decodeRecord(key, b); derr == nil {
 					src = srcDisk
 					s.met.diskHits.Add(1)
 					return v, nil
@@ -534,7 +534,7 @@ func (s *Server) cachedLookup(ctx context.Context, key string, compute func() (a
 			case b == nil:
 				s.met.peerMisses.Add(1)
 			default:
-				if v, derr := decode(b); derr == nil {
+				if v, derr := s.decodeRecord(key, b); derr == nil {
 					src = srcPeer
 					s.met.peerHits.Add(1)
 					if s.store != nil {
@@ -1202,15 +1202,14 @@ func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleObjectPut accepts a record pushed by the replica that computed
-// it (this replica owns the key under the ring). The key kind's decoder
-// must accept the body — a record no computation could have produced is
-// refused with 400 and never stored. Records are persisted to the
-// segment store; without one they are acknowledged and dropped — the
-// pusher keeps its local copy either way.
+// it (this replica owns the key under the ring). decodeRecord must accept
+// the body — a record no computation could have produced, or one that
+// belongs to another key, is refused with 400 and never stored. Records
+// are persisted to the segment store; without one they are acknowledged
+// and dropped — the pusher keeps its local copy either way.
 func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
-	decode := recordDecoder(key)
-	if decode == nil {
+	if recordDecoder(key) == nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad object key %q", key))
 		return
 	}
@@ -1223,7 +1222,7 @@ func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: object body must be a JSON record ≤ %d bytes", maxObjectBytes))
 		return
 	}
-	if _, err := decode(body); err != nil {
+	if _, err := s.decodeRecord(key, body); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: invalid record for key %q: %w", key, err))
 		return
 	}

@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
+	"github.com/weakgpu/gpulitmus/internal/chip"
 )
 
 // ---- consistent-hash ring ----------------------------------------------
@@ -237,6 +239,75 @@ func recordDecoder(key string) func([]byte) (any, error) {
 	default:
 		return nil
 	}
+}
+
+// decodeRecord decodes b as the record stored under key: the key kind's
+// decoder must accept it, and it must belong to the key. A verdict or
+// repair record must carry the name of the model whose fingerprint the
+// key names (a key naming no model of this server binds no record). An
+// outcome record must hold as many runs as the key, whose chip and
+// incantation must be written as runOne writes them. A record that passes
+// is one this server could have computed for the key.
+func (s *Server) decodeRecord(key string, b []byte) (any, error) {
+	decode := recordDecoder(key)
+	if decode == nil {
+		return nil, fmt.Errorf("service: bad object key %q", key)
+	}
+	rec, err := decode(b)
+	if err != nil {
+		return nil, err
+	}
+	_, rest, _ := strings.Cut(key, "|")
+	switch r := rec.(type) {
+	case *verdictRecord:
+		if r.Model != s.keyModel(rest) {
+			return nil, fmt.Errorf("service: %s verdict record does not belong to key %q", r.Model, key)
+		}
+	case *repairRecord:
+		if r.Model != s.keyModel(rest) {
+			return nil, fmt.Errorf("service: %s repair record does not belong to key %q", r.Model, key)
+		}
+	case *outcomeRecord:
+		if !runKeyHolds(rest, r.Runs) {
+			return nil, fmt.Errorf("service: outcome record of %d runs does not belong to key %q", r.Runs, key)
+		}
+	}
+	return rec, nil
+}
+
+// keyModel returns the name of the model whose fingerprint leads rest (a
+// judge or repair key after its kind), or "" when no model of this server
+// has that fingerprint.
+func (s *Server) keyModel(rest string) string {
+	fp, _, _ := strings.Cut(rest, "|")
+	//detmap:ignore fingerprints are unique, so at most one model matches.
+	for _, m := range s.models {
+		if m.Fingerprint() == fp {
+			return m.Name
+		}
+	}
+	return ""
+}
+
+// runKeyHolds reports whether rest (a run key after its kind:
+// fingerprint|chip|incantation|runs|seed) names a chip by its short name,
+// an incantation in canonical form, a seed, and exactly runs runs.
+func runKeyHolds(rest string, runs int) bool {
+	f := strings.Split(rest, "|")
+	if len(f) != 5 {
+		return false
+	}
+	if p, err := chip.ByName(f[1]); err != nil || p.ShortName != f[1] {
+		return false
+	}
+	if inc, err := chip.ParseIncant(f[2]); err != nil || inc.String() != f[2] {
+		return false
+	}
+	if n, err := strconv.Atoi(f[3]); err != nil || n != runs {
+		return false
+	}
+	_, err := strconv.ParseInt(f[4], 10, 64)
+	return err == nil
 }
 
 // decodeVerdict reads a *verdictRecord, refusing counts no enumeration
