@@ -6,18 +6,20 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/weakgpu/gpulitmus/internal/apps"
 	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
 // TestAnalysisDigest pins every static answer the analyzer gives on the
-// paper corpus and the 776 diy cycles of up to four edges: a sha256 over
+// paper corpus, the 776 diy cycles of up to four edges and the §6
+// application tests (whose spin loops branch): a sha256 over
 // each test's Analyze report as JSON, its Prefilter verdict and reason
 // under every policy, and Unsatisfiable. gpulint, /v1/analyze and the
 // prefilter's skips are all built from these answers, so the literal must
 // only change with a deliberate change of the analysis.
 func TestAnalysisDigest(t *testing.T) {
-	const want = "76dbc4f987cf3b4b3c811e8ce9647fde00cf08ee6ce6f16ae3dcca2ce8028a6a"
+	const want = "321f20ad0accc32f67cdba12917543011375c0ff81218b6889d63fa9235616d1"
 	corpus := litmus.PaperTests()
 	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
 	if len(gen) != 776 {
@@ -25,6 +27,9 @@ func TestAnalysisDigest(t *testing.T) {
 	}
 	for _, g := range gen {
 		corpus = append(corpus, g.Test)
+	}
+	for _, a := range apps.All() {
+		corpus = append(corpus, a.Test)
 	}
 	h := sha256.New()
 	for _, c := range corpus {

@@ -153,8 +153,8 @@ func (g *graph) criticalSegments() []criticalSegment {
 			in := cands[ci]
 			out := cands[cycle[(i+1)%len(cycle)]]
 			a, b := in.to, out.from // the po segment a..b inside one thread
-			if a.index == b.index {
-				continue // single access: nothing to order
+			if a.instr == b.instr {
+				continue // one instruction: no fence can go inside it
 			}
 			if reach[a.thread][a.index][b.index] {
 				continue // ordered by a must-dependency

@@ -233,9 +233,7 @@ func repairSites(g *graph) []repairSite {
 				break
 			}
 		}
-		if !merged && s.aInstr < s.bInstr {
-			// A segment confined to a single instruction (the read and write
-			// event of one RMW) has no fenceable position; drop it.
+		if !merged {
 			sites = append(sites, s)
 		}
 	}
