@@ -22,14 +22,15 @@
 // Soundness rests on two arguments, each checked differentially against
 // the full judge over the paper corpus and a randomized corpus:
 //
-//  1. Value analysis. Each thread is interpreted once, every load reading
-//     the read domain the enumerator's value-domain fixpoint computed for
-//     its location (axiom.Enumeration.Domain), so the abstract sets
-//     over-approximate every candidate execution; a test the enumerator
-//     cannot prepare gets no claim. A condition false over the
-//     abstraction has no witness in any candidate (Forbidden); a
-//     condition true in every abstract state — singleton register sets —
-//     holds in every candidate, and since every builtin model's
+//  1. Value analysis. The static events and final states are read off
+//     the judge's own symbolic thread paths (axiom.Enumeration.Paths),
+//     which run every load over its location's read domain. Every
+//     candidate execution runs one path per thread, so the paths
+//     over-approximate every candidate; a test with a branch (whose paths
+//     unroll its loops) and a test the enumerator cannot prepare get no
+//     claim. A condition false over the paths' final states has no
+//     witness in any candidate (Forbidden); a condition true on every
+//     path holds in every candidate, and since every builtin model's
 //     constraints are acyclicity requirements over subrelations of
 //     po ∪ com, at least one candidate (any sequentially consistent
 //     interleaving) is allowed, so the condition is observable (Allowed).
@@ -125,7 +126,11 @@ type Result struct {
 // (Observable true). Unknown means the analysis cannot decide and the
 // caller must enumerate; it is always safe.
 func Prefilter(en *axiom.Enumeration, p Policy) Result {
-	return buildGraph(en.Test(), en).prefilter(p)
+	t := en.Test()
+	if branches(t) {
+		return Result{} // its paths unroll loops: one instruction, many events
+	}
+	return buildGraph(t, en, true).prefilter(p)
 }
 
 // prefilter is Prefilter on a built graph.
@@ -157,18 +162,10 @@ func (g *graph) prefilter(p Policy) Result {
 // witness it. Unlike Prefilter's policy-dependent claims this holds for
 // any execution semantics — model enumeration or a simulated chip — so
 // harness sweeps may skip such cells outright (their match count is
-// necessarily zero). A test the enumerator cannot prepare never is.
+// necessarily zero). A test with a branch, or one the enumerator cannot
+// prepare, never is.
 func Unsatisfiable(t *litmus.Test) bool {
-	return buildGraph(t, prepare(t)).evalCond(t.Exists) == no
-}
-
-// prepare returns t's enumeration under the judge's bounds, or nil.
-func prepare(t *litmus.Test) *axiom.Enumeration {
-	en, err := axiom.Prepare(t, axiom.DefaultOpts())
-	if err != nil {
-		return nil
-	}
-	return en
+	return graphOf(t).evalCond(t.Exists) == no
 }
 
 // Diagnostic is one structured finding of the analyzer. Thread and Instr
@@ -236,7 +233,7 @@ var builtinPolicies = map[string]Policy{
 // diagnostics are sorted by (severity, code, thread, instr, loc, message)
 // with warnings first.
 func Analyze(t *litmus.Test) *Report {
-	g := buildGraph(t, prepare(t))
+	g := graphOf(t)
 	r := &Report{
 		Test:        t.Name,
 		Fingerprint: t.Fingerprint(),

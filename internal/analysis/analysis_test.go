@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
@@ -11,8 +12,8 @@ import (
 // or Unknown when the enumerator cannot prepare t: core.Model.Prefilter's
 // answer.
 func prefilterTest(t *litmus.Test, p Policy) Result {
-	en := prepare(t)
-	if en == nil {
+	en, err := axiom.Prepare(t, axiom.DefaultOpts())
+	if err != nil {
 		return Result{}
 	}
 	return Prefilter(en, p)

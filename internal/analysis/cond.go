@@ -1,11 +1,12 @@
 package analysis
 
 import (
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
 // tri is a Kleene three-valued truth value for condition atoms evaluated
-// against the abstract final states: yes means the atom holds in every
+// against the paths' final states: yes means the atom holds in every
 // candidate execution, no means it holds in none, maybe is everything
 // else.
 type tri int
@@ -38,11 +39,13 @@ func triOr(a, b tri) tri {
 
 func triNot(a tri) tri { return -a }
 
-// evalCond evaluates the condition over the abstract final states. The
-// contract both directions rely on: yes ⇒ the condition holds in every
-// candidate execution's final state; no ⇒ it holds in none.
+// evalCond evaluates the condition over the final states of the test's
+// paths. The contract both directions rely on: yes ⇒ the condition holds
+// in every candidate execution's final state; no ⇒ it holds in none. Every
+// candidate execution runs one path per thread, so both hold whenever
+// they hold over the paths.
 func (g *graph) evalCond(c litmus.Cond) tri {
-	if !g.sound() {
+	if !g.sound {
 		return maybe
 	}
 	return g.evalCondRec(c)
@@ -65,49 +68,62 @@ func (g *graph) evalCondRec(c litmus.Cond) tri {
 	}
 }
 
-// evalRegEq judges tid:reg=val against the thread's abstract exit state.
-// Registers that are address-valued or unassigned on a path are missing
-// from that path's final state, making the atom false there.
+// evalRegEq judges tid:reg=val against the thread's paths. A register that
+// is address-valued or unassigned on a path is missing from that path's
+// final state, making the atom false there.
 func (g *graph) evalRegEq(a litmus.RegEq) tri {
-	if a.Thread < 0 || a.Thread >= len(g.finals) {
+	if a.Thread < 0 || a.Thread >= len(g.threads) {
 		return no
 	}
-	r, ok := g.finals[a.Thread][a.Reg]
-	if !ok {
-		return no // never declared nor assigned: absent from every final state
+	var t tally
+	for _, p := range g.en.Paths(a.Thread) {
+		v, ok := p.Regs[a.Reg]
+		t.note(ok && v == a.Val)
 	}
-	if !r.maybeAbsent && len(r.val.addrs) == 0 && r.val.onlyNum(a.Val) {
-		return yes
-	}
-	if !r.val.canBeNum(a.Val) {
-		return no
-	}
-	return maybe
+	return t.tri()
 }
 
 // evalMemEq judges loc=val against the location's possible final values:
-// the written value sets, plus the initial value unless some thread
-// certainly overwrites it.
+// the values its writes store, plus the initial value unless some write to
+// it runs on every path of its thread.
 func (g *graph) evalMemEq(a litmus.MemEq) tri {
-	if _, ok := g.domains[a.Loc]; !ok {
-		return no
+	if len(g.en.Domain(a.Loc)) == 0 {
+		return no // not a location of the test: absent from every final state
 	}
-	var finals absVal
-	if !g.mustWrite[a.Loc] {
-		finals.unionIn(numVal(g.test.InitOf(a.Loc)))
+	var t tally
+	if len(g.uncondWrites(a.Loc)) == 0 {
+		t.note(g.test.InitOf(a.Loc) == a.Val)
 	}
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind == kWrite && ev.loc == a.Loc {
-				finals.unionIn(ev.vals)
+			if ev.kind == axiom.KWrite && ev.loc == a.Loc {
+				for _, v := range ev.vals {
+					t.note(v == a.Val)
+				}
 			}
 		}
 	}
-	if finals.onlyNum(a.Val) {
-		return yes
+	return t.tri()
+}
+
+// tally folds an atom's truth over the possible final states.
+type tally struct{ some, miss bool }
+
+func (t *tally) note(holds bool) {
+	if holds {
+		t.some = true
+	} else {
+		t.miss = true
 	}
-	if !finals.canBeNum(a.Val) {
+}
+
+// tri is yes when the atom held in every state noted, no when in none.
+func (t tally) tri() tri {
+	switch {
+	case !t.some:
 		return no
+	case !t.miss:
+		return yes
 	}
 	return maybe
 }

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
@@ -44,7 +46,7 @@ func (e commEdge) String() string {
 // ordering constraints. A found cycle means no witnessing execution is
 // allowed by the model: the verdict is Forbidden.
 func (g *graph) forcedCycle(p Policy) (string, bool) {
-	if !g.sound() {
+	if !g.sound {
 		return "", false
 	}
 	atoms, ok := conjAtoms(g.test.Exists)
@@ -85,14 +87,13 @@ func (g *graph) forcedEdges(atoms []litmus.Cond) (edges []commEdge, direct strin
 	for _, a := range atoms {
 		switch at := a.(type) {
 		case litmus.RegEq:
-			if at.Thread < 0 || at.Thread >= len(g.finals) {
+			if at.Thread < 0 || at.Thread >= len(g.threads) {
 				continue
 			}
-			r, ok := g.finals[at.Thread][at.Reg]
-			if !ok || r.prov == provNone {
+			read := g.source(at.Thread, at.Reg)
+			if read == nil {
 				continue
 			}
-			read := g.threads[at.Thread][r.prov]
 			loc, v := read.loc, at.Val
 			writers := g.writersOf(loc, v, read)
 			if v != g.test.InitOf(loc) {
@@ -113,7 +114,7 @@ func (g *graph) forcedEdges(atoms []litmus.Cond) (edges []commEdge, direct strin
 			}
 		case litmus.MemEq:
 			v := at.Val
-			if _, ok := g.domains[at.Loc]; !ok || v == g.test.InitOf(at.Loc) {
+			if v == g.test.InitOf(at.Loc) {
 				continue
 			}
 			writers := g.writersOf(at.Loc, v, nil)
@@ -142,7 +143,7 @@ func (g *graph) writersOf(loc ptx.Sym, v int64, forRead *event) []*event {
 	var out []*event
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind != kWrite || ev.loc != loc || !ev.vals.canBeNum(v) {
+			if ev.kind != axiom.KWrite || ev.loc != loc || !slices.Contains(ev.vals, v) {
 				continue
 			}
 			if forRead != nil && ev.thread == forRead.thread && ev.index > forRead.index {
@@ -159,7 +160,7 @@ func (g *graph) uncondWrites(loc ptx.Sym) []*event {
 	var out []*event
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind == kWrite && ev.loc == loc && !ev.cond {
+			if ev.kind == axiom.KWrite && ev.loc == loc && !ev.cond {
 				out = append(out, ev)
 			}
 		}
@@ -235,7 +236,7 @@ func (g *graph) segCoverage(evs []*event, v covVariant) [][]bool {
 		for j, e := range evs {
 			for i := 0; i < j; i++ {
 				a := evs[i]
-				if a.loc != "" && a.loc == e.loc && !(a.kind == kRead && e.kind == kRead) && a.kind != kFence && e.kind != kFence {
+				if a.loc != "" && a.loc == e.loc && !(a.kind == axiom.KRead && e.kind == axiom.KRead) && a.kind != axiom.KFence && e.kind != axiom.KFence {
 					reach[i][j] = true
 				}
 			}
@@ -287,7 +288,7 @@ func (g *graph) covered(a, b *event, v covVariant, reach [][]bool) bool {
 		return false
 	}
 	for _, f := range g.threads[a.thread] {
-		if f.kind == kFence && !f.cond && f.index > a.index && f.index < b.index && f.scope >= v.minFence {
+		if f.kind == axiom.KFence && !f.cond && f.index > a.index && f.index < b.index && f.scope >= v.minFence {
 			return true
 		}
 	}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
@@ -43,7 +44,7 @@ func (g *graph) accessEvents() []*event {
 	var out []*event
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind != kFence && ev.loc != "" {
+			if ev.kind != axiom.KFence && ev.loc != "" {
 				out = append(out, ev)
 			}
 		}
@@ -62,7 +63,7 @@ func (g *graph) lintRaces(add func(Diagnostic)) {
 			if a.thread == b.thread || a.loc != b.loc {
 				continue
 			}
-			if a.kind != kWrite && b.kind != kWrite {
+			if a.kind != axiom.KWrite && b.kind != axiom.KWrite {
 				continue
 			}
 			if a.atomic && b.atomic {
@@ -82,7 +83,7 @@ func (g *graph) lintRaces(add func(Diagnostic)) {
 }
 
 func verb(e *event) string {
-	if e.kind == kWrite {
+	if e.kind == axiom.KWrite {
 		return "write"
 	}
 	return "read"
@@ -121,7 +122,7 @@ func (g *graph) criticalSegments() []criticalSegment {
 			}
 			// rf: W→R, fr: R→W, co: W→W (both orientations arise since we
 			// scan ordered pairs).
-			if a.kind == kWrite || b.kind == kWrite {
+			if a.kind == axiom.KWrite || b.kind == axiom.KWrite {
 				cands = append(cands, commCand{from: a, to: b})
 			}
 		}
@@ -161,7 +162,7 @@ func (g *graph) criticalSegments() []criticalSegment {
 			}
 			best := ptx.ScopeNone
 			for _, f := range g.threads[a.thread] {
-				if f.kind == kFence && f.index > a.index && f.index < b.index && f.scope > best {
+				if f.kind == axiom.KFence && f.index > a.index && f.index < b.index && f.scope > best {
 					best = f.scope
 				}
 			}
@@ -253,7 +254,7 @@ func (g *graph) lintUnusedRegs(add func(Diagnostic)) {
 			}
 		}
 	}
-	for _, a := range condAtoms(g.test.Exists) {
+	for _, a := range litmus.CondAtoms(g.test.Exists) {
 		if re, ok := a.(litmus.RegEq); ok && re.Thread >= 0 && re.Thread < len(g.test.Threads) {
 			used[re.Thread][re.Reg] = true
 		}
@@ -278,12 +279,12 @@ func (g *graph) lintDeadWrites(add func(Diagnostic)) {
 	readLocs := make(map[ptx.Sym]bool)
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind == kRead {
+			if ev.kind == axiom.KRead {
 				readLocs[ev.loc] = true
 			}
 		}
 	}
-	for _, a := range condAtoms(g.test.Exists) {
+	for _, a := range litmus.CondAtoms(g.test.Exists) {
 		if me, ok := a.(litmus.MemEq); ok {
 			readLocs[me.Loc] = true
 		}
@@ -291,7 +292,7 @@ func (g *graph) lintDeadWrites(add func(Diagnostic)) {
 	flagged := make(map[ptx.Sym]bool)
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind != kWrite || readLocs[ev.loc] || flagged[ev.loc] {
+			if ev.kind != axiom.KWrite || readLocs[ev.loc] || flagged[ev.loc] {
 				continue
 			}
 			flagged[ev.loc] = true
@@ -310,20 +311,20 @@ func (g *graph) lintDeadWrites(add func(Diagnostic)) {
 func (g *graph) lintFences(add func(Diagnostic)) {
 	for tid, evs := range g.threads {
 		for i, f := range evs {
-			if f.kind != kFence {
+			if f.kind != axiom.KFence {
 				continue
 			}
 			accBefore, accAfter := false, false
 			prevFence := -1
 			for j := 0; j < i; j++ {
-				if evs[j].kind == kFence {
+				if evs[j].kind == axiom.KFence {
 					prevFence = j
 				} else {
 					accBefore = true
 				}
 			}
 			for j := i + 1; j < len(evs); j++ {
-				if evs[j].kind != kFence {
+				if evs[j].kind != axiom.KFence {
 					accAfter = true
 				}
 			}
@@ -353,7 +354,7 @@ func (g *graph) lintFences(add func(Diagnostic)) {
 
 func hasAccessBetween(evs []*event, i, j int) bool {
 	for k := i + 1; k < j; k++ {
-		if evs[k].kind != kFence {
+		if evs[k].kind != axiom.KFence {
 			return true
 		}
 	}
@@ -370,19 +371,4 @@ func (g *graph) lintCond(add func(Diagnostic)) {
 			Message: "final condition is statically unsatisfiable: no execution can witness it",
 		})
 	}
-}
-
-// condAtoms collects every RegEq and MemEq leaf of a condition.
-func condAtoms(c litmus.Cond) []litmus.Cond {
-	switch v := c.(type) {
-	case litmus.CondAnd:
-		return append(condAtoms(v.L), condAtoms(v.R)...)
-	case litmus.CondOr:
-		return append(condAtoms(v.L), condAtoms(v.R)...)
-	case litmus.CondNot:
-		return condAtoms(v.C)
-	case litmus.RegEq, litmus.MemEq:
-		return []litmus.Cond{c}
-	}
-	return nil
 }

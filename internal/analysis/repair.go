@@ -121,14 +121,13 @@ func SynthesizeRepair(t *litmus.Test, p Policy, observable RepairOracle, opts Re
 	if !obs {
 		return &RepairResult{Verified: true, Repaired: t}, nil
 	}
-	en := prepare(t)
-	g := buildGraph(t, en)
+	g := graphOf(t)
 	sites := repairSites(g)
 	if len(sites) == 0 {
 		return &RepairResult{Reason: "static analysis found no unordered critical-cycle segment to fence"}, nil
 	}
 	res := &RepairResult{}
-	for _, actions := range repairCandidates(g, en, sites, opts.MaxGenerate) {
+	for _, actions := range repairCandidates(g, sites, opts.MaxGenerate) {
 		if len(res.Attempts) >= opts.MaxAttempts {
 			break
 		}
@@ -258,7 +257,7 @@ func repairSites(g *graph) []repairSite {
 func repairSiteActions(g *graph, s repairSite) []RepairAction {
 	var out []RepairAction
 	for _, f := range g.threads[s.thread] {
-		if f.kind != kFence || f.index <= s.aIdx || f.index >= s.bIdx {
+		if f.kind != axiom.KFence || f.index <= s.aIdx || f.index >= s.bIdx {
 			continue
 		}
 		lo := s.required
@@ -284,8 +283,8 @@ func repairSiteActions(g *graph, s repairSite) []RepairAction {
 // one edit per site (capped at maxGen combinations), deduplicated, each
 // scored statically, and sorted by (segments covered descending, fences
 // inserted, total scope width, position) — so the judge sees the most
-// promising, cheapest, earliest candidates first. en is g's enumeration.
-func repairCandidates(g *graph, en *axiom.Enumeration, sites []repairSite, maxGen int) [][]RepairAction {
+// promising, cheapest, earliest candidates first.
+func repairCandidates(g *graph, sites []repairSite, maxGen int) [][]RepairAction {
 	lists := make([][]RepairAction, len(sites))
 	for i, s := range sites {
 		lists[i] = repairSiteActions(g, s)
@@ -322,7 +321,7 @@ func repairCandidates(g *graph, en *axiom.Enumeration, sites []repairSite, maxGe
 					sc.inserts++
 				}
 			}
-			sc.score = repairStaticScore(g.test, en, actions, sites)
+			sc.score = repairStaticScore(g, actions, sites)
 			combos = append(combos, sc)
 		}
 		k := 0
@@ -357,46 +356,47 @@ func repairCandidates(g *graph, en *axiom.Enumeration, sites []repairSite, maxGe
 	return out
 }
 
-// repairStaticScore applies the edits and counts how many of the original
-// critical segments the mutated test now orders, via the same
-// segCoverage/covered machinery the prefilter's forced-cycle argument
-// uses, under a variant demanding each site's required fence scope. A
-// fence edit changes no domain, so the mutant reads t's, from en.
-func repairStaticScore(t *litmus.Test, en *axiom.Enumeration, actions []RepairAction, sites []repairSite) int {
-	mut, err := ApplyRepair(t, actions)
-	if err != nil {
-		return 0
-	}
-	g := buildGraph(mut, en)
+// repairStaticScore counts how many of the critical segments the edits
+// order, via the same segCoverage/covered machinery the prefilter's
+// forced-cycle argument uses, under a variant demanding each site's
+// required fence scope. A fence edit changes no event but fences, so the
+// edits are read against g's own events instead of a mutant's.
+func repairStaticScore(g *graph, actions []RepairAction, sites []repairSite) int {
 	score := 0
 	for _, s := range sites {
-		if s.thread >= len(g.threads) {
-			continue
-		}
 		evs := g.threads[s.thread]
-		a := eventAtInstr(evs, shiftInstr(actions, s.thread, s.aInstr), true)
-		b := eventAtInstr(evs, shiftInstr(actions, s.thread, s.bInstr), false)
-		if a == nil || b == nil {
-			continue
-		}
+		a := eventAtInstr(evs, s.aInstr, true)
+		b := eventAtInstr(evs, s.bInstr, false)
 		v := covVariant{minFence: s.required, extRF: true}
-		if g.covered(a, b, v, g.segCoverage(evs, v)) {
+		if g.covered(a, b, v, g.segCoverage(evs, v)) || fencedByEdits(evs, actions, a, b, s.required) {
 			score++
 		}
 	}
 	return score
 }
 
-// shiftInstr maps an instruction index of the original program to the
-// mutated program: each insertion at or before it shifts it down by one.
-func shiftInstr(actions []RepairAction, thread, instr int) int {
-	n := instr
-	for _, a := range actions {
-		if a.Kind == "insert" && a.Thread == thread && a.Index <= instr {
-			n++
+// fencedByEdits reports whether the edits put a fence of at least scope sc
+// on every path strictly between a and b: one inserted between their
+// instructions, or an unconditional fence between them strengthened.
+func fencedByEdits(evs []*event, actions []RepairAction, a, b *event, sc ptx.Scope) bool {
+	for _, act := range actions {
+		scope, err := scopeFromName(act.Scope)
+		if act.Thread != a.thread || err != nil || scope < sc {
+			continue
+		}
+		switch act.Kind {
+		case "insert":
+			if a.instr < act.Index && act.Index <= b.instr {
+				return true
+			}
+		case "strengthen":
+			f := eventAtInstr(evs, act.Index, false)
+			if f != nil && !f.cond && a.index < f.index && f.index < b.index {
+				return true
+			}
 		}
 	}
-	return n
+	return false
 }
 
 // eventAtInstr finds the event of one instruction; last selects the final

@@ -258,7 +258,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 	n := 0
 	for tid := 0; tid < nt; tid++ {
 		a.base[tid] = n
-		n += len(en.paths[tid][a.pick[tid]].events)
+		n += len(en.paths[tid][a.pick[tid]].Events)
 	}
 
 	evs := make([]Event, n)
@@ -284,62 +284,62 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 	for tid := 0; tid < nt; tid++ {
 		p := &en.paths[tid][a.pick[tid]]
 		b := a.base[tid]
-		for i := range p.events {
-			pe := &p.events[i]
+		for i := range p.Events {
+			pe := &p.Events[i]
 			id := EventID(b + i)
 			evs[id] = Event{
-				ID: id, Thread: tid, PoIdx: i, Kind: pe.kind,
-				Loc: pe.loc, Val: pe.val, CacheOp: pe.cacheOp,
-				Volatile: pe.volatile, Atomic: pe.atomic, Scope: pe.scope,
-				Instr: pe.instr,
+				ID: id, Thread: tid, PoIdx: i, Kind: pe.Kind,
+				Loc: pe.Loc, Val: pe.Val, CacheOp: pe.CacheOp,
+				Volatile: pe.Volatile, Atomic: pe.Atomic, Scope: pe.Scope,
+				Instr: pe.Instr,
 			}
 			ptrs[id] = &evs[id]
 		}
-		if len(p.regs) > 0 {
-			// Alias the path's final registers: threadPath.regs is immutable
+		if len(p.Regs) > 0 {
+			// Alias the path's final registers: ThreadPath.Regs is immutable
 			// after Prepare and Final is documented read-only, so every
 			// combination choosing this path shares one map.
-			regs[tid] = p.regs
+			regs[tid] = p.Regs
 		}
 
 		// Program order, dependencies and rmw pairs.
-		for i := range p.events {
+		for i := range p.Events {
 			id := EventID(b + i)
-			for j := i + 1; j < len(p.events); j++ {
+			for j := i + 1; j < len(p.Events); j++ {
 				x.PO.Add(id, EventID(b+j))
 			}
-			pe := &p.events[i]
-			for _, d := range pe.addrDeps {
+			pe := &p.Events[i]
+			for _, d := range pe.AddrDeps {
 				x.Addr.Add(EventID(b+d), id)
 			}
-			for _, d := range pe.dataDeps {
+			for _, d := range pe.DataDeps {
 				x.Data.Add(EventID(b+d), id)
 			}
-			for _, d := range pe.ctrlDeps {
+			for _, d := range pe.CtrlDeps {
 				x.Ctrl.Add(EventID(b+d), id)
 			}
-			if pe.rmwRead >= 0 {
-				x.RMW.Add(EventID(b+pe.rmwRead), id)
+			if pe.RMWRead >= 0 {
+				x.RMW.Add(EventID(b+pe.RMWRead), id)
 			}
 		}
 		// membar.S relates memory events separated by a fence of scope S.
-		for k := range p.events {
-			if p.events[k].kind != KFence {
+		for k := range p.Events {
+			if p.Events[k].Kind != KFence {
 				continue
 			}
-			rel := x.Membar[p.events[k].scope]
+			rel := x.Membar[p.Events[k].Scope]
 			for i := 0; i < k; i++ {
-				if !p.events[i].isMem() {
+				if !p.Events[i].isMem() {
 					continue
 				}
-				for j := k + 1; j < len(p.events); j++ {
-					if !p.events[j].isMem() {
+				for j := k + 1; j < len(p.Events); j++ {
+					if !p.Events[j].isMem() {
 						continue
 					}
 					rel.Add(EventID(b+i), EventID(b+j))
 				}
 			}
-			x.Membar[p.events[k].scope] = rel
+			x.Membar[p.Events[k].Scope] = rel
 		}
 	}
 
@@ -489,7 +489,7 @@ func (en *Enumeration) detectClasses(a *Assembler, evs []Event) {
 	for li, loc := range a.wlocs {
 		for _, w := range a.writers[loc] {
 			ev := &evs[w]
-			if ev.Atomic || len(en.paths[ev.Thread][a.pick[ev.Thread]].events) != 1 {
+			if ev.Atomic || len(en.paths[ev.Thread][a.pick[ev.Thread]].Events) != 1 {
 				continue
 			}
 			joined := false
@@ -647,7 +647,7 @@ type rfChoice struct {
 	srcs []EventID
 }
 
-func (pe pathEvent) isMem() bool { return pe.kind == KRead || pe.kind == KWrite }
+func (pe PathEvent) isMem() bool { return pe.Kind == KRead || pe.Kind == KWrite }
 
 // enumerateRFFrom walks the cross product of rf sources for choices
 // [start, len), with earlier choices already fixed in a.rfPick and their

@@ -103,7 +103,7 @@ type Enumeration struct {
 	test   *litmus.Test
 	opts   Opts
 	locs   []ptx.Sym // test.Locations(), computed once per enumeration
-	paths  [][]threadPath
+	paths  [][]ThreadPath
 	combos int
 	// domain holds the read domains Domain returns.
 	domain map[ptx.Sym]map[int64]bool
@@ -172,6 +172,13 @@ func (en *Enumeration) Combos() int { return en.combos }
 // reads from loc or writes to it.
 func (en *Enumeration) Domain(loc ptx.Sym) []int64 { return sortedValues(en.domain[loc]) }
 
+// Paths returns thread tid's symbolic paths at the end of the fixpoint:
+// every way the thread runs with each load ranging over its read domain.
+// Each candidate execution runs one path per thread; a path whose reads
+// no write justifies runs in none. The slices are the enumeration's own:
+// callers must not modify them.
+func (en *Enumeration) Paths(tid int) []ThreadPath { return en.paths[tid] }
+
 // Opts returns the (defaulted) bounds the enumeration was prepared with.
 func (en *Enumeration) Opts() Opts { return en.opts }
 
@@ -217,26 +224,29 @@ func (en *Enumeration) StreamCtx(ctx context.Context, yield func(*Execution) err
 	return nil
 }
 
-// pathEvent is an event of one thread path before global assembly.
-type pathEvent struct {
-	kind     Kind
-	loc      ptx.Sym
-	val      int64
-	cacheOp  ptx.CacheOp
-	volatile bool
-	atomic   bool
-	scope    ptx.Scope
-	instr    int
-	addrDeps []int // local indices of source loads
-	dataDeps []int
-	ctrlDeps []int
-	rmwRead  int // for atomic writes: local index of the paired read, else -1
+// PathEvent is an event of one thread path before global assembly. Its
+// dependency lists and RMWRead index into the same path's Events.
+type PathEvent struct {
+	Kind     Kind
+	Loc      ptx.Sym
+	Val      int64
+	CacheOp  ptx.CacheOp
+	Volatile bool
+	Atomic   bool
+	Scope    ptx.Scope // fences only
+	Instr    int       // index of the originating instruction
+	AddrDeps []int     // indices of the loads the address derives from
+	DataDeps []int
+	CtrlDeps []int
+	RMWRead  int // for atomic writes: index of the paired read, else -1
 }
 
-// threadPath is one complete symbolic execution of a thread.
-type threadPath struct {
-	events []pathEvent
-	regs   map[ptx.Reg]int64
+// ThreadPath is one complete symbolic execution of a thread: its events in
+// program order and its final registers (address-valued registers are
+// absent, as they are from every final state).
+type ThreadPath struct {
+	Events []PathEvent
+	Regs   map[ptx.Reg]int64
 }
 
 // val is a register value during path execution: either a number or the
@@ -346,7 +356,7 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 		}
 	}
 	nt := len(e.test.Threads)
-	paths := make([][]threadPath, nt)
+	paths := make([][]ThreadPath, nt)
 	memo := make([]pathDeps, nt)
 	for iter := 0; ; iter++ {
 		if err := e.ctx.Err(); err != nil {
@@ -369,17 +379,17 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 			memo[tid] = pathDeps{derived: true, reads: e.reads}
 			e.reads = nil
 			for _, p := range ps {
-				for _, ev := range p.events {
-					if ev.kind != KWrite {
+				for _, ev := range p.Events {
+					if ev.Kind != KWrite {
 						continue
 					}
-					d := e.domain[ev.loc]
-					if !d[ev.val] {
+					d := e.domain[ev.Loc]
+					if !d[ev.Val] {
 						if len(d) >= e.opts.MaxValues {
-							return nil, fmt.Errorf("axiom: value domain for %s exceeds %d", ev.loc, e.opts.MaxValues)
+							return nil, fmt.Errorf("axiom: value domain for %s exceeds %d", ev.Loc, e.opts.MaxValues)
 						}
-						d[ev.val] = true
-						e.domVer[ev.loc]++
+						d[ev.Val] = true
+						e.domVer[ev.Loc]++
 						grew = true
 					}
 				}
@@ -405,10 +415,10 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 
 // threadPaths symbolically executes thread tid, branching at each load over
 // the location's read domain.
-func (e *enumerator) threadPaths(tid int) ([]threadPath, error) {
+func (e *enumerator) threadPaths(tid int) ([]ThreadPath, error) {
 	prog := e.test.Threads[tid].Prog
 	labels := prog.Labels()
-	var out []threadPath
+	var out []ThreadPath
 
 	initRegs := func() map[ptx.Reg]regVal {
 		regs := make(map[ptx.Reg]regVal)
@@ -432,8 +442,8 @@ func (e *enumerator) threadPaths(tid int) ([]threadPath, error) {
 		}
 		return c
 	}
-	cloneEvents := func(evs []pathEvent) []pathEvent {
-		c := make([]pathEvent, len(evs))
+	cloneEvents := func(evs []PathEvent) []PathEvent {
+		c := make([]PathEvent, len(evs))
 		copy(c, evs)
 		return c
 	}
@@ -455,7 +465,7 @@ func (e *enumerator) threadPaths(tid int) ([]threadPath, error) {
 						finals[r] = v.n
 					}
 				}
-				out = append(out, threadPath{events: f.events, regs: finals})
+				out = append(out, ThreadPath{Events: f.events, Regs: finals})
 				if len(out) > e.opts.MaxPaths {
 					return nil, fmt.Errorf("axiom: thread %d of %s exceeds %d paths", tid, e.test.Name, e.opts.MaxPaths)
 				}
@@ -528,7 +538,7 @@ func (e *enumerator) threadPaths(tid int) ([]threadPath, error) {
 				continue
 
 			case ptx.Membar:
-				f.events = append(f.events, pathEvent{kind: KFence, scope: v.Scope, instr: f.pc, rmwRead: -1, ctrlDeps: ctrlDeps()})
+				f.events = append(f.events, PathEvent{Kind: KFence, Scope: v.Scope, Instr: f.pc, RMWRead: -1, CtrlDeps: ctrlDeps()})
 				f.pc++
 				continue
 
@@ -644,10 +654,10 @@ func (e *enumerator) threadPaths(tid int) ([]threadPath, error) {
 				if err != nil {
 					return nil, err
 				}
-				f.events = append(f.events, pathEvent{
-					kind: KWrite, loc: loc, val: sv.n,
-					cacheOp: v.CacheOp, volatile: v.Volatile, instr: f.pc, rmwRead: -1,
-					addrDeps: taintList(addrTaints), dataDeps: taintList(sv.taints), ctrlDeps: ctrlDeps(),
+				f.events = append(f.events, PathEvent{
+					Kind: KWrite, Loc: loc, Val: sv.n,
+					CacheOp: v.CacheOp, Volatile: v.Volatile, Instr: f.pc, RMWRead: -1,
+					AddrDeps: taintList(addrTaints), DataDeps: taintList(sv.taints), CtrlDeps: ctrlDeps(),
 				})
 				f.pc++
 				continue
@@ -706,16 +716,16 @@ type enumFrame struct {
 	pc     int
 	steps  int
 	regs   map[ptx.Reg]regVal
-	events []pathEvent
+	events []PathEvent
 	ctrl   map[int]bool
 }
 
 func (f *enumFrame) applyLoad(v ptx.Ld, loc ptx.Sym, choice int64, addrTaints map[int]bool, ctrlDeps []int) {
 	idx := len(f.events)
-	f.events = append(f.events, pathEvent{
-		kind: KRead, loc: loc, val: choice,
-		cacheOp: v.CacheOp, volatile: v.Volatile, instr: f.pc, rmwRead: -1,
-		addrDeps: taintList(addrTaints), ctrlDeps: ctrlDeps,
+	f.events = append(f.events, PathEvent{
+		Kind: KRead, Loc: loc, Val: choice,
+		CacheOp: v.CacheOp, Volatile: v.Volatile, Instr: f.pc, RMWRead: -1,
+		AddrDeps: taintList(addrTaints), CtrlDeps: ctrlDeps,
 	})
 	f.regs[v.Dst] = regVal{n: choice, taints: map[int]bool{idx: true}}
 	f.pc++
@@ -723,14 +733,14 @@ func (f *enumFrame) applyLoad(v ptx.Ld, loc ptx.Sym, choice int64, addrTaints ma
 
 func (f *enumFrame) applyRMW(inst ptx.Instr, loc ptx.Sym, old int64, addrTaints map[int]bool, ctrlDeps []int, eval func(ptx.Operand) (regVal, error)) error {
 	readIdx := len(f.events)
-	f.events = append(f.events, pathEvent{
-		kind: KRead, loc: loc, val: old, atomic: true, instr: f.pc, rmwRead: -1,
-		addrDeps: taintList(addrTaints), ctrlDeps: ctrlDeps,
+	f.events = append(f.events, PathEvent{
+		Kind: KRead, Loc: loc, Val: old, Atomic: true, Instr: f.pc, RMWRead: -1,
+		AddrDeps: taintList(addrTaints), CtrlDeps: ctrlDeps,
 	})
 	write := func(val int64, dataTaints map[int]bool) {
-		f.events = append(f.events, pathEvent{
-			kind: KWrite, loc: loc, val: val, atomic: true, instr: f.pc, rmwRead: readIdx,
-			addrDeps: taintList(addrTaints), dataDeps: taintList(dataTaints), ctrlDeps: ctrlDeps,
+		f.events = append(f.events, PathEvent{
+			Kind: KWrite, Loc: loc, Val: val, Atomic: true, Instr: f.pc, RMWRead: readIdx,
+			AddrDeps: taintList(addrTaints), DataDeps: taintList(dataTaints), CtrlDeps: ctrlDeps,
 		})
 	}
 	var dst ptx.Reg
