@@ -428,10 +428,11 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 // isomorphism may permute them freely. The conditions make the swap
 // invisible to every relation and to the final state:
 //
-//   - same location, value, cache operator, volatility and scope: the
-//     events are identical up to identity, so rf sources stay value-valid,
-//     kind/annotation filters agree, and the coherence-last write of the
-//     location yields the same final memory whichever member lands last;
+//   - same location, value and scope: the events differ at most in cache
+//     operator and volatility, which no .cat vocabulary word reads, so rf
+//     sources stay value-valid, kind filters agree, and the
+//     coherence-last write of the location yields the same final memory
+//     whichever member lands last;
 //   - non-atomic: the write is outside every RMW pair, and its presence
 //     already annuls the location's atomicity plan symmetrically;
 //   - the sole event of its thread: its po, dependency, fence and rmw rows
@@ -495,8 +496,7 @@ func (en *Enumeration) detectClasses(a *Assembler, evs []Event) {
 			joined := false
 			for _, c := range a.locCls[li] {
 				rep := &evs[a.classes[c][0]]
-				if rep.Val != ev.Val || rep.CacheOp != ev.CacheOp ||
-					rep.Volatile != ev.Volatile || rep.Scope != ev.Scope {
+				if rep.Val != ev.Val || rep.Scope != ev.Scope {
 					continue
 				}
 				if !en.ctaCompatible(rep.Thread, ev.Thread) {
@@ -580,8 +580,7 @@ func (en *Enumeration) detectBlindClasses(a *Assembler, evs []Event) {
 			joined := false
 			for c := first; c < len(a.blind); c++ {
 				rep := &evs[a.blind[c].members[0]]
-				if rep.CacheOp != ev.CacheOp || rep.Volatile != ev.Volatile || rep.Scope != ev.Scope ||
-					!en.ctaCompatible(rep.Thread, ev.Thread) {
+				if rep.Scope != ev.Scope || !en.ctaCompatible(rep.Thread, ev.Thread) {
 					continue
 				}
 				a.blind[c].members = append(a.blind[c].members, w)

@@ -173,8 +173,8 @@ func blindTests(t *testing.T) []*litmus.Test {
 		}}).
 		Exists("x=3 /\\ 4:r0=0").
 		MustBuild()
-	// Cache-operator and volatility mismatches: only the .cg writers 1, 3
-	// and 5 group; .ca 2 and volatile 4 stand alone.
+	// Mixed cache operators and volatility, which no .cat word reads: all
+	// five writers form one value-blind class.
 	annot := litmus.NewTest("blind-annotations").
 		Global("x", 0).
 		Thread("st.cg [x],1").
@@ -391,6 +391,11 @@ func checkPrunedStream(t *testing.T, test *litmus.Test, opts Opts) {
 // mp+kw (± membar.gl): x and y each get a value-blind class of k extra
 // writers. The weights vary per execution (wantWeight 0 skips that check);
 // 36, 576 and 14,400 executions collapse to 36, 484 and 5,476 visits.
+//
+// Cache operators and volatility split no class: sym-annotations (writers
+// .cg, .ca and .volatile of 1) prunes exactly as sym-3writers, 96
+// executions to 16 visits (96 while annotations split classes), and
+// blind-annotations (blindTests) visits 90 of 720 (384 while they split).
 func TestSymmetryPrunedCounts(t *testing.T) {
 	check := func(test *litmus.Test, wantVisits, wantTotal, wantWeight int) {
 		t.Helper()
@@ -414,6 +419,12 @@ func TestSymmetryPrunedCounts(t *testing.T) {
 	check(symWriters(3), 16, 96, 6)
 	check(symmetryTests(t)[1], 3, 6, 2) // sym-unobserved
 	check(co3Test(), 3, 6, 2)
+	check(litmus.NewTest("sym-annotations").Global("x", 0).
+		Thread("st.cg [x],1").Thread("st.ca [x],1").Thread("st.volatile [x],1").
+		Thread("ld.cg r0,[x]").Thread("ld.cg r0,[x]").
+		InterCTA().Exists("4:r0=1").MustBuild(), 16, 96, 6)
+	blind := blindTests(t)
+	check(blind[len(blind)-1], 90, 720, 0) // blind-annotations
 	for _, fence := range []bool{false, true} {
 		check(mpExtra(1, fence), 36, 36, 1)
 		check(mpExtra(2, fence), 484, 576, 0)
