@@ -124,11 +124,13 @@ type Result struct {
 // or Allowed result is sound: the full enumeration's verdict has,
 // respectively, Witnesses == 0 (Observable false) or Witnesses > 0
 // (Observable true). Unknown means the analysis cannot decide and the
-// caller must enumerate; it is always safe.
+// caller must enumerate; it is always safe. A test with a branch is
+// always Unknown: its paths unroll loops, so one instruction may run many
+// times on a path.
 func Prefilter(en *axiom.Enumeration, p Policy) Result {
 	t := en.Test()
 	if branches(t) {
-		return Result{} // its paths unroll loops: one instruction, many events
+		return Result{}
 	}
 	return buildGraph(t, en, true).prefilter(p)
 }

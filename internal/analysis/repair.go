@@ -4,7 +4,7 @@
 // the linter already computes (insertions at program-order positions over
 // the scope ladder membar.cta → membar.gl → membar.sys, plus widening an
 // existing too-narrow fence in place), ranks them statically — by how many
-// critical segments the mutated test covers (reusing segCoverage/covered
+// critical segments the edits cover (reusing segCoverage/covered
 // from cycles.go), then by cost: fences inserted, total scope width,
 // program-order position — and verifies candidates in rank order against a
 // judge oracle until the behaviour is Never. The winner is greedily
