@@ -200,7 +200,7 @@ func indexOf(evs []*event, pe *axiom.PathEvent) int {
 func (g *graph) source(tid int, reg ptx.Reg) *event {
 	var src *event
 	for _, e := range g.threads[tid] {
-		if e.kind != axiom.KRead || e.cond || !g.readsFinal(e, reg) {
+		if e.kind != axiom.KRead || !g.readsFinal(e, reg) {
 			continue
 		}
 		if src != nil {
@@ -211,8 +211,8 @@ func (g *graph) source(tid int, reg ptx.Reg) *event {
 	return src
 }
 
-// readsFinal reports whether the read e reads reg's final value on every
-// path of its thread.
+// readsFinal reports whether the read e runs on every path of its thread
+// and reads reg's final value on each.
 func (g *graph) readsFinal(e *event, reg ptx.Reg) bool {
 	paths := g.en.Paths(e.thread)
 	for i := range paths {

@@ -69,9 +69,9 @@ exists (z=1 \/ 0:r4=0)
 		// candidate's final state is checked against evalCond, up to 4096.
 		var a axiom.Assembler
 		n := 0
-		for c := 0; c < en.Combos() && n < 4096; c++ {
+		for combo := 0; combo < en.Combos() && n < 4096; combo++ {
 			first := true
-			_ = en.StreamCombo(c, &a, func(x *axiom.Execution) error {
+			_ = en.StreamCombo(combo, &a, func(x *axiom.Execution) error {
 				if first {
 					checkCovers(t, g, x)
 					first = false
