@@ -17,13 +17,16 @@ import (
 //     final registers, writer indexes, coherence permutations and the RMW
 //     atomicity plan are built once and shared by every rf/co completion;
 //   - per rf choice: the rf relation, init-read set, read→source index and
-//     the rfe memo are built once and shared by every coherence completion
-//     of that choice;
-//   - per execution: only what genuinely varies — the Execution header, its
-//     coherence map and its final memory.
+//     the rfe memo are rewritten once and shared by every coherence
+//     completion of that choice;
+//   - per completion: the coherence map, the final memory, Mult and the
+//     derived-relation memo are rewritten.
 //
-// Everything not retained by yielded executions lives in a reusable
-// Assembler, so a steady-state producer allocates only what it hands out.
+// The rf-choice and per-completion layers live in one Execution the
+// Assembler owns and rewrites in place, so a steady-state producer
+// allocates per skeleton and per rf choice only. An execution handed to
+// emit is therefore valid only during the call; a consumer that keeps one
+// keeps Execution.Clone's copy.
 
 // Assembler is the reusable construction scratch for StreamCombo. The zero
 // value is ready for use; an Assembler must not be used concurrently (give
@@ -33,7 +36,7 @@ type Assembler struct {
 	base    []int                 // per-thread global event-id offset
 	writers map[ptx.Sym][]EventID // per-location writers of the current skeleton
 	wlocs   []ptx.Sym             // locations with writers, sorted
-	perLoc  [][][]EventID         // coherence permutations per wloc (fresh per combo: retained via CO)
+	perLoc  [][][]EventID         // coherence permutations per wloc (fresh per combo; x.CO aliases its rows)
 	choices []rfChoice            // rf choices of the current skeleton
 	rfPick  []EventID             // current rf source per choice
 	coSel   []int                 // current permutation index per wloc
@@ -59,6 +62,19 @@ type Assembler struct {
 	// both are touched only for locations that can form such a class.
 	blind   []blindClass
 	blindOf []int32
+
+	// The reusable execution: x is what emit receives, and the fields below
+	// back its rf-choice and per-completion layers. x's skeleton fields are
+	// fresh per combo (sharedRels is cat's skeleton cache key, so it must
+	// never be reused).
+	x         Execution
+	rf        Rel
+	srcOf     []int32
+	initReads map[EventID]bool
+	rfSh      rfRels
+	co        map[ptx.Sym][]EventID
+	mem       map[ptx.Sym]int64
+	final     litmus.MapState
 }
 
 // blindClass is one value-blind symmetry class: writes to wloc li whose
@@ -68,21 +84,11 @@ type blindClass struct {
 	members []EventID // ascending event ids
 }
 
-func resizeInts(s []int, n int) []int {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// comboState is the per-combo construction state: the skeleton carrier
-// execution plus everything shared across its completions. The carrier and
-// the fields marked "retained" outlive the combo (yielded executions alias
-// them); the rest is Assembler scratch.
-type comboState struct {
-	x    *Execution                // skeleton carrier (retained via field sharing)
-	evs  []Event                   // event slab backing x.Events (retained)
-	regs map[int]map[ptx.Reg]int64 // final registers, shared by every completion (retained)
 }
 
 // StreamCombo assembles path combination combo and streams its rf/co
@@ -92,6 +98,9 @@ type comboState struct {
 // reproduces the full enumeration byte for byte. emit errors abort the
 // combination and are returned verbatim. No MaxExecs bound is applied here
 // — drivers enforce it themselves (see StreamCtx and BoundError).
+//
+// The execution emit receives is a's own and is rewritten by the next
+// completion: it is valid only during the call. Keep x.Clone() instead.
 func (en *Enumeration) StreamCombo(combo int, a *Assembler, emit func(*Execution) error) error {
 	if combo < 0 || combo >= en.combos {
 		return fmt.Errorf("axiom: path combination %d out of range [0,%d)", combo, en.combos)
@@ -102,12 +111,11 @@ func (en *Enumeration) StreamCombo(combo int, a *Assembler, emit func(*Execution
 		defer flush()
 	}
 	en.decodeCombo(combo, a)
-	cs, ok := en.buildSkeleton(a)
-	if !ok {
+	if !en.buildSkeleton(a) {
 		return nil // some read's value is unjustifiable: no execution from this combo
 	}
 	en.traceSkeleton(a)
-	return en.enumerateRFFrom(a, cs, 0, emit)
+	return en.enumerateRFFrom(a, 0, emit)
 }
 
 // traceEmit wraps emit for a traced production run: time outside the
@@ -154,7 +162,7 @@ func (en *Enumeration) traceSkeleton(a *Assembler) {
 // a.pick (thread 0's choice is the most significant digit).
 func (en *Enumeration) decodeCombo(combo int, a *Assembler) {
 	nt := len(en.paths)
-	a.pick = resizeInts(a.pick, nt)
+	a.pick = resize(a.pick, nt)
 	c := combo
 	for tid := nt - 1; tid >= 0; tid-- {
 		r := len(en.paths[tid])
@@ -176,7 +184,7 @@ func (en *Enumeration) ComboChunks(combo int, a *Assembler) (chunks, estimate in
 		return 0, 0
 	}
 	en.decodeCombo(combo, a)
-	if _, ok := en.buildSkeleton(a); !ok {
+	if !en.buildSkeleton(a) {
 		return 0, 0
 	}
 	estimate = 1
@@ -211,8 +219,7 @@ func (en *Enumeration) StreamComboChunk(combo, chunk int, a *Assembler, emit fun
 		defer flush()
 	}
 	en.decodeCombo(combo, a)
-	cs, ok := en.buildSkeleton(a)
-	if !ok {
+	if !en.buildSkeleton(a) {
 		return nil // dead combination: every chunk is empty
 	}
 	if chunk == 0 {
@@ -225,7 +232,7 @@ func (en *Enumeration) StreamComboChunk(combo, chunk int, a *Assembler, emit fun
 		if chunk != 0 {
 			return fmt.Errorf("axiom: chunk %d out of range [0,1) for combination %d", chunk, combo)
 		}
-		return en.enumerateRFFrom(a, cs, 0, emit)
+		return en.enumerateRFFrom(a, 0, emit)
 	}
 	srcs := a.choices[0].srcs
 	if chunk < 0 || chunk >= len(srcs) {
@@ -245,16 +252,17 @@ func (en *Enumeration) StreamComboChunk(combo, chunk int, a *Assembler, emit fun
 			defer func() { a.used[s] = false; a.usedCnt[ci]-- }()
 		}
 	}
-	return en.enumerateRFFrom(a, cs, 1, emit)
+	return en.enumerateRFFrom(a, 1, emit)
 }
 
-// buildSkeleton constructs the combo's skeleton — events, program order,
-// dependencies, fences, final registers, writer indexes, coherence
-// permutations, rf choices and the RMW atomicity plan. It reports ok=false
-// when some read has no possible source (the combo yields no executions).
-func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
+// buildSkeleton constructs the combo's skeleton into a.x — events, program
+// order, dependencies, fences, final registers — and the Assembler's writer
+// indexes, coherence permutations, rf choices and RMW atomicity plan. It
+// reports false when some read has no possible source (the combo yields no
+// executions).
+func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	nt := len(en.paths)
-	a.base = resizeInts(a.base, nt)
+	a.base = resize(a.base, nt)
 	n := 0
 	for tid := 0; tid < nt; tid++ {
 		a.base[tid] = n
@@ -263,7 +271,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 
 	evs := make([]Event, n)
 	ptrs := make([]*Event, n)
-	x := &Execution{
+	a.x = Execution{
 		Test:   en.test,
 		Events: ptrs,
 		Membar: map[ptx.Scope]Rel{ptx.ScopeCTA: NewRel(), ptx.ScopeGL: NewRel(), ptx.ScopeSys: NewRel()},
@@ -272,6 +280,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 		// instead of recomputing them per execution.
 		shared: &sharedRels{},
 	}
+	x := &a.x
 	if n > wordBits {
 		// Multi-word universes: pre-size the skeleton relations once instead
 		// of re-growing them Add by Add.
@@ -393,7 +402,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 			}
 		}
 		if len(srcs) == 0 {
-			return comboState{}, false
+			return false
 		}
 		a.choices = append(a.choices, rfChoice{read: ev.ID, srcs: srcs})
 	}
@@ -420,7 +429,18 @@ func (en *Enumeration) buildSkeleton(a *Assembler) (comboState, bool) {
 	}
 	a.rfPick = a.rfPick[:len(a.choices)]
 
-	return comboState{x: x, evs: evs, regs: regs}, true
+	// The buffers the rf-choice and per-completion layers rewrite. The maps
+	// are emptied per skeleton: its locations may differ from the last one's.
+	a.srcOf = resize(a.srcOf, n)
+	if a.co == nil {
+		a.co = make(map[ptx.Sym][]EventID, len(a.wlocs))
+		a.mem = make(map[ptx.Sym]int64, len(en.locs))
+	}
+	clear(a.co)
+	clear(a.mem)
+	a.final = litmus.MapState{Regs: regs, Memv: a.mem}
+	x.CO, x.Final, x.srcOf = a.co, &a.final, a.srcOf
+	return true
 }
 
 // detectClasses finds the skeleton's symmetry classes: groups of ≥2 writes
@@ -657,15 +677,13 @@ func (pe PathEvent) isMem() bool { return pe.Kind == KRead || pe.Kind == KWrite 
 // are therefore always an ascending prefix of the class, every orbit of
 // interchangeable assignments survives as exactly its lexicographically
 // first member, and that member is the first the exhaustive order would
-// have produced. At each complete assignment it materialises the
-// per-choice shared state — the rf relation, init-read set, read→source
-// index and rfe memo, all shared by every coherence completion — and
-// descends into coherence enumeration.
-func (en *Enumeration) enumerateRFFrom(a *Assembler, cs comboState, start int, emit func(*Execution) error) error {
+// have produced. At each complete assignment it descends into coherence
+// enumeration.
+func (en *Enumeration) enumerateRFFrom(a *Assembler, start int, emit func(*Execution) error) error {
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(a.choices) {
-			return en.enumerateCO(a, cs, emit)
+			return en.enumerateCO(a, emit)
 		}
 		for _, s := range a.choices[i].srcs {
 			ci := int32(-1)
@@ -696,111 +714,102 @@ func (en *Enumeration) enumerateRFFrom(a *Assembler, cs comboState, start int, e
 	return rec(start)
 }
 
-// enumerateCO enumerates the per-location coherence orders for the current
-// rf choice, applying the symmetry-canonicality filter (coCanonical) and
-// the built-in RMW atomicity filter, and streams each surviving execution
-// to emit with its orbit size as its Mult: the skeleton's same-value
-// orbit size times the value-blind factor of each chosen order.
-func (en *Enumeration) enumerateCO(a *Assembler, cs comboState, emit func(*Execution) error) error {
-	n := len(cs.evs)
-
-	// Per-rf-choice shared state, retained by the executions built below.
-	var rf Rel
-	var initReads map[EventID]bool
-	srcOf := make([]int32, n)
-	for i := range srcOf {
-		srcOf[i] = -1
+// enumerateCO rewrites a.x's rf-choice layer for the current rf choice —
+// the rf relation, init-read set, read→source index and rfe memo, shared by
+// every coherence completion — and enumerates the per-location coherence
+// orders (completeCO).
+func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) error {
+	x := &a.x
+	n := len(x.Events)
+	for i := range a.srcOf {
+		a.srcOf[i] = -1
 	}
+	a.rf.reset(n)
+	clear(a.initReads)
 	for i, c := range a.choices {
 		if s := a.rfPick[i]; s < 0 {
-			if initReads == nil {
-				initReads = make(map[EventID]bool)
+			if a.initReads == nil {
+				a.initReads = make(map[EventID]bool)
 			}
-			initReads[c.read] = true
+			a.initReads[c.read] = true
 		} else {
-			rf.Add(s, c.read)
-			srcOf[c.read] = int32(s)
+			a.rf.Add(s, c.read)
+			a.srcOf[c.read] = int32(s)
 		}
 	}
-	rfSh := &rfRels{}
+	x.RF = a.rf
+	x.InitReads = nil
+	if len(a.initReads) > 0 {
+		x.InitReads = a.initReads
+	}
+	a.rfSh = rfRels{}
+	x.rfShared = &a.rfSh
 
 	if cap(a.coPos) < n {
 		a.coPos = make([]int32, n)
 	}
-	a.coSel = resizeInts(a.coSel, len(a.wlocs))
+	a.coSel = resize(a.coSel, len(a.wlocs))
+	return en.completeCO(a, 0, a.mult, emit)
+}
 
-	var rec func(i, mult int) error
-	rec = func(i, mult int) error {
-		if i < len(a.wlocs) {
-			for pi := range a.perLoc[i] {
-				f := a.coCanonical(i, a.perLoc[i][pi])
-				if f == 0 {
-					continue
-				}
-				a.coSel[i] = pi
-				if err := rec(i+1, mulSat(mult, f)); err != nil {
-					return err
-				}
+// completeCO picks the coherence orders of wlocs [i, len) under the
+// symmetry-canonicality filter (coCanonical), applies the built-in RMW
+// atomicity filter to each full choice, and streams each surviving
+// completion to emit with its orbit size as its Mult: the skeleton's
+// same-value orbit size times the value-blind factor of each chosen order.
+// Each completion rewrites a.x's coherence map, final memory, Mult and
+// derived-relation memo in place.
+func (en *Enumeration) completeCO(a *Assembler, i, mult int, emit func(*Execution) error) error {
+	if i < len(a.wlocs) {
+		for pi := range a.perLoc[i] {
+			f := a.coCanonical(i, a.perLoc[i][pi])
+			if f == 0 {
+				continue
 			}
+			a.coSel[i] = pi
+			if err := en.completeCO(a, i+1, mulSat(mult, f), emit); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// Coherence positions for this completion, then the atomicity filter:
+	// an atomic RMW's write must directly follow its read's source in
+	// coherence.
+	x := &a.x
+	coPos := a.coPos[:len(x.Events)]
+	for li := range a.wlocs {
+		for pos, w := range a.perLoc[li][a.coSel[li]] {
+			coPos[w] = int32(pos)
+		}
+	}
+	for _, pr := range a.rmwChk {
+		srcPos := int32(-1)
+		if s := a.srcOf[pr[0]]; s >= 0 {
+			srcPos = coPos[s]
+		}
+		if coPos[pr[1]] != srcPos+1 {
 			return nil
 		}
-
-		// Coherence positions for this completion, then the atomicity
-		// filter: an atomic RMW's write must directly follow its read's
-		// source in coherence.
-		coPos := a.coPos[:n]
-		for li := range a.wlocs {
-			for pos, w := range a.perLoc[li][a.coSel[li]] {
-				coPos[w] = int32(pos)
-			}
-		}
-		for _, pr := range a.rmwChk {
-			srcPos := int32(-1)
-			if s := srcOf[pr[0]]; s >= 0 {
-				srcPos = coPos[s]
-			}
-			if coPos[pr[1]] != srcPos+1 {
-				return nil
-			}
-		}
-
-		sk := cs.x
-		co := make(map[ptx.Sym][]EventID, len(a.wlocs))
-		for li, loc := range a.wlocs {
-			co[loc] = a.perLoc[li][a.coSel[li]]
-		}
-		// Final state: registers are the combo-shared map (read-only by
-		// construction); memory is the coherence-last write per location
-		// (or the initial value).
-		mem := make(map[ptx.Sym]int64, len(en.locs))
-		for _, loc := range en.locs {
-			if order := co[loc]; len(order) > 0 {
-				mem[loc] = cs.evs[order[len(order)-1]].Val
-			} else {
-				mem[loc] = en.test.InitOf(loc)
-			}
-		}
-		x := &Execution{
-			Test:      sk.Test,
-			Events:    sk.Events,
-			PO:        sk.PO,
-			Addr:      sk.Addr,
-			Data:      sk.Data,
-			Ctrl:      sk.Ctrl,
-			RMW:       sk.RMW,
-			Membar:    sk.Membar,
-			RF:        rf,
-			InitReads: initReads,
-			CO:        co,
-			Final:     &litmus.MapState{Regs: cs.regs, Memv: mem},
-			Mult:      mult,
-			shared:    sk.shared,
-			rfShared:  rfSh,
-			srcOf:     srcOf,
-		}
-		return emit(x)
 	}
-	return rec(0, a.mult)
+
+	for li, loc := range a.wlocs {
+		a.co[loc] = a.perLoc[li][a.coSel[li]]
+	}
+	// Final state: registers are the combo-shared map (read-only by
+	// construction); memory is the coherence-last write per location (or
+	// the initial value).
+	for _, loc := range en.locs {
+		if order := a.co[loc]; len(order) > 0 {
+			a.mem[loc] = x.Events[order[len(order)-1]].Val
+		} else {
+			a.mem[loc] = en.test.InitOf(loc)
+		}
+	}
+	x.Mult = mult
+	x.memo = execMemo{}
+	return emit(x)
 }
 
 // coCanonical reports whether the given coherence permutation of wloc li is

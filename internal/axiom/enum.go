@@ -68,9 +68,10 @@ func (o Opts) withDefaults() Opts {
 // for locations written only by atomics (PTX annuls atomic guarantees when
 // plain stores access the same location, Sec. 3.2.3).
 //
-// Enumerate collects PrepareCtx + StreamCtx into a slice; callers that do
-// not need the whole candidate set at once should stream instead. The
-// opts.MaxExecs bound is enforced exactly and by Weight (see StreamCtx).
+// Enumerate collects PrepareCtx + StreamCtx into a slice of clones (the
+// stream rewrites one execution in place); callers that do not need the
+// whole candidate set at once should stream instead. The opts.MaxExecs
+// bound is enforced exactly and by Weight (see StreamCtx).
 func Enumerate(t *litmus.Test, opts Opts) ([]*Execution, error) {
 	ctx := context.Background()
 	en, err := PrepareCtx(ctx, t, opts)
@@ -79,7 +80,7 @@ func Enumerate(t *litmus.Test, opts Opts) ([]*Execution, error) {
 	}
 	var execs []*Execution
 	if err := en.StreamCtx(ctx, func(x *Execution) error {
-		execs = append(execs, x)
+		execs = append(execs, x.Clone())
 		return nil
 	}); err != nil {
 		return nil, err
@@ -199,6 +200,8 @@ func (en *Enumeration) BoundError() error {
 // their canonical order. The MaxExecs bound is enforced exactly — by
 // Execution.Weight, so pruned and exhaustive enumerations fail on the same
 // totals — and ctx is checked per combination and per yielded execution.
+// As with StreamCombo, the yielded execution is valid only during the
+// call: keep its Clone.
 func (en *Enumeration) StreamCtx(ctx context.Context, yield func(*Execution) error) error {
 	var a Assembler
 	count := 0

@@ -2,7 +2,9 @@ package axiom
 
 import (
 	"fmt"
+	"maps"
 	mathbits "math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,9 +43,10 @@ type Execution struct {
 	Membar map[ptx.Scope]Rel
 
 	// Final is the final state: registers from each thread's path, memory
-	// from the coherence-last write per location. Executions are immutable
-	// once built, and the enumerator shares the register maps across every
-	// completion of one path combination — treat Final as read-only.
+	// from the coherence-last write per location. Treat it as read-only: the
+	// enumerator shares the register maps across every completion of one
+	// path combination, and rewrites the memory map of the execution it
+	// streams for each completion (see Clone).
 	Final *litmus.MapState
 
 	// Mult is the number of exhaustive-enumeration candidates this execution
@@ -149,6 +152,47 @@ func (x *Execution) SkeletonKey() any {
 		return x.shared
 	}
 	return nil
+}
+
+// Clone returns a copy of x that stays valid after the producer moves on:
+// the executions the enumerator streams are rewritten in place by the next
+// completion, so a consumer that keeps one keeps its Clone. The coherence
+// orders, final memory, rf relation, init reads and read→source index are
+// copied; the skeleton (events, po, deps, membar, final registers and the
+// skeleton memo) is immutable and shared. The copy memoizes its own
+// rf- and execution-level derived relations.
+func (x *Execution) Clone() *Execution {
+	c := &Execution{
+		Test:      x.Test,
+		Events:    x.Events,
+		PO:        x.PO,
+		Addr:      x.Addr,
+		Data:      x.Data,
+		Ctrl:      x.Ctrl,
+		RMW:       x.RMW,
+		Membar:    x.Membar,
+		RF:        x.RF.Clone(),
+		InitReads: maps.Clone(x.InitReads),
+		Mult:      x.Mult,
+		shared:    x.shared,
+		srcOf:     slices.Clone(x.srcOf),
+	}
+	if x.CO != nil {
+		total := 0
+		for _, order := range x.CO {
+			total += len(order)
+		}
+		slab := make([]EventID, 0, total)
+		c.CO = make(map[ptx.Sym][]EventID, len(x.CO))
+		for loc, order := range x.CO {
+			slab = append(slab, order...)
+			c.CO[loc] = slab[len(slab)-len(order) : len(slab) : len(slab)]
+		}
+	}
+	if x.Final != nil {
+		c.Final = &litmus.MapState{Regs: x.Final.Regs, Memv: maps.Clone(x.Final.Memv)}
+	}
+	return c
 }
 
 // Weight returns the number of concrete candidate executions this one

@@ -226,6 +226,21 @@ func (dst *Rel) setCopy(src Rel) {
 // setEmpty sets dst to the empty relation.
 func (dst *Rel) setEmpty() { dst.words, dst.n, dst.rows = 0, 0, nil }
 
+// reset empties r and sizes it for events [0, n), keeping its storage when
+// the stride already fits, so r can be refilled with Add without
+// allocating.
+func (r *Rel) reset(n int) {
+	if r.words == (n+wordBits-1)/wordBits {
+		clear(r.rows[:r.used()])
+		r.n = 0
+		return
+	}
+	r.setEmpty()
+	if n > 0 {
+		r.ensure(EventID(n - 1))
+	}
+}
+
 // SetUnion sets dst to a ∪ b, reusing dst's storage when possible. dst may
 // alias a or b: the operations are pointwise, so in-place updates are safe.
 func (dst *Rel) SetUnion(a, b Rel) {

@@ -468,8 +468,10 @@ func (p *Program) RunExec(x *axiom.Execution, sc *Scratch) Results {
 // RunExecVerdict evaluates the program against a candidate execution like
 // RunExec but reports only whether every check passed. It skips the
 // per-check relation cloning RunExec pays for diagnostics — the last
-// steady-state allocation on the verdict hot path — and short-circuits on
-// the first violated check. Callers that read just OK/Allowed() (Judge,
+// steady-state allocation on the verdict hot path. It still runs every
+// instruction of the program first, and only then tests the checks in
+// order, stopping at the first violated one; a failing first check saves
+// no evaluation. Callers that read just OK/Allowed() (Judge,
 // the campaign memo) use this. sc may be nil to use the pool. The error is
 // always nil, since Compile rejects every model that could fail to
 // evaluate; the benchmark in perfbench/ calls this signature.

@@ -51,7 +51,7 @@ func TestPooledScratchDropsTrace(t *testing.T) {
 	var xs []*axiom.Execution
 	for _, test := range tests {
 		if _, err := JudgeWith(context.Background(), m, test, Opts{Visit: func(_ int, x *axiom.Execution, _ bool) error {
-			xs = append(xs, x)
+			xs = append(xs, x.Clone())
 			return nil
 		}}); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestPooledScratchDropsSkeleton(t *testing.T) {
 		var xs []*axiom.Execution
 		var allowed []bool
 		if _, err := JudgeWith(context.Background(), m, test, Opts{Visit: func(_ int, x *axiom.Execution, ok bool) error {
-			xs, allowed = append(xs, x), append(allowed, ok)
+			xs, allowed = append(xs, x.Clone()), append(allowed, ok)
 			return nil
 		}}); err != nil {
 			t.Fatal(err)

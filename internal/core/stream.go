@@ -87,9 +87,11 @@ type Opts struct {
 	// in the produced stream (representative ordinals under pruning) and
 	// allowed is the model's verdict-only evaluation. Any weighted
 	// aggregate a caller builds from the visits equals the exhaustive
-	// enumeration's. An error from Visit stops the run and is returned; in
-	// a traced run the calls are timed into obs.PhaseMerge. A run of more
-	// than one model takes no Visit.
+	// enumeration's. x is the producer's reusable execution and is valid
+	// only during the call: a caller that keeps it keeps x.Clone(). An
+	// error from Visit stops the run and is returned; in a traced run the
+	// calls are timed into obs.PhaseMerge. A run of more than one model
+	// takes no Visit.
 	Visit func(i int, x *axiom.Execution, allowed bool) error
 }
 
@@ -317,7 +319,9 @@ func (r *judgeRun) stream(a *axiom.Assembler, u int, yield func(*axiom.Execution
 // under every model into k and then visits it. The context and the shared
 // MaxExecs bound are checked once per execution, before the evaluations,
 // as the serial stream checks them; the final condition is evaluated at
-// most once per execution, when some model allows it.
+// most once per execution, when some model allows it. The producer
+// rewrites x in place, so a model's first witness is a clone, made once
+// per execution and shared by every model that takes it.
 func (r *judgeRun) fold(k *tally) func(*axiom.Execution) error {
 	limit := int64(r.en.Opts().MaxExecs)
 	return func(x *axiom.Execution) error {
@@ -341,6 +345,7 @@ func (r *judgeRun) fold(k *tally) func(*axiom.Execution) error {
 		k.candidates += w
 		k.visited++
 		evaluated, sat := false, false
+		var wit *axiom.Execution
 		for i := range k.models {
 			mt := &k.models[i]
 			if !mt.ok {
@@ -353,7 +358,10 @@ func (r *judgeRun) fold(k *tally) func(*axiom.Execution) error {
 			if sat {
 				mt.witnesses += w
 				if mt.witness == nil {
-					mt.witness, mt.witnessUnit = x, k.unit
+					if wit == nil {
+						wit = x.Clone()
+					}
+					mt.witness, mt.witnessUnit = wit, k.unit
 				}
 			}
 		}

@@ -388,15 +388,46 @@ func TestFleetConvergesToNearZeroRecomputation(t *testing.T) {
 // every request still succeeds (local compute), errors are counted, and
 // nothing surfaces as a 5xx.
 func TestPeerDownDegradesToLocalCompute(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	deadURL := dead.URL
-	dead.Close() // connection refused from here on
-
+	// The live replica binds first, so a dead one's port, freed below,
+	// cannot be handed to it.
 	s, selfURL, client := newFleetServer(t, Config{StoreDir: t.TempDir()})
-	s.SetPeers(selfURL, []string{selfURL, deadURL})
-
 	ctx := context.Background()
 	names := corpusNames(t)
+	m, err := s.model("ptx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, name := range names {
+		test, err := litmus.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, "judge|"+m.Fingerprint()+"|"+test.Fingerprint())
+	}
+	// Placement depends on the dead replica's port: take the first port
+	// whose ring places some judged key on it.
+	var deadURL string
+	for try := 0; try < 16 && deadURL == ""; try++ {
+		dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+		u := dead.URL
+		dead.Close() // connection refused from here on
+		if u == selfURL {
+			t.Fatalf("dead and live replicas share %s", u)
+		}
+		r := buildRing(selfURL, []string{selfURL, u})
+		for _, key := range keys {
+			if r.owner(key) == u {
+				deadURL = u
+				break
+			}
+		}
+	}
+	if deadURL == "" {
+		t.Fatalf("no dead replica port of 16 owns any of the %d judged keys", len(keys))
+	}
+	s.SetPeers(selfURL, []string{selfURL, deadURL})
+
 	for _, name := range names {
 		res, err := client.Judge(ctx, JudgeRequest{TestRef: TestRef{Test: name}})
 		if err != nil {
