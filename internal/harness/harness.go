@@ -3,6 +3,8 @@
 // of the paper: each test executes thousands of times under incantations
 // (stress heuristics, Sec. 4.3) and the number of runs matching the final
 // condition is reported per 100k executions.
+// A final state has one identity, its test's Layout, which keys, renders,
+// reads back and judges it.
 package harness
 
 import (
@@ -10,7 +12,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -32,7 +36,8 @@ type Config struct {
 // DefaultRuns is the paper's iteration count.
 const DefaultRuns = 100000
 
-// Outcome is the result of running one test under one configuration.
+// Outcome is the result of running one test under one configuration,
+// its histogram keyed by the fingerprints of the test's Layout.
 type Outcome struct {
 	Test      *litmus.Test
 	Config    Config
@@ -54,8 +59,9 @@ func Run(t *litmus.Test, cfg Config) (*Outcome, error) {
 // Run's.
 //
 // The test is compiled once; each worker runs its iterations on its own
-// machine and counts final states by their encoded key. Fingerprint and
-// the condition are evaluated once per distinct key, not once per run.
+// machine and counts final states by their layout key. The fingerprint
+// and the condition are evaluated once per distinct key of each worker,
+// not once per run.
 func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 	if cfg.Chip == nil {
 		return nil, fmt.Errorf("harness: no chip configured")
@@ -70,10 +76,10 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	sk := newStateKey(t)
+	l := NewLayout(t)
 
 	type partial struct {
-		hist keyHist
+		hist map[string]*int // runs by layout key
 		err  error
 	}
 	parts := make([]partial, cfg.Parallelism)
@@ -84,6 +90,7 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 			defer wg.Done()
 			m := code.NewMachine()
 			p := &parts[w]
+			p.hist = make(map[string]*int)
 			var key []byte
 			for i := w; i < cfg.Runs; i += cfg.Parallelism {
 				if err := ctx.Err(); err != nil {
@@ -94,124 +101,169 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 					p.err = err
 					return
 				}
-				key = sk.appendKey(key[:0], m)
-				p.hist.add(key, 1)
+				key = l.appendKey(key[:0], m)
+				n := p.hist[string(key)]
+				if n == nil {
+					n = new(int)
+					p.hist[string(key)] = n
+				}
+				*n++
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	var all keyHist
+	out := &Outcome{Test: t, Config: cfg, Histogram: make(map[string]int, len(parts[0].hist)), Runs: cfg.Runs}
+	st := newKeyState(l)
+	var fp []byte
 	for _, p := range parts {
 		if p.err != nil {
 			return nil, p.err
 		}
-		for i, k := range p.hist.keys {
-			all.add([]byte(k), p.hist.counts[i])
-		}
-	}
-	out := &Outcome{Test: t, Config: cfg, Histogram: make(map[string]int, len(all.keys)), Runs: cfg.Runs}
-	for i, k := range all.keys {
-		s := sk.state(k)
-		out.Histogram[Fingerprint(t, s)] += all.counts[i]
-		if t.Exists.Eval(s) {
-			out.Matches += all.counts[i]
+		for k, n := range p.hist { // the outcome sums counts, so order does not matter
+			st.key = append(st.key[:0], k...)
+			fp = l.AppendFingerprint(fp[:0], st)
+			out.Histogram[string(fp)] += *n
+			if t.Exists.Eval(st) {
+				out.Matches += *n
+			}
 		}
 	}
 	return out, nil
 }
 
-// keyHist counts final states by encoded key. Counts live in a slice, so
-// counting a key already seen allocates nothing.
-type keyHist struct {
-	index  map[string]int
-	keys   []string
-	counts []int
+// Layout is a test's outcome identity, the slots of its observable final
+// state: the condition's registers in the order sort.Strings gives their
+// "t:r=v" parts (names are unique, so "0:r10=" precedes "0:r1="), then
+// t.Locations(). Each slot's name is rendered once. A built layout is only
+// read, so goroutines share it.
+type Layout struct {
+	slots []slot
 }
 
-func (h *keyHist) add(key []byte, n int) {
-	if i, ok := h.index[string(key)]; ok {
-		h.counts[i] += n
-		return
+// slot is one observable value: thread tid's register reg, or, when reg
+// is empty, location loc.
+type slot struct {
+	name string // "0:r1=" or "x="
+	tid  int
+	reg  ptx.Reg
+	loc  ptx.Sym
+}
+
+// NewLayout derives t's observable slots.
+func NewLayout(t *litmus.Test) *Layout {
+	l := &Layout{}
+	l.addRegs(t.Exists)
+	slices.SortFunc(l.slots, func(a, b slot) int { return strings.Compare(a.name, b.name) })
+	for _, loc := range t.Locations() {
+		l.slots = append(l.slots, slot{name: string(loc) + "=", loc: loc})
 	}
-	if h.index == nil {
-		h.index = make(map[string]int)
-	}
-	k := string(key)
-	h.index[k] = len(h.keys)
-	h.keys = append(h.keys, k)
-	h.counts = append(h.counts, n)
+	return l
 }
 
-// stateKey encodes the observable part of a final state — the registers
-// the condition mentions, then every location — as bytes: per value a
-// presence byte, followed by the value when present. Two states with one
-// key have the same Fingerprint and the same condition verdict, and the
-// key tells an absent register from one holding 0.
-type stateKey struct {
-	regs []litmus.RegEq // Thread and Reg of each condition register
-	locs []ptx.Sym
-}
-
-func newStateKey(t *litmus.Test) stateKey {
-	var sk stateKey
-	seen := make(map[litmus.RegEq]bool)
-	for _, a := range litmus.CondAtoms(t.Exists) {
-		if ra, ok := a.(litmus.RegEq); ok {
-			r := litmus.RegEq{Thread: ra.Thread, Reg: ra.Reg}
-			if !seen[r] {
-				seen[r] = true
-				sk.regs = append(sk.regs, r)
-			}
+// addRegs adds a slot for each register c mentions, once.
+func (l *Layout) addRegs(c litmus.Cond) {
+	switch c := c.(type) {
+	case litmus.CondAnd:
+		l.addRegs(c.L)
+		l.addRegs(c.R)
+	case litmus.CondOr:
+		l.addRegs(c.L)
+		l.addRegs(c.R)
+	case litmus.CondNot:
+		l.addRegs(c.C)
+	case litmus.RegEq:
+		name := strconv.Itoa(c.Thread) + ":" + string(c.Reg) + "="
+		if !slices.ContainsFunc(l.slots, func(s slot) bool { return s.name == name }) {
+			l.slots = append(l.slots, slot{name: name, tid: c.Thread, reg: c.Reg})
 		}
 	}
-	sk.locs = t.Locations()
-	return sk
 }
 
-func (sk stateKey) appendKey(buf []byte, s litmus.State) []byte {
-	for _, r := range sk.regs {
-		v, ok := s.Reg(r.Thread, r.Reg)
-		buf = appendValue(buf, v, ok)
+func (sl *slot) value(s litmus.State) (int64, bool) {
+	if sl.reg != "" {
+		return s.Reg(sl.tid, sl.reg)
 	}
-	for _, loc := range sk.locs {
-		v, ok := s.Mem(loc)
-		buf = appendValue(buf, v, ok)
-	}
-	return buf
+	return s.Mem(sl.loc)
 }
 
-func appendValue(buf []byte, v int64, ok bool) []byte {
-	if !ok {
-		return append(buf, 0)
+// slotWidth is a key's bytes per slot: a presence byte, then the value.
+const slotWidth = 9
+
+// appendKey appends s's key: every slot at a fixed width, so that a key
+// tells an absent register from one holding 0.
+func (l *Layout) appendKey(b []byte, s litmus.State) []byte {
+	for i := range l.slots {
+		v, ok := l.slots[i].value(s)
+		present := byte(0)
+		if ok {
+			present = 1
+		}
+		b = binary.LittleEndian.AppendUint64(append(b, present), uint64(v))
 	}
-	return binary.LittleEndian.AppendUint64(append(buf, 1), uint64(v))
+	return b
 }
 
-// state decodes a key into the state it was encoded from.
-func (sk stateKey) state(key string) *litmus.MapState {
-	s := litmus.NewMapState()
-	next := func() (int64, bool) {
-		present := key[0] == 1
-		key = key[1:]
-		if !present {
-			return 0, false
+// AppendFingerprint appends s's fingerprint to b: "name=value" per slot,
+// separated by single spaces; an absent value renders as the 0 a State
+// returns with it.
+func (l *Layout) AppendFingerprint(b []byte, s litmus.State) []byte {
+	for i := range l.slots {
+		if i > 0 {
+			b = append(b, ' ')
 		}
-		v := int64(binary.LittleEndian.Uint64([]byte(key[:8])))
-		key = key[8:]
-		return v, true
+		v, _ := l.slots[i].value(s)
+		b = strconv.AppendInt(append(b, l.slots[i].name...), v, 10)
 	}
-	for _, r := range sk.regs {
-		if v, ok := next(); ok {
-			s.SetReg(r.Thread, r.Reg, v)
+	return b
+}
+
+// keyState reads a key as a litmus.State without decoding it: a slot's
+// value is present as it was encoded, and a name outside the layout is
+// absent.
+type keyState struct {
+	l   *Layout
+	key []byte
+}
+
+func newKeyState(l *Layout) *keyState {
+	return &keyState{l: l, key: make([]byte, 0, len(l.slots)*slotWidth)}
+}
+
+func (k *keyState) Reg(tid int, r ptx.Reg) (int64, bool) {
+	return k.at(slices.IndexFunc(k.l.slots, func(s slot) bool { return s.reg == r && s.tid == tid }))
+}
+
+func (k *keyState) Mem(loc ptx.Sym) (int64, bool) {
+	return k.at(slices.IndexFunc(k.l.slots, func(s slot) bool { return s.reg == "" && s.loc == loc }))
+}
+
+// read sets the view's key to fingerprint fp read back through the
+// layout, every slot present. It accepts only what AppendFingerprint
+// renders: the slots' names in order, canonical decimal values and single
+// spaces.
+func (k *keyState) read(fp string) bool {
+	k.key = k.key[:0]
+	for i := range k.l.slots {
+		part, rest, more := strings.Cut(fp, " ")
+		val, ok := strings.CutPrefix(part, k.l.slots[i].name)
+		v, err := strconv.ParseInt(val, 10, 64)
+		var canon [20]byte
+		if !ok || err != nil || string(strconv.AppendInt(canon[:0], v, 10)) != val || more != (i+1 < len(k.l.slots)) {
+			return false
 		}
+		k.key = binary.LittleEndian.AppendUint64(append(k.key, 1), uint64(v))
+		fp = rest
 	}
-	for _, loc := range sk.locs {
-		if v, ok := next(); ok {
-			s.SetMem(loc, v)
-		}
+	return fp == ""
+}
+
+func (k *keyState) at(i int) (int64, bool) {
+	if i < 0 {
+		return 0, false
 	}
-	return s
+	b := k.key[i*slotWidth : (i+1)*slotWidth]
+	return int64(binary.LittleEndian.Uint64(b[1:])), b[0] == 1
 }
 
 // Per100k scales the match count to the paper's per-100k-runs convention.
@@ -237,22 +289,23 @@ func (o *Outcome) Observed() bool { return o.Matches > 0 }
 
 // String renders the outcome in the style of the litmus tool: a histogram
 // of final states (the matching states starred) and an Observation line.
+// A key is starred when it reads back through the test's layout and the
+// condition holds on it; a key the layout does not render is not.
 func (o *Outcome) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Test %s on %s (%s, %d runs)\n", o.Test.Name, o.Config.Chip.ShortName, o.Config.Incant, o.Runs)
-	fmt.Fprintf(&sb, "Histogram (%d states)\n", len(o.Histogram))
+	b := fmt.Appendf(nil, "Test %s on %s (%s, %d runs)\nHistogram (%d states)\n",
+		o.Test.Name, o.Config.Chip.ShortName, o.Config.Incant, o.Runs, len(o.Histogram))
 	keys := make([]string, 0, len(o.Histogram))
 	for k := range o.Histogram {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	match := o.matchingKeys()
+	st := newKeyState(NewLayout(o.Test))
 	for _, k := range keys {
-		marker := ":>"
-		if match[k] {
-			marker = "*>"
+		marker := " :> "
+		if st.read(k) && o.Test.Exists.Eval(st) {
+			marker = " *> "
 		}
-		fmt.Fprintf(&sb, "%-8d %s %s\n", o.Histogram[k], marker, k)
+		b = append(append(append(fmt.Appendf(b, "%-8d", o.Histogram[k]), marker...), k...), '\n')
 	}
 	state := "Never"
 	switch {
@@ -261,71 +314,12 @@ func (o *Outcome) String() string {
 	case o.Matches > 0:
 		state = "Sometimes"
 	}
-	fmt.Fprintf(&sb, "Observation %s %s %d %d\n", o.Test.Name, state, o.Matches, o.Runs-o.Matches)
-	return sb.String()
+	b = fmt.Appendf(b, "Observation %s %s %d %d\n", o.Test.Name, state, o.Matches, o.Runs-o.Matches)
+	return string(b)
 }
 
-// matchingKeys recomputes which histogram fingerprints satisfy the
-// condition by replaying them through a state stub.
-func (o *Outcome) matchingKeys() map[string]bool {
-	match := make(map[string]bool, len(o.Histogram))
-	for k := range o.Histogram {
-		s, err := parseFingerprint(k)
-		if err != nil {
-			continue
-		}
-		match[k] = o.Test.Exists.Eval(s)
-	}
-	return match
-}
-
-// Fingerprint renders the observable part of a final state: the registers
-// mentioned by the test's condition and every memory location, in
-// deterministic order.
+// Fingerprint renders the observable part of a final state through t's
+// layout: the registers the condition mentions and every location.
 func Fingerprint(t *litmus.Test, s litmus.State) string {
-	var parts []string
-	seen := make(map[string]bool)
-	for _, a := range litmus.CondAtoms(t.Exists) {
-		if ra, ok := a.(litmus.RegEq); ok {
-			key := fmt.Sprintf("%d:%s", ra.Thread, ra.Reg)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			v, _ := s.Reg(ra.Thread, ra.Reg)
-			parts = append(parts, fmt.Sprintf("%s=%d", key, v))
-		}
-	}
-	sort.Strings(parts)
-	var mems []string
-	for _, loc := range t.Locations() {
-		v, _ := s.Mem(loc)
-		mems = append(mems, fmt.Sprintf("%s=%d", loc, v))
-	}
-	return strings.Join(append(parts, mems...), " ")
-}
-
-// parseFingerprint reconstructs a State from a fingerprint.
-func parseFingerprint(fp string) (litmus.State, error) {
-	s := litmus.NewMapState()
-	for _, part := range strings.Fields(fp) {
-		eq := strings.SplitN(part, "=", 2)
-		if len(eq) != 2 {
-			return nil, fmt.Errorf("harness: bad fingerprint part %q", part)
-		}
-		var v int64
-		if _, err := fmt.Sscanf(eq[1], "%d", &v); err != nil {
-			return nil, err
-		}
-		if colon := strings.Index(eq[0], ":"); colon >= 0 {
-			var tid int
-			if _, err := fmt.Sscanf(eq[0][:colon], "%d", &tid); err != nil {
-				return nil, err
-			}
-			s.SetReg(tid, ptx.Reg(eq[0][colon+1:]), v)
-		} else {
-			s.SetMem(ptx.Sym(eq[0]), v)
-		}
-	}
-	return s, nil
+	return string(NewLayout(t).AppendFingerprint(nil, s))
 }

@@ -120,6 +120,9 @@ func TestStringHistogram(t *testing.T) {
 	}
 }
 
+// TestFingerprintRoundTrip: a fingerprint the layout renders reads back
+// into a key whose values are the state's, and the condition holds on it
+// as on the state.
 func TestFingerprintRoundTrip(t *testing.T) {
 	test := litmus.MP(litmus.NoFence)
 	s := litmus.NewMapState()
@@ -128,9 +131,9 @@ func TestFingerprintRoundTrip(t *testing.T) {
 	s.SetMem("x", 1)
 	s.SetMem("y", 1)
 	fp := Fingerprint(test, s)
-	re, err := parseFingerprint(fp)
-	if err != nil {
-		t.Fatal(err)
+	re := newKeyState(NewLayout(test))
+	if !re.read(fp) {
+		t.Fatalf("%q does not read back", fp)
 	}
 	if v, ok := re.Reg(1, "r1"); !ok || v != 1 {
 		t.Errorf("r1 lost: %v %v", v, ok)

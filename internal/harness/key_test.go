@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
@@ -31,7 +32,8 @@ func guardedRegTest() *litmus.Test {
 }
 
 // referenceRun is harness.Run written as the plain per-iteration loop:
-// sim.Run, then Fingerprint and the condition on every final state.
+// sim.Run, then the oracle fingerprint and the condition on every final
+// state.
 func referenceRun(t *testing.T, test *litmus.Test, cfg Config) *Outcome {
 	t.Helper()
 	out := &Outcome{Test: test, Config: cfg, Histogram: make(map[string]int), Runs: cfg.Runs}
@@ -40,7 +42,7 @@ func referenceRun(t *testing.T, test *litmus.Test, cfg Config) *Outcome {
 		if err != nil {
 			t.Fatalf("%s on %s: %v", test.Name, cfg.Chip.ShortName, err)
 		}
-		out.Histogram[Fingerprint(test, res.State)]++
+		out.Histogram[oracleFingerprint(test, res.State)]++
 		if test.Exists.Eval(res.State) {
 			out.Matches++
 		}
@@ -75,7 +77,7 @@ func TestKeyedHistogramMatchesReference(t *testing.T) {
 					t.Fatalf("%s on %s at parallelism %d: %q counted %d, reference %d", c.test.Name, c.chip.ShortName, par, k, o.Histogram[k], v)
 				}
 			}
-			if o.String() != ref.String() {
+			if o.String() != oracleString(ref) {
 				t.Fatalf("%s on %s at parallelism %d: rendered outcome differs", c.test.Name, c.chip.ShortName, par)
 			}
 		}
@@ -106,13 +108,15 @@ func TestAbsentRegisterIsNotZero(t *testing.T) {
 }
 
 // TestRunAllocations is the allocation gate of the harness loop: after
-// compiling the test and allocating one machine, iterations allocate
-// nothing, so a 2000-run cell stays under one allocation per run.
+// compiling the test, building its layout and allocating one machine,
+// iterations allocate nothing, and each distinct key costs its string, its
+// counter and its fingerprint. A 2000-run cell of mp made 202 allocations when every
+// key was decoded into a map-backed state; with the layout it makes 84.
 func TestRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by race instrumentation")
 	}
-	const runs = 2000
+	const runs, limit = 2000, 100
 	test := litmus.MP(litmus.NoFence)
 	cfg := Config{Chip: chip.GTXTitan, Incant: chip.Default(), Runs: runs, Seed: 1, Parallelism: 1}
 	allocs := testing.AllocsPerRun(5, func() {
@@ -120,8 +124,28 @@ func TestRunAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs >= runs {
-		t.Errorf("harness.Run of %d iterations allocates %.0f objects, want fewer than one per iteration", runs, allocs)
+	if allocs > limit {
+		t.Errorf("harness.Run of %d iterations allocates %.0f objects, want at most %d", runs, allocs, limit)
 	}
 	t.Logf("%.0f allocations for %d iterations", allocs, runs)
+}
+
+// TestStringAllocations gates Outcome.String on mp's four-key histogram:
+// one layout reads every key back without a map-backed state. It makes 25
+// allocations; the fmt-based reader made 145.
+func TestStringAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race instrumentation")
+	}
+	const limit = 35
+	o := &Outcome{Test: litmus.MP(litmus.NoFence), Config: Config{Chip: chip.GTXTitan, Incant: chip.Default()}, Runs: 100, Matches: 3,
+		Histogram: map[string]int{"1:r1=0 1:r2=0 x=1 y=1": 40, "1:r1=0 1:r2=1 x=1 y=1": 7, "1:r1=1 1:r2=0 x=1 y=1": 3, "1:r1=1 1:r2=1 x=1 y=1": 50}}
+	if !strings.Contains(o.String(), "3        *> 1:r1=1 1:r2=0 x=1 y=1\n") {
+		t.Fatalf("weak state not starred:\n%s", o)
+	}
+	allocs := testing.AllocsPerRun(20, func() { _ = o.String() })
+	if allocs > limit {
+		t.Errorf("Outcome.String of %d keys allocates %.0f objects, want at most %d", len(o.Histogram), allocs, limit)
+	}
+	t.Logf("%.0f allocations for %d keys", allocs, len(o.Histogram))
 }

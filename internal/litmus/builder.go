@@ -66,18 +66,21 @@ func (b *Builder) SharedLoc(loc string, init int64) *Builder {
 
 // Thread appends a thread whose program is given one instruction per
 // string. Empty strings are skipped, so fence slots can be filled
-// conditionally.
+// conditionally. Names are classified as Parse classifies them: a
+// register the thread has declared (AddrReg before Thread) is a register,
+// whatever its spelling.
 func (b *Builder) Thread(instrs ...string) *Builder {
 	if b.err != nil {
 		return b
 	}
 	tid := len(b.t.Threads)
+	regs := declRegs{decls: b.t.Decls, tid: tid}
 	var prog ptx.Program
 	for _, line := range instrs {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		inst, err := ptx.ParseInstr(line, nil)
+		inst, err := ptx.ParseInstr(line, regs.isReg)
 		if err != nil {
 			return b.fail("litmus: thread %d: %v", tid, err)
 		}

@@ -16,7 +16,7 @@ import (
 // trip. The literal must only change with a deliberate change of the
 // canonical form.
 func TestFingerprintGolden(t *testing.T) {
-	const want = "12cd2fd67f9782049608b67cd9d312dc054c8a7ce1858be434970aa012a95992"
+	const want = "57229b7f9001939a350a4a5ddb1b5dde4ce3ec73141f9b49291b0d852a224d75"
 	corpus := litmus.PaperTests()
 	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
 	if len(gen) != 776 {
