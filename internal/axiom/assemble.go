@@ -3,6 +3,8 @@ package axiom
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
@@ -22,26 +24,34 @@ import (
 //   - per completion: the coherence map, the final memory, Mult and the
 //     derived-relation memo are rewritten.
 //
-// The rf-choice and per-completion layers live in one Execution the
-// Assembler owns and rewrites in place, so a steady-state producer
-// allocates per skeleton and per rf choice only. An execution handed to
-// emit is therefore valid only during the call; a consumer that keeps one
-// keeps Execution.Clone's copy.
+// Every layer is rewritten in place in storage the Assembler owns: the
+// skeleton in a skeleton store (events, skeleton relations, final
+// registers and the skeleton memo, recomputed into the same storage), the
+// other two layers in one Execution. Once its storage has grown to the
+// tests it streams, a steady-state producer allocates nothing per
+// skeleton, per rf choice or per completion, and a pooled Assembler
+// (BorrowAssembler) carries that storage from one judgement to the next.
+// An execution handed to emit is therefore valid only during the call; a
+// consumer that keeps one keeps Execution.Clone's copy, which pins the
+// skeleton store it shares so that the next skeleton is built into fresh
+// storage.
 
 // Assembler is the reusable construction scratch for StreamCombo. The zero
 // value is ready for use; an Assembler must not be used concurrently (give
-// each producer worker its own).
+// each producer worker its own, or borrow one per worker).
 type Assembler struct {
-	pick    []int                 // decoded per-thread path choice
-	base    []int                 // per-thread global event-id offset
-	writers map[ptx.Sym][]EventID // per-location writers of the current skeleton
-	wlocs   []ptx.Sym             // locations with writers, sorted
-	perLoc  [][][]EventID         // coherence permutations per wloc (fresh per combo; x.CO aliases its rows)
-	choices []rfChoice            // rf choices of the current skeleton
-	rfPick  []EventID             // current rf source per choice
-	coSel   []int                 // current permutation index per wloc
-	coPos   []int32               // write -> position in its location's coherence order
-	rmwChk  [][2]EventID          // rmw (read, write) pairs subject to the atomicity filter
+	pick    []int         // decoded per-thread path choice
+	base    []int         // per-thread global event-id offset
+	wlocs   []ptx.Sym     // locations with writers, sorted
+	writers [][]EventID   // writers[i]: the writes to wlocs[i], ascending
+	perLoc  [][][]EventID // coherence permutations per wloc (x.CO aliases its rows)
+	permRow [][]EventID   // backing rows of perLoc
+	permEv  []EventID     // backing events of permRow
+	choices []rfChoice    // rf choices of the current skeleton
+	rfPick  []EventID     // current rf source per choice
+	coSel   []int         // current permutation index per wloc
+	coPos   []int32       // write -> position in its location's coherence order
+	rmwChk  [][2]EventID  // rmw (read, write) pairs subject to the atomicity filter
 
 	// Symmetry-pruning state (detectClasses). classes lists each class's
 	// member writes in ascending event-id order; classOf maps an event to
@@ -63,10 +73,13 @@ type Assembler struct {
 	blind   []blindClass
 	blindOf []int32
 
-	// The reusable execution: x is what emit receives, and the fields below
-	// back its rf-choice and per-completion layers. x's skeleton fields are
-	// fresh per combo (sharedRels is cat's skeleton cache key, so it must
-	// never be reused).
+	// sk is the storage of the current skeleton, rebuilt in place for the
+	// next one unless a clone pinned it.
+	sk *skeleton
+
+	// The reusable execution: x is what emit receives. Its skeleton fields
+	// alias sk; the fields below back its rf-choice and per-completion
+	// layers.
 	x         Execution
 	rf        Rel
 	srcOf     []int32
@@ -75,6 +88,62 @@ type Assembler struct {
 	co        map[ptx.Sym][]EventID
 	mem       map[ptx.Sym]int64
 	final     litmus.MapState
+}
+
+// skeleton is the storage one skeleton is built into: the event slab and
+// its pointers, the skeleton relations, the final-register map and the
+// skeleton memo (whose key and pin identify the build). A clone of an
+// execution shares all of it; once Clone has pinned it, the Assembler
+// leaves it to the clones and builds into a fresh skeleton.
+type skeleton struct {
+	evs                       []Event
+	ptrs                      []*Event
+	po, addr, data, ctrl, rmw Rel
+	membar                    [ptx.ScopeSys + 1]Rel
+	regs                      map[int]map[ptx.Reg]int64
+	memo                      sharedRels
+}
+
+// nextSkeleton returns the storage to build the next skeleton into: the
+// current one with its memo reset and a fresh key, or new storage when
+// there is none yet or a clone pinned it.
+func (a *Assembler) nextSkeleton() *skeleton {
+	if a.sk == nil || a.sk.memo.pinned.Load() {
+		a.sk = &skeleton{regs: make(map[int]map[ptx.Reg]int64)}
+	}
+	a.sk.memo.reset()
+	clear(a.sk.regs)
+	return a.sk
+}
+
+// assemblers lends Assemblers to the streaming callers (StreamCtx and core's
+// fold), so construction storage carries over from one judgement to the
+// next.
+var assemblers = sync.Pool{New: func() any { return new(Assembler) }}
+
+// BorrowAssembler lends an Assembler from the package's pool. The borrower
+// uses it from one goroutine and hands it back with ReturnAssembler.
+func BorrowAssembler() *Assembler { return assemblers.Get().(*Assembler) }
+
+// ReturnAssembler puts a back in the pool. It first drops everything a
+// holds of the last request — the test, the path events and locations,
+// the final registers and memory — and keeps only storage the Assembler
+// owns, so a pooled Assembler holds no request's data. A skeleton a clone
+// pinned is left to the clone. a must not be used after the call.
+func ReturnAssembler(a *Assembler) {
+	a.x, a.final = Execution{}, litmus.MapState{}
+	clear(a.wlocs[:cap(a.wlocs)])
+	clear(a.co)
+	clear(a.mem)
+	if a.sk != nil {
+		if a.sk.memo.pinned.Load() {
+			a.sk = nil
+		} else {
+			clear(a.sk.evs[:cap(a.sk.evs)])
+			clear(a.sk.regs)
+		}
+	}
+	assemblers.Put(a)
 }
 
 // blindClass is one value-blind symmetry class: writes to wloc li whose
@@ -269,26 +338,15 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 		n += len(en.paths[tid][a.pick[tid]].Events)
 	}
 
-	evs := make([]Event, n)
-	ptrs := make([]*Event, n)
-	a.x = Execution{
-		Test:   en.test,
-		Events: ptrs,
-		Membar: map[ptx.Scope]Rel{ptx.ScopeCTA: NewRel(), ptx.ScopeGL: NewRel(), ptx.ScopeSys: NewRel()},
-		// One shared memo for the skeleton-derived relations (po-loc, dp,
-		// scope, fence, kind masks): every rf/co completion reuses it
-		// instead of recomputing them per execution.
-		shared: &sharedRels{},
+	sk := a.nextSkeleton()
+	sk.evs, sk.ptrs = resize(sk.evs, n), resize(sk.ptrs, n)
+	evs := sk.evs
+	for _, r := range []*Rel{&sk.po, &sk.addr, &sk.data, &sk.ctrl, &sk.rmw} {
+		r.reset(n)
 	}
-	x := &a.x
-	if n > wordBits {
-		// Multi-word universes: pre-size the skeleton relations once instead
-		// of re-growing them Add by Add.
-		for _, r := range []*Rel{&x.PO, &x.Addr, &x.Data, &x.Ctrl, &x.RMW} {
-			r.ensure(EventID(n - 1))
-		}
+	for i := range sk.membar {
+		sk.membar[i].reset(n)
 	}
-	regs := make(map[int]map[ptx.Reg]int64, nt)
 
 	for tid := 0; tid < nt; tid++ {
 		p := &en.paths[tid][a.pick[tid]]
@@ -302,33 +360,33 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 				Volatile: pe.Volatile, Atomic: pe.Atomic, Scope: pe.Scope,
 				Instr: pe.Instr,
 			}
-			ptrs[id] = &evs[id]
+			sk.ptrs[id] = &evs[id]
 		}
 		if len(p.Regs) > 0 {
 			// Alias the path's final registers: ThreadPath.Regs is immutable
 			// after Prepare and Final is documented read-only, so every
 			// combination choosing this path shares one map.
-			regs[tid] = p.Regs
+			sk.regs[tid] = p.Regs
 		}
 
 		// Program order, dependencies and rmw pairs.
 		for i := range p.Events {
 			id := EventID(b + i)
 			for j := i + 1; j < len(p.Events); j++ {
-				x.PO.Add(id, EventID(b+j))
+				sk.po.Add(id, EventID(b+j))
 			}
 			pe := &p.Events[i]
 			for _, d := range pe.AddrDeps {
-				x.Addr.Add(EventID(b+d), id)
+				sk.addr.Add(EventID(b+d), id)
 			}
 			for _, d := range pe.DataDeps {
-				x.Data.Add(EventID(b+d), id)
+				sk.data.Add(EventID(b+d), id)
 			}
 			for _, d := range pe.CtrlDeps {
-				x.Ctrl.Add(EventID(b+d), id)
+				sk.ctrl.Add(EventID(b+d), id)
 			}
 			if pe.RMWRead >= 0 {
-				x.RMW.Add(EventID(b+pe.RMWRead), id)
+				sk.rmw.Add(EventID(b+pe.RMWRead), id)
 			}
 		}
 		// membar.S relates memory events separated by a fence of scope S.
@@ -336,7 +394,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 			if p.Events[k].Kind != KFence {
 				continue
 			}
-			rel := x.Membar[p.Events[k].Scope]
+			rel := &sk.membar[p.Events[k].Scope]
 			for i := 0; i < k; i++ {
 				if !p.Events[i].isMem() {
 					continue
@@ -348,44 +406,41 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 					rel.Add(EventID(b+i), EventID(b+j))
 				}
 			}
-			x.Membar[p.Events[k].Scope] = rel
 		}
 	}
+	a.x = Execution{
+		Test: en.test, Events: sk.ptrs,
+		PO: sk.po, Addr: sk.addr, Data: sk.data, Ctrl: sk.ctrl, RMW: sk.rmw,
+		Membar: sk.membar,
+		// One shared memo for the skeleton-derived relations (po-loc, dp,
+		// scope, fence, kind masks): every rf/co completion reuses it
+		// instead of recomputing them per execution.
+		shared: &sk.memo,
+	}
+	x := &a.x
 
 	// Writer indexes and per-location coherence permutations (shared by
 	// every rf choice — the old producer rebuilt both per rf assignment).
-	if a.writers == nil {
-		a.writers = make(map[ptx.Sym][]EventID)
-	}
-	//detmap:ignore truncates every entry in place; the order cannot escape.
-	for loc, w := range a.writers {
-		a.writers[loc] = w[:0]
-	}
-	for _, ev := range ptrs {
-		if ev.Kind == KWrite {
-			a.writers[ev.Loc] = append(a.writers[ev.Loc], ev.ID)
-		}
-	}
 	a.wlocs = a.wlocs[:0]
-	//detmap:ignore collected keys are sorted by sortSyms just below.
-	for loc, w := range a.writers {
-		if len(w) > 0 {
-			a.wlocs = append(a.wlocs, loc)
+	for _, ev := range sk.ptrs {
+		if ev.Kind == KWrite && !slices.Contains(a.wlocs, ev.Loc) {
+			a.wlocs = append(a.wlocs, ev.Loc)
 		}
 	}
 	sortSyms(a.wlocs)
-	if cap(a.perLoc) < len(a.wlocs) {
-		a.perLoc = make([][][]EventID, len(a.wlocs))
+	a.writers = resizeRows(a.writers, len(a.wlocs))
+	for _, ev := range sk.ptrs {
+		if ev.Kind == KWrite {
+			li := slices.Index(a.wlocs, ev.Loc)
+			a.writers[li] = append(a.writers[li], ev.ID)
+		}
 	}
-	a.perLoc = a.perLoc[:len(a.wlocs)]
-	for i, loc := range a.wlocs {
-		a.perLoc[i] = permutations(a.writers[loc])
-	}
+	a.permute()
 
 	// rf choices: each read picks a same-location same-value write, or the
 	// initial state when the value matches the initial value.
 	a.choices = a.choices[:0]
-	for _, ev := range ptrs {
+	for _, ev := range sk.ptrs {
 		if ev.Kind != KRead {
 			continue
 		}
@@ -396,7 +451,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 		if ev.Val == en.test.InitOf(ev.Loc) {
 			srcs = append(srcs, -1)
 		}
-		for _, w := range a.writers[ev.Loc] {
+		for _, w := range a.writersOf(ev.Loc) {
 			if evs[w].Val == ev.Val {
 				srcs = append(srcs, w)
 			}
@@ -413,8 +468,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	// completion against the coherence positions.
 	a.rmwChk = a.rmwChk[:0]
 	x.RMW.Each(func(r, w EventID) {
-		loc := evs[w].Loc
-		for _, wr := range a.writers[loc] {
+		for _, wr := range a.writersOf(evs[w].Loc) {
 			if !evs[wr].Atomic {
 				return
 			}
@@ -438,9 +492,48 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	}
 	clear(a.co)
 	clear(a.mem)
-	a.final = litmus.MapState{Regs: regs, Memv: a.mem}
+	a.final = litmus.MapState{Regs: sk.regs, Memv: a.mem}
 	x.CO, x.Final, x.srcOf = a.co, &a.final, a.srcOf
 	return true
+}
+
+// resizeRows returns rows with length n and every row emptied, keeping the
+// rows' storage for reuse.
+func resizeRows(rows [][]EventID, n int) [][]EventID {
+	if cap(rows) < n {
+		rows = append(rows[:cap(rows)], make([][]EventID, n-cap(rows))...)
+	}
+	rows = rows[:n]
+	for i := range rows {
+		rows[i] = rows[i][:0]
+	}
+	return rows
+}
+
+// writersOf returns the current skeleton's writes to loc, ascending.
+func (a *Assembler) writersOf(loc ptx.Sym) []EventID {
+	if li := slices.Index(a.wlocs, loc); li >= 0 {
+		return a.writers[li]
+	}
+	return nil
+}
+
+// permute fills a.perLoc with each wloc's coherence permutations, backed
+// by storage the Assembler reuses from skeleton to skeleton.
+func (a *Assembler) permute() {
+	rows, evs := 0, 0
+	for _, ws := range a.writers {
+		f := factorial(len(ws))
+		rows, evs = rows+f, evs+f*len(ws)
+	}
+	a.permRow, a.permEv = resize(a.permRow, rows), resize(a.permEv, evs)
+	a.perLoc = resize(a.perLoc, len(a.wlocs))
+	rows, evs = 0, 0
+	for i, ws := range a.writers {
+		f := factorial(len(ws))
+		a.perLoc[i] = permutations(a.permRow[rows:rows+f:rows+f], a.permEv[evs:evs+f*len(ws)], ws)
+		rows, evs = rows+f, evs+f*len(ws)
+	}
 }
 
 // detectClasses finds the skeleton's symmetry classes: groups of ≥2 writes
@@ -507,8 +600,8 @@ func (en *Enumeration) detectClasses(a *Assembler, evs []Event) {
 		return
 	}
 
-	for li, loc := range a.wlocs {
-		for _, w := range a.writers[loc] {
+	for li, ws := range a.writers {
+		for _, w := range ws {
 			ev := &evs[w]
 			if ev.Atomic || len(en.paths[ev.Thread][a.pick[ev.Thread]].Events) != 1 {
 				continue
@@ -567,8 +660,7 @@ func (en *Enumeration) detectClasses(a *Assembler, evs []Event) {
 // (one of them is co-last) and two of them qualify; other locations never
 // touch the scratch.
 func (en *Enumeration) detectBlindClasses(a *Assembler, evs []Event) {
-	for li, loc := range a.wlocs {
-		ws := a.writers[loc]
+	for li, ws := range a.writers {
 		if len(ws) < 3 {
 			continue
 		}
@@ -742,7 +834,7 @@ func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) er
 	if len(a.initReads) > 0 {
 		x.InitReads = a.initReads
 	}
-	a.rfSh = rfRels{}
+	a.rfSh.rfe.reset()
 	x.rfShared = &a.rfSh
 
 	if cap(a.coPos) < n {
@@ -877,22 +969,26 @@ func sortSyms(syms []ptx.Sym) {
 	}
 }
 
-// permutations returns all orderings of ids (n! for n ids; litmus tests
-// have at most a handful of writes per location), in lexicographic order of
-// the positions taken from ids: ordering k is the k-th permutation of the
-// indexes 0..n-1. The orderings share one backing array, so a location's
-// orderings cost two allocations whatever n is.
-func permutations(ids []EventID) [][]EventID {
+// factorial returns n!, the number of orderings of n writes.
+func factorial(n int) int {
+	f := 1
+	for i := 2; i <= n; i++ {
+		f *= i
+	}
+	return f
+}
+
+// permutations writes all orderings of ids into rows, whose length must be
+// len(ids)!, backed by evs, whose length must be len(ids)·len(ids)!, and
+// returns rows. The orderings come in lexicographic order of the positions
+// taken from ids: ordering k is the k-th permutation of the indexes
+// 0..n-1. No ids have the one empty ordering.
+func permutations(rows [][]EventID, evs []EventID, ids []EventID) [][]EventID {
 	n := len(ids)
 	if n == 0 {
-		return [][]EventID{nil}
+		rows[0] = nil
+		return rows
 	}
-	count := 1
-	for i := 2; i <= n; i++ {
-		count *= i
-	}
-	flat := make([]EventID, count*n)
-	out := make([][]EventID, count)
 	var buf [8]int
 	idx := buf[:0]
 	if n > len(buf) {
@@ -901,15 +997,15 @@ func permutations(ids []EventID) [][]EventID {
 	for i := range n {
 		idx = append(idx, i)
 	}
-	for k := range out {
-		row := flat[k*n : (k+1)*n : (k+1)*n]
+	for k := range rows {
+		row := evs[k*n : (k+1)*n : (k+1)*n]
 		for j, i := range idx {
 			row[j] = ids[i]
 		}
-		out[k] = row
+		rows[k] = row
 		nextPermutation(idx)
 	}
-	return out
+	return rows
 }
 
 // nextPermutation steps idx to its lexicographic successor; it leaves the

@@ -41,7 +41,9 @@ func TestPermutationsMatchOracle(t *testing.T) {
 		for i := range ids {
 			ids[i] = EventID(7*(n-i) + 3)
 		}
-		got, want := permutations(ids), permutationsOracle(ids)
+		f := factorial(n)
+		got := permutations(make([][]EventID, f), make([]EventID, f*n), ids)
+		want := permutationsOracle(ids)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("n=%d: permutations\n%v\nwant\n%v", n, got, want)
 		}

@@ -201,9 +201,11 @@ func (en *Enumeration) BoundError() error {
 // Execution.Weight, so pruned and exhaustive enumerations fail on the same
 // totals — and ctx is checked per combination and per yielded execution.
 // As with StreamCombo, the yielded execution is valid only during the
-// call: keep its Clone.
+// call: keep its Clone. The stream borrows its Assembler from the pool
+// (BorrowAssembler) and returns it when done.
 func (en *Enumeration) StreamCtx(ctx context.Context, yield func(*Execution) error) error {
-	var a Assembler
+	a := BorrowAssembler()
+	defer ReturnAssembler(a)
 	count := 0
 	emit := func(x *Execution) error {
 		if err := ctx.Err(); err != nil {
@@ -220,7 +222,7 @@ func (en *Enumeration) StreamCtx(ctx context.Context, yield func(*Execution) err
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := en.StreamCombo(c, &a, emit); err != nil {
+		if err := en.StreamCombo(c, a, emit); err != nil {
 			return err
 		}
 	}

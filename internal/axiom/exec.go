@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
@@ -38,9 +39,9 @@ type Execution struct {
 	CO map[ptx.Sym][]EventID
 
 	// Membar relates memory events separated in program order by a fence
-	// of exactly the given scope (the model unions scopes itself,
-	// Fig. 16 lines 8-10).
-	Membar map[ptx.Scope]Rel
+	// of exactly the given scope, indexed by ptx.Scope (the model unions
+	// scopes itself, Fig. 16 lines 8-10).
+	Membar [ptx.ScopeSys + 1]Rel
 
 	// Final is the final state: registers from each thread's path, memory
 	// from the coherence-last write per location. Treat it as read-only: the
@@ -65,8 +66,8 @@ type Execution struct {
 	// shared memoizes the derived relations that depend only on the
 	// skeleton (events, po, deps, membar) and are therefore identical for
 	// every rf/co completion of one assembly; the enumerator threads one
-	// instance through all of them. nil for hand-built executions, which
-	// then memoize per execution.
+	// instance through all of them, and it carries the skeleton's key and
+	// pin. nil for hand-built executions, which then memoize per execution.
 	shared *sharedRels
 	// rfShared memoizes the derived relations that depend only on the rf
 	// choice (rfe) and are therefore identical for every coherence
@@ -80,20 +81,31 @@ type Execution struct {
 	memo  execMemo
 }
 
-// relOnce is a lazily computed, concurrency-safe memoized relation.
+// relOnce is a lazily computed, concurrency-safe memoized relation. The
+// relation is computed into storage the relOnce keeps, so a reset memo
+// recomputes without allocating once the storage fits.
 type relOnce struct {
 	once sync.Once
 	rel  Rel
 }
 
-func (ro *relOnce) get(f func() Rel) Rel {
-	ro.once.Do(func() { ro.rel = f() })
+// get returns the memoized relation, computing it into ro's storage with
+// f on first use.
+func (ro *relOnce) get(f func(dst *Rel)) Rel {
+	ro.once.Do(func() { f(&ro.rel) })
 	return ro.rel
 }
 
+// reset forgets the memoized relation and keeps its storage. The caller
+// must own ro: nothing may read it concurrently or keep its relation.
+func (ro *relOnce) reset() { ro.once = sync.Once{} }
+
 // sharedRels memoizes the skeleton-derived relations shared by every
 // execution of one path combination (and, within one execution, by every
-// model check).
+// model check). For an enumerator-built skeleton it also carries the
+// skeleton's identity: key (Execution.SkeletonKey) and pinned, which
+// Execution.Clone sets so that the Assembler never rebuilds a skeleton a
+// clone shares.
 type sharedRels struct {
 	poLoc relOnce
 	dp    relOnce
@@ -104,9 +116,32 @@ type sharedRels struct {
 	// kind, derived from the events alone, so every completion and every
 	// filter application over one skeleton shares them instead of
 	// re-scanning the event list per call.
-	kmaskOnce  [KFence + 1]sync.Once
-	kmask      [KFence + 1][]uint64
-	kmaskWords int
+	kmaskOnce [KFence + 1]sync.Once
+	kmask     [KFence + 1][]uint64
+
+	key    uint64
+	pinned atomic.Bool
+}
+
+// skeletonSeq numbers the skeletons the Assemblers build: keys are unique
+// across every Assembler of the process, so a key a cached evaluation
+// remembers can never name another Assembler's skeleton.
+var skeletonSeq atomic.Uint64
+
+// reset forgets every memoized relation and mask, keeping their storage,
+// and gives the memo a fresh skeleton key. Only the Assembler that owns an
+// unpinned memo calls it, when it builds the next skeleton into it.
+func (sr *sharedRels) reset() {
+	sr.poLoc.reset()
+	sr.dp.reset()
+	for i := range sr.scope {
+		sr.scope[i].reset()
+		sr.fence[i].reset()
+	}
+	for i := range sr.kmaskOnce {
+		sr.kmaskOnce[i] = sync.Once{}
+	}
+	sr.key = skeletonSeq.Add(1)
 }
 
 // rfRels memoizes the derived relations shared by every coherence
@@ -140,28 +175,35 @@ func (x *Execution) sharedRels() *sharedRels {
 	return x.memo.shd
 }
 
-// SkeletonKey returns an opaque identity for the execution's skeleton: two
-// executions share a key exactly when they are rf/co completions of the
-// same path assembly, so their events and skeleton-derived relations (po,
-// deps, membar, scope, fence) are identical. Hand-built executions have no
-// skeleton and return nil; callers caching per-skeleton work must treat nil
-// as "never equal". The compiled model evaluator keys its skeleton-constant
-// slot cache on this.
-func (x *Execution) SkeletonKey() any {
+// SkeletonKey returns the identity of the execution's skeleton: a number
+// the producer assigns each time it builds one. Two executions share a key
+// exactly when they are rf/co completions of the same build, so their
+// events and skeleton-derived relations (po, deps, membar, scope, fence)
+// are identical. The Assembler rebuilds skeletons into the same storage,
+// so a key, not an address, is what tells one build from the next; keys
+// are never reused. Hand-built executions have no skeleton and return 0;
+// callers caching per-skeleton work must treat 0 as "never equal". The
+// compiled model evaluator keys its skeleton-constant slot cache on this.
+func (x *Execution) SkeletonKey() uint64 {
 	if x.shared != nil {
-		return x.shared
+		return x.shared.key
 	}
-	return nil
+	return 0
 }
 
 // Clone returns a copy of x that stays valid after the producer moves on:
 // the executions the enumerator streams are rewritten in place by the next
 // completion, so a consumer that keeps one keeps its Clone. The coherence
 // orders, final memory, rf relation, init reads and read→source index are
-// copied; the skeleton (events, po, deps, membar, final registers and the
-// skeleton memo) is immutable and shared. The copy memoizes its own
-// rf- and execution-level derived relations.
+// copied. The skeleton (events, po, deps, membar, final registers and the
+// skeleton memo) is shared, not copied: Clone pins it, so the Assembler
+// builds its next skeleton into fresh storage and never rewrites one a
+// clone holds. The copy memoizes its own rf- and execution-level derived
+// relations.
 func (x *Execution) Clone() *Execution {
+	if x.shared != nil {
+		x.shared.pinned.Store(true)
+	}
 	c := &Execution{
 		Test:      x.Test,
 		Events:    x.Events,
@@ -218,11 +260,7 @@ func (x *Execution) IsWrite(id EventID) bool { return x.Ev(id).Kind == KWrite }
 
 // CoRel returns coherence as a relation (w1 before w2 per location).
 func (x *Execution) CoRel() Rel {
-	return x.memo.co.get(func() Rel {
-		var r Rel
-		x.SetCoRel(&r)
-		return r
-	})
+	return x.memo.co.get(x.SetCoRel)
 }
 
 // SetCoRel builds the coherence relation into dst, reusing dst's storage
@@ -255,11 +293,7 @@ func (x *Execution) SetCoRel(dst *Rel) {
 // overwriting the value r read (Sec. 5.1.1). Reads from the initial state
 // relate to every write to their location.
 func (x *Execution) FR() Rel {
-	return x.memo.fr.get(func() Rel {
-		var r Rel
-		x.SetFR(&r)
-		return r
-	})
+	return x.memo.fr.get(x.SetFR)
 }
 
 // SetFR builds the from-read relation into dst, reusing dst's storage when
@@ -342,8 +376,8 @@ func (x *Execution) SetFR(dst *Rel) {
 // It depends only on the rf choice, so enumerator-built executions share
 // the memo across every coherence completion of one rf assignment.
 func (x *Execution) RFE() Rel {
-	rfe := func() Rel {
-		return x.RF.Filter(func(w, r EventID) bool { return x.Ev(w).Thread != x.Ev(r).Thread })
+	rfe := func(dst *Rel) {
+		dst.setFilter(x.RF, func(w, r EventID) bool { return x.Ev(w).Thread != x.Ev(r).Thread })
 	}
 	if x.rfShared != nil {
 		return x.rfShared.rfe.get(rfe)
@@ -354,8 +388,8 @@ func (x *Execution) RFE() Rel {
 // PoLoc returns program order restricted to memory events on the same
 // location.
 func (x *Execution) PoLoc() Rel {
-	return x.sharedRels().poLoc.get(func() Rel {
-		return x.PO.Filter(func(a, b EventID) bool {
+	return x.sharedRels().poLoc.get(func(dst *Rel) {
+		dst.setFilter(x.PO, func(a, b EventID) bool {
 			ea, eb := x.Ev(a), x.Ev(b)
 			return ea.IsMem() && eb.IsMem() && ea.Loc == eb.Loc
 		})
@@ -365,15 +399,17 @@ func (x *Execution) PoLoc() Rel {
 // Com returns the union of the communication relations rf, co and fr
 // (Fig. 15 line 1).
 func (x *Execution) Com() Rel {
-	return x.memo.com.get(func() Rel {
-		return x.RF.Union(x.CoRel()).Union(x.FR())
+	return x.memo.com.get(func(dst *Rel) {
+		dst.SetUnion(x.RF, x.CoRel())
+		dst.SetUnion(*dst, x.FR())
 	})
 }
 
 // Dp returns the union of the dependency relations (Fig. 15 line 5).
 func (x *Execution) Dp() Rel {
-	return x.sharedRels().dp.get(func() Rel {
-		return x.Addr.Union(x.Data).Union(x.Ctrl)
+	return x.sharedRels().dp.get(func(dst *Rel) {
+		dst.SetUnion(x.Addr, x.Data)
+		dst.SetUnion(*dst, x.Ctrl)
 	})
 }
 
@@ -387,30 +423,36 @@ func (x *Execution) ScopeRel(s ptx.Scope) Rel {
 	if s < 0 || int(s) >= len(x.sharedRels().scope) {
 		return NewRel()
 	}
-	return x.sharedRels().scope[s].get(func() Rel { return x.scopeRel(s) })
+	return x.sharedRels().scope[s].get(func(dst *Rel) { x.setScopeRel(dst, s) })
 }
 
-func (x *Execution) scopeRel(s ptx.Scope) Rel {
+// setScopeRel builds ScopeRel(s) into dst, reusing dst's storage.
+func (x *Execution) setScopeRel(dst *Rel, s ptx.Scope) {
 	n := len(x.Events)
 	maxTid := -1
 	for _, e := range x.Events {
 		if e.Thread < 0 {
-			return x.scopeRelSlow(s) // synthetic events: pairwise fallback
+			*dst = x.scopeRelSlow(s) // synthetic events: pairwise fallback
+			return
 		}
 		if e.Thread > maxTid {
 			maxTid = e.Thread
 		}
 	}
-	var r Rel
 	if n == 0 {
-		return r
+		dst.setEmpty()
+		return
 	}
-	r.ensure(EventID(n - 1))
-	r.n = n
-	words := r.words
+	words := (n + wordBits - 1) / wordBits
+	dst.reuse(words)
+	clear(dst.rows)
+	dst.n = n
 	// Per-thread event masks, then one related-events mask per thread; each
 	// event's successor row is its thread's mask minus the event itself.
-	buf := make([]uint64, 2*(maxTid+1)*words)
+	p := getu64(2 * (maxTid + 1) * words)
+	defer putu64(p)
+	buf := *p
+	clear(buf)
 	tmask, rel := buf[:(maxTid+1)*words], buf[(maxTid+1)*words:]
 	for _, e := range x.Events {
 		tmask[e.Thread*words+int(e.ID)/wordBits] |= 1 << (uint(e.ID) % wordBits)
@@ -430,11 +472,10 @@ func (x *Execution) scopeRel(s ptx.Scope) Rel {
 		}
 	}
 	for _, e := range x.Events {
-		row := r.row(int(e.ID))
+		row := dst.row(int(e.ID))
 		copy(row, rel[e.Thread*words:(e.Thread+1)*words])
 		row[int(e.ID)/wordBits] &^= 1 << (uint(e.ID) % wordBits)
 	}
-	return r
 }
 
 // scopeRelSlow is the reference pairwise construction, kept for events with
@@ -466,14 +507,13 @@ func (x *Execution) FenceRel(s ptx.Scope) Rel {
 	if s < 0 || int(s) >= len(x.sharedRels().fence) {
 		return NewRel()
 	}
-	return x.sharedRels().fence[s].get(func() Rel {
-		r := NewRel()
-		for sc, rel := range x.Membar {
-			if sc.Includes(s) {
-				r = r.Union(rel)
-			}
+	return x.sharedRels().fence[s].get(func(dst *Rel) {
+		// A fence of scope s' orders at scope s when s' includes s, that
+		// is for every s' from s up.
+		dst.setCopy(x.Membar[s])
+		for _, rel := range x.Membar[s+1:] {
+			dst.SetUnion(*dst, rel)
 		}
-		return r
 	})
 }
 
@@ -495,7 +535,8 @@ func (x *Execution) kindMask(k Kind) []uint64 {
 	sr := x.sharedRels()
 	sr.kmaskOnce[k].Do(func() {
 		words := (len(x.Events) + wordBits - 1) / wordBits
-		m := make([]uint64, words)
+		m := resize(sr.kmask[k], words)
+		clear(m)
 		for _, e := range x.Events {
 			if e.Kind == k {
 				m[int(e.ID)/wordBits] |= 1 << (uint(e.ID) % wordBits)

@@ -226,17 +226,19 @@ func (dst *Rel) setCopy(src Rel) {
 // setEmpty sets dst to the empty relation.
 func (dst *Rel) setEmpty() { dst.words, dst.n, dst.rows = 0, 0, nil }
 
-// reset empties r and sizes it for events [0, n), keeping its storage when
-// the stride already fits, so r can be refilled with Add without
-// allocating.
+// reset empties r for events [0, n), keeping its storage when the stride
+// already fits, so r can be refilled with Add without allocating. Other
+// storage is dropped; a multi-word universe is pre-sized so that Add does
+// not regrow it, and a one-word relation takes storage on its first Add,
+// so a relation that stays empty costs none.
 func (r *Rel) reset(n int) {
-	if r.words == (n+wordBits-1)/wordBits {
+	if r.words > 0 && r.words == (n+wordBits-1)/wordBits {
 		clear(r.rows[:r.used()])
 		r.n = 0
 		return
 	}
 	r.setEmpty()
-	if n > 0 {
+	if n > wordBits {
 		r.ensure(EventID(n - 1))
 	}
 }
@@ -451,19 +453,21 @@ func (dst *Rel) SetInverse(src Rel) {
 	}
 }
 
-// Filter returns the subrelation of pairs satisfying pred; .cat filters
-// such as WW(r) are built on this.
-func (r Rel) Filter(pred func(a, b EventID) bool) Rel {
+// setFilter sets dst to the subrelation of r's pairs satisfying pred,
+// reusing dst's storage when already the right size. dst must not alias r.
+func (dst *Rel) setFilter(r Rel, pred func(a, b EventID) bool) {
 	if r.words == 0 {
-		return Rel{}
+		dst.setEmpty()
+		return
 	}
-	out := Rel{words: r.words, n: r.n, rows: make([]uint64, len(r.rows))}
+	dst.reuse(r.words)
+	clear(dst.rows)
+	dst.n = r.n
 	r.Each(func(a, b EventID) {
 		if pred(a, b) {
-			out.rows[int(a)*out.words+int(b)/wordBits] |= 1 << (uint(b) % wordBits)
+			dst.rows[int(a)*dst.words+int(b)/wordBits] |= 1 << (uint(b) % wordBits)
 		}
 	})
-	return out
 }
 
 // TransClosure returns the transitive closure r+ (bit-parallel

@@ -152,9 +152,11 @@ type Scratch struct {
 	fr axiom.Rel
 
 	// skel is the axiom.Execution.SkeletonKey of the execution whose
-	// skeleton-constant slots currently populate this scratch; nil when
-	// none do (fresh or returned scratch, or a keyless execution).
-	skel any
+	// skeleton-constant slots currently populate this scratch; 0 when none
+	// do (fresh or returned scratch, or a hand-built execution). Keys are
+	// never reused, so an equal nonzero key means the same skeleton build
+	// even though the producer rebuilds skeletons into the same storage.
+	skel uint64
 
 	// tr, when non-nil, accounts RunExec/RunExecVerdict time to
 	// obs.PhaseEval. The verdict drivers attach the request's trace to
@@ -436,7 +438,7 @@ func (p *Program) BorrowScratch() *Scratch { return p.pool.Get().(*Scratch) }
 // stays, so a pooled scratch holds no request's trace, skeleton or
 // relations. sc must not be used after the call.
 func (p *Program) ReturnScratch(sc *Scratch) {
-	sc.tr, sc.skel = nil, nil
+	sc.tr, sc.skel = nil, 0
 	for _, f := range p.freeRels {
 		sc.slots[f.slot] = axiom.Rel{}
 	}
@@ -505,7 +507,7 @@ func (p *Program) runExecVerdict(x *axiom.Execution, sc *Scratch) bool {
 // the common case when one worker checks consecutive rf/co completions of
 // one path assembly.
 func (p *Program) runExecInsns(x *axiom.Execution, sc *Scratch) {
-	if key := x.SkeletonKey(); key == nil || key != sc.skel {
+	if key := x.SkeletonKey(); key == 0 || key != sc.skel {
 		load(x, sc, p.constFreeRels)
 		execInsns(x, sc, p.constInsns)
 		sc.skel = key

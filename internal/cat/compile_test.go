@@ -280,11 +280,11 @@ func TestReturnScratchDropsRunState(t *testing.T) {
 	if _, err := p.RunExecVerdict(xs[0], sc); err != nil {
 		t.Fatal(err)
 	}
-	if sc.skel == nil {
+	if sc.skel == 0 {
 		t.Fatal("the exec path cached no skeleton")
 	}
 	p.ReturnScratch(sc)
-	if sc.tr != nil || sc.skel != nil {
+	if sc.tr != nil || sc.skel != 0 {
 		t.Errorf("returned scratch keeps tracer %v, skeleton %v", sc.tr, sc.skel)
 	}
 	for _, f := range p.freeRels {

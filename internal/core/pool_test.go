@@ -195,11 +195,14 @@ func TestConcurrentJudgesSharedModels(t *testing.T) {
 // TestJudgeReturnsScratches bounds a warm judgement's allocations on
 // every way it can end: a verdict, a MaxExecs error and a cancelled
 // context, on the calling goroutine and on workers. Each goroutine borrows
-// its scratch from the model's pool and returns it, so no call allocates a
-// scratch or its slot storage again; a path that kept its scratch would
-// rebuild one per call (five allocations before any slot grows). The
-// bounds sit a few allocations above the measured counts, which were 263,
-// 1610, 1640, 7 and 37 when every judgement built fresh scratches.
+// its Assembler from axiom's pool and its scratch from the model's pool
+// and returns them, so no call allocates an Assembler, a scratch or their
+// storage again; a path that kept its scratch would rebuild one per call
+// (five allocations before any slot grows). The bounds sit a few
+// allocations above the measured counts (94, 5, 70, 2 and 21), which were
+// 263, 1610, 1640, 7 and 37 when every judgement built fresh scratches,
+// and 139, 52, 75, 3 and 26 with a fold that never returned its
+// Assembler.
 func TestJudgeReturnsScratches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation bounds are checked without -short (the race detector allocates)")
@@ -223,17 +226,17 @@ func TestJudgeReturnsScratches(t *testing.T) {
 		bound float64
 		judge func() error
 	}{
-		{"mp verdict", 240, func() error {
+		{"mp verdict", 110, func() error {
 			_, err := JudgeWith(ctx, m, mp, Opts{})
 			return err
 		}},
-		{"MaxExecs", 1060, func() error {
+		{"MaxExecs", 15, func() error {
 			if _, err := JudgeWith(ctx, m, stress, Opts{Parallelism: 1, Enum: bounded}); err == nil {
 				return fmt.Errorf("MaxExecs 100 did not bound the judgement")
 			}
 			return nil
 		}},
-		{"MaxExecs/par4", 1070, func() error {
+		{"MaxExecs/par4", 80, func() error {
 			if _, err := JudgeWith(ctx, m, stress, Opts{Parallelism: 4, Enum: bounded}); err == nil {
 				return fmt.Errorf("MaxExecs 100 did not bound the judgement")
 			}
@@ -264,5 +267,53 @@ func TestJudgeReturnsScratches(t *testing.T) {
 		if allocs > c.bound {
 			t.Errorf("%s: %.1f allocs per judgement, want at most %.0f", c.name, allocs, c.bound)
 		}
+	}
+}
+
+// TestJudgeModelsAllocsPerSkeleton pins the pooled, in-place producer:
+// judging the paper corpus under the four built-in models from prepared
+// enumerations, with the Assembler and scratch pools warm, allocates
+// about 7 times per streamed skeleton. What is left is the judgement's
+// own result (the verdicts, the tallies of a four-model run) and the
+// first witness's clone: the skeletons, rf choices and completions are
+// rebuilt in storage the pooled Assemblers carry from one judgement to
+// the next. Building each skeleton fresh cost about 53.
+func TestJudgeModelsAllocsPerSkeleton(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race instrumentation")
+	}
+	ctx := context.Background()
+	ms := builtinModels()
+	tests := litmus.PaperTests()
+	ens := make([]*axiom.Enumeration, len(tests))
+	skeletons := 0
+	for i, test := range tests {
+		en, err := axiom.Prepare(test, axiom.DefaultOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ens[i] = en
+		var last uint64
+		if err := en.StreamCtx(ctx, func(x *axiom.Execution) error {
+			if k := x.SkeletonKey(); k != last {
+				skeletons, last = skeletons+1, k
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	judge := func() {
+		for i, en := range ens {
+			if _, err := JudgeModels(ctx, ms, tests[i], Opts{Enum: en}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	judge() // warm the pools
+	per := testing.AllocsPerRun(5, judge) / float64(skeletons)
+	t.Logf("%.2f allocations per streamed skeleton (%d skeletons)", per, skeletons)
+	if per > 9 {
+		t.Errorf("judging the paper corpus costs %.2f allocations per streamed skeleton, want at most 9", per)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled reports whether the race detector is instrumenting this
+// build; see race_off_test.go.
+const raceEnabled = true

@@ -33,12 +33,14 @@ import (
 // are the path combinations, or — for a single-combination test whose rf
 // cross product splits — that combination's rf chunks. The calling
 // goroutine folds a head of the units itself; the remaining units are
-// claimed in ascending order by workers (an axiom.Assembler each), every
-// worker folding the units it claims into its own tally, which holds one
-// count set and one first witness per model. Each folding goroutine
-// borrows one evaluation scratch per model from that model's program pool
-// (cat.Program.BorrowScratch) and returns it when it finishes, so the
-// scratches' storage carries over from judgement to judgement. The
+// claimed in ascending order by workers, every worker folding the units it
+// claims into its own tally, which holds one count set and one first
+// witness per model. Each folding goroutine borrows an axiom.Assembler
+// from axiom's pool (axiom.BorrowAssembler) and one evaluation scratch per
+// model from that model's program pool (cat.Program.BorrowScratch), and
+// returns them when it finishes, so the construction storage — every
+// skeleton, rf-choice and completion layer, rebuilt in place — and the
+// scratches' storage carry over from judgement to judgement. The
 // tallies then combine with sums and a min: each model's witness comes
 // from the lowest unit that has one, so every count and the witness are
 // identical at every parallelism and for every set of models judged
@@ -148,21 +150,20 @@ func judgeInto(ctx context.Context, ms []*Model, t *litmus.Test, o Opts, vs []*V
 	case auto:
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := r.units(workers, auto)
+	k := &r.head
+	k.init(len(r.ms))
+	r.scratch(k)
+	defer r.release(k)
+	n := r.units(k.asm, workers, auto)
 	// The calling goroutine folds the head of the units: all of them with
 	// one worker or fewer than two units, in auto mode until
 	// parallelMinExecs executions have been visited, under explicit
 	// parallelism none. The rest fan out.
-	k := &r.head
-	k.init(len(r.ms))
 	serial := workers == 1 || n < 2
 	if serial || auto {
-		r.scratch(k)
-		defer r.release(k)
-		var a axiom.Assembler
 		fold := r.fold(k)
 		for ; k.unit < n && (serial || k.visited < parallelMinExecs); k.unit++ {
-			if err := r.stream(&a, k.unit, fold); err != nil {
+			if err := r.stream(k.asm, k.unit, fold); err != nil {
 				return err
 			}
 		}
@@ -209,6 +210,8 @@ type tally struct {
 	one     [1]modelTally
 	err     error
 	errUnit int
+	// asm is the Assembler the goroutine borrowed to produce its units.
+	asm *axiom.Assembler
 }
 
 // modelTally is one model's share of a tally, with the evaluation scratch
@@ -267,10 +270,12 @@ type judgeRun struct {
 	count atomic.Int64
 }
 
-// scratch lends k an evaluation scratch per model from the model's
-// program pool, traced with the run. The goroutine folding into k hands
-// them back with release when it is done, whatever ended its run.
+// scratch lends k an Assembler from axiom's pool and an evaluation
+// scratch per model from the model's program pool, traced with the run.
+// The goroutine folding into k hands them back with release when it is
+// done, whatever ended its run.
 func (r *judgeRun) scratch(k *tally) {
+	k.asm = axiom.BorrowAssembler()
 	for i := range k.models {
 		sc := r.ms[i].prog.BorrowScratch()
 		sc.SetTracer(r.tr)
@@ -278,8 +283,10 @@ func (r *judgeRun) scratch(k *tally) {
 	}
 }
 
-// release returns k's scratches to their programs' pools.
+// release returns k's Assembler and scratches to their pools.
 func (r *judgeRun) release(k *tally) {
+	axiom.ReturnAssembler(k.asm)
+	k.asm = nil
 	for i := range k.models {
 		r.ms[i].prog.ReturnScratch(k.models[i].sc)
 		k.models[i].sc = nil
@@ -291,11 +298,11 @@ func (r *judgeRun) release(k *tally) {
 // and the combination's rf cross product splits (in auto mode only when
 // its estimated completion count reaches parallelMinExecs) — that
 // combination's rf chunks. Either way the units back to back reproduce
-// the serial enumeration exactly.
-func (r *judgeRun) units(workers int, auto bool) int {
+// the serial enumeration exactly. The probe runs on a, the head's
+// Assembler.
+func (r *judgeRun) units(a *axiom.Assembler, workers int, auto bool) int {
 	if r.en.Combos() == 1 && workers > 1 {
-		var probe axiom.Assembler
-		if chunks, estimate := r.en.ComboChunks(0, &probe); chunks >= 2 && (!auto || estimate >= parallelMinExecs) {
+		if chunks, estimate := r.en.ComboChunks(0, a); chunks >= 2 && (!auto || estimate >= parallelMinExecs) {
 			r.chunked = true
 			return chunks
 		}
@@ -377,7 +384,7 @@ func (r *judgeRun) fold(k *tally) func(*axiom.Execution) error {
 }
 
 // fanOut folds units [k.unit, n) on up to workers goroutines, each with
-// its own tally, Assembler and borrowed scratches, and adds their tallies
+// its own tally and borrowed Assembler and scratches, and adds their tallies
 // into k.
 // Units are claimed in ascending order, so once a unit fails every unit
 // below it is already claimed: workers stop claiming, the units in flight

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // Fingerprint returns a content-addressed identity for the test: a hex
@@ -20,30 +21,38 @@ import (
 // afresh on every call, with no cached field (callers edit a Clone's
 // exported fields, which would leave a cache stale), so Fingerprint is safe
 // to call concurrently on a shared *Test. The canonical form is appended
-// into one buffer by the AppendTo methods of the rendered types, so a call
-// costs a handful of allocations.
+// into one buffer by the AppendTo methods of the rendered types, in an
+// encoder lent by a pool, so a call allocates only the returned string.
 func (t *Test) Fingerprint() string {
-	e := new(canonicalEncoder)
-	e.buf, e.tmp, e.spans = e.bufArr[:0], e.tmpArr[:0], e.spanArr[:0]
-	sum := sha256.Sum256(e.canonical(t))
+	e := encoders.Get().(*canonicalEncoder)
+	e.buf = e.canonical(t)
+	sum := sha256.Sum256(e.buf)
+	if cap(e.buf)+cap(e.tmp) <= maxPooledBuf {
+		e.buf, e.tmp, e.spans = e.buf[:0], e.tmp[:0], e.spans[:0]
+		encoders.Put(e)
+	}
 	var hexSum [2 * sha256.Size]byte
 	hex.Encode(hexSum[:], sum[:])
 	return string(hexSum[:])
 }
 
+// encoders lends canonicalEncoders to Fingerprint, so their buffers carry
+// over from call to call.
+var encoders = sync.Pool{New: func() any {
+	return &canonicalEncoder{buf: make([]byte, 0, 768), tmp: make([]byte, 0, 256), spans: make([][2]int, 0, 16)}
+}}
+
+// maxPooledBuf bounds the buffers a pooled encoder keeps: an encoder that
+// grew past it for one huge test is left to the garbage collector.
+const maxPooledBuf = 1 << 16
+
 // canonicalEncoder builds a test's canonical form. Order-free sections
 // (declarations, initial values, memory regions) are rendered entry by
-// entry into tmp, sorted there as byte strings, and joined into buf. The
-// arrays back the slices in the one allocation of the encoder for the
-// usual litmus-test sizes; larger tests grow past them.
+// entry into tmp, sorted there as byte strings, and joined into buf.
 type canonicalEncoder struct {
 	buf   []byte
 	tmp   []byte
 	spans [][2]int // [start, end) of each entry in tmp
-
-	bufArr  [768]byte
-	tmpArr  [256]byte
-	spanArr [16][2]int
 }
 
 // canonical returns the canonical form of t. Each section is prefixed with

@@ -354,3 +354,25 @@ func BenchmarkTestFingerprint(b *testing.B) {
 		b.Fatalf("Fingerprint allocates %.1f times a call on the paper corpus, want under 16", allocs)
 	}
 }
+
+// TestFingerprintAllocatesOnlyItsString: the canonical form is built in a
+// pooled encoder, so a call allocates the returned string and nothing
+// else, on the paper tests and on a test whose canonical form outgrows a
+// fresh encoder's buffers.
+func TestFingerprintAllocatesOnlyItsString(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	tests := PaperTests()
+	b := NewTest("wide").Global("x", 0)
+	for i := 0; i < 40; i++ {
+		b = b.Thread("st.cg [x],1", "ld.cg r0,[x]", "membar.gl", "ld.cg r1,[x]")
+	}
+	tests = append(tests, b.Exists("0:r0=1").MustBuild())
+	for _, tst := range tests {
+		tst.Fingerprint() // warm the pool with an encoder that fits
+		if allocs := testing.AllocsPerRun(20, func() { _ = tst.Fingerprint() }); allocs != 1 {
+			t.Errorf("%s: Fingerprint allocates %.1f times a call, want 1 (the string)", tst.Name, allocs)
+		}
+	}
+}
