@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
@@ -76,9 +78,9 @@ func (g *graph) evalRegEq(a litmus.RegEq) tri {
 		return no
 	}
 	var t tally
+	k := slices.Index(g.en.Slots().Regs(a.Thread), a.Reg)
 	for _, p := range g.en.Paths(a.Thread) {
-		v, ok := p.Regs[a.Reg]
-		t.note(ok && v == a.Val)
+		t.note(k >= 0 && p.Regs[k] == litmus.SlotValue{Val: a.Val, Present: true})
 	}
 	return t.tri()
 }

@@ -215,9 +215,9 @@ func (g *graph) source(tid int, reg ptx.Reg) *event {
 // and reads reg's final value on each.
 func (g *graph) readsFinal(e *event, reg ptx.Reg) bool {
 	paths := g.en.Paths(e.thread)
+	k := slices.Index(g.en.Slots().Regs(e.thread), reg)
 	for i := range paths {
-		v, ok := paths[i].Regs[reg]
-		if pe := e.on(&paths[i]); !ok || pe == nil || pe.Val != v {
+		if pe := e.on(&paths[i]); k < 0 || pe == nil || paths[i].Regs[k] != (litmus.SlotValue{Val: pe.Val, Present: true}) {
 			return false
 		}
 	}

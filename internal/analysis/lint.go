@@ -237,39 +237,19 @@ func scopeName(s ptx.Scope) string {
 }
 
 // lintUnusedRegs flags declared registers no instruction reads or writes
-// and no condition atom inspects.
+// and no condition atom inspects: those without a slot in the resolution
+// of the test's programs and condition alone.
 func (g *graph) lintUnusedRegs(add func(Diagnostic)) {
-	used := make(map[int]map[ptx.Reg]bool, len(g.test.Threads))
-	for tid := range g.test.Threads {
-		used[tid] = make(map[ptx.Reg]bool)
-		for _, inst := range g.test.Threads[tid].Prog {
-			for _, r := range ptx.SrcRegs(inst) {
-				used[tid][r] = true
-			}
-			if r, ok := ptx.DstOf(inst); ok {
-				used[tid][r] = true
-			}
-			if gd := inst.Pred(); gd != nil {
-				used[tid][gd.Reg] = true
-			}
-		}
-	}
-	for _, a := range litmus.CondAtoms(g.test.Exists) {
-		if re, ok := a.(litmus.RegEq); ok && re.Thread >= 0 && re.Thread < len(g.test.Threads) {
-			used[re.Thread][re.Reg] = true
-		}
-	}
+	used := litmus.NewSlots(&litmus.Test{Threads: g.test.Threads, Exists: g.test.Exists})
 	for _, d := range g.test.Decls {
-		if d.Thread < 0 || d.Thread >= len(g.test.Threads) {
+		if d.Thread < 0 || d.Thread >= len(g.test.Threads) || used.Reg(d.Thread, d.Reg) >= 0 {
 			continue
 		}
-		if !used[d.Thread][d.Reg] {
-			add(Diagnostic{
-				Code: CodeUnusedReg, Severity: "info", Thread: d.Thread, Instr: -1,
-				Event: noAnchor, RelThread: noAnchor, RelInstr: noAnchor, RelEvent: noAnchor,
-				Message: fmt.Sprintf("register %s is declared but never used", d.Reg),
-			})
-		}
+		add(Diagnostic{
+			Code: CodeUnusedReg, Severity: "info", Thread: d.Thread, Instr: -1,
+			Event: noAnchor, RelThread: noAnchor, RelInstr: noAnchor, RelEvent: noAnchor,
+			Message: fmt.Sprintf("register %s is declared but never used", d.Reg),
+		})
 	}
 }
 

@@ -44,7 +44,7 @@ func (r *Report) String() string {
 // Run executes the app runs times, at seeds seed, seed+1, ..., on one
 // machine and counts violations.
 func (a *App) Run(p *chip.Profile, inc chip.Incant, runs int, seed int64) (*Report, error) {
-	code, err := sim.Compile(a.Test, p, inc)
+	code, err := sim.Compile(a.Test, litmus.NewSlots(a.Test), p, inc)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func (a *App) Run(p *chip.Profile, inc chip.Incant, runs int, seed int64) (*Repo
 		if _, err := m.Run(seed + int64(i)); err != nil {
 			return nil, err
 		}
-		if a.Test.Exists.Eval(m) {
+		if a.Test.Exists.Eval(m.Final()) {
 			rep.Violations++
 		}
 	}

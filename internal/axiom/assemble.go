@@ -21,13 +21,13 @@ import (
 //   - per rf choice: the rf relation, init-read set, read→source index and
 //     the rfe memo are rewritten once and shared by every coherence
 //     completion of that choice;
-//   - per completion: the coherence map, the final memory, Mult and the
-//     derived-relation memo are rewritten.
+//   - per completion: the coherence map, the final memory of the written
+//     locations, Mult and the derived-relation memo are rewritten.
 //
 // Every layer is rewritten in place in storage the Assembler owns: the
-// skeleton in a skeleton store (events, skeleton relations, final
-// registers and the skeleton memo, recomputed into the same storage), the
-// other two layers in one Execution. Once its storage has grown to the
+// skeleton in a skeleton store (events, skeleton relations and the
+// skeleton memo, recomputed into the same storage), the other two layers
+// in one Execution and its final state. Once its storage has grown to the
 // tests it streams, a steady-state producer allocates nothing per
 // skeleton, per rf choice or per completion, and a pooled Assembler
 // (BorrowAssembler) carries that storage from one judgement to the next.
@@ -42,7 +42,7 @@ import (
 type Assembler struct {
 	pick    []int         // decoded per-thread path choice
 	base    []int         // per-thread global event-id offset
-	wlocs   []ptx.Sym     // locations with writers, sorted
+	wlocs   []int         // location slots with writers, ascending
 	writers [][]EventID   // writers[i]: the writes to wlocs[i], ascending
 	perLoc  [][][]EventID // coherence permutations per wloc (x.CO aliases its rows)
 	permRow [][]EventID   // backing rows of perLoc
@@ -86,21 +86,19 @@ type Assembler struct {
 	initReads map[EventID]bool
 	rfSh      rfRels
 	co        map[ptx.Sym][]EventID
-	mem       map[ptx.Sym]int64
-	final     litmus.MapState
+	final     litmus.Final
 }
 
 // skeleton is the storage one skeleton is built into: the event slab and
-// its pointers, the skeleton relations, the final-register map and the
-// skeleton memo (whose key and pin identify the build). A clone of an
-// execution shares all of it; once Clone has pinned it, the Assembler
-// leaves it to the clones and builds into a fresh skeleton.
+// its pointers, the skeleton relations and the skeleton memo (whose key
+// and pin identify the build). A clone of an execution shares all of it;
+// once Clone has pinned it, the Assembler leaves it to the clones and
+// builds into a fresh skeleton.
 type skeleton struct {
 	evs                       []Event
 	ptrs                      []*Event
 	po, addr, data, ctrl, rmw Rel
 	membar                    [ptx.ScopeSys + 1]Rel
-	regs                      map[int]map[ptx.Reg]int64
 	memo                      sharedRels
 }
 
@@ -109,12 +107,14 @@ type skeleton struct {
 // there is none yet or a clone pinned it.
 func (a *Assembler) nextSkeleton() *skeleton {
 	if a.sk == nil || a.sk.memo.pinned.Load() {
-		a.sk = &skeleton{regs: make(map[int]map[ptx.Reg]int64)}
+		a.sk = &skeleton{}
 	}
 	a.sk.memo.reset()
-	clear(a.sk.regs)
 	return a.sk
 }
+
+// noSlots binds a returned Assembler's final state to no request's names.
+var noSlots litmus.Slots
 
 // assemblers lends Assemblers to the streaming callers (StreamCtx and core's
 // fold), so construction storage carries over from one judgement to the
@@ -127,20 +127,18 @@ func BorrowAssembler() *Assembler { return assemblers.Get().(*Assembler) }
 
 // ReturnAssembler puts a back in the pool. It first drops everything a
 // holds of the last request — the test, the path events and locations,
-// the final registers and memory — and keeps only storage the Assembler
+// the final state's resolution — and keeps only storage the Assembler
 // owns, so a pooled Assembler holds no request's data. A skeleton a clone
 // pinned is left to the clone. a must not be used after the call.
 func ReturnAssembler(a *Assembler) {
-	a.x, a.final = Execution{}, litmus.MapState{}
-	clear(a.wlocs[:cap(a.wlocs)])
+	a.x = Execution{}
+	a.final.Reset(&noSlots)
 	clear(a.co)
-	clear(a.mem)
 	if a.sk != nil {
 		if a.sk.memo.pinned.Load() {
 			a.sk = nil
 		} else {
 			clear(a.sk.evs[:cap(a.sk.evs)])
-			clear(a.sk.regs)
 		}
 	}
 	assemblers.Put(a)
@@ -325,10 +323,10 @@ func (en *Enumeration) StreamComboChunk(combo, chunk int, a *Assembler, emit fun
 }
 
 // buildSkeleton constructs the combo's skeleton into a.x — events, program
-// order, dependencies, fences, final registers — and the Assembler's writer
-// indexes, coherence permutations, rf choices and RMW atomicity plan. It
-// reports false when some read has no possible source (the combo yields no
-// executions).
+// order, dependencies, fences, final registers and the initial memory —
+// and the Assembler's writer indexes, coherence permutations, rf choices
+// and RMW atomicity plan. It reports false when some read has no possible
+// source (the combo yields no executions).
 func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	nt := len(en.paths)
 	a.base = resize(a.base, nt)
@@ -339,6 +337,10 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	}
 
 	sk := a.nextSkeleton()
+	a.final.Reset(en.slots)
+	for i, v := range en.init {
+		a.final.Set(i, v)
+	}
 	sk.evs, sk.ptrs = resize(sk.evs, n), resize(sk.ptrs, n)
 	evs := sk.evs
 	for _, r := range []*Rel{&sk.po, &sk.addr, &sk.data, &sk.ctrl, &sk.rmw} {
@@ -362,12 +364,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 			}
 			sk.ptrs[id] = &evs[id]
 		}
-		if len(p.Regs) > 0 {
-			// Alias the path's final registers: ThreadPath.Regs is immutable
-			// after Prepare and Final is documented read-only, so every
-			// combination choosing this path shares one map.
-			sk.regs[tid] = p.Regs
-		}
+		copy(a.final.Regs(tid), p.Regs)
 
 		// Program order, dependencies and rmw pairs.
 		for i := range p.Events {
@@ -423,15 +420,15 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	// every rf choice — the old producer rebuilt both per rf assignment).
 	a.wlocs = a.wlocs[:0]
 	for _, ev := range sk.ptrs {
-		if ev.Kind == KWrite && !slices.Contains(a.wlocs, ev.Loc) {
-			a.wlocs = append(a.wlocs, ev.Loc)
+		if l := en.slots.Loc(ev.Loc); ev.Kind == KWrite && !slices.Contains(a.wlocs, l) {
+			a.wlocs = append(a.wlocs, l)
 		}
 	}
-	sortSyms(a.wlocs)
+	slices.Sort(a.wlocs)
 	a.writers = resizeRows(a.writers, len(a.wlocs))
 	for _, ev := range sk.ptrs {
 		if ev.Kind == KWrite {
-			li := slices.Index(a.wlocs, ev.Loc)
+			li := slices.Index(a.wlocs, en.slots.Loc(ev.Loc))
 			a.writers[li] = append(a.writers[li], ev.ID)
 		}
 	}
@@ -451,7 +448,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 		if ev.Val == en.test.InitOf(ev.Loc) {
 			srcs = append(srcs, -1)
 		}
-		for _, w := range a.writersOf(ev.Loc) {
+		for _, w := range a.writersOf(en.slots.Loc(ev.Loc)) {
 			if evs[w].Val == ev.Val {
 				srcs = append(srcs, w)
 			}
@@ -468,7 +465,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	// completion against the coherence positions.
 	a.rmwChk = a.rmwChk[:0]
 	x.RMW.Each(func(r, w EventID) {
-		for _, wr := range a.writersOf(evs[w].Loc) {
+		for _, wr := range a.writersOf(en.slots.Loc(evs[w].Loc)) {
 			if !evs[wr].Atomic {
 				return
 			}
@@ -483,16 +480,13 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	}
 	a.rfPick = a.rfPick[:len(a.choices)]
 
-	// The buffers the rf-choice and per-completion layers rewrite. The maps
-	// are emptied per skeleton: its locations may differ from the last one's.
+	// The buffers the rf-choice and per-completion layers rewrite. The map
+	// is emptied per skeleton: its locations may differ from the last one's.
 	a.srcOf = resize(a.srcOf, n)
 	if a.co == nil {
 		a.co = make(map[ptx.Sym][]EventID, len(a.wlocs))
-		a.mem = make(map[ptx.Sym]int64, len(en.locs))
 	}
 	clear(a.co)
-	clear(a.mem)
-	a.final = litmus.MapState{Regs: sk.regs, Memv: a.mem}
 	x.CO, x.Final, x.srcOf = a.co, &a.final, a.srcOf
 	return true
 }
@@ -510,8 +504,8 @@ func resizeRows(rows [][]EventID, n int) [][]EventID {
 	return rows
 }
 
-// writersOf returns the current skeleton's writes to loc, ascending.
-func (a *Assembler) writersOf(loc ptx.Sym) []EventID {
+// writersOf returns the skeleton's writes to location slot loc, ascending.
+func (a *Assembler) writersOf(loc int) []EventID {
 	if li := slices.Index(a.wlocs, loc); li >= 0 {
 		return a.writers[li]
 	}
@@ -886,18 +880,12 @@ func (en *Enumeration) completeCO(a *Assembler, i, mult int, emit func(*Executio
 		}
 	}
 
+	// Final memory: the coherence-last write of each written location (the
+	// skeleton set the registers and the initial values).
 	for li, loc := range a.wlocs {
-		a.co[loc] = a.perLoc[li][a.coSel[li]]
-	}
-	// Final state: registers are the combo-shared map (read-only by
-	// construction); memory is the coherence-last write per location (or
-	// the initial value).
-	for _, loc := range en.locs {
-		if order := a.co[loc]; len(order) > 0 {
-			a.mem[loc] = x.Events[order[len(order)-1]].Val
-		} else {
-			a.mem[loc] = en.test.InitOf(loc)
-		}
+		order := a.perLoc[li][a.coSel[li]]
+		a.co[en.slots.Locs()[loc]] = order
+		a.final.Set(loc, x.Events[order[len(order)-1]].Val)
 	}
 	x.Mult = mult
 	x.memo = execMemo{}
@@ -959,14 +947,6 @@ func (a *Assembler) coCanonical(li int, perm []EventID) int {
 		}
 	}
 	return f
-}
-
-func sortSyms(syms []ptx.Sym) {
-	for i := 1; i < len(syms); i++ {
-		for j := i; j > 0 && syms[j] < syms[j-1]; j-- {
-			syms[j], syms[j-1] = syms[j-1], syms[j]
-		}
-	}
 }
 
 // factorial returns n!, the number of orderings of n writes.

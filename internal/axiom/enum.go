@@ -103,7 +103,8 @@ func Enumerate(t *litmus.Test, opts Opts) ([]*Execution, error) {
 type Enumeration struct {
 	test   *litmus.Test
 	opts   Opts
-	locs   []ptx.Sym // test.Locations(), computed once per enumeration
+	slots  *litmus.Slots // the test's final-state slots
+	init   []int64       // per location slot: the initial value
 	paths  [][]ThreadPath
 	combos int
 	// domain holds the read domains Domain returns.
@@ -183,6 +184,9 @@ func (en *Enumeration) Paths(tid int) []ThreadPath { return en.paths[tid] }
 // Opts returns the (defaulted) bounds the enumeration was prepared with.
 func (en *Enumeration) Opts() Opts { return en.opts }
 
+// Slots returns the resolution every Execution.Final is laid out over.
+func (en *Enumeration) Slots() *litmus.Slots { return en.slots }
+
 // Test returns the test the enumeration was prepared for.
 func (en *Enumeration) Test() *litmus.Test { return en.test }
 
@@ -247,11 +251,11 @@ type PathEvent struct {
 }
 
 // ThreadPath is one complete symbolic execution of a thread: its events in
-// program order and its final registers (address-valued registers are
-// absent, as they are from every final state).
+// program order and its final registers in Slots.Regs order (address-valued
+// registers are absent, as they are from every final state).
 type ThreadPath struct {
 	Events []PathEvent
-	Regs   map[ptx.Reg]int64
+	Regs   []litmus.SlotValue
 }
 
 // val is a register value during path execution: either a number or the
@@ -293,7 +297,7 @@ type enumerator struct {
 	test   *litmus.Test
 	opts   Opts
 	ctx    context.Context
-	locs   []ptx.Sym
+	slots  *litmus.Slots
 	domain map[ptx.Sym]map[int64]bool
 	// domVer counts the growth of each location's domain; the path memo
 	// compares observed versions against it to decide whether a thread's
@@ -337,11 +341,14 @@ func (e *enumerator) unchanged(reads map[ptx.Sym]int) bool {
 // paths are a pure function of the domains of the locations it reads, so a
 // thread is re-derived exactly when a re-derivation could differ.
 func (e *enumerator) prepare() (*Enumeration, error) {
-	e.locs = e.test.Locations()
-	e.domain = make(map[ptx.Sym]map[int64]bool, len(e.locs))
-	e.domVer = make(map[ptx.Sym]int, len(e.locs))
-	for _, loc := range e.locs {
-		e.domain[loc] = map[int64]bool{e.test.InitOf(loc): true}
+	e.slots = litmus.NewSlots(e.test)
+	locs := e.slots.Locs()
+	init := make([]int64, len(locs))
+	e.domain = make(map[ptx.Sym]map[int64]bool, len(locs))
+	e.domVer = make(map[ptx.Sym]int, len(locs))
+	for i, loc := range locs {
+		init[i] = e.test.InitOf(loc)
+		e.domain[loc] = map[int64]bool{init[i]: true}
 	}
 	// A value read in a real execution is grounded in a chain of writes of
 	// that execution, so chains are no longer than the static write count:
@@ -415,7 +422,7 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 			combos *= len(ps)
 		}
 	}
-	return &Enumeration{test: e.test, opts: e.opts, locs: e.locs, domain: e.domain, paths: paths, combos: combos}, nil
+	return &Enumeration{test: e.test, opts: e.opts, slots: e.slots, init: init, domain: e.domain, paths: paths, combos: combos}, nil
 }
 
 // threadPaths symbolically executes thread tid, branching at each load over
@@ -423,6 +430,7 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 func (e *enumerator) threadPaths(tid int) ([]ThreadPath, error) {
 	prog := e.test.Threads[tid].Prog
 	labels := prog.Labels()
+	names := e.slots.Regs(tid)
 	var out []ThreadPath
 
 	initRegs := func() map[ptx.Reg]regVal {
@@ -464,10 +472,10 @@ func (e *enumerator) threadPaths(tid int) ([]ThreadPath, error) {
 				return nil, fmt.Errorf("axiom: thread %d of %s exceeds %d steps (unbounded loop?)", tid, e.test.Name, e.opts.MaxSteps)
 			}
 			if f.pc >= len(prog) {
-				finals := make(map[ptx.Reg]int64)
-				for r, v := range f.regs {
-					if v.base == "" {
-						finals[r] = v.n
+				finals := make([]litmus.SlotValue, len(names))
+				for k, r := range names {
+					if v, ok := f.regs[r]; ok && v.base == "" {
+						finals[k] = litmus.SlotValue{Val: v.n, Present: true}
 					}
 				}
 				out = append(out, ThreadPath{Events: f.events, Regs: finals})

@@ -43,12 +43,11 @@ type Execution struct {
 	// scopes itself, Fig. 16 lines 8-10).
 	Membar [ptx.ScopeSys + 1]Rel
 
-	// Final is the final state: registers from each thread's path, memory
-	// from the coherence-last write per location. Treat it as read-only: the
-	// enumerator shares the register maps across every completion of one
-	// path combination, and rewrites the memory map of the execution it
-	// streams for each completion (see Clone).
-	Final *litmus.MapState
+	// Final is the final state, over the enumeration's Slots: registers
+	// from each thread's path, memory from the coherence-last write per
+	// location. Treat it as read-only: the enumerator rewrites the final
+	// state of the execution it streams for each completion (see Clone).
+	Final *litmus.Final
 
 	// Mult is the number of exhaustive-enumeration candidates this execution
 	// stands for: the size of its orbit under the enumerator's equivalence
@@ -232,7 +231,7 @@ func (x *Execution) Clone() *Execution {
 		}
 	}
 	if x.Final != nil {
-		c.Final = &litmus.MapState{Regs: x.Final.Regs, Memv: maps.Clone(x.Final.Memv)}
+		c.Final = x.Final.Clone()
 	}
 	return c
 }

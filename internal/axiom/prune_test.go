@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
-	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
 // This file is the differential oracle for symmetry pruning: the pruned
@@ -237,24 +236,18 @@ func pruneCorpus(t *testing.T) []*litmus.Test {
 	return append(tests, randomSymTests(t, 6)...)
 }
 
-// renderFinal renders an execution's complete final state — registers in
-// thread/register order plus every location's memory — the unit the
-// weighted outcome-histogram comparison is over.
+// renderFinal renders an execution's complete final state — its present
+// registers in thread/register order plus every location's memory — the
+// unit the weighted outcome-histogram comparison is over.
 func renderFinal(x *Execution) string {
 	var sb strings.Builder
-	tids := make([]int, 0, len(x.Final.Regs))
-	for tid := range x.Final.Regs {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		regs := make([]string, 0, len(x.Final.Regs[tid]))
-		for r := range x.Final.Regs[tid] {
-			regs = append(regs, string(r))
-		}
-		sort.Strings(regs)
+	for tid := range x.Test.Threads {
+		regs := slices.Clone(x.Final.Slots().Regs(tid))
+		slices.Sort(regs)
 		for _, r := range regs {
-			fmt.Fprintf(&sb, "%d:%s=%d;", tid, r, x.Final.Regs[tid][ptx.Reg(r)])
+			if v, ok := x.Final.Reg(tid, r); ok {
+				fmt.Fprintf(&sb, "%d:%s=%d;", tid, r, v)
+			}
 		}
 	}
 	for _, loc := range x.Test.Locations() {

@@ -72,7 +72,7 @@ func exportedCopy(x *Execution) *Execution {
 		Test: x.Test, Events: x.Events,
 		PO: x.PO, Addr: x.Addr, Data: x.Data, Ctrl: x.Ctrl, RMW: x.RMW, Membar: x.Membar,
 		RF: x.RF.Clone(), InitReads: maps.Clone(x.InitReads), CO: co,
-		Final: &litmus.MapState{Regs: x.Final.Regs, Memv: maps.Clone(x.Final.Memv)},
+		Final: x.Final.Clone(),
 		Mult:  x.Mult,
 	}
 }
@@ -539,14 +539,12 @@ func TestReturnAssemblerDropsRequestData(t *testing.T) {
 		switch {
 		case a.x.Test != nil || a.x.Events != nil || a.x.Final != nil || a.x.shared != nil:
 			t.Errorf("pin=%v: the returned Assembler's execution keeps the test, events, final state or memo", pin)
-		case a.final.Regs != nil || a.final.Memv != nil || len(a.co) != 0 || len(a.mem) != 0:
+		case a.final.Slots() != &noSlots || a.final.Slots().Len() != 0 || len(a.co) != 0:
 			t.Errorf("pin=%v: the returned Assembler keeps final state or coherence orders", pin)
-		case slices.ContainsFunc(a.wlocs[:cap(a.wlocs)], func(l ptx.Sym) bool { return l != "" }):
-			t.Errorf("pin=%v: the returned Assembler keeps location names %v", pin, a.wlocs[:cap(a.wlocs)])
 		case pin && a.sk != nil:
 			t.Errorf("the returned Assembler keeps a skeleton a clone pinned")
-		case !pin && (a.sk == nil || len(a.sk.regs) != 0 || slices.ContainsFunc(a.sk.evs[:cap(a.sk.evs)], func(e Event) bool { return e != Event{} })):
-			t.Errorf("the returned Assembler keeps path events or final registers in its skeleton storage")
+		case !pin && (a.sk == nil || slices.ContainsFunc(a.sk.evs[:cap(a.sk.evs)], func(e Event) bool { return e != Event{} })):
+			t.Errorf("the returned Assembler keeps path events in its skeleton storage")
 		}
 	}
 }

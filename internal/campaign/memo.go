@@ -367,7 +367,7 @@ func (mm *Memo) settleLocked(e *memoEntry) {
 // come from the verdict, which weighs them.
 func analyse(m *core.Model, t *litmus.Test, en *axiom.Enumeration) (*ModelInfo, *core.Verdict, error) {
 	allowed := make(map[string]bool)
-	l := harness.NewLayout(t)
+	l := harness.NewLayout(t, en.Slots())
 	var fp []byte
 	v, err := core.JudgeWith(context.Background(), m, t, core.Opts{Parallelism: 1, Enum: en, Visit: func(_ int, x *axiom.Execution, ok bool) error {
 		if ok {

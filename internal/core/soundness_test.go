@@ -60,7 +60,7 @@ func checkSimulatorSound(t *testing.T, test *litmus.Test) {
 		}
 	}
 	for _, p := range soundnessProfiles {
-		c, err := sim.Compile(test, p, chip.Default())
+		c, err := sim.Compile(test, litmus.NewSlots(test), p, chip.Default())
 		if err != nil {
 			t.Fatalf("%s on %s: %v", test.Name, p.ShortName, err)
 		}
@@ -69,7 +69,7 @@ func checkSimulatorSound(t *testing.T, test *litmus.Test) {
 			if _, err := mach.Run(int64(i)*31 + 7); err != nil {
 				t.Fatalf("%s on %s: %v", test.Name, p.ShortName, err)
 			}
-			if key := stateKey(test, mach); !allowed[key] {
+			if key := stateKey(test, mach.Final()); !allowed[key] {
 				t.Errorf("%s on %s seed %d: simulator state %s not allowed by the model", test.Name, p.ShortName, i, key)
 				break
 			}

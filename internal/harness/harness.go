@@ -20,7 +20,6 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
-	"github.com/weakgpu/gpulitmus/internal/ptx"
 	"github.com/weakgpu/gpulitmus/internal/sim"
 )
 
@@ -58,10 +57,10 @@ func Run(t *litmus.Test, cfg Config) (*Outcome, error) {
 // burning the simulator. For an uncancelled ctx the outcome is exactly
 // Run's.
 //
-// The test is compiled once; each worker runs its iterations on its own
-// machine and counts final states by their layout key. The fingerprint
-// and the condition are evaluated once per distinct key of each worker,
-// not once per run.
+// The test is resolved and compiled once; each worker runs its iterations
+// on its own machine and counts final states by their layout key. The
+// fingerprint and the condition are evaluated on the machine's final state
+// once per distinct key of each worker, not once per run.
 func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 	if cfg.Chip == nil {
 		return nil, fmt.Errorf("harness: no chip configured")
@@ -72,14 +71,21 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	code, err := sim.Compile(t, cfg.Chip, cfg.Incant)
+	slots := litmus.NewSlots(t)
+	code, err := sim.Compile(t, slots, cfg.Chip, cfg.Incant)
 	if err != nil {
 		return nil, err
 	}
-	l := NewLayout(t)
+	l := NewLayout(t, slots)
 
+	// state is a worker's distinct layout key: runs, fingerprint, match.
+	type state struct {
+		n     int
+		fp    string
+		match bool
+	}
 	type partial struct {
-		hist map[string]*int // runs by layout key
+		hist map[string]*state // by layout key
 		err  error
 	}
 	parts := make([]partial, cfg.Parallelism)
@@ -90,8 +96,8 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 			defer wg.Done()
 			m := code.NewMachine()
 			p := &parts[w]
-			p.hist = make(map[string]*int)
-			var key []byte
+			p.hist = make(map[string]*state)
+			var key, fp []byte
 			for i := w; i < cfg.Runs; i += cfg.Parallelism {
 				if err := ctx.Err(); err != nil {
 					p.err = err
@@ -101,31 +107,29 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 					p.err = err
 					return
 				}
-				key = l.appendKey(key[:0], m)
-				n := p.hist[string(key)]
-				if n == nil {
-					n = new(int)
-					p.hist[string(key)] = n
+				f := m.Final()
+				key = l.appendKey(key[:0], f)
+				st := p.hist[string(key)]
+				if st == nil {
+					fp = l.AppendFingerprint(fp[:0], f)
+					st = &state{fp: string(fp), match: t.Exists.Eval(f)}
+					p.hist[string(key)] = st
 				}
-				*n++
+				st.n++
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	out := &Outcome{Test: t, Config: cfg, Histogram: make(map[string]int, len(parts[0].hist)), Runs: cfg.Runs}
-	st := newKeyState(l)
-	var fp []byte
 	for _, p := range parts {
 		if p.err != nil {
 			return nil, p.err
 		}
-		for k, n := range p.hist { // the outcome sums counts, so order does not matter
-			st.key = append(st.key[:0], k...)
-			fp = l.AppendFingerprint(fp[:0], st)
-			out.Histogram[string(fp)] += *n
-			if t.Exists.Eval(st) {
-				out.Matches += *n
+		for _, st := range p.hist { // the outcome sums counts, so order does not matter
+			out.Histogram[st.fp] += st.n
+			if st.match {
+				out.Matches += st.n
 			}
 		}
 	}
@@ -133,68 +137,45 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 }
 
 // Layout is a test's outcome identity, the slots of its observable final
-// state: the condition's registers in the order sort.Strings gives their
-// "t:r=v" parts (names are unique, so "0:r10=" precedes "0:r1="), then
-// t.Locations(). Each slot's name is rendered once. A built layout is only
-// read, so goroutines share it.
+// state, read by index: the condition's registers in the order sort.Strings
+// gives their "t:r=v" parts (names are unique, so "0:r10=" precedes
+// "0:r1="), then t.Locations(). Each slot's name is rendered once. A built
+// layout is only read, so goroutines share it.
 type Layout struct {
 	slots []slot
 }
 
-// slot is one observable value: thread tid's register reg, or, when reg
-// is empty, location loc.
+// slot is one observable: its rendered name and its slot in the
+// resolution (-1, always absent, for a register of a thread t lacks).
 type slot struct {
 	name string // "0:r1=" or "x="
-	tid  int
-	reg  ptx.Reg
-	loc  ptx.Sym
+	at   int
 }
 
-// NewLayout derives t's observable slots.
-func NewLayout(t *litmus.Test) *Layout {
+// NewLayout derives t's observable slots from s, t's resolution.
+func NewLayout(t *litmus.Test, s *litmus.Slots) *Layout {
 	l := &Layout{}
-	l.addRegs(t.Exists)
+	litmus.CondRegs(t.Exists, func(a litmus.RegEq) {
+		name := strconv.Itoa(a.Thread) + ":" + string(a.Reg) + "="
+		if !slices.ContainsFunc(l.slots, func(s slot) bool { return s.name == name }) {
+			l.slots = append(l.slots, slot{name: name, at: s.Reg(a.Thread, a.Reg)})
+		}
+	})
 	slices.SortFunc(l.slots, func(a, b slot) int { return strings.Compare(a.name, b.name) })
-	for _, loc := range t.Locations() {
-		l.slots = append(l.slots, slot{name: string(loc) + "=", loc: loc})
+	for i, loc := range s.Locs() {
+		l.slots = append(l.slots, slot{name: string(loc) + "=", at: i})
 	}
 	return l
-}
-
-// addRegs adds a slot for each register c mentions, once.
-func (l *Layout) addRegs(c litmus.Cond) {
-	switch c := c.(type) {
-	case litmus.CondAnd:
-		l.addRegs(c.L)
-		l.addRegs(c.R)
-	case litmus.CondOr:
-		l.addRegs(c.L)
-		l.addRegs(c.R)
-	case litmus.CondNot:
-		l.addRegs(c.C)
-	case litmus.RegEq:
-		name := strconv.Itoa(c.Thread) + ":" + string(c.Reg) + "="
-		if !slices.ContainsFunc(l.slots, func(s slot) bool { return s.name == name }) {
-			l.slots = append(l.slots, slot{name: name, tid: c.Thread, reg: c.Reg})
-		}
-	}
-}
-
-func (sl *slot) value(s litmus.State) (int64, bool) {
-	if sl.reg != "" {
-		return s.Reg(sl.tid, sl.reg)
-	}
-	return s.Mem(sl.loc)
 }
 
 // slotWidth is a key's bytes per slot: a presence byte, then the value.
 const slotWidth = 9
 
-// appendKey appends s's key: every slot at a fixed width, so that a key
+// appendKey appends f's key: every slot at a fixed width, so that a key
 // tells an absent register from one holding 0.
-func (l *Layout) appendKey(b []byte, s litmus.State) []byte {
+func (l *Layout) appendKey(b []byte, f *litmus.Final) []byte {
 	for i := range l.slots {
-		v, ok := l.slots[i].value(s)
+		v, ok := f.At(l.slots[i].at)
 		present := byte(0)
 		if ok {
 			present = 1
@@ -204,66 +185,37 @@ func (l *Layout) appendKey(b []byte, s litmus.State) []byte {
 	return b
 }
 
-// AppendFingerprint appends s's fingerprint to b: "name=value" per slot,
-// separated by single spaces; an absent value renders as the 0 a State
-// returns with it.
-func (l *Layout) AppendFingerprint(b []byte, s litmus.State) []byte {
+// AppendFingerprint appends f's fingerprint to b: "name=value" per slot,
+// separated by single spaces; an absent value renders as 0.
+func (l *Layout) AppendFingerprint(b []byte, f *litmus.Final) []byte {
 	for i := range l.slots {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		v, _ := l.slots[i].value(s)
+		v, _ := f.At(l.slots[i].at)
 		b = strconv.AppendInt(append(b, l.slots[i].name...), v, 10)
 	}
 	return b
 }
 
-// keyState reads a key as a litmus.State without decoding it: a slot's
-// value is present as it was encoded, and a name outside the layout is
-// absent.
-type keyState struct {
-	l   *Layout
-	key []byte
-}
-
-func newKeyState(l *Layout) *keyState {
-	return &keyState{l: l, key: make([]byte, 0, len(l.slots)*slotWidth)}
-}
-
-func (k *keyState) Reg(tid int, r ptx.Reg) (int64, bool) {
-	return k.at(slices.IndexFunc(k.l.slots, func(s slot) bool { return s.reg == r && s.tid == tid }))
-}
-
-func (k *keyState) Mem(loc ptx.Sym) (int64, bool) {
-	return k.at(slices.IndexFunc(k.l.slots, func(s slot) bool { return s.reg == "" && s.loc == loc }))
-}
-
-// read sets the view's key to fingerprint fp read back through the
-// layout, every slot present. It accepts only what AppendFingerprint
-// renders: the slots' names in order, canonical decimal values and single
-// spaces.
-func (k *keyState) read(fp string) bool {
-	k.key = k.key[:0]
-	for i := range k.l.slots {
+// read sets f to fingerprint fp read back through the layout: every
+// layout slot present, every other slot absent. It accepts only what
+// AppendFingerprint renders: the slots' names in order, canonical decimal
+// values and single spaces.
+func (l *Layout) read(f *litmus.Final, fp string) bool {
+	f.Reset(f.Slots())
+	for i := range l.slots {
 		part, rest, more := strings.Cut(fp, " ")
-		val, ok := strings.CutPrefix(part, k.l.slots[i].name)
+		val, ok := strings.CutPrefix(part, l.slots[i].name)
 		v, err := strconv.ParseInt(val, 10, 64)
 		var canon [20]byte
-		if !ok || err != nil || string(strconv.AppendInt(canon[:0], v, 10)) != val || more != (i+1 < len(k.l.slots)) {
+		if !ok || err != nil || string(strconv.AppendInt(canon[:0], v, 10)) != val || more != (i+1 < len(l.slots)) {
 			return false
 		}
-		k.key = binary.LittleEndian.AppendUint64(append(k.key, 1), uint64(v))
+		f.Set(l.slots[i].at, v)
 		fp = rest
 	}
 	return fp == ""
-}
-
-func (k *keyState) at(i int) (int64, bool) {
-	if i < 0 {
-		return 0, false
-	}
-	b := k.key[i*slotWidth : (i+1)*slotWidth]
-	return int64(binary.LittleEndian.Uint64(b[1:])), b[0] == 1
 }
 
 // Per100k scales the match count to the paper's per-100k-runs convention.
@@ -299,10 +251,11 @@ func (o *Outcome) String() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	st := newKeyState(NewLayout(o.Test))
+	slots := litmus.NewSlots(o.Test)
+	l, st := NewLayout(o.Test, slots), slots.NewFinal()
 	for _, k := range keys {
 		marker := " :> "
-		if st.read(k) && o.Test.Exists.Eval(st) {
+		if l.read(st, k) && o.Test.Exists.Eval(st) {
 			marker = " *> "
 		}
 		b = append(append(append(fmt.Appendf(b, "%-8d", o.Histogram[k]), marker...), k...), '\n')
@@ -318,8 +271,9 @@ func (o *Outcome) String() string {
 	return string(b)
 }
 
-// Fingerprint renders the observable part of a final state through t's
-// layout: the registers the condition mentions and every location.
-func Fingerprint(t *litmus.Test, s litmus.State) string {
-	return string(NewLayout(t).AppendFingerprint(nil, s))
+// Fingerprint renders the observable part of f, a final state of t,
+// through t's layout: the registers the condition mentions and every
+// location.
+func Fingerprint(t *litmus.Test, f *litmus.Final) string {
+	return string(NewLayout(t, f.Slots()).AppendFingerprint(nil, f))
 }

@@ -125,14 +125,15 @@ func TestStringHistogram(t *testing.T) {
 // as on the state.
 func TestFingerprintRoundTrip(t *testing.T) {
 	test := litmus.MP(litmus.NoFence)
-	s := litmus.NewMapState()
-	s.SetReg(1, "r1", 1)
-	s.SetReg(1, "r2", 0)
-	s.SetMem("x", 1)
-	s.SetMem("y", 1)
+	slots := litmus.NewSlots(test)
+	s := slots.NewFinal()
+	s.Set(s.Slots().Reg(1, "r1"), 1)
+	s.Set(s.Slots().Reg(1, "r2"), 0)
+	s.Set(s.Slots().Loc("x"), 1)
+	s.Set(s.Slots().Loc("y"), 1)
 	fp := Fingerprint(test, s)
-	re := newKeyState(NewLayout(test))
-	if !re.read(fp) {
+	re := slots.NewFinal()
+	if !NewLayout(test, slots).read(re, fp) {
 		t.Fatalf("%q does not read back", fp)
 	}
 	if v, ok := re.Reg(1, "r1"); !ok || v != 1 {

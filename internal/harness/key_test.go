@@ -108,10 +108,11 @@ func TestAbsentRegisterIsNotZero(t *testing.T) {
 }
 
 // TestRunAllocations is the allocation gate of the harness loop: after
-// compiling the test, building its layout and allocating one machine,
-// iterations allocate nothing, and each distinct key costs its string, its
-// counter and its fingerprint. A 2000-run cell of mp made 202 allocations when every
-// key was decoded into a map-backed state; with the layout it makes 84.
+// resolving and compiling the test, building its layout and allocating one
+// machine, iterations allocate nothing, and each distinct key costs its
+// string, its record and its fingerprint. A 2000-run cell of mp made 202
+// allocations when every key was decoded into a map-backed state, 84 with
+// the layout, and 78 with one slot resolution for machine and layout.
 func TestRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by race instrumentation")
@@ -131,8 +132,9 @@ func TestRunAllocations(t *testing.T) {
 }
 
 // TestStringAllocations gates Outcome.String on mp's four-key histogram:
-// one layout reads every key back without a map-backed state. It makes 25
-// allocations; the fmt-based reader made 145.
+// one layout reads every key back into one final state. It makes 28
+// allocations (25 before the slot resolution); the fmt-based reader made
+// 145.
 func TestStringAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by race instrumentation")

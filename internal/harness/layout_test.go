@@ -30,8 +30,8 @@ func enumerableCorpus(t *testing.T) []*litmus.Test {
 // starred as the oracle stars it.
 func checkKey(t *testing.T, test *litmus.Test, l *Layout, fp string) {
 	t.Helper()
-	st := newKeyState(l)
-	if !st.read(fp) {
+	st := litmus.NewSlots(test).NewFinal()
+	if !l.read(st, fp) {
 		t.Fatalf("%s: rendered %q does not read back", test.Name, fp)
 	}
 	if got, want := test.Exists.Eval(st), oracleStars(test, fp); got != want {
@@ -55,7 +55,7 @@ func TestLayoutMatchesOracle(t *testing.T) {
 	enumerable := enumerableCorpus(t)
 	tests := append(append(enumerable, litmustest.Corpus(120)...), guardedRegTest())
 	for ti, test := range tests {
-		l := NewLayout(test)
+		l := NewLayout(test, litmus.NewSlots(test))
 		cfg := Config{Chip: chip.GTXTitan, Incant: paperIncant(test), Runs: runs, Seed: int64(ti) * 31, Parallelism: 2}
 		o, err := Run(test, cfg)
 		if err != nil {
@@ -90,7 +90,7 @@ func TestLayoutMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, test := range enumerable {
-		l := NewLayout(test)
+		l := NewLayout(test, litmus.NewSlots(test))
 		xs, err := axiom.Enumerate(test, axiom.DefaultOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
@@ -116,10 +116,10 @@ func TestLayoutSlotOrder(t *testing.T) {
 		InterCTA().
 		Exists("0:r1=1 /\\ 0:r2=0 /\\ 0:r10=1 /\\ 0:r1=0").
 		MustBuild()
-	s := litmus.NewMapState()
-	s.SetReg(0, "r1", 1)
-	s.SetReg(0, "r10", 7)
-	s.SetMem("x", 1)
+	s := litmus.NewSlots(test).NewFinal()
+	s.Set(s.Slots().Reg(0, "r1"), 1)
+	s.Set(s.Slots().Reg(0, "r10"), 7)
+	s.Set(s.Slots().Loc("x"), 1)
 	const want = "0:r10=7 0:r1=1 0:r2=0 x=1 y=0"
 	if got := Fingerprint(test, s); got != want || oracleFingerprint(test, s) != want {
 		t.Errorf("fingerprint %q, oracle %q, want %q", got, oracleFingerprint(test, s), want)
@@ -151,14 +151,15 @@ func FuzzReadKey(f *testing.F) {
 	f.Add(uint8(1), "1:r1=1 1:r2=0 x=1")
 	f.Fuzz(func(t *testing.T, ti uint8, key string) {
 		test := tests[int(ti)%len(tests)]
-		st := newKeyState(NewLayout(test))
-		ok := st.read(key)
+		slots := litmus.NewSlots(test)
+		l, st := NewLayout(test, slots), slots.NewFinal()
+		ok := l.read(st, key)
 		if ok {
-			if back := string(st.l.AppendFingerprint(nil, st)); back != key {
+			if back := string(l.AppendFingerprint(nil, st)); back != key {
 				t.Fatalf("%s: accepted %q renders back as %q", test.Name, key, back)
 			}
 		}
-		s, err := parseFingerprint(key)
+		s, err := parseFingerprint(test, key)
 		canonical := err == nil && oracleFingerprint(test, s) == key
 		if ok != canonical {
 			t.Fatalf("%s: %q accepted %v, oracle reads it back to itself %v", test.Name, key, ok, canonical)

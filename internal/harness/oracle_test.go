@@ -36,9 +36,11 @@ func oracleFingerprint(t *litmus.Test, s litmus.State) string {
 }
 
 // parseFingerprint is the fmt-based reader Layout replaced: every
-// "name=value" part becomes a register ("t:r") or a location.
-func parseFingerprint(fp string) (litmus.State, error) {
-	s := litmus.NewMapState()
+// "name=value" part becomes a register ("t:r") or a location of t's final
+// state. A name t has no slot for is dropped: no layout renders it, so a
+// fingerprint naming one never reads back to itself.
+func parseFingerprint(t *litmus.Test, fp string) (litmus.State, error) {
+	s := litmus.NewSlots(t).NewFinal()
 	for _, part := range strings.Fields(fp) {
 		eq := strings.SplitN(part, "=", 2)
 		if len(eq) != 2 {
@@ -53,9 +55,9 @@ func parseFingerprint(fp string) (litmus.State, error) {
 			if _, err := fmt.Sscanf(eq[0][:colon], "%d", &tid); err != nil {
 				return nil, err
 			}
-			s.SetReg(tid, ptx.Reg(eq[0][colon+1:]), v)
+			s.Set(s.Slots().Reg(tid, ptx.Reg(eq[0][colon+1:])), v)
 		} else {
-			s.SetMem(ptx.Sym(eq[0]), v)
+			s.Set(s.Slots().Loc(ptx.Sym(eq[0])), v)
 		}
 	}
 	return s, nil
@@ -64,7 +66,7 @@ func parseFingerprint(fp string) (litmus.State, error) {
 // oracleStars reports whether the oracle stars fingerprint fp of test t:
 // it parses and the condition holds on the parsed state.
 func oracleStars(t *litmus.Test, fp string) bool {
-	s, err := parseFingerprint(fp)
+	s, err := parseFingerprint(t, fp)
 	return err == nil && t.Exists.Eval(s)
 }
 

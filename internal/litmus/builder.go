@@ -2,7 +2,7 @@ package litmus
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/weakgpu/gpulitmus/internal/ptx"
@@ -165,26 +165,18 @@ func (b *Builder) Build() (*Test, error) {
 			t.MemMap[s] = Global
 		}
 	}
-	// Auto-declare registers not covered by explicit declarations.
-	declared := make(map[int]map[ptx.Reg]bool)
-	for _, d := range t.Decls {
-		if declared[d.Thread] == nil {
-			declared[d.Thread] = make(map[ptx.Reg]bool)
-		}
-		declared[d.Thread][d.Reg] = true
-	}
-	for tid, th := range t.Threads {
-		// Program.Regs is a map: sort before appending so declaration order
-		// (and with it the test's canonical rendering and fingerprint) is
-		// deterministic across constructions.
-		used := th.Prog.Regs()
-		regs := make([]ptx.Reg, 0, len(used))
-		for r := range used {
-			if !declared[tid][r] {
+	// Auto-declare, in name order, the registers the programs name (their
+	// slots in the resolution of the programs alone) that no declaration
+	// covers.
+	used := NewSlots(&Test{Threads: t.Threads})
+	for tid := range t.Threads {
+		var regs []ptx.Reg
+		for _, r := range used.Regs(tid) {
+			if !slices.ContainsFunc(t.Decls, func(d RegDecl) bool { return d.Thread == tid && d.Reg == r }) {
 				regs = append(regs, r)
 			}
 		}
-		sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
+		slices.Sort(regs)
 		for _, r := range regs {
 			typ := ptx.TypeS32
 			if strings.HasPrefix(string(r), "p") {

@@ -155,6 +155,22 @@ func CondAtoms(c Cond) []Cond {
 	}
 }
 
+// CondRegs calls f with each register atom of c, left to right.
+func CondRegs(c Cond, f func(RegEq)) {
+	switch v := c.(type) {
+	case CondAnd:
+		CondRegs(v.L, f)
+		CondRegs(v.R, f)
+	case CondOr:
+		CondRegs(v.L, f)
+		CondRegs(v.R, f)
+	case CondNot:
+		CondRegs(v.C, f)
+	case RegEq:
+		f(v)
+	}
+}
+
 // ParseCond parses the condition fragment used by Fig. 12:
 //
 //	cond := or
@@ -390,39 +406,4 @@ func regOwner(t *Test, r ptx.Reg) (int, bool) {
 		}
 	}
 	return owner, owner >= 0
-}
-
-// MapState is a simple State backed by maps, convenient for tests and for
-// recording harness outcomes.
-type MapState struct {
-	Regs map[int]map[ptx.Reg]int64
-	Memv map[ptx.Sym]int64
-}
-
-// NewMapState returns an empty MapState.
-func NewMapState() *MapState {
-	return &MapState{Regs: make(map[int]map[ptx.Reg]int64), Memv: make(map[ptx.Sym]int64)}
-}
-
-// SetReg records a final register value.
-func (m *MapState) SetReg(tid int, r ptx.Reg, v int64) {
-	if m.Regs[tid] == nil {
-		m.Regs[tid] = make(map[ptx.Reg]int64)
-	}
-	m.Regs[tid][r] = v
-}
-
-// SetMem records a final memory value.
-func (m *MapState) SetMem(loc ptx.Sym, v int64) { m.Memv[loc] = v }
-
-// Reg returns a recorded register value.
-func (m *MapState) Reg(tid int, r ptx.Reg) (int64, bool) {
-	v, ok := m.Regs[tid][r]
-	return v, ok
-}
-
-// Mem returns a recorded memory value.
-func (m *MapState) Mem(loc ptx.Sym) (int64, bool) {
-	v, ok := m.Memv[loc]
-	return v, ok
 }

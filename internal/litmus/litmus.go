@@ -273,26 +273,13 @@ func (t *Test) sharedAcrossCTAs(loc ptx.Sym) bool {
 
 // checkCondThreads reports the first atom of c, in CondAtoms order, that
 // names a thread outside 0..n-1.
-func checkCondThreads(c Cond, n int) error {
-	switch v := c.(type) {
-	case CondAnd:
-		if err := checkCondThreads(v.L, n); err != nil {
-			return err
+func checkCondThreads(c Cond, n int) (err error) {
+	CondRegs(c, func(a RegEq) {
+		if err == nil && (a.Thread < 0 || a.Thread >= n) {
+			err = fmt.Errorf("litmus: condition references unknown thread %d", a.Thread)
 		}
-		return checkCondThreads(v.R, n)
-	case CondOr:
-		if err := checkCondThreads(v.L, n); err != nil {
-			return err
-		}
-		return checkCondThreads(v.R, n)
-	case CondNot:
-		return checkCondThreads(v.C, n)
-	case RegEq:
-		if v.Thread < 0 || v.Thread >= n {
-			return fmt.Errorf("litmus: condition references unknown thread %d", v.Thread)
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // threadBindsLoc reports whether thread tid declares an address register

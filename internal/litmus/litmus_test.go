@@ -120,18 +120,28 @@ func TestScopeTreeValidate(t *testing.T) {
 	}
 }
 
+// condState returns a final state with every slot absent over a test of
+// the given thread count and global locations whose condition is c.
+func condState(c Cond, threads int, locs ...ptx.Sym) *Final {
+	t := &Test{Threads: make([]Thread, threads), MemMap: make(map[ptx.Sym]Space), Exists: c}
+	for _, l := range locs {
+		t.MemMap[l] = Global
+	}
+	return NewSlots(t).NewFinal()
+}
+
 func TestCondEval(t *testing.T) {
 	c, err := ParseCond("0:r2=0 /\\ 1:r2=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewMapState()
-	s.SetReg(0, "r2", 0)
-	s.SetReg(1, "r2", 0)
+	s := condState(c, 2)
+	s.Set(s.Slots().Reg(0, "r2"), 0)
+	s.Set(s.Slots().Reg(1, "r2"), 0)
 	if !c.Eval(s) {
 		t.Error("condition should hold")
 	}
-	s.SetReg(1, "r2", 1)
+	s.Set(s.Slots().Reg(1, "r2"), 1)
 	if c.Eval(s) {
 		t.Error("condition should fail")
 	}
@@ -142,18 +152,18 @@ func TestCondOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewMapState()
-	s.SetReg(0, "r0", 2)
-	s.SetMem("x", 0)
+	s := condState(c, 1, "x")
+	s.Set(s.Slots().Reg(0, "r0"), 2)
+	s.Set(s.Slots().Loc("x"), 0)
 	if !c.Eval(s) {
 		t.Error("should hold with r0=2, x=0")
 	}
-	s.SetMem("x", 3)
+	s.Set(s.Slots().Loc("x"), 3)
 	if c.Eval(s) {
 		t.Error("should fail with x=3")
 	}
-	s.SetMem("x", 0)
-	s.SetReg(0, "r0", 3)
+	s.Set(s.Slots().Loc("x"), 0)
+	s.Set(s.Slots().Reg(0, "r0"), 3)
 	if c.Eval(s) {
 		t.Error("should fail with r0=3")
 	}
@@ -164,9 +174,9 @@ func TestCondUnicode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewMapState()
-	s.SetReg(1, "r1", 1)
-	s.SetReg(1, "r2", 0)
+	s := condState(c, 2)
+	s.Set(s.Slots().Reg(1, "r1"), 1)
+	s.Set(s.Slots().Reg(1, "r2"), 0)
 	if !c.Eval(s) {
 		t.Error("unicode conjunction should parse and hold")
 	}
@@ -214,9 +224,9 @@ func TestResolveCondShorthand(t *testing.T) {
 		InterCTA().
 		Exists("r1=1 /\\ r2=0").
 		MustBuild()
-	s := NewMapState()
-	s.SetReg(1, "r1", 1)
-	s.SetReg(1, "r2", 0)
+	s := NewSlots(test).NewFinal()
+	s.Set(s.Slots().Reg(1, "r1"), 1)
+	s.Set(s.Slots().Reg(1, "r2"), 0)
 	if !test.Exists.Eval(s) {
 		t.Error("shorthand condition should resolve to thread 1 registers")
 	}

@@ -684,6 +684,20 @@ func parseCondIntOracle(s string) (int64, error) {
 	return v, nil
 }
 
+// progRegsOracle returns every register the program reads or writes.
+func progRegsOracle(p ptx.Program) map[ptx.Reg]bool {
+	regs := make(map[ptx.Reg]bool)
+	for _, inst := range p {
+		if d, ok := ptx.DstOf(inst); ok {
+			regs[d] = true
+		}
+		for _, r := range ptx.SrcRegs(inst) {
+			regs[r] = true
+		}
+	}
+	return regs
+}
+
 // resolveCondOracle rewrites MemEq atoms whose "location" actually names a
 // register declared by exactly one thread into RegEq atoms. The paper's
 // figures use this shorthand ("final: r1=1 ∧ r2=0") since register names are
@@ -700,7 +714,7 @@ func resolveCondOracle(c Cond, t *Test) Cond {
 		owner := -1
 		count := 0
 		for tid := range t.Threads {
-			if t.Threads[tid].Prog.Regs()[ptx.Reg(v.Loc)] {
+			if progRegsOracle(t.Threads[tid].Prog)[ptx.Reg(v.Loc)] {
 				owner = tid
 				count++
 			}

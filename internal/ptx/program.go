@@ -82,22 +82,8 @@ func (p Program) Validate() error {
 	return nil
 }
 
-// Regs returns every register mentioned by the program (read or written).
-func (p Program) Regs() map[Reg]bool {
-	regs := make(map[Reg]bool)
-	for _, inst := range p {
-		if d, ok := DstOf(inst); ok {
-			regs[d] = true
-		}
-		for _, r := range SrcRegs(inst) {
-			regs[r] = true
-		}
-	}
-	return regs
-}
-
-// MentionsReg reports whether r is in Regs() without building the map:
-// some instruction writes r, reads it as an operand, or is guarded by it.
+// MentionsReg reports whether some instruction writes r, reads it as an
+// operand, or is guarded by it.
 func (p Program) MentionsReg(r Reg) bool {
 	var buf [3]Operand
 	for _, inst := range p {

@@ -270,9 +270,10 @@ func TestProgramSymbolsAndRegs(t *testing.T) {
 	if !syms["x"] || !syms["y"] || len(syms) != 2 {
 		t.Errorf("Symbols = %v", syms)
 	}
-	regs := prog.Regs()
-	if !regs["r1"] || !regs["r2"] || len(regs) != 2 {
-		t.Errorf("Regs = %v", regs)
+	for _, r := range []Reg{"r1", "r2", "r3", "x"} {
+		if got, want := prog.MentionsReg(r), r == "r1" || r == "r2"; got != want {
+			t.Errorf("MentionsReg(%s) = %v, want %v", r, got, want)
+		}
 	}
 }
 

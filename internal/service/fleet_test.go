@@ -524,15 +524,18 @@ func TestObjectEndpoint(t *testing.T) {
 	// Well-formed JSON the key kind's decoder refuses is refused too, and
 	// never persisted: a verdict with more witnesses than candidates, a run
 	// record under a judge key, outcomes whose counts no harness run
-	// yields, and records that belong to another key — an SC verdict or
-	// repair under a PTX key, an outcome whose runs differ from the key's,
-	// and run keys whose chip or incantation runOne never writes.
+	// yields, an outcome that does not name its run, and records that
+	// belong to another key — an SC verdict or repair under a PTX key, an
+	// outcome whose runs differ from the key's, an outcome of another chip,
+	// incantation and seed, and run keys whose chip or incantation runOne
+	// never writes.
 	sc, err := s.model("sc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	scRec := `{"model":"SC","candidates":4,"allowed":3}`
-	runRec := `{"histogram":{"0:r1=1 x=1":3},"matches":3,"runs":3}`
+	const run = `"chip":"Titan","incant":"ms+ts+tr","seed":1,`
+	runRec := `{` + run + `"histogram":{"0:r1=1 x=1":3},"matches":3,"runs":3}`
 	judgeKey := func(i int) string { return fmt.Sprintf("judge|%s|0000refused%d", m.Fingerprint(), i) }
 	runKey := func(i int) string { return fmt.Sprintf("run|0000refused%d|Titan|ms+ts+tr|3|1", i) }
 	for i, bad := range []struct{ key, body string }{
@@ -544,11 +547,13 @@ func TestObjectEndpoint(t *testing.T) {
 		{"run|0000refused13|Titan|ms+ts+tr|3", runRec},
 		{judgeKey(0), `{"model":"PTX","candidates":2,"allowed":2,"witnesses":3,"observable":true}`},
 		{judgeKey(1), runRec},
-		{runKey(2), `{"histogram":{"a":4,"b":-1},"matches":3,"runs":3}`},
-		{runKey(3), `{"histogram":{"a":2},"matches":2,"runs":3}`},
-		{runKey(4), `{"histogram":{"a":3},"matches":4,"runs":3}`},
-		{runKey(5), `{"histogram":{"a":3},"matches":-1,"runs":3}`},
-		{runKey(6), `{"histogram":{"a":9223372036854775807,"b":9223372036854775807,"c":3},"matches":1,"runs":1}`},
+		{runKey(2), `{` + run + `"histogram":{"a":4,"b":-1},"matches":3,"runs":3}`},
+		{runKey(3), `{` + run + `"histogram":{"a":2},"matches":2,"runs":3}`},
+		{runKey(4), `{` + run + `"histogram":{"a":3},"matches":4,"runs":3}`},
+		{runKey(5), `{` + run + `"histogram":{"a":3},"matches":-1,"runs":3}`},
+		{runKey(6), `{` + run + `"histogram":{"a":9223372036854775807,"b":9223372036854775807,"c":3},"matches":1,"runs":1}`},
+		{runKey(14), `{"histogram":{"0:r1=1 x=1":3},"matches":3,"runs":3}`},
+		{"run|0000refused7|GTX280|none|3|9", runRec},
 	} {
 		resp, err := http.Post(objectURL(base, bad.key), "application/json", strings.NewReader(bad.body))
 		if err != nil {
@@ -562,8 +567,9 @@ func TestObjectEndpoint(t *testing.T) {
 			t.Errorf("case %d: refused record %s was stored: GET = %d", i, bad.body, resp.StatusCode)
 		}
 	}
-	// The same run record is accepted under a run key, and the SC verdict
-	// under an SC judge key.
+	// The same run record is accepted under its own run's key, of the
+	// fingerprint it was just refused under, and the SC verdict under an SC
+	// judge key.
 	if resp, err := http.Post(objectURL(base, runKey(7)), "application/json", strings.NewReader(runRec)); err != nil {
 		t.Fatal(err)
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusNoContent {

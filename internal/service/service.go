@@ -228,17 +228,27 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // so a client that opens connections and sends nothing cannot hold them.
 const readHeaderTimeout = 10 * time.Second
 
-// Serve accepts connections on ln until ctx is cancelled, then shuts down
-// gracefully (in-flight requests get a short drain window). The listener
-// is closed on return.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	httpSrv := &http.Server{
+// idleTimeout bounds how long Serve keeps an idle keep-alive connection
+// open between requests.
+const idleTimeout = 2 * time.Minute
+
+// httpServer is the http.Server Serve runs, its requests' contexts from ctx.
+func (s *Server) httpServer(ctx context.Context) *http.Server {
+	return &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 		// Sweeps stream NDJSON for as long as the campaign runs; no write
 		// timeout. Connection lifetime is bounded by the request context.
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
+}
+
+// Serve accepts connections on ln until ctx is cancelled, then shuts down
+// gracefully (in-flight requests get a short drain window). The listener
+// is closed on return.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	httpSrv := s.httpServer(ctx)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
@@ -903,7 +913,9 @@ func (s *Server) runOne(ctx context.Context, t *litmus.Test, fp string, cfg harn
 		if err != nil {
 			return nil, err
 		}
-		return &outcomeRecord{Histogram: out.Histogram, Matches: out.Matches, Runs: out.Runs}, nil
+		seed := cfg.Seed
+		return &outcomeRecord{Chip: cfg.Chip.ShortName, Incant: cfg.Incant.String(), Seed: &seed,
+			Histogram: out.Histogram, Matches: out.Matches, Runs: out.Runs}, nil
 	})
 	if err != nil {
 		return nil, src, err

@@ -1372,3 +1372,21 @@ func TestSweepRepairReportsRepairedCells(t *testing.T) {
 		t.Errorf("already-forbidden cell repair provenance = %q, want \"unneeded\"", fixed.Repair)
 	}
 }
+
+// TestServeBoundsConnections pins the timeouts of the http.Server Serve
+// runs: a client that sends no headers, or leaves a keep-alive connection
+// idle, cannot hold the connection open for ever.
+func TestServeBoundsConnections(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := s.httpServer(context.Background())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Errorf("Serve's server: ReadHeaderTimeout %v, IdleTimeout %v; want %v and %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Errorf("timeouts %v and %v: zero or negative means none", readHeaderTimeout, idleTimeout)
+	}
+}

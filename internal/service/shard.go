@@ -201,9 +201,14 @@ type verdictRecord struct {
 // outcomeRecord is the cached form of a harness outcome on every tier.
 // Final-state fingerprints in the histogram are test-content-derived
 // (registers and locations, no names), matching the key's content
-// addressing. runOne renders the outcome under the requesting test and
+// addressing. The record names the run it came from (chip, incantation,
+// seed), so it decodes only under that run's key; a record without them
+// is refused. runOne renders the outcome under the requesting test and
 // cell; the histogram map is shared by every render and never written.
 type outcomeRecord struct {
+	Chip      string         `json:"chip"`   // the chip's short name
+	Incant    string         `json:"incant"` // the incantation's canonical form
+	Seed      *int64         `json:"seed"`
 	Histogram map[string]int `json:"histogram"`
 	Matches   int            `json:"matches"`
 	Runs      int            `json:"runs"`
@@ -256,9 +261,10 @@ func recordDecoder(key string) func([]byte) (any, error) {
 // decoder must accept it, and it must belong to the key. A verdict or
 // repair record must carry the name of the model whose fingerprint the
 // key names (a key naming no model of this server binds no record). An
-// outcome record must hold as many runs as the key, whose chip and
-// incantation must be written as runOne writes them. A record that passes
-// is one this server could have computed for the key.
+// outcome record must name the key's chip, incantation and seed and hold
+// as many runs, and the key's chip and incantation must be written as
+// runOne writes them. A record that passes is one this server could have
+// computed for the key.
 func (s *Server) decodeRecord(key string, b []byte) (any, error) {
 	decode := recordDecoder(key)
 	if decode == nil {
@@ -279,8 +285,8 @@ func (s *Server) decodeRecord(key string, b []byte) (any, error) {
 			return nil, fmt.Errorf("service: %s repair record does not belong to key %q", r.Model, key)
 		}
 	case *outcomeRecord:
-		if !runKeyHolds(rest, r.Runs) {
-			return nil, fmt.Errorf("service: outcome record of %d runs does not belong to key %q", r.Runs, key)
+		if !runKeyHolds(rest, r) {
+			return nil, fmt.Errorf("service: outcome record of %d runs on %s (%s) at seed %d does not belong to key %q", r.Runs, r.Chip, r.Incant, *r.Seed, key)
 		}
 	}
 	return rec, nil
@@ -302,10 +308,11 @@ func (s *Server) keyModel(rest string) string {
 
 // runKeyHolds reports whether rest (a run key after its kind:
 // fingerprint|chip|incantation|runs|seed) names a chip by its short name,
-// an incantation in canonical form, a seed, and exactly runs runs.
-func runKeyHolds(rest string, runs int) bool {
+// an incantation in canonical form, a seed and a run count, each the
+// record's.
+func runKeyHolds(rest string, r *outcomeRecord) bool {
 	f := strings.Split(rest, "|")
-	if len(f) != 5 {
+	if len(f) != 5 || f[1] != r.Chip || f[2] != r.Incant {
 		return false
 	}
 	if p, err := chip.ByName(f[1]); err != nil || p.ShortName != f[1] {
@@ -314,11 +321,11 @@ func runKeyHolds(rest string, runs int) bool {
 	if inc, err := chip.ParseIncant(f[2]); err != nil || inc.String() != f[2] {
 		return false
 	}
-	if n, err := strconv.Atoi(f[3]); err != nil || n != runs {
+	if n, err := strconv.Atoi(f[3]); err != nil || n != r.Runs {
 		return false
 	}
-	_, err := strconv.ParseInt(f[4], 10, 64)
-	return err == nil
+	seed, err := strconv.ParseInt(f[4], 10, 64)
+	return err == nil && seed == *r.Seed
 }
 
 // decodeVerdict reads a *verdictRecord, refusing counts no enumeration
@@ -339,15 +346,16 @@ func decodeVerdict(b []byte) (any, error) {
 	return &rec, nil
 }
 
-// decodeOutcome reads an *outcomeRecord, refusing histograms no harness
-// run yields: counts are non-negative and sum to runs, and matches lies
-// in [0, runs].
+// decodeOutcome reads an *outcomeRecord, refusing one without a seed (a
+// chip or incantation it lacks fails decodeRecord) and histograms no
+// harness run yields: counts are non-negative and sum to runs, and matches
+// lies in [0, runs].
 func decodeOutcome(b []byte) (any, error) {
 	var rec outcomeRecord
 	if err := json.Unmarshal(b, &rec); err != nil {
 		return nil, err
 	}
-	if rec.Histogram == nil || rec.Runs <= 0 || rec.Matches < 0 || rec.Matches > rec.Runs {
+	if rec.Seed == nil || rec.Histogram == nil || rec.Runs <= 0 || rec.Matches < 0 || rec.Matches > rec.Runs {
 		return nil, fmt.Errorf("service: malformed outcome record")
 	}
 	sum := 0

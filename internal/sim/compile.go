@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
@@ -14,13 +15,12 @@ import (
 // initial value the simulator needs computed up front. It is immutable,
 // so any number of machines (one per goroutine) may share it.
 type Compiled struct {
-	test    *litmus.Test
-	prof    *chip.Profile
-	eff     effProbs
-	locs    []ptx.Sym // location slots, in Test.Locations order
-	locSlot map[ptx.Sym]int32
-	shared  []bool  // per location slot: lives in per-SM shared memory
-	init    []int64 // per location slot: initial value
+	test   *litmus.Test
+	slots  *litmus.Slots // the test's register and location slots
+	prof   *chip.Profile
+	eff    effProbs
+	shared []bool  // per location slot: lives in per-SM shared memory
+	init   []int64 // per location slot: initial value
 	// memFrom says, per location slot, which copy the final state
 	// reports: memL2, memNone, or the index of the SM whose shared memory
 	// holds it.
@@ -40,13 +40,11 @@ const (
 // order the machine draws for them.
 type staleLine struct{ sm, loc int32 }
 
-// threadCode is one thread's decoded program.
+// threadCode is one thread's decoded program, over its Slots.Regs slots.
 type threadCode struct {
-	cta     int
-	prog    []instr
-	regs    []ptx.Reg // register slot -> name
-	regSlot map[ptx.Reg]int32
-	init    []regv // registers at the start of an iteration: the declared ones set
+	cta  int
+	prog []instr
+	init []regv // registers at the start of an iteration: the declared ones set
 }
 
 type opcode uint8
@@ -98,20 +96,19 @@ type instr struct {
 	a, b     operand
 }
 
-// Compile validates the test and decodes it for the chip and incantation.
-func Compile(t *litmus.Test, p *chip.Profile, inc chip.Incant) (*Compiled, error) {
+// Compile validates the test and decodes it for the chip and incantation
+// over s, the test's slot resolution (litmus.NewSlots).
+func Compile(t *litmus.Test, s *litmus.Slots, p *chip.Profile, inc chip.Incant) (*Compiled, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Compiled{test: t, prof: p, eff: effectiveProbs(t, p, inc)}
+	c := &Compiled{test: t, slots: s, prof: p, eff: effectiveProbs(t, p, inc)}
 
-	c.locs = t.Locations()
-	c.locSlot = make(map[ptx.Sym]int32, len(c.locs))
-	c.shared = make([]bool, len(c.locs))
-	c.init = make([]int64, len(c.locs))
-	c.memFrom = make([]int32, len(c.locs))
-	for i, loc := range c.locs {
-		c.locSlot[loc] = int32(i)
+	locs := s.Locs()
+	c.shared = make([]bool, len(locs))
+	c.init = make([]int64, len(locs))
+	c.memFrom = make([]int32, len(locs))
+	for i, loc := range locs {
 		c.init[i] = t.InitOf(loc)
 		c.memFrom[i] = memL2
 		if t.SpaceOf(loc) != litmus.Shared {
@@ -152,7 +149,7 @@ func Compile(t *litmus.Test, p *chip.Profile, inc chip.Incant) (*Compiled, error
 				if err != nil || t.SpaceOf(loc) != litmus.Global {
 					continue
 				}
-				c.stale = append(c.stale, staleLine{sm: int32(c.threads[tid].cta), loc: c.locSlot[loc]})
+				c.stale = append(c.stale, staleLine{sm: int32(c.threads[tid].cta), loc: int32(s.Loc(loc))})
 			}
 		}
 	}
@@ -191,18 +188,9 @@ func (c *Compiled) compileThread(tid int) error {
 	if tc.cta < 0 {
 		return fmt.Errorf("sim: thread %d not in scope tree", tid)
 	}
-	tc.regSlot = make(map[ptx.Reg]int32)
-	reg := func(r ptx.Reg) int32 {
-		s, ok := tc.regSlot[r]
-		if !ok {
-			s = int32(len(tc.regs))
-			tc.regSlot[r] = s
-			tc.regs = append(tc.regs, r)
-			tc.init = append(tc.init, regv{})
-		}
-		return s
-	}
-	// Every symbol a program names is one of the test's locations.
+	// Every register the program names, and every symbol, has a slot.
+	regs := c.slots.Regs(tid)
+	reg := func(r ptx.Reg) int32 { return int32(slices.Index(regs, r)) }
 	opnd := func(o ptx.Operand) operand {
 		switch v := o.(type) {
 		case ptx.Imm:
@@ -210,21 +198,21 @@ func (c *Compiled) compileThread(tid int) error {
 		case ptx.Reg:
 			return operand{kind: regOperand, slot: reg(v)}
 		case ptx.Sym:
-			return operand{kind: locOperand, slot: c.locSlot[v]}
+			return operand{kind: locOperand, slot: int32(c.slots.Loc(v))}
 		}
 		return operand{}
 	}
 
+	tc.init = make([]regv, len(regs))
 	for _, d := range t.Decls {
 		if d.Thread != tid {
 			continue
 		}
 		base := int32(0)
 		if d.Loc != "" {
-			base = c.locSlot[d.Loc] + 1
+			base = int32(c.slots.Loc(d.Loc)) + 1
 		}
-		s := reg(d.Reg)
-		tc.init[s] = regv{base: base, set: true}
+		tc.init[reg(d.Reg)] = regv{base: base, set: true}
 	}
 
 	prog := t.Threads[tid].Prog

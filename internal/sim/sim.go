@@ -40,13 +40,12 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
-	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
 // Result is the outcome of one simulated iteration of a litmus test.
 type Result struct {
-	State *litmus.MapState // final registers and memory
-	Ticks int              // scheduler ticks consumed
+	State *litmus.Final // final registers and memory
+	Ticks int           // scheduler ticks consumed
 }
 
 // maxTicks bounds one iteration; litmus tests finish in tens of ticks, so
@@ -58,7 +57,7 @@ const maxTicks = 100000
 // independent interleavings. Loops over many seeds should Compile once and
 // reuse a Machine instead.
 func Run(t *litmus.Test, p *chip.Profile, inc chip.Incant, seed int64) (*Result, error) {
-	c, err := Compile(t, p, inc)
+	c, err := Compile(t, litmus.NewSlots(t), p, inc)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +66,7 @@ func Run(t *litmus.Test, p *chip.Profile, inc chip.Incant, seed int64) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return &Result{State: m.State(), Ticks: ticks}, nil
+	return &Result{State: m.Final(), Ticks: ticks}, nil
 }
 
 // effProbs are the chip probabilities scaled by the incantation response.
@@ -176,16 +175,18 @@ type Machine struct {
 	acts    []action
 	cands   []int
 	ticks   int
+	final   *litmus.Final // the last Run's final state
 }
 
 // NewMachine allocates a machine for the compiled test.
 func (c *Compiled) NewMachine() *Machine {
-	n := len(c.locs)
+	n := len(c.init)
 	m := &Machine{
 		c:       c,
 		l2:      make([]int64, n),
 		sms:     make([]smState, len(c.test.Scope.CTAs)),
 		threads: make([]tstate, len(c.threads)),
+		final:   c.slots.NewFinal(),
 	}
 	m.rng = rand.New(&m.src)
 	for i := range m.sms {
@@ -193,14 +194,14 @@ func (c *Compiled) NewMachine() *Machine {
 	}
 	for tid := range m.threads {
 		code := &c.threads[tid]
-		m.threads[tid] = tstate{id: tid, cta: code.cta, code: code, regs: make([]regv, len(code.regs)), mixedWindow: newLocSet(n)}
+		m.threads[tid] = tstate{id: tid, cta: code.cta, code: code, regs: make([]regv, len(code.init)), mixedWindow: newLocSet(n)}
 	}
 	return m
 }
 
 // Run simulates one iteration from the initial state under the given seed
 // and returns the scheduler ticks it took. The final state stays readable
-// through State, Reg and Mem until the next Run.
+// through Final until the next Run.
 func (m *Machine) Run(seed int64) (int, error) {
 	m.reset(seed)
 	for !m.allDone() {
@@ -225,6 +226,7 @@ func (m *Machine) Run(seed int64) (int, error) {
 		}
 	}
 	m.flush()
+	m.writeFinal()
 	return m.ticks, nil
 }
 
@@ -331,63 +333,32 @@ func (m *Machine) flush() {
 	}
 }
 
-// State materialises the final state of the last Run: every register
-// written or declared that does not hold an address, and every location.
-func (m *Machine) State() *litmus.MapState {
-	fs := litmus.NewMapState()
+// writeFinal writes the last Run's final state into m.final: every
+// register written or declared that does not hold an address, and every
+// location but the memNone ones, which stay absent.
+func (m *Machine) writeFinal() {
 	for i := range m.threads {
 		t := &m.threads[i]
+		regs := m.final.Regs(t.id)
 		for s, v := range t.regs {
+			regs[s] = litmus.SlotValue{}
 			if v.set && v.base == 0 {
-				fs.SetReg(t.id, t.code.regs[s], t.value(v))
+				regs[s] = litmus.SlotValue{Val: t.value(v), Present: true}
 			}
 		}
 	}
-	for s, loc := range m.c.locs {
-		if v, ok := m.mem(int32(s)); ok {
-			fs.SetMem(loc, v)
+	for s, from := range m.c.memFrom {
+		if from == memL2 {
+			m.final.Set(s, m.l2[s])
+		} else if from != memNone {
+			m.final.Set(s, m.sms[from].shared[s])
 		}
 	}
-	return fs
 }
 
-// Reg returns thread tid's final register r as State reports it, so a
-// Machine is itself a litmus.State.
-func (m *Machine) Reg(tid int, r ptx.Reg) (int64, bool) {
-	if tid < 0 || tid >= len(m.threads) {
-		return 0, false
-	}
-	t := &m.threads[tid]
-	s, ok := t.code.regSlot[r]
-	if !ok {
-		return 0, false
-	}
-	v := t.regs[s]
-	if !v.set || v.base != 0 {
-		return 0, false
-	}
-	return t.value(v), true
-}
-
-// Mem returns location loc's final value as State reports it.
-func (m *Machine) Mem(loc ptx.Sym) (int64, bool) {
-	s, ok := m.c.locSlot[loc]
-	if !ok {
-		return 0, false
-	}
-	return m.mem(s)
-}
-
-func (m *Machine) mem(s int32) (int64, bool) {
-	switch from := m.c.memFrom[s]; from {
-	case memL2:
-		return m.l2[s], true
-	case memNone:
-		return 0, false
-	default:
-		return m.sms[from].shared[s], true
-	}
-}
+// Final returns the final state of the last Run. It is the machine's own,
+// rewritten by the next Run.
+func (m *Machine) Final() *litmus.Final { return m.final }
 
 // value is a register's value once its pending load, if any, completed.
 func (t *tstate) value(v regv) int64 {
