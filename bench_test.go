@@ -120,7 +120,7 @@ func BenchmarkModelValidation(b *testing.B) {
 	var v *experiments.Validation
 	for i := 0; i < b.N; i++ {
 		var err error
-		v, err = experiments.ModelValidation(60, 300, 20150314)
+		v, err = experiments.ModelValidationMemo(campaign.NewMemo(), 60, 300, 20150314, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkModelValidation(b *testing.B) {
 	if !v.Sound() {
 		b.Errorf("model unsound: %v", v.Unsound)
 	}
-	sd, err := experiments.SorensenDivergence()
+	sd, err := experiments.SorensenDivergenceMemo(campaign.NewMemo())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func benchValidation(b *testing.B, parallelism int) {
 	var v *experiments.Validation
 	for i := 0; i < b.N; i++ {
 		var err error
-		v, err = experiments.ModelValidationP(60, 300, 20150314, parallelism)
+		v, err = experiments.ModelValidationMemo(campaign.NewMemo(), 60, 300, 20150314, parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}

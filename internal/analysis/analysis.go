@@ -159,17 +159,6 @@ func (g *graph) prefilter(p Policy) Result {
 	return Result{}
 }
 
-// Unsatisfiable reports whether the test's final condition is statically
-// false: the value analysis proves no assignment of reachable values can
-// witness it. Unlike Prefilter's policy-dependent claims this holds for
-// any execution semantics — model enumeration or a simulated chip — so
-// harness sweeps may skip such cells outright (their match count is
-// necessarily zero). A test with a branch, or one the enumerator cannot
-// prepare, never is.
-func Unsatisfiable(t *litmus.Test) bool {
-	return graphOf(t).evalCond(t.Exists) == no
-}
-
 // Diagnostic is one structured finding of the analyzer. Thread and Instr
 // locate the primary instruction (-1 when the finding is test-wide); Loc
 // names the memory location involved, when there is one.

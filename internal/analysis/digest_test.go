@@ -15,9 +15,10 @@ import (
 // paper corpus, the 776 diy cycles of up to four edges and the §6
 // application tests (whose spin loops branch): a sha256 over
 // each test's Analyze report as JSON, its Prefilter verdict and reason
-// under every policy, and Unsatisfiable. gpulint, /v1/analyze and the
-// prefilter's skips are all built from these answers, so the literal must
-// only change with a deliberate change of the analysis.
+// under every policy, and whether /v1/sweep skips it (a Forbidden
+// Prefilter under PolicyNone). gpulint, /v1/analyze and the prefilter's
+// skips are all built from these answers, so the literal must only change
+// with a deliberate change of the analysis.
 func TestAnalysisDigest(t *testing.T) {
 	const want = "9f10d1c6a228f374f1d3aad1ac657f924b68e26d6c78f68ded4416400c4efccb"
 	corpus := litmus.PaperTests()
@@ -42,7 +43,7 @@ func TestAnalysisDigest(t *testing.T) {
 			res := prefilterTest(c, p)
 			fmt.Fprintf(h, "%s %s %s\n", p, res.Verdict, res.Reason)
 		}
-		fmt.Fprintf(h, "unsat %v\n", Unsatisfiable(c))
+		fmt.Fprintf(h, "unsat %v\n", prefilterTest(c, PolicyNone).Verdict == Forbidden)
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
 		t.Errorf("analysis corpus digest = %s, want %s", got, want)

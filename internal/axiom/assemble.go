@@ -409,8 +409,8 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 		Test: en.test, Events: sk.ptrs,
 		PO: sk.po, Addr: sk.addr, Data: sk.data, Ctrl: sk.ctrl, RMW: sk.rmw,
 		Membar: sk.membar,
-		// One shared memo for the skeleton-derived relations (po-loc, dp,
-		// scope, fence, kind masks): every rf/co completion reuses it
+		// One shared memo for the skeleton-derived relations (po-loc,
+		// scope, kind masks): every rf/co completion reuses it
 		// instead of recomputing them per execution.
 		shared: &sk.memo,
 	}

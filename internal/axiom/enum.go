@@ -126,20 +126,18 @@ func Prepare(t *litmus.Test, opts Opts) (*Enumeration, error) {
 // PrepareCtx is Prepare under a context: cancellation is checked between
 // fixpoint iterations, so an abandoned caller stops paying for path
 // derivation promptly. When ctx carries an obs trace, the fixpoint's
-// time accrues to PhasePrepare (under a "prepare" span) and memoized
-// path reuses count into CtrMemoHits; the trace rides on the returned
-// Enumeration for the production phase until Bind rebinds it.
+// time accrues to PhasePrepare and memoized path reuses count into
+// CtrMemoHits; the trace rides on the returned Enumeration for the
+// production phase until Bind rebinds it.
 func PrepareCtx(ctx context.Context, t *litmus.Test, opts Opts) (*Enumeration, error) {
 	tr := obs.FromContext(ctx)
 	e := &enumerator{test: t, opts: opts.withDefaults(), ctx: ctx, tracer: tr}
 	if !tr.Enabled() {
 		return e.prepare()
 	}
-	sp, _ := tr.StartSpan(ctx, "prepare")
 	t0 := time.Now()
 	en, err := e.prepare()
 	tr.AddPhase(obs.PhasePrepare, time.Since(t0))
-	sp.Finish()
 	if en != nil {
 		en.tracer = tr
 	}

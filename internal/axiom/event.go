@@ -58,12 +58,6 @@ type Event struct {
 	Instr    int         // index of the originating instruction in the thread program
 }
 
-// IsInit reports whether the event is the conventional initial write
-// (Thread < 0); the enumerator models reads from the initial state as reads
-// with no rf source rather than materialising init events, so this is used
-// only by pretty-printers.
-func (e *Event) IsInit() bool { return e.Thread < 0 }
-
 // String renders the event in the style of the paper's execution graphs,
 // e.g. "a: W.cg x=1".
 func (e *Event) String() string {

@@ -15,10 +15,10 @@ import (
 )
 
 // Execution is a candidate execution of a litmus test (Sec. 5.1.1): events
-// plus the primitive relations over them. Derived relations (fr, rfe,
-// po-loc, com) are computed on demand and memoized, so checking the same
-// execution under several models (or cross-checking the .cat and native
-// implementations) never recomputes them.
+// plus the primitive relations over them. The derived relations the .cat
+// vocabulary reads without a scratch (rfe, po-loc, the scope relations and
+// the kind masks) are computed on demand and memoized, so checking the same
+// execution under several models never recomputes them.
 type Execution struct {
 	Test   *litmus.Test
 	Events []*Event
@@ -107,9 +107,7 @@ func (ro *relOnce) reset() { ro.once = sync.Once{} }
 // clone shares.
 type sharedRels struct {
 	poLoc relOnce
-	dp    relOnce
 	scope [ptx.ScopeSys + 1]relOnce // indexed by ptx.Scope
-	fence [ptx.ScopeSys + 1]relOnce
 
 	// Kind masks for the WW/WR/RW/RR filters: one column bitset per event
 	// kind, derived from the events alone, so every completion and every
@@ -132,10 +130,8 @@ var skeletonSeq atomic.Uint64
 // unpinned memo calls it, when it builds the next skeleton into it.
 func (sr *sharedRels) reset() {
 	sr.poLoc.reset()
-	sr.dp.reset()
 	for i := range sr.scope {
 		sr.scope[i].reset()
-		sr.fence[i].reset()
 	}
 	for i := range sr.kmaskOnce {
 		sr.kmaskOnce[i] = sync.Once{}
@@ -153,9 +149,7 @@ type rfRels struct {
 // depend on the rf/co choice).
 type execMemo struct {
 	co  relOnce
-	fr  relOnce
 	rfe relOnce
-	com relOnce
 	// Fallback skeleton memo for hand-built executions (Execution.shared
 	// nil), allocated on first use: enumerator-built executions — the hot
 	// path, thousands per judgement — never pay for its footprint.
@@ -177,7 +171,7 @@ func (x *Execution) sharedRels() *sharedRels {
 // SkeletonKey returns the identity of the execution's skeleton: a number
 // the producer assigns each time it builds one. Two executions share a key
 // exactly when they are rf/co completions of the same build, so their
-// events and skeleton-derived relations (po, deps, membar, scope, fence)
+// events and skeleton-derived relations (po, deps, membar, po-loc, scope)
 // are identical. The Assembler rebuilds skeletons into the same storage,
 // so a key, not an address, is what tells one build from the next; keys
 // are never reused. Hand-built executions have no skeleton and return 0;
@@ -251,12 +245,6 @@ func (x *Execution) Weight() int {
 // Ev returns the event with the given ID.
 func (x *Execution) Ev(id EventID) *Event { return x.Events[id] }
 
-// IsRead reports whether id is a read event.
-func (x *Execution) IsRead(id EventID) bool { return x.Ev(id).Kind == KRead }
-
-// IsWrite reports whether id is a write event.
-func (x *Execution) IsWrite(id EventID) bool { return x.Ev(id).Kind == KWrite }
-
 // CoRel returns coherence as a relation (w1 before w2 per location).
 func (x *Execution) CoRel() Rel {
 	return x.memo.co.get(x.SetCoRel)
@@ -288,15 +276,10 @@ func (x *Execution) SetCoRel(dst *Rel) {
 	}
 }
 
-// FR returns the from-read relation: a read r relates to every write
-// overwriting the value r read (Sec. 5.1.1). Reads from the initial state
-// relate to every write to their location.
-func (x *Execution) FR() Rel {
-	return x.memo.fr.get(x.SetFR)
-}
-
 // SetFR builds the from-read relation into dst, reusing dst's storage when
-// possible — the allocation-free twin of FR for the verdict hot path.
+// possible: a read r relates to every write overwriting the value r read
+// (Sec. 5.1.1), and reads from the initial state relate to every write to
+// their location.
 func (x *Execution) SetFR(dst *Rel) {
 	n := len(x.Events)
 	if n == 0 {
@@ -395,23 +378,6 @@ func (x *Execution) PoLoc() Rel {
 	})
 }
 
-// Com returns the union of the communication relations rf, co and fr
-// (Fig. 15 line 1).
-func (x *Execution) Com() Rel {
-	return x.memo.com.get(func(dst *Rel) {
-		dst.SetUnion(x.RF, x.CoRel())
-		dst.SetUnion(*dst, x.FR())
-	})
-}
-
-// Dp returns the union of the dependency relations (Fig. 15 line 5).
-func (x *Execution) Dp() Rel {
-	return x.sharedRels().dp.get(func(dst *Rel) {
-		dst.SetUnion(x.Addr, x.Data)
-		dst.SetUnion(*dst, x.Ctrl)
-	})
-}
-
 // ScopeRel returns the relation linking events of threads within the same
 // instance of the given scope (Sec. 5.1.1): cta relates events of same-CTA
 // threads, gl and sys relate all events (single GPU, single system).
@@ -499,33 +465,6 @@ func (x *Execution) scopeRelSlow(s ptx.Scope) Rel {
 	return r
 }
 
-// FenceRel returns the relation of memory-event pairs separated by a fence
-// of at least the given scope: membar.cta unions membar.gl and membar.sys
-// per Fig. 16 lines 8-10.
-func (x *Execution) FenceRel(s ptx.Scope) Rel {
-	if s < 0 || int(s) >= len(x.sharedRels().fence) {
-		return NewRel()
-	}
-	return x.sharedRels().fence[s].get(func(dst *Rel) {
-		// A fence of scope s' orders at scope s when s' includes s, that
-		// is for every s' from s up.
-		dst.setCopy(x.Membar[s])
-		for _, rel := range x.Membar[s+1:] {
-			dst.SetUnion(*dst, rel)
-		}
-	})
-}
-
-// KindFilter builds the WW/WR/RW/RR filters of the .cat language: first and
-// second report the kind required of each endpoint. It works a bitset row
-// at a time: rows of first-kind events are ANDed against the column mask of
-// second-kind events.
-func (x *Execution) KindFilter(r Rel, first, second Kind) Rel {
-	var out Rel
-	x.SetKindFilter(&out, r, first, second)
-	return out
-}
-
 // kindMask returns the memoized column bitset of events of kind k, sized
 // to the event universe. It lives in the skeleton's shared memo, so every
 // completion of one path assembly (and every filter application within one
@@ -546,8 +485,11 @@ func (x *Execution) kindMask(k Kind) []uint64 {
 	return sr.kmask[k]
 }
 
-// SetKindFilter is KindFilter writing into dst, reusing dst's storage when
-// possible (dst must not alias r).
+// SetKindFilter builds the WW/WR/RW/RR filters of the .cat language into
+// dst, reusing dst's storage when possible (dst must not alias r): first
+// and second report the kind required of each endpoint. It works a bitset
+// row at a time: rows of first-kind events are ANDed against the column
+// mask of second-kind events.
 func (x *Execution) SetKindFilter(dst *Rel, r Rel, first, second Kind) {
 	if r.words == 0 {
 		dst.setEmpty()

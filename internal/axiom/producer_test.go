@@ -253,9 +253,9 @@ func TestWideSetFRNoAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { x.SetFR(&dst) }); allocs != 0 {
 		t.Errorf("wide SetFR allocates %.1f objects per call, want 0", allocs)
 	}
-	// And it must agree with the memoized FR.
-	if !dst.Equal(x.FR()) {
-		t.Error("SetFR disagrees with FR")
+	// Each writer's read is fr-before every later writer: 70·69/2 pairs.
+	if got := dst.Size(); got != 70*69/2 {
+		t.Errorf("wide SetFR has %d pairs, want %d", got, 70*69/2)
 	}
 }
 

@@ -48,14 +48,12 @@ func putu64(p *[]uint64) { u64Pool.Put(p) }
 // (Sec. 5.1.1). It is represented densely: one bitset row of successors per
 // event, packed into []uint64 words, so the set algebra the .cat evaluator
 // is built on (union, intersection, difference) runs word-parallel and the
-// graph algorithms (transitive closure, acyclicity) touch whole rows at a
-// time. Litmus executions have well under 64 events, so a row is almost
-// always a single word; larger universes grow to multi-word rows
-// transparently.
+// acyclicity check touches whole rows at a time. Litmus executions have
+// well under 64 events, so a row is almost always a single word; larger
+// universes grow to multi-word rows transparently.
 //
-// The zero value is the empty relation; operations return new relations and
-// never mutate their operands (except Add and the Set* forms, which write
-// their receiver).
+// The zero value is the empty relation. Add and the Set* forms write their
+// receiver and never mutate their operands.
 type Rel struct {
 	words int      // words per row; 0 for the empty relation
 	n     int      // effective universe: 1 + the largest id that may carry a bit
@@ -105,14 +103,6 @@ func (r *Rel) Add(a, b EventID) {
 		r.n = int(hi) + 1
 	}
 	r.rows[int(a)*r.words+int(b)/wordBits] |= 1 << (uint(b) % wordBits)
-}
-
-// Has reports whether (a, b) is in the relation.
-func (r Rel) Has(a, b EventID) bool {
-	if a < 0 || b < 0 || int(a) >= r.univ() || int(b) >= r.univ() {
-		return false
-	}
-	return r.rows[int(a)*r.words+int(b)/wordBits]&(1<<(uint(b)%wordBits)) != 0
 }
 
 // Size returns the number of pairs.
@@ -330,126 +320,10 @@ func (dst *Rel) SetMinus(a, b Rel) {
 	}
 }
 
-// Union returns r ∪ o ("|" in .cat).
-func (r Rel) Union(o Rel) Rel {
-	var out Rel
-	out.SetUnion(r, o)
-	return out
-}
-
-// Inter returns r ∩ o ("&" in .cat).
-func (r Rel) Inter(o Rel) Rel {
-	var out Rel
-	out.SetInter(r, o)
-	return out
-}
-
-// Minus returns r \ o ("\" in .cat).
-func (r Rel) Minus(o Rel) Rel {
-	var out Rel
-	out.SetMinus(r, o)
-	return out
-}
-
-// Compose returns the sequential composition r ; o: row a of the result is
-// the union of o's rows over a's successors.
-func (r Rel) Compose(o Rel) Rel {
-	var out Rel
-	out.SetCompose(r, o)
-	return out
-}
-
-// SetCompose sets dst to r ; o, reusing dst's storage when already the
-// right size — the multi-word path that made Compose allocate a full
-// square matrix per call runs allocation-free on a warm destination
-// (pinned by TestWideSetComposeNoAlloc). dst must not alias r or o: rows
-// are built up while operand rows are still being read.
-func (dst *Rel) SetCompose(r, o Rel) {
-	w := r.words
-	if o.words > w {
-		w = o.words
-	}
-	if w == 0 {
-		dst.setEmpty()
-		return
-	}
-	old := 0
-	if dst.words == w {
-		old = dst.used()
-	}
-	dst.reuse(w)
-	dst.n = r.n
-	if o.n > dst.n {
-		dst.n = o.n
-	}
-	m := dst.used()
-	for i := 0; i < m; i++ {
-		dst.rows[i] = 0
-	}
-	for i := m; i < old; i++ {
-		dst.rows[i] = 0
-	}
-	ou := o.univ()
-	for a := 0; a < r.n; a++ {
-		out := dst.rows[a*w : a*w+w]
-		row := r.row(a)
-		for wi, word := range row {
-			for word != 0 {
-				b := wi*wordBits + bits.TrailingZeros64(word)
-				word &= word - 1
-				if b < ou {
-					orInto(out, o.row(b))
-				}
-			}
-		}
-	}
-}
-
+// orInto ors src into dst word by word.
 func orInto(dst, src []uint64) {
 	for i, w := range src {
 		dst[i] |= w
-	}
-}
-
-// Inverse returns the converse relation ("^-1" in .cat).
-func (r Rel) Inverse() Rel {
-	var out Rel
-	out.SetInverse(r)
-	return out
-}
-
-// SetInverse sets dst to the converse of src, reusing dst's storage when
-// already the right size (allocation-free on a warm destination, pinned by
-// TestWideSetInverseNoAlloc). dst must not alias src.
-func (dst *Rel) SetInverse(src Rel) {
-	if src.words == 0 {
-		dst.setEmpty()
-		return
-	}
-	w := src.words
-	old := 0
-	if dst.words == w {
-		old = dst.used()
-	}
-	dst.reuse(w)
-	dst.n = src.n
-	m := dst.used()
-	for i := 0; i < m; i++ {
-		dst.rows[i] = 0
-	}
-	for i := m; i < old; i++ {
-		dst.rows[i] = 0
-	}
-	for a := 0; a < src.n; a++ {
-		aw, abit := a/wordBits, uint64(1)<<(uint(a)%wordBits)
-		row := src.rows[a*w : a*w+w]
-		for wi, word := range row {
-			for word != 0 {
-				b := wi*wordBits + bits.TrailingZeros64(word)
-				word &= word - 1
-				dst.rows[b*w+aw] |= abit
-			}
-		}
 	}
 }
 
@@ -468,37 +342,6 @@ func (dst *Rel) setFilter(r Rel, pred func(a, b EventID) bool) {
 			dst.rows[int(a)*dst.words+int(b)/wordBits] |= 1 << (uint(b) % wordBits)
 		}
 	})
-}
-
-// TransClosure returns the transitive closure r+ (bit-parallel
-// Floyd–Warshall: when i reaches k, i inherits k's whole successor row in
-// one word-wise OR).
-func (r Rel) TransClosure() Rel {
-	c := r.Clone()
-	n := c.n
-	for k := 0; k < n; k++ {
-		krow := c.row(k)
-		if allZero(krow) {
-			continue
-		}
-		kw, kb := k/wordBits, uint64(1)<<(uint(k)%wordBits)
-		for i := 0; i < n; i++ {
-			irow := c.row(i)
-			if irow[kw]&kb != 0 {
-				orInto(irow, krow)
-			}
-		}
-	}
-	return c
-}
-
-func allZero(ws []uint64) bool {
-	for _, w := range ws {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Acyclic reports whether the relation has no cycle ("acyclic" checks in
@@ -571,21 +414,6 @@ func (r Rel) Irreflexive() bool {
 	return true
 }
 
-// Equal reports whether the two relations contain the same pairs.
-func (r Rel) Equal(o Rel) bool {
-	a, b, _ := align(r, o)
-	m := a.used()
-	if bu := b.used(); bu > m {
-		m = bu
-	}
-	for i := 0; i < m; i++ {
-		if a.rows[i] != b.rows[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the pairs as "{(0,1) (2,3)}" in sorted order.
 func (r Rel) String() string {
 	var sb strings.Builder
@@ -625,13 +453,4 @@ func CloneBatch(rs []Rel) []Rel {
 		off += len(r.rows)
 	}
 	return out
-}
-
-// FromPairs builds a relation from explicit pairs; convenient in tests.
-func FromPairs(pairs ...[2]EventID) Rel {
-	r := NewRel()
-	for _, p := range pairs {
-		r.Add(p[0], p[1])
-	}
-	return r
 }

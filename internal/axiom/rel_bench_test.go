@@ -18,145 +18,49 @@ func benchRels(n, pairs int, seed int64) (Rel, Rel) {
 	return a, b
 }
 
+// benchRelOps measures the operations a compiled .cat program runs on
+// relations over n events: the Set* forms into a warm destination, as the
+// evaluator's scratch slots hold them, the acyclicity check and Pairs.
+func benchRelOps(b *testing.B, n, pairs int) {
+	x, y := benchRels(n, pairs, 1)
+	for _, op := range []struct {
+		name string
+		set  func(dst *Rel, a, b Rel)
+	}{
+		{"SetUnion", (*Rel).SetUnion},
+		{"SetInter", (*Rel).SetInter},
+		{"SetMinus", (*Rel).SetMinus},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			var dst Rel
+			op.set(&dst, x, y) // warm destination
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op.set(&dst, x, y)
+			}
+		})
+	}
+	b.Run("Acyclic", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = x.Acyclic()
+		}
+	})
+	b.Run("Pairs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = x.Pairs()
+		}
+	})
+}
+
 // BenchmarkRelOps measures the relation-algebra kernel the model evaluator
 // is built on: the before/after numbers for the bitset refactor are recorded
 // in BENCH_relengine.json.
-func BenchmarkRelOps(b *testing.B) {
-	const n, pairs = 24, 96
-	x, y := benchRels(n, pairs, 1)
-
-	b.Run("Union", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Union(y)
-		}
-	})
-	b.Run("Inter", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Inter(y)
-		}
-	})
-	b.Run("Minus", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Minus(y)
-		}
-	})
-	b.Run("Compose", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Compose(y)
-		}
-	})
-	b.Run("SetCompose", func(b *testing.B) {
-		var dst Rel
-		dst.SetCompose(x, y) // warm destination
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst.SetCompose(x, y)
-		}
-	})
-	b.Run("SetInverse", func(b *testing.B) {
-		var dst Rel
-		dst.SetInverse(x) // warm destination
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst.SetInverse(x)
-		}
-	})
-	b.Run("TransClosure", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.TransClosure()
-		}
-	})
-	b.Run("Acyclic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Acyclic()
-		}
-	})
-	b.Run("Pairs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Pairs()
-		}
-	})
-}
+func BenchmarkRelOps(b *testing.B) { benchRelOps(b, 24, 96) }
 
 // BenchmarkRelOpsWide pins the multi-word slow path at ~100 events — past
 // the 64-event single-word line, where the kind-filter masks, fr index
-// buffers and Acyclic queues fall back to heap allocation (ROADMAP's
-// >64-event item). Deeper loop unrollings and longer generated tests will
-// live here; the numbers below are the baseline any wide-universe fast
-// path must beat.
-func BenchmarkRelOpsWide(b *testing.B) {
-	const n, pairs = 100, 400 // same density as BenchmarkRelOps, 2 words/row
-	x, y := benchRels(n, pairs, 1)
-
-	b.Run("Union", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Union(y)
-		}
-	})
-	b.Run("Inter", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Inter(y)
-		}
-	})
-	b.Run("Minus", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Minus(y)
-		}
-	})
-	b.Run("Compose", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Compose(y)
-		}
-	})
-	b.Run("Inverse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Inverse()
-		}
-	})
-	b.Run("SetCompose", func(b *testing.B) {
-		var dst Rel
-		dst.SetCompose(x, y) // warm destination: the zero-alloc steady state
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst.SetCompose(x, y)
-		}
-	})
-	b.Run("SetInverse", func(b *testing.B) {
-		var dst Rel
-		dst.SetInverse(x) // warm destination: the zero-alloc steady state
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst.SetInverse(x)
-		}
-	})
-	b.Run("TransClosure", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.TransClosure()
-		}
-	})
-	b.Run("Acyclic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Acyclic()
-		}
-	})
-	b.Run("Pairs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = x.Pairs()
-		}
-	})
-}
+// buffers and Acyclic queues fall back to pooled scratch — at the same
+// density as BenchmarkRelOps, 2 words a row.
+func BenchmarkRelOpsWide(b *testing.B) { benchRelOps(b, 100, 400) }

@@ -91,7 +91,7 @@ func sourceDiff(x *Execution) string {
 			srcs++
 		}
 		for _, w := range x.Events {
-			if x.RF.Has(w.ID, e.ID) {
+			if has(x.RF, w.ID, e.ID) {
 				srcs++
 			}
 		}
@@ -110,11 +110,10 @@ func execDiff(got, want *Execution) string {
 		got, want Rel
 	}{
 		{"rfe", got.RFE(), want.RFE()},
-		{"fr", got.FR(), want.FR()},
+		{"fr", frOf(got), frOf(want)},
 		{"co", got.CoRel(), want.CoRel()},
-		{"com", got.Com(), want.Com()},
 	} {
-		if !r.got.Equal(r.want) {
+		if !sameRel(r.got, r.want) {
 			return fmt.Sprintf("%s %v, want %v", r.name, r.got, r.want)
 		}
 	}
@@ -136,9 +135,8 @@ func execDiff(got, want *Execution) string {
 var snapshotRels = []string{
 	"po", "addr", "data", "ctrl", "rmw",
 	"membar[none]", "membar.cta", "membar.gl", "membar.sys",
-	"rf", "po-loc", "dp", "cta", "gl", "sys",
-	"fence[none]", "fence.cta", "fence.gl", "fence.sys",
-	"rfe", "fr", "co", "com",
+	"rf", "po-loc", "cta", "gl", "sys",
+	"rfe", "fr", "co",
 }
 
 // snapshot is a deep copy of what an execution exposes — its events, every
@@ -163,9 +161,8 @@ func takeSnapshot(x *Execution) snapshot {
 	for _, r := range []Rel{
 		x.PO, x.Addr, x.Data, x.Ctrl, x.RMW,
 		x.Membar[ptx.ScopeNone], x.Membar[ptx.ScopeCTA], x.Membar[ptx.ScopeGL], x.Membar[ptx.ScopeSys],
-		x.RF, x.PoLoc(), x.Dp(), x.ScopeRel(ptx.ScopeCTA), x.ScopeRel(ptx.ScopeGL), x.ScopeRel(ptx.ScopeSys),
-		x.FenceRel(ptx.ScopeNone), x.FenceRel(ptx.ScopeCTA), x.FenceRel(ptx.ScopeGL), x.FenceRel(ptx.ScopeSys),
-		x.RFE(), x.FR(), x.CoRel(), x.Com(),
+		x.RF, x.PoLoc(), x.ScopeRel(ptx.ScopeCTA), x.ScopeRel(ptx.ScopeGL), x.ScopeRel(ptx.ScopeSys),
+		x.RFE(), frOf(x), x.CoRel(),
 	} {
 		s.rels = append(s.rels, r.Pairs())
 	}
@@ -547,4 +544,11 @@ func TestReturnAssemblerDropsRequestData(t *testing.T) {
 			t.Errorf("the returned Assembler keeps path events in its skeleton storage")
 		}
 	}
+}
+
+// frOf returns x's from-read relation.
+func frOf(x *Execution) Rel {
+	var fr Rel
+	x.SetFR(&fr)
+	return fr
 }

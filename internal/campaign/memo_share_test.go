@@ -16,24 +16,14 @@ func fourModels() []*core.Model {
 	return []*core.Model{core.PTX(), core.SC(), core.RMO(), core.SorensenOp()}
 }
 
-// countSpans counts the spans named name in tr's span trees.
-func countSpans(tr *obs.Trace, name string) int {
-	var walk func(sp *obs.Span) int
-	walk = func(sp *obs.Span) int {
-		n := 0
-		if sp.Name() == name {
-			n++
-		}
-		for _, c := range sp.Children() {
-			n += walk(c)
-		}
-		return n
+// tracedWork fails unless tr recorded a preparation and streamed path
+// combinations exactly when worked is set.
+func tracedWork(t *testing.T, what string, tr *obs.Trace, worked bool) {
+	t.Helper()
+	prepared, combos := tr.PhaseTime(obs.PhasePrepare) > 0, tr.Count(obs.CtrCombos)
+	if prepared != worked || (combos > 0) != worked {
+		t.Errorf("%s: trace prepare %v, %d combos; want work %v", what, tr.PhaseTime(obs.PhasePrepare), combos, worked)
 	}
-	n := 0
-	for _, r := range tr.Roots() {
-		n += walk(r)
-	}
-	return n
 }
 
 // sameCounts fails unless got has want's counts and observability.
@@ -70,11 +60,11 @@ func sameVerdict(t *testing.T, what string, got, want *core.Verdict) {
 
 // TestMemoSharesPreparation: once the memo knows the four models, a cold
 // request for mp under PTX prepares mp once and produces its candidates
-// once — its trace records one "prepare" span, one "verdict" span and
-// each execution visited once — judging all four models in that pass, and
+// once — its trace records a preparation, streamed combinations and each
+// execution visited once — judging all four models in that pass, and
 // releases the enumeration straight after. The other three requests then
-// return without a span or a visit, repeats return the same verdict
-// objects, and every verdict equals core.JudgeWith's.
+// return without preparing, streaming or visiting, repeats return the same
+// verdict objects, and every verdict equals core.JudgeWith's.
 func TestMemoSharesPreparation(t *testing.T) {
 	mm := NewMemo()
 	models := fourModels()
@@ -97,16 +87,11 @@ func TestMemoSharesPreparation(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameVerdict(t, m.Name, v, want)
-		spans, visited := 0, int64(0)
+		visited := int64(0)
 		if i == 0 {
-			spans, visited = 1, int64(v.Visited)
+			visited = int64(v.Visited)
 		}
-		if n := countSpans(tr, "prepare"); n != spans {
-			t.Errorf("%s: %d prepare spans, want %d", m.Name, n, spans)
-		}
-		if n := countSpans(tr, "verdict"); n != spans {
-			t.Errorf("%s: %d verdict spans, want %d", m.Name, n, spans)
-		}
+		tracedWork(t, m.Name, tr, i == 0)
 		if n := tr.Count(obs.CtrVisited); n != visited {
 			t.Errorf("%s: trace visited %d executions, want %d", m.Name, n, visited)
 		}
@@ -228,13 +213,13 @@ func TestMemoReleaseAndReprepare(t *testing.T) {
 	mm := NewMemo()
 	ptx, sc, rmo := core.PTX(), core.SC(), core.RMO()
 	test := litmus.CoRR()
-	tr := obs.New("release")
-	ctx := obs.NewContext(context.Background(), tr)
 
 	// One known model: the first judgement settles every known model.
-	if _, err := mm.VerdictCtx(ctx, sc, test, 1, false); err != nil {
+	tr := obs.New("first")
+	if _, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), sc, test, 1, false); err != nil {
 		t.Fatal(err)
 	}
+	tracedWork(t, "sc", tr, true)
 	if heldEnumeration(mm, test) {
 		t.Fatal("enumeration held after the only known model judged the test")
 	}
@@ -243,7 +228,8 @@ func TestMemoReleaseAndReprepare(t *testing.T) {
 	if _, err := mm.Verdict(ptx, litmus.SB()); err != nil {
 		t.Fatal(err)
 	}
-	v, err := mm.VerdictCtx(ctx, ptx, test, 1, true)
+	tr = obs.New("after release")
+	v, err := mm.VerdictCtx(obs.NewContext(context.Background(), tr), ptx, test, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +244,7 @@ func TestMemoReleaseAndReprepare(t *testing.T) {
 	if heldEnumeration(mm, test) {
 		t.Fatal("enumeration held after both known models judged the test")
 	}
-	if n := countSpans(tr, "prepare"); n != 2 {
-		t.Errorf("%d prepare spans, want 2 (one per release)", n)
-	}
+	tracedWork(t, "ptx after release", tr, true)
 	// A later model re-prepares with identical results.
 	info, err := mm.Analyse(rmo, test)
 	if err != nil {

@@ -172,10 +172,5 @@ func TestMemoStaticRepeatSkipsPrepare(t *testing.T) {
 	if again != first {
 		t.Errorf("repeat got %+v, want the stored %+v", again, first)
 	}
-	if n := countSpans(tr, "prepare"); n != 0 {
-		t.Errorf("repeat of a decided pair recorded %d prepare spans, want 0", n)
-	}
-	if d := tr.Snapshot().Phases[obs.PhasePrepare]; d != 0 {
-		t.Errorf("repeat of a decided pair spent %v in the prepare phase, want none", d)
-	}
+	tracedWork(t, "repeat of a decided pair", tr, false)
 }

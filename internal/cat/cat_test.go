@@ -95,10 +95,19 @@ func evalModel(t *testing.T, src string, env *Env) Results {
 	return res
 }
 
+// relOf builds a relation from explicit pairs.
+func relOf(pairs ...[2]axiom.EventID) axiom.Rel {
+	var r axiom.Rel
+	for _, p := range pairs {
+		r.Add(p[0], p[1])
+	}
+	return r
+}
+
 func TestEvalBasics(t *testing.T) {
 	env := NewEnv()
-	env.BindRel("a", axiom.FromPairs([2]axiom.EventID{0, 1}))
-	env.BindRel("b", axiom.FromPairs([2]axiom.EventID{1, 0}))
+	env.BindRel("a", relOf([2]axiom.EventID{0, 1}))
+	env.BindRel("b", relOf([2]axiom.EventID{1, 0}))
 
 	// a | b has a cycle; a alone does not.
 	res := evalModel(t, "acyclic a as only-a\nacyclic a | b as both\n", env)
@@ -118,8 +127,8 @@ func TestEvalBasics(t *testing.T) {
 
 func TestEvalIntersectionAndDiff(t *testing.T) {
 	env := NewEnv()
-	env.BindRel("a", axiom.FromPairs([2]axiom.EventID{0, 1}, [2]axiom.EventID{1, 0}))
-	env.BindRel("b", axiom.FromPairs([2]axiom.EventID{0, 1}))
+	env.BindRel("a", relOf([2]axiom.EventID{0, 1}, [2]axiom.EventID{1, 0}))
+	env.BindRel("b", relOf([2]axiom.EventID{0, 1}))
 	res := evalModel(t, `
 let c = a & b
 acyclic c as inter-check
@@ -136,8 +145,8 @@ empty a \ a as empty-check
 
 func TestEvalParameterisedLet(t *testing.T) {
 	env := NewEnv()
-	env.BindRel("x", axiom.FromPairs([2]axiom.EventID{0, 1}))
-	env.BindRel("y", axiom.FromPairs([2]axiom.EventID{1, 2}))
+	env.BindRel("x", relOf([2]axiom.EventID{0, 1}))
+	env.BindRel("y", relOf([2]axiom.EventID{1, 2}))
 	res := evalModel(t, `
 let join(p, q) = p | q
 acyclic join(x, y) as j
@@ -175,7 +184,7 @@ func TestEvalArityMismatch(t *testing.T) {
 func TestEvalShadowing(t *testing.T) {
 	// A let can rebind a name; later statements see the newer binding.
 	env := NewEnv()
-	env.BindRel("a", axiom.FromPairs([2]axiom.EventID{0, 1}, [2]axiom.EventID{1, 0}))
+	env.BindRel("a", relOf([2]axiom.EventID{0, 1}, [2]axiom.EventID{1, 0}))
 	res := evalModel(t, `
 let a = a & a
 let a = a \ a
@@ -188,7 +197,7 @@ empty a as rebound
 
 func TestIrreflexiveCheck(t *testing.T) {
 	env := NewEnv()
-	env.BindRel("r", axiom.FromPairs([2]axiom.EventID{2, 2}))
+	env.BindRel("r", relOf([2]axiom.EventID{2, 2}))
 	res := evalModel(t, "irreflexive r as irr", env)
 	if res[0].OK {
 		t.Error("self-pair must fail irreflexive")
@@ -216,9 +225,9 @@ acyclic a as c
 func TestPrecedence(t *testing.T) {
 	// "a | b & c" must parse as "a | (b & c)".
 	env := NewEnv()
-	env.BindRel("a", axiom.FromPairs([2]axiom.EventID{0, 1}))
-	env.BindRel("b", axiom.FromPairs([2]axiom.EventID{1, 2}))
-	env.BindRel("c", axiom.FromPairs([2]axiom.EventID{5, 6}))
+	env.BindRel("a", relOf([2]axiom.EventID{0, 1}))
+	env.BindRel("b", relOf([2]axiom.EventID{1, 2}))
+	env.BindRel("c", relOf([2]axiom.EventID{5, 6}))
 	res := evalModel(t, "let u = a | b & c\nacyclic u as chk", env)
 	// b & c is empty, so u == a with 1 pair.
 	if res[0].Rel.Size() != 1 {

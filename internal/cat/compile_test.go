@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,7 +94,7 @@ func sameResults(got, want Results) error {
 		if g.Name != w.Name || g.Kind != w.Kind || g.OK != w.OK {
 			return fmt.Errorf("check %d: compiled %+v vs oracle %+v", i, g, w)
 		}
-		if !g.Rel.Equal(w.Rel) {
+		if !slices.Equal(g.Rel.Pairs(), w.Rel.Pairs()) {
 			return fmt.Errorf("check %s: relation %v vs %v", g.Name, g.Rel, w.Rel)
 		}
 	}

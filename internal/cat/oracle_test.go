@@ -112,35 +112,11 @@ func evalExpr(e Expr, env *Env) (axiom.Rel, error) {
 		}
 		return r.Rel, nil
 	case Union:
-		l, err := evalExpr(v.L, env)
-		if err != nil {
-			return axiom.Rel{}, err
-		}
-		r, err := evalExpr(v.R, env)
-		if err != nil {
-			return axiom.Rel{}, err
-		}
-		return l.Union(r), nil
+		return evalSet(v.L, v.R, env, (*axiom.Rel).SetUnion)
 	case Inter:
-		l, err := evalExpr(v.L, env)
-		if err != nil {
-			return axiom.Rel{}, err
-		}
-		r, err := evalExpr(v.R, env)
-		if err != nil {
-			return axiom.Rel{}, err
-		}
-		return l.Inter(r), nil
+		return evalSet(v.L, v.R, env, (*axiom.Rel).SetInter)
 	case Diff:
-		l, err := evalExpr(v.L, env)
-		if err != nil {
-			return axiom.Rel{}, err
-		}
-		r, err := evalExpr(v.R, env)
-		if err != nil {
-			return axiom.Rel{}, err
-		}
-		return l.Minus(r), nil
+		return evalSet(v.L, v.R, env, (*axiom.Rel).SetMinus)
 	case App:
 		val, ok := env.Lookup(v.Fn)
 		if !ok {
@@ -177,6 +153,22 @@ func evalExpr(e Expr, env *Env) (axiom.Rel, error) {
 	}
 }
 
+// evalSet evaluates l and then r and combines them into a fresh relation
+// with set.
+func evalSet(l, r Expr, env *Env, set func(dst *axiom.Rel, a, b axiom.Rel)) (axiom.Rel, error) {
+	a, err := evalExpr(l, env)
+	if err != nil {
+		return axiom.Rel{}, err
+	}
+	b, err := evalExpr(r, env)
+	if err != nil {
+		return axiom.Rel{}, err
+	}
+	var out axiom.Rel
+	set(&out, a, b)
+	return out, nil
+}
+
 // ExecEnv builds the base environment for evaluating a model against a
 // candidate execution: the primitive relations of Sec. 5.1.1 plus the
 // WW/WR/RW/RR filters.
@@ -187,7 +179,9 @@ func ExecEnv(x *axiom.Execution) *Env {
 	env.BindRel("rf", x.RF)
 	env.BindRel("rfe", x.RFE())
 	env.BindRel("co", x.CoRel())
-	env.BindRel("fr", x.FR())
+	var fr axiom.Rel
+	x.SetFR(&fr)
+	env.BindRel("fr", fr)
 	env.BindRel("addr", x.Addr)
 	env.BindRel("data", x.Data)
 	env.BindRel("ctrl", x.Ctrl)
@@ -204,7 +198,9 @@ func ExecEnv(x *axiom.Execution) *Env {
 	// relation.
 	filter := func(first, second axiom.Kind) func([]axiom.Rel) axiom.Rel {
 		return func(args []axiom.Rel) axiom.Rel {
-			return x.KindFilter(args[0], first, second)
+			var out axiom.Rel
+			x.SetKindFilter(&out, args[0], first, second)
+			return out
 		}
 	}
 	env.BindFunc("WW", 1, filter(axiom.KWrite, axiom.KWrite))

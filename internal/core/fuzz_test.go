@@ -77,8 +77,8 @@ func FuzzRepair(f *testing.F) {
 // sources, seeded from every paper test. For each source the parser
 // accepts and the judge can judge within 4096 candidates, a decided
 // Prefilter under each builtin model agrees with JudgeWith, and a test
-// Unsatisfiable flags has no witness under any of them. CI runs a 15s
-// burst next to FuzzRepair.
+// that Prefilter under PolicyNone forbids (the test /v1/sweep skips) has
+// no witness under any of them. CI runs a 15s burst next to FuzzRepair.
 func FuzzPrefilter(f *testing.F) {
 	for _, t := range litmus.PaperTests() {
 		f.Add(t.String())
@@ -93,7 +93,7 @@ func FuzzPrefilter(f *testing.F) {
 		if err != nil {
 			return
 		}
-		unsat := analysis.Unsatisfiable(test)
+		unsat := analysis.Prefilter(en, analysis.PolicyNone).Verdict == analysis.Forbidden
 		for _, m := range ms {
 			v, err := JudgeWith(context.Background(), m, test, Opts{Enum: en})
 			if err != nil {
@@ -103,7 +103,7 @@ func FuzzPrefilter(f *testing.F) {
 				t.Fatalf("Prefilter under %s says %s (%s), JudgeWith finds %d witnesses\n%s", m.Name, res.Verdict, res.Reason, v.Witnesses, src)
 			}
 			if unsat && v.Witnesses != 0 {
-				t.Fatalf("Unsatisfiable, but JudgeWith under %s finds %d witnesses\n%s", m.Name, v.Witnesses, src)
+				t.Fatalf("Prefilter(none) forbids, but JudgeWith under %s finds %d witnesses\n%s", m.Name, v.Witnesses, src)
 			}
 		}
 	})

@@ -13,34 +13,50 @@ import (
 // so that a transcription mistake in either implementation is caught by
 // their disagreement (see crossCheckPTX).
 func nativePTX(x *axiom.Execution) cat.Results {
-	com := x.Com()
+	union := func(rs ...axiom.Rel) axiom.Rel {
+		var out axiom.Rel
+		for _, r := range rs {
+			out.SetUnion(out, r)
+		}
+		return out
+	}
+	filter := func(r axiom.Rel, first, second axiom.Kind) axiom.Rel {
+		var out axiom.Rel
+		x.SetKindFilter(&out, r, first, second)
+		return out
+	}
+	var co, fr axiom.Rel
+	x.SetCoRel(&co)
+	x.SetFR(&fr)
+	com := union(x.RF, co, fr) // Fig. 15 line 1
 
 	// Fig. 15 line 2-4: SC per location with load-load hazard.
 	poLoc := x.PoLoc()
-	poLocLLH := x.KindFilter(poLoc, axiom.KWrite, axiom.KWrite).
-		Union(x.KindFilter(poLoc, axiom.KWrite, axiom.KRead)).
-		Union(x.KindFilter(poLoc, axiom.KRead, axiom.KWrite))
-	scPerLoc := poLocLLH.Union(com).Acyclic()
+	poLocLLH := union(filter(poLoc, axiom.KWrite, axiom.KWrite),
+		filter(poLoc, axiom.KWrite, axiom.KRead),
+		filter(poLoc, axiom.KRead, axiom.KWrite))
+	scPerLoc := union(poLocLLH, com).Acyclic()
 
 	// Fig. 15 lines 5-6: no thin air.
-	dp := x.Dp()
-	noThinAir := dp.Union(x.RF).Acyclic()
+	dp := union(x.Addr, x.Data, x.Ctrl)
+	noThinAir := union(dp, x.RF).Acyclic()
 
 	// Fig. 15 line 7 instantiated per scope (Fig. 16): rmo(fence) =
-	// dp | fence | rfe | co | fr, intersected with the scope relation.
-	rmo := func(fence axiom.Rel) axiom.Rel {
-		return dp.Union(fence).Union(x.RFE()).Union(x.CoRel()).Union(x.FR())
+	// dp | fence | rfe | co | fr, intersected with the scope relation. A
+	// fence of scope s' orders at scope s when s' includes s (Fig. 16
+	// lines 8-10), so fence(s) unions the membars from s up.
+	rmo := func(s ptx.Scope) bool {
+		var r axiom.Rel
+		r.SetInter(union(dp, union(x.Membar[s:]...), x.RFE(), co, fr), x.ScopeRel(s))
+		return r.Acyclic()
 	}
-	rmoCTA := rmo(x.FenceRel(ptx.ScopeCTA)).Inter(x.ScopeRel(ptx.ScopeCTA)).Acyclic()
-	rmoGL := rmo(x.FenceRel(ptx.ScopeGL)).Inter(x.ScopeRel(ptx.ScopeGL)).Acyclic()
-	rmoSys := rmo(x.FenceRel(ptx.ScopeSys)).Inter(x.ScopeRel(ptx.ScopeSys)).Acyclic()
 
 	return cat.Results{
 		{Name: "sc-per-loc-llh", Kind: cat.Acyclic, OK: scPerLoc},
 		{Name: "no-thin-air", Kind: cat.Acyclic, OK: noThinAir},
-		{Name: "cta-constraint", Kind: cat.Acyclic, OK: rmoCTA},
-		{Name: "gl-constraint", Kind: cat.Acyclic, OK: rmoGL},
-		{Name: "sys-constraint", Kind: cat.Acyclic, OK: rmoSys},
+		{Name: "cta-constraint", Kind: cat.Acyclic, OK: rmo(ptx.ScopeCTA)},
+		{Name: "gl-constraint", Kind: cat.Acyclic, OK: rmo(ptx.ScopeGL)},
+		{Name: "sys-constraint", Kind: cat.Acyclic, OK: rmo(ptx.ScopeSys)},
 	}
 }
 

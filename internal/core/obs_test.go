@@ -3,8 +3,8 @@ package core
 // Observability contract tests for the judge pipeline: the disabled
 // (nil-trace) fast path allocates nothing, traced judges report a
 // counter ledger identical to the verdict's, phase timers stay within
-// wall time on the serial regime, and concurrent traced judges build
-// disjoint, well-formed span trees (run under -race in CI).
+// wall time on the serial regime, and concurrent traced judges each
+// record only their own judgement (run under -race in CI).
 
 import (
 	"context"
@@ -29,14 +29,9 @@ func TestDisabledTracerNoAllocHotPath(t *testing.T) {
 		if tr.Enabled() {
 			t.Fatal("background context traced")
 		}
-		// The per-execution sequence: eval guard, counter adds, span ops.
+		// The per-execution sequence: eval guard, counter adds.
 		tr.AddPhase(obs.PhaseEval, 0)
 		tr.Add(obs.CtrCandidates, 1)
-		sp, ctx2 := tr.StartSpan(ctx, "verdict")
-		sp.Finish()
-		if ctx2 != ctx {
-			t.Fatal("nil StartSpan derived a context")
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer path allocates %v/op, want 0", allocs)
@@ -112,63 +107,51 @@ func TestTracedJudgeLedgerParallelRegimes(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracedJudgesDisjointSpans runs concurrent judges each
+// TestConcurrentTracedJudgesDisjointTraces runs concurrent judges each
 // with its own trace (the service's per-request shape) plus the race
-// detector, then checks every span tree separately: one "verdict" root
-// per judge with a "prepare" child, every span finished, and no span
-// shared between traces.
-func TestConcurrentTracedJudgesDisjointSpans(t *testing.T) {
+// detector, over tests of different sizes, then checks every trace
+// separately: its visited and candidate counters equal its own verdict's,
+// and its prepare phase is non-zero.
+func TestConcurrentTracedJudgesDisjointTraces(t *testing.T) {
 	m := PTX()
-	test, err := litmus.ByName("mp")
-	if err != nil {
-		t.Fatal(err)
-	}
+	names := []string{"mp", "sb", "coRR", "lb"}
 	const n = 8
 	traces := make([]*obs.Trace, n)
+	verdicts := make([]*Verdict, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		test, err := litmus.ByName(names[i%len(names)])
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			tr := obs.New(fmt.Sprintf("judge-%d", i))
 			ctx := obs.NewContext(context.Background(), tr)
-			if _, err := JudgeCtx(ctx, m, test, 1+i%3); err != nil {
+			v, err := JudgeWith(ctx, m, test, Opts{Parallelism: 1 + i%3})
+			if err != nil {
 				t.Errorf("judge %d: %v", i, err)
 			}
-			traces[i] = tr
+			traces[i], verdicts[i] = tr, v
 		}(i)
 	}
 	wg.Wait()
 
-	owner := make(map[*obs.Span]int)
-	var walk func(i int, tr *obs.Trace, sp *obs.Span)
-	walk = func(i int, tr *obs.Trace, sp *obs.Span) {
-		if prev, dup := owner[sp]; dup {
-			t.Fatalf("span %q shared between judges %d and %d", sp.Name(), prev, i)
-		}
-		owner[sp] = i
-		if sp.Trace() != tr {
-			t.Fatalf("judge %d: span %q belongs to the wrong trace", i, sp.Name())
-		}
-		if !sp.Finished() {
-			t.Fatalf("judge %d: span %q left open", i, sp.Name())
-		}
-		for _, c := range sp.Children() {
-			if c.Parent() != sp {
-				t.Fatalf("judge %d: span %q has a broken parent link", i, c.Name())
-			}
-			walk(i, tr, c)
-		}
-	}
 	for i, tr := range traces {
-		roots := tr.Roots()
-		if len(roots) != 1 || roots[0].Name() != "verdict" {
-			t.Fatalf("judge %d: roots = %d, want one verdict root", i, len(roots))
+		v := verdicts[i]
+		if v == nil {
+			continue
 		}
-		kids := roots[0].Children()
-		if len(kids) != 1 || kids[0].Name() != "prepare" {
-			t.Fatalf("judge %d: verdict children = %d, want one prepare span", i, len(kids))
+		snap := tr.Snapshot()
+		if got, want := snap.Counters[obs.CtrVisited], int64(v.Visited); got != want {
+			t.Errorf("judge %d (%s): trace visited = %d, verdict %d", i, v.Test.Name, got, want)
 		}
-		walk(i, tr, roots[0])
+		if got, want := snap.Counters[obs.CtrCandidates], int64(v.Candidates); got != want {
+			t.Errorf("judge %d (%s): trace candidates = %d, verdict %d", i, v.Test.Name, got, want)
+		}
+		if snap.Phases[obs.PhasePrepare] == 0 {
+			t.Errorf("judge %d (%s): no prepare time recorded", i, v.Test.Name)
+		}
 	}
 }

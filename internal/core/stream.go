@@ -80,7 +80,7 @@ type Opts struct {
 	// axiom.Opts{Exhaustive: true} disables symmetry pruning, and the
 	// resulting verdict must agree with the pruned one on every count, the
 	// observable flag, and the witness content. A nil Enum prepares t with
-	// axiom.DefaultOpts under the run's trace span.
+	// axiom.DefaultOpts under the run's trace.
 	Enum *axiom.Enumeration
 
 	// Visit, when set, is called for every produced candidate after its
@@ -132,13 +132,6 @@ func judgeInto(ctx context.Context, ms []*Model, t *litmus.Test, o Opts, vs []*V
 	}
 	r := &judgeRun{ctx: ctx, tr: obs.FromContext(ctx), visit: o.Visit}
 	r.ms = append(r.one[:0], ms...)
-	if r.tr.Enabled() {
-		// Traced run: open the pipeline span (PrepareCtx nests "prepare"
-		// under it).
-		sp, sctx := r.tr.StartSpan(ctx, "verdict")
-		r.ctx = sctx
-		defer sp.Finish()
-	}
 	var err error
 	if r.en, err = bind(r.ctx, t, o.Enum); err != nil {
 		return err
@@ -402,13 +395,12 @@ func (r *judgeRun) fanOut(k *tally, n, workers int) error {
 			wk.init(len(r.ms))
 			r.scratch(wk)
 			defer r.release(wk)
-			var a axiom.Assembler
 			fold := r.fold(wk)
 			for !stop.Load() {
 				if wk.unit = int(next.Add(1) - 1); wk.unit >= n {
 					return
 				}
-				if err := r.stream(&a, wk.unit, fold); err != nil {
+				if err := r.stream(wk.asm, wk.unit, fold); err != nil {
 					wk.err, wk.errUnit = err, wk.unit
 					stop.Store(true)
 				}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/weakgpu/gpulitmus/internal/campaign"
 	"github.com/weakgpu/gpulitmus/internal/chip"
 )
 
@@ -215,7 +216,7 @@ func TestTable6HD7970(t *testing.T) {
 }
 
 func TestModelValidationSound(t *testing.T) {
-	v, err := ModelValidation(40, 300, 7)
+	v, err := ModelValidationMemo(campaign.NewMemo(), 40, 300, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestModelValidationSound(t *testing.T) {
 }
 
 func TestSorensenDivergence(t *testing.T) {
-	s, err := SorensenDivergence()
+	s, err := SorensenDivergenceMemo(campaign.NewMemo())
 	if err != nil {
 		t.Fatal(err)
 	}

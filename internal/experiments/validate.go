@@ -39,26 +39,16 @@ func (v *Validation) String() string {
 		v.Tests, v.ChipsTested, v.WeakAllowed, v.WeakObserved, verdict)
 }
 
-// ModelValidation generates a diy corpus, judges each test under the PTX
-// model, runs it on the most relaxed simulated chips, and checks that every
-// observed final state is the final state of some model-allowed execution.
-// runsPerChip is the per-test per-chip iteration budget. Both phases run on
-// the campaign engine's worker pool at the default parallelism.
-func ModelValidation(maxTests, runsPerChip int, seed int64) (*Validation, error) {
-	return ModelValidationP(maxTests, runsPerChip, seed, 0)
-}
-
-// ModelValidationP is ModelValidation with an explicit worker-pool bound
-// (0 selects GOMAXPROCS). Results are identical for every parallelism.
-func ModelValidationP(maxTests, runsPerChip int, seed int64, parallelism int) (*Validation, error) {
-	return ModelValidationMemo(campaign.NewMemo(), maxTests, runsPerChip, seed, parallelism)
-}
-
-// ModelValidationMemo is ModelValidationP against a caller-owned memo, so
-// an invocation running several experiments (gpuexplore's Report) shares
-// one content-addressed analysis cache across them: any (model, test)
-// content pair analysed here is free for every later experiment and vice
-// versa. Results are identical to ModelValidationP's.
+// ModelValidationMemo generates a diy corpus, judges each test under the
+// PTX model, runs it on the most relaxed simulated chips, and checks that
+// every observed final state is the final state of some model-allowed
+// execution. runsPerChip is the per-test per-chip iteration budget. Both
+// phases run on the campaign engine's worker pool, bounded by parallelism
+// (0 selects GOMAXPROCS); results are identical for every parallelism.
+// The verdicts go through a caller-owned memo, so an invocation running
+// several experiments (gpuexplore's Report) shares one content-addressed
+// analysis cache across them: any (model, test) content pair analysed
+// here is free for every later experiment and vice versa.
 func ModelValidationMemo(memo *campaign.Memo, maxTests, runsPerChip int, seed int64, parallelism int) (*Validation, error) {
 	corpus := diy.Generate(diy.DefaultPool(), 4, maxTests)
 	profiles := []*chip.Profile{chip.TeslaC2075, chip.GTXTitan, chip.HD7970}
@@ -131,20 +121,15 @@ func ModelValidationMemo(memo *campaign.Memo, maxTests, runsPerChip int, seed in
 	return v, nil
 }
 
-// SorensenDivergence reproduces the Sec. 6 refutation of the operational
-// model: lb+membar.ctas is allowed by the paper's PTX model, forbidden by
-// the operational model, and was observed on hardware (586/100k on Titan,
-// 19/100k on GTX 660). Our simulator under-approximates here (its
-// membar.cta orders loads for all observers), so the hardware evidence is
-// quoted from the paper.
-func SorensenDivergence() (string, error) {
-	return SorensenDivergenceMemo(campaign.NewMemo())
-}
-
-// SorensenDivergenceMemo is SorensenDivergence with the verdicts served
-// through a caller-owned memo; if the invocation already judged
-// lb+membar.ctas under either model (content-addressed, whatever the
-// pointer), the cached verdict is reused.
+// SorensenDivergenceMemo reproduces the Sec. 6 refutation of the
+// operational model: lb+membar.ctas is allowed by the paper's PTX model,
+// forbidden by the operational model, and was observed on hardware
+// (586/100k on Titan, 19/100k on GTX 660). Our simulator under-approximates
+// here (its membar.cta orders loads for all observers), so the hardware
+// evidence is quoted from the paper. The verdicts are served through a
+// caller-owned memo; if the invocation already judged lb+membar.ctas under
+// either model (content-addressed, whatever the pointer), the cached
+// verdict is reused.
 func SorensenDivergenceMemo(memo *campaign.Memo) (string, error) {
 	test := litmus.LB(litmus.FenceCTA)
 	ptxV, err := memo.Verdict(core.PTX(), test)

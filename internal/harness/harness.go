@@ -226,14 +226,6 @@ func (o *Outcome) Per100k() int {
 	return int(float64(o.Matches) * 100000.0 / float64(o.Runs))
 }
 
-// Rate returns the fraction of runs matching the condition.
-func (o *Outcome) Rate() float64 {
-	if o.Runs == 0 {
-		return 0
-	}
-	return float64(o.Matches) / float64(o.Runs)
-}
-
 // Observed reports whether the weak outcome occurred at all — for
 // correctness what matters is the possibility, not probability, of weak
 // behaviours (Sec. 4.3).

@@ -28,8 +28,8 @@ func TestRunBasics(t *testing.T) {
 	if total != o.Runs {
 		t.Errorf("histogram total %d != runs %d", total, o.Runs)
 	}
-	if o.Per100k() <= 0 || o.Rate() <= 0 {
-		t.Error("rates must be positive when observed")
+	if o.Per100k() <= 0 {
+		t.Error("the rate must be positive when observed")
 	}
 }
 

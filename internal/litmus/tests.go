@@ -318,10 +318,6 @@ func LB(f Fence) *Test {
 		MustBuild()
 }
 
-// MPMembarGL is mp with .cg operators and membar.gl fences — the paper's
-// experimental fix for mp-L1 on Fermi (Sec. 3.1.2, test mp+membar.gls).
-func MPMembarGL() *Test { return MP(FenceGL) }
-
 // paperTests constructs the tests of the paper's figures, in figure order:
 // one constructor per test, so a named test is built alone.
 var paperTests = []func() *Test{

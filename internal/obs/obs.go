@@ -2,27 +2,26 @@
 // zero-overhead-when-disabled trace collector threaded through parse →
 // prepare → enumerate → eval → merge → lookup.
 //
-// The design centre is the nil *Trace. Every method on Trace and Span is
-// nil-safe and a no-op on nil, and FromContext returns nil on a context
-// that never saw WithTrace — so instrumented hot paths cost one pointer
-// test when tracing is off, and allocate nothing (pinned by no-alloc
-// tests in this package and internal/core). Callers opt in per request:
+// The design centre is the nil *Trace. Every method on Trace is nil-safe
+// and a no-op on nil, and FromContext returns nil on a context that never
+// saw NewContext — so instrumented hot paths cost one pointer test when
+// tracing is off, and allocate nothing (pinned by no-alloc tests in this
+// package and internal/core). Callers opt in per request:
 //
 //	tr := obs.New(obs.NewID())
 //	ctx = obs.NewContext(ctx, tr)
-//	v, err := core.JudgeCtx(ctx, model, test, par)
+//	v, err := core.JudgeWith(ctx, model, test, core.Opts{Parallelism: par})
 //	fmt.Print(tr.Snapshot().PhaseTable())
 //
-// A Trace aggregates monotonic per-phase timers and producer counters
-// (atomics: the verdict fold's workers enumerate and evaluate
-// concurrently), plus a span tree recording the request's structural
-// decomposition. Phase timers are attributed exclusively — enumerate
-// excludes time spent inside the yield, eval is the compiled-program run,
-// merge is folding each verdict into its worker's tally plus combining
-// the per-worker tallies (the visit callback, for the serial visitor) —
-// so on a serial judge the phase sum is bounded by the wall time. Once
-// units fan out, enumerate, eval and merge sum worker time and may exceed
-// wall; counters are exact at every parallelism.
+// A Trace holds two things: monotonic per-phase timers and producer
+// counters, both atomics (the verdict fold's workers enumerate and
+// evaluate concurrently). Phase timers are attributed exclusively —
+// enumerate excludes time spent inside the yield, eval is the
+// compiled-program run, merge is folding each verdict into its worker's
+// tally plus combining the per-worker tallies (the visit callback, for the
+// serial visitor) — so on a serial judge the phase sum is bounded by the
+// wall time. Once units fan out, enumerate, eval and merge sum worker time
+// and may exceed wall; counters are exact at every parallelism.
 package obs
 
 import (
@@ -31,7 +30,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -93,9 +91,6 @@ type Trace struct {
 	start    time.Time
 	phases   [NumPhases]atomic.Int64 // nanoseconds
 	counters [NumCounters]atomic.Int64
-
-	mu    sync.Mutex
-	roots []*Span
 }
 
 // New returns an enabled trace stamped with id (see NewID) and an
@@ -148,112 +143,7 @@ func (t *Trace) Count(c Counter) int64 {
 	return t.counters[c].Load()
 }
 
-// Roots returns the root spans recorded so far, in start order.
-func (t *Trace) Roots() []*Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Span(nil), t.roots...)
-}
-
-// Span is one timed node of a trace's structural tree (request → verdict
-// → prepare, …). Spans are created by Trace.StartSpan and closed by
-// Finish; children attach via the context returned by StartSpan. A nil
-// *Span no-ops.
-type Span struct {
-	trace  *Trace
-	parent *Span
-	name   string
-	start  time.Time
-	durNS  atomic.Int64 // -1 while open
-
-	mu       sync.Mutex
-	children []*Span
-}
-
-// StartSpan opens a named span under the span carried by ctx (a root
-// span when ctx carries none) and returns it with a derived context that
-// parents future spans to it. On a nil trace it returns (nil, ctx)
-// without allocating.
-func (t *Trace) StartSpan(ctx context.Context, name string) (*Span, context.Context) {
-	if t == nil {
-		return nil, ctx
-	}
-	sp := &Span{trace: t, name: name, start: time.Now()}
-	sp.durNS.Store(-1)
-	if parent, _ := ctx.Value(spanKey{}).(*Span); parent != nil && parent.trace == t {
-		sp.parent = parent
-		parent.mu.Lock()
-		parent.children = append(parent.children, sp)
-		parent.mu.Unlock()
-	} else {
-		t.mu.Lock()
-		t.roots = append(t.roots, sp)
-		t.mu.Unlock()
-	}
-	return sp, context.WithValue(ctx, spanKey{}, sp)
-}
-
-// Finish closes the span; the first call wins, later calls no-op.
-func (s *Span) Finish() {
-	if s == nil {
-		return
-	}
-	s.durNS.CompareAndSwap(-1, int64(time.Since(s.start)))
-}
-
-// Name returns the span's label ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Trace returns the trace the span belongs to.
-func (s *Span) Trace() *Trace {
-	if s == nil {
-		return nil
-	}
-	return s.trace
-}
-
-// Parent returns the enclosing span (nil for roots).
-func (s *Span) Parent() *Span {
-	if s == nil {
-		return nil
-	}
-	return s.parent
-}
-
-// Finished reports whether Finish has run.
-func (s *Span) Finished() bool { return s != nil && s.durNS.Load() >= 0 }
-
-// Duration returns the closed span's duration (0 while open or on nil).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	if d := s.durNS.Load(); d >= 0 {
-		return time.Duration(d)
-	}
-	return 0
-}
-
-// Children returns the span's child spans, in start order.
-func (s *Span) Children() []*Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
-}
-
 type traceKey struct{}
-type spanKey struct{}
 
 // NewContext returns ctx carrying tr. A nil tr returns ctx unchanged —
 // the disabled path stays allocation-free end to end.
@@ -269,12 +159,6 @@ func NewContext(ctx context.Context, tr *Trace) context.Context {
 func FromContext(ctx context.Context) *Trace {
 	tr, _ := ctx.Value(traceKey{}).(*Trace)
 	return tr
-}
-
-// SpanFromContext returns the innermost span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
 }
 
 // Snapshot is a point-in-time copy of a trace's timers and counters,

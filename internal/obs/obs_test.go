@@ -22,15 +22,7 @@ func TestNilTraceNoOps(t *testing.T) {
 	if tr.PhaseTime(PhaseEval) != 0 || tr.Count(CtrCandidates) != 0 {
 		t.Fatal("nil trace accumulated")
 	}
-	sp, ctx := tr.StartSpan(context.Background(), "x")
-	if sp != nil {
-		t.Fatal("nil trace produced a span")
-	}
-	sp.Finish()
-	if sp.Finished() || sp.Name() != "" || sp.Duration() != 0 {
-		t.Fatal("nil span not inert")
-	}
-	if FromContext(ctx) != nil {
+	if ctx := NewContext(context.Background(), tr); FromContext(ctx) != nil {
 		t.Fatal("untraced context carries a trace")
 	}
 	snap := tr.Snapshot()
@@ -41,6 +33,9 @@ func TestNilTraceNoOps(t *testing.T) {
 
 func TestTraceAccumulates(t *testing.T) {
 	tr := New("abc")
+	if FromContext(NewContext(context.Background(), tr)) != tr {
+		t.Fatal("FromContext lost the trace")
+	}
 	tr.AddPhase(PhaseParse, 3*time.Millisecond)
 	tr.AddPhase(PhaseParse, 2*time.Millisecond)
 	tr.Add(CtrCombos, 4)
@@ -60,71 +55,6 @@ func TestTraceAccumulates(t *testing.T) {
 	}
 }
 
-func TestSpanTreeStructure(t *testing.T) {
-	tr := New("t")
-	ctx := NewContext(context.Background(), tr)
-	if FromContext(ctx) != tr {
-		t.Fatal("FromContext lost the trace")
-	}
-
-	root, ctx2 := tr.StartSpan(ctx, "judge")
-	child, ctx3 := tr.StartSpan(ctx2, "verdict")
-	grand, _ := tr.StartSpan(ctx3, "prepare")
-	sibling, _ := tr.StartSpan(ctx2, "encode")
-
-	grand.Finish()
-	child.Finish()
-	sibling.Finish()
-	root.Finish()
-
-	roots := tr.Roots()
-	if len(roots) != 1 || roots[0] != root {
-		t.Fatalf("roots = %v, want [judge]", roots)
-	}
-	kids := root.Children()
-	if len(kids) != 2 || kids[0] != child || kids[1] != sibling {
-		t.Fatalf("root children = %d, want [verdict encode]", len(kids))
-	}
-	if g := child.Children(); len(g) != 1 || g[0] != grand {
-		t.Fatal("verdict should have one child span")
-	}
-	if grand.Parent() != child || child.Parent() != root || root.Parent() != nil {
-		t.Fatal("parent links wrong")
-	}
-	for _, sp := range []*Span{root, child, grand, sibling} {
-		if !sp.Finished() {
-			t.Fatalf("span %s not finished", sp.Name())
-		}
-		if sp.Trace() != tr {
-			t.Fatalf("span %s lost its trace", sp.Name())
-		}
-	}
-	// Finish is first-wins: a second call must not restamp the duration.
-	d := root.Duration()
-	time.Sleep(time.Millisecond)
-	root.Finish()
-	if root.Duration() != d {
-		t.Fatal("second Finish restamped the duration")
-	}
-}
-
-// TestForeignSpanContextRoots pins that a span from one trace does not
-// become the parent of another trace's span (each request's tree stays
-// disjoint even when contexts are reused across traces).
-func TestForeignSpanContextRoots(t *testing.T) {
-	tr1 := New("one")
-	tr2 := New("two")
-	_, ctx := tr1.StartSpan(NewContext(context.Background(), tr1), "outer")
-	sp2, _ := tr2.StartSpan(ctx, "inner")
-	sp2.Finish()
-	if sp2.Parent() != nil {
-		t.Fatal("span adopted a parent from a different trace")
-	}
-	if roots := tr2.Roots(); len(roots) != 1 || roots[0] != sp2 {
-		t.Fatal("foreign-context span is not a root of its own trace")
-	}
-}
-
 // TestDisabledPathNoAlloc pins the zero-overhead contract: every obs
 // primitive on the disabled (nil-trace) path allocates nothing. The
 // judge hot loop runs exactly these calls when tracing is off.
@@ -137,46 +67,33 @@ func TestDisabledPathNoAlloc(t *testing.T) {
 		}
 		tr.Add(CtrCandidates, 1)
 		tr.AddPhase(PhaseEval, time.Microsecond)
-		sp, ctx2 := tr.StartSpan(ctx, "hot")
-		sp.Finish()
-		if ctx2 != ctx {
-			t.Fatal("nil StartSpan derived a new context")
+		if NewContext(ctx, nil) != ctx {
+			t.Fatal("disabled NewContext derived a new context")
 		}
-		_ = NewContext(ctx, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates: %v allocs/op, want 0", allocs)
 	}
 }
 
-// TestConcurrentSpanTrees exercises concurrent span creation and
-// counter/phase accumulation on one shared trace plus N private traces
-// under the race detector, and checks the resulting trees are disjoint
-// and well-formed.
-func TestConcurrentSpanTrees(t *testing.T) {
+// TestConcurrentAccumulation exercises concurrent counter and phase
+// accumulation on one shared trace plus N private traces under the race
+// detector: the shared trace sums every goroutine's additions and each
+// private trace holds only its own.
+func TestConcurrentAccumulation(t *testing.T) {
 	const n = 8
 	shared := New("shared")
-	sharedCtx := NewContext(context.Background(), shared)
 	traces := make([]*Trace, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Shared trace: concurrent roots + atomics.
-			sp, sctx := shared.StartSpan(sharedCtx, fmt.Sprintf("worker-%d", i))
-			child, _ := shared.StartSpan(sctx, "step")
 			shared.Add(CtrVisited, 1)
 			shared.AddPhase(PhaseMerge, time.Microsecond)
-			child.Finish()
-			sp.Finish()
-			// Private trace per goroutine.
 			tr := New(fmt.Sprintf("t%d", i))
-			ctx := NewContext(context.Background(), tr)
-			root, rctx := tr.StartSpan(ctx, "judge")
-			inner, _ := tr.StartSpan(rctx, "verdict")
-			inner.Finish()
-			root.Finish()
+			tr.Add(CtrVisited, int64(i+1))
+			tr.AddPhase(PhaseEval, time.Duration(i+1)*time.Microsecond)
 			traces[i] = tr
 		}(i)
 	}
@@ -185,38 +102,17 @@ func TestConcurrentSpanTrees(t *testing.T) {
 	if got := shared.Count(CtrVisited); got != n {
 		t.Fatalf("shared counter = %d, want %d", got, n)
 	}
-	if len(shared.Roots()) != n {
-		t.Fatalf("shared roots = %d, want %d", len(shared.Roots()), n)
+	if got := shared.PhaseTime(PhaseMerge); got != n*time.Microsecond {
+		t.Fatalf("shared merge phase = %v, want %v", got, n*time.Microsecond)
 	}
-	seen := make(map[*Span]*Trace)
-	var walk func(tr *Trace, sp *Span)
-	walk = func(tr *Trace, sp *Span) {
-		if prev, dup := seen[sp]; dup {
-			t.Fatalf("span %q shared between traces %s and %s", sp.Name(), prev.ID(), tr.ID())
+	for i, tr := range traces {
+		snap := tr.Snapshot()
+		if snap.Counters[CtrVisited] != int64(i+1) || snap.Phases[PhaseEval] != time.Duration(i+1)*time.Microsecond {
+			t.Fatalf("trace %s = %+v, want only its own additions", tr.ID(), snap)
 		}
-		seen[sp] = tr
-		if sp.Trace() != tr {
-			t.Fatalf("span %q points at the wrong trace", sp.Name())
+		if snap.Phases[PhaseMerge] != 0 {
+			t.Fatalf("trace %s picked up the shared trace's merge time", tr.ID())
 		}
-		if !sp.Finished() {
-			t.Fatalf("span %q left open", sp.Name())
-		}
-		for _, c := range sp.Children() {
-			if c.Parent() != sp {
-				t.Fatalf("child %q has wrong parent", c.Name())
-			}
-			walk(tr, c)
-		}
-	}
-	for _, tr := range traces {
-		roots := tr.Roots()
-		if len(roots) != 1 || roots[0].Name() != "judge" {
-			t.Fatalf("trace %s roots = %d, want the judge root", tr.ID(), len(roots))
-		}
-		walk(tr, roots[0])
-	}
-	for _, root := range shared.Roots() {
-		walk(shared, root)
 	}
 }
 

@@ -116,18 +116,6 @@ func (t Type) String() string {
 	}
 }
 
-// Bits returns the operand width in bits, or 0 for TypeNone/TypePred.
-func (t Type) Bits() int {
-	switch t {
-	case TypeS32, TypeU32, TypeB32:
-		return 32
-	case TypeS64, TypeU64, TypeB64:
-		return 64
-	default:
-		return 0
-	}
-}
-
 // ParseType parses a PTX type specifier (without the leading dot).
 func ParseType(s string) (Type, error) {
 	switch s {

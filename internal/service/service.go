@@ -957,7 +957,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// harness on every chip (their match count is provably zero). Each
 	// test is prepared under the request context, so an abandoned sweep
 	// stops here; a test the enumerator cannot prepare is never
-	// unsatisfiable (analysis.Unsatisfiable).
+	// unsatisfiable.
 	unsat := make(map[*litmus.Test]bool)
 	if req.Static {
 		for _, t := range spec.Tests {
