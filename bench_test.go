@@ -13,10 +13,10 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/campaign"
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/core"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/experiments"
 	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/sass"
 	"github.com/weakgpu/gpulitmus/internal/sim"
 )
@@ -167,11 +167,7 @@ func benchValidation(b *testing.B, parallelism int) {
 // parallelism.
 func benchModelAnalysis(b *testing.B, parallelism int) {
 	b.Helper()
-	corpus := diy.Generate(diy.DefaultPool(), 4, 60)
-	tests := make([]*litmus.Test, len(corpus))
-	for i, g := range corpus {
-		tests[i] = g.Test
-	}
+	tests := litmustest.Cycles()[:60]
 	m := core.PTX()
 	b.ReportAllocs()
 	b.ResetTimer()

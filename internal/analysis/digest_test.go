@@ -4,11 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
-	"github.com/weakgpu/gpulitmus/internal/apps"
-	"github.com/weakgpu/gpulitmus/internal/diy"
-	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // TestAnalysisDigest pins every static answer the analyzer gives on the
@@ -21,17 +20,7 @@ import (
 // with a deliberate change of the analysis.
 func TestAnalysisDigest(t *testing.T) {
 	const want = "9f10d1c6a228f374f1d3aad1ac657f924b68e26d6c78f68ded4416400c4efccb"
-	corpus := litmus.PaperTests()
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	if len(gen) != 776 {
-		t.Fatalf("diy generated %d cycles, want 776", len(gen))
-	}
-	for _, g := range gen {
-		corpus = append(corpus, g.Test)
-	}
-	for _, a := range apps.All() {
-		corpus = append(corpus, a.Test)
-	}
+	corpus := slices.Concat(litmustest.Paper(), litmustest.Cycles(), litmustest.Apps())
 	h := sha256.New()
 	for _, c := range corpus {
 		js, err := json.Marshal(Analyze(c))

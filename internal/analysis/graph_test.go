@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // FuzzGraphCoversExecutions holds the static graph to the judge's
-// candidate executions on arbitrary litmus sources, seeded from the paper
-// tests, the 776 diy cycles, the random static corpus and a test of guarded instructions. For every
+// candidate executions on arbitrary litmus sources, seeded from
+// litmustest.All and a test of guarded instructions. For every
 // branch-free source the parser accepts and the enumerator can prepare
 // with at most 4096 path combinations, over the candidates of the
 // exhaustive stream (every combination, and up to 4096 candidates):
@@ -26,12 +25,7 @@ import (
 //
 // Plain go test runs the seeds; CI runs a 15 s burst next to FuzzPrefilter.
 func FuzzGraphCoversExecutions(f *testing.F) {
-	seeds := litmus.PaperTests()
-	for _, g := range diy.Generate(diy.DefaultPool(), 4, 1<<20) {
-		seeds = append(seeds, g.Test)
-	}
-	seeds = append(seeds, litmustest.Corpus(120)...)
-	for _, t := range seeds {
+	for _, t := range litmustest.All() {
 		f.Add(t.String())
 	}
 	// Guarded instructions: the store's data dependency on the load of y

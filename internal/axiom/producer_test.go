@@ -3,44 +3,13 @@ package axiom
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
-
-// producerTests is the differential corpus for the memoized/parallel
-// producer: every paper test plus shapes that stress exactly what the
-// rework touched — multi-iteration value-domain fixpoints (computed stores
-// feeding loads), many same-location writers (deep rf/co spaces) and RMW
-// atomicity filtering.
-func producerTests(t *testing.T) []*litmus.Test {
-	t.Helper()
-	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	multi := litmus.NewTest("multi-writer").
-		Global("x", 0).
-		Thread("st.cg [x],1", "ld.cg r0,[x]").
-		Thread("st.cg [x],2", "ld.cg r0,[x]").
-		Thread("st.cg [x],3", "ld.cg r0,[x]").
-		InterCTA().
-		Exists("0:r0=3").
-		MustBuild()
-	chain := litmus.NewTest("chained-values").
-		Global("x", 0).Global("y", 0).
-		Thread("ld.cg r1,[x]", "add r2,r1,1", "st.cg [y],r2").
-		Thread("ld.cg r3,[y]", "st.cg [x],r3").
-		InterCTA().
-		Exists("0:r1=1").
-		MustBuild()
-	cas := litmus.NewTest("cas-pair").
-		Global("c", 0).
-		Thread("atom.cas r0,[c],0,1").
-		Thread("atom.cas r1,[c],0,1").
-		InterCTA().
-		Exists("0:r0=0 /\\ 1:r1=0").
-		MustBuild()
-	return append(tests, multi, chain, cas)
-}
 
 // collectStream drains an Enumeration through StreamCtx into comparable
 // records.
@@ -77,11 +46,12 @@ func prepareNoMemo(t *litmus.Test, opts Opts) (*Enumeration, error) {
 
 // TestPathMemoMatchesUnmemoized pins the memoized fixpoint against the
 // always-re-derive one: the enumerated executions must be identical, in
-// order, for every test in the corpus. This is the producer half of the
+// order, for every paper test and every shape of litmustest.Producer,
+// which stress what the memo touches. This is the producer half of the
 // "byte-identical to the pre-change path" guarantee — memoization may only
 // skip derivations whose replay could not differ.
 func TestPathMemoMatchesUnmemoized(t *testing.T) {
-	for _, test := range producerTests(t) {
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Producer()), func(t *testing.T, test *litmus.Test) {
 		memod, err := Prepare(test, DefaultOpts())
 		if err != nil {
 			t.Fatalf("%s: memoized: %v", test.Name, err)
@@ -92,12 +62,12 @@ func TestPathMemoMatchesUnmemoized(t *testing.T) {
 		}
 		if memod.Combos() != plain.Combos() {
 			t.Errorf("%s: memoized %d combos, unmemoized %d", test.Name, memod.Combos(), plain.Combos())
-			continue
+			return
 		}
 		got, want := collectStream(t, memod), collectStream(t, plain)
 		if len(got) != len(want) {
 			t.Errorf("%s: memoized %d executions, unmemoized %d", test.Name, len(got), len(want))
-			continue
+			return
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -105,7 +75,7 @@ func TestPathMemoMatchesUnmemoized(t *testing.T) {
 				break
 			}
 		}
-	}
+	})
 }
 
 // TestStreamComboMatchesStream pins the per-combination producer against
@@ -113,7 +83,7 @@ func TestPathMemoMatchesUnmemoized(t *testing.T) {
 // reused Assembler, the way a producer worker drives it — must reproduce
 // StreamCtx byte for byte.
 func TestStreamComboMatchesStream(t *testing.T) {
-	for _, test := range producerTests(t) {
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Producer()), func(t *testing.T, test *litmus.Test) {
 		en, err := Prepare(test, DefaultOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
@@ -137,7 +107,7 @@ func TestStreamComboMatchesStream(t *testing.T) {
 				t.Fatalf("%s: execution %d differs:\n%s\nvs\n%s", test.Name, i, got[i], want[i])
 			}
 		}
-	}
+	})
 }
 
 // TestStreamComboFreshAssemblers re-runs the combo comparison with a fresh
@@ -145,7 +115,7 @@ func TestStreamComboMatchesStream(t *testing.T) {
 // land on different workers): Assembler state must not leak between
 // combinations.
 func TestStreamComboFreshAssemblers(t *testing.T) {
-	for _, test := range producerTests(t) {
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Producer()), func(t *testing.T, test *litmus.Test) {
 		en, err := Prepare(test, DefaultOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
@@ -163,7 +133,7 @@ func TestStreamComboFreshAssemblers(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: fresh-assembler streams differ from serial stream", test.Name)
 		}
-	}
+	})
 }
 
 // TestStreamCtxMaxExecsAcrossCombos pins the exact MaxExecs bound on the

@@ -3,238 +3,21 @@ package axiom
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // This file is the differential oracle for symmetry pruning: the pruned
-// producer (the default) against the exhaustive one (Opts.Exhaustive), over
-// every test the producer tests already cover plus shapes built to have
-// non-trivial symmetry classes — same-value solo writers, writes nobody
-// reads (where only coherence permutations distinguish executions), classes
-// at several locations, intra-CTA and mixed scope trees, and a seeded
-// random corpus.
-
-// symWriters is the canonical symmetric shape: `writers` interchangeable
-// solo writers of 1 plus two readers, every thread in its own CTA.
-func symWriters(writers int) *litmus.Test {
-	b := litmus.NewTest(fmt.Sprintf("sym-%dwriters", writers)).Global("x", 0)
-	for i := 0; i < writers; i++ {
-		b = b.Thread("st.cg [x],1")
-	}
-	b = b.Thread("ld.cg r0,[x]").Thread("ld.cg r0,[x]")
-	return b.InterCTA().Exists(fmt.Sprintf("%d:r0=1", writers)).MustBuild()
-}
-
-// symmetryTests builds the hand-written symmetric corpus.
-func symmetryTests(t *testing.T) []*litmus.Test {
-	t.Helper()
-	unobserved := litmus.NewTest("sym-unobserved").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],2").
-		InterCTA().
-		Exists("x=2").
-		MustBuild()
-	twoLocs := litmus.NewTest("sym-two-locs").
-		Global("x", 0).Global("y", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("st.cg [y],1").
-		Thread("st.cg [y],1").
-		Thread("ld.cg r0,[x]", "ld.cg r1,[y]").
-		InterCTA().
-		Exists("4:r0=1 /\\ 4:r1=0").
-		MustBuild()
-	intra := litmus.NewTest("sym-intra").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("ld.cg r0,[x]").
-		IntraCTA().
-		Exists("3:r0=1").
-		MustBuild()
-	// Writers of the initial value: the reads' value domain is {0} alone, so
-	// the test has one path combination whose rf cross product still spans
-	// init plus three interchangeable writers — the chunked single-combo shape.
-	initVal := litmus.NewTest("sym-init-value").
-		Global("x", 0).
-		Thread("st.cg [x],0").
-		Thread("st.cg [x],0").
-		Thread("st.cg [x],0").
-		Thread("ld.cg r0,[x]").
-		InterCTA().
-		Exists("3:r0=0").
-		MustBuild()
-	// Mixed scope tree: writers 0 and 1 share a CTA, writer 2 and the reader
-	// have their own. Only {0, 1} are CTA-compatible, so the class must stop
-	// at the scope boundary even though all three writes look identical.
-	mixed := litmus.NewTest("sym-mixed-scope").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("ld.cg r0,[x]").
-		Scope(litmus.ScopeTree{CTAs: []litmus.CTAScope{
-			{Warps: []litmus.WarpScope{{Threads: []int{0}}, {Threads: []int{1}}}},
-			{Warps: []litmus.WarpScope{{Threads: []int{2}}}},
-			{Warps: []litmus.WarpScope{{Threads: []int{3}}}},
-		}}).
-		Exists("3:r0=1").
-		MustBuild()
-	return []*litmus.Test{symWriters(3), unobserved, twoLocs, intra, initVal, mixed}
-}
-
-// mpExtra is mp, optionally with membar.gl between each thread's two
-// accesses, plus k extra pairs of solo writers of distinct values to x and
-// y: the shape the value-blind classes collapse. Its exhaustive space is
-// 36, 576 and 14,400 executions for k = 1, 2, 3.
-func mpExtra(k int, fence bool) *litmus.Test {
-	name := fmt.Sprintf("mp+%dw", k)
-	t0 := []string{"st.cg [x],1", "st.cg [y],1"}
-	t1 := []string{"ld.cg r1,[y]", "ld.cg r2,[x]"}
-	if fence {
-		name = fmt.Sprintf("mp+membar.gl+%dw", k)
-		t0 = []string{t0[0], "membar.gl", t0[1]}
-		t1 = []string{t1[0], "membar.gl", t1[1]}
-	}
-	b := litmus.NewTest(name).Global("x", 0).Global("y", 0).Thread(t0...).Thread(t1...)
-	for i := 0; i < k; i++ {
-		b = b.Thread(fmt.Sprintf("st.cg [x],%d", 2+i)).Thread(fmt.Sprintf("st.cg [y],%d", 2+i))
-	}
-	return b.InterCTA().Exists("1:r1=1 /\\ 1:r2=0").MustBuild()
-}
-
-// blindTests builds the hand-written value-blind corpus: solo writers of
-// distinct values, whose coherence positions only matter while some read
-// takes them or they are co-last.
-func blindTests(t *testing.T) []*litmus.Test {
-	t.Helper()
-	tests := []*litmus.Test{}
-	for k := 1; k <= 3; k++ {
-		tests = append(tests, mpExtra(k, false), mpExtra(k, true))
-	}
-	// The co-last write's value differs from the other members', and the
-	// final memory reads it.
-	coLast := litmus.NewTest("blind-co-last").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],2").
-		Thread("st.cg [x],3").
-		Thread("ld.cg r0,[x]").
-		InterCTA().
-		Exists("x=2 /\\ 3:r0=1").
-		MustBuild()
-	// A same-value class {1, 1} beside the distinct-value writers 2 and 3
-	// at one location: the two groupings must stay disjoint.
-	mixedVals := litmus.NewTest("blind-beside-same-value").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],2").
-		Thread("st.cg [x],3").
-		Thread("ld.cg r0,[x]").
-		InterCTA().
-		Exists("x=1 /\\ 4:r0=3").
-		MustBuild()
-	// Two readers: writer 2 is read under some rf choices and not others,
-	// so its eligibility changes from one choice to the next.
-	sometimesRead := litmus.NewTest("blind-sometimes-read").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],2").
-		Thread("st.cg [x],3").
-		Thread("ld.cg r0,[x]").
-		Thread("ld.cg r1,[x]").
-		InterCTA().
-		Exists("3:r0=2 /\\ 4:r1=0").
-		MustBuild()
-	// Writers 0 and 1 share a CTA with the reader, writers 2 and 3 have
-	// their own: the scope tree splits the location's writers into {0, 1}
-	// and {2, 3}.
-	split := litmus.NewTest("blind-scope-split").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],2").
-		Thread("st.cg [x],3").
-		Thread("st.cg [x],4").
-		Thread("ld.cg r0,[x]").
-		Scope(litmus.ScopeTree{CTAs: []litmus.CTAScope{
-			{Warps: []litmus.WarpScope{{Threads: []int{0}}, {Threads: []int{1}}, {Threads: []int{4}}}},
-			{Warps: []litmus.WarpScope{{Threads: []int{2}}}},
-			{Warps: []litmus.WarpScope{{Threads: []int{3}}}},
-		}}).
-		Exists("x=3 /\\ 4:r0=0").
-		MustBuild()
-	// Mixed cache operators and volatility, which no .cat word reads: all
-	// five writers form one value-blind class.
-	annot := litmus.NewTest("blind-annotations").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.ca [x],2").
-		Thread("st.cg [x],3").
-		Thread("st.volatile [x],4").
-		Thread("st.cg [x],5").
-		Thread("ld.cg r0,[x]").
-		InterCTA().
-		Exists("x=4 /\\ 5:r0=2").
-		MustBuild()
-	return append(tests, coLast, mixedVals, sometimesRead, split, annot)
-}
-
-// randomSymTests generates a seeded corpus biased toward symmetry: one
-// location, 3-4 threads each a solo writer (values collide often, including
-// the initial value), a solo reader, or a write-then-read pair, under an
-// inter- or intra-CTA tree. The memory condition keeps unobserved writes
-// relevant to the verdict.
-func randomSymTests(t *testing.T, n int) []*litmus.Test {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	tests := make([]*litmus.Test, 0, n)
-	for i := 0; i < n; i++ {
-		b := litmus.NewTest(fmt.Sprintf("rand-sym-%d", i)).Global("x", 0)
-		nt := 3 + rng.Intn(2)
-		for tid := 0; tid < nt; tid++ {
-			switch rng.Intn(4) {
-			case 0, 1:
-				b = b.Thread(fmt.Sprintf("st.cg [x],%d", rng.Intn(3)))
-			case 2:
-				b = b.Thread("ld.cg r0,[x]")
-			default:
-				b = b.Thread(fmt.Sprintf("st.cg [x],%d", rng.Intn(3)), "ld.cg r0,[x]")
-			}
-		}
-		if rng.Intn(2) == 0 {
-			b = b.InterCTA()
-		} else {
-			b = b.IntraCTA()
-		}
-		test, err := b.Exists("x=1").Build()
-		if err != nil {
-			t.Fatalf("rand-sym-%d: %v", i, err)
-		}
-		tests = append(tests, test)
-	}
-	return tests
-}
-
-// pruneCorpus is the full differential corpus: the producer tests (paper
-// tests plus the memoization stress shapes, none of which have symmetry
-// classes — there the pruned stream must simply equal the exhaustive one)
-// and the symmetric corpus above.
-func pruneCorpus(t *testing.T) []*litmus.Test {
-	t.Helper()
-	tests := producerTests(t)
-	tests = append(tests, symmetryTests(t)...)
-	tests = append(tests, blindTests(t)...)
-	return append(tests, randomSymTests(t, 6)...)
-}
+// producer (the default) against the exhaustive one (Opts.Exhaustive),
+// over the paper tests and litmustest's hand-written shapes, which have
+// non-trivial symmetry classes: same-value solo writers, writes nobody
+// reads (where only coherence permutations distinguish executions),
+// classes at several locations, intra-CTA and mixed scope trees, and
+// value-blind classes of distinct-value writers.
 
 // renderFinal renders an execution's complete final state — its present
 // registers in thread/register order plus every location's memory — the
@@ -277,11 +60,11 @@ func collectWeighted(t *testing.T, en *Enumeration) []weightedExec {
 }
 
 // TestPrunedStreamMatchesExhaustive is the producer-level differential
-// oracle: checkPrunedStream over the whole corpus.
+// oracle: checkPrunedStream over the paper tests and the shapes.
 func TestPrunedStreamMatchesExhaustive(t *testing.T) {
-	for _, test := range pruneCorpus(t) {
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Shapes()), func(t *testing.T, test *litmus.Test) {
 		checkPrunedStream(t, test, DefaultOpts())
-	}
+	})
 }
 
 // checkPrunedStream checks test's pruned stream against its exhaustive
@@ -388,7 +171,7 @@ func checkPrunedStream(t *testing.T, test *litmus.Test, opts Opts) {
 // Cache operators and volatility split no class: sym-annotations (writers
 // .cg, .ca and .volatile of 1) prunes exactly as sym-3writers, 96
 // executions to 16 visits (96 while annotations split classes), and
-// blind-annotations (blindTests) visits 90 of 720 (384 while they split).
+// blind-annotations visits 90 of 720 (384 while they split).
 func TestSymmetryPrunedCounts(t *testing.T) {
 	check := func(test *litmus.Test, wantVisits, wantTotal, wantWeight int) {
 		t.Helper()
@@ -409,19 +192,15 @@ func TestSymmetryPrunedCounts(t *testing.T) {
 				test.Name, len(prs), total, wantVisits, wantTotal)
 		}
 	}
-	check(symWriters(3), 16, 96, 6)
-	check(symmetryTests(t)[1], 3, 6, 2) // sym-unobserved
+	check(litmustest.SymWriters(3), 16, 96, 6)
+	check(litmustest.Symmetric()[3], 3, 6, 2) // sym-unobserved
 	check(co3Test(), 3, 6, 2)
-	check(litmus.NewTest("sym-annotations").Global("x", 0).
-		Thread("st.cg [x],1").Thread("st.ca [x],1").Thread("st.volatile [x],1").
-		Thread("ld.cg r0,[x]").Thread("ld.cg r0,[x]").
-		InterCTA().Exists("4:r0=1").MustBuild(), 16, 96, 6)
-	blind := blindTests(t)
-	check(blind[len(blind)-1], 90, 720, 0) // blind-annotations
+	check(litmustest.SymAnnotations(), 16, 96, 6)
+	check(litmustest.BlindAnnotations(), 90, 720, 0)
 	for _, fence := range []bool{false, true} {
-		check(mpExtra(1, fence), 36, 36, 1)
-		check(mpExtra(2, fence), 484, 576, 0)
-		check(mpExtra(3, fence), 5476, 14400, 0)
+		check(litmustest.MPWriters(1, fence), 36, 36, 1)
+		check(litmustest.MPWriters(2, fence), 484, 576, 0)
+		check(litmustest.MPWriters(3, fence), 5476, 14400, 0)
 	}
 }
 
@@ -431,7 +210,7 @@ func TestSymmetryPrunedCounts(t *testing.T) {
 // byte for byte, and the pre-pruning estimate must bound the weighted
 // completion count.
 func TestStreamComboChunksMatchStreamCombo(t *testing.T) {
-	for _, test := range pruneCorpus(t) {
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Shapes()), func(t *testing.T, test *litmus.Test) {
 		for _, opts := range []Opts{DefaultOpts(), {Exhaustive: true}} {
 			mode := "pruned"
 			if opts.Exhaustive {
@@ -485,14 +264,14 @@ func TestStreamComboChunksMatchStreamCombo(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestStreamComboChunkRanges pins the boundary behaviour of the chunk API:
 // out-of-range combinations report no chunks, and out-of-range chunk
 // indices fail loudly rather than streaming nothing.
 func TestStreamComboChunkRanges(t *testing.T) {
-	en, err := Prepare(symWriters(3), DefaultOpts())
+	en, err := Prepare(litmustest.SymWriters(3), DefaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +303,7 @@ func TestStreamComboChunkRanges(t *testing.T) {
 // one below, both fail with BoundError (the pruned producer must not yield
 // a representative whose class straddles the bound).
 func TestMaxExecsWeightedBound(t *testing.T) {
-	test := symWriters(3)
+	test := litmustest.SymWriters(3)
 	full, err := Prepare(test, Opts{Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
@@ -19,45 +19,6 @@ import (
 // Execution per Assembler in place (rf-choice layer per rf choice, the
 // coherence map, final memory, Mult and memo per completion), and a
 // consumer keeps only what it clones.
-
-// sameValueRF has rf choices that change within one skeleton: two
-// non-solo writers of 1 to x give the reads of 1 two sources each, and a
-// writer of the initial value gives the reads of 0 the initial state or a
-// write, so one skeleton's rf choices alternate between init reads and rf
-// edges.
-func sameValueRF() *litmus.Test {
-	return litmus.NewTest("same-value-rf").
-		Global("x", 0).Global("y", 0).
-		Thread("st.cg [x],1", "st.cg [y],1").
-		Thread("st.cg [x],0", "st.cg [x],1").
-		Thread("ld.cg r0,[x]", "ld.cg r1,[x]", "ld.cg r2,[y]").
-		InterCTA().
-		Exists("2:r0=1 /\\ 2:r1=0").
-		MustBuild()
-}
-
-// reuseCorpus is the paper tests, the diy cycles of up to four edges
-// (every 8th under -short), mp+kw for k ≤ 3 with and without membar.gl,
-// and sameValueRF.
-func reuseCorpus(t *testing.T) []*litmus.Test {
-	t.Helper()
-	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	if len(gen) == 0 {
-		t.Fatal("diy.Generate returned no tests")
-	}
-	step := 1
-	if testing.Short() {
-		step = 8
-	}
-	for i := 0; i < len(gen); i += step {
-		tests = append(tests, gen[i].Test)
-	}
-	for k := 1; k <= 3; k++ {
-		tests = append(tests, mpExtra(k, false), mpExtra(k, true))
-	}
-	return append(tests, sameValueRF())
-}
 
 // exportedCopy rebuilds x from its exported fields alone: no skeleton or
 // rf-choice memo, no read→source index, an empty execution memo, so its
@@ -231,9 +192,10 @@ func freshSnapshots(t *testing.T, en *Enumeration) [][]snapshot {
 // …), so every skeleton is built into storage another test's skeleton
 // just used: each execution equals the fresh-Assembler stream's field by
 // field, the skeleton memo's relations and kind masks included, and every
-// build gets a skeleton key no earlier build had.
+// build gets a skeleton key no earlier build had. The corpus is the paper
+// tests, litmustest.Diy and litmustest.Shapes.
 func TestReusedExecutionMatchesFresh(t *testing.T) {
-	corpus := reuseCorpus(t)
+	corpus := slices.Concat(litmustest.Paper(), litmustest.Diy(t), litmustest.Shapes())
 	ens := make([]*Enumeration, len(corpus))
 	for i, test := range corpus {
 		en, err := Prepare(test, DefaultOpts())
@@ -350,7 +312,7 @@ func TestStreamAllocsPerVisit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by race instrumentation")
 	}
-	en, err := Prepare(mpExtra(3, false), DefaultOpts())
+	en, err := Prepare(litmustest.MPWriters(3, false), DefaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +343,7 @@ func TestStreamAllocsPerVisit(t *testing.T) {
 // test, and while a parallel fold's workers go on building skeletons on
 // pooled Assemblers as another goroutine reads the clones.
 func TestCloneOutlivesStream(t *testing.T) {
-	test := mpExtra(2, true)
+	test := litmustest.MPWriters(2, true)
 	en, err := Prepare(test, DefaultOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +373,7 @@ func TestCloneOutlivesStream(t *testing.T) {
 		t.Fatalf("clone after the stream renders\n%s\nwant\n%s", renderExec(first), renderExec(execs[0]))
 	}
 
-	tests := append([]*litmus.Test{test, mpExtra(1, false)}, litmus.PaperTests()...)
+	tests := append([]*litmus.Test{test, litmustest.MPWriters(1, false)}, litmus.PaperTests()...)
 	ens := make([]*Enumeration, len(tests))
 	refs := make([][][]snapshot, len(tests))
 	for i, tst := range tests {
@@ -518,7 +480,7 @@ func TestCloneOutlivesStream(t *testing.T) {
 // locations, no final registers or memory — unless a clone pinned the
 // skeleton, which it then no longer holds at all.
 func TestReturnAssemblerDropsRequestData(t *testing.T) {
-	en, err := Prepare(mpExtra(1, true), DefaultOpts())
+	en, err := Prepare(litmustest.MPWriters(1, true), DefaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

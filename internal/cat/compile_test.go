@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
@@ -35,11 +35,7 @@ var (
 		return enumerate(litmus.PaperTests())
 	})
 	diyExecsOnce = sync.OnceValues(func() ([]*axiom.Execution, error) {
-		var tests []*litmus.Test
-		for _, g := range diy.Generate(diy.DefaultPool(), 4, 50) {
-			tests = append(tests, g.Test)
-		}
-		return enumerate(tests)
+		return enumerate(litmustest.Cycles()[:50])
 	})
 )
 

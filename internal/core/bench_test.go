@@ -2,13 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // BenchmarkCatEval measures the hot loop of every verdict the repo produces:
@@ -121,14 +121,14 @@ func BenchmarkJudge(b *testing.B) {
 	}
 }
 
-// benchJudgeStress runs the full pipeline on a 15000-candidate test (see
-// stressTest) at an explicit parallelism — the generated-corpus / deep-
+// benchJudgeStress runs the full pipeline on a 15000-candidate test
+// (litmustest.Stress) at an explicit parallelism — the generated-corpus / deep-
 // unrolling regime the streaming fan-out targets. Serial vs Parallel ns/op
 // is the multicore win; verdicts are identical by construction.
 func benchJudgeStress(b *testing.B, parallelism int) {
 	b.Helper()
 	m := PTX()
-	test := stressTest(4)
+	test := litmustest.Stress(4)
 	b.ReportAllocs()
 	var v *Verdict
 	for i := 0; i < b.N; i++ {
@@ -157,7 +157,7 @@ func BenchmarkJudgeStressParallel(b *testing.B) { benchJudgeStress(b, runtime.GO
 // Before/after numbers live in BENCH_prune.json.
 func benchJudgeSymmetric(b *testing.B, opts axiom.Opts) {
 	b.Helper()
-	benchJudgeShape(b, symCoreTest(5), opts)
+	benchJudgeShape(b, litmustest.SymWriters(5), opts)
 }
 
 // benchJudgeShape prepares and judges test under PTX with serial
@@ -196,12 +196,14 @@ func BenchmarkJudgeSymmetricExhaustive(b *testing.B) {
 // to x and y. Its value-blind classes collapse 14,400 candidates into
 // 5,476 visited representatives. Before/after numbers live in
 // BENCH_prune.json.
-func BenchmarkJudgeMP3W(b *testing.B) { benchJudgeShape(b, mpExtraTest(3, false), axiom.DefaultOpts()) }
+func BenchmarkJudgeMP3W(b *testing.B) {
+	benchJudgeShape(b, litmustest.MPWriters(3, false), axiom.DefaultOpts())
+}
 
 // BenchmarkJudgeMP3WExhaustive is the same judgement with pruning
 // disabled: every one of the 14,400 candidates is evaluated.
 func BenchmarkJudgeMP3WExhaustive(b *testing.B) {
-	benchJudgeShape(b, mpExtraTest(3, false), axiom.Opts{Exhaustive: true})
+	benchJudgeShape(b, litmustest.MPWriters(3, false), axiom.Opts{Exhaustive: true})
 }
 
 // benchJudgeCorpus judges every paper test under PTX, with or without the
@@ -273,36 +275,20 @@ func BenchmarkPrefilterUndecided(b *testing.B) {
 	}
 }
 
-// fencedStressTest is mp+membar.gls inflated with extra solo writer
-// threads of distinct values to x and y: the condition still pins
-// 1:r1=1 to T0's fenced write (unique writer of value 1) and 1:r2=0 to
-// the initial value, so the forced-cycle analysis decides Forbidden
-// exactly as for plain mp+membar.gls, while the rf/co choice space —
-// and with it enumeration cost — grows factorially with the writer
-// count (extra=3 enumerates 14400 candidates).
-// TestFencedStressStaticAgrees pins the static and enumerated verdicts
-// equal at every size.
-func fencedStressTest(extra int) *litmus.Test {
-	bl := litmus.NewTest("mp-big+membar.gls").
-		Global("x", 0).Global("y", 0).
-		Thread("st.cg [x],1", "membar.gl", "st.cg [y],1").
-		Thread("ld.cg r1,[y]", "membar.gl", "ld.cg r2,[x]")
-	for i := 0; i < extra; i++ {
-		bl = bl.Thread(fmt.Sprintf("st.cg [x],%d", i+2))
-		bl = bl.Thread(fmt.Sprintf("st.cg [y],%d", i+2))
-	}
-	return bl.InterCTA().Exists("1:r1=1 /\\ 1:r2=0").MustBuild()
-}
-
-// benchJudgeFencedStress judges the inflated decidable shape with and
-// without the prefilter — the headline BENCH_static.json pair. Unlike
+// benchJudgeFencedStress judges mp+membar.gl+3w (litmustest.MPWriters),
+// an inflated decidable shape: the condition still pins 1:r1=1 to T0's
+// fenced write (unique writer of value 1) and 1:r2=0 to the initial
+// value, so the forced-cycle analysis decides Forbidden exactly as for
+// plain mp+membar.gls, while the rf/co choice space, and with it
+// enumeration cost, grows factorially with the writer count (14,400
+// candidates). It judges it with and without the prefilter — the headline BENCH_static.json pair. Unlike
 // the paper corpus (whose 3-5 candidate enumerations cost about as much
 // as the static analysis itself), here enumeration is the dominant cost
 // and a static skip saves nearly all of it.
 func benchJudgeFencedStress(b *testing.B, static bool) {
 	b.Helper()
 	m := PTX()
-	test := fencedStressTest(3)
+	test := litmustest.MPWriters(3, true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var v *Verdict
@@ -316,7 +302,7 @@ func benchJudgeFencedStress(b *testing.B, static bool) {
 			b.Fatal(err)
 		}
 		if v.Observable {
-			b.Fatal("mp-big+membar.gls must be forbidden")
+			b.Fatal("mp+membar.gl+3w must be forbidden")
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // TestJudgeCtxCancelled: a cancelled context returns ctx.Err() at every
@@ -16,7 +17,7 @@ import (
 func TestJudgeCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, test := range []*litmus.Test{litmus.CoRR(), stressTest(3), soloChunkTest(), mpWritersTest(2)} {
+	for _, test := range []*litmus.Test{litmus.CoRR(), litmustest.Stress(3), litmustest.SoloChunk(), litmustest.MPWriters(2, false)} {
 		en, err := axiom.Prepare(test, axiom.DefaultOpts())
 		if err != nil {
 			t.Fatal(err)
@@ -33,9 +34,9 @@ func TestJudgeCtxCancelled(t *testing.T) {
 }
 
 func TestForEachVerdictCtxCancelMidStream(t *testing.T) {
-	// stressTest enumerates hundreds of candidates; cancel after a few and
+	// stress-3w enumerates hundreds of candidates; cancel after a few and
 	// check the producer stops instead of exhausting the enumeration.
-	test := stressTest(3)
+	test := litmustest.Stress(3)
 	total, err := PTX().ForEachVerdictCtx(context.Background(), test, 1, func(int, *axiom.Execution, bool) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestForEachVerdictCtxCancelMidStream(t *testing.T) {
 // a cancelled context at every parallelism it is handed, before any
 // visit.
 func TestForEachVerdictCtxCancelParallel(t *testing.T) {
-	test := stressTest(3)
+	test := litmustest.Stress(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, par := range []int{0, 1, 4} {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // FuzzRepair drives the fence-repair synthesis engine with arbitrary
@@ -74,13 +76,18 @@ func FuzzRepair(f *testing.F) {
 }
 
 // FuzzPrefilter holds the static analysis to the judge on arbitrary litmus
-// sources, seeded from every paper test. For each source the parser
-// accepts and the judge can judge within 4096 candidates, a decided
-// Prefilter under each builtin model agrees with JudgeWith, and a test
-// that Prefilter under PolicyNone forbids (the test /v1/sweep skips) has
-// no witness under any of them. CI runs a 15s burst next to FuzzRepair.
+// sources, seeded from the paper tests, litmustest.Diy, litmustest.Shapes
+// and the application tests. For each source the parser accepts and the
+// judge can judge within 4096 candidates, a decided Prefilter under each
+// builtin model agrees with JudgeWith, and a test that Prefilter under
+// PolicyNone forbids (the test /v1/sweep skips) has no witness under any
+// of them. CI runs a 15s burst next to FuzzRepair. The random tests are
+// held to both claims by TestStaticDifferentialRandomCorpus and
+// TestUnsatisfiableDifferential; as seeds they would dominate the
+// package's run time, since judging rand-106 walks 3,240,000 path
+// combinations for 192 candidates under each model.
 func FuzzPrefilter(f *testing.F) {
-	for _, t := range litmus.PaperTests() {
+	for _, t := range slices.Concat(litmustest.Paper(), litmustest.Diy(f), litmustest.Shapes(), litmustest.Apps()) {
 		f.Add(t.String())
 	}
 	ms := builtinModels()

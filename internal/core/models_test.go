@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // sameVerdictFields fails unless got equals want on every field, the
@@ -52,32 +53,21 @@ func checkJudgeModels(t *testing.T, label string, ms []*Model, test *litmus.Test
 }
 
 // TestJudgeModelsMatchesJudgeWith is the differential for the shared
-// candidate stream: over the paper corpus and every diy cycle of up to
-// four edges (every 8th under -short), under the four builtin models, at
-// parallelism 1, 0 and 4, and from a pruned and an exhaustive enumeration,
-// one JudgeModels run gives each model exactly JudgeWith's verdict. The
-// models run in both orders: the PTX model is the weakest of the four, so
-// in the builtin order the first model allows whatever a later one does.
+// candidate stream: over the paper tests, litmustest.Diy,
+// litmustest.Producer and litmustest.Symmetric, under the four builtin
+// models, at parallelism 1, 0 and 4, and from a pruned and an exhaustive
+// enumeration, one JudgeModels run gives each model exactly JudgeWith's
+// verdict. The models run in both orders: the PTX model is the weakest of
+// the four, so in the builtin order the first model allows whatever a
+// later one does.
 func TestJudgeModelsMatchesJudgeWith(t *testing.T) {
-	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	tests = append(tests, stressTest(3), symCoreTest(4), soloChunkTest())
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	if len(gen) == 0 {
-		t.Fatal("diy.Generate returned no tests")
-	}
-	step := 1
-	if testing.Short() {
-		step = 8
-	}
-	for i := 0; i < len(gen); i += step {
-		tests = append(tests, gen[i].Test)
-	}
 	ms := builtinModels()
 	rev := make([]*Model, len(ms))
 	for i, m := range ms {
 		rev[len(ms)-1-i] = m
 	}
-	for _, test := range tests {
+	corpus := slices.Concat(litmustest.Paper(), litmustest.Diy(t), litmustest.Producer(), litmustest.Symmetric())
+	litmustest.Run(t, corpus, func(t *testing.T, test *litmus.Test) {
 		for _, eo := range []axiom.Opts{axiom.DefaultOpts(), {Exhaustive: true}} {
 			en, err := axiom.Prepare(test, eo)
 			if err != nil {
@@ -89,7 +79,7 @@ func TestJudgeModelsMatchesJudgeWith(t *testing.T) {
 				checkJudgeModels(t, label+"/reversed", rev, test, Opts{Parallelism: par, Enum: en})
 			}
 		}
-	}
+	})
 }
 
 // TestJudgeModelsStatic: on one preparation of a test, each model the
@@ -151,12 +141,12 @@ func TestJudgeModelsErrors(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	for _, par := range []int{1, 0, 4} {
-		if _, err := JudgeModels(cancelled, ms, stressTest(3), Opts{Parallelism: par}); !errors.Is(err, context.Canceled) {
+		if _, err := JudgeModels(cancelled, ms, litmustest.Stress(3), Opts{Parallelism: par}); !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled, parallelism %d: err %v, want context.Canceled", par, err)
 		}
 	}
 
-	stress := stressTest(3)
+	stress := litmustest.Stress(3)
 	for _, par := range []int{1, 0, 4} {
 		en, err := axiom.Prepare(stress, axiom.Opts{MaxExecs: 100})
 		if err != nil {

@@ -16,13 +16,14 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
 // poolCorpus is the paper corpus plus shapes that fan out: combination
-// units (stressTest, mpWritersTest) and rf-chunk units (soloChunkTest).
+// units (stress-3w, mp+2w) and rf-chunk units (solo-chunk).
 func poolCorpus() []*litmus.Test {
-	return append(litmus.PaperTests(), stressTest(3), mpWritersTest(2), soloChunkTest())
+	return append(litmus.PaperTests(), litmustest.Stress(3), litmustest.MPWriters(2, false), litmustest.SoloChunk())
 }
 
 // freshVerdicts judges every test under freshly compiled builtin models,
@@ -48,7 +49,7 @@ func freshVerdicts(t *testing.T, tests []*litmus.Test) [][]*Verdict {
 // Allows calls and judgements on the same model add nothing to it.
 func TestPooledScratchDropsTrace(t *testing.T) {
 	m := PTX()
-	tests := []*litmus.Test{litmus.MP(litmus.NoFence), stressTest(3), soloChunkTest()}
+	tests := []*litmus.Test{litmus.MP(litmus.NoFence), litmustest.Stress(3), litmustest.SoloChunk()}
 	var xs []*axiom.Execution
 	for _, test := range tests {
 		if _, err := JudgeWith(context.Background(), m, test, Opts{Visit: func(_ int, x *axiom.Execution, _ bool) error {
@@ -97,7 +98,7 @@ func TestPooledScratchDropsTrace(t *testing.T) {
 // skeleton first) recomputes every slot and matches a fresh model.
 func TestPooledScratchDropsSkeleton(t *testing.T) {
 	m, fresh := PTX(), PTX()
-	for _, test := range []*litmus.Test{litmus.MP(litmus.NoFence), litmus.CoRR(), stressTest(3)} {
+	for _, test := range []*litmus.Test{litmus.MP(litmus.NoFence), litmus.CoRR(), litmustest.Stress(3)} {
 		var xs []*axiom.Execution
 		var allowed []bool
 		if _, err := JudgeWith(context.Background(), m, test, Opts{Visit: func(_ int, x *axiom.Execution, ok bool) error {
@@ -213,7 +214,7 @@ func TestJudgeReturnsScratches(t *testing.T) {
 	m := PTX()
 	ctx := context.Background()
 	mp := litmus.MP(litmus.NoFence)
-	stress := stressTest(3)
+	stress := litmustest.Stress(3)
 	bounded, err := axiom.Prepare(stress, axiom.Opts{MaxExecs: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -2,114 +2,14 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
-
-// symCoreTest is the symmetric judging shape: `writers` interchangeable
-// solo writers of 1 plus two readers, every thread in its own CTA. The
-// enumerator collapses the writers into one symmetry class of orbit size
-// writers!, so verdicts exercise weighted counting on every path.
-func symCoreTest(writers int) *litmus.Test {
-	b := litmus.NewTest(fmt.Sprintf("sym-core-%dw", writers)).Global("x", 0)
-	for i := 0; i < writers; i++ {
-		b = b.Thread("st.cg [x],1")
-	}
-	b = b.Thread("ld.cg r0,[x]").Thread("ld.cg r0,[x]")
-	return b.InterCTA().Exists(fmt.Sprintf("%d:r0=1", writers)).MustBuild()
-}
-
-// soloChunkTest is the chunked-driver shape: three writers of the initial
-// value plus two readers. Reads can only ever see 0, so the test has
-// exactly one path combination — combo fan-out is impossible — while its
-// rf cross product spans four sources (init plus three interchangeable
-// writers), which is what the chunk split fans out.
-func soloChunkTest() *litmus.Test {
-	return litmus.NewTest("solo-chunk").
-		Global("x", 0).
-		Thread("st.cg [x],0").
-		Thread("st.cg [x],0").
-		Thread("st.cg [x],0").
-		Thread("ld.cg r0,[x]").
-		Thread("ld.cg r0,[x]").
-		InterCTA().
-		Exists("3:r0=0").
-		MustBuild()
-}
-
-// mpExtraTest is mp (membar.gl between each thread's accesses when fence
-// is set) plus k extra pairs of solo writers of distinct values to x and
-// y, the shape value-blind classes collapse: 36, 576 and 14,400
-// candidates for k = 1, 2, 3, visited as 36, 484 and 5,476.
-func mpExtraTest(k int, fence bool) *litmus.Test {
-	name := fmt.Sprintf("mp+%dw", k)
-	t0 := []string{"st.cg [x],1", "st.cg [y],1"}
-	t1 := []string{"ld.cg r1,[y]", "ld.cg r2,[x]"}
-	if fence {
-		name = fmt.Sprintf("mp+membar.gl+%dw", k)
-		t0 = []string{t0[0], "membar.gl", t0[1]}
-		t1 = []string{t1[0], "membar.gl", t1[1]}
-	}
-	b := litmus.NewTest(name).Global("x", 0).Global("y", 0).Thread(t0...).Thread(t1...)
-	for i := 0; i < k; i++ {
-		b = b.Thread(fmt.Sprintf("st.cg [x],%d", 2+i)).Thread(fmt.Sprintf("st.cg [y],%d", 2+i))
-	}
-	return b.InterCTA().Exists("1:r1=1 /\\ 1:r2=0").MustBuild()
-}
-
-// blindCoreTests are the value-blind judging shapes, one single-instruction
-// thread per entry of each row's body: the co-last write differs in value
-// from the other members; a same-value class sits beside distinct-value
-// writers; a writer is read under some rf choices only; cache-operator and
-// volatility mismatches; and a scope tree that splits a class (threads 0
-// and 1 share a CTA with the last thread, a reader; every other thread has
-// its own).
-func blindCoreTests() []*litmus.Test {
-	rows := []struct {
-		name, exists string
-		split        bool
-		body         []string
-	}{
-		{"blind-co-last", "x=2 /\\ 3:r0=1", false,
-			[]string{"st.cg [x],1", "st.cg [x],2", "st.cg [x],3", "ld.cg r0,[x]"}},
-		{"blind-beside-same-value", "x=1 /\\ 4:r0=3", false,
-			[]string{"st.cg [x],1", "st.cg [x],1", "st.cg [x],2", "st.cg [x],3", "ld.cg r0,[x]"}},
-		{"blind-sometimes-read", "3:r0=2 /\\ 4:r0=0", false,
-			[]string{"st.cg [x],1", "st.cg [x],2", "st.cg [x],3", "ld.cg r0,[x]", "ld.cg r0,[x]"}},
-		{"blind-annotations", "x=4 /\\ 5:r0=2", false,
-			[]string{"st.cg [x],1", "st.ca [x],2", "st.cg [x],3", "st.volatile [x],4", "st.cg [x],5", "ld.cg r0,[x]"}},
-		{"blind-scope-split", "x=3 /\\ 4:r0=0", true,
-			[]string{"st.cg [x],1", "st.cg [x],2", "st.cg [x],3", "st.cg [x],4", "ld.cg r0,[x]"}},
-	}
-	var tests []*litmus.Test
-	for _, r := range rows {
-		b := litmus.NewTest(r.name).Global("x", 0)
-		for _, ins := range r.body {
-			b = b.Thread(ins)
-		}
-		if r.split {
-			last := len(r.body) - 1
-			tree := litmus.ScopeTree{CTAs: []litmus.CTAScope{
-				{Warps: []litmus.WarpScope{{Threads: []int{0}}, {Threads: []int{1}}, {Threads: []int{last}}}},
-			}}
-			for tid := 2; tid < last; tid++ {
-				tree.CTAs = append(tree.CTAs, litmus.CTAScope{Warps: []litmus.WarpScope{{Threads: []int{tid}}}})
-			}
-			b = b.Scope(tree)
-		} else {
-			b = b.InterCTA()
-		}
-		tests = append(tests, b.Exists(r.exists).MustBuild())
-	}
-	for k := 1; k <= 3; k++ {
-		tests = append(tests, mpExtraTest(k, false), mpExtraTest(k, true))
-	}
-	return tests
-}
 
 // witnessContent renders a witness for content comparison: the execution's
 // structure plus its final-state fingerprint. Pruned and exhaustive runs
@@ -140,17 +40,14 @@ func judgeOpts(ctx context.Context, m *Model, t *litmus.Test, par int, opts axio
 func frCTAModel() *Model { return compile("fr-cta", "empty fr & cta as fr-cta\n") }
 
 // TestJudgePrunedMatchesExhaustive is the judging-level differential
-// oracle over the full paper corpus plus the symmetric shapes, at every
-// pipeline regime (serial, auto, explicit fan-out): the pruned verdict
-// must be indistinguishable from the exhaustive one on candidate counts,
-// allowed counts, witness counts, observability and witness content.
+// oracle over the paper tests and litmustest.Shapes, at every pipeline
+// regime (serial, auto, explicit fan-out): the pruned verdict must be
+// indistinguishable from the exhaustive one on candidate counts, allowed
+// counts, witness counts, observability and witness content.
 func TestJudgePrunedMatchesExhaustive(t *testing.T) {
-	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	tests = append(tests, stressTest(3), symCoreTest(4), soloChunkTest())
-	tests = append(tests, blindCoreTests()...)
 	models := []*Model{PTX(), SC(), frCTAModel()}
 	ctx := context.Background()
-	for _, test := range tests {
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Shapes()), func(t *testing.T, test *litmus.Test) {
 		for _, m := range models {
 			for _, par := range []int{0, 1, 4} {
 				pruned, err := judgeOpts(ctx, m, test, par, axiom.DefaultOpts())
@@ -180,7 +77,7 @@ func TestJudgePrunedMatchesExhaustive(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestVerdictPrunedAccounting pins the pruning ledger: the paper corpus
@@ -201,15 +98,15 @@ func TestVerdictPrunedAccounting(t *testing.T) {
 				test.Name, v.Visited, v.Candidates, v.Pruned())
 		}
 	}
-	v, err := Judge(m, symCoreTest(4))
+	v, err := Judge(m, litmustest.SymWriters(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Candidates != 600 || v.Visited != 25 || v.Pruned() != 575 {
-		t.Errorf("sym-core-4w: candidates %d, visited %d, pruned %d; want 600, 25, 575",
+		t.Errorf("sym-4writers: candidates %d, visited %d, pruned %d; want 600, 25, 575",
 			v.Candidates, v.Visited, v.Pruned())
 	}
-	if v, err = Judge(m, mpExtraTest(3, false)); err != nil {
+	if v, err = Judge(m, litmustest.MPWriters(3, false)); err != nil {
 		t.Fatal(err)
 	}
 	if v.Candidates != 14400 || v.Visited != 5476 || v.Pruned() != 8924 {
@@ -221,11 +118,11 @@ func TestVerdictPrunedAccounting(t *testing.T) {
 // TestForEachVerdictWeightedHistogram pins the weighted outcome-histogram
 // equivalence the campaign memo depends on: summing Execution.Weight per
 // final-state fingerprint under pruning must reproduce the exhaustive
-// per-fingerprint counts.
+// per-fingerprint counts, on every shape of litmustest.Shapes.
 func TestForEachVerdictWeightedHistogram(t *testing.T) {
 	m := PTX()
 	ctx := context.Background()
-	for _, test := range []*litmus.Test{symCoreTest(4), soloChunkTest(), stressTest(3)} {
+	litmustest.Run(t, litmustest.Shapes(), func(t *testing.T, test *litmus.Test) {
 		collect := func(opts axiom.Opts) map[string]int {
 			h := map[string]int{}
 			en, err := axiom.PrepareCtx(ctx, test, opts)
@@ -253,5 +150,5 @@ func TestForEachVerdictWeightedHistogram(t *testing.T) {
 					test.Name, fp, pruned[fp], n)
 			}
 		}
-	}
+	})
 }

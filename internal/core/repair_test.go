@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // repairCorpus is the §6 scope-mismatch/broken-idiom corpus the engine
@@ -20,34 +22,53 @@ func repairCorpus() []*litmus.Test {
 	}
 }
 
-// TestRepairCorpus: every broken idiom gets a verified repair whose
-// mutated test the judge reports Never, and the mutation round-trips
-// through the concrete syntax with a stable fingerprint.
+// rejudgeRepair repairs test under m and, when the repair is verified
+// and edits the test, fails unless the repaired test re-judges Never and
+// round-trips through the concrete syntax with a stable fingerprint.
+func rejudgeRepair(t *testing.T, m *Model, test *litmus.Test) *analysis.RepairResult {
+	t.Helper()
+	r, err := Repair(m, test)
+	if err != nil {
+		t.Fatalf("Repair(%s): %v", test.Name, err)
+	}
+	if !r.Verified || len(r.Actions) == 0 {
+		return r
+	}
+	v, err := Judge(m, r.Repaired)
+	if err != nil {
+		t.Fatalf("Judge(repaired %s): %v", test.Name, err)
+	}
+	if v.Observable {
+		t.Errorf("repaired %s is still observable under %s (actions: %v)", test.Name, m.Name, r.Actions)
+	}
+	reparsed, err := litmus.Parse(r.Repaired.String())
+	if err != nil {
+		t.Fatalf("repaired %s does not re-parse: %v\n%s", test.Name, err, r.Repaired.String())
+	}
+	if got, want := reparsed.Fingerprint(), r.Repaired.Fingerprint(); got != want {
+		t.Errorf("repaired %s: fingerprint drifts across String round-trip: %s vs %s", test.Name, got, want)
+	}
+	return r
+}
+
+// TestRepairCorpus: every broken idiom gets a verified repair that
+// rejudgeRepair accepts.
 func TestRepairCorpus(t *testing.T) {
 	m := PTX()
 	for _, test := range repairCorpus() {
-		r, err := Repair(m, test)
-		if err != nil {
-			t.Fatalf("Repair(%s): %v", test.Name, err)
-		}
-		if !r.Verified || len(r.Actions) == 0 {
+		if r := rejudgeRepair(t, m, test); !r.Verified || len(r.Actions) == 0 {
 			t.Fatalf("Repair(%s): want verified non-empty repair, got %s", test.Name, r.Summary())
 		}
-		v, err := Judge(m, r.Repaired)
-		if err != nil {
-			t.Fatalf("Judge(repaired %s): %v", test.Name, err)
-		}
-		if v.Observable {
-			t.Errorf("repaired %s is still observable under %s (actions: %v)", test.Name, m.Name, r.Actions)
-		}
-		reparsed, err := litmus.Parse(r.Repaired.String())
-		if err != nil {
-			t.Fatalf("repaired %s does not re-parse: %v\n%s", test.Name, err, r.Repaired.String())
-		}
-		if got, want := reparsed.Fingerprint(), r.Repaired.Fingerprint(); got != want {
-			t.Errorf("repaired %s: fingerprint drifts across String round-trip: %s vs %s", test.Name, got, want)
-		}
 	}
+}
+
+// TestRepairRejudged holds every repair the engine verifies on the paper
+// tests, litmustest.Diy and litmustest.Shapes to rejudgeRepair.
+func TestRepairRejudged(t *testing.T) {
+	m := PTX()
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Diy(t), litmustest.Shapes()), func(t *testing.T, test *litmus.Test) {
+		rejudgeRepair(t, m, test)
+	})
 }
 
 // TestRepairMinimal: the verified repair is 1-minimal — removing any

@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/chip"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/sim"
 )
 
@@ -17,27 +18,15 @@ var soundnessProfiles = []*chip.Profile{chip.TeslaC2075, chip.GTXTitan, chip.HD7
 // TestSimulatorSoundness is the Sec. 5.4 property scaled down: every final
 // state the simulator produces for a model-covered test must be the final
 // state of some model-allowed candidate execution. It runs each covered
-// paper test on the most relaxed profiles.
+// paper test and hand-written shape on the most relaxed profiles.
 func TestSimulatorSoundness(t *testing.T) {
-	for _, test := range litmus.PaperTests() {
-		checkSimulatorSound(t, test)
-	}
+	litmustest.Run(t, slices.Concat(litmustest.Paper(), litmustest.Shapes()), checkSimulatorSound)
 }
 
-// TestSimulatorSoundnessDiyCorpus widens the Sec. 5.4 property to every
-// diy cycle of up to four edges (every 8th under -short).
+// TestSimulatorSoundnessDiyCorpus widens the Sec. 5.4 property to the
+// diy cycles of litmustest.Diy.
 func TestSimulatorSoundnessDiyCorpus(t *testing.T) {
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	if len(gen) == 0 {
-		t.Fatal("diy.Generate returned no tests")
-	}
-	step := 1
-	if testing.Short() {
-		step = 8
-	}
-	for i := 0; i < len(gen); i += step {
-		checkSimulatorSound(t, gen[i].Test)
-	}
+	litmustest.Run(t, litmustest.Diy(t), checkSimulatorSound)
 }
 
 // checkSimulatorSound runs a model-covered test for 400 seeds on each

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
@@ -36,21 +35,21 @@ func checkStaticAgainstJudge(t *testing.T, m *Model, tst *litmus.Test) (decided 
 	return true
 }
 
-// TestStaticDifferentialPaperCorpus is the differential oracle over every
-// paper test under every builtin model: a decided static verdict must
-// agree with the full rf×co enumeration.
-func TestStaticDifferentialPaperCorpus(t *testing.T) {
-	decided, total := 0, 0
-	for _, m := range builtinModels() {
-		for _, tst := range litmus.PaperTests() {
-			total++
+// staticDecided holds each builtin model's prefilter to the judge on
+// every test of corpus (checkStaticAgainstJudge) and returns how many
+// (test, model) pairs it decided.
+func staticDecided(t *testing.T, corpus []*litmus.Test) int {
+	t.Helper()
+	ms := builtinModels()
+	decided := 0
+	litmustest.Run(t, corpus, func(t *testing.T, tst *litmus.Test) {
+		for _, m := range ms {
 			if checkStaticAgainstJudge(t, m, tst) {
 				decided++
 			}
 		}
-	}
-	t.Logf("static prefilter decided %d/%d paper-corpus (test, model) pairs", decided, total)
-	checkDecidedFloor(t, decided, 48)
+	})
+	return decided
 }
 
 // checkDecidedFloor fails when the analysis decides fewer cases of a
@@ -63,53 +62,32 @@ func checkDecidedFloor(t *testing.T, decided, floor int) {
 	}
 }
 
-// TestStaticDifferentialDiyCorpus extends the oracle over the diy cycle
-// corpus: synthesized tests exercise dependency and fence coverage the
-// hand-written corpus does not.
+// TestStaticDifferentialPaperCorpus is the differential oracle over every
+// paper test under every builtin model: a decided static verdict must
+// agree with the full rf×co enumeration.
+func TestStaticDifferentialPaperCorpus(t *testing.T) {
+	decided := staticDecided(t, litmustest.Paper())
+	t.Logf("static prefilter decided %d/%d paper-corpus (test, model) pairs", decided, 4*24)
+	checkDecidedFloor(t, decided, 48)
+}
+
+// TestStaticDifferentialDiyCorpus extends the oracle over the 776 diy
+// cycles: synthesized tests exercise dependency and fence coverage the
+// hand-written corpus does not. Its floor counts the first 200 cycles,
+// the corpus it was set on.
 func TestStaticDifferentialDiyCorpus(t *testing.T) {
-	gen := diy.Generate(diy.DefaultPool(), 4, 200)
-	if len(gen) == 0 {
-		t.Fatal("diy.Generate returned no tests")
-	}
-	decided, total := 0, 0
-	for _, m := range builtinModels() {
-		for _, gt := range gen {
-			total++
-			if checkStaticAgainstJudge(t, m, gt.Test) {
-				decided++
-			}
-		}
-	}
-	t.Logf("static prefilter decided %d/%d diy-corpus (test, model) pairs", decided, total)
-	checkDecidedFloor(t, decided, 745)
+	cycles := litmustest.Cycles()
+	first, rest := staticDecided(t, cycles[:200]), staticDecided(t, cycles[200:])
+	t.Logf("static prefilter decided %d/%d diy-corpus (test, model) pairs, %d on the first 200 cycles", first+rest, 4*len(cycles), first)
+	checkDecidedFloor(t, first, 745)
 }
 
-// randCorpus returns the first n tests of the seeded random corpus,
-// failing t when the generator yields fewer.
-func randCorpus(t testing.TB, n int) []*litmus.Test {
-	t.Helper()
-	corpus := litmustest.Corpus(n)
-	if len(corpus) < n {
-		t.Fatalf("random corpus too small: %d of %d", len(corpus), n)
-	}
-	return corpus
-}
-
-// TestStaticDifferentialRandomCorpus is the oracle over a seeded
-// randomized corpus (PR 7 methodology): every decided verdict must match
-// enumeration, across all builtin models.
+// TestStaticDifferentialRandomCorpus is the oracle over 120 seeded
+// random tests: every decided verdict must match enumeration, across all
+// builtin models.
 func TestStaticDifferentialRandomCorpus(t *testing.T) {
-	corpus := randCorpus(t, 120)
-	decided, total := 0, 0
-	for _, m := range builtinModels() {
-		for _, tst := range corpus {
-			total++
-			if checkStaticAgainstJudge(t, m, tst) {
-				decided++
-			}
-		}
-	}
-	t.Logf("static prefilter decided %d/%d random-corpus (test, model) pairs", decided, total)
+	decided := staticDecided(t, litmustest.Random(120))
+	t.Logf("static prefilter decided %d/%d random-corpus (test, model) pairs", decided, 4*120)
 	checkDecidedFloor(t, decided, 340)
 }
 
@@ -189,7 +167,7 @@ func TestJudgeStaticSkips(t *testing.T) {
 func TestFencedStressStaticAgrees(t *testing.T) {
 	m := PTX()
 	for extra := 0; extra <= 3; extra++ {
-		tst := fencedStressTest(extra)
+		tst := litmustest.MPWriters(extra, true)
 		sv, err := judgeStatic(context.Background(), m, tst, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // verdictRecord is one visit call, comparable across parallelisms.
@@ -56,23 +57,25 @@ func sameVerdicts(t *testing.T, label string, got, serial []verdictRecord) {
 	}
 }
 
-// TestForEachVerdictComboOrderExact is the differential for the visitor
-// contract: at every parallelism it is handed, visit receives exactly the
-// enumeration order (same executions, same indices, in the same order),
-// and the weight it sees allowed is the fold's Allowed at that
-// parallelism. JudgeWith with a Visit at parallelism 0 and 4 visits in
-// the same order and returns the fold's verdict at parallelism 4. stressTest(3) has 64 path combinations, soloChunkTest one
-// combination with four rf chunks, and a diy sample adds generated
-// shapes.
+// TestForEachVerdictComboOrderExact is the differential for the parallel
+// fold and the visitor contract: at every parallelism it is handed (auto,
+// and explicit fan-out over path combinations or rf chunks), visit
+// receives exactly the enumeration order (same executions, same indices,
+// in the same order), the weight it sees allowed is the fold's Allowed,
+// and the fold's verdict line, visited count and witness (the first
+// witnessing execution in enumeration order) are the serial judgement's.
+// JudgeWith with a Visit at parallelism 0 and 4 visits in the same order
+// and returns the fold's verdict at parallelism 4. The corpus is the
+// paper tests, litmustest.Diy, litmustest.Producer and
+// litmustest.Symmetric: stress-3w has 64 path combinations, so explicit
+// parallelism folds many per worker, solo-chunk one combination with four
+// rf chunks, and the diy cycles include shapes whose single combination
+// does not split. (Blind's mp+3w shapes, 5,476 visits each, are left to
+// the pruned-vs-exhaustive differentials.)
 func TestForEachVerdictComboOrderExact(t *testing.T) {
-	tests := append([]*litmus.Test{}, litmus.PaperTests()...)
-	tests = append(tests, stressTest(3), soloChunkTest())
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	for i := 0; i < len(gen); i += 13 {
-		tests = append(tests, gen[i].Test)
-	}
 	models := []*Model{PTX(), SC()}
-	for _, test := range tests {
+	corpus := slices.Concat(litmustest.Paper(), litmustest.Diy(t), litmustest.Producer(), litmustest.Symmetric())
+	litmustest.Run(t, corpus, func(t *testing.T, test *litmus.Test) {
 		execs, err := axiom.Enumerate(test, axiom.DefaultOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
@@ -87,6 +90,10 @@ func TestForEachVerdictComboOrderExact(t *testing.T) {
 					t.Fatalf("%s/%s: visit %d is #%d %s, enumeration has %s", test.Name, m.Name, i, r.idx, r.exec, execs[i])
 				}
 			}
+			fold1, err := JudgeP(m, test, 1)
+			if err != nil {
+				t.Fatalf("%s/%s: serial: %v", test.Name, m.Name, err)
+			}
 			var fold4 *Verdict
 			for _, par := range []int{0, 2, 4, 16} {
 				label := fmt.Sprintf("%s/%s: parallelism %d", test.Name, m.Name, par)
@@ -98,6 +105,11 @@ func TestForEachVerdictComboOrderExact(t *testing.T) {
 				}
 				if v.Allowed != allowed {
 					t.Fatalf("%s: the fold allows %d, the visitor %d", label, v.Allowed, allowed)
+				}
+				if v.String() != fold1.String() || v.Visited != fold1.Visited ||
+					witnessContent(test, v.Witness) != witnessContent(test, fold1.Witness) {
+					t.Fatalf("%s: verdict %v (%d visited, witness %v), serial %v (%d visited, witness %v)",
+						label, v, v.Visited, v.Witness, fold1, fold1.Visited, fold1.Witness)
 				}
 				if par == 4 {
 					fold4 = v
@@ -121,21 +133,7 @@ func TestForEachVerdictComboOrderExact(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// mpWritersTest is unfenced mp with extra pairs of writers to x and y:
-// with two pairs it has 16 path combinations and 576 executions, so auto
-// mode judges a serial head of combinations and fans the rest out.
-func mpWritersTest(pairs int) *litmus.Test {
-	b := litmus.NewTest(fmt.Sprintf("mp+%dwriters", 2*pairs)).
-		Global("x", 0).Global("y", 0).
-		Thread("st.cg [x],1", "st.cg [y],1").
-		Thread("ld.cg r1,[y]", "ld.cg r2,[x]")
-	for i := 0; i < pairs; i++ {
-		b = b.Thread(fmt.Sprintf("st.cg [x],%d", i+2)).Thread(fmt.Sprintf("st.cg [y],%d", i+2))
-	}
-	return b.InterCTA().Exists("1:r1=1 /\\ 1:r2=0").MustBuild()
+	})
 }
 
 // autoHandOff returns the visits and the weight at which auto mode hands
@@ -170,7 +168,7 @@ func autoHandOff(t *testing.T, test *litmus.Test, en *axiom.Enumeration) (visits
 // visit k — on either side of the hand-off — stops with exactly k+1
 // visits.
 func TestForEachVerdictAutoHandOff(t *testing.T) {
-	test := mpWritersTest(2)
+	test := litmustest.MPWriters(2, false)
 	m := PTX()
 	en, err := axiom.Prepare(test, axiom.DefaultOpts())
 	if err != nil {
@@ -234,14 +232,14 @@ func TestForEachVerdictAutoHandOff(t *testing.T) {
 // total admits the judgement at every parallelism.
 func TestJudgeAutoHandOff(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	test := mpWritersTest(2)
+	test := litmustest.MPWriters(2, false)
 	m := PTX()
 	en, err := axiom.Prepare(test, axiom.DefaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, weight := autoHandOff(t, test, en)
-	solo := soloChunkTest()
+	solo := litmustest.SoloChunk()
 	full, err := JudgeP(m, solo, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +282,7 @@ func TestJudgeAutoHandOff(t *testing.T) {
 // serial and ordered, so cancelling inside visit k stops the stream with
 // exactly k+1 visits delivered.
 func TestForEachVerdictComboCancelMidVisit(t *testing.T) {
-	test := stressTest(3)
+	test := litmustest.Stress(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
 	_, err := JudgeWith(ctx, PTX(), test, Opts{Visit: func(int, *axiom.Execution, bool) error {
@@ -307,7 +305,7 @@ func TestForEachVerdictComboCancelMidVisit(t *testing.T) {
 func TestForEachVerdictComboVisitError(t *testing.T) {
 	boom := errors.New("boom")
 	seen := 0
-	_, err := JudgeWith(context.Background(), PTX(), stressTest(3), Opts{Visit: func(i int, _ *axiom.Execution, _ bool) error {
+	_, err := JudgeWith(context.Background(), PTX(), litmustest.Stress(3), Opts{Visit: func(i int, _ *axiom.Execution, _ bool) error {
 		seen++
 		if i == 9 {
 			return fmt.Errorf("visit %d: %w", i, boom)
@@ -326,7 +324,7 @@ func TestForEachVerdictComboVisitError(t *testing.T) {
 // 8 workers, for the -race CI step, against the visitor's serial
 // reduction: the per-worker tallies must add up to the same counts.
 func TestForEachVerdictComboParallelRace(t *testing.T) {
-	test := stressTest(3)
+	test := litmustest.Stress(3)
 	allowed := 0
 	serial, err := JudgeWith(context.Background(), PTX(), test, Opts{Visit: func(_ int, x *axiom.Execution, ok bool) error {
 		if ok {
@@ -357,7 +355,7 @@ func TestForEachVerdictComboParallelRace(t *testing.T) {
 // judges a renamed copy B as B. The MaxExecs bound error names B at every
 // parallelism, and an unbounded verdict and its witness point at B.
 func TestJudgePreparedNamesJudgedTest(t *testing.T) {
-	a := stressTest(3)
+	a := litmustest.Stress(3)
 	b := a.Clone()
 	b.Name = "renamed-copy"
 	ctx := context.Background()

@@ -2,14 +2,15 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/chip"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // sweepSkips is the expression /v1/sweep decides its static skips with:
@@ -31,16 +32,12 @@ func TestUnsatisfiableDifferential(t *testing.T) {
 	if testing.Short() {
 		runs = 200
 	}
-	corpus := litmus.PaperTests()
-	for _, g := range diy.Generate(diy.DefaultPool(), 4, 1<<20) {
-		corpus = append(corpus, g.Test)
-	}
-	corpus = append(corpus, randCorpus(t, 600)...)
+	corpus := slices.Concat(litmustest.Paper(), litmustest.Cycles(), litmustest.Random(600))
 	ms := builtinModels()
 	flagged := 0
-	for _, tst := range corpus {
+	litmustest.Run(t, corpus, func(t *testing.T, tst *litmus.Test) {
 		if !sweepSkips(tst) {
-			continue
+			return
 		}
 		flagged++
 		vs, err := JudgeModels(context.Background(), ms, tst, Opts{})
@@ -61,7 +58,7 @@ func TestUnsatisfiableDifferential(t *testing.T) {
 				t.Errorf("%s flagged unsatisfiable, but %d of %d runs on %s match", tst.Name, out.Matches, runs, p.ShortName)
 			}
 		}
-	}
+	})
 	t.Logf("the sweep's static skip flagged %d of %d tests", flagged, len(corpus))
 	checkDecidedFloor(t, flagged, 269)
 }

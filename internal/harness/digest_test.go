@@ -6,10 +6,10 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/weakgpu/gpulitmus/internal/apps"
 	"github.com/weakgpu/gpulitmus/internal/chip"
 	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/sim"
 )
 
@@ -44,9 +44,7 @@ func digestCorpus() []digestCell {
 	for _, g := range diy.Generate(diy.DefaultPool(), 3, 6) {
 		tests = append(tests, g.Test)
 	}
-	for _, a := range apps.All() {
-		tests = append(tests, a.Test)
-	}
+	tests = append(tests, litmustest.Apps()...)
 	var cells []digestCell
 	for _, t := range tests {
 		for _, p := range chip.ResultChips() {

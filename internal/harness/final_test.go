@@ -64,7 +64,7 @@ func hashState(h hash.Hash, regs [][]ptx.Reg, locs []ptx.Sym, s litmus.State) {
 func finalStateDigest(t *testing.T) string {
 	t.Helper()
 	h := sha256.New()
-	simTests := append(append(litmus.PaperTests(), litmustest.Corpus(120)...), guardedRegTest())
+	simTests := append(append(litmustest.Paper(), litmustest.Random(120)...), guardedRegTest())
 	for ti, test := range simTests {
 		regs, locs := stateNames(test)
 		for i := 0; i < 8; i++ {
@@ -76,7 +76,7 @@ func finalStateDigest(t *testing.T) string {
 			hashState(h, regs, locs, res.State)
 		}
 	}
-	for _, test := range enumerableCorpus(t) {
+	for _, test := range slices.Concat(litmustest.Paper(), litmustest.Cycles()) {
 		regs, locs := stateNames(test)
 		xs, err := axiom.Enumerate(test, axiom.DefaultOpts())
 		if err != nil {

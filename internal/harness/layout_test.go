@@ -1,30 +1,15 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/chip"
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/sim"
 )
-
-// enumerableCorpus is the paper tests and the 776 diy cycles of up to
-// four edges: the tests whose candidate executions campaigns analyse.
-func enumerableCorpus(t *testing.T) []*litmus.Test {
-	t.Helper()
-	tests := litmus.PaperTests()
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	if len(gen) != 776 {
-		t.Fatalf("diy generated %d cycles, want 776", len(gen))
-	}
-	for _, g := range gen {
-		tests = append(tests, g.Test)
-	}
-	return tests
-}
 
 // checkKey fails unless fp, which the layout rendered, reads back and is
 // starred as the oracle stars it.
@@ -40,20 +25,21 @@ func checkKey(t *testing.T, test *litmus.Test, l *Layout, fp string) {
 }
 
 // TestLayoutMatchesOracle is the layout's differential against the
-// fmt-based fingerprint and reader it replaced, over the enumerable
-// corpus, 120 random tests and the guarded-register test: every simulated
-// final state renders as the oracle renders it, harness.Run's histogram
-// is the oracle's per-iteration histogram, every key reads back and is
-// starred as the oracle stars it, and String is the oracle's rendering.
-// The final state of every candidate execution of the enumerable corpus
-// renders and reads back the same way.
+// fmt-based fingerprint and reader it replaced, over the paper tests, the
+// 776 diy cycles, 120 random tests, the guarded-register test,
+// litmustest.Shapes and the application tests: every simulated final
+// state renders as the oracle renders it, harness.Run's histogram is the
+// oracle's per-iteration histogram, every key reads back and is starred
+// as the oracle stars it, and String is the oracle's rendering. The final
+// state of every candidate execution of the paper tests, the diy cycles
+// and the shapes renders and reads back the same way.
 func TestLayoutMatchesOracle(t *testing.T) {
 	runs := 30
 	if testing.Short() {
 		runs = 8
 	}
-	enumerable := enumerableCorpus(t)
-	tests := append(append(enumerable, litmustest.Corpus(120)...), guardedRegTest())
+	enumerable := slices.Concat(litmustest.Paper(), litmustest.Cycles())
+	tests := slices.Concat(enumerable, litmustest.Random(120), []*litmus.Test{guardedRegTest()}, litmustest.Shapes(), litmustest.Apps())
 	for ti, test := range tests {
 		l := NewLayout(test, litmus.NewSlots(test))
 		cfg := Config{Chip: chip.GTXTitan, Incant: paperIncant(test), Runs: runs, Seed: int64(ti) * 31, Parallelism: 2}
@@ -89,7 +75,7 @@ func TestLayoutMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: String\n%s\noracle\n%s", test.Name, got, want)
 		}
 	}
-	for _, test := range enumerable {
+	for _, test := range slices.Concat(enumerable, litmustest.Shapes()) {
 		l := NewLayout(test, litmus.NewSlots(test))
 		xs, err := axiom.Enumerate(test, axiom.DefaultOpts())
 		if err != nil {

@@ -3,10 +3,11 @@ package litmus_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // TestFingerprintGolden pins every Test.Fingerprint value the service's
@@ -17,14 +18,7 @@ import (
 // canonical form.
 func TestFingerprintGolden(t *testing.T) {
 	const want = "57229b7f9001939a350a4a5ddb1b5dde4ce3ec73141f9b49291b0d852a224d75"
-	corpus := litmus.PaperTests()
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	if len(gen) != 776 {
-		t.Fatalf("diy generated %d cycles, want 776", len(gen))
-	}
-	for _, g := range gen {
-		corpus = append(corpus, g.Test)
-	}
+	corpus := slices.Concat(litmustest.Paper(), litmustest.Cycles())
 	h := sha256.New()
 	for _, c := range corpus {
 		back, err := litmus.Parse(c.String())

@@ -4,27 +4,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
-	"github.com/weakgpu/gpulitmus/internal/diy"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
-
-// corpusTests returns the paper tests and the 776 diy cycles of up to four
-// edges.
-func corpusTests(t testing.TB) []*litmus.Test {
-	tests := litmus.PaperTests()
-	gen := diy.Generate(diy.DefaultPool(), 4, 1<<20)
-	if len(gen) != 776 {
-		t.Fatalf("diy generated %d cycles, want 776", len(gen))
-	}
-	for _, g := range gen {
-		tests = append(tests, g.Test)
-	}
-	return tests
-}
 
 // fuzzSeeds returns the checked-in FuzzParse regression inputs.
 func fuzzSeeds(t *testing.T) []string {
@@ -69,7 +56,7 @@ func TestParseMatchesOracle(t *testing.T) {
 			srcs = append(srcs, src)
 		}
 	}
-	for _, test := range corpusTests(t) {
+	for _, test := range slices.Concat(litmustest.Paper(), litmustest.Cycles()) {
 		src := test.String()
 		add(src)
 		twin, err := litmus.Parse(src)
@@ -98,7 +85,7 @@ func TestParseMatchesOracle(t *testing.T) {
 // TestLocationsMatchesOracle pins Test.Locations against the map-and-sort
 // implementation it replaced, on the paper tests and the diy cycles.
 func TestLocationsMatchesOracle(t *testing.T) {
-	for _, test := range corpusTests(t) {
+	for _, test := range slices.Concat(litmustest.Paper(), litmustest.Cycles()) {
 		if got, want := test.Locations(), litmus.LocationsOracle(test); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Locations = %v, want %v", test.Name, got, want)
 		}
@@ -111,13 +98,11 @@ func TestLocationsMatchesOracle(t *testing.T) {
 // every test the judge and the daemon are sent as text is parsed first.
 func BenchmarkParse(b *testing.B) {
 	var paper, cycles []string
-	npaper := len(litmus.PaperTests())
-	for i, t := range corpusTests(b) {
-		if i < npaper {
-			paper = append(paper, t.String())
-		} else {
-			cycles = append(cycles, t.String())
-		}
+	for _, t := range litmustest.Paper() {
+		paper = append(paper, t.String())
+	}
+	for _, t := range litmustest.Cycles() {
+		cycles = append(cycles, t.String())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

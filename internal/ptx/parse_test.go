@@ -2,10 +2,10 @@ package ptx_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
-	"github.com/weakgpu/gpulitmus/internal/diy"
-	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
@@ -33,10 +33,7 @@ func diffInstr(t *testing.T, line string, isReg ptx.RegClassifier) {
 // forms, under the default register classifier and under one that also
 // takes a few location and opcode names for registers.
 func TestParseInstrMatchesOracle(t *testing.T) {
-	tests := litmus.PaperTests()
-	for _, g := range diy.Generate(diy.DefaultPool(), 4, 1<<20) {
-		tests = append(tests, g.Test)
-	}
+	tests := slices.Concat(litmustest.Paper(), litmustest.Cycles())
 	seen := make(map[string]bool)
 	var cells []string
 	for _, test := range tests {

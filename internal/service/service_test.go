@@ -20,6 +20,7 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/core"
 	"github.com/weakgpu/gpulitmus/internal/harness"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 // newTestService spins a Server on httptest and returns it with a Client.
@@ -932,7 +933,7 @@ func TestSweepCellsCached(t *testing.T) {
 
 // TestJudgeReportsPruning pins the pruning observability surface: a judge
 // verdict over a test with a symmetry class (three interchangeable writers
-// plus a reader) reports the pruned share in its result, the /v1/stats
+// plus two readers) reports the pruned share in its result, the /v1/stats
 // counter and /metrics — and the numbers agree with core.Judge. Replays
 // from the cache keep the per-result number without re-counting it in the
 // service totals, and symmetric-free tests report nothing (the field is
@@ -940,15 +941,7 @@ func TestSweepCellsCached(t *testing.T) {
 func TestJudgeReportsPruning(t *testing.T) {
 	_, client := newTestService(t, Config{})
 	ctx := context.Background()
-	sym := litmus.NewTest("sym-service").
-		Global("x", 0).
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("st.cg [x],1").
-		Thread("ld.cg r0,[x]").
-		InterCTA().
-		Exists("3:r0=1").
-		MustBuild()
+	sym := litmustest.SymWriters(3)
 	want, err := core.Judge(core.PTX(), sym)
 	if err != nil {
 		t.Fatal(err)

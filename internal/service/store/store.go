@@ -202,8 +202,13 @@ func (s *Store) Has(key string) bool {
 // Put appends a record for key. An identical value already on disk is a
 // no-op (verdicts are permanently valid, so replicas re-pushing a key
 // must not grow the segment); a differing or unreadable one is superseded
-// by appending — the newest record for a key wins at load.
+// by appending — the newest record for a key wins at load. A key or value
+// longer than load accepts is refused: written, it would cut the segment
+// at that record on the next open, losing every record after it.
 func (s *Store) Put(key string, val []byte) error {
+	if len(key) > maxRecordLen || len(val) > maxRecordLen {
+		return fmt.Errorf("store: record of a %d-byte key and a %d-byte value exceeds the %d-byte limit", len(key), len(val), maxRecordLen)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {

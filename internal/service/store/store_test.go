@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -283,4 +286,178 @@ func TestConcurrentPutGet(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPutRefusesOverlongRecord: a key or value longer than load accepts
+// is refused and leaves the segment as it was, so the records written
+// before and after it survive a reopen.
+func TestPutRefusesOverlongRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 64 MiB value")
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a", []byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Bytes
+	long := make([]byte, maxRecordLen+1)
+	if err := s.Put("b", long); err == nil {
+		t.Error("Put accepted a value longer than load accepts")
+	}
+	if err := s.Put(string(long), []byte("v")); err == nil {
+		t.Error("Put accepted a key longer than load accepts")
+	}
+	long = nil
+	if after := s.Stats().Bytes; after != before {
+		t.Errorf("refused Puts grew the segment %d → %d bytes", before, after)
+	}
+	if err := s.Put("c", []byte("gamma")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for k, v := range map[string]string{"a": "alpha", "c": "gamma"} {
+		if got, ok := s2.Get(k); !ok || string(got) != v {
+			t.Errorf("after reopen Get(%s) = %q, %v; want %q", k, got, ok, v)
+		}
+	}
+	if st := s2.Stats(); st.Truncated != 0 || st.Entries != 2 {
+		t.Errorf("after reopen %d entries and %d truncated bytes, want 2 and 0", st.Entries, st.Truncated)
+	}
+}
+
+// appendRecord appends one record in the segment framing: uvarint key
+// length, key, uvarint value length, value, crc32 of key‖value.
+func appendRecord(b []byte, key, val string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = binary.AppendUvarint(b, uint64(len(val)))
+	b = append(b, val...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE([]byte(key+val)))
+}
+
+// refSegment is the reference framing parser: it reads data, a segment
+// without its magic header, record by record until the first frame that
+// is short, over-long or fails its checksum, and returns the newest value
+// of each key and the length of the intact prefix.
+func refSegment(data []byte) (map[string]string, int) {
+	recs := make(map[string]string)
+	r := bytes.NewReader(data)
+	good := 0
+	field := func() ([]byte, bool) {
+		n, err := binary.ReadUvarint(r)
+		if err != nil || n > maxRecordLen || n > uint64(r.Len()) {
+			return nil, false
+		}
+		b := make([]byte, n)
+		r.Read(b)
+		return b, true
+	}
+	for r.Len() > 0 {
+		key, ok := field()
+		if !ok {
+			break
+		}
+		val, ok := field()
+		if !ok {
+			break
+		}
+		var sum [4]byte
+		if n, _ := r.Read(sum[:]); n < 4 || binary.LittleEndian.Uint32(sum[:]) != crc32.ChecksumIEEE(append(key, val...)) {
+			break
+		}
+		recs[string(key)] = string(val)
+		good = len(data) - r.Len()
+	}
+	return recs, good
+}
+
+// FuzzSegment opens arbitrary segment files. A file that does not start
+// with the magic header is refused; any other is healed: Open indexes
+// exactly the records refSegment finds before the first bad frame, Get
+// returns their bytes, everything after that frame is truncated, a second
+// open is a fixed point, and a Put made after healing survives a reopen.
+// CI runs a 15 s burst next to FuzzDecodeRecord.
+func FuzzSegment(f *testing.F) {
+	valid := appendRecord(appendRecord(appendRecord([]byte(magic), "judge|a", `{"v":1}`), "run|b", "outcome"), "judge|a", `{"v":2}`)
+	flipped := bytes.Clone(valid)
+	flipped[len(magic)+3] ^= 0x10
+	overlong := binary.AppendUvarint([]byte(magic), maxRecordLen+1)
+	for _, seed := range [][]byte{
+		[]byte(magic),
+		valid,
+		valid[:len(valid)-3],
+		valid[:len(magic)+5],
+		flipped,
+		append(bytes.Clone(valid), 0xff, 0xff, 0xff),
+		overlong,
+		[]byte("gpulitmus-store-v0\n"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return // an empty file is a new store
+		}
+		dir := t.TempDir()
+		seg := filepath.Join(dir, segmentName)
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if !bytes.HasPrefix(data, []byte(magic)) {
+			if err == nil {
+				s.Close()
+				t.Fatal("a file without the magic header opened as a store")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, good := refSegment(data[len(magic):])
+		end := int64(len(magic) + good)
+		check := func(s *Store, when string, truncated int64) {
+			t.Helper()
+			if st := s.Stats(); st.Entries != len(want) || st.Bytes != end || st.Truncated != truncated {
+				t.Fatalf("%s: %d entries, %d bytes, %d truncated; want %d, %d, %d",
+					when, st.Entries, st.Bytes, st.Truncated, len(want), end, truncated)
+			}
+			for k, v := range want {
+				if got, ok := s.Get(k); !ok || string(got) != v {
+					t.Fatalf("%s: Get(%q) = %q, %v; want %q", when, k, got, ok, v)
+				}
+			}
+			if disk, err := os.ReadFile(seg); err != nil || !bytes.Equal(disk, data[:end]) {
+				t.Fatalf("%s: segment is not the intact prefix (%v)", when, err)
+			}
+		}
+		check(s, "first open", int64(len(data))-end)
+		s.Close()
+		s, err = Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(s, "second open", 0)
+		if err := s.Put("fuzz|put", []byte("after healing")); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s, err = Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got, ok := s.Get("fuzz|put"); !ok || string(got) != "after healing" {
+			t.Fatalf("Put after healing lost across a reopen: %q, %v", got, ok)
+		}
+	})
 }
