@@ -89,7 +89,7 @@ func (g *graph) evalRegEq(a litmus.RegEq) tri {
 // the values its writes store, plus the initial value unless some write to
 // it runs on every path of its thread.
 func (g *graph) evalMemEq(a litmus.MemEq) tri {
-	if len(g.en.Domain(a.Loc)) == 0 {
+	if g.en.Slots().Loc(a.Loc) < 0 {
 		return no // not a location of the test: absent from every final state
 	}
 	var t tally

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
@@ -107,8 +108,7 @@ type Enumeration struct {
 	init   []int64       // per location slot: the initial value
 	paths  [][]ThreadPath
 	combos int
-	// domain holds the read domains Domain returns.
-	domain map[ptx.Sym]map[int64]bool
+	dom    [][]int64 // per location slot: the read domain, ascending
 	// tracer is the streaming request's obs collector: captured at
 	// PrepareCtx from the context, or rebound by Bind (nil — every method
 	// a no-op — when untraced). StreamCombo has no context parameter, so
@@ -169,8 +169,14 @@ func (en *Enumeration) Combos() int { return en.combos }
 
 // Domain returns loc's read domain at the end of the value-domain
 // fixpoint, in ascending order: it holds every value a candidate execution
-// reads from loc or writes to it.
-func (en *Enumeration) Domain(loc ptx.Sym) []int64 { return sortedValues(en.domain[loc]) }
+// reads from loc or writes to it. It is nil when loc is not a location of
+// the test. The slice is the enumeration's own: callers must not modify it.
+func (en *Enumeration) Domain(loc ptx.Sym) []int64 {
+	if i := en.slots.Loc(loc); i >= 0 {
+		return en.dom[i]
+	}
+	return nil
+}
 
 // Paths returns thread tid's symbolic paths at the end of the fixpoint:
 // every way the thread runs with each load ranging over its read domain.
@@ -256,54 +262,212 @@ type ThreadPath struct {
 	Regs   []litmus.SlotValue
 }
 
-// val is a register value during path execution: either a number or the
-// address of a location (base != ""), with the set of loads that tainted
-// it.
+// regVal is a register's value during path execution: a number, or the
+// address of a location (base is 1 + the location's slot), with the loads
+// that tainted it. present marks a register declared or assigned on the
+// path; only those reach the final state.
 type regVal struct {
-	n      int64
-	base   ptx.Sym
-	taints map[int]bool
+	n       int64
+	base    int32
+	present bool
+	taints  taintSet
 }
 
-func mergeTaints(a, b map[int]bool) map[int]bool {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	m := make(map[int]bool, len(a)+len(b))
-	for t := range a {
-		m[t] = true
-	}
-	for t := range b {
-		m[t] = true
-	}
-	return m
+// taintSet is a set of event indices of one path: event i < 64 is bit i
+// of w, event 64(k+1)+i is bit i of the scratch's spill word off+k, for
+// k < n. Spill words are never changed once written, so copies of a set
+// share them.
+type taintSet struct {
+	w      uint64
+	off, n int32
 }
 
-func taintList(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
+// stepEvent is a PathEvent under construction, its location a slot. On
+// the trail its dependency lists are taint sets; once its path completes,
+// they are nAddr, nData and nCtrl entries of the scratch's deps.
+type stepEvent struct {
+	kind                Kind
+	loc                 int32 // -1 for fences
+	val                 int64
+	cacheOp             ptx.CacheOp
+	volatile, atomic    bool
+	scope               ptx.Scope
+	instr, rmwRead      int
+	addr, data, ctrl    taintSet
+	nAddr, nData, nCtrl int32
+}
+
+// frame is the running path's position, or a branch not yet taken: the
+// access at pc reading choice, taken with the trail and the spill words
+// cut back to their lengths at the branch and the registers restored from
+// the frame's snapshot.
+type frame struct {
+	pc, steps    int
+	ctrl         taintSet // the taints of the guarded branches so far
+	trail, spill int
+	loc          int32
+	choice       int64
+	addr, cdep   taintSet // the access's address and control taints
+}
+
+// prepScratch is the fixpoint's working storage, reused across threads
+// and iterations and, through a pool, across preparations. Nothing it
+// stores holds a pointer, so a pooled scratch keeps nothing of a test
+// alive.
+type prepScratch struct {
+	regs   []regVal // the running path's registers, one per Slots.Regs slot
+	saved  []regVal // a register snapshot per frame
+	frames []frame
+	trail  []stepEvent // the running path's events
+	spill  []uint64
+	// The completed paths: their events, dependency lists and final
+	// registers, concatenated; ends[i] is path i's end in out.
+	out    []stepEvent
+	deps   []int
+	finals []litmus.SlotValue
+	ends   []int
+	// vers holds each location slot's domain version, then per thread the
+	// versions its last derivation read (-1: not read); derived marks the
+	// threads derived so far.
+	vers    []int
+	derived []bool
+}
+
+var scratches = sync.Pool{New: func() any { return new(prepScratch) }}
+
+// union returns a ∪ b, reusing a or b when one holds the other.
+func (s *prepScratch) union(a, b taintSet) taintSet {
+	switch {
+	case b.n == 0 && b.w&^a.w == 0:
+		return a
+	case a.n == 0 && a.w&^b.w == 0:
+		return b
+	case a.n == 0 && b.n == 0:
+		return taintSet{w: a.w | b.w}
 	}
-	out := make([]int, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+	if a.n < b.n {
+		a, b = b, a
 	}
-	sort.Ints(out)
-	return out
+	off := int32(len(s.spill))
+	s.spill = append(s.spill, s.spill[a.off:a.off+a.n]...)
+	for k, w := range s.spill[b.off : b.off+b.n] {
+		s.spill[off+int32(k)] |= w
+	}
+	return taintSet{w: a.w | b.w, off: off, n: a.n}
+}
+
+// single returns {i}.
+func (s *prepScratch) single(i int) taintSet {
+	if i < 64 {
+		return taintSet{w: 1 << i}
+	}
+	n := i / 64
+	off := len(s.spill)
+	s.spill = append(s.spill, make([]uint64, n)...)
+	s.spill[off+n-1] = 1 << (i % 64)
+	return taintSet{off: int32(off), n: int32(n)}
+}
+
+// appendTaints appends t's members to deps in ascending order and returns
+// how many it appended.
+func (s *prepScratch) appendTaints(t taintSet) int32 {
+	n := len(s.deps)
+	s.deps = appendBits(s.deps, t.w, 0)
+	for k, w := range s.spill[t.off : t.off+t.n] {
+		s.deps = appendBits(s.deps, w, 64*(k+1))
+	}
+	return int32(len(s.deps) - n)
+}
+
+// appendBits appends base+i for every set bit i of w, ascending.
+func appendBits(dst []int, w uint64, base int) []int {
+	for ; w != 0; w &= w - 1 {
+		dst = append(dst, base+bits.TrailingZeros64(w))
+	}
+	return dst
+}
+
+// push records a branch not yet taken, with a snapshot of the registers.
+func (s *prepScratch) push(f frame) {
+	s.frames = append(s.frames, f)
+	s.saved = append(s.saved, s.regs...)
+}
+
+// finish records the running path as complete.
+func (s *prepScratch) finish() {
+	for _, ev := range s.trail {
+		ev.nAddr = s.appendTaints(ev.addr)
+		ev.nData = s.appendTaints(ev.data)
+		ev.nCtrl = s.appendTaints(ev.ctrl)
+		s.out = append(s.out, ev)
+	}
+	for _, rv := range s.regs {
+		var v litmus.SlotValue
+		if rv.present && rv.base == 0 {
+			v = litmus.SlotValue{Val: rv.n, Present: true}
+		}
+		s.finals = append(s.finals, v)
+	}
+	s.ends = append(s.ends, len(s.out))
+}
+
+// paths copies the completed paths out: one slab each for their events,
+// final registers and dependency lists, each path's share capped so that
+// an append to it cannot reach a neighbour's.
+func (s *prepScratch) paths(locs []ptx.Sym) []ThreadPath {
+	evs := make([]PathEvent, len(s.out))
+	regs := make([]litmus.SlotValue, len(s.finals))
+	copy(regs, s.finals)
+	var deps []int
+	if len(s.deps) > 0 {
+		deps = make([]int, len(s.deps))
+		copy(deps, s.deps)
+	}
+	take := func(n int32) []int {
+		if n == 0 {
+			return nil
+		}
+		d := deps[:n:n]
+		deps = deps[n:]
+		return d
+	}
+	ps := make([]ThreadPath, len(s.ends))
+	nr := len(s.regs)
+	start := 0
+	for i, end := range s.ends {
+		for j, ev := range s.out[start:end] {
+			pe := PathEvent{
+				Kind: ev.kind, Val: ev.val, CacheOp: ev.cacheOp, Volatile: ev.volatile, Atomic: ev.atomic,
+				Scope: ev.scope, Instr: ev.instr, RMWRead: ev.rmwRead,
+			}
+			if ev.loc >= 0 {
+				pe.Loc = locs[ev.loc]
+			}
+			pe.AddrDeps, pe.DataDeps, pe.CtrlDeps = take(ev.nAddr), take(ev.nData), take(ev.nCtrl)
+			evs[start+j] = pe
+		}
+		if end > start {
+			ps[i].Events = evs[start:end:end]
+		}
+		ps[i].Regs = regs[i*nr : (i+1)*nr : (i+1)*nr]
+		start = end
+	}
+	return ps
 }
 
 type enumerator struct {
-	test   *litmus.Test
-	opts   Opts
-	ctx    context.Context
-	slots  *litmus.Slots
-	domain map[ptx.Sym]map[int64]bool
-	// domVer counts the growth of each location's domain; the path memo
-	// compares observed versions against it to decide whether a thread's
-	// paths can be reused across fixpoint iterations.
-	domVer map[ptx.Sym]int
-	// reads logs the domain versions the current threadPaths derivation
-	// observed (per location read); nil outside a derivation.
-	reads map[ptx.Sym]int
+	test  *litmus.Test
+	opts  Opts
+	ctx   context.Context
+	slots *litmus.Slots
+	// dom holds each location slot's read domain, ascending. Domains grow
+	// only between derivations, so a derivation reads them in place.
+	dom [][]int64
+	s   *prepScratch
+	// names and read belong to the thread being derived: its registers in
+	// slot order, and the domain version each location's read observed.
+	names []ptx.Reg
+	read  []int
 	// noMemo disables the cross-iteration path memo; the differential test
 	// pins memoized derivation against the always-re-derive fixpoint.
 	noMemo bool
@@ -311,20 +475,19 @@ type enumerator struct {
 	tracer *obs.Trace
 }
 
-// pathDeps records what one thread's memoized paths depend on: the domain
-// version of every location the derivation read. While those versions are
-// unchanged, re-deriving the thread would replay the exact same symbolic
-// execution, so the paths are reused as-is.
-type pathDeps struct {
-	derived bool
-	reads   map[ptx.Sym]int
-}
+// domainRoom is how many values each read domain holds before it needs
+// storage of its own.
+const domainRoom = 4
 
-// unchanged reports whether every location the derivation read still has
-// the domain version it observed.
-func (e *enumerator) unchanged(reads map[ptx.Sym]int) bool {
-	for loc, v := range reads {
-		if e.domVer[loc] != v {
+// unchanged reports whether every location thread tid's last derivation
+// read still has the domain version it observed: while they do,
+// re-deriving the thread would replay the exact same symbolic execution,
+// so its paths are reused as-is.
+func (e *enumerator) unchanged(tid int) bool {
+	nl := len(e.dom)
+	ver, read := e.s.vers[:nl], e.s.vers[nl*(tid+1):nl*(tid+2)]
+	for l, v := range read {
+		if v >= 0 && ver[l] != v {
 			return false
 		}
 	}
@@ -341,12 +504,22 @@ func (e *enumerator) unchanged(reads map[ptx.Sym]int) bool {
 func (e *enumerator) prepare() (*Enumeration, error) {
 	e.slots = litmus.NewSlots(e.test)
 	locs := e.slots.Locs()
-	init := make([]int64, len(locs))
-	e.domain = make(map[ptx.Sym]map[int64]bool, len(locs))
-	e.domVer = make(map[ptx.Sym]int, len(locs))
+	nl, nt := len(locs), len(e.test.Threads)
+	e.s = scratches.Get().(*prepScratch)
+	defer scratches.Put(e.s)
+	e.s.vers = resize(e.s.vers, nl*(nt+1))
+	clear(e.s.vers[:nl])
+	e.s.derived = resize(e.s.derived, nt)
+	clear(e.s.derived)
+	// The initial values and the domains share one slab: each domain
+	// starts as its location's initial value, with room to grow in place.
+	slab := make([]int64, nl*(1+domainRoom))
+	init := slab[:nl:nl]
+	e.dom = make([][]int64, nl)
 	for i, loc := range locs {
 		init[i] = e.test.InitOf(loc)
-		e.domain[loc] = map[int64]bool{init[i]: true}
+		d := slab[nl+i*domainRoom:]
+		e.dom[i] = append(d[:0:domainRoom], init[i])
 	}
 	// A value read in a real execution is grounded in a chain of writes of
 	// that execution, so chains are no longer than the static write count:
@@ -365,44 +538,34 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 			}
 		}
 	}
-	nt := len(e.test.Threads)
 	paths := make([][]ThreadPath, nt)
-	memo := make([]pathDeps, nt)
 	for iter := 0; ; iter++ {
 		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
 		grew := false
 		for tid := range e.test.Threads {
-			if !e.noMemo && memo[tid].derived && e.unchanged(memo[tid].reads) {
+			if !e.noMemo && e.s.derived[tid] && e.unchanged(tid) {
 				// The thread's paths are still valid, and its write values
 				// are already in the domains (added when it was derived).
 				e.tracer.Add(obs.CtrMemoHits, 1)
 				continue
 			}
-			e.reads = make(map[ptx.Sym]int)
 			ps, err := e.threadPaths(tid)
 			if err != nil {
 				return nil, err
 			}
 			paths[tid] = ps
-			memo[tid] = pathDeps{derived: true, reads: e.reads}
-			e.reads = nil
-			for _, p := range ps {
-				for _, ev := range p.Events {
-					if ev.Kind != KWrite {
-						continue
-					}
-					d := e.domain[ev.Loc]
-					if !d[ev.Val] {
-						if len(d) >= e.opts.MaxValues {
-							return nil, fmt.Errorf("axiom: value domain for %s exceeds %d", ev.Loc, e.opts.MaxValues)
-						}
-						d[ev.Val] = true
-						e.domVer[ev.Loc]++
-						grew = true
-					}
+			e.s.derived[tid] = true
+			for _, ev := range e.s.out { // every path's events, in order
+				if ev.kind != KWrite {
+					continue
 				}
+				added, err := e.addValue(ev.loc, ev.val)
+				if err != nil {
+					return nil, err
+				}
+				grew = grew || added
 			}
 		}
 		if !grew || iter >= maxIters {
@@ -420,384 +583,336 @@ func (e *enumerator) prepare() (*Enumeration, error) {
 			combos *= len(ps)
 		}
 	}
-	return &Enumeration{test: e.test, opts: e.opts, slots: e.slots, init: init, domain: e.domain, paths: paths, combos: combos}, nil
+	return &Enumeration{test: e.test, opts: e.opts, slots: e.slots, init: init, dom: e.dom, paths: paths, combos: combos}, nil
 }
 
-// threadPaths symbolically executes thread tid, branching at each load over
-// the location's read domain.
+// addValue adds v to location slot loc's read domain, reporting whether
+// it was new.
+func (e *enumerator) addValue(loc int32, v int64) (bool, error) {
+	d := e.dom[loc]
+	i, found := slices.BinarySearch(d, v)
+	if found {
+		return false, nil
+	}
+	if len(d) >= e.opts.MaxValues {
+		return false, fmt.Errorf("axiom: value domain for %s exceeds %d", e.slots.Locs()[loc], e.opts.MaxValues)
+	}
+	e.dom[loc] = slices.Insert(d, i, v)
+	e.s.vers[loc]++
+	return true, nil
+}
+
+// threadPaths symbolically executes thread tid depth first, branching at
+// each load over the location's read domain. The running path's events
+// are the scratch's trail. A branch not yet taken is a frame; taking it
+// cuts the trail back to the branch, so the events before it are shared,
+// not copied.
 func (e *enumerator) threadPaths(tid int) ([]ThreadPath, error) {
+	s := e.s
 	prog := e.test.Threads[tid].Prog
-	labels := prog.Labels()
-	names := e.slots.Regs(tid)
-	var out []ThreadPath
+	e.names = e.slots.Regs(tid)
+	nl := len(e.dom)
+	e.read = s.vers[nl*(tid+1) : nl*(tid+2)]
+	for i := range e.read {
+		e.read[i] = -1
+	}
+	s.regs = resize(s.regs, len(e.names))
+	clear(s.regs)
+	s.saved, s.frames, s.trail, s.spill = s.saved[:0], s.frames[:0], s.trail[:0], s.spill[:0]
+	s.out, s.deps, s.finals, s.ends = s.out[:0], s.deps[:0], s.finals[:0], s.ends[:0]
+	for _, d := range e.test.Decls {
+		if d.Thread != tid {
+			continue
+		}
+		rv := regVal{present: true}
+		if d.Loc != "" {
+			rv.base = e.base(d.Loc)
+		}
+		s.regs[e.reg(d.Reg)] = rv
+	}
 
-	initRegs := func() map[ptx.Reg]regVal {
-		regs := make(map[ptx.Reg]regVal)
-		for _, d := range e.test.Decls {
-			if d.Thread != tid {
-				continue
+	var f frame
+	for {
+		if f.steps > e.opts.MaxSteps {
+			return nil, fmt.Errorf("axiom: thread %d of %s exceeds %d steps (unbounded loop?)", tid, e.test.Name, e.opts.MaxSteps)
+		}
+		if f.pc >= len(prog) {
+			s.finish()
+			if len(s.ends) > e.opts.MaxPaths {
+				return nil, fmt.Errorf("axiom: thread %d of %s exceeds %d paths", tid, e.test.Name, e.opts.MaxPaths)
 			}
-			if d.Loc != "" {
-				regs[d.Reg] = regVal{base: d.Loc}
-			} else {
-				regs[d.Reg] = regVal{}
+			if len(s.frames) == 0 {
+				break
+			}
+			b := s.frames[len(s.frames)-1]
+			s.frames = s.frames[:len(s.frames)-1]
+			n := len(s.saved) - len(s.regs)
+			copy(s.regs, s.saved[n:])
+			s.saved = s.saved[:n]
+			s.trail, s.spill = s.trail[:b.trail], s.spill[:b.spill]
+			f = frame{pc: b.pc, steps: b.steps, ctrl: b.ctrl}
+			if err := e.access(prog[f.pc], &f, b.loc, b.choice, b.addr, b.cdep); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		inst := prog[f.pc]
+		f.steps++
+
+		// Guard evaluation.
+		var guard taintSet
+		if g := inst.Pred(); g != nil {
+			gv := s.regs[e.reg(g.Reg)]
+			guard = gv.taints
+			if hold := (gv.n != 0) != g.Neg; !hold {
+				// An untaken guarded branch still seeds control
+				// dependencies for later events.
+				if _, isBra := inst.(ptx.Bra); isBra {
+					f.ctrl = s.union(f.ctrl, guard)
+				}
+				f.pc++
+				continue
 			}
 		}
-		return regs
-	}
 
-	cloneRegs := func(regs map[ptx.Reg]regVal) map[ptx.Reg]regVal {
-		c := make(map[ptx.Reg]regVal, len(regs))
-		for k, v := range regs {
-			c[k] = v
+		switch v := inst.(type) {
+		case ptx.LabelDef: // no effect
+
+		case ptx.Bra:
+			target, ok := label(prog, v.Target)
+			if !ok {
+				return nil, fmt.Errorf("axiom: undefined label %q", v.Target)
+			}
+			f.ctrl = s.union(f.ctrl, guard)
+			f.pc = target
+			continue
+
+		case ptx.Membar:
+			s.trail = append(s.trail, stepEvent{kind: KFence, loc: -1, scope: v.Scope, instr: f.pc, rmwRead: -1, ctrl: s.union(f.ctrl, guard)})
+
+		case ptx.Mov:
+			sv, err := e.eval(v.Src)
+			if err != nil {
+				return nil, err
+			}
+			e.set(v.Dst, sv)
+
+		case ptx.Cvt:
+			sv, err := e.eval(v.Src)
+			if err != nil {
+				return nil, err
+			}
+			e.set(v.Dst, sv)
+
+		case ptx.Add:
+			a, b, err := e.eval2(v.A, v.B)
+			if err != nil {
+				return nil, err
+			}
+			res := regVal{n: a.n + b.n, base: a.base, taints: s.union(a.taints, b.taints)}
+			if res.base == 0 {
+				res.base = b.base
+			}
+			e.set(v.Dst, res)
+
+		case ptx.And:
+			a, b, err := e.eval2(v.A, v.B)
+			if err != nil {
+				return nil, err
+			}
+			e.set(v.Dst, regVal{n: a.n & b.n, taints: s.union(a.taints, b.taints)})
+
+		case ptx.Xor:
+			a, b, err := e.eval2(v.A, v.B)
+			if err != nil {
+				return nil, err
+			}
+			e.set(v.Dst, regVal{n: a.n ^ b.n, taints: s.union(a.taints, b.taints)})
+
+		case ptx.SetpEq:
+			a, b, err := e.eval2(v.A, v.B)
+			if err != nil {
+				return nil, err
+			}
+			res := regVal{taints: s.union(a.taints, b.taints)}
+			if a.n == b.n && a.base == b.base {
+				res.n = 1
+			}
+			e.set(v.P, res)
+
+		case ptx.Ld, ptx.AtomCAS, ptx.AtomExch, ptx.AtomAdd, ptx.AtomInc:
+			loc, addr, err := e.resolveAddr(tid, ptx.AddrOf(inst))
+			if err != nil {
+				return nil, err
+			}
+			// Branch over the read domain: run the first choice, and leave
+			// a frame for each other one.
+			vals := e.domainValues(loc)
+			cdep := s.union(f.ctrl, guard)
+			for _, choice := range vals[1:] {
+				s.push(frame{pc: f.pc, steps: f.steps, ctrl: f.ctrl, trail: len(s.trail), spill: len(s.spill), loc: loc, choice: choice, addr: addr, cdep: cdep})
+			}
+			if err := e.access(inst, &f, loc, vals[0], addr, cdep); err != nil {
+				return nil, err
+			}
+			continue
+
+		case ptx.St:
+			loc, addr, err := e.resolveAddr(tid, v.Addr)
+			if err != nil {
+				return nil, err
+			}
+			sv, err := e.eval(v.Src)
+			if err != nil {
+				return nil, err
+			}
+			s.trail = append(s.trail, stepEvent{
+				kind: KWrite, loc: loc, val: sv.n, cacheOp: v.CacheOp, volatile: v.Volatile, instr: f.pc, rmwRead: -1,
+				addr: addr, data: sv.taints, ctrl: s.union(f.ctrl, guard),
+			})
+
+		default:
+			return nil, fmt.Errorf("axiom: unsupported instruction %v", inst)
 		}
-		return c
+		f.pc++
 	}
-	cloneEvents := func(evs []PathEvent) []PathEvent {
-		c := make([]PathEvent, len(evs))
-		copy(c, evs)
-		return c
-	}
-
-	stack := []enumFrame{{pc: 0, regs: initRegs(), ctrl: nil}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-	step:
-		for {
-			if f.steps > e.opts.MaxSteps {
-				return nil, fmt.Errorf("axiom: thread %d of %s exceeds %d steps (unbounded loop?)", tid, e.test.Name, e.opts.MaxSteps)
-			}
-			if f.pc >= len(prog) {
-				finals := make([]litmus.SlotValue, len(names))
-				for k, r := range names {
-					if v, ok := f.regs[r]; ok && v.base == "" {
-						finals[k] = litmus.SlotValue{Val: v.n, Present: true}
-					}
-				}
-				out = append(out, ThreadPath{Events: f.events, Regs: finals})
-				if len(out) > e.opts.MaxPaths {
-					return nil, fmt.Errorf("axiom: thread %d of %s exceeds %d paths", tid, e.test.Name, e.opts.MaxPaths)
-				}
-				break step
-			}
-			inst := prog[f.pc]
-			f.steps++
-
-			// Guard evaluation.
-			guardTaints := map[int]bool(nil)
-			if g := inst.Pred(); g != nil {
-				gv := f.regs[g.Reg]
-				guardTaints = gv.taints
-				hold := gv.n != 0
-				if g.Neg {
-					hold = !hold
-				}
-				if !hold {
-					// An untaken guarded branch still seeds control
-					// dependencies for later events.
-					if _, isBra := inst.(ptx.Bra); isBra {
-						f.ctrl = mergeTaints(f.ctrl, guardTaints)
-					}
-					f.pc++
-					continue
-				}
-			}
-
-			eval := func(o ptx.Operand) (regVal, error) {
-				switch v := o.(type) {
-				case ptx.Imm:
-					return regVal{n: int64(v)}, nil
-				case ptx.Reg:
-					return f.regs[v], nil
-				case ptx.Sym:
-					return regVal{base: v}, nil
-				}
-				return regVal{}, fmt.Errorf("axiom: bad operand %v", o)
-			}
-			resolveAddr := func(o ptx.Operand) (ptx.Sym, map[int]bool, error) {
-				switch v := o.(type) {
-				case ptx.Sym:
-					return v, nil, nil
-				case ptx.Reg:
-					rv := f.regs[v]
-					if rv.base == "" {
-						return "", nil, fmt.Errorf("axiom: thread %d: register %s used as address but not location-valued", tid, v)
-					}
-					if rv.n != 0 {
-						return "", nil, fmt.Errorf("axiom: thread %d: address %s+%d out of the modelled cell", tid, rv.base, rv.n)
-					}
-					return rv.base, rv.taints, nil
-				}
-				return "", nil, fmt.Errorf("axiom: bad address %v", o)
-			}
-			ctrlDeps := func() []int { return taintList(mergeTaints(f.ctrl, guardTaints)) }
-
-			switch v := inst.(type) {
-			case ptx.LabelDef:
-				f.pc++
-				continue
-
-			case ptx.Bra:
-				target, ok := labels[v.Target]
-				if !ok {
-					return nil, fmt.Errorf("axiom: undefined label %q", v.Target)
-				}
-				f.ctrl = mergeTaints(f.ctrl, guardTaints)
-				f.pc = target
-				continue
-
-			case ptx.Membar:
-				f.events = append(f.events, PathEvent{Kind: KFence, Scope: v.Scope, Instr: f.pc, RMWRead: -1, CtrlDeps: ctrlDeps()})
-				f.pc++
-				continue
-
-			case ptx.Mov:
-				sv, err := eval(v.Src)
-				if err != nil {
-					return nil, err
-				}
-				f.regs = cloneRegs(f.regs)
-				f.regs[v.Dst] = sv
-				f.pc++
-				continue
-
-			case ptx.Add:
-				a, err := eval(v.A)
-				if err != nil {
-					return nil, err
-				}
-				b, err := eval(v.B)
-				if err != nil {
-					return nil, err
-				}
-				res := regVal{n: a.n + b.n, taints: mergeTaints(a.taints, b.taints)}
-				if a.base != "" {
-					res.base = a.base
-				} else if b.base != "" {
-					res.base = b.base
-				}
-				f.regs = cloneRegs(f.regs)
-				f.regs[v.Dst] = res
-				f.pc++
-				continue
-
-			case ptx.And:
-				a, err := eval(v.A)
-				if err != nil {
-					return nil, err
-				}
-				b, err := eval(v.B)
-				if err != nil {
-					return nil, err
-				}
-				f.regs = cloneRegs(f.regs)
-				f.regs[v.Dst] = regVal{n: a.n & b.n, taints: mergeTaints(a.taints, b.taints)}
-				f.pc++
-				continue
-
-			case ptx.Xor:
-				a, err := eval(v.A)
-				if err != nil {
-					return nil, err
-				}
-				b, err := eval(v.B)
-				if err != nil {
-					return nil, err
-				}
-				f.regs = cloneRegs(f.regs)
-				f.regs[v.Dst] = regVal{n: a.n ^ b.n, taints: mergeTaints(a.taints, b.taints)}
-				f.pc++
-				continue
-
-			case ptx.Cvt:
-				sv, err := eval(v.Src)
-				if err != nil {
-					return nil, err
-				}
-				f.regs = cloneRegs(f.regs)
-				f.regs[v.Dst] = sv
-				f.pc++
-				continue
-
-			case ptx.SetpEq:
-				a, err := eval(v.A)
-				if err != nil {
-					return nil, err
-				}
-				b, err := eval(v.B)
-				if err != nil {
-					return nil, err
-				}
-				res := int64(0)
-				if a.n == b.n && a.base == b.base {
-					res = 1
-				}
-				f.regs = cloneRegs(f.regs)
-				f.regs[v.P] = regVal{n: res, taints: mergeTaints(a.taints, b.taints)}
-				f.pc++
-				continue
-
-			case ptx.Ld:
-				loc, addrTaints, err := resolveAddr(v.Addr)
-				if err != nil {
-					return nil, err
-				}
-				// Branch over the read domain; push all but the first
-				// choice as new frames.
-				vals := e.domainValues(loc)
-				for _, choice := range vals[1:] {
-					nf := enumFrame{pc: f.pc, steps: f.steps, regs: cloneRegs(f.regs), events: cloneEvents(f.events), ctrl: f.ctrl}
-					nf.applyLoad(v, loc, choice, addrTaints, ctrlDeps())
-					stack = append(stack, nf)
-				}
-				f.regs = cloneRegs(f.regs)
-				f.applyLoad(v, loc, vals[0], addrTaints, ctrlDeps())
-				continue
-
-			case ptx.St:
-				loc, addrTaints, err := resolveAddr(v.Addr)
-				if err != nil {
-					return nil, err
-				}
-				sv, err := eval(v.Src)
-				if err != nil {
-					return nil, err
-				}
-				f.events = append(f.events, PathEvent{
-					Kind: KWrite, Loc: loc, Val: sv.n,
-					CacheOp: v.CacheOp, Volatile: v.Volatile, Instr: f.pc, RMWRead: -1,
-					AddrDeps: taintList(addrTaints), DataDeps: taintList(sv.taints), CtrlDeps: ctrlDeps(),
-				})
-				f.pc++
-				continue
-
-			case ptx.AtomCAS, ptx.AtomExch, ptx.AtomAdd, ptx.AtomInc:
-				a := ptx.AddrOf(inst)
-				loc, addrTaints, err := resolveAddr(a)
-				if err != nil {
-					return nil, err
-				}
-				vals := e.domainValues(loc)
-				for _, choice := range vals[1:] {
-					nf := enumFrame{pc: f.pc, steps: f.steps, regs: cloneRegs(f.regs), events: cloneEvents(f.events), ctrl: f.ctrl}
-					if err := nf.applyRMW(inst, loc, choice, addrTaints, ctrlDeps(), eval); err != nil {
-						return nil, err
-					}
-					stack = append(stack, nf)
-				}
-				f.regs = cloneRegs(f.regs)
-				if err := f.applyRMW(inst, loc, vals[0], addrTaints, ctrlDeps(), eval); err != nil {
-					return nil, err
-				}
-				continue
-
-			default:
-				return nil, fmt.Errorf("axiom: unsupported instruction %v", inst)
-			}
-		}
-	}
-	return out, nil
+	return s.paths(e.slots.Locs()), nil
 }
 
-// domainValues returns the sorted read domain of loc, logging the observed
-// domain version for the path memo.
-func (e *enumerator) domainValues(loc ptx.Sym) []int64 {
-	if e.reads != nil {
-		e.reads[loc] = e.domVer[loc]
+// access runs the memory access inst at f.pc, a load or an RMW, reading
+// old from location slot loc, and moves f past it.
+func (e *enumerator) access(inst ptx.Instr, f *frame, loc int32, old int64, addr, cdep taintSet) error {
+	s := e.s
+	ri := len(s.trail)
+	read := s.single(ri)
+	ev := stepEvent{kind: KRead, loc: loc, val: old, instr: f.pc, rmwRead: -1, addr: addr, ctrl: cdep}
+	if v, ok := inst.(ptx.Ld); ok {
+		ev.cacheOp, ev.volatile = v.CacheOp, v.Volatile
+		s.trail = append(s.trail, ev)
+		e.set(v.Dst, regVal{n: old, taints: read})
+		f.pc++
+		return nil
 	}
-	return sortedValues(e.domain[loc])
-}
-
-// sortedValues returns the members of d in ascending order.
-func sortedValues(d map[int64]bool) []int64 {
-	vals := make([]int64, 0, len(d))
-	for v := range d {
-		vals = append(vals, v)
-	}
-	slices.Sort(vals)
-	return vals
-}
-
-// enumFrame is one branch of the depth-first symbolic execution of a
-// thread: a program counter, register file, events so far, and accumulated
-// control taints from guarded branches.
-type enumFrame struct {
-	pc     int
-	steps  int
-	regs   map[ptx.Reg]regVal
-	events []PathEvent
-	ctrl   map[int]bool
-}
-
-func (f *enumFrame) applyLoad(v ptx.Ld, loc ptx.Sym, choice int64, addrTaints map[int]bool, ctrlDeps []int) {
-	idx := len(f.events)
-	f.events = append(f.events, PathEvent{
-		Kind: KRead, Loc: loc, Val: choice,
-		CacheOp: v.CacheOp, Volatile: v.Volatile, Instr: f.pc, RMWRead: -1,
-		AddrDeps: taintList(addrTaints), CtrlDeps: ctrlDeps,
-	})
-	f.regs[v.Dst] = regVal{n: choice, taints: map[int]bool{idx: true}}
-	f.pc++
-}
-
-func (f *enumFrame) applyRMW(inst ptx.Instr, loc ptx.Sym, old int64, addrTaints map[int]bool, ctrlDeps []int, eval func(ptx.Operand) (regVal, error)) error {
-	readIdx := len(f.events)
-	f.events = append(f.events, PathEvent{
-		Kind: KRead, Loc: loc, Val: old, Atomic: true, Instr: f.pc, RMWRead: -1,
-		AddrDeps: taintList(addrTaints), CtrlDeps: ctrlDeps,
-	})
-	write := func(val int64, dataTaints map[int]bool) {
-		f.events = append(f.events, PathEvent{
-			Kind: KWrite, Loc: loc, Val: val, Atomic: true, Instr: f.pc, RMWRead: readIdx,
-			AddrDeps: taintList(addrTaints), DataDeps: taintList(dataTaints), CtrlDeps: ctrlDeps,
-		})
-	}
+	ev.atomic = true
+	s.trail = append(s.trail, ev)
 	var dst ptx.Reg
+	write := true
+	var val int64
+	var data taintSet
 	switch v := inst.(type) {
 	case ptx.AtomCAS:
 		dst = v.Dst
-		cmp, err := eval(v.Cmp)
+		cmp, nw, err := e.eval2(v.Cmp, v.New)
 		if err != nil {
 			return err
 		}
-		nw, err := eval(v.New)
-		if err != nil {
-			return err
-		}
-		if old == cmp.n {
-			write(nw.n, mergeTaints(nw.taints, cmp.taints))
-		}
+		write, val, data = old == cmp.n, nw.n, s.union(nw.taints, cmp.taints)
 	case ptx.AtomExch:
 		dst = v.Dst
-		sv, err := eval(v.Src)
+		sv, err := e.eval(v.Src)
 		if err != nil {
 			return err
 		}
-		write(sv.n, sv.taints)
+		val, data = sv.n, sv.taints
 	case ptx.AtomAdd:
 		dst = v.Dst
-		sv, err := eval(v.Src)
+		sv, err := e.eval(v.Src)
 		if err != nil {
 			return err
 		}
-		write(old+sv.n, mergeTaints(sv.taints, map[int]bool{readIdx: true}))
+		val, data = old+sv.n, s.union(sv.taints, read)
 	case ptx.AtomInc:
 		dst = v.Dst
-		bound, err := eval(v.Bound)
+		bound, err := e.eval(v.Bound)
 		if err != nil {
 			return err
 		}
-		next := old + 1
+		val, data = old+1, read
 		if old >= bound.n {
-			next = 0
+			val = 0
 		}
-		write(next, map[int]bool{readIdx: true})
 	default:
 		return fmt.Errorf("axiom: not an RMW: %v", inst)
 	}
-	f.regs[dst] = regVal{n: old, taints: map[int]bool{readIdx: true}}
+	if write {
+		s.trail = append(s.trail, stepEvent{
+			kind: KWrite, loc: loc, val: val, atomic: true, instr: f.pc, rmwRead: ri,
+			addr: addr, data: data, ctrl: cdep,
+		})
+	}
+	e.set(dst, regVal{n: old, taints: read})
 	f.pc++
 	return nil
+}
+
+// reg returns register r's index in the thread's register file; Slots
+// gives a slot to every register a thread names.
+func (e *enumerator) reg(r ptx.Reg) int { return slices.Index(e.names, r) }
+
+// base returns the register base of an address of loc.
+func (e *enumerator) base(loc ptx.Sym) int32 { return int32(e.slots.Loc(loc)) + 1 }
+
+// set assigns v to register r.
+func (e *enumerator) set(r ptx.Reg, v regVal) {
+	v.present = true
+	e.s.regs[e.reg(r)] = v
+}
+
+func (e *enumerator) eval(o ptx.Operand) (regVal, error) {
+	switch v := o.(type) {
+	case ptx.Imm:
+		return regVal{n: int64(v)}, nil
+	case ptx.Reg:
+		return e.s.regs[e.reg(v)], nil
+	case ptx.Sym:
+		return regVal{base: e.base(v)}, nil
+	}
+	return regVal{}, fmt.Errorf("axiom: bad operand %v", o)
+}
+
+// eval2 evaluates two operands, a first.
+func (e *enumerator) eval2(a, b ptx.Operand) (regVal, regVal, error) {
+	av, err := e.eval(a)
+	if err != nil {
+		return regVal{}, regVal{}, err
+	}
+	bv, err := e.eval(b)
+	return av, bv, err
+}
+
+// resolveAddr returns the location slot an address operand names and the
+// taints of the address.
+func (e *enumerator) resolveAddr(tid int, o ptx.Operand) (int32, taintSet, error) {
+	switch v := o.(type) {
+	case ptx.Sym:
+		return e.base(v) - 1, taintSet{}, nil
+	case ptx.Reg:
+		rv := e.s.regs[e.reg(v)]
+		if rv.base == 0 {
+			return 0, taintSet{}, fmt.Errorf("axiom: thread %d: register %s used as address but not location-valued", tid, v)
+		}
+		if rv.n != 0 {
+			return 0, taintSet{}, fmt.Errorf("axiom: thread %d: address %s+%d out of the modelled cell", tid, e.slots.Locs()[rv.base-1], rv.n)
+		}
+		return rv.base - 1, rv.taints, nil
+	}
+	return 0, taintSet{}, fmt.Errorf("axiom: bad address %v", o)
+}
+
+// domainValues returns the read domain of location slot loc, logging the
+// observed domain version for the path memo.
+func (e *enumerator) domainValues(loc int32) []int64 {
+	e.read[loc] = e.s.vers[loc]
+	return e.dom[loc]
+}
+
+// label returns the index of prog's last definition of name, the one
+// Program.Labels maps it to.
+func label(prog ptx.Program, name string) (int, bool) {
+	for i := len(prog) - 1; i >= 0; i-- {
+		if l, ok := prog[i].(ptx.LabelDef); ok && l.Name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }

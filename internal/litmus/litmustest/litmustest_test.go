@@ -1,14 +1,16 @@
 package litmustest
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 )
 
 // TestCorpusPinned pins the corpus the differentials share: its sizes,
-// names unique across All and Random(600), distinct content within each
-// hand-written sub-corpus, and the -short sample of the diy cycles.
+// names unique across All, Random(600) and LongPath, distinct content
+// within each hand-written sub-corpus, and the -short sample of the diy
+// cycles.
 func TestCorpusPinned(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -49,7 +51,7 @@ func TestCorpusPinned(t *testing.T) {
 	}
 
 	names := make(map[string]bool)
-	for _, test := range append(All(), Random(600)[120:]...) {
+	for _, test := range slices.Concat(All(), Random(600)[120:], []*litmus.Test{LongPath()}) {
 		if names[test.Name] {
 			t.Errorf("two tests are named %s", test.Name)
 		}

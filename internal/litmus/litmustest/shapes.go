@@ -206,3 +206,45 @@ func Blind() []*litmus.Test {
 	}
 	return tests
 }
+
+// LongPath is a test whose thread 0 has paths of 134 and 130 events, so
+// that its dependency sets reach past the first 64 events of a path: 130
+// loads (event 100 reads x, the others z, which nobody writes),
+// then a guarded branch, an address- and data-dependent store and a
+// data-dependent RMW on those loads. Nothing else in the corpus has a
+// path longer than 7 events.
+func LongPath() *litmus.Test {
+	var body []string
+	for i := 0; i < 130; i++ {
+		dst, loc := "r1", "z"
+		switch i {
+		case 0:
+			dst = "r3"
+		case 70:
+			dst = "r6"
+		case 100:
+			dst, loc = "r8", "x"
+		case 129:
+			dst = "r7"
+		}
+		body = append(body, fmt.Sprintf("ld.cg %s,[%s]", dst, loc))
+	}
+	body = append(body,
+		"xor r2,r6,r7",
+		"xor r2,r2,r8",
+		"xor r2,r2,r3",
+		"setp.eq p1,r2,0",
+		"@!p1 bra END",
+		"and r5,r8,0",
+		"add r4,ra,r5",
+		"st.cg [r4],r2",
+		"st.cg [y],r1",
+		"atom.add r9,[y],r2",
+		"END:",
+	)
+	return litmus.NewTest("long-path").
+		Global("w", 0).Global("x", 0).Global("y", 0).Global("z", 0).
+		Thread(body...).AddrReg(0, "ra", "w").
+		Thread("st.cg [x],1", "ld.cg r0,[y]").
+		InterCTA().Exists("1:r0=1").MustBuild()
+}
