@@ -266,17 +266,17 @@ func OperationalModel() *Model { return core.SorensenOp() }
 // the enumerator into verdict-only model evaluation; large enumerations fan
 // out across the worker pool. The verdict (including the witness) is
 // deterministic regardless of parallelism.
-func Judge(t *Test) (*Verdict, error) { return core.Judge(core.PTX(), t) }
+func Judge(t *Test) (*Verdict, error) { return JudgeUnder(core.PTX(), t) }
 
 // JudgeUnder decides the final condition under an explicit model.
-func JudgeUnder(m *Model, t *Test) (*Verdict, error) { return core.Judge(m, t) }
+func JudgeUnder(m *Model, t *Test) (*Verdict, error) { return JudgeUnderP(m, t, 0) }
 
 // JudgeUnderP is JudgeUnder with an explicit evaluation parallelism: 0
 // auto-sizes to GOMAXPROCS (staying serial for small enumerations), 1
 // forces serial, n > 1 forces n workers. Verdicts are identical for every
 // choice.
 func JudgeUnderP(m *Model, t *Test, parallelism int) (*Verdict, error) {
-	return core.JudgeP(m, t, parallelism)
+	return core.JudgeWith(context.Background(), m, t, core.Opts{Parallelism: parallelism})
 }
 
 // ModelCovers reports whether the test is within the PTX model's documented

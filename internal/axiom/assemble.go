@@ -18,11 +18,11 @@ import (
 //   - per combo (skeleton): the event slab, po/deps/rmw/membar relations,
 //     final registers, writer indexes, coherence permutations and the RMW
 //     atomicity plan are built once and shared by every rf/co completion;
-//   - per rf choice: the rf relation, init-read set, read→source index and
-//     the rfe memo are rewritten once and shared by every coherence
-//     completion of that choice;
-//   - per completion: the coherence map, the final memory of the written
-//     locations, Mult and the derived-relation memo are rewritten.
+//   - per rf choice: the rf relation, read→source index and the rfe memo
+//     are rewritten once and shared by every coherence completion of that
+//     choice;
+//   - per completion: the coherence rows of the written locations, their
+//     final memory, Mult and the derived-relation memo are rewritten.
 //
 // Every layer is rewritten in place in storage the Assembler owns: the
 // skeleton in a skeleton store (events, skeleton relations and the
@@ -42,7 +42,7 @@ import (
 type Assembler struct {
 	pick    []int         // decoded per-thread path choice
 	base    []int         // per-thread global event-id offset
-	wlocs   []int         // location slots with writers, ascending
+	wlocs   []int32       // location slots with writers, ascending
 	writers [][]EventID   // writers[i]: the writes to wlocs[i], ascending
 	perLoc  [][][]EventID // coherence permutations per wloc (x.CO aliases its rows)
 	permRow [][]EventID   // backing rows of perLoc
@@ -80,13 +80,12 @@ type Assembler struct {
 	// The reusable execution: x is what emit receives. Its skeleton fields
 	// alias sk; the fields below back its rf-choice and per-completion
 	// layers.
-	x         Execution
-	rf        Rel
-	srcOf     []int32
-	initReads map[EventID]bool
-	rfSh      rfRels
-	co        map[ptx.Sym][]EventID
-	final     litmus.Final
+	x     Execution
+	rf    Rel
+	srcOf []int32
+	rfSh  rfRels
+	co    [][]EventID // per location slot; written rows alias perLoc
+	final litmus.Final
 }
 
 // skeleton is the storage one skeleton is built into: the event slab and
@@ -133,7 +132,7 @@ func BorrowAssembler() *Assembler { return assemblers.Get().(*Assembler) }
 func ReturnAssembler(a *Assembler) {
 	a.x = Execution{}
 	a.final.Reset(&noSlots)
-	clear(a.co)
+	a.co = a.co[:0]
 	if a.sk != nil {
 		if a.sk.memo.pinned.Load() {
 			a.sk = nil
@@ -359,8 +358,8 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 			evs[id] = Event{
 				ID: id, Thread: tid, PoIdx: i, Kind: pe.Kind,
 				Loc: pe.Loc, Val: pe.Val, CacheOp: pe.CacheOp,
-				Volatile: pe.Volatile, Atomic: pe.Atomic, Scope: pe.Scope,
-				Instr: pe.Instr,
+				Volatile: pe.Volatile, Atomic: pe.Atomic, Slot: pe.Slot,
+				Scope: pe.Scope, Instr: pe.Instr,
 			}
 			sk.ptrs[id] = &evs[id]
 		}
@@ -420,15 +419,15 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	// every rf choice — the old producer rebuilt both per rf assignment).
 	a.wlocs = a.wlocs[:0]
 	for _, ev := range sk.ptrs {
-		if l := en.slots.Loc(ev.Loc); ev.Kind == KWrite && !slices.Contains(a.wlocs, l) {
-			a.wlocs = append(a.wlocs, l)
+		if ev.Kind == KWrite && !slices.Contains(a.wlocs, ev.Slot) {
+			a.wlocs = append(a.wlocs, ev.Slot)
 		}
 	}
 	slices.Sort(a.wlocs)
 	a.writers = resizeRows(a.writers, len(a.wlocs))
 	for _, ev := range sk.ptrs {
 		if ev.Kind == KWrite {
-			li := slices.Index(a.wlocs, en.slots.Loc(ev.Loc))
+			li := slices.Index(a.wlocs, ev.Slot)
 			a.writers[li] = append(a.writers[li], ev.ID)
 		}
 	}
@@ -445,10 +444,10 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 		if len(a.choices) < cap(a.choices) {
 			srcs = a.choices[:len(a.choices)+1][len(a.choices)].srcs[:0]
 		}
-		if ev.Val == en.test.InitOf(ev.Loc) {
+		if ev.Val == en.init[ev.Slot] {
 			srcs = append(srcs, -1)
 		}
-		for _, w := range a.writersOf(en.slots.Loc(ev.Loc)) {
+		for _, w := range a.writersOf(ev.Slot) {
 			if evs[w].Val == ev.Val {
 				srcs = append(srcs, w)
 			}
@@ -465,7 +464,7 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	// completion against the coherence positions.
 	a.rmwChk = a.rmwChk[:0]
 	x.RMW.Each(func(r, w EventID) {
-		for _, wr := range a.writersOf(en.slots.Loc(evs[w].Loc)) {
+		for _, wr := range a.writersOf(evs[w].Slot) {
 			if !evs[wr].Atomic {
 				return
 			}
@@ -480,12 +479,11 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 	}
 	a.rfPick = a.rfPick[:len(a.choices)]
 
-	// The buffers the rf-choice and per-completion layers rewrite. The map
-	// is emptied per skeleton: its locations may differ from the last one's.
+	// The buffers the rf-choice and per-completion layers rewrite. The
+	// coherence rows are emptied per skeleton: its written locations may
+	// differ from the last one's.
 	a.srcOf = resize(a.srcOf, n)
-	if a.co == nil {
-		a.co = make(map[ptx.Sym][]EventID, len(a.wlocs))
-	}
+	a.co = resize(a.co, len(en.init))
 	clear(a.co)
 	x.CO, x.Final, x.srcOf = a.co, &a.final, a.srcOf
 	return true
@@ -505,7 +503,7 @@ func resizeRows(rows [][]EventID, n int) [][]EventID {
 }
 
 // writersOf returns the skeleton's writes to location slot loc, ascending.
-func (a *Assembler) writersOf(loc int) []EventID {
+func (a *Assembler) writersOf(loc int32) []EventID {
 	if li := slices.Index(a.wlocs, loc); li >= 0 {
 		return a.writers[li]
 	}
@@ -801,9 +799,9 @@ func (en *Enumeration) enumerateRFFrom(a *Assembler, start int, emit func(*Execu
 }
 
 // enumerateCO rewrites a.x's rf-choice layer for the current rf choice —
-// the rf relation, init-read set, read→source index and rfe memo, shared by
-// every coherence completion — and enumerates the per-location coherence
-// orders (completeCO).
+// the rf relation, read→source index and rfe memo, shared by every
+// coherence completion — and enumerates the per-location coherence orders
+// (completeCO). A read that picks the initial state gets no rf edge.
 func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) error {
 	x := &a.x
 	n := len(x.Events)
@@ -811,23 +809,13 @@ func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) er
 		a.srcOf[i] = -1
 	}
 	a.rf.reset(n)
-	clear(a.initReads)
 	for i, c := range a.choices {
-		if s := a.rfPick[i]; s < 0 {
-			if a.initReads == nil {
-				a.initReads = make(map[EventID]bool)
-			}
-			a.initReads[c.read] = true
-		} else {
+		if s := a.rfPick[i]; s >= 0 {
 			a.rf.Add(s, c.read)
 			a.srcOf[c.read] = int32(s)
 		}
 	}
 	x.RF = a.rf
-	x.InitReads = nil
-	if len(a.initReads) > 0 {
-		x.InitReads = a.initReads
-	}
 	a.rfSh.rfe.reset()
 	x.rfShared = &a.rfSh
 
@@ -843,7 +831,7 @@ func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) er
 // atomicity filter to each full choice, and streams each surviving
 // completion to emit with its orbit size as its Mult: the skeleton's
 // same-value orbit size times the value-blind factor of each chosen order.
-// Each completion rewrites a.x's coherence map, final memory, Mult and
+// Each completion rewrites a.x's coherence rows, final memory, Mult and
 // derived-relation memo in place.
 func (en *Enumeration) completeCO(a *Assembler, i, mult int, emit func(*Execution) error) error {
 	if i < len(a.wlocs) {
@@ -884,8 +872,8 @@ func (en *Enumeration) completeCO(a *Assembler, i, mult int, emit func(*Executio
 	// skeleton set the registers and the initial values).
 	for li, loc := range a.wlocs {
 		order := a.perLoc[li][a.coSel[li]]
-		a.co[en.slots.Locs()[loc]] = order
-		a.final.Set(loc, x.Events[order[len(order)-1]].Val)
+		a.co[loc] = order
+		a.final.Set(int(loc), x.Events[order[len(order)-1]].Val)
 	}
 	x.Mult = mult
 	x.memo = execMemo{}

@@ -167,17 +167,6 @@ func (en *Enumeration) Bind(ctx context.Context, t *litmus.Test) *Enumeration {
 // significant digit).
 func (en *Enumeration) Combos() int { return en.combos }
 
-// Domain returns loc's read domain at the end of the value-domain
-// fixpoint, in ascending order: it holds every value a candidate execution
-// reads from loc or writes to it. It is nil when loc is not a location of
-// the test. The slice is the enumeration's own: callers must not modify it.
-func (en *Enumeration) Domain(loc ptx.Sym) []int64 {
-	if i := en.slots.Loc(loc); i >= 0 {
-		return en.dom[i]
-	}
-	return nil
-}
-
 // Paths returns thread tid's symbolic paths at the end of the fixpoint:
 // every way the thread runs with each load ranging over its read domain.
 // Each candidate execution runs one path per thread; a path whose reads
@@ -246,6 +235,7 @@ type PathEvent struct {
 	CacheOp  ptx.CacheOp
 	Volatile bool
 	Atomic   bool
+	Slot     int32     // Loc's index in Enumeration.Slots().Locs(); -1 for fences
 	Scope    ptx.Scope // fences only
 	Instr    int       // index of the originating instruction
 	AddrDeps []int     // indices of the loads the address derives from
@@ -438,7 +428,7 @@ func (s *prepScratch) paths(locs []ptx.Sym) []ThreadPath {
 		for j, ev := range s.out[start:end] {
 			pe := PathEvent{
 				Kind: ev.kind, Val: ev.val, CacheOp: ev.cacheOp, Volatile: ev.volatile, Atomic: ev.atomic,
-				Scope: ev.scope, Instr: ev.instr, RMWRead: ev.rmwRead,
+				Slot: ev.loc, Scope: ev.scope, Instr: ev.instr, RMWRead: ev.rmwRead,
 			}
 			if ev.loc >= 0 {
 				pe.Loc = locs[ev.loc]

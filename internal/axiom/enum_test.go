@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
@@ -268,6 +269,25 @@ func TestScopeRelations(t *testing.T) {
 }
 
 func TestFRDerivation(t *testing.T) {
+	// A hand-built read with no rf edge reads the initial state: it is
+	// fr-before every write to its location, and String lists it under
+	// init-reads.
+	hand := &Execution{
+		Events: []*Event{
+			{ID: 0, Thread: 0, PoIdx: 0, Kind: KWrite, Loc: "x", Val: 1},
+			{ID: 1, Thread: 0, PoIdx: 1, Kind: KWrite, Loc: "x", Val: 2},
+			{ID: 2, Thread: 1, PoIdx: 0, Kind: KRead, Loc: "x", Val: 0},
+		},
+		CO: [][]EventID{{0, 1}},
+	}
+	hand.PO.Add(0, 1)
+	if fr := frOf(hand); fr.Size() != 2 || !has(fr, 2, 0) || !has(fr, 2, 1) {
+		t.Errorf("a read with no rf edge has fr %v, want {(2,0), (2,1)}", fr)
+	}
+	if s := hand.String(); !strings.Contains(s, "init-reads: [2]") {
+		t.Errorf("a read with no rf edge is not listed under init-reads:\n%s", s)
+	}
+
 	test := litmus.CoRR()
 	execs := enumerate(t, test)
 	// In the weak execution (r1=1 from the store, r2=0 from init), fr

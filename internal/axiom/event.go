@@ -54,6 +54,7 @@ type Event struct {
 	CacheOp  ptx.CacheOp // cache operator of the access
 	Volatile bool        // .volatile access
 	Atomic   bool        // part of an atomic RMW
+	Slot     int32       // Loc's index in Enumeration.Slots().Locs(); -1 for fences
 	Scope    ptx.Scope   // fence scope (fences only)
 	Instr    int         // index of the originating instruction in the thread program
 }

@@ -2,7 +2,6 @@ package axiom
 
 import (
 	"fmt"
-	"maps"
 	mathbits "math/bits"
 	"slices"
 	"sort"
@@ -29,14 +28,16 @@ type Execution struct {
 	Ctrl Rel // control dependencies
 	RMW  Rel // read -> write of the same atomic RMW
 
-	// RF maps each read to the write it reads from; reads from the initial
-	// state appear in InitReads instead.
-	RF        Rel
-	InitReads map[EventID]bool
+	// RF relates each read to the write it reads from. A read with no rf
+	// edge reads the initial state: that is the one record of it.
+	RF Rel
 
-	// CO is the coherence order: per location, the order in which writes
-	// hit the memory. The initial write is implicitly first.
-	CO map[ptx.Sym][]EventID
+	// CO is the coherence order: per location slot (Event.Slot), the order
+	// in which writes hit the memory, one row per slot of the enumeration.
+	// A location nothing writes has an empty row. The initial write is
+	// implicitly first, so a read with no rf edge precedes every write of
+	// its row in from-read.
+	CO [][]EventID
 
 	// Membar relates memory events separated in program order by a fence
 	// of exactly the given scope, indexed by ptx.Scope (the model unions
@@ -187,30 +188,29 @@ func (x *Execution) SkeletonKey() uint64 {
 // Clone returns a copy of x that stays valid after the producer moves on:
 // the executions the enumerator streams are rewritten in place by the next
 // completion, so a consumer that keeps one keeps its Clone. The coherence
-// orders, final memory, rf relation, init reads and read→source index are
-// copied. The skeleton (events, po, deps, membar, final registers and the
-// skeleton memo) is shared, not copied: Clone pins it, so the Assembler
-// builds its next skeleton into fresh storage and never rewrites one a
-// clone holds. The copy memoizes its own rf- and execution-level derived
-// relations.
+// orders (empty rows stay nil), final memory, rf relation and read→source
+// index are copied. The skeleton (events, po, deps, membar, final
+// registers and the skeleton memo) is shared, not copied: Clone pins it,
+// so the Assembler builds its next skeleton into fresh storage and never
+// rewrites one a clone holds. The copy memoizes its own rf- and
+// execution-level derived relations.
 func (x *Execution) Clone() *Execution {
 	if x.shared != nil {
 		x.shared.pinned.Store(true)
 	}
 	c := &Execution{
-		Test:      x.Test,
-		Events:    x.Events,
-		PO:        x.PO,
-		Addr:      x.Addr,
-		Data:      x.Data,
-		Ctrl:      x.Ctrl,
-		RMW:       x.RMW,
-		Membar:    x.Membar,
-		RF:        x.RF.Clone(),
-		InitReads: maps.Clone(x.InitReads),
-		Mult:      x.Mult,
-		shared:    x.shared,
-		srcOf:     slices.Clone(x.srcOf),
+		Test:   x.Test,
+		Events: x.Events,
+		PO:     x.PO,
+		Addr:   x.Addr,
+		Data:   x.Data,
+		Ctrl:   x.Ctrl,
+		RMW:    x.RMW,
+		Membar: x.Membar,
+		RF:     x.RF.Clone(),
+		Mult:   x.Mult,
+		shared: x.shared,
+		srcOf:  slices.Clone(x.srcOf),
 	}
 	if x.CO != nil {
 		total := 0
@@ -218,10 +218,12 @@ func (x *Execution) Clone() *Execution {
 			total += len(order)
 		}
 		slab := make([]EventID, 0, total)
-		c.CO = make(map[ptx.Sym][]EventID, len(x.CO))
+		c.CO = make([][]EventID, len(x.CO))
 		for loc, order := range x.CO {
-			slab = append(slab, order...)
-			c.CO[loc] = slab[len(slab)-len(order) : len(slab) : len(slab)]
+			if len(order) > 0 {
+				slab = append(slab, order...)
+				c.CO[loc] = slab[len(slab)-len(order) : len(slab) : len(slab)]
+			}
 		}
 	}
 	if x.Final != nil {
@@ -278,8 +280,8 @@ func (x *Execution) SetCoRel(dst *Rel) {
 
 // SetFR builds the from-read relation into dst, reusing dst's storage when
 // possible: a read r relates to every write overwriting the value r read
-// (Sec. 5.1.1), and reads from the initial state relate to every write to
-// their location.
+// (Sec. 5.1.1). A read with no rf edge reads the initial state, which every
+// write to its location overwrites.
 func (x *Execution) SetFR(dst *Rel) {
 	n := len(x.Events)
 	if n == 0 {
@@ -316,42 +318,41 @@ func (x *Execution) SetFR(dst *Rel) {
 			defer puti32(p)
 			srcOf = *p
 		}
-		srcOf = srcOf[:n]
-		for i := range srcOf { // read -> rf source, -1 when absent
-			srcOf[i] = -1
-		}
-		for w := 0; w < x.RF.n && w < n; w++ { // direct row iteration: no closure
-			row := x.RF.row(w)
-			for wi, word := range row {
-				for word != 0 {
-					rd := wi*wordBits + mathbits.TrailingZeros64(word)
-					word &= word - 1
-					if rd < n {
-						srcOf[rd] = int32(w)
-					}
-				}
-			}
-		}
+		srcOf = x.rfSources(srcOf[:n])
 	}
 	for _, e := range x.Events {
 		if e.Kind != KRead {
 			continue
 		}
-		order := x.CO[e.Loc]
-		if x.InitReads[e.ID] {
-			for _, w := range order {
-				fr.Add(e.ID, w)
-			}
-			continue
+		from := int32(0)
+		if src := srcOf[e.ID]; src >= 0 {
+			from = coIdx[src] + 1
 		}
-		src := srcOf[e.ID]
-		if src < 0 {
-			continue
-		}
-		for _, w := range order[coIdx[src]+1:] {
+		for _, w := range x.CO[e.Slot][from:] {
 			fr.Add(e.ID, w)
 		}
 	}
+}
+
+// rfSources writes each event's rf source into dst, whose length must be
+// len(x.Events), and returns it: the write a read reads from, or -1 for a
+// read with no rf edge (an init read) and for every other event.
+func (x *Execution) rfSources(dst []int32) []int32 {
+	for i := range dst {
+		dst[i] = -1
+	}
+	for w := 0; w < x.RF.n && w < len(dst); w++ { // direct row iteration: no closure
+		for wi, word := range x.RF.row(w) {
+			for word != 0 {
+				rd := wi*wordBits + mathbits.TrailingZeros64(word)
+				word &= word - 1
+				if rd < len(dst) {
+					dst[rd] = int32(w)
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // RFE returns rf restricted to pairs from different threads ("external").
@@ -373,7 +374,7 @@ func (x *Execution) PoLoc() Rel {
 	return x.sharedRels().poLoc.get(func(dst *Rel) {
 		dst.setFilter(x.PO, func(a, b EventID) bool {
 			ea, eb := x.Ev(a), x.Ev(b)
-			return ea.IsMem() && eb.IsMem() && ea.Loc == eb.Loc
+			return ea.IsMem() && eb.IsMem() && ea.Slot == eb.Slot
 		})
 	})
 }
@@ -552,12 +553,14 @@ func (x *Execution) String() string {
 		sb.WriteString("\n")
 	}
 	fmt.Fprintf(&sb, "rf: %s", x.RF)
-	if len(x.InitReads) > 0 {
-		var inits []EventID
-		for id := range x.InitReads {
-			inits = append(inits, id)
+	var inits []EventID
+	src := x.rfSources(make([]int32, len(x.Events)))
+	for _, e := range x.Events {
+		if e.Kind == KRead && src[e.ID] < 0 {
+			inits = append(inits, e.ID)
 		}
-		sort.Slice(inits, func(i, j int) bool { return inits[i] < inits[j] })
+	}
+	if len(inits) > 0 {
 		fmt.Fprintf(&sb, " init-reads: %v", inits)
 	}
 	fmt.Fprintf(&sb, "\nco: %s\n", x.CoRel())

@@ -19,8 +19,10 @@ import (
 // bounds and under bounds tight enough that the step, path and value
 // limits fire, both give the same error text or the same combos, read
 // domains and paths: events, dependency lists (nil when empty) and final
-// registers. The seeds are litmustest.All, which holds Random(120), and
-// litmustest.LongPath, whose paths run past one 64-bit taint word.
+// registers. The oracle resolves each event's Slot by name through
+// Slots.Loc, so the comparison pins the slot preparation sets. The seeds
+// are litmustest.All, which holds Random(120), and litmustest.LongPath,
+// whose paths run past one 64-bit taint word.
 func FuzzPrepareMatchesOracle(f *testing.F) {
 	for _, t := range append(litmustest.All(), litmustest.LongPath()) {
 		f.Add(t.String())
@@ -49,8 +51,8 @@ func checkPrepareMatchesOracle(t *testing.T, test *litmus.Test, opts Opts) {
 	if got.Combos() != want.Combos() {
 		t.Fatalf("%s %+v: %d combos, the oracle %d", test.Name, opts, got.Combos(), want.Combos())
 	}
-	for _, loc := range got.Slots().Locs() {
-		if g, w := got.Domain(loc), want.Domain(loc); !slices.Equal(g, w) {
+	for i, loc := range got.Slots().Locs() {
+		if g, w := got.dom[i], want.dom[i]; !slices.Equal(g, w) {
 			t.Fatalf("%s %+v: domain of %s is %v, the oracle's %v", test.Name, opts, loc, g, w)
 		}
 	}
@@ -298,6 +300,9 @@ func (e *oracleEnumerator) threadPaths(tid int) ([]ThreadPath, error) {
 					if v, ok := f.regs[r]; ok && v.base == "" {
 						finals[k] = litmus.SlotValue{Val: v.n, Present: true}
 					}
+				}
+				for k := range f.events {
+					f.events[k].Slot = int32(e.slots.Loc(f.events[k].Loc))
 				}
 				out = append(out, ThreadPath{Events: f.events, Regs: finals})
 				if len(out) > e.opts.MaxPaths {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
-	"github.com/weakgpu/gpulitmus/internal/ptx"
 )
 
 // collectStream drains an Enumeration through StreamCtx into comparable
@@ -242,6 +241,6 @@ func wideExec(writers int) *Execution {
 		x.RF.Add(w.ID, r.ID)
 		order = append(order, w.ID)
 	}
-	x.CO = map[ptx.Sym][]EventID{"x": order}
+	x.CO = [][]EventID{order}
 	return x
 }

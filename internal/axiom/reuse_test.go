@@ -3,7 +3,6 @@ package axiom
 import (
 	"context"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"sync"
@@ -17,7 +16,7 @@ import (
 
 // This file pins the reusable execution: the producer rewrites one
 // Execution per Assembler in place (rf-choice layer per rf choice, the
-// coherence map, final memory, Mult and memo per completion), and a
+// coherence rows, final memory, Mult and memo per completion), and a
 // consumer keeps only what it clones.
 
 // exportedCopy rebuilds x from its exported fields alone: no skeleton or
@@ -25,39 +24,65 @@ import (
 // derived relations are computed from scratch. What the producer rewrites
 // in place is copied; the skeleton, which it never rewrites, is shared.
 func exportedCopy(x *Execution) *Execution {
-	co := make(map[ptx.Sym][]EventID, len(x.CO))
+	co := make([][]EventID, len(x.CO))
 	for loc, order := range x.CO {
 		co[loc] = slices.Clone(order)
 	}
 	return &Execution{
 		Test: x.Test, Events: x.Events,
 		PO: x.PO, Addr: x.Addr, Data: x.Data, Ctrl: x.Ctrl, RMW: x.RMW, Membar: x.Membar,
-		RF: x.RF.Clone(), InitReads: maps.Clone(x.InitReads), CO: co,
+		RF: x.RF.Clone(), CO: co,
 		Final: x.Final.Clone(),
 		Mult:  x.Mult,
 	}
 }
 
-// sourceDiff reports a read of x that does not have exactly one source:
-// the initial state (InitReads) or one rf edge. A reused execution whose
-// rf-choice layer kept a stale entry breaks this even where its exported
-// copy agrees with it.
+// sourceDiff reports an event of x whose read→source index disagrees with
+// RF: a read has at most one rf edge, and the index holds its source, or
+// -1 when it has none (an init read) and for every other event. A reused
+// execution whose rf-choice layer kept a stale edge or index entry breaks
+// this even where its exported copy, which has no index, agrees with it.
 func sourceDiff(x *Execution) string {
 	for _, e := range x.Events {
-		if e.Kind != KRead {
-			continue
-		}
-		srcs := 0
-		if x.InitReads[e.ID] {
-			srcs++
-		}
+		src, edges := int32(-1), 0
 		for _, w := range x.Events {
 			if has(x.RF, w.ID, e.ID) {
-				srcs++
+				src, edges = int32(w.ID), edges+1
 			}
 		}
-		if srcs != 1 {
-			return fmt.Sprintf("read %d has %d sources", e.ID, srcs)
+		switch {
+		case edges > 1 || edges == 1 && e.Kind != KRead:
+			return fmt.Sprintf("%s has %d rf edges", e, edges)
+		case x.srcOf[e.ID] != src:
+			return fmt.Sprintf("%s has source %d in the index, %d in rf", e, x.srcOf[e.ID], src)
+		}
+	}
+	return ""
+}
+
+// slotDiff reports where x's location slots disagree with en's names:
+// every event's Slot is Slots().Loc of its Loc (-1 for fences), and CO has
+// a row per slot, non-empty exactly when some write has that slot.
+func slotDiff(en *Enumeration, x *Execution) string {
+	if len(x.CO) != len(en.Slots().Locs()) {
+		return fmt.Sprintf("%d coherence rows for %d locations", len(x.CO), len(en.Slots().Locs()))
+	}
+	written := make([]bool, len(x.CO))
+	for _, e := range x.Events {
+		want := int32(en.Slots().Loc(e.Loc))
+		if e.Kind == KFence {
+			want = -1
+		}
+		if e.Slot != want {
+			return fmt.Sprintf("%s has slot %d, want %d", e, e.Slot, want)
+		}
+		if e.Kind == KWrite {
+			written[e.Slot] = true
+		}
+	}
+	for s, order := range x.CO {
+		if (len(order) > 0) != written[s] {
+			return fmt.Sprintf("coherence row %d is %v, and written is %v", s, order, written[s])
 		}
 	}
 	return ""
@@ -102,20 +127,21 @@ var snapshotRels = []string{
 
 // snapshot is a deep copy of what an execution exposes — its events, every
 // relation the .cat vocabulary reads (the skeleton memo's included), the
-// kind masks, the init reads, the coherence orders, the final state and
-// Mult — so it stays comparable after the producer rewrites the execution.
+// kind masks, the read→source index, the coherence orders, the final state
+// and Mult — so it stays comparable after the producer rewrites the
+// execution.
 type snapshot struct {
 	events []Event
 	rels   [][][2]EventID // in snapshotRels order
 	masks  [][]uint64     // by Kind
-	inits  []EventID
-	co     map[ptx.Sym][]EventID
+	srcs   []int32
+	co     [][]EventID
 	final  string
 	mult   int
 }
 
 func takeSnapshot(x *Execution) snapshot {
-	s := snapshot{events: make([]Event, len(x.Events)), co: make(map[ptx.Sym][]EventID), final: renderFinal(x), mult: x.Mult}
+	s := snapshot{events: make([]Event, len(x.Events)), srcs: slices.Clone(x.srcOf), co: make([][]EventID, len(x.CO)), final: renderFinal(x), mult: x.Mult}
 	for i, e := range x.Events {
 		s.events[i] = *e
 	}
@@ -130,10 +156,6 @@ func takeSnapshot(x *Execution) snapshot {
 	for k := KRead; k <= KFence; k++ {
 		s.masks = append(s.masks, slices.Clone(x.kindMask(k)))
 	}
-	for id := range x.InitReads {
-		s.inits = append(s.inits, id)
-	}
-	slices.Sort(s.inits)
 	for loc, order := range x.CO {
 		s.co[loc] = slices.Clone(order)
 	}
@@ -153,8 +175,8 @@ func (s snapshot) diff(want snapshot) string {
 	switch {
 	case !reflect.DeepEqual(s.masks, want.masks):
 		return fmt.Sprintf("kind masks %x, want %x", s.masks, want.masks)
-	case !reflect.DeepEqual(s.inits, want.inits):
-		return fmt.Sprintf("init reads %v, want %v", s.inits, want.inits)
+	case !reflect.DeepEqual(s.srcs, want.srcs):
+		return fmt.Sprintf("sources %v, want %v", s.srcs, want.srcs)
 	case !reflect.DeepEqual(s.co, want.co):
 		return fmt.Sprintf("co %v, want %v", s.co, want.co)
 	case s.final != want.final:
@@ -184,16 +206,17 @@ func freshSnapshots(t *testing.T, en *Enumeration) [][]snapshot {
 // TestReusedExecutionMatchesFresh: every execution the producer yields —
 // serially through StreamCtx, and chunk by chunk through one Assembler as
 // core's chunked fold drives it — has the derived relations, final state,
-// Mult and rendering of a memo-free copy of its exported fields, gives
-// every read exactly one source, and its Clone still matches the copy after
-// the stream has rewritten the original. Then one Assembler, and one taken
-// back from the pool before every combination, streams the corpus with
-// each test's combinations interleaved with its predecessor's (A, B, A,
-// …), so every skeleton is built into storage another test's skeleton
-// just used: each execution equals the fresh-Assembler stream's field by
-// field, the skeleton memo's relations and kind masks included, and every
-// build gets a skeleton key no earlier build had. The corpus is the paper
-// tests, litmustest.Diy and litmustest.Shapes.
+// Mult and rendering of a memo-free copy of its exported fields, has
+// location slots that agree with its location names and a read→source
+// index that agrees with its rf edges, and its Clone still matches the
+// copy after the stream has rewritten the original. Then one Assembler,
+// and one taken back from the pool before every combination, streams the
+// corpus with each test's combinations interleaved with its predecessor's
+// (A, B, A, …), so every skeleton is built into storage another test's
+// skeleton just used: each execution equals the fresh-Assembler stream's
+// field by field, the skeleton memo's relations and kind masks included,
+// and every build gets a skeleton key no earlier build had. The corpus is
+// the paper tests, litmustest.Diy and litmustest.Shapes.
 func TestReusedExecutionMatchesFresh(t *testing.T) {
 	corpus := slices.Concat(litmustest.Paper(), litmustest.Diy(t), litmustest.Shapes())
 	ens := make([]*Enumeration, len(corpus))
@@ -225,6 +248,9 @@ func TestReusedExecutionMatchesFresh(t *testing.T) {
 			var clones, fresh []*Execution
 			if err := s.run(func(x *Execution) error {
 				want := exportedCopy(x)
+				if d := slotDiff(en, x); d != "" {
+					return fmt.Errorf("execution %d: %s", len(fresh), d)
+				}
 				if d := sourceDiff(x); d != "" {
 					return fmt.Errorf("execution %d: %s", len(fresh), d)
 				}

@@ -189,8 +189,8 @@ func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
 }
 
 // Verdict is VerdictCtx under a background context at auto parallelism,
-// without the static prefilter. perfbench/ calls it, which pins it; other
-// callers can use VerdictCtx.
+// without the static prefilter. perfbench/ is its only non-test caller,
+// which pins it; other callers use VerdictCtx.
 func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 	return mm.VerdictCtx(context.Background(), m, t, 0, false)
 }

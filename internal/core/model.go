@@ -228,27 +228,27 @@ func (v *Verdict) String() string {
 		v.Test.Name, state, v.Allowed, v.Candidates, v.Witnesses, v.Model)
 }
 
-// Judge is JudgeWith with the zero Opts. perfbench/ calls it, which pins
-// it; other callers can use JudgeWith.
+// Judge is JudgeWith with the zero Opts. perfbench/ is its only non-test
+// caller, which pins it; other callers use JudgeWith.
 func Judge(m *Model, t *litmus.Test) (*Verdict, error) {
 	return JudgeWith(context.Background(), m, t, Opts{})
 }
 
-// JudgeP is JudgeWith with Opts.Parallelism. perfbench/ calls it, which
-// pins it; other callers can use JudgeWith.
+// JudgeP is JudgeWith with Opts.Parallelism. perfbench/ is its only
+// non-test caller, which pins it; other callers use JudgeWith.
 func JudgeP(m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
 	return JudgeWith(context.Background(), m, t, Opts{Parallelism: parallelism})
 }
 
-// JudgeCtx is JudgeWith with Opts.Parallelism. perfbench/ calls it, which
-// pins it; other callers can use JudgeWith.
+// JudgeCtx is JudgeWith with Opts.Parallelism. perfbench/ is its only
+// non-test caller, which pins it; other callers use JudgeWith.
 func JudgeCtx(ctx context.Context, m *Model, t *litmus.Test, parallelism int) (*Verdict, error) {
 	return JudgeWith(ctx, m, t, Opts{Parallelism: parallelism})
 }
 
 // ForEachVerdictCtx is JudgeWith with Opts.Visit, returning the weighted
 // number of candidates; parallelism does not change the run. perfbench/
-// calls it, which pins it; other callers can use JudgeWith.
+// is its only non-test caller, which pins it; other callers use JudgeWith.
 func (m *Model) ForEachVerdictCtx(ctx context.Context, t *litmus.Test, parallelism int, visit func(i int, x *axiom.Execution, allowed bool) error) (int, error) {
 	return candidates(JudgeWith(ctx, m, t, Opts{Parallelism: parallelism, Visit: visit}))
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -132,11 +133,12 @@ func ModelValidationMemo(memo *campaign.Memo, maxTests, runsPerChip int, seed in
 // verdict is reused.
 func SorensenDivergenceMemo(memo *campaign.Memo) (string, error) {
 	test := litmus.LB(litmus.FenceCTA)
-	ptxV, err := memo.Verdict(core.PTX(), test)
+	ctx := context.Background()
+	ptxV, err := memo.VerdictCtx(ctx, core.PTX(), test, 0, false)
 	if err != nil {
 		return "", err
 	}
-	opV, err := memo.Verdict(core.SorensenOp(), test)
+	opV, err := memo.VerdictCtx(ctx, core.SorensenOp(), test, 0, false)
 	if err != nil {
 		return "", err
 	}
