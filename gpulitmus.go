@@ -93,7 +93,9 @@ type (
 	SweepResult = campaign.Aggregate
 	// Memo is a content-addressed cache of model analyses and verdicts:
 	// identical (model, test) content pairs — whatever their names or
-	// construction paths — are computed once. Safe for concurrent use.
+	// construction paths — are computed once. Safe for concurrent use. A
+	// Test handed to a Memo must not be mutated afterwards: the memo
+	// fingerprints each *Test once and remembers it.
 	Memo = campaign.Memo
 	// ServiceConfig parameterises the gpulitmusd HTTP service (in-flight
 	// budget, per-request parallelism cap, verdict-cache size, persistent

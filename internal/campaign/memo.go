@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,56 +17,75 @@ import (
 // test). A sweep of one test over several chips needs the test's allowed
 // final states exactly once; without the memo each job recomputes the
 // enumeration (validate.go's old inline loop did this per test serially).
-// Memo is safe for concurrent use; each entry is computed once even under
+// Memo is safe for concurrent use; each result is computed once even under
 // concurrent first requests, which wait for the one in flight.
 //
-// Entries are content-addressed: the key is the model's source fingerprint
-// plus the test's canonical content fingerprint (litmus.Test.Fingerprint),
-// not pointer identity. Independently constructed but semantically
-// identical tests — litmus.ByName builds a fresh *Test per call, and every
-// service request parses its own — therefore share one computation.
+// The memo keeps one record per test content, keyed by the test's
+// canonical content fingerprint (litmus.Test.Fingerprint), not by pointer
+// identity. Independently constructed but semantically identical tests —
+// litmus.ByName builds a fresh *Test per call, every service request
+// parses its own, and a renamed copy differs only in its label — therefore
+// share one record. A *Test is fingerprinted once per memo: the memo
+// remembers the record of every *Test handed to it, so a later request by
+// the same pointer, under any model, finds the record without
+// fingerprinting. A *Test must therefore not be mutated after it is handed
+// in (the litmus mutators return clones). The memo holds a strong
+// reference to every *Test it remembers, so no freed test's address can be
+// reused for other content while the memo lives.
+//
+// Models are numbered in order of first sight, by source fingerprint
+// (core.Model.Fingerprint); a record keeps one slot per model number,
+// holding the pair's verdict, static verdict and analysis.
 //
 // The model-independent half of a judgement is shared across models too:
 // VerdictCtx and Analyse judge from one prepared axiom.Enumeration per
-// test content, so a test judged under four models runs the value-domain
+// record, so a test judged under four models runs the value-domain
 // fixpoint once. The candidates are shared as well: a cold VerdictCtx
-// judges every model the memo has judged anything under so far, whose
+// judges every model that has settled a judgement in this memo, whose
 // verdict for the test is neither held nor in flight, in the same pass
-// over one candidate stream (core.JudgeModels), and stores each of those
-// verdicts; the other models' requests then find them. Within a (model,
-// test) pair the candidates are enumerated at most once: a statically
-// undecided VerdictCtx, a full-count one and Analyse share one verdict.
-// The memo drops a test's enumeration once the test has been judged — by
-// enumeration or by the static prefilter, successfully or not — under
-// every distinct model the memo has judged anything under so far, which
-// after a joint pass is straight away; a model that comes later prepares
-// again, with identical results. A test judged under only some of the
-// memo's models keeps its enumeration for the memo's lifetime. A failed or
-// cancelled preparation, analysis or verdict is returned to its requester
-// only and never stored, so it cannot poison the test's other models or
-// later requests.
+// over one candidate stream (core.JudgeModels), in model-number order (so
+// the pass is the same on every run; no verdict depends on the order), and
+// stores each of those verdicts; the other models' requests then find
+// them. Within a (model, test) pair the candidates are enumerated at most
+// once: a statically undecided VerdictCtx, a full-count one and Analyse
+// share one verdict. The memo drops a test's enumeration once the test
+// has been judged — by enumeration or by the static prefilter,
+// successfully or not — under every model that has settled a judgement in
+// this memo, which after a joint pass is straight away; a model that comes
+// later prepares again, with identical results. A test judged under only
+// some of those models keeps its enumeration for the memo's lifetime. A
+// failed or cancelled preparation, analysis or verdict is returned to its
+// requester only and never stored, so it cannot poison the test's other
+// models or later requests.
 type Memo struct {
-	mu      sync.Mutex
-	entries map[memoKey]*memoEntry
-	preps   map[string]*testPrep // by litmus.Test.Fingerprint()
-	// models holds every model a judgement has settled under, by
-	// fingerprint: the set a test's enumeration waits for before its
-	// release, and the set a cold verdict judges in one pass.
-	models map[string]*core.Model
+	mu    sync.Mutex
+	tests map[string]*testRecord       // by litmus.Test.Fingerprint()
+	seen  map[*litmus.Test]*testRecord // the record of every *Test handed in
+	// models holds every model the memo has been asked about (the first
+	// seen with each fingerprint), numbered in order of first sight: a
+	// model's number indexes its slot in every record. settled holds, in
+	// increasing order, the numbers of the models a judgement has settled
+	// under: the set a test's enumeration waits for before its release,
+	// and the set a cold verdict judges in one pass.
+	models  []*core.Model
+	settled []int
 }
 
-type memoKey struct {
-	model string // core.Model.Fingerprint()
-	test  string // litmus.Test.Fingerprint()
+// testRecord is what the memo holds for one test content. Its fields are
+// guarded by Memo.mu.
+type testRecord struct {
+	en     held[*axiom.Enumeration] // en.val is nil before preparation and after release
+	judged int                      // slots with a settled judgement of the test
+	// slots holds one slot per model number. A slot never moves: a held
+	// computation keeps a pointer to it across Memo.mu.Unlock.
+	slots []*modelSlot
 }
 
-type memoEntry struct {
-	key   memoKey
-	model *core.Model // the model the entry was made for
-	prep  *testPrep
-	// settled records (under Memo.mu) that a judgement of this (model,
-	// test) pair has finished, successfully or not, and was counted into
-	// prep.judged.
+// modelSlot is what the memo holds for one (model, test) pair.
+type modelSlot struct {
+	// settled records (under Memo.mu) that a judgement of the pair has
+	// finished, successfully or not, and was counted into the record's
+	// judged.
 	settled bool
 
 	// info is the pair's model analysis (Analyse).
@@ -78,15 +98,10 @@ type memoEntry struct {
 	// static is the first verdict the static prefilter decided for the
 	// pair. It is kept apart from verdict: a static verdict carries no
 	// candidate counts, so a caller asking for the full enumeration must
-	// not be served it.
-	static atomic.Pointer[core.Verdict]
-}
-
-// testPrep is the shared, model-independent preparation of one test
-// content. Its fields are guarded by Memo.mu.
-type testPrep struct {
-	en     held[*axiom.Enumeration] // en.val is nil before preparation and after release
-	judged int                      // distinct models with a settled judgement of the test
+	// not be served it. undecided records that the prefilter could not
+	// decide the pair, whose static requests then join verdict.
+	static    atomic.Pointer[core.Verdict]
+	undecided atomic.Bool
 }
 
 // held is a value computed by one requester at a time. A computation that
@@ -150,15 +165,13 @@ func (h *held[T]) finish() {
 // fingerprints the model allows, and whether the test's exists-condition is
 // among them.
 type ModelInfo struct {
-	Allowed      map[string]bool // model-allowed final-state fingerprints
-	WeakAllowed  bool            // some allowed execution satisfies the condition
-	Candidates   int             // enumerated candidate executions
-	AllowedCount int             // candidates the model allows
+	Allowed     map[string]bool // model-allowed final-state fingerprints
+	WeakAllowed bool            // some allowed execution satisfies the condition
 }
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{entries: make(map[memoKey]*memoEntry), preps: make(map[string]*testPrep), models: make(map[string]*core.Model)}
+	return &Memo{tests: make(map[string]*testRecord), seen: make(map[*litmus.Test]*testRecord)}
 }
 
 // Analyse returns the memoized model analysis of t under m, computing it on
@@ -171,15 +184,15 @@ func NewMemo() *Memo {
 // analysis computes becomes the pair's memoized verdict unless one was
 // already computed, so a later Verdict does not enumerate again.
 func (mm *Memo) Analyse(m *core.Model, t *litmus.Test) (*ModelInfo, error) {
-	e := mm.entry(m, t)
+	r, i, s := mm.slot(m, t)
 	ctx := context.Background()
-	return e.info.get(ctx, &mm.mu, func() (*ModelInfo, error) {
-		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*ModelInfo, error) {
+	return s.info.get(ctx, &mm.mu, func() (*ModelInfo, error) {
+		return judgeShared(mm, ctx, r, i, t, func(en *axiom.Enumeration) (*ModelInfo, error) {
 			info, v, err := analyse(m, t, en)
 			if err == nil {
 				mm.mu.Lock()
-				if e.verdict.val == nil && !e.verdict.running {
-					e.verdict.val = v
+				if s.verdict.val == nil && !s.verdict.running {
+					s.verdict.val = v
 				}
 				mm.mu.Unlock()
 			}
@@ -197,76 +210,75 @@ func (mm *Memo) Verdict(m *core.Model, t *litmus.Test) (*core.Verdict, error) {
 
 // VerdictCtx returns the memoized herd-style verdict of t under m (exactly
 // core.JudgeWith, computed once per (model, test) content pair). Because
-// entries are content-addressed, the cached Verdict's Test field is the
+// records are content-addressed, the cached Verdict's Test field is the
 // first requester's *Test: a content-identical test under a different name
 // receives the original's verdict object (counts and witness are
-// necessarily identical; only the label differs).
+// necessarily identical; only the label differs). A repeat by the same
+// *Test, under any model, does not fingerprint the test again (see Memo).
 //
 // With static set, the static prefilter goes in front, on the test's
 // shared enumeration: when it decides, nothing is streamed and the pair's
 // static verdict is returned (StaticSkipped set, zero candidate counts).
-// A pair it has decided returns that verdict again without touching the
-// enumeration, so a repeat never prepares the test anew.
+// A pair it has decided returns that verdict again, and a pair it could
+// not decide joins the pair's enumerated verdict, both without touching
+// the enumeration, so a repeat never prepares the test anew.
 // An undecided test, and every call without static, joins the pair's one
 // enumerated verdict, so a later full-count request never enumerates again.
 //
 // Verdicts are identical for every parallelism (see core.Opts); only the
-// first request for an entry computes, so its parallelism is the one used,
+// first request for a pair computes, so its parallelism is the one used,
 // and cancellation and obs tracing reach the enumeration only when this
-// call is the one that computes the entry. Joiners of an already-computed
-// (or in-flight) entry get the memoized verdict; their context's trace
+// call is the one that computes the pair. Joiners of an already-computed
+// (or in-flight) verdict get the memoized one; their context's trace
 // records no pipeline phases — the work happened under the first
 // requester's context. Likewise, when another model's request already
 // prepared the test (see Memo), the computing call's trace records the
 // stream and evaluation but no prepare phase, and when another model's
 // request judged this pair in its pass, this call's trace records nothing:
 // the computing call's trace holds the evaluation under every model of
-// its pass.
+// its pass, which judges the models in the order the memo first saw them.
 func (mm *Memo) VerdictCtx(ctx context.Context, m *core.Model, t *litmus.Test, parallelism int, static bool) (*core.Verdict, error) {
-	e := mm.entry(m, t)
-	if static {
-		if v := e.static.Load(); v != nil {
+	r, i, s := mm.slot(m, t)
+	if static && !s.undecided.Load() {
+		if v := s.static.Load(); v != nil {
 			return v, nil
 		}
-		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
+		return judgeShared(mm, ctx, r, i, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
 			if v := m.StaticVerdict(t, en); v != nil {
-				e.static.CompareAndSwap(nil, v)
-				return e.static.Load(), nil
+				s.static.CompareAndSwap(nil, v)
+				return s.static.Load(), nil
 			}
-			return e.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
-				return mm.judgeJoint(ctx, m, e, t, core.Opts{Parallelism: parallelism, Enum: en})
+			s.undecided.Store(true)
+			return s.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
+				return mm.judgeJoint(ctx, m, r, t, core.Opts{Parallelism: parallelism, Enum: en})
 			})
 		})
 	}
-	return e.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
-		return judgeShared(mm, ctx, e, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
-			return mm.judgeJoint(ctx, m, e, t, core.Opts{Parallelism: parallelism, Enum: en})
+	return s.verdict.get(ctx, &mm.mu, func() (*core.Verdict, error) {
+		return judgeShared(mm, ctx, r, i, t, func(en *axiom.Enumeration) (*core.Verdict, error) {
+			return mm.judgeJoint(ctx, m, r, t, core.Opts{Parallelism: parallelism, Enum: en})
 		})
 	})
 }
 
-// judgeJoint computes e's verdict under m from o.Enum in one pass with the
-// verdicts of the siblings it claims, and stores and settles theirs. When
-// the pass fails nothing is stored for any sibling and their claims are
-// released: a ctx error is returned as it is, and any other error has m
-// judged alone, so the requester sees exactly what a one-model judgement
-// gives it.
-func (mm *Memo) judgeJoint(ctx context.Context, m *core.Model, e *memoEntry, t *litmus.Test, o core.Opts) (*core.Verdict, error) {
-	sibs := mm.claim(e)
-	if len(sibs) == 0 {
+// judgeJoint computes the verdict of r's test under m from o.Enum in one
+// pass with the verdicts of the models it claims, and stores and settles
+// theirs. When the pass fails nothing is stored for any claimed model and
+// their claims are released: a ctx error is returned as it is, and any
+// other error has m judged alone, so the requester sees exactly what a
+// one-model judgement gives it.
+func (mm *Memo) judgeJoint(ctx context.Context, m *core.Model, r *testRecord, t *litmus.Test, o core.Opts) (*core.Verdict, error) {
+	ms := mm.claim(r, m)
+	if ms == nil {
 		return core.JudgeWith(ctx, m, t, o)
-	}
-	ms := make([]*core.Model, 1, len(sibs)+1)
-	ms[0] = m
-	for _, s := range sibs {
-		ms = append(ms, s.model)
 	}
 	vs, err := core.JudgeModels(ctx, ms, t, o)
 	mm.mu.Lock()
-	for i, s := range sibs {
+	for k, sm := range ms[1:] {
+		j, s := mm.slotLocked(r, sm)
 		if err == nil {
-			s.verdict.val = vs[i+1]
-			mm.settleLocked(s)
+			s.verdict.val = vs[k+1]
+			mm.settleLocked(r, j)
 		}
 		s.verdict.finish()
 	}
@@ -280,83 +292,95 @@ func (mm *Memo) judgeJoint(ctx context.Context, m *core.Model, e *memoEntry, t *
 	return core.JudgeWith(ctx, m, t, o)
 }
 
-// claim marks as in flight, and returns, the verdict of e's test under
-// every other model the memo has judged under whose pair holds no
-// verdict and has none in flight. The order of the siblings does not
-// reach any verdict.
-func (mm *Memo) claim(e *memoEntry) []*memoEntry {
+// claim returns m followed by every settled model whose slot in r holds
+// no verdict and has none in flight, in model-number order, and marks
+// those verdicts as in flight; it returns nil when there is no such model.
+// m's own verdict is in flight while its requester judges, so the scan
+// passes over m.
+func (mm *Memo) claim(r *testRecord, m *core.Model) (ms []*core.Model) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	var sibs []*memoEntry
-	for fp, m := range mm.models {
-		if fp == e.key.model {
-			continue
-		}
-		s := mm.entryLocked(memoKey{model: fp, test: e.key.test}, m)
-		if s.verdict.val == nil && !s.verdict.running {
+	for _, j := range mm.settled {
+		if _, s := mm.slotLocked(r, mm.models[j]); s.verdict.val == nil && !s.verdict.running {
+			if ms == nil {
+				ms = append(make([]*core.Model, 0, len(mm.settled)+1), m)
+			}
 			s.verdict.running = true
-			sibs = append(sibs, s)
+			ms = append(ms, mm.models[j])
 		}
 	}
-	return sibs
+	return ms
 }
 
-func (mm *Memo) entry(m *core.Model, t *litmus.Test) *memoEntry {
-	key := memoKey{model: m.Fingerprint(), test: t.Fingerprint()}
+// slot returns t's record, m's model number and m's slot in the record,
+// making what is missing. A *Test the memo has not seen is fingerprinted
+// outside mm.mu.
+func (mm *Memo) slot(m *core.Model, t *litmus.Test) (*testRecord, int, *modelSlot) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	return mm.entryLocked(key, m)
-}
-
-// entryLocked returns key's entry, making it for m when there is none; the
-// caller holds mm.mu.
-func (mm *Memo) entryLocked(key memoKey, m *core.Model) *memoEntry {
-	e, ok := mm.entries[key]
-	if !ok {
-		p := mm.preps[key.test]
-		if p == nil {
-			p = &testPrep{}
-			mm.preps[key.test] = p
+	r := mm.seen[t]
+	if r == nil {
+		mm.mu.Unlock()
+		fp := t.Fingerprint()
+		mm.mu.Lock()
+		if r = mm.tests[fp]; r == nil {
+			r = &testRecord{}
+			mm.tests[fp] = r
 		}
-		e = &memoEntry{key: key, model: m, prep: p}
-		mm.entries[key] = e
+		mm.seen[t] = r
 	}
-	return e
+	i, s := mm.slotLocked(r, m)
+	return r, i, s
 }
 
-// judgeShared runs judge on the test's shared enumeration, preparing it
-// under ctx when no enumeration is held, then settles e. A preparation
-// error is returned without calling judge.
-func judgeShared[T any](mm *Memo, ctx context.Context, e *memoEntry, t *litmus.Test, judge func(*axiom.Enumeration) (T, error)) (T, error) {
-	defer mm.settle(e)
-	en, err := e.prep.en.get(ctx, &mm.mu, func() (*axiom.Enumeration, error) {
+// slotLocked returns m's model number and m's slot in r. It numbers m on
+// first sight, and grows r's slots to every numbered model from one slab;
+// the caller holds mm.mu.
+func (mm *Memo) slotLocked(r *testRecord, m *core.Model) (int, *modelSlot) {
+	i := slices.IndexFunc(mm.models, func(k *core.Model) bool { return k.Fingerprint() == m.Fingerprint() })
+	if i < 0 {
+		i = len(mm.models)
+		mm.models = append(mm.models, m)
+	}
+	if i >= len(r.slots) {
+		slab := make([]modelSlot, len(mm.models)-len(r.slots))
+		r.slots = slices.Grow(r.slots, len(slab))
+		for j := range slab {
+			r.slots = append(r.slots, &slab[j])
+		}
+	}
+	return i, r.slots[i]
+}
+
+// judgeShared runs judge on r's shared enumeration, preparing it under ctx
+// when none is held, then settles model number i's judgement of the test.
+// A preparation error is returned without calling judge.
+func judgeShared[T any](mm *Memo, ctx context.Context, r *testRecord, i int, t *litmus.Test, judge func(*axiom.Enumeration) (T, error)) (v T, err error) {
+	en, err := r.en.get(ctx, &mm.mu, func() (*axiom.Enumeration, error) {
 		return axiom.PrepareCtx(ctx, t, axiom.DefaultOpts())
 	})
-	if err != nil {
-		var none T
-		return none, err
+	if err == nil {
+		v, err = judge(en)
 	}
-	return judge(en)
-}
-
-// settle counts e's model as having judged e's test, and releases the
-// test's enumeration once every model the memo has judged under has
-// judged the test.
-func (mm *Memo) settle(e *memoEntry) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	mm.settleLocked(e)
+	mm.settleLocked(r, i)
+	return v, err
 }
 
-// settleLocked is settle with mm.mu held.
-func (mm *Memo) settleLocked(e *memoEntry) {
-	if !e.settled {
-		e.settled = true
-		e.prep.judged++
-		mm.models[e.key.model] = e.model
+// settleLocked counts model number i as having judged r's test, and
+// releases the test's enumeration once every settled model has judged it;
+// the caller holds mm.mu.
+func (mm *Memo) settleLocked(r *testRecord, i int) {
+	if s := r.slots[i]; !s.settled {
+		s.settled = true
+		r.judged++
+		if k, ok := slices.BinarySearch(mm.settled, i); !ok {
+			mm.settled = slices.Insert(mm.settled, k, i)
+		}
 	}
-	if e.prep.judged == len(mm.models) {
-		e.prep.en.val = nil
+	if r.judged == len(mm.settled) {
+		r.en.val = nil
 	}
 }
 
@@ -380,5 +404,5 @@ func analyse(m *core.Model, t *litmus.Test, en *axiom.Enumeration) (*ModelInfo, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &ModelInfo{Allowed: allowed, WeakAllowed: v.Observable, Candidates: v.Candidates, AllowedCount: v.Allowed}, v, nil
+	return &ModelInfo{Allowed: allowed, WeakAllowed: v.Observable}, v, nil
 }

@@ -20,11 +20,16 @@ import (
 func TestAnalyseMatchesExhaustive(t *testing.T) {
 	m := core.PTX()
 	litmustest.Run(t, litmustest.Shapes(), func(t *testing.T, test *litmus.Test) {
-		info, err := NewMemo().Analyse(m, test)
+		mm := NewMemo()
+		info, err := mm.Analyse(m, test)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := &ModelInfo{Allowed: make(map[string]bool)}
+		got, err := mm.Verdict(m, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, weighted := &ModelInfo{Allowed: make(map[string]bool)}, 0
 		en, err := axiom.Prepare(test, axiom.Opts{Exhaustive: true})
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +39,7 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 				if !allowed {
 					return nil
 				}
-				ref.AllowedCount++
+				weighted++
 				ref.Allowed[harness.Fingerprint(test, x.Final)] = true
 				if test.Exists.Eval(x.Final) {
 					ref.WeakAllowed = true
@@ -44,12 +49,11 @@ func TestAnalyseMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exhaustive reference: %v", err)
 		}
-		ref.Candidates = v.Candidates
-		if info.Candidates != ref.Candidates || info.AllowedCount != ref.AllowedCount ||
+		if got.Candidates != v.Candidates || got.Allowed != weighted ||
 			info.WeakAllowed != ref.WeakAllowed {
 			t.Errorf("memo (candidates %d, allowed %d, weak %v) differs from exhaustive (%d, %d, %v)",
-				info.Candidates, info.AllowedCount, info.WeakAllowed,
-				ref.Candidates, ref.AllowedCount, ref.WeakAllowed)
+				got.Candidates, got.Allowed, info.WeakAllowed,
+				v.Candidates, weighted, ref.WeakAllowed)
 		}
 		if len(info.Allowed) != len(ref.Allowed) {
 			t.Fatalf("%d allowed fingerprints, exhaustive has %d", len(info.Allowed), len(ref.Allowed))

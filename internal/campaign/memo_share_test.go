@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/core"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 	"github.com/weakgpu/gpulitmus/internal/obs"
 )
 
@@ -40,8 +42,8 @@ func sameCounts(t *testing.T, what string, got, want *core.Verdict) {
 func heldEnumeration(mm *Memo, test *litmus.Test) bool {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	p := mm.preps[test.Fingerprint()]
-	return p != nil && p.en.val != nil
+	r := mm.tests[test.Fingerprint()]
+	return r != nil && r.en.val != nil
 }
 
 // sameVerdict fails unless got equals want on every field, the witness
@@ -135,9 +137,9 @@ func TestMemoJointPassCancelled(t *testing.T) {
 		t.Fatalf("cancelled joint pass: err = %v, want context.Canceled", err)
 	}
 	for _, m := range models[1:] {
-		e := mm.entry(m, test)
+		_, _, s := mm.slot(m, test)
 		mm.mu.Lock()
-		val, running := e.verdict.val, e.verdict.running
+		val, running := s.verdict.val, s.verdict.running
 		mm.mu.Unlock()
 		if val != nil || running {
 			t.Errorf("%s after the cancelled pass: verdict %v, in flight %v; want neither", m.Name, val, running)
@@ -165,10 +167,31 @@ func TestMemoJointPassCancelled(t *testing.T) {
 	}
 }
 
+// concurrentCorpus is the corpus of the concurrent memo tests: the paper
+// tests and the producer shapes, with each test's verdict under every
+// model of fourModels from core.JudgeWith.
+func concurrentCorpus(t *testing.T) ([]*litmus.Test, [][]*core.Verdict) {
+	t.Helper()
+	tests := slices.Concat(litmustest.Paper(), litmustest.Producer())
+	want := make([][]*core.Verdict, len(tests))
+	for i, test := range tests {
+		for _, m := range fourModels() {
+			v, err := core.JudgeWith(context.Background(), m, test, core.Opts{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], v)
+		}
+	}
+	return tests, want
+}
+
 // TestMemoJointPassConcurrent: 8 goroutines request the four models of
-// each test at once, at parallelism 1 and 0, so that joint passes, their
-// claims and the requests waiting on them interleave (run under -race in
-// CI). Every verdict equals core.JudgeWith's.
+// each test of the corpus at once, at parallelism 1 and 0, so that joint
+// passes, their claims and the requests waiting on them interleave (run
+// under -race in CI). Each goroutine asks by the same *Test, which the
+// memo finds without fingerprinting, and then by a renamed clone, which it
+// finds by fingerprint. Every verdict equals core.JudgeWith's.
 func TestMemoJointPassConcurrent(t *testing.T) {
 	mm := NewMemo()
 	models := fourModels()
@@ -177,28 +200,26 @@ func TestMemoJointPassConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tests := []*litmus.Test{litmus.MP(litmus.NoFence), litmus.CoRR(), litmus.LB(litmus.NoFence), litmus.MP(litmus.FenceCTA)}
-	for _, test := range tests {
-		want := make([]*core.Verdict, len(models))
-		for j, m := range models {
-			v, err := core.JudgeWith(context.Background(), m, test, core.Opts{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[j] = v
-		}
+	tests, want := concurrentCorpus(t)
+	for i, test := range tests {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				j := g % len(models)
-				v, err := mm.VerdictCtx(context.Background(), models[j], test, g%2, false)
-				if err != nil {
-					t.Errorf("%s/%s: %v", test.Name, models[j].Name, err)
-					return
+				twin := test.Clone()
+				twin.Name = fmt.Sprintf("%s+%d", test.Name, g)
+				for k := range models {
+					j := (g + k) % len(models)
+					for _, asked := range []*litmus.Test{test, twin} {
+						v, err := mm.VerdictCtx(context.Background(), models[j], asked, g%2, false)
+						if err != nil {
+							t.Errorf("%s/%s: %v", asked.Name, models[j].Name, err)
+							return
+						}
+						sameVerdict(t, asked.Name+"/"+models[j].Name, v, want[i][j])
+					}
 				}
-				sameVerdict(t, test.Name+"/"+models[j].Name, v, want[j])
 			}(g)
 		}
 		wg.Wait()
@@ -250,13 +271,23 @@ func TestMemoReleaseAndReprepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewMemo().Analyse(rmo, test)
+	fresh := NewMemo()
+	ref, err := fresh.Analyse(rmo, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Candidates != ref.Candidates || info.AllowedCount != ref.AllowedCount || len(info.Allowed) != len(ref.Allowed) {
+	if info.WeakAllowed != ref.WeakAllowed || len(info.Allowed) != len(ref.Allowed) {
 		t.Errorf("re-prepared analysis %+v, fresh memo %+v", info, ref)
 	}
+	v, err = mm.Verdict(rmo, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = fresh.Verdict(rmo, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCounts(t, "rmo after re-preparing", v, want)
 	if heldEnumeration(mm, test) {
 		t.Error("enumeration held after every known model judged the test")
 	}
@@ -294,25 +325,15 @@ func TestMemoPrepareErrorNotShared(t *testing.T) {
 	sameCounts(t, "ptx after cancelled ptx", v, want)
 }
 
-// TestMemoSharedPreparationConcurrent judges several tests under the four
+// TestMemoSharedPreparationConcurrent judges the corpus under the four
 // models from concurrent goroutines, under renamed copies and alongside
 // cancelled requesters, so that preparations, waits and releases
 // interleave (run under -race in CI). Every live verdict equals
-// core.Judge's.
+// core.JudgeWith's.
 func TestMemoSharedPreparationConcurrent(t *testing.T) {
 	mm := NewMemo()
 	models := fourModels()
-	tests := []*litmus.Test{litmus.MP(litmus.NoFence), litmus.SB(), litmus.CoRR(), litmus.LB(litmus.NoFence)}
-	want := make([][]*core.Verdict, len(tests))
-	for i, test := range tests {
-		for _, m := range models {
-			v, err := core.Judge(m, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = append(want[i], v)
-		}
-	}
+	tests, want := concurrentCorpus(t)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	var wg sync.WaitGroup
@@ -344,4 +365,38 @@ func TestMemoSharedPreparationConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestMemoWarmLookupAllocs: once a test has been judged under the four
+// models, asking for its verdicts again by the same *Test allocates
+// nothing, and a renamed clone, found by its content fingerprint, gets the
+// same verdict objects.
+func TestMemoWarmLookupAllocs(t *testing.T) {
+	mm := NewMemo()
+	models := fourModels()
+	test := litmus.MP(litmus.NoFence)
+	got := make([]*core.Verdict, len(models))
+	for i, m := range models {
+		v, err := mm.Verdict(m, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = v
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, m := range models {
+			if _, err := mm.Verdict(m, test); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("warm lookups under %d models allocated %v objects, want 0", len(models), n)
+	}
+	twin := test.Clone()
+	twin.Name = "mp-renamed"
+	for i, m := range models {
+		if v, err := mm.Verdict(m, twin); err != nil || v != got[i] {
+			t.Errorf("%s: renamed clone got %p (%v), want the memoized %p", m.Name, v, err, got[i])
+		}
+	}
 }

@@ -174,10 +174,6 @@ func Covers(t *litmus.Test) (bool, string) {
 	return true, ""
 }
 
-// Allows evaluates the model on one candidate execution via the compiled
-// program (pooled scratch; safe for concurrent use).
-func (m *Model) Allows(x *axiom.Execution) cat.Results { return m.prog.RunExec(x, nil) }
-
 // Verdict is the outcome of judging a litmus test against a model. All
 // counts are weighted by symmetry-class size (axiom.Execution.Weight), so
 // they equal the exhaustive enumeration's whatever pruning did.

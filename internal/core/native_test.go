@@ -63,7 +63,7 @@ func nativePTX(x *axiom.Execution) cat.Results {
 // crossCheckPTX evaluates both the compiled .cat PTX model m and the native
 // twin on x and reports an error if they disagree.
 func crossCheckPTX(m *Model, x *axiom.Execution) error {
-	catRes := m.Allows(x)
+	catRes := m.prog.RunExec(x, nil)
 	natRes := nativePTX(x)
 	if catRes.Allowed() != natRes.Allowed() {
 		return fmt.Errorf("core: model %s: cat verdict %v disagrees with native verdict %v\ncat: %s\nnative: %s",

@@ -46,7 +46,7 @@ func freshVerdicts(t *testing.T, tests []*litmus.Test) [][]*Verdict {
 
 // TestPooledScratchDropsTrace: once a traced judgement returns, its
 // scratches are back in the pool without the trace, so later untraced
-// Allows calls and judgements on the same model add nothing to it.
+// RunExec calls and judgements on the same model add nothing to it.
 func TestPooledScratchDropsTrace(t *testing.T) {
 	m := PTX()
 	tests := []*litmus.Test{litmus.MP(litmus.NoFence), litmustest.Stress(3), litmustest.SoloChunk()}
@@ -61,7 +61,7 @@ func TestPooledScratchDropsTrace(t *testing.T) {
 	}
 	allows := func() {
 		for _, x := range xs {
-			m.Allows(x)
+			m.prog.RunExec(x, nil)
 		}
 	}
 	for _, par := range []int{1, 0, 4} {
@@ -94,7 +94,7 @@ func TestPooledScratchDropsTrace(t *testing.T) {
 // TestPooledScratchDropsSkeleton: a returned scratch forgets the skeleton
 // whose constant slots it held, along with the base relations those slots
 // aliased, so evaluating an execution of that very skeleton afterwards
-// (here through Allows, on the executions a judgement visited, last
+// (here through RunExec, on the executions a judgement visited, last
 // skeleton first) recomputes every slot and matches a fresh model.
 func TestPooledScratchDropsSkeleton(t *testing.T) {
 	m, fresh := PTX(), PTX()
@@ -108,9 +108,9 @@ func TestPooledScratchDropsSkeleton(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := len(xs) - 1; i >= 0; i-- {
-			got, want := m.Allows(xs[i]), fresh.Allows(xs[i])
+			got, want := m.prog.RunExec(xs[i], nil), fresh.prog.RunExec(xs[i], nil)
 			if got.Allowed() != allowed[i] || len(got) != len(want) {
-				t.Fatalf("%s: execution %d: Allows %v after the judgement, visited %v", test.Name, i, got.Allowed(), allowed[i])
+				t.Fatalf("%s: execution %d: RunExec allows %v after the judgement, visited %v", test.Name, i, got.Allowed(), allowed[i])
 			}
 			for c := range got {
 				if got[c].OK != want[c].OK || !slices.Equal(got[c].Rel.Pairs(), want[c].Rel.Pairs()) {

@@ -44,7 +44,7 @@ func checkSimulatorSound(t *testing.T, test *litmus.Test) {
 	m := PTX()
 	allowed := make(map[string]bool)
 	for _, x := range execs {
-		if m.Allows(x).Allowed() {
+		if m.prog.RunExec(x, nil).Allowed() {
 			allowed[stateKey(test, x.Final)] = true
 		}
 	}
