@@ -22,7 +22,7 @@ import (
 //     are rewritten once and shared by every coherence completion of that
 //     choice;
 //   - per completion: the coherence rows of the written locations, their
-//     final memory, Mult and the derived-relation memo are rewritten.
+//     final memory and the weight are rewritten.
 //
 // Every layer is rewritten in place in storage the Assembler owns: the
 // skeleton in a skeleton store (events, skeleton relations and the
@@ -78,12 +78,11 @@ type Assembler struct {
 	sk *skeleton
 
 	// The reusable execution: x is what emit receives. Its skeleton fields
-	// alias sk; the fields below back its rf-choice and per-completion
-	// layers.
+	// alias sk; its rfe memo and the fields below back its rf-choice and
+	// per-completion layers.
 	x     Execution
 	rf    Rel
 	srcOf []int32
-	rfSh  rfRels
 	co    [][]EventID // per location slot; written rows alias perLoc
 	final litmus.Final
 }
@@ -130,7 +129,7 @@ func BorrowAssembler() *Assembler { return assemblers.Get().(*Assembler) }
 // owns, so a pooled Assembler holds no request's data. A skeleton a clone
 // pinned is left to the clone. a must not be used after the call.
 func ReturnAssembler(a *Assembler) {
-	a.x = Execution{}
+	a.x = Execution{rfe: relOnce{rel: a.x.rfe.rel}} // keep the rfe memo's storage
 	a.final.Reset(&noSlots)
 	a.co = a.co[:0]
 	if a.sk != nil {
@@ -404,16 +403,15 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 			}
 		}
 	}
-	a.x = Execution{
-		Test: en.test, Events: sk.ptrs,
-		PO: sk.po, Addr: sk.addr, Data: sk.data, Ctrl: sk.ctrl, RMW: sk.rmw,
-		Membar: sk.membar,
-		// One shared memo for the skeleton-derived relations (po-loc,
-		// scope, kind masks): every rf/co completion reuses it
-		// instead of recomputing them per execution.
-		shared: &sk.memo,
-	}
+	// Field by field, so that the rfe memo keeps its storage.
 	x := &a.x
+	x.Test, x.Events = en.test, sk.ptrs
+	x.PO, x.Addr, x.Data, x.Ctrl, x.RMW = sk.po, sk.addr, sk.data, sk.ctrl, sk.rmw
+	x.Membar = sk.membar
+	// One shared memo for the skeleton-derived relations (po-loc, scope,
+	// kind masks): every rf/co completion reuses it instead of recomputing
+	// them per execution.
+	x.shared = &sk.memo
 
 	// Writer indexes and per-location coherence permutations (shared by
 	// every rf choice — the old producer rebuilt both per rf assignment).
@@ -557,7 +555,7 @@ func (a *Assembler) permute() {
 //
 // The same-value classes are followed by the value-blind ones
 // (detectBlindClasses), whose orbit size depends on the rf choice and the
-// co-last writes; each execution's Mult is a.mult times that factor.
+// co-last writes; each execution's weight is a.mult times that factor.
 //
 // With Opts.Exhaustive both groupings are skipped (mult 1, no classes) and
 // the producer degenerates to the exhaustive enumeration.
@@ -816,8 +814,7 @@ func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) er
 		}
 	}
 	x.RF = a.rf
-	a.rfSh.rfe.reset()
-	x.rfShared = &a.rfSh
+	x.rfe.reset()
 
 	if cap(a.coPos) < n {
 		a.coPos = make([]int32, n)
@@ -829,10 +826,10 @@ func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) er
 // completeCO picks the coherence orders of wlocs [i, len) under the
 // symmetry-canonicality filter (coCanonical), applies the built-in RMW
 // atomicity filter to each full choice, and streams each surviving
-// completion to emit with its orbit size as its Mult: the skeleton's
+// completion to emit with its orbit size as its weight: the skeleton's
 // same-value orbit size times the value-blind factor of each chosen order.
-// Each completion rewrites a.x's coherence rows, final memory, Mult and
-// derived-relation memo in place.
+// Each completion rewrites a.x's coherence rows, final memory and weight in
+// place.
 func (en *Enumeration) completeCO(a *Assembler, i, mult int, emit func(*Execution) error) error {
 	if i < len(a.wlocs) {
 		for pi := range a.perLoc[i] {
@@ -875,8 +872,7 @@ func (en *Enumeration) completeCO(a *Assembler, i, mult int, emit func(*Executio
 		a.co[loc] = order
 		a.final.Set(int(loc), x.Events[order[len(order)-1]].Val)
 	}
-	x.Mult = mult
-	x.memo = execMemo{}
+	x.mult = mult
 	return emit(x)
 }
 

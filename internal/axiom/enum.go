@@ -29,7 +29,7 @@ type Opts struct {
 	// solo writes permuted through rf sources and coherence orders, and
 	// unread, non-coherence-last solo writes of any value permuted through
 	// coherence orders — into one canonical representative carrying the
-	// orbit size in Execution.Mult. The exhaustive path is retained as the
+	// orbit size as its Execution.Weight. The exhaustive path is retained as the
 	// differential oracle: for every test the two modes agree on verdicts,
 	// witness content and weighted outcome histograms (pinned by the
 	// pruned-vs-exhaustive differential tests).

@@ -281,6 +281,7 @@ func TestFRDerivation(t *testing.T) {
 		CO: [][]EventID{{0, 1}},
 	}
 	hand.PO.Add(0, 1)
+	handBuilt(hand)
 	if fr := frOf(hand); fr.Size() != 2 || !has(fr, 2, 0) || !has(fr, 2, 1) {
 		t.Errorf("a read with no rf edge has fr %v, want {(2,0), (2,1)}", fr)
 	}

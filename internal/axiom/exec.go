@@ -2,7 +2,6 @@ package axiom
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -14,10 +13,12 @@ import (
 )
 
 // Execution is a candidate execution of a litmus test (Sec. 5.1.1): events
-// plus the primitive relations over them. The derived relations the .cat
-// vocabulary reads without a scratch (rfe, po-loc, the scope relations and
-// the kind masks) are computed on demand and memoized, so checking the same
-// execution under several models never recomputes them.
+// plus the primitive relations over them. Executions are built by the
+// Assembler (see assemble.go) or copied from one by Clone. The derived
+// relations the .cat vocabulary reads without a scratch (rfe, po-loc, the
+// scope relations and the kind masks) are computed on demand and memoized
+// per skeleton or per rf choice, so checking the same execution under
+// several models never recomputes them.
 type Execution struct {
 	Test   *litmus.Test
 	Events []*Event
@@ -50,35 +51,22 @@ type Execution struct {
 	// state of the execution it streams for each completion (see Clone).
 	Final *litmus.Final
 
-	// Mult is the number of exhaustive-enumeration candidates this execution
-	// stands for: the size of its orbit under the enumerator's equivalence
-	// pruning (see assemble.go). Interchangeable same-value solo writes
-	// collapse into one canonical representative, and so do solo writes of
-	// any value that no read takes and that are not coherence-last. The
-	// second kind depends on the rf choice and the coherence order, so Mult
-	// is per execution, not per path combination. 1 when nothing was
-	// pruned, 0 for hand-built executions (read it through Weight, which
-	// treats 0 as 1). Every member of the orbit has the same verdict under
-	// every model and the same final state, so weighted counts over
-	// representatives equal exhaustive counts over members.
-	Mult int
+	// mult is the orbit size Weight reports.
+	mult int
 
 	// shared memoizes the derived relations that depend only on the
 	// skeleton (events, po, deps, membar) and are therefore identical for
 	// every rf/co completion of one assembly; the enumerator threads one
 	// instance through all of them, and it carries the skeleton's key and
-	// pin. nil for hand-built executions, which then memoize per execution.
+	// pin.
 	shared *sharedRels
-	// rfShared memoizes the derived relations that depend only on the rf
-	// choice (rfe) and are therefore identical for every coherence
-	// completion of one rf assignment; nil for hand-built executions.
-	rfShared *rfRels
-	// srcOf maps each read to its rf source event (-1 for init reads),
-	// precomputed by the enumerator and shared read-only across the rf
-	// choice's completions; nil for hand-built executions, which derive it
-	// from RF on demand.
+	// srcOf maps each read to its rf source event (-1 for init reads and
+	// every other event), precomputed by the enumerator per rf choice.
 	srcOf []int32
-	memo  execMemo
+	// rfe memoizes RFE, which depends only on the rf choice: the Assembler
+	// resets it once per rf choice, so every coherence completion of one rf
+	// assignment shares it. A clone starts with its own empty memo.
+	rfe relOnce
 }
 
 // relOnce is a lazily computed, concurrency-safe memoized relation. The
@@ -102,10 +90,9 @@ func (ro *relOnce) reset() { ro.once = sync.Once{} }
 
 // sharedRels memoizes the skeleton-derived relations shared by every
 // execution of one path combination (and, within one execution, by every
-// model check). For an enumerator-built skeleton it also carries the
-// skeleton's identity: key (Execution.SkeletonKey) and pinned, which
-// Execution.Clone sets so that the Assembler never rebuilds a skeleton a
-// clone shares.
+// model check). It also carries the skeleton's identity: key
+// (Execution.SkeletonKey) and pinned, which Execution.Clone sets so that
+// the Assembler never rebuilds a skeleton a clone shares.
 type sharedRels struct {
 	poLoc relOnce
 	scope [ptx.ScopeSys + 1]relOnce // indexed by ptx.Scope
@@ -140,50 +127,15 @@ func (sr *sharedRels) reset() {
 	sr.key = skeletonSeq.Add(1)
 }
 
-// rfRels memoizes the derived relations shared by every coherence
-// completion of one rf assignment.
-type rfRels struct {
-	rfe relOnce
-}
-
-// execMemo memoizes the derived relations that vary per execution (they
-// depend on the rf/co choice).
-type execMemo struct {
-	co  relOnce
-	rfe relOnce
-	// Fallback skeleton memo for hand-built executions (Execution.shared
-	// nil), allocated on first use: enumerator-built executions — the hot
-	// path, thousands per judgement — never pay for its footprint.
-	shdOnce sync.Once
-	shd     *sharedRels
-}
-
-// sharedRels returns the memo for skeleton-derived relations: the
-// enumerator-provided shared instance when present, else a lazily allocated
-// per-execution one.
-func (x *Execution) sharedRels() *sharedRels {
-	if x.shared != nil {
-		return x.shared
-	}
-	x.memo.shdOnce.Do(func() { x.memo.shd = &sharedRels{} })
-	return x.memo.shd
-}
-
 // SkeletonKey returns the identity of the execution's skeleton: a number
 // the producer assigns each time it builds one. Two executions share a key
 // exactly when they are rf/co completions of the same build, so their
 // events and skeleton-derived relations (po, deps, membar, po-loc, scope)
 // are identical. The Assembler rebuilds skeletons into the same storage,
 // so a key, not an address, is what tells one build from the next; keys
-// are never reused. Hand-built executions have no skeleton and return 0;
-// callers caching per-skeleton work must treat 0 as "never equal". The
-// compiled model evaluator keys its skeleton-constant slot cache on this.
-func (x *Execution) SkeletonKey() uint64 {
-	if x.shared != nil {
-		return x.shared.key
-	}
-	return 0
-}
+// are never reused, and never 0. The compiled model evaluator keys its
+// skeleton-constant slot cache on this.
+func (x *Execution) SkeletonKey() uint64 { return x.shared.key }
 
 // Clone returns a copy of x that stays valid after the producer moves on:
 // the executions the enumerator streams are rewritten in place by the next
@@ -192,12 +144,10 @@ func (x *Execution) SkeletonKey() uint64 {
 // index are copied. The skeleton (events, po, deps, membar, final
 // registers and the skeleton memo) is shared, not copied: Clone pins it,
 // so the Assembler builds its next skeleton into fresh storage and never
-// rewrites one a clone holds. The copy memoizes its own rf- and
-// execution-level derived relations.
+// rewrites one a clone holds. The copy memoizes its own rf-level derived
+// relation.
 func (x *Execution) Clone() *Execution {
-	if x.shared != nil {
-		x.shared.pinned.Store(true)
-	}
+	x.shared.pinned.Store(true)
 	c := &Execution{
 		Test:   x.Test,
 		Events: x.Events,
@@ -208,7 +158,7 @@ func (x *Execution) Clone() *Execution {
 		RMW:    x.RMW,
 		Membar: x.Membar,
 		RF:     x.RF.Clone(),
-		Mult:   x.Mult,
+		mult:   x.mult,
 		shared: x.shared,
 		srcOf:  slices.Clone(x.srcOf),
 	}
@@ -232,24 +182,27 @@ func (x *Execution) Clone() *Execution {
 	return c
 }
 
-// Weight returns the number of concrete candidate executions this one
-// stands for under symmetry pruning: Mult, with the zero value (hand-built
-// executions, pre-pruning callers) counting as 1. Drivers that account for
-// MaxExecs or aggregate outcome histograms must add Weight, not 1, per
-// visited execution to stay exact against the exhaustive enumeration.
-func (x *Execution) Weight() int {
-	if x.Mult <= 0 {
-		return 1
-	}
-	return x.Mult
-}
+// Weight returns the number of exhaustive-enumeration candidates this
+// execution stands for: the size of its orbit under the enumerator's
+// equivalence pruning (see assemble.go), at least 1 and exactly 1 when
+// nothing was pruned. Interchangeable same-value solo writes collapse into
+// one canonical representative, and so do solo writes of any value that
+// no read takes and that are not coherence-last. The second kind depends
+// on the rf choice and the coherence order, so the weight is per
+// execution, not per path combination. Every member of the orbit has the
+// same verdict under every model and the same final state, so drivers that
+// account for MaxExecs or aggregate outcome histograms add Weight, not 1,
+// per visited execution to stay exact against the exhaustive enumeration.
+func (x *Execution) Weight() int { return x.mult }
 
 // Ev returns the event with the given ID.
 func (x *Execution) Ev(id EventID) *Event { return x.Events[id] }
 
-// CoRel returns coherence as a relation (w1 before w2 per location).
+// CoRel returns coherence as a new relation (w1 before w2 per location).
 func (x *Execution) CoRel() Rel {
-	return x.memo.co.get(x.SetCoRel)
+	var co Rel
+	x.SetCoRel(&co)
+	return co
 }
 
 // SetCoRel builds the coherence relation into dst, reusing dst's storage
@@ -295,7 +248,7 @@ func (x *Execution) SetFR(dst *Rel) {
 	}
 	dst.n = n
 	fr := dst
-	var coBuf, srcBuf [64]int32
+	var coBuf [64]int32
 	coIdx := coBuf[:]
 	if n > 64 {
 		// Wide universes route the index buffer through the pooled scratch
@@ -310,22 +263,12 @@ func (x *Execution) SetFR(dst *Rel) {
 			coIdx[w] = int32(i)
 		}
 	}
-	srcOf := x.srcOf // enumerator-built executions carry the rf index
-	if srcOf == nil {
-		srcOf = srcBuf[:]
-		if n > 64 {
-			p := geti32(n)
-			defer puti32(p)
-			srcOf = *p
-		}
-		srcOf = x.rfSources(srcOf[:n])
-	}
 	for _, e := range x.Events {
 		if e.Kind != KRead {
 			continue
 		}
 		from := int32(0)
-		if src := srcOf[e.ID]; src >= 0 {
+		if src := x.srcOf[e.ID]; src >= 0 {
 			from = coIdx[src] + 1
 		}
 		for _, w := range x.CO[e.Slot][from:] {
@@ -334,44 +277,19 @@ func (x *Execution) SetFR(dst *Rel) {
 	}
 }
 
-// rfSources writes each event's rf source into dst, whose length must be
-// len(x.Events), and returns it: the write a read reads from, or -1 for a
-// read with no rf edge (an init read) and for every other event.
-func (x *Execution) rfSources(dst []int32) []int32 {
-	for i := range dst {
-		dst[i] = -1
-	}
-	for w := 0; w < x.RF.n && w < len(dst); w++ { // direct row iteration: no closure
-		for wi, word := range x.RF.row(w) {
-			for word != 0 {
-				rd := wi*wordBits + mathbits.TrailingZeros64(word)
-				word &= word - 1
-				if rd < len(dst) {
-					dst[rd] = int32(w)
-				}
-			}
-		}
-	}
-	return dst
-}
-
 // RFE returns rf restricted to pairs from different threads ("external").
-// It depends only on the rf choice, so enumerator-built executions share
-// the memo across every coherence completion of one rf assignment.
+// It depends only on the rf choice, so every coherence completion of one
+// rf assignment shares the memo.
 func (x *Execution) RFE() Rel {
-	rfe := func(dst *Rel) {
+	return x.rfe.get(func(dst *Rel) {
 		dst.setFilter(x.RF, func(w, r EventID) bool { return x.Ev(w).Thread != x.Ev(r).Thread })
-	}
-	if x.rfShared != nil {
-		return x.rfShared.rfe.get(rfe)
-	}
-	return x.memo.rfe.get(rfe)
+	})
 }
 
 // PoLoc returns program order restricted to memory events on the same
 // location.
 func (x *Execution) PoLoc() Rel {
-	return x.sharedRels().poLoc.get(func(dst *Rel) {
+	return x.shared.poLoc.get(func(dst *Rel) {
 		dst.setFilter(x.PO, func(a, b EventID) bool {
 			ea, eb := x.Ev(a), x.Ev(b)
 			return ea.IsMem() && eb.IsMem() && ea.Slot == eb.Slot
@@ -386,10 +304,10 @@ func (x *Execution) ScopeRel(s ptx.Scope) Rel {
 	if s == ptx.ScopeSys {
 		s = ptx.ScopeGL // single GPU, single system: gl and sys coincide
 	}
-	if s < 0 || int(s) >= len(x.sharedRels().scope) {
+	if s < 0 || int(s) >= len(x.shared.scope) {
 		return NewRel()
 	}
-	return x.sharedRels().scope[s].get(func(dst *Rel) { x.setScopeRel(dst, s) })
+	return x.shared.scope[s].get(func(dst *Rel) { x.setScopeRel(dst, s) })
 }
 
 // setScopeRel builds ScopeRel(s) into dst, reusing dst's storage.
@@ -397,10 +315,6 @@ func (x *Execution) setScopeRel(dst *Rel, s ptx.Scope) {
 	n := len(x.Events)
 	maxTid := -1
 	for _, e := range x.Events {
-		if e.Thread < 0 {
-			*dst = x.scopeRelSlow(s) // synthetic events: pairwise fallback
-			return
-		}
 		if e.Thread > maxTid {
 			maxTid = e.Thread
 		}
@@ -444,34 +358,12 @@ func (x *Execution) setScopeRel(dst *Rel, s ptx.Scope) {
 	}
 }
 
-// scopeRelSlow is the reference pairwise construction, kept for events with
-// synthetic (negative) thread ids.
-func (x *Execution) scopeRelSlow(s ptx.Scope) Rel {
-	r := NewRel()
-	for _, a := range x.Events {
-		for _, b := range x.Events {
-			if a.ID == b.ID {
-				continue
-			}
-			switch s {
-			case ptx.ScopeCTA:
-				if a.Thread == b.Thread || x.Test.Scope.SameCTA(a.Thread, b.Thread) {
-					r.Add(a.ID, b.ID)
-				}
-			case ptx.ScopeGL, ptx.ScopeSys:
-				r.Add(a.ID, b.ID)
-			}
-		}
-	}
-	return r
-}
-
 // kindMask returns the memoized column bitset of events of kind k, sized
 // to the event universe. It lives in the skeleton's shared memo, so every
 // completion of one path assembly (and every filter application within one
 // execution) shares a single scan of the event list.
 func (x *Execution) kindMask(k Kind) []uint64 {
-	sr := x.sharedRels()
+	sr := x.shared
 	sr.kmaskOnce[k].Do(func() {
 		words := (len(x.Events) + wordBits - 1) / wordBits
 		m := resize(sr.kmask[k], words)
@@ -490,32 +382,16 @@ func (x *Execution) kindMask(k Kind) []uint64 {
 // dst, reusing dst's storage when possible (dst must not alias r): first
 // and second report the kind required of each endpoint. It works a bitset
 // row at a time: rows of first-kind events are ANDed against the column
-// mask of second-kind events.
+// mask of second-kind events. r must not be wider than the event universe,
+// as no relation over x's events is.
 func (x *Execution) SetKindFilter(dst *Rel, r Rel, first, second Kind) {
 	if r.words == 0 {
 		dst.setEmpty()
 		return
 	}
-	mask := x.kindMask(second)
-	if len(mask) >= r.words {
-		// The cached mask covers r's universe: truncating drops exactly the
-		// columns >= r.univ() the scan below would have skipped.
-		mask = mask[:r.words]
-	} else {
-		// r is wider than the event universe (hand-built relation): build
-		// the mask into pooled scratch instead.
-		p := getu64(r.words)
-		defer putu64(p)
-		mask = (*p)[:r.words]
-		for i := range mask {
-			mask[i] = 0
-		}
-		for _, e := range x.Events {
-			if e.Kind == second && int(e.ID) < r.univ() {
-				mask[int(e.ID)/wordBits] |= 1 << (uint(e.ID) % wordBits)
-			}
-		}
-	}
+	// Truncating the mask to r's width drops exactly the columns >= r.univ()
+	// the scan below would have skipped.
+	mask := x.kindMask(second)[:r.words]
 	dst.reuse(r.words)
 	dst.n = r.n
 	for i := range dst.rows {
@@ -554,9 +430,8 @@ func (x *Execution) String() string {
 	}
 	fmt.Fprintf(&sb, "rf: %s", x.RF)
 	var inits []EventID
-	src := x.rfSources(make([]int32, len(x.Events)))
 	for _, e := range x.Events {
-		if e.Kind == KRead && src[e.ID] < 0 {
+		if e.Kind == KRead && x.srcOf[e.ID] < 0 {
 			inits = append(inits, e.ID)
 		}
 	}

@@ -209,9 +209,9 @@ func TestWideAcyclicNoAlloc(t *testing.T) {
 	}
 }
 
-// TestWideSetFRNoAlloc pins the pooled index buffers and storage reuse of
-// the from-read derivation past 64 events: with a warm destination and a
-// hand-built execution (no precomputed rf index), SetFR must not allocate.
+// TestWideSetFRNoAlloc pins the pooled index buffer and storage reuse of
+// the from-read derivation past 64 events: with a warm destination, SetFR
+// must not allocate.
 func TestWideSetFRNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by race instrumentation")
@@ -242,5 +242,5 @@ func wideExec(writers int) *Execution {
 		order = append(order, w.ID)
 	}
 	x.CO = [][]EventID{order}
-	return x
+	return handBuilt(x)
 }

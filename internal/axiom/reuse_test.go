@@ -16,25 +16,42 @@ import (
 
 // This file pins the reusable execution: the producer rewrites one
 // Execution per Assembler in place (rf-choice layer per rf choice, the
-// coherence rows, final memory, Mult and memo per completion), and a
-// consumer keeps only what it clones.
+// coherence rows, final memory and weight per completion), and a consumer
+// keeps only what it clones.
 
-// exportedCopy rebuilds x from its exported fields alone: no skeleton or
-// rf-choice memo, no read→source index, an empty execution memo, so its
-// derived relations are computed from scratch. What the producer rewrites
-// in place is copied; the skeleton, which it never rewrites, is shared.
+// handBuilt gives x, an execution a test built by hand, what the Assembler
+// gives every execution it builds: a fresh skeleton memo with a key of its
+// own, the read→source index of its rf edges, and weight 1. It returns x.
+func handBuilt(x *Execution) *Execution {
+	x.shared = new(sharedRels)
+	x.shared.reset()
+	x.srcOf = make([]int32, len(x.Events))
+	for i := range x.srcOf {
+		x.srcOf[i] = -1
+	}
+	x.RF.Each(func(w, r EventID) { x.srcOf[r] = int32(w) })
+	x.mult = 1
+	return x
+}
+
+// exportedCopy rebuilds x from its exported fields and weight alone, as
+// handBuilt does: no memo of x's is shared and its read→source index is
+// derived from RF, so its derived relations are computed from scratch.
+// What the producer rewrites in place is copied; the skeleton, which it
+// never rewrites, is shared.
 func exportedCopy(x *Execution) *Execution {
 	co := make([][]EventID, len(x.CO))
 	for loc, order := range x.CO {
 		co[loc] = slices.Clone(order)
 	}
-	return &Execution{
+	c := handBuilt(&Execution{
 		Test: x.Test, Events: x.Events,
 		PO: x.PO, Addr: x.Addr, Data: x.Data, Ctrl: x.Ctrl, RMW: x.RMW, Membar: x.Membar,
 		RF: x.RF.Clone(), CO: co,
 		Final: x.Final.Clone(),
-		Mult:  x.Mult,
-	}
+	})
+	c.mult = x.mult
+	return c
 }
 
 // sourceDiff reports an event of x whose read→source index disagrees with
@@ -55,6 +72,32 @@ func sourceDiff(x *Execution) string {
 			return fmt.Sprintf("%s has %d rf edges", e, edges)
 		case x.srcOf[e.ID] != src:
 			return fmt.Sprintf("%s has source %d in the index, %d in rf", e, x.srcOf[e.ID], src)
+		}
+	}
+	return ""
+}
+
+// contractDiff reports where x breaks what the Assembler guarantees of
+// every execution it builds and of every clone of one, and what the
+// fallback-free derivations rely on: a nonzero skeleton key, a weight of
+// at least 1, a read→source index that agrees with RF, and relations read
+// by the .cat vocabulary no wider than the kind masks, to which
+// SetKindFilter truncates its mask.
+func contractDiff(x *Execution) string {
+	switch {
+	case x.SkeletonKey() == 0:
+		return "skeleton key 0"
+	case x.Weight() < 1:
+		return fmt.Sprintf("weight %d", x.Weight())
+	}
+	if d := sourceDiff(x); d != "" {
+		return d
+	}
+	for i, r := range snapshotRelsOf(x) {
+		for k := KRead; k <= KFence; k++ {
+			if m := len(x.kindMask(k)); r.words > m {
+				return fmt.Sprintf("%s is %d words wide, the kind masks %d", snapshotRels[i], r.words, m)
+			}
 		}
 	}
 	return ""
@@ -89,7 +132,7 @@ func slotDiff(en *Enumeration, x *Execution) string {
 }
 
 // execDiff describes how got differs from want on the derived relations,
-// the final state, Mult and the rendering, or returns "".
+// the final state, the weight and the rendering, or returns "".
 func execDiff(got, want *Execution) string {
 	for _, r := range []struct {
 		name      string
@@ -106,8 +149,8 @@ func execDiff(got, want *Execution) string {
 	if g, w := renderFinal(got), renderFinal(want); g != w {
 		return fmt.Sprintf("final %s, want %s", g, w)
 	}
-	if got.Mult != want.Mult {
-		return fmt.Sprintf("mult %d, want %d", got.Mult, want.Mult)
+	if got.Weight() != want.Weight() {
+		return fmt.Sprintf("weight %d, want %d", got.Weight(), want.Weight())
 	}
 	if g, w := got.String(), want.String(); g != w {
 		return fmt.Sprintf("render\n%s\nwant\n%s", g, w)
@@ -117,7 +160,8 @@ func execDiff(got, want *Execution) string {
 
 // snapshotRels names the relations a snapshot keeps, in its order: the
 // skeleton relations, rf, the skeleton memo's relations, and the rf- and
-// completion-level derived relations.
+// completion-level derived relations. They include every relation the
+// .cat vocabulary reads.
 var snapshotRels = []string{
 	"po", "addr", "data", "ctrl", "rmw",
 	"membar[none]", "membar.cta", "membar.gl", "membar.sys",
@@ -125,10 +169,20 @@ var snapshotRels = []string{
 	"rfe", "fr", "co",
 }
 
+// snapshotRelsOf returns x's relations in snapshotRels order.
+func snapshotRelsOf(x *Execution) []Rel {
+	return []Rel{
+		x.PO, x.Addr, x.Data, x.Ctrl, x.RMW,
+		x.Membar[ptx.ScopeNone], x.Membar[ptx.ScopeCTA], x.Membar[ptx.ScopeGL], x.Membar[ptx.ScopeSys],
+		x.RF, x.PoLoc(), x.ScopeRel(ptx.ScopeCTA), x.ScopeRel(ptx.ScopeGL), x.ScopeRel(ptx.ScopeSys),
+		x.RFE(), frOf(x), x.CoRel(),
+	}
+}
+
 // snapshot is a deep copy of what an execution exposes — its events, every
 // relation the .cat vocabulary reads (the skeleton memo's included), the
 // kind masks, the read→source index, the coherence orders, the final state
-// and Mult — so it stays comparable after the producer rewrites the
+// and the weight — so it stays comparable after the producer rewrites the
 // execution.
 type snapshot struct {
 	events []Event
@@ -137,20 +191,15 @@ type snapshot struct {
 	srcs   []int32
 	co     [][]EventID
 	final  string
-	mult   int
+	weight int
 }
 
 func takeSnapshot(x *Execution) snapshot {
-	s := snapshot{events: make([]Event, len(x.Events)), srcs: slices.Clone(x.srcOf), co: make([][]EventID, len(x.CO)), final: renderFinal(x), mult: x.Mult}
+	s := snapshot{events: make([]Event, len(x.Events)), srcs: slices.Clone(x.srcOf), co: make([][]EventID, len(x.CO)), final: renderFinal(x), weight: x.Weight()}
 	for i, e := range x.Events {
 		s.events[i] = *e
 	}
-	for _, r := range []Rel{
-		x.PO, x.Addr, x.Data, x.Ctrl, x.RMW,
-		x.Membar[ptx.ScopeNone], x.Membar[ptx.ScopeCTA], x.Membar[ptx.ScopeGL], x.Membar[ptx.ScopeSys],
-		x.RF, x.PoLoc(), x.ScopeRel(ptx.ScopeCTA), x.ScopeRel(ptx.ScopeGL), x.ScopeRel(ptx.ScopeSys),
-		x.RFE(), frOf(x), x.CoRel(),
-	} {
+	for _, r := range snapshotRelsOf(x) {
 		s.rels = append(s.rels, r.Pairs())
 	}
 	for k := KRead; k <= KFence; k++ {
@@ -181,8 +230,8 @@ func (s snapshot) diff(want snapshot) string {
 		return fmt.Sprintf("co %v, want %v", s.co, want.co)
 	case s.final != want.final:
 		return fmt.Sprintf("final %s, want %s", s.final, want.final)
-	case s.mult != want.mult:
-		return fmt.Sprintf("mult %d, want %d", s.mult, want.mult)
+	case s.weight != want.weight:
+		return fmt.Sprintf("weight %d, want %d", s.weight, want.weight)
 	}
 	return ""
 }
@@ -206,10 +255,11 @@ func freshSnapshots(t *testing.T, en *Enumeration) [][]snapshot {
 // TestReusedExecutionMatchesFresh: every execution the producer yields —
 // serially through StreamCtx, and chunk by chunk through one Assembler as
 // core's chunked fold drives it — has the derived relations, final state,
-// Mult and rendering of a memo-free copy of its exported fields, has
-// location slots that agree with its location names and a read→source
-// index that agrees with its rf edges, and its Clone still matches the
-// copy after the stream has rewritten the original. Then one Assembler,
+// weight and rendering of a memo-free copy of its exported fields, has
+// location slots that agree with its location names, and keeps the
+// producer's contract (contractDiff: skeleton key, weight, read→source
+// index, relation widths); its Clone keeps the contract and still matches
+// the copy after the stream has rewritten the original. Then one Assembler,
 // and one taken back from the pool before every combination, streams the
 // corpus with each test's combinations interleaved with its predecessor's
 // (A, B, A, …), so every skeleton is built into storage another test's
@@ -251,7 +301,7 @@ func TestReusedExecutionMatchesFresh(t *testing.T) {
 				if d := slotDiff(en, x); d != "" {
 					return fmt.Errorf("execution %d: %s", len(fresh), d)
 				}
-				if d := sourceDiff(x); d != "" {
+				if d := contractDiff(x); d != "" {
 					return fmt.Errorf("execution %d: %s", len(fresh), d)
 				}
 				if d := execDiff(x, want); d != "" {
@@ -263,6 +313,9 @@ func TestReusedExecutionMatchesFresh(t *testing.T) {
 				t.Fatalf("%s/%s: %v", test.Name, s.name, err)
 			}
 			for i := range clones {
+				if d := contractDiff(clones[i]); d != "" {
+					t.Fatalf("%s/%s: clone of execution %d after the stream: %s", test.Name, s.name, i, d)
+				}
 				if d := execDiff(clones[i], fresh[i]); d != "" {
 					t.Fatalf("%s/%s: clone of execution %d after the stream: %s", test.Name, s.name, i, d)
 				}

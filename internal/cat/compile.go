@@ -44,8 +44,8 @@ type word struct {
 // vocab is the base vocabulary: the Sec. 5.1.1 relations and the
 // WW/WR/RW/RR filters, the only free names a model may use. co and fr are
 // derived per execution, so they are rebuilt into scratch-owned storage
-// (axiom.SetCoRel/SetFR) instead of allocating via the execution's lazy
-// memo.
+// (axiom.SetCoRel/SetFR); the execution memoizes the others per skeleton
+// or per rf choice.
 var vocab = [...]word{
 	{name: "po", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.PO }},
 	{name: "po-loc", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.PoLoc() }},
@@ -152,10 +152,10 @@ type Scratch struct {
 	fr axiom.Rel
 
 	// skel is the axiom.Execution.SkeletonKey of the execution whose
-	// skeleton-constant slots currently populate this scratch; 0 when none
-	// do (fresh or returned scratch, or a hand-built execution). Keys are
-	// never reused, so an equal nonzero key means the same skeleton build
-	// even though the producer rebuilds skeletons into the same storage.
+	// skeleton-constant slots currently populate this scratch; 0, which no
+	// skeleton has, when none do (fresh or returned scratch). Keys are never
+	// reused, so an equal key means the same skeleton build even though the
+	// producer rebuilds skeletons into the same storage.
 	skel uint64
 
 	// tr, when non-nil, accounts RunExec/RunExecVerdict time to
@@ -507,7 +507,7 @@ func (p *Program) runExecVerdict(x *axiom.Execution, sc *Scratch) bool {
 // the common case when one worker checks consecutive rf/co completions of
 // one path assembly.
 func (p *Program) runExecInsns(x *axiom.Execution, sc *Scratch) {
-	if key := x.SkeletonKey(); key == 0 || key != sc.skel {
+	if key := x.SkeletonKey(); key != sc.skel {
 		load(x, sc, p.constFreeRels)
 		execInsns(x, sc, p.constInsns)
 		sc.skel = key

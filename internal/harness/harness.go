@@ -88,9 +88,12 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 		hist map[string]*state // by layout key
 		err  error
 	}
-	parts := make([]partial, cfg.Parallelism)
+	// A worker beyond the run count would get no iteration but still build
+	// a machine and a map.
+	workers := min(cfg.Parallelism, cfg.Runs)
+	parts := make([]partial, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -98,7 +101,7 @@ func RunCtx(ctx context.Context, t *litmus.Test, cfg Config) (*Outcome, error) {
 			p := &parts[w]
 			p.hist = make(map[string]*state)
 			var key, fp []byte
-			for i := w; i < cfg.Runs; i += cfg.Parallelism {
+			for i := w; i < cfg.Runs; i += workers {
 				if err := ctx.Err(); err != nil {
 					p.err = err
 					return

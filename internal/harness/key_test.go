@@ -131,6 +131,30 @@ func TestRunAllocations(t *testing.T) {
 	t.Logf("%.0f allocations for %d iterations", allocs, runs)
 }
 
+// TestRunWorkersCappedAtRuns: a run starts no more workers than it has
+// iterations, so asking for more parallelism than runs costs nothing. At
+// 4 runs of mp, 64 requested workers made 1,348 allocations and 4 made
+// 208 when each idle worker built a machine and a map anyway.
+func TestRunWorkersCappedAtRuns(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race instrumentation")
+	}
+	test := litmus.MP(litmus.NoFence)
+	cfg := Config{Chip: chip.GTXTitan, Incant: chip.Default(), Runs: 4, Seed: 1}
+	allocs := func(parallelism int) float64 {
+		c := cfg
+		c.Parallelism = parallelism
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(test, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(64); many > few {
+		t.Errorf("%d runs at parallelism 64 allocate %.0f objects, %.0f at parallelism 4", cfg.Runs, many, few)
+	}
+}
+
 // TestStringAllocations gates Outcome.String on mp's four-key histogram:
 // one layout reads every key back into one final state. It makes 28
 // allocations (25 before the slot resolution); the fmt-based reader made
