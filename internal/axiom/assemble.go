@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
@@ -18,16 +19,17 @@ import (
 //   - per combo (skeleton): the event slab, po/deps/rmw/membar relations,
 //     final registers, writer indexes, coherence permutations and the RMW
 //     atomicity plan are built once and shared by every rf/co completion;
-//   - per rf choice: the rf relation, read→source index and the rfe memo
-//     are rewritten once and shared by every coherence completion of that
-//     choice;
+//   - per rf choice: the rf relation and read→source index are rewritten
+//     once and shared by every coherence completion of that choice;
 //   - per completion: the coherence rows of the written locations, their
 //     final memory and the weight are rewritten.
 //
 // Every layer is rewritten in place in storage the Assembler owns: the
-// skeleton in a skeleton store (events, skeleton relations and the
-// skeleton memo, recomputed into the same storage), the other two layers
-// in one Execution and its final state. Once its storage has grown to the
+// skeleton in a skeleton store (events and skeleton relations, rebuilt
+// into the same storage under a fresh key), the other two layers in one
+// Execution and its final state. Nothing here derives what the .cat
+// vocabulary derives (po-loc, rfe, the scope relations): the evaluator
+// builds those into its own scratch. Once its storage has grown to the
 // tests it streams, a steady-state producer allocates nothing per
 // skeleton, per rf choice or per completion, and a pooled Assembler
 // (BorrowAssembler) carries that storage from one judgement to the next.
@@ -78,8 +80,8 @@ type Assembler struct {
 	sk *skeleton
 
 	// The reusable execution: x is what emit receives. Its skeleton fields
-	// alias sk; its rfe memo and the fields below back its rf-choice and
-	// per-completion layers.
+	// alias sk; the fields below back its rf-choice and per-completion
+	// layers.
 	x     Execution
 	rf    Rel
 	srcOf []int32
@@ -88,26 +90,32 @@ type Assembler struct {
 }
 
 // skeleton is the storage one skeleton is built into: the event slab and
-// its pointers, the skeleton relations and the skeleton memo (whose key
-// and pin identify the build). A clone of an execution shares all of it;
-// once Clone has pinned it, the Assembler leaves it to the clones and
-// builds into a fresh skeleton.
+// its pointers and the skeleton relations, with the key
+// (Execution.SkeletonKey) and pin that identify the build. A clone of an
+// execution shares all of it; once Clone has pinned it, the Assembler
+// leaves it to the clones and builds into a fresh skeleton.
 type skeleton struct {
 	evs                       []Event
 	ptrs                      []*Event
 	po, addr, data, ctrl, rmw Rel
 	membar                    [ptx.ScopeSys + 1]Rel
-	memo                      sharedRels
+	key                       uint64
+	pinned                    atomic.Bool
 }
 
-// nextSkeleton returns the storage to build the next skeleton into: the
-// current one with its memo reset and a fresh key, or new storage when
-// there is none yet or a clone pinned it.
+// skeletonSeq numbers the skeletons the Assemblers build: keys are unique
+// across every Assembler of the process, so a key a cached evaluation
+// remembers can never name another Assembler's skeleton.
+var skeletonSeq atomic.Uint64
+
+// nextSkeleton returns the storage to build the next skeleton into, under
+// a fresh key: the current one, or new storage when there is none yet or a
+// clone pinned it.
 func (a *Assembler) nextSkeleton() *skeleton {
-	if a.sk == nil || a.sk.memo.pinned.Load() {
+	if a.sk == nil || a.sk.pinned.Load() {
 		a.sk = &skeleton{}
 	}
-	a.sk.memo.reset()
+	a.sk.key = skeletonSeq.Add(1)
 	return a.sk
 }
 
@@ -129,11 +137,11 @@ func BorrowAssembler() *Assembler { return assemblers.Get().(*Assembler) }
 // owns, so a pooled Assembler holds no request's data. A skeleton a clone
 // pinned is left to the clone. a must not be used after the call.
 func ReturnAssembler(a *Assembler) {
-	a.x = Execution{rfe: relOnce{rel: a.x.rfe.rel}} // keep the rfe memo's storage
+	a.x = Execution{}
 	a.final.Reset(&noSlots)
 	a.co = a.co[:0]
 	if a.sk != nil {
-		if a.sk.memo.pinned.Load() {
+		if a.sk.pinned.Load() {
 			a.sk = nil
 		} else {
 			clear(a.sk.evs[:cap(a.sk.evs)])
@@ -403,15 +411,12 @@ func (en *Enumeration) buildSkeleton(a *Assembler) bool {
 			}
 		}
 	}
-	// Field by field, so that the rfe memo keeps its storage.
 	x := &a.x
-	x.Test, x.Events = en.test, sk.ptrs
-	x.PO, x.Addr, x.Data, x.Ctrl, x.RMW = sk.po, sk.addr, sk.data, sk.ctrl, sk.rmw
-	x.Membar = sk.membar
-	// One shared memo for the skeleton-derived relations (po-loc, scope,
-	// kind masks): every rf/co completion reuses it instead of recomputing
-	// them per execution.
-	x.shared = &sk.memo
+	*x = Execution{
+		Test: en.test, Events: sk.ptrs,
+		PO: sk.po, Addr: sk.addr, Data: sk.data, Ctrl: sk.ctrl, RMW: sk.rmw,
+		Membar: sk.membar, sk: sk,
+	}
 
 	// Writer indexes and per-location coherence permutations (shared by
 	// every rf choice — the old producer rebuilt both per rf assignment).
@@ -797,8 +802,8 @@ func (en *Enumeration) enumerateRFFrom(a *Assembler, start int, emit func(*Execu
 }
 
 // enumerateCO rewrites a.x's rf-choice layer for the current rf choice —
-// the rf relation, read→source index and rfe memo, shared by every
-// coherence completion — and enumerates the per-location coherence orders
+// the rf relation and read→source index, shared by every coherence
+// completion — and enumerates the per-location coherence orders
 // (completeCO). A read that picks the initial state gets no rf edge.
 func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) error {
 	x := &a.x
@@ -814,7 +819,6 @@ func (en *Enumeration) enumerateCO(a *Assembler, emit func(*Execution) error) er
 		}
 	}
 	x.RF = a.rf
-	x.rfe.reset()
 
 	if cap(a.coPos) < n {
 		a.coPos = make([]int32, n)

@@ -247,21 +247,21 @@ func TestScopeRelations(t *testing.T) {
 	intra := enumerate(t, litmus.CoRR())[0]
 	inter := enumerate(t, litmus.MP(litmus.NoFence))[0]
 
-	ctaIntra := intra.ScopeRel(ptx.ScopeCTA)
+	ctaIntra := scopeOf(intra, ptx.ScopeCTA)
 	// All events of an intra-CTA test relate under cta.
 	n := len(intra.Events)
 	if ctaIntra.Size() != n*(n-1) {
 		t.Errorf("intra-CTA cta relation size = %d, want %d", ctaIntra.Size(), n*(n-1))
 	}
 	// In an inter-CTA test, only same-thread pairs relate under cta.
-	ctaInter := inter.ScopeRel(ptx.ScopeCTA)
+	ctaInter := scopeOf(inter, ptx.ScopeCTA)
 	ctaInter.Each(func(a, b EventID) {
 		if inter.Ev(a).Thread != inter.Ev(b).Thread {
 			t.Errorf("inter-CTA events %v and %v must not be cta-related", a, b)
 		}
 	})
 	// sys relates everything.
-	sys := inter.ScopeRel(ptx.ScopeSys)
+	sys := scopeOf(inter, ptx.ScopeSys)
 	m := len(inter.Events)
 	if sys.Size() != m*(m-1) {
 		t.Errorf("sys relation size = %d, want %d", sys.Size(), m*(m-1))

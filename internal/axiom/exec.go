@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/ptx"
@@ -14,11 +12,11 @@ import (
 
 // Execution is a candidate execution of a litmus test (Sec. 5.1.1): events
 // plus the primitive relations over them. Executions are built by the
-// Assembler (see assemble.go) or copied from one by Clone. The derived
-// relations the .cat vocabulary reads without a scratch (rfe, po-loc, the
-// scope relations and the kind masks) are computed on demand and memoized
-// per skeleton or per rf choice, so checking the same execution under
-// several models never recomputes them.
+// Assembler (see assemble.go) or copied from one by Clone, and nothing
+// but the Assembler writes to one: the derived relations the .cat vocabulary
+// reads (po-loc, rfe, co, fr and the scope relations) are built on demand
+// into storage the caller owns (SetPoLoc, SetRFE, SetCoRel, SetFR,
+// SetScopeRel), so any number of goroutines may read one execution at once.
 type Execution struct {
 	Test   *litmus.Test
 	Events []*Event
@@ -54,100 +52,35 @@ type Execution struct {
 	// mult is the orbit size Weight reports.
 	mult int
 
-	// shared memoizes the derived relations that depend only on the
-	// skeleton (events, po, deps, membar) and are therefore identical for
-	// every rf/co completion of one assembly; the enumerator threads one
-	// instance through all of them, and it carries the skeleton's key and
-	// pin.
-	shared *sharedRels
+	// sk is the skeleton store the events and the skeleton relations (po,
+	// deps, membar) live in; every rf/co completion of one build shares
+	// it, and its key and pin identify the build (SkeletonKey, Clone).
+	sk *skeleton
 	// srcOf maps each read to its rf source event (-1 for init reads and
 	// every other event), precomputed by the enumerator per rf choice.
 	srcOf []int32
-	// rfe memoizes RFE, which depends only on the rf choice: the Assembler
-	// resets it once per rf choice, so every coherence completion of one rf
-	// assignment shares it. A clone starts with its own empty memo.
-	rfe relOnce
-}
-
-// relOnce is a lazily computed, concurrency-safe memoized relation. The
-// relation is computed into storage the relOnce keeps, so a reset memo
-// recomputes without allocating once the storage fits.
-type relOnce struct {
-	once sync.Once
-	rel  Rel
-}
-
-// get returns the memoized relation, computing it into ro's storage with
-// f on first use.
-func (ro *relOnce) get(f func(dst *Rel)) Rel {
-	ro.once.Do(func() { f(&ro.rel) })
-	return ro.rel
-}
-
-// reset forgets the memoized relation and keeps its storage. The caller
-// must own ro: nothing may read it concurrently or keep its relation.
-func (ro *relOnce) reset() { ro.once = sync.Once{} }
-
-// sharedRels memoizes the skeleton-derived relations shared by every
-// execution of one path combination (and, within one execution, by every
-// model check). It also carries the skeleton's identity: key
-// (Execution.SkeletonKey) and pinned, which Execution.Clone sets so that
-// the Assembler never rebuilds a skeleton a clone shares.
-type sharedRels struct {
-	poLoc relOnce
-	scope [ptx.ScopeSys + 1]relOnce // indexed by ptx.Scope
-
-	// Kind masks for the WW/WR/RW/RR filters: one column bitset per event
-	// kind, derived from the events alone, so every completion and every
-	// filter application over one skeleton shares them instead of
-	// re-scanning the event list per call.
-	kmaskOnce [KFence + 1]sync.Once
-	kmask     [KFence + 1][]uint64
-
-	key    uint64
-	pinned atomic.Bool
-}
-
-// skeletonSeq numbers the skeletons the Assemblers build: keys are unique
-// across every Assembler of the process, so a key a cached evaluation
-// remembers can never name another Assembler's skeleton.
-var skeletonSeq atomic.Uint64
-
-// reset forgets every memoized relation and mask, keeping their storage,
-// and gives the memo a fresh skeleton key. Only the Assembler that owns an
-// unpinned memo calls it, when it builds the next skeleton into it.
-func (sr *sharedRels) reset() {
-	sr.poLoc.reset()
-	for i := range sr.scope {
-		sr.scope[i].reset()
-	}
-	for i := range sr.kmaskOnce {
-		sr.kmaskOnce[i] = sync.Once{}
-	}
-	sr.key = skeletonSeq.Add(1)
 }
 
 // SkeletonKey returns the identity of the execution's skeleton: a number
 // the producer assigns each time it builds one. Two executions share a key
 // exactly when they are rf/co completions of the same build, so their
-// events and skeleton-derived relations (po, deps, membar, po-loc, scope)
-// are identical. The Assembler rebuilds skeletons into the same storage,
-// so a key, not an address, is what tells one build from the next; keys
-// are never reused, and never 0. The compiled model evaluator keys its
-// skeleton-constant slot cache on this.
-func (x *Execution) SkeletonKey() uint64 { return x.shared.key }
+// events and skeleton relations (po, deps, membar), and everything derived
+// from those alone (po-loc, the scope relations), are identical. The
+// Assembler rebuilds skeletons into the same storage, so a key, not an
+// address, is what tells one build from the next; keys are never reused,
+// and never 0. The compiled model evaluator keys its skeleton-constant
+// slot cache on this.
+func (x *Execution) SkeletonKey() uint64 { return x.sk.key }
 
 // Clone returns a copy of x that stays valid after the producer moves on:
 // the executions the enumerator streams are rewritten in place by the next
 // completion, so a consumer that keeps one keeps its Clone. The coherence
 // orders (empty rows stay nil), final memory, rf relation and read→source
-// index are copied. The skeleton (events, po, deps, membar, final
-// registers and the skeleton memo) is shared, not copied: Clone pins it,
-// so the Assembler builds its next skeleton into fresh storage and never
-// rewrites one a clone holds. The copy memoizes its own rf-level derived
-// relation.
+// index are copied. The skeleton (events, po, deps and membar) is shared,
+// not copied: Clone pins it, so the Assembler builds its next skeleton
+// into fresh storage and never rewrites one a clone holds.
 func (x *Execution) Clone() *Execution {
-	x.shared.pinned.Store(true)
+	x.sk.pinned.Store(true)
 	c := &Execution{
 		Test:   x.Test,
 		Events: x.Events,
@@ -159,7 +92,7 @@ func (x *Execution) Clone() *Execution {
 		Membar: x.Membar,
 		RF:     x.RF.Clone(),
 		mult:   x.mult,
-		shared: x.shared,
+		sk:     x.sk,
 		srcOf:  slices.Clone(x.srcOf),
 	}
 	if x.CO != nil {
@@ -209,17 +142,9 @@ func (x *Execution) CoRel() Rel {
 // when possible. The verdict hot path resolves co into a per-scratch buffer
 // through this instead of allocating a fresh relation per execution.
 func (x *Execution) SetCoRel(dst *Rel) {
-	n := len(x.Events)
-	if n == 0 {
-		dst.setEmpty()
+	if !dst.setUniverse(len(x.Events)) {
 		return
 	}
-	words := (n + wordBits - 1) / wordBits
-	dst.reuse(words)
-	for i := range dst.rows {
-		dst.rows[i] = 0
-	}
-	dst.n = n
 	for _, order := range x.CO {
 		for i := 0; i < len(order); i++ {
 			row := dst.row(int(order[i]))
@@ -237,17 +162,9 @@ func (x *Execution) SetCoRel(dst *Rel) {
 // write to its location overwrites.
 func (x *Execution) SetFR(dst *Rel) {
 	n := len(x.Events)
-	if n == 0 {
-		dst.setEmpty()
+	if !dst.setUniverse(n) {
 		return
 	}
-	words := (n + wordBits - 1) / wordBits
-	dst.reuse(words)
-	for i := range dst.rows {
-		dst.rows[i] = 0
-	}
-	dst.n = n
-	fr := dst
 	var coBuf [64]int32
 	coIdx := coBuf[:]
 	if n > 64 {
@@ -272,61 +189,53 @@ func (x *Execution) SetFR(dst *Rel) {
 			from = coIdx[src] + 1
 		}
 		for _, w := range x.CO[e.Slot][from:] {
-			fr.Add(e.ID, w)
+			dst.Add(e.ID, w)
 		}
 	}
 }
 
-// RFE returns rf restricted to pairs from different threads ("external").
-// It depends only on the rf choice, so every coherence completion of one
-// rf assignment shares the memo.
-func (x *Execution) RFE() Rel {
-	return x.rfe.get(func(dst *Rel) {
-		dst.setFilter(x.RF, func(w, r EventID) bool { return x.Ev(w).Thread != x.Ev(r).Thread })
+// SetRFE builds rf restricted to pairs from different threads
+// ("external") into dst, reusing dst's storage when possible. It reads the
+// read→source index, one entry per event.
+func (x *Execution) SetRFE(dst *Rel) {
+	if x.RF.words == 0 {
+		dst.setEmpty()
+		return
+	}
+	dst.setZero(x.RF.words, x.RF.n)
+	for r, w := range x.srcOf {
+		if w >= 0 && x.Events[w].Thread != x.Events[r].Thread {
+			dst.rows[int(w)*dst.words+r/wordBits] |= 1 << (uint(r) % wordBits)
+		}
+	}
+}
+
+// SetPoLoc builds program order restricted to memory events on the same
+// location into dst, reusing dst's storage when possible.
+func (x *Execution) SetPoLoc(dst *Rel) {
+	dst.setFilter(x.PO, func(a, b EventID) bool {
+		ea, eb := x.Ev(a), x.Ev(b)
+		return ea.IsMem() && eb.IsMem() && ea.Slot == eb.Slot
 	})
 }
 
-// PoLoc returns program order restricted to memory events on the same
-// location.
-func (x *Execution) PoLoc() Rel {
-	return x.shared.poLoc.get(func(dst *Rel) {
-		dst.setFilter(x.PO, func(a, b EventID) bool {
-			ea, eb := x.Ev(a), x.Ev(b)
-			return ea.IsMem() && eb.IsMem() && ea.Slot == eb.Slot
-		})
-	})
-}
-
-// ScopeRel returns the relation linking events of threads within the same
-// instance of the given scope (Sec. 5.1.1): cta relates events of same-CTA
-// threads, gl and sys relate all events (single GPU, single system).
-func (x *Execution) ScopeRel(s ptx.Scope) Rel {
-	if s == ptx.ScopeSys {
-		s = ptx.ScopeGL // single GPU, single system: gl and sys coincide
-	}
-	if s < 0 || int(s) >= len(x.shared.scope) {
-		return NewRel()
-	}
-	return x.shared.scope[s].get(func(dst *Rel) { x.setScopeRel(dst, s) })
-}
-
-// setScopeRel builds ScopeRel(s) into dst, reusing dst's storage.
-func (x *Execution) setScopeRel(dst *Rel, s ptx.Scope) {
+// SetScopeRel builds the relation linking events of threads within the
+// same instance of the given scope (Sec. 5.1.1) into dst, reusing dst's
+// storage when possible: cta relates events of same-CTA threads, gl and
+// sys relate all events (single GPU, single system), and no other scope
+// relates any.
+func (x *Execution) SetScopeRel(dst *Rel, s ptx.Scope) {
 	n := len(x.Events)
+	if !dst.setUniverse(n) {
+		return
+	}
 	maxTid := -1
 	for _, e := range x.Events {
 		if e.Thread > maxTid {
 			maxTid = e.Thread
 		}
 	}
-	if n == 0 {
-		dst.setEmpty()
-		return
-	}
-	words := (n + wordBits - 1) / wordBits
-	dst.reuse(words)
-	clear(dst.rows)
-	dst.n = n
+	words := dst.words
 	// Per-thread event masks, then one related-events mask per thread; each
 	// event's successor row is its thread's mask minus the event itself.
 	p := getu64(2 * (maxTid + 1) * words)
@@ -358,47 +267,34 @@ func (x *Execution) setScopeRel(dst *Rel, s ptx.Scope) {
 	}
 }
 
-// kindMask returns the memoized column bitset of events of kind k, sized
-// to the event universe. It lives in the skeleton's shared memo, so every
-// completion of one path assembly (and every filter application within one
-// execution) shares a single scan of the event list.
-func (x *Execution) kindMask(k Kind) []uint64 {
-	sr := x.shared
-	sr.kmaskOnce[k].Do(func() {
-		words := (len(x.Events) + wordBits - 1) / wordBits
-		m := resize(sr.kmask[k], words)
-		clear(m)
-		for _, e := range x.Events {
-			if e.Kind == k {
-				m[int(e.ID)/wordBits] |= 1 << (uint(e.ID) % wordBits)
-			}
-		}
-		sr.kmask[k] = m
-	})
-	return sr.kmask[k]
-}
-
 // SetKindFilter builds the WW/WR/RW/RR filters of the .cat language into
 // dst, reusing dst's storage when possible (dst must not alias r): first
 // and second report the kind required of each endpoint. It works a bitset
 // row at a time: rows of first-kind events are ANDed against the column
-// mask of second-kind events. r must not be wider than the event universe,
-// as no relation over x's events is.
+// mask of second-kind events, built on the stack up to 256 events and in
+// pooled scratch past that.
 func (x *Execution) SetKindFilter(dst *Rel, r Rel, first, second Kind) {
 	if r.words == 0 {
 		dst.setEmpty()
 		return
 	}
-	// Truncating the mask to r's width drops exactly the columns >= r.univ()
-	// the scan below would have skipped.
-	mask := x.kindMask(second)[:r.words]
-	dst.reuse(r.words)
-	dst.n = r.n
-	for i := range dst.rows {
-		dst.rows[i] = 0
+	var buf [4]uint64
+	mask := buf[:]
+	if r.words > len(buf) {
+		p := getu64(r.words)
+		defer putu64(p)
+		mask = *p
 	}
+	mask = mask[:r.words]
+	clear(mask)
 	for _, e := range x.Events {
-		if e.Kind != first || int(e.ID) >= r.univ() {
+		if e.Kind == second && int(e.ID) < r.univ() {
+			mask[int(e.ID)/wordBits] |= 1 << (uint(e.ID) % wordBits)
+		}
+	}
+	dst.setZero(r.words, r.n)
+	for _, e := range x.Events {
+		if e.Kind != first || int(e.ID) >= r.n {
 			continue
 		}
 		row, out := r.row(int(e.ID)), dst.row(int(e.ID))

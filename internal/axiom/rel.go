@@ -7,10 +7,11 @@ import (
 	"sync"
 )
 
-// Pooled scratch for the wide-universe (>64-event) slow paths: Acyclic's
-// indegree/queue buffers, fr's index buffers and the kind-filter masks fall
-// back to heap allocation past one word per row; routing them through these
-// pools keeps steady-state wide evaluation allocation-free (pinned by
+// Pooled scratch for the wide-universe slow paths: Acyclic's
+// indegree/queue buffers, fr's index buffers and the kind-filter masks
+// would fall back to heap allocation past their stack buffers; routing
+// them (and the scope relations' thread masks) through these pools keeps
+// steady-state wide evaluation allocation-free (pinned by
 // BenchmarkRelOpsWide). Buffers are returned unzeroed — callers initialise
 // what they use.
 var (
@@ -213,6 +214,30 @@ func (dst *Rel) setCopy(src Rel) {
 	}
 }
 
+// setZero makes dst a pairless `words`-stride matrix over universe n,
+// reusing its storage when the stride fits; only the words its previous
+// value may have set are cleared, the rest are zero by invariant.
+func (dst *Rel) setZero(words, n int) {
+	old := 0
+	if dst.words == words {
+		old = dst.used()
+	}
+	dst.reuse(words)
+	clear(dst.rows[:old])
+	dst.n = n
+}
+
+// setUniverse makes dst the pairless relation over events [0, n) through
+// setZero and reports whether n > 0; over no events dst is the zero Rel.
+func (dst *Rel) setUniverse(n int) bool {
+	if n == 0 {
+		dst.setEmpty()
+		return false
+	}
+	dst.setZero((n+wordBits-1)/wordBits, n)
+	return true
+}
+
 // setEmpty sets dst to the empty relation.
 func (dst *Rel) setEmpty() { dst.words, dst.n, dst.rows = 0, 0, nil }
 
@@ -334,9 +359,7 @@ func (dst *Rel) setFilter(r Rel, pred func(a, b EventID) bool) {
 		dst.setEmpty()
 		return
 	}
-	dst.reuse(r.words)
-	clear(dst.rows)
-	dst.n = r.n
+	dst.setZero(r.words, r.n)
 	r.Each(func(a, b EventID) {
 		if pred(a, b) {
 			dst.rows[int(a)*dst.words+int(b)/wordBits] |= 1 << (uint(b) % wordBits)

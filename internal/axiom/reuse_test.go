@@ -20,11 +20,10 @@ import (
 // keeps only what it clones.
 
 // handBuilt gives x, an execution a test built by hand, what the Assembler
-// gives every execution it builds: a fresh skeleton memo with a key of its
-// own, the read→source index of its rf edges, and weight 1. It returns x.
+// gives every execution it builds: a skeleton store with a key of its own,
+// the read→source index of its rf edges, and weight 1. It returns x.
 func handBuilt(x *Execution) *Execution {
-	x.shared = new(sharedRels)
-	x.shared.reset()
+	x.sk = &skeleton{key: skeletonSeq.Add(1)}
 	x.srcOf = make([]int32, len(x.Events))
 	for i := range x.srcOf {
 		x.srcOf[i] = -1
@@ -35,10 +34,9 @@ func handBuilt(x *Execution) *Execution {
 }
 
 // exportedCopy rebuilds x from its exported fields and weight alone, as
-// handBuilt does: no memo of x's is shared and its read→source index is
-// derived from RF, so its derived relations are computed from scratch.
-// What the producer rewrites in place is copied; the skeleton, which it
-// never rewrites, is shared.
+// handBuilt does: its read→source index is derived from RF, not copied.
+// What the producer rewrites in place is copied; the skeleton relations,
+// which it never rewrites, are shared.
 func exportedCopy(x *Execution) *Execution {
 	co := make([][]EventID, len(x.CO))
 	for loc, order := range x.CO {
@@ -80,9 +78,7 @@ func sourceDiff(x *Execution) string {
 // contractDiff reports where x breaks what the Assembler guarantees of
 // every execution it builds and of every clone of one, and what the
 // fallback-free derivations rely on: a nonzero skeleton key, a weight of
-// at least 1, a read→source index that agrees with RF, and relations read
-// by the .cat vocabulary no wider than the kind masks, to which
-// SetKindFilter truncates its mask.
+// at least 1, and a read→source index that agrees with RF.
 func contractDiff(x *Execution) string {
 	switch {
 	case x.SkeletonKey() == 0:
@@ -90,17 +86,7 @@ func contractDiff(x *Execution) string {
 	case x.Weight() < 1:
 		return fmt.Sprintf("weight %d", x.Weight())
 	}
-	if d := sourceDiff(x); d != "" {
-		return d
-	}
-	for i, r := range snapshotRelsOf(x) {
-		for k := KRead; k <= KFence; k++ {
-			if m := len(x.kindMask(k)); r.words > m {
-				return fmt.Sprintf("%s is %d words wide, the kind masks %d", snapshotRels[i], r.words, m)
-			}
-		}
-	}
-	return ""
+	return sourceDiff(x)
 }
 
 // slotDiff reports where x's location slots disagree with en's names:
@@ -131,19 +117,14 @@ func slotDiff(en *Enumeration, x *Execution) string {
 	return ""
 }
 
-// execDiff describes how got differs from want on the derived relations,
-// the final state, the weight and the rendering, or returns "".
+// execDiff describes how got differs from want on every relation the .cat
+// vocabulary reads, the final state, the weight and the rendering, or
+// returns "".
 func execDiff(got, want *Execution) string {
-	for _, r := range []struct {
-		name      string
-		got, want Rel
-	}{
-		{"rfe", got.RFE(), want.RFE()},
-		{"fr", frOf(got), frOf(want)},
-		{"co", got.CoRel(), want.CoRel()},
-	} {
-		if !sameRel(r.got, r.want) {
-			return fmt.Sprintf("%s %v, want %v", r.name, r.got, r.want)
+	g, w := snapshotRelsOf(got), snapshotRelsOf(want)
+	for i, name := range snapshotRels {
+		if !sameRel(g[i], w[i]) {
+			return fmt.Sprintf("%s %v, want %v", name, g[i], w[i])
 		}
 	}
 	if g, w := renderFinal(got), renderFinal(want); g != w {
@@ -159,9 +140,9 @@ func execDiff(got, want *Execution) string {
 }
 
 // snapshotRels names the relations a snapshot keeps, in its order: the
-// skeleton relations, rf, the skeleton memo's relations, and the rf- and
-// completion-level derived relations. They include every relation the
-// .cat vocabulary reads.
+// skeleton relations, rf, the relations derived from the skeleton, and
+// the rf- and completion-level derived relations. They include every
+// relation the .cat vocabulary reads.
 var snapshotRels = []string{
 	"po", "addr", "data", "ctrl", "rmw",
 	"membar[none]", "membar.cta", "membar.gl", "membar.sys",
@@ -174,20 +155,18 @@ func snapshotRelsOf(x *Execution) []Rel {
 	return []Rel{
 		x.PO, x.Addr, x.Data, x.Ctrl, x.RMW,
 		x.Membar[ptx.ScopeNone], x.Membar[ptx.ScopeCTA], x.Membar[ptx.ScopeGL], x.Membar[ptx.ScopeSys],
-		x.RF, x.PoLoc(), x.ScopeRel(ptx.ScopeCTA), x.ScopeRel(ptx.ScopeGL), x.ScopeRel(ptx.ScopeSys),
-		x.RFE(), frOf(x), x.CoRel(),
+		x.RF, poLocOf(x), scopeOf(x, ptx.ScopeCTA), scopeOf(x, ptx.ScopeGL), scopeOf(x, ptx.ScopeSys),
+		rfeOf(x), frOf(x), x.CoRel(),
 	}
 }
 
 // snapshot is a deep copy of what an execution exposes — its events, every
-// relation the .cat vocabulary reads (the skeleton memo's included), the
-// kind masks, the read→source index, the coherence orders, the final state
-// and the weight — so it stays comparable after the producer rewrites the
-// execution.
+// relation the .cat vocabulary reads, the read→source index, the coherence
+// orders, the final state and the weight — so it stays comparable after
+// the producer rewrites the execution.
 type snapshot struct {
 	events []Event
 	rels   [][][2]EventID // in snapshotRels order
-	masks  [][]uint64     // by Kind
 	srcs   []int32
 	co     [][]EventID
 	final  string
@@ -201,9 +180,6 @@ func takeSnapshot(x *Execution) snapshot {
 	}
 	for _, r := range snapshotRelsOf(x) {
 		s.rels = append(s.rels, r.Pairs())
-	}
-	for k := KRead; k <= KFence; k++ {
-		s.masks = append(s.masks, slices.Clone(x.kindMask(k)))
 	}
 	for loc, order := range x.CO {
 		s.co[loc] = slices.Clone(order)
@@ -222,8 +198,6 @@ func (s snapshot) diff(want snapshot) string {
 		}
 	}
 	switch {
-	case !reflect.DeepEqual(s.masks, want.masks):
-		return fmt.Sprintf("kind masks %x, want %x", s.masks, want.masks)
 	case !reflect.DeepEqual(s.srcs, want.srcs):
 		return fmt.Sprintf("sources %v, want %v", s.srcs, want.srcs)
 	case !reflect.DeepEqual(s.co, want.co):
@@ -255,7 +229,7 @@ func freshSnapshots(t *testing.T, en *Enumeration) [][]snapshot {
 // TestReusedExecutionMatchesFresh: every execution the producer yields —
 // serially through StreamCtx, and chunk by chunk through one Assembler as
 // core's chunked fold drives it — has the derived relations, final state,
-// weight and rendering of a memo-free copy of its exported fields, has
+// weight and rendering of a copy of its exported fields, has
 // location slots that agree with its location names, and keeps the
 // producer's contract (contractDiff: skeleton key, weight, read→source
 // index, relation widths); its Clone keeps the contract and still matches
@@ -264,8 +238,8 @@ func freshSnapshots(t *testing.T, en *Enumeration) [][]snapshot {
 // corpus with each test's combinations interleaved with its predecessor's
 // (A, B, A, …), so every skeleton is built into storage another test's
 // skeleton just used: each execution equals the fresh-Assembler stream's
-// field by field, the skeleton memo's relations and kind masks included,
-// and every build gets a skeleton key no earlier build had. The corpus is
+// field by field, the relations derived from the skeleton included, and
+// every build gets a skeleton key no earlier build had. The corpus is
 // the paper tests, litmustest.Diy and litmustest.Shapes.
 func TestReusedExecutionMatchesFresh(t *testing.T) {
 	corpus := slices.Concat(litmustest.Paper(), litmustest.Diy(t), litmustest.Shapes())
@@ -417,7 +391,7 @@ func TestStreamAllocsPerVisit(t *testing.T) {
 // during its yield, still equals Enumerate's first execution once the
 // stream has run to the end and rewritten the original many times over.
 // Clones taken mid-stream keep their events, skeleton relations, final
-// registers and skeleton memo unchanged while the Assembler builds
+// registers and skeleton relations unchanged while the Assembler builds
 // further skeletons, after it goes back to the pool and streams another
 // test, and while a parallel fold's workers go on building skeletons on
 // pooled Assemblers as another goroutine reads the clones.
@@ -575,8 +549,8 @@ func TestReturnAssemblerDropsRequestData(t *testing.T) {
 		}
 		ReturnAssembler(a)
 		switch {
-		case a.x.Test != nil || a.x.Events != nil || a.x.Final != nil || a.x.shared != nil:
-			t.Errorf("pin=%v: the returned Assembler's execution keeps the test, events, final state or memo", pin)
+		case a.x.Test != nil || a.x.Events != nil || a.x.Final != nil || a.x.sk != nil:
+			t.Errorf("pin=%v: the returned Assembler's execution keeps the test, events, final state or skeleton", pin)
 		case a.final.Slots() != &noSlots || a.final.Slots().Len() != 0 || len(a.co) != 0:
 			t.Errorf("pin=%v: the returned Assembler keeps final state or coherence orders", pin)
 		case pin && a.sk != nil:
@@ -587,9 +561,28 @@ func TestReturnAssemblerDropsRequestData(t *testing.T) {
 	}
 }
 
-// frOf returns x's from-read relation.
+// frOf, rfeOf, poLocOf and scopeOf return x's derived relations, each
+// built into fresh storage.
 func frOf(x *Execution) Rel {
 	var fr Rel
 	x.SetFR(&fr)
 	return fr
+}
+
+func rfeOf(x *Execution) Rel {
+	var rfe Rel
+	x.SetRFE(&rfe)
+	return rfe
+}
+
+func poLocOf(x *Execution) Rel {
+	var poLoc Rel
+	x.SetPoLoc(&poLoc)
+	return poLoc
+}
+
+func scopeOf(x *Execution, s ptx.Scope) Rel {
+	var r Rel
+	x.SetScopeRel(&r, s)
+	return r
 }

@@ -28,12 +28,17 @@ import (
 // (BorrowScratch/ReturnScratch), so a steady-state evaluation allocates
 // only the per-check result relations.
 
-// word is one entry of the base vocabulary: a relation read off a
-// candidate execution (load is non-nil), or a kind filter that keeps the
-// pairs of its one argument whose events are a first then a second.
+// word is one entry of the base vocabulary: a primitive relation read off
+// a candidate execution (field), a relation derived from one (derive), or
+// a kind filter that keeps the pairs of its one argument whose events are
+// a first then a second.
 type word struct {
 	name string
-	load func(x *axiom.Execution, sc *Scratch) axiom.Rel
+	// field returns the execution's own relation: the slot aliases it.
+	field func(x *axiom.Execution) axiom.Rel
+	// derive builds the relation into the slot, whose storage the scratch
+	// owns and keeps from run to run.
+	derive func(x *axiom.Execution, dst *axiom.Rel)
 	// skeleton marks a relation that depends only on the execution's
 	// skeleton (events, po, deps, membar, scopes), so it is identical
 	// across every rf/co completion of one path assembly.
@@ -41,32 +46,40 @@ type word struct {
 	first, second axiom.Kind
 }
 
+// relation reports whether w names a relation rather than a filter.
+func (w *word) relation() bool { return w.field != nil || w.derive != nil }
+
 // vocab is the base vocabulary: the Sec. 5.1.1 relations and the
-// WW/WR/RW/RR filters, the only free names a model may use. co and fr are
-// derived per execution, so they are rebuilt into scratch-owned storage
-// (axiom.SetCoRel/SetFR); the execution memoizes the others per skeleton
-// or per rf choice.
+// WW/WR/RW/RR filters, the only free names a model may use. The derived
+// relations (po-loc, rfe, co, fr and the scope relations) are built into
+// scratch-owned slots by the axiom.Execution Set* builders; the skeleton
+// ones once per skeleton and scratch, with the rest of the const half.
 var vocab = [...]word{
-	{name: "po", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.PO }},
-	{name: "po-loc", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.PoLoc() }},
-	{name: "rf", load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.RF }},
-	{name: "rfe", load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.RFE() }},
-	{name: "co", load: func(x *axiom.Execution, sc *Scratch) axiom.Rel { x.SetCoRel(&sc.co); return sc.co }},
-	{name: "fr", load: func(x *axiom.Execution, sc *Scratch) axiom.Rel { x.SetFR(&sc.fr); return sc.fr }},
-	{name: "addr", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.Addr }},
-	{name: "data", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.Data }},
-	{name: "ctrl", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.Ctrl }},
-	{name: "rmw", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.RMW }},
-	{name: "membar.cta", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.Membar[ptx.ScopeCTA] }},
-	{name: "membar.gl", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.Membar[ptx.ScopeGL] }},
-	{name: "membar.sys", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.Membar[ptx.ScopeSys] }},
-	{name: "cta", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.ScopeRel(ptx.ScopeCTA) }},
-	{name: "gl", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.ScopeRel(ptx.ScopeGL) }},
-	{name: "sys", skeleton: true, load: func(x *axiom.Execution, _ *Scratch) axiom.Rel { return x.ScopeRel(ptx.ScopeSys) }},
+	{name: "po", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.PO }},
+	{name: "po-loc", skeleton: true, derive: (*axiom.Execution).SetPoLoc},
+	{name: "rf", field: func(x *axiom.Execution) axiom.Rel { return x.RF }},
+	{name: "rfe", derive: (*axiom.Execution).SetRFE},
+	{name: "co", derive: (*axiom.Execution).SetCoRel},
+	{name: "fr", derive: (*axiom.Execution).SetFR},
+	{name: "addr", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.Addr }},
+	{name: "data", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.Data }},
+	{name: "ctrl", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.Ctrl }},
+	{name: "rmw", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.RMW }},
+	{name: "membar.cta", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.Membar[ptx.ScopeCTA] }},
+	{name: "membar.gl", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.Membar[ptx.ScopeGL] }},
+	{name: "membar.sys", skeleton: true, field: func(x *axiom.Execution) axiom.Rel { return x.Membar[ptx.ScopeSys] }},
+	{name: "cta", skeleton: true, derive: scopeRel(ptx.ScopeCTA)},
+	{name: "gl", skeleton: true, derive: scopeRel(ptx.ScopeGL)},
+	{name: "sys", skeleton: true, derive: scopeRel(ptx.ScopeSys)},
 	{name: "WW", first: axiom.KWrite, second: axiom.KWrite},
 	{name: "WR", first: axiom.KWrite, second: axiom.KRead},
 	{name: "RW", first: axiom.KRead, second: axiom.KWrite},
 	{name: "RR", first: axiom.KRead, second: axiom.KRead},
+}
+
+// scopeRel is the derive function of the scope relation of s.
+func scopeRel(s ptx.Scope) func(*axiom.Execution, *axiom.Rel) {
+	return func(x *axiom.Execution, dst *axiom.Rel) { x.SetScopeRel(dst, s) }
 }
 
 // baseID names a word of the vocabulary: its index in vocab.
@@ -139,17 +152,14 @@ type Program struct {
 }
 
 // Scratch is the reusable per-run state of a Program: slot storage and
-// the per-check buffer. The storage it owns (the computed slots, co, fr
-// and the buffer) carries over between runs; what a run binds into it
-// (base-relation slots, skeleton key, tracer) is dropped by ReturnScratch.
+// the per-check buffer. The storage it owns (the computed and derived
+// slots and the buffer) carries over between runs, and its const half is
+// the only cache of skeleton-level relations; what a run binds into it
+// (primitive-relation slots, skeleton key, tracer) is dropped by
+// ReturnScratch.
 type Scratch struct {
 	slots  []axiom.Rel
 	checks []axiom.Rel
-
-	// co and fr are scratch-owned storage for the two derived relations
-	// that vary per execution (see vocab).
-	co axiom.Rel
-	fr axiom.Rel
 
 	// skel is the axiom.Execution.SkeletonKey of the execution whose
 	// skeleton-constant slots currently populate this scratch; 0, which no
@@ -320,7 +330,7 @@ func (c *compiler) base(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("unbound name %q", name)
 	}
-	if vocab[id].load == nil {
+	if !vocab[id].relation() {
 		return 0, fmt.Errorf("%q is a function, not a relation", name)
 	}
 	for _, f := range c.p.freeRels {
@@ -363,7 +373,7 @@ func (c *compiler) call(v App, scope map[string]int) (int, error) {
 		return 0, fmt.Errorf("unbound function %q", v.Fn)
 	}
 	w := vocab[id]
-	if w.load != nil {
+	if w.relation() {
 		return 0, fmt.Errorf("%q is not a function", v.Fn)
 	}
 	args, err := c.args(v, scope)
@@ -433,14 +443,18 @@ func (p *Program) BorrowScratch() *Scratch { return p.pool.Get().(*Scratch) }
 
 // ReturnScratch puts sc back in the program's pool. It first drops
 // everything in sc that belongs to the last run rather than to the
-// scratch: the tracer, the skeleton key and the base-relation slots (which
-// alias the last execution's relations). Only scratch-owned storage
-// stays, so a pooled scratch holds no request's trace, skeleton or
-// relations. sc must not be used after the call.
+// scratch: the tracer, the skeleton key, the primitive-relation slots
+// (which alias the last execution's relations) and the per-check buffer
+// (which aliases slots). Only scratch-owned storage stays, so a pooled
+// scratch holds no request's trace, skeleton or relations. sc must not be
+// used after the call.
 func (p *Program) ReturnScratch(sc *Scratch) {
 	sc.tr, sc.skel = nil, 0
+	clear(sc.checks)
 	for _, f := range p.freeRels {
-		sc.slots[f.slot] = axiom.Rel{}
+		if vocab[f.id].field != nil {
+			sc.slots[f.slot] = axiom.Rel{}
+		}
 	}
 	p.pool.Put(sc)
 }
@@ -516,10 +530,15 @@ func (p *Program) runExecInsns(x *axiom.Execution, sc *Scratch) {
 	execInsns(x, sc, p.varInsns)
 }
 
-// load fills the input slots of rels off x.
+// load fills the input slots of rels off x: a primitive relation's slot
+// aliases x's, a derived one is built into the slot's own storage.
 func load(x *axiom.Execution, sc *Scratch, rels []freeRel) {
 	for _, f := range rels {
-		sc.slots[f.slot] = vocab[f.id].load(x, sc)
+		if w := &vocab[f.id]; w.derive != nil {
+			w.derive(x, &sc.slots[f.slot])
+		} else {
+			sc.slots[f.slot] = w.field(x)
+		}
 	}
 }
 

@@ -128,9 +128,19 @@ var handPicked = []string{
 }
 
 // TestCompiledMatchesInterpreter pins the compiled evaluator against the
-// oracle on the hand-picked models over the paper tests' executions.
+// oracle on the hand-picked models over the executions of
+// litmustest.LongPath, up to 136 events and three words wide, then the
+// paper tests': every derived relation and filter is built wide, then
+// narrow, into the same scratch.
 func TestCompiledMatchesInterpreter(t *testing.T) {
-	execs := paperExecs(t)
+	long, err := enumerate([]*litmus.Test{litmustest.LongPath()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(long[0].Events); n <= 128 {
+		t.Fatalf("LongPath's first execution has %d events, want a universe three words wide", n)
+	}
+	execs := slices.Concat(long, paperExecs(t))
 	for _, src := range handPicked {
 		diffOracle(t, src, execs)
 	}
@@ -263,11 +273,13 @@ func TestScratchReuseAcrossExecs(t *testing.T) {
 }
 
 // TestReturnScratchDropsRunState: a returned scratch keeps only the
-// storage it owns. The tracer, the skeleton key and the base-relation
-// slots (which alias the execution's relations) go, so the pool holds
-// nothing of the last request.
+// storage it owns. The tracer, the skeleton key, the primitive-relation
+// slots (which alias the execution's relations) and the per-check buffer
+// (whose check p reads po itself) go, so the pool holds nothing of the
+// last request; the derived-relation slots (here co and fr), built into
+// the scratch's own storage, stay for the next run.
 func TestReturnScratchDropsRunState(t *testing.T) {
-	p := MustParse("let a = WW(po) | rf\nacyclic a | co | fr as c").MustCompile()
+	p := MustParse("let a = WW(po) | rf\nacyclic a | co | fr as c\nacyclic po as p").MustCompile()
 	xs, err := axiom.Enumerate(litmus.MP(litmus.NoFence), axiom.DefaultOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +289,7 @@ func TestReturnScratchDropsRunState(t *testing.T) {
 	if _, err := p.RunExecVerdict(xs[0], sc); err != nil {
 		t.Fatal(err)
 	}
+	p.RunExec(xs[0], sc) // fills the per-check buffer
 	if sc.skel == 0 {
 		t.Fatal("the exec path cached no skeleton")
 	}
@@ -284,9 +297,18 @@ func TestReturnScratchDropsRunState(t *testing.T) {
 	if sc.tr != nil || sc.skel != 0 {
 		t.Errorf("returned scratch keeps tracer %v, skeleton %v", sc.tr, sc.skel)
 	}
+	for i, r := range sc.checks {
+		if !reflect.DeepEqual(r, axiom.Rel{}) {
+			t.Errorf("returned scratch keeps check %s's relation %v", p.checks[i].name, r)
+		}
+	}
 	for _, f := range p.freeRels {
-		if !reflect.DeepEqual(sc.slots[f.slot], axiom.Rel{}) {
-			t.Errorf("returned scratch keeps base relation %s", vocab[f.id].name)
+		w := vocab[f.id]
+		switch dropped := reflect.DeepEqual(sc.slots[f.slot], axiom.Rel{}); {
+		case w.field != nil && !dropped:
+			t.Errorf("returned scratch keeps primitive relation %s", w.name)
+		case w.derive != nil && dropped:
+			t.Errorf("returned scratch drops the storage of derived relation %s", w.name)
 		}
 	}
 }

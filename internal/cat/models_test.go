@@ -7,6 +7,7 @@ import (
 	"github.com/weakgpu/gpulitmus/internal/cat"
 	"github.com/weakgpu/gpulitmus/internal/core"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
+	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
 
 var models = []*core.Model{core.PTX(), core.SC(), core.RMO(), core.SorensenOp()}
@@ -14,9 +15,11 @@ var models = []*core.Model{core.PTX(), core.SC(), core.RMO(), core.SorensenOp()}
 // TestRunExecMatchesEnv pins the compiled program of every built-in model
 // (Program.RunExec, loading base relations straight off the execution)
 // against the oracle interpreter over cat.ExecEnv on every candidate
-// execution of the paper's tests: same verdicts, same check relations.
+// execution of the paper's tests and of litmustest.LongPath, whose
+// universes of up to 136 events are three words wide: same verdicts, same
+// check relations.
 func TestRunExecMatchesEnv(t *testing.T) {
-	for _, test := range litmus.PaperTests() {
+	for _, test := range append(litmus.PaperTests(), litmustest.LongPath()) {
 		execs, err := axiom.Enumerate(test, axiom.DefaultOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)

@@ -173,15 +173,16 @@ func evalSet(l, r Expr, env *Env, set func(dst *axiom.Rel, a, b axiom.Rel)) (axi
 // candidate execution: the primitive relations of Sec. 5.1.1 plus the
 // WW/WR/RW/RR filters.
 func ExecEnv(x *axiom.Execution) *Env {
+	scope := func(s ptx.Scope) func(*axiom.Rel) {
+		return func(dst *axiom.Rel) { x.SetScopeRel(dst, s) }
+	}
 	env := NewEnv()
 	env.BindRel("po", x.PO)
-	env.BindRel("po-loc", x.PoLoc())
+	env.BindRel("po-loc", derived(x.SetPoLoc))
 	env.BindRel("rf", x.RF)
-	env.BindRel("rfe", x.RFE())
-	env.BindRel("co", x.CoRel())
-	var fr axiom.Rel
-	x.SetFR(&fr)
-	env.BindRel("fr", fr)
+	env.BindRel("rfe", derived(x.SetRFE))
+	env.BindRel("co", derived(x.SetCoRel))
+	env.BindRel("fr", derived(x.SetFR))
 	env.BindRel("addr", x.Addr)
 	env.BindRel("data", x.Data)
 	env.BindRel("ctrl", x.Ctrl)
@@ -189,9 +190,9 @@ func ExecEnv(x *axiom.Execution) *Env {
 	env.BindRel("membar.cta", x.Membar[ptx.ScopeCTA])
 	env.BindRel("membar.gl", x.Membar[ptx.ScopeGL])
 	env.BindRel("membar.sys", x.Membar[ptx.ScopeSys])
-	env.BindRel("cta", x.ScopeRel(ptx.ScopeCTA))
-	env.BindRel("gl", x.ScopeRel(ptx.ScopeGL))
-	env.BindRel("sys", x.ScopeRel(ptx.ScopeSys))
+	env.BindRel("cta", derived(scope(ptx.ScopeCTA)))
+	env.BindRel("gl", derived(scope(ptx.ScopeGL)))
+	env.BindRel("sys", derived(scope(ptx.ScopeSys)))
 
 	// The filters take exactly one relation; BindFunc's arity makes any
 	// other call shape an evaluation error rather than a silently empty
@@ -208,4 +209,11 @@ func ExecEnv(x *axiom.Execution) *Env {
 	env.BindFunc("RW", 1, filter(axiom.KRead, axiom.KWrite))
 	env.BindFunc("RR", 1, filter(axiom.KRead, axiom.KRead))
 	return env
+}
+
+// derived returns the relation build writes into fresh storage.
+func derived(build func(dst *axiom.Rel)) axiom.Rel {
+	var r axiom.Rel
+	build(&r)
+	return r
 }

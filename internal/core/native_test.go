@@ -25,13 +25,14 @@ func nativePTX(x *axiom.Execution) cat.Results {
 		x.SetKindFilter(&out, r, first, second)
 		return out
 	}
-	var co, fr axiom.Rel
+	var co, fr, rfe, poLoc axiom.Rel
 	x.SetCoRel(&co)
 	x.SetFR(&fr)
+	x.SetRFE(&rfe)
+	x.SetPoLoc(&poLoc)
 	com := union(x.RF, co, fr) // Fig. 15 line 1
 
 	// Fig. 15 line 2-4: SC per location with load-load hazard.
-	poLoc := x.PoLoc()
 	poLocLLH := union(filter(poLoc, axiom.KWrite, axiom.KWrite),
 		filter(poLoc, axiom.KWrite, axiom.KRead),
 		filter(poLoc, axiom.KRead, axiom.KWrite))
@@ -46,8 +47,9 @@ func nativePTX(x *axiom.Execution) cat.Results {
 	// fence of scope s' orders at scope s when s' includes s (Fig. 16
 	// lines 8-10), so fence(s) unions the membars from s up.
 	rmo := func(s ptx.Scope) bool {
-		var r axiom.Rel
-		r.SetInter(union(dp, union(x.Membar[s:]...), x.RFE(), co, fr), x.ScopeRel(s))
+		var scope, r axiom.Rel
+		x.SetScopeRel(&scope, s)
+		r.SetInter(union(dp, union(x.Membar[s:]...), rfe, co, fr), scope)
 		return r.Acyclic()
 	}
 

@@ -201,10 +201,11 @@ func TestConcurrentJudgesSharedModels(t *testing.T) {
 // streams on them and returns them, so no call allocates an Assembler, a
 // scratch or their storage again; a path that kept its scratch would
 // rebuild one per call (five allocations before any slot grows). The
-// bounds sit a few allocations above the measured counts (90, 35, 5, 20,
-// 2 and 17 in case order). While fan-out workers streamed on a fresh
-// Assembler and returned the borrowed one unused, they were 90, 82, 5,
-// 67, 2 and 21. Without verdict/par4, they were 263, 1610, 1640, 7 and 37
+// bounds sit a few allocations above the measured counts (27, 29, 5, 20,
+// 2 and 17 in case order, at GOMAXPROCS 1 to 8; 32 and 34 for the first
+// two while the Execution memoized its derived relations). While fan-out
+// workers streamed on a fresh Assembler and returned the borrowed one
+// unused, they were 90, 82, 5, 67, 2 and 21. Without verdict/par4, they were 263, 1610, 1640, 7 and 37
 // when every judgement built fresh scratches, and 139, 52, 75, 3 and 26
 // with a fold that never returned its Assembler.
 func TestJudgeReturnsScratches(t *testing.T) {
@@ -230,21 +231,21 @@ func TestJudgeReturnsScratches(t *testing.T) {
 		bound float64
 		judge func() error
 	}{
-		{"mp verdict", 110, func() error {
+		{"mp verdict", 30, func() error {
 			_, err := JudgeWith(ctx, m, mp, Opts{})
 			return err
 		}},
-		{"verdict/par4", 40, func() error {
+		{"verdict/par4", 32, func() error {
 			_, err := JudgeWith(ctx, m, stress, Opts{Parallelism: 4, Enum: full})
 			return err
 		}},
-		{"MaxExecs", 15, func() error {
+		{"MaxExecs", 8, func() error {
 			if _, err := JudgeWith(ctx, m, stress, Opts{Parallelism: 1, Enum: bounded}); err == nil {
 				return fmt.Errorf("MaxExecs 100 did not bound the judgement")
 			}
 			return nil
 		}},
-		{"MaxExecs/par4", 25, func() error {
+		{"MaxExecs/par4", 23, func() error {
 			if _, err := JudgeWith(ctx, m, stress, Opts{Parallelism: 4, Enum: bounded}); err == nil {
 				return fmt.Errorf("MaxExecs 100 did not bound the judgement")
 			}

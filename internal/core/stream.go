@@ -25,8 +25,9 @@ import (
 // one run can judge several models (JudgeModels): each produced execution
 // is counted, bounded and checked for cancellation once, evaluated under
 // every model, and matched against the final condition at most once. The
-// skeletons, the executions and the derived relations each execution
-// memoizes are built once for all the models.
+// skeletons and the executions are built once for all the models; each
+// model's program derives what its vocabulary needs (po-loc, rfe, the
+// scope relations) into its own scratch.
 //
 // A verdict is a fold: weighted sums plus the first witness in enumeration
 // order, none of which needs the executions in order. The units of work
