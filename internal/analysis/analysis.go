@@ -3,7 +3,12 @@
 // the parsed test — program order, must-hold address/data/control
 // dependencies, scoped fences, and the potential communication edges
 // between same-location accesses of different threads — and derives two
-// products from it:
+// products from it. An event names its location by slot, its index in the
+// enumeration's Slots().Locs(), as axiom's events do; a name is read back
+// only to print it or to look up the test's initial value. Each thread's
+// order closures (must-dependency chains, and same-location chains without
+// read-read links) are computed once per graph, on first use, and every
+// coverage check reads them. The two products:
 //
 //   - Diagnostics (Analyze): static races, Shasha–Snir-style critical
 //     cycles whose communication is not ordered by a fence of the required

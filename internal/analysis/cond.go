@@ -89,16 +89,17 @@ func (g *graph) evalRegEq(a litmus.RegEq) tri {
 // the values its writes store, plus the initial value unless some write to
 // it runs on every path of its thread.
 func (g *graph) evalMemEq(a litmus.MemEq) tri {
-	if g.en.Slots().Loc(a.Loc) < 0 {
+	slot := int32(g.en.Slots().Loc(a.Loc))
+	if slot < 0 {
 		return no // not a location of the test: absent from every final state
 	}
 	var t tally
-	if len(g.uncondWrites(a.Loc)) == 0 {
+	if len(g.uncondWrites(slot)) == 0 {
 		t.note(g.test.InitOf(a.Loc) == a.Val)
 	}
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind == axiom.KWrite && ev.loc == a.Loc {
+			if ev.kind == axiom.KWrite && ev.slot == slot {
 				for _, v := range ev.vals {
 					t.note(v == a.Val)
 				}

@@ -37,10 +37,6 @@ type commEdge struct {
 	kind     commKind
 }
 
-func (e commEdge) String() string {
-	return fmt.Sprintf("%s %s T%d#%d->T%d#%d", e.kind, e.from.loc, e.from.thread, e.from.instr, e.to.thread, e.to.instr)
-}
-
 // forcedCycle looks for a communication cycle forced by the condition
 // whose program-order segments are all covered under the policy's
 // ordering constraints. A found cycle means no witnessing execution is
@@ -94,8 +90,8 @@ func (g *graph) forcedEdges(atoms []litmus.Cond) (edges []commEdge, direct strin
 			if read == nil {
 				continue
 			}
-			loc, v := read.loc, at.Val
-			writers := g.writersOf(loc, v, read)
+			loc, v := g.loc(read.slot), at.Val
+			writers := g.writersOf(read.slot, v, read)
 			if v != g.test.InitOf(loc) {
 				if len(writers) == 0 {
 					return nil, fmt.Sprintf("%s forces T%d#%d to read %d from %s, which no admissible write produces",
@@ -108,23 +104,23 @@ func (g *graph) forcedEdges(atoms []litmus.Cond) (edges []commEdge, direct strin
 				// The read is pinned to the initial value, so it is
 				// from-read-before every write to the location that
 				// certainly executes.
-				for _, w := range g.uncondWrites(loc) {
+				for _, w := range g.uncondWrites(read.slot) {
 					edges = append(edges, commEdge{from: read, to: w, kind: ckFR})
 				}
 			}
 		case litmus.MemEq:
-			v := at.Val
-			if v == g.test.InitOf(at.Loc) {
+			v, slot := at.Val, int32(g.en.Slots().Loc(at.Loc))
+			if slot < 0 || v == g.test.InitOf(at.Loc) {
 				continue
 			}
-			writers := g.writersOf(at.Loc, v, nil)
+			writers := g.writersOf(slot, v, nil)
 			if len(writers) != 1 {
 				continue
 			}
 			// The unique producer of the final value is coherence-last:
 			// every certainly executed other write precedes it in co.
 			last := writers[0]
-			for _, w := range g.uncondWrites(at.Loc) {
+			for _, w := range g.uncondWrites(slot) {
 				if w != last {
 					edges = append(edges, commEdge{from: w, to: last, kind: ckCO})
 				}
@@ -134,16 +130,16 @@ func (g *graph) forcedEdges(atoms []litmus.Cond) (edges []commEdge, direct strin
 	return edges, ""
 }
 
-// writersOf returns the write events to loc that can produce value v and
+// writersOf returns the write events to slot that can produce value v and
 // could source a read by forRead in some model-allowed execution: a
 // same-thread write program-ordered after the read (including its own RMW
 // write) would close a po-loc ∪ com cycle every builtin model forbids, so
 // it is excluded. A nil forRead applies no exclusion.
-func (g *graph) writersOf(loc ptx.Sym, v int64, forRead *event) []*event {
+func (g *graph) writersOf(slot int32, v int64, forRead *event) []*event {
 	var out []*event
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind != axiom.KWrite || ev.loc != loc || !slices.Contains(ev.vals, v) {
+			if ev.kind != axiom.KWrite || ev.slot != slot || !slices.Contains(ev.vals, v) {
 				continue
 			}
 			if forRead != nil && ev.thread == forRead.thread && ev.index > forRead.index {
@@ -155,12 +151,12 @@ func (g *graph) writersOf(loc ptx.Sym, v int64, forRead *event) []*event {
 	return out
 }
 
-// uncondWrites returns the writes to loc that occur in every execution.
-func (g *graph) uncondWrites(loc ptx.Sym) []*event {
+// uncondWrites returns the writes to slot that occur in every execution.
+func (g *graph) uncondWrites(slot int32) []*event {
 	var out []*event
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind == axiom.KWrite && ev.loc == loc && !ev.cond {
+			if ev.kind == axiom.KWrite && ev.slot == slot && !ev.cond {
 				out = append(out, ev)
 			}
 		}
@@ -222,73 +218,22 @@ func (g *graph) admits(e commEdge, v covVariant) bool {
 	return true
 }
 
-// segCoverage precomputes, for one thread, which ordered event pairs are
-// covered under the variant: reachability through must-dependency edges
-// (or same-location links for poLoc variants) whose intermediate events
-// all certainly execute.
-func (g *graph) segCoverage(evs []*event, v covVariant) [][]bool {
-	n := len(evs)
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-	}
-	if v.poLoc {
-		for j, e := range evs {
-			for i := 0; i < j; i++ {
-				a := evs[i]
-				if a.loc != "" && a.loc == e.loc && !(a.kind == axiom.KRead && e.kind == axiom.KRead) && a.kind != axiom.KFence && e.kind != axiom.KFence {
-					reach[i][j] = true
-				}
-			}
-		}
-	} else {
-		for j, e := range evs {
-			for _, deps := range [][]int{e.addrDeps, e.dataDeps, e.ctrlDeps} {
-				for _, d := range deps {
-					reach[d][j] = true
-				}
-			}
-		}
-	}
-	// Close transitively through certainly executed intermediates.
-	for k := 0; k < n; k++ {
-		if evs[k].cond {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if !reach[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if reach[k][j] {
-					reach[i][j] = true
-				}
-			}
-		}
-	}
-	return reach
-}
-
 // covered reports whether the program-order segment a..b (same thread,
-// a.index <= b.index) is ordered under the variant.
-func (g *graph) covered(a, b *event, v covVariant, reach [][]bool) bool {
+// a.index <= b.index) is ordered under the variant: by a chain of the
+// thread's order closure the variant reads, or by a certainly executed
+// fence of scope at least minFence strictly between a and b.
+func (g *graph) covered(a, b *event, v covVariant) bool {
 	if a.thread != b.thread || a.index > b.index {
 		return false
 	}
-	if a.index == b.index {
-		return true
-	}
-	if v.poCovers {
-		return true
-	}
-	if reach[a.index][b.index] {
+	if a.index == b.index || v.poCovers || g.ordered(a, b, v.poLoc) {
 		return true
 	}
 	if v.poLoc {
 		return false
 	}
-	for _, f := range g.threads[a.thread] {
-		if f.kind == axiom.KFence && !f.cond && f.index > a.index && f.index < b.index && f.scope >= v.minFence {
+	for _, f := range g.threads[a.thread][a.index+1 : b.index] {
+		if f.kind == axiom.KFence && !f.cond && f.scope >= v.minFence {
 			return true
 		}
 	}
@@ -309,14 +254,10 @@ func (g *graph) findCycle(edges []commEdge, v covVariant) (string, bool) {
 	if n == 0 {
 		return "", false
 	}
-	reach := make([][][]bool, len(g.threads))
-	for tid, evs := range g.threads {
-		reach[tid] = g.segCoverage(evs, v)
-	}
 	adj := make([][]int, n)
 	for i, ei := range use {
 		for j, ej := range use {
-			if ei.to.thread == ej.from.thread && g.covered(ei.to, ej.from, v, reach[ei.to.thread]) {
+			if g.covered(ei.to, ej.from, v) {
 				adj[i] = append(adj[i], j)
 			}
 		}
@@ -350,7 +291,8 @@ func (g *graph) findCycle(edges []commEdge, v covVariant) (string, bool) {
 		if color[i] == 0 && dfs(i) {
 			parts := make([]string, len(cycle))
 			for k, idx := range cycle {
-				parts[k] = use[idx].String()
+				e := use[idx]
+				parts[k] = fmt.Sprintf("%s %s T%d#%d->T%d#%d", e.kind, g.loc(e.from.slot), e.from.thread, e.from.instr, e.to.thread, e.to.instr)
 			}
 			return fmt.Sprintf("forced cycle [%s] closed under %s", strings.Join(parts, "; "), v.desc), true
 		}

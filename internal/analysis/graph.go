@@ -11,7 +11,7 @@ import (
 
 // event is one node of the static event graph: a memory access or fence
 // as the enumerator's thread paths run it. A static event is a (thread,
-// instruction, kind, location) that some path executes, so an atomic
+// instruction, kind, location slot) that some path executes, so an atomic
 // read-modify-write contributes a read event and, when some path writes,
 // a write event sharing an instr.
 type event struct {
@@ -19,7 +19,7 @@ type event struct {
 	index  int // position in the thread's event list (po order)
 	instr  int // pc in the thread program
 	kind   axiom.Kind
-	loc    ptx.Sym
+	slot   int32     // location's index in en.Slots().Locs(); -1 for fences
 	scope  ptx.Scope // fences only
 	atomic bool
 	// cond marks events some path of the thread skips: guarded
@@ -37,7 +37,7 @@ type event struct {
 
 // is reports whether the path event is an occurrence of e.
 func (e *event) is(pe *axiom.PathEvent) bool {
-	return pe.Instr == e.instr && pe.Kind == e.kind && pe.Loc == e.loc
+	return pe.Instr == e.instr && pe.Kind == e.kind && pe.Slot == e.slot
 }
 
 // on returns e's occurrence on the path, or nil when the path skips e.
@@ -62,6 +62,9 @@ type graph struct {
 	// claims may be made. A test with a branch is read through its
 	// fall-through view, whose paths are not the test's: lint only.
 	sound bool
+	// deps and poLoc hold each thread's order closure (see closure),
+	// built by ordered on first use.
+	deps, poLoc [][]bool
 }
 
 // graphOf builds t's static graph under the judge's bounds. A test with a
@@ -128,12 +131,12 @@ func threadEvents(tid int, paths []axiom.ThreadPath) []*event {
 	for _, p := range paths {
 		for i := range p.Events {
 			if pe := &p.Events[i]; indexOf(evs, pe) < 0 {
-				evs = append(evs, &event{thread: tid, instr: pe.Instr, kind: pe.Kind, loc: pe.Loc, scope: pe.Scope, atomic: pe.Atomic, rmwRead: -1})
+				evs = append(evs, &event{thread: tid, instr: pe.Instr, kind: pe.Kind, slot: pe.Slot, scope: pe.Scope, atomic: pe.Atomic, rmwRead: -1})
 			}
 		}
 	}
 	slices.SortFunc(evs, func(a, b *event) int {
-		return cmp.Or(cmp.Compare(a.instr, b.instr), cmp.Compare(a.kind, b.kind), cmp.Compare(a.loc, b.loc))
+		return cmp.Or(cmp.Compare(a.instr, b.instr), cmp.Compare(a.kind, b.kind), cmp.Compare(a.slot, b.slot))
 	})
 	for i, e := range evs {
 		e.index = i
@@ -191,6 +194,61 @@ func indexOf(evs []*event, pe *axiom.PathEvent) int {
 		}
 	}
 	return -1
+}
+
+// loc names the location of slot s.
+func (g *graph) loc(s int32) ptx.Sym { return g.en.Slots().Locs()[s] }
+
+// ordered reports whether a's thread orders a before b through one of its
+// order closures: same-location chains when poLoc, must-dependency chains
+// otherwise. Each closure is built once per graph, on first use.
+func (g *graph) ordered(a, b *event, poLoc bool) bool {
+	cl := &g.deps
+	if poLoc {
+		cl = &g.poLoc
+	}
+	if *cl == nil {
+		*cl = make([][]bool, len(g.threads))
+		for tid, evs := range g.threads {
+			(*cl)[tid] = closure(evs, poLoc)
+		}
+	}
+	return (*cl)[a.thread][a.index*len(g.threads[a.thread])+b.index]
+}
+
+// closure computes one thread's order closure, row-major over its events:
+// which events reach which through must-dependency edges (or, when poLoc,
+// through program-ordered same-location links that are not read-read),
+// closed transitively through certainly executed intermediates only.
+func closure(evs []*event, poLoc bool) []bool {
+	n := len(evs)
+	reach := make([]bool, n*n)
+	for j, e := range evs {
+		if poLoc {
+			for i, a := range evs[:j] {
+				reach[i*n+j] = a.slot >= 0 && a.slot == e.slot && (a.kind != axiom.KRead || e.kind != axiom.KRead)
+			}
+			continue
+		}
+		for _, deps := range [3][]int{e.addrDeps, e.dataDeps, e.ctrlDeps} {
+			for _, d := range deps {
+				reach[d*n+j] = true
+			}
+		}
+	}
+	for k, ek := range evs {
+		if ek.cond {
+			continue
+		}
+		for i := range n {
+			if reach[i*n+k] {
+				for j := range n {
+					reach[i*n+j] = reach[i*n+j] || reach[k*n+j]
+				}
+			}
+		}
+	}
+	return reach
 }
 
 // source returns the source read of thread tid's register reg: the unique

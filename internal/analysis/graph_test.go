@@ -94,7 +94,7 @@ func checkCovers(t *testing.T, g *graph, x *axiom.Execution) {
 	// at maps each static event to its occurrence in x, if any.
 	at := make(map[*event]axiom.EventID)
 	for _, ev := range x.Events {
-		pe := axiom.PathEvent{Instr: ev.Instr, Kind: ev.Kind, Loc: ev.Loc}
+		pe := axiom.PathEvent{Instr: ev.Instr, Kind: ev.Kind, Slot: ev.Slot}
 		i := indexOf(g.threads[ev.Thread], &pe)
 		if i < 0 {
 			t.Fatalf("%s: execution event %s (T%d#%d) has no static event", x.Test.Name, ev, ev.Thread, ev.Instr)

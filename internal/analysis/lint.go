@@ -38,13 +38,13 @@ func (g *graph) diagnose() []Diagnostic {
 	return ds
 }
 
-// accessEvents returns the memory access events (reads and writes with a
-// resolved location) in deterministic order.
+// accessEvents returns the memory access events (reads and writes, each
+// with a location slot) in deterministic order.
 func (g *graph) accessEvents() []*event {
 	var out []*event
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind != axiom.KFence && ev.loc != "" {
+			if ev.slot >= 0 {
 				out = append(out, ev)
 			}
 		}
@@ -60,7 +60,7 @@ func (g *graph) lintRaces(add func(Diagnostic)) {
 	acc := g.accessEvents()
 	for i, a := range acc {
 		for _, b := range acc[i+1:] {
-			if a.thread == b.thread || a.loc != b.loc {
+			if a.thread == b.thread || a.slot != b.slot {
 				continue
 			}
 			if a.kind != axiom.KWrite && b.kind != axiom.KWrite {
@@ -74,9 +74,9 @@ func (g *graph) lintRaces(add func(Diagnostic)) {
 				lo, hi = hi, lo
 			}
 			add(Diagnostic{
-				Code: CodeRace, Severity: "info", Thread: lo.thread, Instr: lo.instr, Loc: string(lo.loc),
+				Code: CodeRace, Severity: "info", Thread: lo.thread, Instr: lo.instr, Loc: string(g.loc(lo.slot)),
 				Event: lo.index, RelThread: hi.thread, RelInstr: hi.instr, RelEvent: hi.index,
-				Message: fmt.Sprintf("unsynchronized %s of %s races with T%d#%d %s", verb(lo), lo.loc, hi.thread, hi.instr, verb(hi)),
+				Message: fmt.Sprintf("unsynchronized %s of %s races with T%d#%d %s", verb(lo), g.loc(lo.slot), hi.thread, hi.instr, verb(hi)),
 			})
 		}
 	}
@@ -117,7 +117,7 @@ func (g *graph) criticalSegments() []criticalSegment {
 	var cands []commCand
 	for _, a := range acc {
 		for _, b := range acc {
-			if a.thread == b.thread || a.loc != b.loc {
+			if a.thread == b.thread || a.slot != b.slot {
 				continue
 			}
 			// rf: W→R, fr: R→W, co: W→W (both orientations arise since we
@@ -129,12 +129,6 @@ func (g *graph) criticalSegments() []criticalSegment {
 	}
 	if len(cands) == 0 {
 		return nil
-	}
-
-	// Dependency coverage (any policy's dp is fine for lint purposes).
-	reach := make([][][]bool, len(g.threads))
-	for tid, evs := range g.threads {
-		reach[tid] = g.segCoverage(evs, covVariant{})
 	}
 
 	// DFS over communication edges, visiting each thread at most once, so
@@ -157,12 +151,12 @@ func (g *graph) criticalSegments() []criticalSegment {
 			if a.instr == b.instr {
 				continue // one instruction: no fence can go inside it
 			}
-			if reach[a.thread][a.index][b.index] {
-				continue // ordered by a must-dependency
+			if g.ordered(a, b, false) {
+				continue // ordered by a must-dependency (any policy's dp will do for lint)
 			}
 			best := ptx.ScopeNone
-			for _, f := range g.threads[a.thread] {
-				if f.kind == axiom.KFence && f.index > a.index && f.index < b.index && f.scope > best {
+			for _, f := range g.threads[a.thread][a.index+1 : b.index] {
+				if f.kind == axiom.KFence && f.scope > best {
 					best = f.scope
 				}
 			}
@@ -171,8 +165,9 @@ func (g *graph) criticalSegments() []criticalSegment {
 			}
 		}
 	}
-	var dfs func(cur int, threadsUsed map[int]bool)
-	dfs = func(cur int, threadsUsed map[int]bool) {
+	used := make([]bool, len(g.threads)) // the threads path visits
+	var dfs func(cur int)
+	dfs = func(cur int) {
 		last := cands[cur]
 		start := cands[path[0]]
 		for next, c := range cands {
@@ -180,22 +175,24 @@ func (g *graph) criticalSegments() []criticalSegment {
 				continue
 			}
 			if c.to.thread == start.from.thread && c.to.index <= start.from.index {
-				emit(append(append([]int(nil), path...), next))
+				emit(append(path, next))
 				continue
 			}
-			if threadsUsed[c.to.thread] {
+			if used[c.to.thread] {
 				continue
 			}
-			threadsUsed[c.to.thread] = true
+			used[c.to.thread] = true
 			path = append(path, next)
-			dfs(next, threadsUsed)
+			dfs(next)
 			path = path[:len(path)-1]
-			delete(threadsUsed, c.to.thread)
+			used[c.to.thread] = false
 		}
 	}
 	for i, c := range cands {
-		path = []int{i}
-		dfs(i, map[int]bool{c.from.thread: true, c.to.thread: true})
+		path = append(path[:0], i)
+		used[c.from.thread], used[c.to.thread] = true, true
+		dfs(i)
+		used[c.from.thread], used[c.to.thread] = false, false
 	}
 	return segs
 }
@@ -210,30 +207,18 @@ func (g *graph) lintCycles(add func(Diagnostic)) {
 		a, b := s.a, s.b
 		if s.best == ptx.ScopeNone {
 			add(Diagnostic{
-				Code: CodeCriticalCycle, Severity: "warning", Thread: a.thread, Instr: a.instr, Loc: string(a.loc),
+				Code: CodeCriticalCycle, Severity: "warning", Thread: a.thread, Instr: a.instr, Loc: string(g.loc(a.slot)),
 				Event: a.index, RelThread: b.thread, RelInstr: b.instr, RelEvent: b.index,
-				Message: fmt.Sprintf("critical cycle through %s and %s: no fence or dependency orders T%d#%d before T%d#%d", s.in.from.loc, s.out.to.loc, a.thread, a.instr, b.thread, b.instr),
+				Message: fmt.Sprintf("critical cycle through %s and %s: no fence or dependency orders T%d#%d before T%d#%d", g.loc(s.in.from.slot), g.loc(s.out.to.slot), a.thread, a.instr, b.thread, b.instr),
 			})
 		} else {
 			add(Diagnostic{
-				Code: CodeScopeMismatch, Severity: "warning", Thread: a.thread, Instr: a.instr, Loc: string(a.loc),
+				Code: CodeScopeMismatch, Severity: "warning", Thread: a.thread, Instr: a.instr, Loc: string(g.loc(a.slot)),
 				Event: a.index, RelThread: b.thread, RelInstr: b.instr, RelEvent: b.index,
-				Message: fmt.Sprintf("membar.%s between T%d#%d and T%d#%d is too narrow for inter-CTA communication on %s (needs membar.gl or wider)", scopeName(s.best), a.thread, a.instr, b.thread, b.instr, s.in.from.loc),
+				Message: fmt.Sprintf("membar.%s between T%d#%d and T%d#%d is too narrow for inter-CTA communication on %s (needs membar.gl or wider)", s.best, a.thread, a.instr, b.thread, b.instr, g.loc(s.in.from.slot)),
 			})
 		}
 	}
-}
-
-func scopeName(s ptx.Scope) string {
-	switch s {
-	case ptx.ScopeCTA:
-		return "cta"
-	case ptx.ScopeGL:
-		return "gl"
-	case ptx.ScopeSys:
-		return "sys"
-	}
-	return "none"
 }
 
 // lintUnusedRegs flags declared registers no instruction reads or writes
@@ -256,30 +241,36 @@ func (g *graph) lintUnusedRegs(add func(Diagnostic)) {
 // lintDeadWrites flags locations that are written but never read by any
 // thread nor inspected by the final condition.
 func (g *graph) lintDeadWrites(add func(Diagnostic)) {
-	readLocs := make(map[ptx.Sym]bool)
+	if g.en == nil {
+		return // no events, so no writes
+	}
+	// skip marks, per slot, a location read, inspected by the condition,
+	// or already flagged.
+	skip := make([]bool, len(g.en.Slots().Locs()))
 	for _, evs := range g.threads {
 		for _, ev := range evs {
 			if ev.kind == axiom.KRead {
-				readLocs[ev.loc] = true
+				skip[ev.slot] = true
 			}
 		}
 	}
 	for _, a := range litmus.CondAtoms(g.test.Exists) {
 		if me, ok := a.(litmus.MemEq); ok {
-			readLocs[me.Loc] = true
+			if s := g.en.Slots().Loc(me.Loc); s >= 0 {
+				skip[s] = true
+			}
 		}
 	}
-	flagged := make(map[ptx.Sym]bool)
 	for _, evs := range g.threads {
 		for _, ev := range evs {
-			if ev.kind != axiom.KWrite || readLocs[ev.loc] || flagged[ev.loc] {
+			if ev.kind != axiom.KWrite || skip[ev.slot] {
 				continue
 			}
-			flagged[ev.loc] = true
+			skip[ev.slot] = true
 			add(Diagnostic{
-				Code: CodeDeadWrite, Severity: "info", Thread: ev.thread, Instr: ev.instr, Loc: string(ev.loc),
+				Code: CodeDeadWrite, Severity: "info", Thread: ev.thread, Instr: ev.instr, Loc: string(g.loc(ev.slot)),
 				Event: ev.index, RelThread: noAnchor, RelInstr: noAnchor, RelEvent: noAnchor,
-				Message: fmt.Sprintf("%s is written but never read, and the condition ignores it", ev.loc),
+				Message: fmt.Sprintf("%s is written but never read, and the condition ignores it", g.loc(ev.slot)),
 			})
 		}
 	}

@@ -4,12 +4,12 @@
 // the linter already computes (insertions at program-order positions over
 // the scope ladder membar.cta → membar.gl → membar.sys, plus widening an
 // existing too-narrow fence in place), ranks them statically — by how many
-// critical segments the edits cover (reusing segCoverage/covered
-// from cycles.go), then by cost: fences inserted, total scope width,
-// program-order position — and verifies candidates in rank order against a
-// judge oracle until the behaviour is Never. The winner is greedily
-// reduced to a 1-minimal set: dropping any single edit makes the behaviour
-// observable again. Everything is deterministic: same test, same policy,
+// critical segments the edits cover (covered in cycles.go, over the
+// graph's once-built order closures), then by cost: fences inserted, total
+// scope width, program-order position — and verifies candidates in rank
+// order against a judge oracle until the behaviour is Never. The winner
+// is greedily reduced to a 1-minimal set: dropping any single edit makes
+// the behaviour observable again. Everything is deterministic: same test, same policy,
 // same oracle → same actions, same ledger.
 //
 // The oracle is injected (rather than calling core.Judge directly) because
@@ -267,13 +267,13 @@ func repairSiteActions(g *graph, s repairSite) []RepairAction {
 		for sc := lo; sc <= ptx.ScopeSys; sc++ {
 			out = append(out, RepairAction{
 				Kind: "strengthen", Thread: s.thread, Index: f.instr,
-				Scope: scopeName(sc), OldScope: scopeName(f.scope),
+				Scope: sc.String(), OldScope: f.scope.String(),
 			})
 		}
 	}
 	for pos := s.aInstr + 1; pos <= s.bInstr; pos++ {
 		for sc := s.required; sc <= ptx.ScopeSys; sc++ {
-			out = append(out, RepairAction{Kind: "insert", Thread: s.thread, Index: pos, Scope: scopeName(sc)})
+			out = append(out, RepairAction{Kind: "insert", Thread: s.thread, Index: pos, Scope: sc.String()})
 		}
 	}
 	return out
@@ -357,10 +357,10 @@ func repairCandidates(g *graph, sites []repairSite, maxGen int) [][]RepairAction
 }
 
 // repairStaticScore counts how many of the critical segments the edits
-// order, via the same segCoverage/covered machinery the prefilter's
-// forced-cycle argument uses, under a variant demanding each site's
-// required fence scope. A fence edit changes no event but fences, so the
-// edits are read against g's own events instead of a mutant's.
+// order, via the same covered check the prefilter's forced-cycle argument
+// uses, under a variant demanding each site's required fence scope. A
+// fence edit changes no event but fences, so the edits are read against
+// g's own events instead of a mutant's.
 func repairStaticScore(g *graph, actions []RepairAction, sites []repairSite) int {
 	score := 0
 	for _, s := range sites {
@@ -368,7 +368,7 @@ func repairStaticScore(g *graph, actions []RepairAction, sites []repairSite) int
 		a := eventAtInstr(evs, s.aInstr, true)
 		b := eventAtInstr(evs, s.bInstr, false)
 		v := covVariant{minFence: s.required, extRF: true}
-		if g.covered(a, b, v, g.segCoverage(evs, v)) || fencedByEdits(evs, actions, a, b, s.required) {
+		if g.covered(a, b, v) || fencedByEdits(evs, actions, a, b, s.required) {
 			score++
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/weakgpu/gpulitmus/internal/analysis"
+	"github.com/weakgpu/gpulitmus/internal/axiom"
 	"github.com/weakgpu/gpulitmus/internal/litmus"
 	"github.com/weakgpu/gpulitmus/internal/litmus/litmustest"
 )
@@ -184,5 +185,38 @@ func TestFencedStressStaticAgrees(t *testing.T) {
 			t.Fatalf("extra=%d: enumeration observable=%v disagrees with static %v (%d candidates)",
 				extra, v.Observable, sv.Observable, v.Candidates)
 		}
+	}
+}
+
+// TestStaticVerdictAllocs pins the static path's allocations: judging the
+// paper corpus under the four built-in models with StaticVerdict, from
+// enumerations prepared outside the measurement, allocates 45.91 times
+// per (test, model) pair: the analyzer's graph and its answer. It was
+// 55.25 while the graph named each event's location and rebuilt a
+// thread's order closures on every use.
+func TestStaticVerdictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race instrumentation")
+	}
+	ms := builtinModels()
+	tests := litmus.PaperTests()
+	ens := make([]*axiom.Enumeration, len(tests))
+	for i, test := range tests {
+		en, err := axiom.Prepare(test, axiom.DefaultOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ens[i] = en
+	}
+	per := testing.AllocsPerRun(5, func() {
+		for i, en := range ens {
+			for _, m := range ms {
+				m.StaticVerdict(tests[i], en)
+			}
+		}
+	}) / float64(len(tests)*len(ms))
+	t.Logf("%.2f allocations per (test, model) pair", per)
+	if per > 48 {
+		t.Errorf("StaticVerdict costs %.2f allocations per (test, model) pair, want at most 48", per)
 	}
 }

@@ -55,11 +55,6 @@ func InterCTA(threads ...int) ScopeTree {
 	return tree
 }
 
-// IntraWarp builds a scope tree with all threads in a single warp.
-func IntraWarp(threads ...int) ScopeTree {
-	return ScopeTree{CTAs: []CTAScope{{Warps: []WarpScope{{Threads: threads}}}}}
-}
-
 // CTAOf returns the CTA index of thread tid, or -1 if absent.
 func (s ScopeTree) CTAOf(tid int) int {
 	for ci, cta := range s.CTAs {

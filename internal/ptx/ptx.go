@@ -44,11 +44,6 @@ func (s Scope) String() string {
 	}
 }
 
-// Includes reports whether ordering at scope s implies ordering at scope t;
-// wider scopes include narrower ones (membar.sys orders everything
-// membar.cta does).
-func (s Scope) Includes(t Scope) bool { return s >= t }
-
 // CacheOp is a PTX cache operator on a load or store. The paper's tests use
 // .ca (cache at all levels, i.e. may hit the incoherent per-SM L1) and .cg
 // (cache at global level, i.e. the coherent L2); see Sec. 2.3 and 3.1.2.

@@ -303,15 +303,6 @@ func TestMemAccessHelpers(t *testing.T) {
 	}
 }
 
-func TestScopeIncludes(t *testing.T) {
-	if !ScopeSys.Includes(ScopeCTA) || !ScopeGL.Includes(ScopeCTA) || !ScopeGL.Includes(ScopeGL) {
-		t.Error("wider scopes must include narrower")
-	}
-	if ScopeCTA.Includes(ScopeGL) {
-		t.Error("cta must not include gl")
-	}
-}
-
 func TestDefaultRegClassifier(t *testing.T) {
 	for _, name := range []string{"r0", "r12", "p", "p4", "rb"} {
 		if !DefaultRegClassifier(name) {

@@ -191,14 +191,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
-// Has reports whether key is indexed (without reading its value).
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Put appends a record for key. An identical value already on disk is a
 // no-op (verdicts are permanently valid, so replicas re-pushing a key
 // must not grow the segment); a differing or unreadable one is superseded
